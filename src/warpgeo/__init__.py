@@ -34,7 +34,7 @@ from .hypersurface import (
     mean_curvature,
     shape_data,
 )
-from .intrinsic import CurvaturePackage, curvature_package, ricci_gradh_extrinsic
+from .intrinsic import PointGeometry, curvature_package, point_geometry, ricci_gradh_extrinsic
 from .jets import Jet2, eval_jet2, eval_value
 from .rotational import (
     ProfileCurve,
@@ -62,7 +62,6 @@ __all__ = [
     "AmbientPoint",
     "BoundaryTooClose",
     "ChartBox",
-    "CurvaturePackage",
     "DegenerateImmersion",
     "DomainError",
     "Expression",
@@ -72,6 +71,7 @@ __all__ = [
     "Immersion",
     "Jet2",
     "MeshUnsupported",
+    "PointGeometry",
     "ProfileCurve",
     "QuadratureFailure",
     "RotationalProfile",
@@ -97,6 +97,7 @@ __all__ = [
     "hessian_height_paths",
     "mean_curvature",
     "parse",
+    "point_geometry",
     "ricci_gradh_extrinsic",
     "shape_data",
     "soliton_lambda",

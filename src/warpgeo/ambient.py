@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularMetric
+from .expr import BinOp, Call, Num, Var, unparse, variables_in
 from .jets import as_expression, eval_jet2, eval_value
-from .expr import unparse, variables_in
 
 CONDITION_LIMIT = 1e12
 SPACE_FORM_TOL = 1e-10
@@ -48,9 +48,6 @@ class AmbientPoint:
 
     t: float
     x: tuple
-
-    def coords(self):
-        return np.array((self.t,) + tuple(self.x))
 
 
 @dataclass(frozen=True)
@@ -118,16 +115,15 @@ class WarpedProduct:
         return self.n + 1
 
     def _build_metric_diag(self):
-        from .expr import parse
-
-        f_src = f"({unparse(self.f)})^2"
-        entries = [parse("1")]
+        """Diagonal entries 1, f^2 and f^2 * sin(x1)^2 * ... * sin(x_{i-1})^2."""
+        f_squared = BinOp("^", self.f, Num(2.0))
+        entries = [Num(1.0)]
         for i in range(1, self.n + 1):
-            src = f_src
+            entry = f_squared
             if self.fiber is Fiber.SPHERE:
                 for j in range(1, i):
-                    src += f"*sin(x{j})^2"
-            entries.append(parse(src))
+                    entry = BinOp("*", entry, BinOp("^", Call("sin", Var(f"x{j}")), Num(2.0)))
+            entries.append(entry)
         return tuple(entries)
 
     def probe_window(self, margin=0.02, clip=4.0):
@@ -207,15 +203,7 @@ class WarpedProduct:
         Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc).
         """
         G, dG, _ = self.metric_jets(p)
-        if np.linalg.cond(G) > CONDITION_LIMIT:
-            raise SingularMetric(
-                f"chart metric at t={p.t!r}, x={p.x!r} is numerically singular"
-            )
-        Ginv = np.linalg.inv(G)
-        term1 = np.einsum("ad,dcb->abc", Ginv, dG)  # d_b g_dc
-        term2 = np.einsum("ad,bdc->abc", Ginv, dG)  # d_c g_bd
-        term3 = np.einsum("ad,bcd->abc", Ginv, dG)  # d_d g_bc
-        return 0.5 * (term1 + term2 - term3)
+        return christoffel_symbols(p, G, dG)
 
     def curvature(self, p, X, Y, Z):
         """Curvature R(X, Y)Z of the warped metric in chart components.
@@ -224,11 +212,14 @@ class WarpedProduct:
         curvature fiber; the overall sign is pinned by the convention in
         the module docstring (round models have K = c).
         """
+        return self.curvature_from(self.metric(p), self.warping_jet(p.t), X, Y, Z)
+
+    def curvature_from(self, G, warping, X, Y, Z):
+        """R(X, Y)Z from the metric matrix and (f, f', f'') at the point."""
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         Z = np.asarray(Z, dtype=float)
-        G = self.metric(p)
-        f0, f1, f2 = self.warping_jet(p.t)
+        f0, f1, f2 = warping
         lf1 = f1 / f0
         lf2 = f2 / f0 - lf1 * lf1
 
@@ -247,9 +238,6 @@ class WarpedProduct:
             out -= (self.k / (f0 * f0)) * (ip(Xs, Zs) * Ys - ip(Ys, Zs) * Xs)
         return out
 
-    def inner(self, p, X, Y):
-        return float(np.asarray(X) @ self.metric(p) @ np.asarray(Y))
-
     def check_space_form(self, c, probes):
         """Residuals of ((f')^2 - k)/f^2 = -c = f''/f over ``probes``."""
         c = float(c)
@@ -262,6 +250,19 @@ class WarpedProduct:
             worst_ratio = max(worst_ratio, abs((f1 * f1 - self.k) / (f0 * f0) + c))
             worst_second = max(worst_second, abs(f2 / f0 + c))
         return SpaceFormCheck(c, worst_ratio, worst_second)
+
+
+def christoffel_symbols(p, G, dG):
+    """Christoffel symbols at ``p`` from the metric jets ``G``, ``dG``."""
+    if np.linalg.cond(G) > CONDITION_LIMIT:
+        raise SingularMetric(
+            f"chart metric at t={p.t!r}, x={p.x!r} is numerically singular"
+        )
+    Ginv = np.linalg.inv(G)
+    term1 = np.einsum("ad,dcb->abc", Ginv, dG)  # d_b g_dc
+    term2 = np.einsum("ad,bdc->abc", Ginv, dG)  # d_c g_bd
+    term3 = np.einsum("ad,bcd->abc", Ginv, dG)  # d_d g_bc
+    return 0.5 * (term1 + term2 - term3)
 
 
 def space_form_models(n=2):

@@ -6,7 +6,7 @@ import math
 
 from .ambient import Fiber, WarpedProduct
 from .errors import SceneError
-from .expr import parse, unparse
+from .expr import BinOp, Call, Num, Var, literal, parse
 from .hypersurface import ChartBox, Immersion, Tag
 from .jets import eval_jet2
 from .rotational import (
@@ -44,7 +44,7 @@ def slice_immersion(ambient, t0, tag=Tag.SLICE, half_width=1.0):
         lower = [-half_width] * ambient.n
         upper = [half_width] * ambient.n
     chart = ChartBox(names, tuple(lower), tuple(upper))
-    components = [parse(repr(float(t0)))] + [parse(name) for name in names]
+    components = [literal(t0)] + [Var(name) for name in names]
     return Immersion(ambient, chart, components, tag=tag)
 
 
@@ -63,7 +63,7 @@ def hyperplane_immersion(ambient, half_width=1.0):
     lower = (-half_width,) * ambient.n
     upper = (half_width,) * ambient.n
     chart = ChartBox(names, lower, upper)
-    components = [parse("u"), parse("0")] + [parse(f"v{j}") for j in range(1, ambient.n)]
+    components = [Var("u"), Num(0.0)] + [Var(f"v{j}") for j in range(1, ambient.n)]
     return Immersion(ambient, chart, components, tag=Tag.HYPERPLANE)
 
 
@@ -87,12 +87,13 @@ def sphere_immersion(ambient, pad=0.15):
         lower.append(-math.pi + 0.1)
         upper.append(math.pi - 0.1)
     chart = ChartBox(tuple(names), tuple(lower), tuple(upper))
-    components = [parse("sin(u)")]
+    u = Var("u")
+    components = [Call("sin", u)]
     if n == 1:
-        components.append(parse("cos(u)"))
+        components.append(Call("cos", u))
     else:
         for x_expr in sphere_chart_expressions(n):
-            components.append(parse(f"cos(u)*({unparse(x_expr)})"))
+            components.append(BinOp("*", Call("cos", u), x_expr))
     return Immersion(ambient, chart, components, tag=Tag.SPHERE_IN_EUCLIDEAN)
 
 

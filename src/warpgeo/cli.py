@@ -122,6 +122,10 @@ def _cmd_rotational(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    if args.mesh and prof.n != 2:
+        print(f"error: mesh export needs n = 2, got n = {prof.n}", file=sys.stderr)
+        return EXIT_USAGE
+
     interval = (-math.inf, math.inf)
     if args.t_min is not None or args.t_max is not None:
         interval = (
@@ -140,11 +144,6 @@ def _cmd_rotational(args):
 
     warnings = []
     if args.mesh:
-        if prof.n != 2:
-            print(
-                f"error: mesh export needs n = 2, got n = {prof.n}", file=sys.stderr
-            )
-            return EXIT_USAGE
         chart = result.immersion.chart
         u_values = chart.axis_points("u", args.samples, 0.0)
         v_values = chart.axis_points("v1", args.samples, 0.02)

@@ -12,7 +12,8 @@ Grammar (EBNF, whitespace insignificant, no implicit multiplication)::
     NAME     = LETTER { LETTER | DIGIT | "_" } ;
 
 ``^`` is right-associative and binds tighter than unary minus, so
-``-t^2`` parses as ``-(t^2)``.  Recognized functions: sin, cos, tan,
+``-t^2`` parses as ``-(t^2)``.  A number literal that is not finite as a
+float (``1e400``) is a syntax error.  Recognized functions: sin, cos, tan,
 sinh, cosh, tanh, exp, log, sqrt, abs.  Recognized constants: pi, e.
 A function name must be followed by a parenthesized argument.
 """
@@ -173,7 +174,10 @@ class _Parser:
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {tok.text!r} is not finite", tok.pos)
+            return Num(value)
         if tok.kind == "op" and tok.text == "(":
             node = self.parse_expr()
             self.expect(")")
@@ -213,6 +217,14 @@ def parse(text, variables=None):
     if trailing is not None:
         raise ExprSyntaxError(f"unexpected token {trailing.text!r}", trailing.pos)
     return node
+
+
+def literal(value):
+    """AST of a float, shaped like ``parse(repr(value))`` (a sign becomes Neg)."""
+    value = float(value)
+    if math.copysign(1.0, value) < 0.0:
+        return Neg(Num(-value))
+    return Num(value)
 
 
 def variables_in(expr):

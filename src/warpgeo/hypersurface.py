@@ -11,19 +11,21 @@ Orientation convention: N is chosen so that theta >= 0 at the center of
 the chart box; if |theta| < 1e-10 there, the sign of the first nonzero
 component of N breaks the tie.  Away from the center the normal keeps
 the frame orientation det([E_1 .. E_n, N]) fixed, which extends the
-center choice continuously.
+center choice continuously.  The sign is fixed when the immersion is
+constructed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ambient import AmbientPoint, WarpedProduct
-from .errors import DegenerateImmersion
+from .ambient import AmbientPoint, WarpedProduct, christoffel_symbols
+from .errors import DegenerateImmersion, DomainError
 from .expr import Expression, unparse, variables_in
 from .jets import as_expression, eval_jet2
 
@@ -136,12 +138,13 @@ class Immersion:
     """A hypersurface immersion of a chart box into a warped product.
 
     ``components`` gives the n+1 ambient coordinates (t, x1, ..., xn) as
-    functions of the chart variables.  Construction probes a small
-    interior grid: the tangent Gram determinant must exceed 1e-12 and
-    the image must stay inside the ambient chart.
+    functions of the chart variables.  Construction fixes the normal
+    orientation at the chart center and probes a small interior grid:
+    the tangent Gram determinant must exceed 1e-12 and the image must
+    stay inside the ambient chart.  The object is not modified afterwards.
     """
 
-    def __init__(self, ambient, chart, components, tag=Tag.CUSTOM, validate=True):
+    def __init__(self, ambient, chart, components, tag=Tag.CUSTOM):
         if not isinstance(ambient, WarpedProduct):
             raise TypeError("ambient must be a WarpedProduct")
         self.ambient = ambient
@@ -163,26 +166,13 @@ class Immersion:
                     raise ValueError(
                         f"component {comp.source!r} uses undeclared variables {sorted(extra)}"
                     )
-        self._orient_sign = None
-        self._shape_cache = {}
-        if validate:
-            self._probe()
+        self.orientation = _center_orientation(self)
+        for p in self.chart.grid(3, margins=0.1):
+            shape_data(self, p)
 
     @property
     def n(self):
         return self.ambient.n
-
-    def _probe(self):
-        from .errors import DomainError
-
-        for p in self.chart.grid(3, margins=0.1):
-            try:
-                shape_data(self, p)
-            except DomainError as exc:
-                raise DomainError(
-                    f"{exc} (at chart point {dict(zip(self.chart.names, p))!r})",
-                    exc.expression,
-                ) from exc
 
     def bindings(self, p):
         return dict(zip(self.chart.names, map(float, p)))
@@ -195,6 +185,51 @@ class Immersion:
         values = self.bindings(p)
         comps = [c.jet(values, ()).value for c in self.components]
         return AmbientPoint(comps[0], tuple(comps[1:]))
+
+
+@contextlib.contextmanager
+def located(imm, p):
+    """Add the chart point ``p`` to any DomainError raised in the block."""
+    try:
+        yield
+    except DomainError as exc:
+        raise DomainError(
+            f"{exc} (at chart point {imm.bindings(p)!r})", exc.expression
+        ) from exc
+
+
+@dataclass(frozen=True)
+class PointJets:
+    """Jets of psi and of the ambient metric at one interior chart point.
+
+    ``frame[a, i]`` is d psi^a / d u^i and ``second[a, i, j]`` the second
+    chart derivatives; ``G`` and ``dG`` are the ambient metric and its
+    coordinate derivatives at the image, and ``metric`` is g = E^T G E.
+    """
+
+    point: tuple
+    ambient_point: AmbientPoint
+    frame: np.ndarray
+    second: np.ndarray
+    G: np.ndarray
+    dG: np.ndarray
+    metric: np.ndarray
+
+
+def point_jets(imm, p):
+    """One component-jet and one metric-jet evaluation at chart point ``p``."""
+    p = tuple(map(float, p))
+    if not imm.chart.contains(p):
+        raise ValueError(f"chart point {p!r} is outside the open box (margin 1e-6)")
+    jets = imm.component_jets(p)
+    q = AmbientPoint(jets[0].value, tuple(j.value for j in jets[1:]))
+    imm.ambient.validate_point(q)
+    E = np.array([jet.grad for jet in jets])  # (d, n)
+    G, dG, _ = imm.ambient.metric_jets(q)
+    g = E.T @ G @ E
+    if np.linalg.det(g) <= GRAM_DET_LIMIT:
+        raise DegenerateImmersion(f"tangent frame is degenerate at chart point {p!r}")
+    return PointJets(p, q, E, np.array([jet.hess for jet in jets]), G, dG, g)
 
 
 @dataclass(frozen=True)
@@ -225,20 +260,6 @@ class ShapeData:
         return self.metric.shape[0]
 
 
-def _frame_and_metric(imm, p):
-    jets = imm.component_jets(p)
-    q = AmbientPoint(jets[0].value, tuple(j.value for j in jets[1:]))
-    imm.ambient.validate_point(q)
-    E = np.array([jet.grad for jet in jets])  # (d, n)
-    G = imm.ambient.metric(q)
-    g = E.T @ G @ E
-    if np.linalg.det(g) <= GRAM_DET_LIMIT:
-        raise DegenerateImmersion(
-            f"tangent frame is degenerate at chart point {tuple(p)!r}"
-        )
-    return jets, q, E, G, g
-
-
 def _raw_normal(E, G):
     """Unit normal (sign unfixed) via QR in metric-orthonormal coordinates."""
     L = np.linalg.cholesky(G)
@@ -250,62 +271,51 @@ def _raw_normal(E, G):
     return N, float(np.sign(det))
 
 
-def _orientation_sign(imm):
-    if imm._orient_sign is None:
-        center = imm.chart.center()
-        _, _, E, G, _ = _frame_and_metric(imm, center)
-        N, det_sign = _raw_normal(E, G)
-        flip = False
-        if N[0] > _ORIENT_TIE:
-            flip = False
-        elif N[0] < -_ORIENT_TIE:
-            flip = True
-        else:
-            for comp in N:
-                if abs(comp) > _ORIENT_TIE:
-                    flip = comp < 0.0
-                    break
-        imm._orient_sign = -det_sign if flip else det_sign
-    return imm._orient_sign
+def _center_orientation(imm):
+    """Frame-orientation sign that gives theta >= 0 at the chart center."""
+    center = imm.chart.center()
+    with located(imm, center):
+        pj = point_jets(imm, center)
+    N, det_sign = _raw_normal(pj.frame, pj.G)
+    for comp in N:
+        if abs(comp) > _ORIENT_TIE:
+            return -det_sign if comp < 0.0 else det_sign
+    return det_sign
 
 
-def shape_data(imm, p):
-    """Evaluate the extrinsic package at an interior chart point."""
-    p = tuple(map(float, p))
-    cached = imm._shape_cache.get(p)
-    if cached is not None:
-        return cached
-    if not imm.chart.contains(p):
-        raise ValueError(f"chart point {p!r} is outside the open box (margin 1e-6)")
-    jets, q, E, G, g = _frame_and_metric(imm, p)
+def shape_from_jets(imm, pj):
+    """The extrinsic package from the jets at one point."""
+    E, G, g = pj.frame, pj.G, pj.metric
     N, det_sign = _raw_normal(E, G)
-    if det_sign != _orientation_sign(imm):
+    if det_sign != imm.orientation:
         N = -N
-    Gamma = imm.ambient.christoffels(q)
-    dd_psi = np.array([jet.hess for jet in jets])  # (d, n, n)
-    cov = dd_psi + np.einsum("abc,bi,cj->aij", Gamma, E, E)
+    Gamma = christoffel_symbols(pj.ambient_point, G, pj.dG)
+    cov = pj.second + np.einsum("abc,bi,cj->aij", Gamma, E, E)
     II = np.einsum("aij,ab,b->ij", cov, G, N)
     A = np.linalg.solve(g, II)
-    n = imm.n
-    H = float(np.trace(A)) / n
+    H = float(np.trace(A)) / imm.n
     dh = E[0, :].copy()
     grad_h = np.linalg.solve(g, dh)
-    sd = ShapeData(
-        point=p,
-        ambient_point=q,
+    return ShapeData(
+        point=pj.point,
+        ambient_point=pj.ambient_point,
         frame=E,
         metric=g,
         normal=N,
         shape_operator=A,
         second_fundamental=II,
         mean_curvature=H,
-        height=float(jets[0].value),
+        height=float(pj.ambient_point.t),
         theta=float(N[0]),
         grad_h=grad_h,
         grad_h_norm2=float(dh @ grad_h),
     )
-    imm._shape_cache[p] = sd
-    return sd
+
+
+def shape_data(imm, p):
+    """Evaluate the extrinsic package at an interior chart point."""
+    with located(imm, p):
+        return shape_from_jets(imm, point_jets(imm, p))
 
 
 def mean_curvature(imm, p):
@@ -350,36 +360,29 @@ def shape_operator_from_normal_derivative(imm, p, step=1e-5):
     return np.linalg.solve(sd.metric, sd.frame.T @ G @ columns)
 
 
-def induced_metric_jets(imm, p):
-    """Induced metric with exact chart derivatives.
+def induced_christoffels_from_jets(pj):
+    """Christoffel symbols Gamma[k, i, j] of the induced metric.
 
-    Returns ``(g, dg)`` with ``dg[k, i, j] = d g_ij / d u^k``, assembled
-    from order-2 jets of the immersion and first derivatives of the
-    ambient metric.
+    The chart derivatives ``dg[k, i, j] = d g_ij / d u^k`` are exact,
+    assembled from the order-2 jets of psi and the ambient ``dG``.
     """
-    p = tuple(map(float, p))
-    jets = imm.component_jets(p)
-    q = AmbientPoint(jets[0].value, tuple(j.value for j in jets[1:]))
-    E = np.array([jet.grad for jet in jets])
-    dd_psi = np.array([jet.hess for jet in jets])
-    G, dG, _ = imm.ambient.metric_jets(q)
-    g = E.T @ G @ E
+    E, G, dd_psi = pj.frame, pj.G, pj.second
     dg = (
         np.einsum("aik,ab,bj->kij", dd_psi, G, E)
         + np.einsum("ai,ab,bjk->kij", E, G, dd_psi)
-        + np.einsum("ai,abc,ck,bj->kij", E, dG, E, E)
+        + np.einsum("ai,abc,ck,bj->kij", E, pj.dG, E, E)
     )
-    return g, dg
-
-
-def induced_christoffels(imm, p):
-    """Christoffel symbols of the induced metric, Gamma[k, i, j]."""
-    g, dg = induced_metric_jets(imm, p)
-    ginv = np.linalg.inv(g)
+    ginv = np.linalg.inv(pj.metric)
     term1 = np.einsum("kl,ilj->kij", ginv, dg)  # d_i g_lj
     term2 = np.einsum("kl,jil->kij", ginv, dg)  # d_j g_il
     term3 = np.einsum("kl,lij->kij", ginv, dg)  # d_l g_ij
     return 0.5 * (term1 + term2 - term3)
+
+
+def induced_christoffels(imm, p):
+    """Christoffel symbols of the induced metric, Gamma[k, i, j]."""
+    with located(imm, p):
+        return induced_christoffels_from_jets(point_jets(imm, p))
 
 
 def orthonormal_frame(g):

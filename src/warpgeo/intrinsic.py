@@ -1,10 +1,11 @@
-"""Intrinsic curvature of immersed hypersurfaces.
+"""Intrinsic curvature of immersed hypersurfaces: the per-point record.
 
-Two independent routes to the scalar curvature are provided: the Gauss
-equation route (ambient curvature plus quadratic shape-operator terms,
-traced over an orthonormal frame) and the closed warped-product formula
-specialized to a constant-curvature fiber.  A finite-difference oracle
-over the sampled induced metric ships for testing only.
+``point_geometry`` computes, from one jet evaluation, everything the
+checks read at a chart point.  The scalar curvature comes by two
+independent routes: the Gauss equation (ambient curvature plus quadratic
+shape-operator terms, traced over an orthonormal frame) and the closed
+warped-product formula for a constant-curvature fiber.  A
+finite-difference oracle over the sampled induced metric is test-only.
 """
 
 from __future__ import annotations
@@ -12,38 +13,76 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import BoundaryTooClose
-from .hypersurface import orthonormal_frame, shape_data
+from .hypersurface import (
+    ShapeData,
+    induced_christoffels_from_jets,
+    located,
+    orthonormal_frame,
+    point_jets,
+    shape_data,
+    shape_from_jets,
+)
 
 
 @dataclass(frozen=True)
-class CurvaturePackage:
-    """Scalar curvature (two routes), Ricci tensor and |Phi|^2 at a point."""
+class PointGeometry:
+    """Geometry of the immersion at one chart point.
 
-    scal_gauss: float
-    scal_formula: float
+    ``warping`` is (f, f', f'') at the height.  ``hess_identity`` is
+    Hess h by the warped-product identity and ``hess_direct`` by the
+    induced Christoffel symbols.  ``lam`` = scal - (Lap h)/n is the
+    trace-derived soliton function and ``residual`` the g-operator norm
+    of the trace-free part of Hess h.  ``traceless_norm2`` is |Phi|^2 and
+    ``ric_gradh`` is Ric(grad h, grad h).
+    """
+
+    shape: ShapeData
+    warping: tuple
+    hess_identity: np.ndarray
+    hess_direct: np.ndarray
     ric: np.ndarray
     ric_gradh: float
+    scal_gauss: float
+    scal_formula: float
     traceless_norm2: float
+    lam: float
+    residual: float
+
+    @property
+    def point(self):
+        return self.shape.point
 
 
-def _ambient_ricci_sum(imm, sd, X_chart, Y_chart):
+def _ambient_ricci_sum(ambient, sd, G, warping, X_chart, Y_chart):
     """Sum_a <R(X, F_a) F_a, Y> over a g-orthonormal tangent frame."""
     F = orthonormal_frame(sd.metric)
     Fa = sd.frame @ F
     Xa = sd.frame @ X_chart
     Ya = sd.frame @ Y_chart
-    G = imm.ambient.metric(sd.ambient_point)
-    total = 0.0
-    for a in range(Fa.shape[1]):
-        RXF = imm.ambient.curvature(sd.ambient_point, Xa, Fa[:, a], Fa[:, a])
-        total += float(RXF @ G @ Ya)
-    return total
+    return sum(
+        float(ambient.curvature_from(G, warping, Xa, Fa[:, a], Fa[:, a]) @ G @ Ya)
+        for a in range(Fa.shape[1])
+    )
 
 
-def curvature_package(imm, p):
-    """Evaluate Ricci and scalar curvature at a chart point.
+def _hessian_direct(pj):
+    """Hess h = d^2 h - Gamma(dh) through the induced Christoffel symbols."""
+    gamma = induced_christoffels_from_jets(pj)
+    return pj.second[0] - np.einsum("kij,k->ij", gamma, pj.frame[0])
+
+
+def laplacian_height(imm, p):
+    """Lap h at a chart point from the jets alone (no extrinsic package)."""
+    with located(imm, p):
+        pj = point_jets(imm, p)
+        return float(np.trace(np.linalg.solve(pj.metric, _hessian_direct(pj))))
+
+
+def point_geometry(imm, p):
+    """Build the :class:`PointGeometry` record at an interior chart point.
 
     The Ricci tensor (chart frame, lowered indices) is
 
@@ -57,24 +96,35 @@ def curvature_package(imm, p):
              - n (f''/f)(h) |grad h|^2
              + n^2 H^2 - |A|^2.
     """
-    sd = shape_data(imm, p)
+    with located(imm, p):
+        pj = point_jets(imm, p)
+        sd = shape_from_jets(imm, pj)
+        warping = imm.ambient.warping_jet(sd.height)
     n = sd.n
     g = sd.metric
     A = sd.shape_operator
     II = sd.second_fundamental
     H = sd.mean_curvature
+    f0, f1, f2 = warping
+
+    dh = sd.frame[0, :]
+    hess_identity = (f1 / f0) * (g - np.outer(dh, dh)) + sd.theta * II
+    hess_direct = _hessian_direct(pj)
+    lap = float(np.trace(np.linalg.solve(g, hess_direct)))
+    trace_free = hess_direct - (lap / n) * g
+    eigs = scipy.linalg.eigh(trace_free, g, eigvals_only=True)
 
     basis = np.eye(n)
     S = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
-            S[i, j] = _ambient_ricci_sum(imm, sd, basis[:, i], basis[:, j])
+            S[i, j] = _ambient_ricci_sum(
+                imm.ambient, sd, pj.G, warping, basis[:, i], basis[:, j]
+            )
             S[j, i] = S[i, j]
     ric = S + n * H * II - A.T @ g @ A
-
     scal_gauss = float(np.trace(np.linalg.solve(g, ric)))
 
-    f0, f1, f2 = imm.ambient.warping_jet(sd.height)
     lf1 = f1 / f0
     lf2 = f2 / f0 - lf1 * lf1
     W = sd.grad_h_norm2
@@ -89,20 +139,30 @@ def curvature_package(imm, p):
         - A_norm2
     )
 
-    ric_gradh = float(sd.grad_h @ ric @ sd.grad_h)
-    return CurvaturePackage(
+    return PointGeometry(
+        shape=sd,
+        warping=warping,
+        hess_identity=hess_identity,
+        hess_direct=hess_direct,
+        ric=ric,
+        ric_gradh=float(sd.grad_h @ ric @ sd.grad_h),
         scal_gauss=scal_gauss,
         scal_formula=float(scal_formula),
-        ric=ric,
-        ric_gradh=ric_gradh,
         traceless_norm2=A_norm2 - n * H * H,
+        lam=scal_gauss - lap / n,
+        residual=float(np.max(np.abs(eigs))),
     )
+
+
+def curvature_package(imm, p):
+    """Ricci and scalar curvature at a chart point (a :class:`PointGeometry`)."""
+    return point_geometry(imm, p)
 
 
 def ricci_gradh_extrinsic(imm, p):
     """Ric(grad h, grad h) evaluated directly in extrinsic terms.
 
-    Independent code path from :func:`curvature_package` (no Ricci
+    Independent code path from :func:`point_geometry` (no Ricci
     matrix is assembled); the two must agree.
     """
     sd = shape_data(imm, p)
@@ -111,25 +171,14 @@ def ricci_gradh_extrinsic(imm, p):
     A = sd.shape_operator
     gh = sd.grad_h
     Agh = A @ gh
-    ambient_sum = _ambient_ricci_sum(imm, sd, gh, gh)
+    G = imm.ambient.metric(sd.ambient_point)
+    warping = imm.ambient.warping_jet(sd.height)
+    ambient_sum = _ambient_ricci_sum(imm.ambient, sd, G, warping, gh, gh)
     return float(
         ambient_sum
         + n * sd.mean_curvature * (Agh @ g @ gh)
         - (Agh @ g @ Agh)
     )
-
-
-def _metric_sampler(imm):
-    def sample(point):
-        jets = imm.component_jets(point)
-        E = np.array([jet.grad for jet in jets])
-        from .ambient import AmbientPoint
-
-        q = AmbientPoint(jets[0].value, tuple(j.value for j in jets[1:]))
-        G = imm.ambient.metric(q)
-        return E.T @ G @ E
-
-    return sample
 
 
 def scalar_fd_oracle(imm, p, step=1e-3):
@@ -147,7 +196,9 @@ def scalar_fd_oracle(imm, p, step=1e-3):
             raise BoundaryTooClose(
                 f"point {p!r} is within 3*step of the chart boundary"
             )
-    sample = _metric_sampler(imm)
+
+    def sample(point):
+        return point_jets(imm, point).metric
 
     def shifted(k, amount, base=p):
         out = list(base)

@@ -30,7 +30,7 @@ import scipy.integrate
 
 from .ambient import Fiber, WarpedProduct
 from .errors import QuadratureFailure, SigmaZero
-from .expr import parse
+from .expr import BinOp, Call, Var, literal
 from .hypersurface import (
     CallableComponent,
     ChartBox,
@@ -38,13 +38,14 @@ from .hypersurface import (
     Immersion,
     Tag,
     induced_christoffels,
-    shape_data,
 )
 from .jets import Jet2, as_expression, eval_jet2, eval_value
 from .soliton import FD_TOL, SOLITON_TOL, Verdict, soliton_residual
 
 QUAD_TOL = 1e-12
 _POLAR_MARGIN = 0.2  # keeps grids away from sphere-chart poles for n >= 3
+AZIMUTH_SAMPLES = 9  # classification grid points along the last angle
+SIGMA_FD_STEP = 1e-4  # central-difference step of d sigma / du
 
 
 def sphere_chart(v):
@@ -75,13 +76,15 @@ def sphere_chart_expressions(n):
     """Component expressions X_1 .. X_n of S^{n-1} in angles v1 .. v_{n-1}."""
     if n < 2:
         raise ValueError("need n >= 2")
-    sources = []
-    prefix = ""
+    out = []
+    sines = None  # sin(v1) * ... * sin(v_{j-1}), multiplied left to right
     for j in range(1, n):
-        sources.append(f"{prefix}cos(v{j})")
-        prefix += f"sin(v{j})*"
-    sources.append(prefix.rstrip("*"))
-    return tuple(parse(src) for src in sources)
+        cos_j = Call("cos", Var(f"v{j}"))
+        out.append(cos_j if sines is None else BinOp("*", sines, cos_j))
+        sin_j = Call("sin", Var(f"v{j}"))
+        sines = sin_j if sines is None else BinOp("*", sines, sin_j)
+    out.append(sines)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ class RotationalProfile:
         return u * self.slope + self.c1
 
     def alpha_expression(self):
-        return parse(f"u*{self.slope!r}+{self.c1!r}")
+        return BinOp("+", BinOp("*", Var("u"), literal(self.slope)), literal(self.c1))
 
 
 @dataclass(frozen=True)
@@ -261,7 +264,6 @@ def build_rotational(prof, curve=None, interval=(-math.inf, math.inf)):
         curve = solve_profile(prof)
     ambient = WarpedProduct(interval, prof.f, Fiber.EUCLIDEAN, prof.n)
     chart = default_chart(prof)
-    active = chart.names
     components = [ExpressionComponent(prof.alpha_expression())]
     for x_expr in sphere_chart_expressions(prof.n):
 
@@ -270,7 +272,6 @@ def build_rotational(prof, curve=None, interval=(-math.inf, math.inf)):
             return beta_jet * eval_jet2(expr, values, act)
 
         components.append(CallableComponent(component))
-    del active
     return Immersion(ambient, chart, components, tag=Tag.ROTATIONAL)
 
 
@@ -319,13 +320,7 @@ class ClassificationReport:
         }
 
 
-def verify_classification(
-    prof,
-    interval=(-math.inf, math.inf),
-    u_count=9,
-    v_count=9,
-    fd_step=1e-4,
-):
+def verify_classification(prof, interval=(-math.inf, math.inf), u_count=9):
     """Run the four checks deciding whether the build is a soliton."""
     curve = solve_profile(prof)
     imm = build_rotational(prof, curve, interval)
@@ -335,7 +330,7 @@ def verify_classification(
     counts = {"u": u_count}
     for j in range(1, prof.n):
         name = f"v{j}"
-        counts[name] = v_count if j == prof.n - 1 else 5
+        counts[name] = AZIMUTH_SAMPLES if j == prof.n - 1 else 5
         if j < prof.n - 1:
             margins[name] = _POLAR_MARGIN / math.pi
         else:
@@ -348,7 +343,9 @@ def verify_classification(
     slopes = []
     for u in u_samples:
         u = float(u)
-        d_sigma = (curve.sigma(u + fd_step) - curve.sigma(u - fd_step)) / (2.0 * fd_step)
+        d_sigma = (curve.sigma(u + SIGMA_FD_STEP) - curve.sigma(u - SIGMA_FD_STEP)) / (
+            2.0 * SIGMA_FD_STEP
+        )
         sigma_sup = max(sigma_sup, abs(d_sigma))
         jet = eval_jet2(prof.f, {"t": curve.alpha(u)}, ("t",))
         lf1 = jet.grad[0] / jet.value
@@ -382,7 +379,3 @@ def profile_geodesic_residual(imm, p):
     Gamma = induced_christoffels(imm, p)
     return float(np.max(np.abs(Gamma[:, 0, 0])))
 
-
-def recovered_angle(imm, p):
-    """Angle function from the generic shape pipeline, for cross-checks."""
-    return shape_data(imm, p).theta

@@ -36,16 +36,17 @@ from .catalogue import build_preset
 from .errors import DomainError, SceneError, WarpGeoError
 from .expr import parse as parse_expr, variables_in
 from .hypersurface import ChartBox, Immersion
+from .intrinsic import point_geometry
 from .objmesh import surface_vertices, write_obj
 from .rotational import verify_classification
 from .soliton import (
     FD_TOL,
     SOLITON_TOL,
+    THEOREMS,
     Verdict,
-    check_hypotheses,
-    hessian_height_paths,
-    soliton_residual,
-    structural_identity,
+    hypotheses_report,
+    soliton_report,
+    structural_report,
 )
 
 SCHEMA_VERSION = 1
@@ -132,7 +133,7 @@ def validate_scene(data):
             f"fiber must be 'euclidean' or 'sphere', got {amb['fiber']!r}",
             field="ambient.fiber",
         )
-    if not isinstance(amb["n"], int) or amb["n"] < 1:
+    if isinstance(amb["n"], bool) or not isinstance(amb["n"], int) or amb["n"] < 1:
         raise SceneError("n must be a positive integer", field="ambient.n")
     try:
         f_expr = parse_expr(str(amb["f"]), variables={"t"})
@@ -286,49 +287,40 @@ class CheckResult:
         return out
 
 
-def _run_lemma1(scene, state):
+def _run_lemma1(scene, geometry, soliton):
     sup = 0.0
     worst = None
-    for p in scene.grid:
-        lemma, direct = hessian_height_paths(scene.immersion, p)
-        err = float(np.max(np.abs(lemma - direct)))
+    for geo in geometry:
+        err = float(np.max(np.abs(geo.hess_identity - geo.hess_direct)))
         if err > sup:
             sup = err
-            worst = p
+            worst = geo.point
     status = "pass" if sup < SOLITON_TOL else "fail"
     return CheckResult("lemma1", status, sup_error=sup, worst_point=worst)
 
 
-def _soliton_report(scene, state):
-    if "soliton" not in state:
-        state["soliton"] = soliton_residual(scene.immersion, scene.grid)
-    return state["soliton"]
-
-
-def _run_soliton(scene, state):
-    report = _soliton_report(scene, state)
-    status = "pass" if report.verdict is Verdict.SOLITON else "fail"
+def _run_soliton(scene, geometry, soliton):
+    status = "pass" if soliton.verdict is Verdict.SOLITON else "fail"
     return CheckResult(
         "soliton",
         status,
-        sup_error=report.residual_sup,
-        worst_point=report.worst_point,
+        sup_error=soliton.residual_sup,
+        worst_point=soliton.worst_point,
         extras={
-            "verdict": report.verdict.value,
-            "classification": report.classification.value,
+            "verdict": soliton.verdict.value,
+            "classification": soliton.classification.value,
         },
     )
 
 
-def _run_structural(scene, state):
-    report = _soliton_report(scene, state)
-    if report.verdict is not Verdict.SOLITON:
+def _run_structural(scene, geometry, soliton):
+    if soliton.verdict is not Verdict.SOLITON:
         return CheckResult(
             "structural",
             "not_applicable",
             extras={"reason": "soliton verdict required"},
         )
-    result = structural_identity(scene.immersion, scene.grid)
+    result = structural_report(scene.immersion, geometry)
     status = "pass" if result.sup_error < FD_TOL else "fail"
     return CheckResult(
         "structural", status, sup_error=result.sup_error, worst_point=result.worst_point
@@ -336,8 +328,8 @@ def _run_structural(scene, state):
 
 
 def _run_theorem(name):
-    def runner(scene, state):
-        report = check_hypotheses(scene.immersion, scene.grid, name)
+    def runner(scene, geometry, soliton):
+        report = hypotheses_report(scene.immersion, geometry, name)
         extras = {k: v for k, v in report.details.items()}
         if report.worst_margin is not None:
             extras["worst_margin"] = report.worst_margin
@@ -354,7 +346,7 @@ def _run_theorem(name):
 
 
 def _run_spaceform(c):
-    def runner(scene, state):
+    def runner(scene, geometry, soliton):
         window = scene.ambient.probe_window()
         probes = np.linspace(window[0], window[1], 200)
         result = scene.ambient.check_space_form(c, probes)
@@ -369,7 +361,7 @@ def _run_spaceform(c):
     return runner
 
 
-def _run_rotational_classification(scene, state):
+def _run_rotational_classification(scene, geometry, soliton):
     if scene.profile is None:
         return CheckResult(
             "rotational-classification",
@@ -396,66 +388,44 @@ def _run_rotational_classification(scene, state):
     )
 
 
-def _locate_domain_error(scene):
-    """First grid point whose evaluation raises a DomainError, if any."""
-    from .hypersurface import shape_data
-
-    for p in scene.grid:
-        try:
-            shape_data(scene.immersion, p)
-        except DomainError:
-            return p
-        except WarpGeoError:
-            continue
-    return None
+RUNNERS = {
+    "lemma1": _run_lemma1,
+    "soliton": _run_soliton,
+    "structural": _run_structural,
+    "rotational-classification": _run_rotational_classification,
+    **{name: _run_theorem(name) for name in THEOREMS},
+}
+GRID_CHECKS = ("lemma1", "soliton", "structural") + THEOREMS
 
 
 def run_scene(scene):
     """Execute the requested checks; returns (report_dict, all_passed).
 
-    Raises DomainError annotated with the chart location if a numeric
-    evaluation leaves its domain mid-run.
+    The geometry of every grid point is computed once, before the first
+    check, and shared by all grid checks.  A DomainError raised mid-run
+    names the chart point that was being evaluated.
     """
     started = time.perf_counter()
-    state = {}
+    kinds = {kind for kind, _, _ in scene.checks}
+    geometry = soliton = None
+    if kinds & set(GRID_CHECKS):
+        geometry = [point_geometry(scene.immersion, p) for p in scene.grid]
+    if kinds & {"soliton", "structural"}:
+        soliton = soliton_report(geometry)
     results = []
+    for kind, raw, param in scene.checks:
+        runner = _run_spaceform(param) if kind == "spaceform" else RUNNERS[kind]
+        results.append(runner(scene, geometry, soliton))
 
-    runners = {
-        "lemma1": _run_lemma1,
-        "soliton": _run_soliton,
-        "structural": _run_structural,
-        "rotational-classification": _run_rotational_classification,
-    }
-    for name in ("theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5"):
-        runners[name] = _run_theorem(name)
-
-    try:
-        for kind, raw, param in scene.checks:
-            if kind == "spaceform":
-                runner = _run_spaceform(param)
-            else:
-                runner = runners[kind]
-            results.append(runner(scene, state))
-    except DomainError as exc:
-        location = _locate_domain_error(scene)
-        where = (
-            f"chart point {dict(zip(scene.immersion.chart.names, location))!r}"
-            if location is not None
-            else "an interior chart point"
-        )
-        raise DomainError(f"{exc} (at {where})", exc.expression) from exc
-
-    if "soliton" in state:
+    if soliton is not None:
         for result in results:
             if result.name == "soliton" or result.status == "not_applicable":
                 continue
             if result.sup_error is not None:
-                state["soliton"].identity_checks[result.name] = result.sup_error
+                soliton.identity_checks[result.name] = result.sup_error
             elif result.worst_value is not None:
                 # inequality checks: record the violation magnitude
-                state["soliton"].identity_checks[result.name] = max(
-                    0.0, -result.worst_value
-                )
+                soliton.identity_checks[result.name] = max(0.0, -result.worst_value)
 
     warnings = []
     if scene.mesh_path:
@@ -465,16 +435,12 @@ def run_scene(scene):
         write_obj(scene.mesh_path, surface_vertices(scene.immersion, u_values, v_values))
         warnings.append(MESH_WARNING)
 
-    soliton_block = None
-    if "soliton" in state:
-        soliton_block = state["soliton"].to_dict()
-
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "scene": scene.raw,
         "checks": [r.to_dict(scene.immersion.chart.names) for r in results],
-        "soliton": soliton_block,
+        "soliton": None if soliton is None else soliton.to_dict(),
         "warnings": warnings,
         "timing_seconds": time.perf_counter() - started,
     }

@@ -22,11 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BoundaryTooClose, GridTooCoarse
-from .hypersurface import induced_christoffels, shape_data
-from .intrinsic import curvature_package
+from .intrinsic import laplacian_height, point_geometry
 
 SOLITON_TOL = 1e-7  # jet-exact derivative paths
 FD_TOL = 1e-4  # any quantity involving finite differences
@@ -47,55 +45,20 @@ class SolitonClass(enum.Enum):
     SIGN_CHANGING = "sign_changing"
 
 
-def hessian_height_identity(imm, p):
-    """Hessian of h via the warped-product identity (exact jets)."""
-    sd = shape_data(imm, p)
-    f0, f1, _ = imm.ambient.warping_jet(sd.height)
-    dh = sd.frame[0, :]
-    return (f1 / f0) * (sd.metric - np.outer(dh, dh)) + sd.theta * sd.second_fundamental
-
-
-def hessian_height_direct(imm, p):
-    """Hessian of h via induced Christoffel symbols (exact jets)."""
-    sd = shape_data(imm, p)
-    jets = imm.component_jets(p)
-    dh = jets[0].grad
-    ddh = jets[0].hess
-    Gamma = induced_christoffels(imm, p)
-    return ddh - np.einsum("kij,k->ij", Gamma, dh)
-
-
 def hessian_height_paths(imm, p):
-    """Both Hessian routes, (identity, direct)."""
-    return hessian_height_identity(imm, p), hessian_height_direct(imm, p)
+    """Both Hessian routes at a point, (identity, direct)."""
+    geo = point_geometry(imm, p)
+    return geo.hess_identity, geo.hess_direct
 
 
 def hessian_height(imm, p):
-    return hessian_height_direct(imm, p)
+    """Hessian of h via induced Christoffel symbols (exact jets)."""
+    return point_geometry(imm, p).hess_direct
 
 
 def soliton_lambda(imm, p):
     """Trace-derived soliton function lambda = scal - (Lap h)/n."""
-    sd = shape_data(imm, p)
-    hess = hessian_height_direct(imm, p)
-    lap = float(np.trace(np.linalg.solve(sd.metric, hess)))
-    scal = curvature_package(imm, p).scal_gauss
-    return scal - lap / sd.n
-
-
-def trace_free_residual(imm, p):
-    """(residual, lambda, scal) at a point.
-
-    ``residual`` is the g-operator norm of Hess h - ((Lap h)/n) g, which
-    vanishes exactly when the soliton equation holds pointwise.
-    """
-    sd = shape_data(imm, p)
-    hess = hessian_height_direct(imm, p)
-    lap = float(np.trace(np.linalg.solve(sd.metric, hess)))
-    trace_free = hess - (lap / sd.n) * sd.metric
-    eigs = scipy.linalg.eigh(trace_free, sd.metric, eigvals_only=True)
-    scal = curvature_package(imm, p).scal_gauss
-    return float(np.max(np.abs(eigs))), scal - lap / sd.n, scal
+    return point_geometry(imm, p).lam
 
 
 def classify(lambda_samples, gradh_sup):
@@ -146,32 +109,35 @@ class SolitonReport:
 
 
 def soliton_residual(imm, grid):
-    """Evaluate the soliton condition over a grid of chart points.
+    """Evaluate the soliton condition over a grid of chart points."""
+    return soliton_report([point_geometry(imm, p) for p in grid])
+
+
+def soliton_report(geometry):
+    """Soliton verdict over a list of :class:`PointGeometry` records.
 
     The verdict is SOLITON when the sup of the trace-free residual stays
     below ``SOLITON_TOL``.  Lambda samples are always populated; for a
     NOT_SOLITON verdict they are advisory only.  The universal Hessian
     identity error is recorded under ``identity_checks['lemma_hessian']``.
     """
-    grid = [tuple(map(float, p)) for p in grid]
     residual_sup = -1.0
-    worst = grid[0]
-    lams = np.zeros(len(grid))
+    worst = geometry[0].point
+    lams = np.zeros(len(geometry))
     gradh_sup = 0.0
     identity_sup = 0.0
-    for idx, p in enumerate(grid):
-        res, lam, _ = trace_free_residual(imm, p)
-        if res > residual_sup:
-            residual_sup = res
-            worst = p
-        lams[idx] = lam
-        sd = shape_data(imm, p)
-        gradh_sup = max(gradh_sup, math.sqrt(max(sd.grad_h_norm2, 0.0)))
-        h_lemma, h_direct = hessian_height_paths(imm, p)
-        identity_sup = max(identity_sup, float(np.max(np.abs(h_lemma - h_direct))))
+    for idx, geo in enumerate(geometry):
+        if geo.residual > residual_sup:
+            residual_sup = geo.residual
+            worst = geo.point
+        lams[idx] = geo.lam
+        gradh_sup = max(gradh_sup, math.sqrt(max(geo.shape.grad_h_norm2, 0.0)))
+        identity_sup = max(
+            identity_sup, float(np.max(np.abs(geo.hess_identity - geo.hess_direct)))
+        )
     verdict = Verdict.SOLITON if residual_sup < SOLITON_TOL else Verdict.NOT_SOLITON
     return SolitonReport(
-        grid=tuple(grid),
+        grid=tuple(geo.point for geo in geometry),
         residual_sup=residual_sup,
         worst_point=worst,
         lambda_samples=lams,
@@ -188,36 +154,42 @@ class StructuralReport:
     worst_point: tuple
 
 
-def structural_identity(imm, points, step=1e-3):
-    """Sup-error of Ric(grad h) + (n-1) grad(scal - lambda) over points.
-
-    The gradient of scal - lambda is taken by central differences with
-    the given step (meaningful only when the soliton verdict holds, so
-    that lambda is the soliton function).  Raises GridTooCoarse for
-    steps above 1e-2 and BoundaryTooClose when a stencil would leave
-    the chart box.
-    """
+def _check_stencil(imm, points, step):
     if step > 1e-2:
         raise GridTooCoarse(f"finite-difference step {step!r} exceeds 1e-2")
+    for p in points:
+        for v, lo, hi in zip(p, imm.chart.lower, imm.chart.upper):
+            if v - lo < 2.0 * step or hi - v < 2.0 * step:
+                raise BoundaryTooClose(
+                    f"stencil at {tuple(map(float, p))!r} would leave the chart box"
+                )
+
+
+def structural_identity(imm, points, step=1e-3):
+    """Sup-error of Ric(grad h) + (n-1) grad(scal - lambda) over points."""
+    _check_stencil(imm, points, step)
+    return structural_report(imm, [point_geometry(imm, p) for p in points], step)
+
+
+def structural_report(imm, geometry, step=1e-3):
+    """Structural identity over a list of :class:`PointGeometry` records.
+
+    The gradient of scal - lambda = (Lap h)/n is taken by central
+    differences with the given step (meaningful only when the soliton
+    verdict holds, so that lambda is the soliton function); stencil
+    points evaluate Lap h alone.  Raises GridTooCoarse for steps above
+    1e-2 and BoundaryTooClose when a stencil would leave the chart box.
+    """
+    _check_stencil(imm, [geo.point for geo in geometry], step)
     n = imm.n
     sup_error = 0.0
     worst = None
 
     def scal_minus_lambda(q):
-        sd = shape_data(imm, q)
-        hess = hessian_height_direct(imm, q)
-        lap = float(np.trace(np.linalg.solve(sd.metric, hess)))
-        return lap / n  # scal - lambda = (Lap h)/n
+        return laplacian_height(imm, q) / n
 
-    for p in points:
-        p = tuple(map(float, p))
-        for v, lo, hi in zip(p, imm.chart.lower, imm.chart.upper):
-            if v - lo < 2.0 * step or hi - v < 2.0 * step:
-                raise BoundaryTooClose(
-                    f"stencil at {p!r} would leave the chart box"
-                )
-        sd = shape_data(imm, p)
-        pack = curvature_package(imm, p)
+    for geo in geometry:
+        p = geo.point
         grad_s = np.zeros(n)
         for k in range(n):
             plus = list(p)
@@ -228,8 +200,10 @@ def structural_identity(imm, points, step=1e-3):
                 2.0 * step
             )
         # both terms as covectors; norm taken with the inverse metric
-        omega = pack.ric @ sd.grad_h + (n - 1) * grad_s
-        err = math.sqrt(max(float(omega @ np.linalg.solve(sd.metric, omega)), 0.0))
+        omega = geo.ric @ geo.shape.grad_h + (n - 1) * grad_s
+        err = math.sqrt(
+            max(float(omega @ np.linalg.solve(geo.shape.metric, omega)), 0.0)
+        )
         if err > sup_error:
             sup_error = err
             worst = p
@@ -255,18 +229,6 @@ class HypothesisReport:
     sup_error: float | None = None
     details: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        out = {"name": self.name, "status": self.status}
-        if self.worst_margin is not None:
-            out["worst_margin"] = self.worst_margin
-        if self.worst_point is not None:
-            out["worst_point"] = list(self.worst_point)
-        if self.sup_error is not None:
-            out["sup_error"] = self.sup_error
-        if self.details:
-            out["details"] = self.details
-        return out
-
 
 def _ratio_or_limit(lf1, theta):
     """|theta|^{-1} (log f)'(h) with the 0/0 limit taken as 0."""
@@ -277,22 +239,21 @@ def _ratio_or_limit(lf1, theta):
     return lf1 / abs(theta)
 
 
-def _theorem1_margins(imm, grid, flipped):
+def _theorem1_margins(n, geometry, flipped):
     """Worst margins of the two hypothesis conditions over the grid.
 
     Condition 1: f''(h)/f(h) <= (n+1)/n^2 H^2.
     Condition 2: 0 <= |theta|^{-1} (log f)'(h) <= H.
     """
-    n = imm.n
     curvature_worst = math.inf
     angle_worst = math.inf
     worst = math.inf
     worst_point = None
-    for p in grid:
-        sd = shape_data(imm, p)
+    for geo in geometry:
+        sd = geo.shape
         theta = -sd.theta if flipped else sd.theta
         H = -sd.mean_curvature if flipped else sd.mean_curvature
-        f0, f1, f2 = imm.ambient.warping_jet(sd.height)
+        f0, f1, f2 = geo.warping
         m1 = (n + 1) / (n * n) * H * H - f2 / f0
         q = _ratio_or_limit(f1 / f0, theta)
         if math.isfinite(q):
@@ -304,29 +265,33 @@ def _theorem1_margins(imm, grid, flipped):
         margin = min(m1, m2)
         if margin < worst:
             worst = margin
-            worst_point = p
+            worst_point = geo.point
     return worst, worst_point, curvature_worst, angle_worst
 
 
 def check_hypotheses(imm, grid, which):
-    """Evaluate one theorem hypothesis pointwise over a grid.
-
-    theorem1 evaluates both orientations and passes when either one
-    satisfies the inequalities everywhere (the orientation making H
-    nonnegative is not canonical).  theorem3 requires a minimal
-    immersion and otherwise reports not_applicable.  theorem5 needs the
-    ambient to be a space form; its curvature c is fitted from the
-    warping function.
-    """
+    """Evaluate one theorem hypothesis pointwise over a grid."""
     which = str(which).lower()
     if which not in THEOREMS:
         raise ValueError(f"unknown hypothesis check {which!r}")
-    grid = [tuple(map(float, p)) for p in grid]
+    return hypotheses_report(imm, [point_geometry(imm, p) for p in grid], which)
+
+
+def hypotheses_report(imm, geometry, which):
+    """One theorem hypothesis over a list of :class:`PointGeometry` records.
+
+    ``which`` is one of ``THEOREMS``.  theorem1 evaluates both
+    orientations and passes when either one satisfies the inequalities
+    everywhere (the orientation making H nonnegative is not canonical).
+    theorem3 requires a minimal immersion and otherwise reports
+    not_applicable.  theorem5 needs the ambient to be a space form; its
+    curvature c is fitted from the warping function.
+    """
     n = imm.n
 
     if which == "theorem1":
-        default = _theorem1_margins(imm, grid, flipped=False)
-        flipped = _theorem1_margins(imm, grid, flipped=True)
+        default = _theorem1_margins(n, geometry, flipped=False)
+        flipped = _theorem1_margins(n, geometry, flipped=True)
         best = max(default, flipped, key=lambda row: row[0])
         status = "pass" if best[0] >= -_MARGIN_TOL else "fail"
         return HypothesisReport(
@@ -349,7 +314,7 @@ def check_hypotheses(imm, grid, which):
         )
 
     if which == "theorem3":
-        sup_H = max(abs(shape_data(imm, p).mean_curvature) for p in grid)
+        sup_H = max(abs(geo.shape.mean_curvature) for geo in geometry)
         if sup_H >= CLASS_TOL:
             return HypothesisReport(
                 name=which,
@@ -360,16 +325,13 @@ def check_hypotheses(imm, grid, which):
             )
         sup_err = 0.0
         worst_point = None
-        for p in grid:
-            sd = shape_data(imm, p)
-            lam = soliton_lambda(imm, p)
-            scal = curvature_package(imm, p).scal_gauss
-            f0, f1, _ = imm.ambient.warping_jet(sd.height)
-            rhs = (f1 / f0) * (n - 1 + sd.theta * sd.theta)
-            err = abs(n * (scal - lam) - rhs)
+        for geo in geometry:
+            f0, f1, _ = geo.warping
+            rhs = (f1 / f0) * (n - 1 + geo.shape.theta * geo.shape.theta)
+            err = abs(n * (geo.scal_gauss - geo.lam) - rhs)
             if err > sup_err:
                 sup_err = err
-                worst_point = p
+                worst_point = geo.point
         status = "pass" if sup_err < SOLITON_TOL else "fail"
         return HypothesisReport(
             name=which,
@@ -398,28 +360,26 @@ def check_hypotheses(imm, grid, which):
             )
     worst = math.inf
     worst_point = None
-    margins = {}
-    for p in grid:
-        sd = shape_data(imm, p)
-        lam = soliton_lambda(imm, p)
-        H = sd.mean_curvature
-        f0, _, f2 = imm.ambient.warping_jet(sd.height)
+    failing = 0
+    for geo in geometry:
+        H = geo.shape.mean_curvature
+        f0, _, f2 = geo.warping
         if which == "theorem4a":
             bound = -n * (n - 1) * f2 / f0 + n * n * H * H
         elif which == "theorem4b":
             bound = n * (n - 1) * (H * H - f2 / f0)
         else:  # theorem5
             bound = (n - 1) * c + n * H * H
-        margin = lam - bound
-        margins[p] = margin
+        margin = geo.lam - bound
+        failing += margin < -_MARGIN_TOL
         if margin < worst:
             worst = margin
-            worst_point = p
+            worst_point = geo.point
     status = "pass" if worst >= -_MARGIN_TOL else "fail"
     details = {}
     if which == "theorem5":
         details["c"] = c
-        details["failing_points"] = sum(1 for m in margins.values() if m < -_MARGIN_TOL)
+        details["failing_points"] = failing
     return HypothesisReport(
         name=which,
         status=status,

@@ -98,6 +98,40 @@ def test_analyze_domain_error_exit_three(tmp_path, capsys):
     assert "chart point" in err  # location is reported
 
 
+def test_domain_error_names_the_grid_point(tmp_path, capsys):
+    # the construction probe stays inside the domain; the scene grid does not
+    scene = hyperplane_scene()
+    scene["immersion"] = {
+        "components": ["sqrt(u-0.05)", "u", "v"],
+        "chart": {"names": ["u", "v"], "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    }
+    scene["grid"] = {"samples": {"u": 5, "v": 5}, "margins": {"u": 0.02, "v": 0.02}}
+    path = write_scene(tmp_path, scene)
+    assert main(["analyze", path]) == 3
+    assert "{'u': 0.02, 'v': 0.02}" in capsys.readouterr().err
+
+
+def test_analyze_non_finite_literal_exit_two(tmp_path, capsys):
+    scene = hyperplane_scene()
+    scene["ambient"]["f"] = "1e400"
+    path = write_scene(tmp_path, scene)
+    assert main(["analyze", path]) == 2
+    assert "ambient.f" in capsys.readouterr().err
+
+
+def test_analyze_boolean_n_exit_two(tmp_path, capsys):
+    scene = hyperplane_scene()
+    scene["ambient"]["n"] = True
+    scene["immersion"] = {
+        "components": ["0.5", "u"],
+        "chart": {"names": ["u"], "lower": [-1.0], "upper": [1.0]},
+    }
+    scene["grid"] = {"samples": {"u": 5}}
+    path = write_scene(tmp_path, scene)
+    assert main(["analyze", path]) == 2
+    assert "ambient.n" in capsys.readouterr().err
+
+
 def test_rotational_classified(tmp_path, capsys):
     report = str(tmp_path / "rot.json")
     mesh = str(tmp_path / "rot.obj")

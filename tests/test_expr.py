@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpgeo.errors import ExprSyntaxError, UnknownIdentifier
-from warpgeo.expr import BinOp, Call, Const, Num, Neg, Var, parse, unparse, variables_in
+from warpgeo.expr import BinOp, Call, Const, Num, Neg, Var, literal, parse, unparse, variables_in
 from warpgeo.jets import eval_value
 
 
@@ -46,6 +46,17 @@ def test_scientific_literals():
     # "2e" is the literal 2 followed by the constant e: implicit product
     with pytest.raises(ExprSyntaxError):
         parse("2e")
+
+
+def test_non_finite_literals_rejected():
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("2*1e400")
+    assert err.value.offset == 2
+
+
+@pytest.mark.parametrize("value", [0.5, -0.5, 0.0, -0.0, 1e-05, -3e20])
+def test_literal_matches_parsed_repr(value):
+    assert literal(value) == parse(repr(value))
 
 
 def test_syntax_error_offsets():

@@ -68,6 +68,18 @@ def test_sphere_chart_expressions_match_values(rng):
         assert np.allclose(values, sphere_chart(v), atol=1e-15)
 
 
+def test_chart_expressions_keep_their_parsed_shape():
+    from warpgeo.expr import parse
+
+    assert sphere_chart_expressions(3) == (
+        parse("cos(v1)"),
+        parse("sin(v1)*cos(v2)"),
+        parse("sin(v1)*sin(v2)"),
+    )
+    prof = RotationalProfile(theta=0.6, f="exp(t)", n=2, c1=-0.25)
+    assert prof.alpha_expression() == parse(f"u*{prof.slope!r}+{prof.c1!r}")
+
+
 def test_profile_closed_form(example_profile, example_curve):
     prof, curve = example_profile, example_curve
     assert curve.alpha(1.0) == pytest.approx(1.0 / ROOT2, abs=1e-15)

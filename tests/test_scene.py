@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from warpgeo.ambient import WarpedProduct
 from warpgeo.errors import SceneError
+from warpgeo.hypersurface import Immersion
 from warpgeo.scene import report_to_json, run_scene, validate_scene
 
 
@@ -49,8 +51,10 @@ def test_unknown_ambient_field_rejected():
     [
         (lambda d: d["ambient"].update(fiber="weird"), "ambient.fiber"),
         (lambda d: d["ambient"].update(n=0), "ambient.n"),
+        pytest.param(lambda d: d["ambient"].update(n=True), "ambient.n", id="boolean-n"),
         (lambda d: d["ambient"].update(interval=[3, 1]), "ambient"),
-        (lambda d: d["ambient"].update(f="2x")," ambient.f"),
+        (lambda d: d["ambient"].update(f="2x"), "ambient.f"),
+        pytest.param(lambda d: d["ambient"].update(f="1e400"), "ambient.f", id="infinite-f"),
         (lambda d: d["ambient"].update(interval=["oops", 1]), "ambient.interval"),
         (lambda d: d.update(checks=[]), "checks"),
         (lambda d: d.update(checks=["nonsense"]), "checks"),
@@ -64,8 +68,9 @@ def test_unknown_ambient_field_rejected():
 def test_validation_errors_name_the_field(mutate, field):
     data = hyperplane_scene()
     mutate(data)
-    with pytest.raises(SceneError):
+    with pytest.raises(SceneError) as err:
         validate_scene(data)
+    assert err.value.field == field
 
 
 def test_component_immersion_scene():
@@ -218,3 +223,43 @@ def test_report_carries_schema_and_version():
     import warpgeo
 
     assert report["tool_version"] == warpgeo.__version__
+
+
+def example5_scene(checks):
+    data = hyperplane_scene(checks=checks)
+    data["ambient"]["f"] = "exp(t)"
+    data["immersion"] = {"preset": "example5"}
+    return data
+
+
+def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch):
+    checks = ["lemma1", "soliton", "theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5"]
+    scene = validate_scene(example5_scene(checks))
+    calls = {"component_jets": 0, "metric_jets": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(Immersion, "component_jets")
+    count(WarpedProduct, "metric_jets")
+    run_scene(scene)
+    assert calls == {"component_jets": len(scene.grid), "metric_jets": len(scene.grid)}
+
+
+def test_reports_do_not_depend_on_check_order_or_state():
+    checks = [
+        "lemma1", "soliton", "structural", "theorem1", "theorem3", "theorem4a",
+        "theorem4b", "theorem5", "rotational-classification", "spaceform c=-1",
+    ]
+    scene = validate_scene(example5_scene(checks))
+    state = {key: repr(value) for key, value in vars(scene.immersion).items()}
+    forward, _ = run_scene(scene)
+    assert {key: repr(value) for key, value in vars(scene.immersion).items()} == state
+    backward, _ = run_scene(validate_scene(example5_scene(checks[::-1])))
+    assert forward["checks"] == backward["checks"][::-1]
