@@ -17,6 +17,8 @@ from .errors import (
     ExprSyntaxError,
     GridTooCoarse,
     MeshUnsupported,
+    OutsideChart,
+    PointError,
     QuadratureFailure,
     SceneError,
     SigmaZero,
@@ -34,7 +36,13 @@ from .hypersurface import (
     mean_curvature,
     shape_data,
 )
-from .intrinsic import PointGeometry, curvature_package, point_geometry, ricci_gradh_extrinsic
+from .intrinsic import (
+    PointGeometry,
+    curvature_package,
+    grid_geometry,
+    point_geometry,
+    ricci_gradh_extrinsic,
+)
 from .jets import Jet2, eval_jet2, eval_value
 from .rotational import (
     ProfileCurve,
@@ -71,6 +79,8 @@ __all__ = [
     "Immersion",
     "Jet2",
     "MeshUnsupported",
+    "OutsideChart",
+    "PointError",
     "PointGeometry",
     "ProfileCurve",
     "QuadratureFailure",
@@ -93,6 +103,7 @@ __all__ = [
     "eval_jet2",
     "eval_value",
     "flip_orientation",
+    "grid_geometry",
     "hessian_height",
     "hessian_height_paths",
     "mean_curvature",

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularMetric
+from .errors import DomainError, OutsideChart, SingularMetric
 from .expr import BinOp, Call, Num, Var, unparse, variables_in
-from .jets import as_expression, eval_jet2, eval_value
+from .jets import as_expression, eval_jet2, first_failure, first_index
 
 CONDITION_LIMIT = 1e12
 SPACE_FORM_TOL = 1e-10
@@ -44,10 +44,28 @@ class Fiber(enum.Enum):
 
 @dataclass(frozen=True)
 class AmbientPoint:
-    """A point (t, x) in ambient chart coordinates."""
+    """A point (t, x) in ambient chart coordinates.
+
+    ``t`` and the entries of ``x`` are floats, or arrays of N values for
+    N points; every ``WarpedProduct`` method accepts either form.
+    """
 
     t: float
     x: tuple
+
+    def prefix(self, k):
+        """The first ``k`` points (the point itself when not a batch)."""
+
+        def cut(v):
+            return v[:k] if np.ndim(v) else v
+
+        return AmbientPoint(cut(self.t), tuple(map(cut, self.x)))
+
+
+def _per_point(fn, p):
+    """``fn(p)`` over the points of ``p``, failing like the first point
+    that fails alone (see :func:`warpgeo.jets.first_failure`)."""
+    return first_failure(lambda k: fn(p.prefix(k)), np.size(p.t))
 
 
 @dataclass(frozen=True)
@@ -138,63 +156,79 @@ class WarpedProduct:
 
     def _probe_positivity(self):
         a, b = self.probe_window()
-        for t in np.linspace(a, b, 1024):
-            if eval_value(self.f, {"t": t}) <= 0.0:
-                raise ValueError(
-                    f"warping function {unparse(self.f)!r} is not positive at t={t!r}"
-                )
+        t = np.linspace(a, b, 1024)
+        bad = first_index(~(eval_jet2(self.f, {"t": t}).value > 0.0))
+        if bad is not None:
+            raise ValueError(
+                f"warping function {unparse(self.f)!r} is not positive at t={float(t[bad])!r}"
+            )
 
     def warping_jet(self, t):
-        """Return (f(t), f'(t), f''(t))."""
-        jet = eval_jet2(self.f, {"t": float(t)}, ("t",))
-        return jet.value, float(jet.grad[0]), float(jet.hess[0, 0])
+        """Return (f(t), f'(t), f''(t)); ``t`` may be an array of heights."""
+        jet = eval_jet2(self.f, {"t": t}, ("t",))
+        return jet.value, jet.grad[..., 0], jet.hess[..., 0, 0]
 
     def validate_point(self, p):
-        lo, hi = self.interval
-        if not lo < p.t < hi:
-            raise ValueError(f"t={p.t!r} outside interval {self.interval}")
+        """Reject the first point outside the interval or the angle chart."""
         if len(p.x) != self.n:
             raise ValueError(f"expected {self.n} fiber coordinates, got {len(p.x)}")
+        lo, hi = self.interval
+        tops = [2.0 * math.pi if j == self.n else math.pi for j in range(1, self.n + 1)]
+        t = np.asarray(p.t)
+        x = [np.asarray(v) for v in p.x]
+        ok = (lo < t) & (t < hi)
         if self.fiber is Fiber.SPHERE:
-            for j, v in enumerate(p.x, start=1):
-                top = 2.0 * math.pi if j == self.n else math.pi
-                if not 0.0 < v < top:
-                    raise ValueError(f"sphere angle x{j}={v!r} outside (0, {top!r})")
+            for v, top in zip(x, tops):
+                ok = ok & (0.0 < v) & (v < top)
+        i = first_index(~ok)
+        if i is None:
+            return
+        t = float(np.ravel(t)[i])
+        if not lo < t < hi:
+            raise OutsideChart(f"t={t!r} outside interval {self.interval}", i)
+        for j, (v, top) in enumerate(zip(x, tops), start=1):
+            v = float(np.ravel(v)[i])
+            if not 0.0 < v < top:
+                raise OutsideChart(f"sphere angle x{j}={v!r} outside (0, {top!r})", i)
 
     def _bindings(self, p):
         values = {"t": p.t}
         for i, v in enumerate(p.x, start=1):
-            values[f"x{i}"] = float(v)
+            values[f"x{i}"] = v
         return values
 
     def metric(self, p):
         """Ambient metric matrix at ``p`` (block diagonal, SPD)."""
+        return _per_point(self._metric, p)
+
+    def _metric(self, p):
         self.validate_point(p)
         values = self._bindings(p)
         d = self.dim
-        G = np.zeros((d, d))
+        G = np.zeros(np.shape(p.t) + (d, d))
         for a, entry in enumerate(self._metric_diag):
-            G[a, a] = eval_value(entry, values)
+            G[..., a, a] = eval_jet2(entry, values).value
         return G
 
     def metric_jets(self, p):
-        """Metric with its exact first and second coordinate derivatives.
+        """Metric with its exact first coordinate derivatives.
 
-        Returns ``(G, dG, d2G)`` where ``dG[a, b, c] = d G_ab / d x^c``
-        and ``d2G[a, b, c, e] = d^2 G_ab / (d x^c d x^e)``.
+        Returns ``(G, dG)`` where ``dG[a, b, c] = d G_ab / d x^c``.
         """
+        return _per_point(self._metric_jets, p)
+
+    def _metric_jets(self, p):
         self.validate_point(p)
         values = self._bindings(p)
         d = self.dim
-        G = np.zeros((d, d))
-        dG = np.zeros((d, d, d))
-        d2G = np.zeros((d, d, d, d))
+        S = np.shape(p.t)
+        G = np.zeros(S + (d, d))
+        dG = np.zeros(S + (d, d, d))
         for a, entry in enumerate(self._metric_diag):
             jet = eval_jet2(entry, values, self.coordinates)
-            G[a, a] = jet.value
-            dG[a, a, :] = jet.grad
-            d2G[a, a, :, :] = jet.hess
-        return G, dG, d2G
+            G[..., a, a] = jet.value
+            dG[..., a, a, :] = jet.grad
+        return G, dG
 
     def christoffels(self, p):
         """Christoffel symbols Gamma[a, b, c] = Gamma^a_{bc} at ``p``.
@@ -202,7 +236,7 @@ class WarpedProduct:
         Computed generically from exact metric jets,
         Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc).
         """
-        G, dG, _ = self.metric_jets(p)
+        G, dG = self.metric_jets(p)
         return christoffel_symbols(p, G, dG)
 
     def curvature(self, p, X, Y, Z):
@@ -215,53 +249,68 @@ class WarpedProduct:
         return self.curvature_from(self.metric(p), self.warping_jet(p.t), X, Y, Z)
 
     def curvature_from(self, G, warping, X, Y, Z):
-        """R(X, Y)Z from the metric matrix and (f, f', f'') at the point."""
+        """R(X, Y)Z from the metric matrix and (f, f', f'') at the point.
+
+        Vectors are ``(..., d)`` arrays; leading axes of the vectors, of
+        ``G`` and of the warping values broadcast against each other.
+        """
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         Z = np.asarray(Z, dtype=float)
-        f0, f1, f2 = warping
+        f0, f1, f2 = (np.asarray(w, dtype=float)[..., None] for w in warping)
         lf1 = f1 / f0
         lf2 = f2 / f0 - lf1 * lf1
 
         def ip(a, b):
-            return a @ G @ b
+            return (a[..., None, :] @ G @ b[..., :, None])[..., 0]
 
         e0 = np.zeros(self.dim)
         e0[0] = 1.0
+        X0, Y0, Z0 = X[..., :1], Y[..., :1], Z[..., :1]
         out = lf1 * lf1 * (ip(X, Z) * Y - ip(Y, Z) * X)
-        out -= lf2 * Z[0] * (Y[0] * X - X[0] * Y)
-        out += lf2 * (Y[0] * ip(X, Z) - X[0] * ip(Y, Z)) * e0
+        out = out - lf2 * Z0 * (Y0 * X - X0 * Y)
+        out = out + lf2 * (Y0 * ip(X, Z) - X0 * ip(Y, Z)) * e0
         if self.k != 0.0:
-            Xs = X - X[0] * e0
-            Ys = Y - Y[0] * e0
-            Zs = Z - Z[0] * e0
-            out -= (self.k / (f0 * f0)) * (ip(Xs, Zs) * Ys - ip(Ys, Zs) * Xs)
+            Xs = X - X0 * e0
+            Ys = Y - Y0 * e0
+            Zs = Z - Z0 * e0
+            out = out - (self.k / (f0 * f0)) * (ip(Xs, Zs) * Ys - ip(Ys, Zs) * Xs)
         return out
+
+    def _nonvanishing_warping(self, t):
+        f0, f1, f2 = self.warping_jet(t)
+        zero = first_index(f0 == 0.0)
+        if zero is not None:
+            raise DomainError(f"warping function vanishes at t={float(t[zero])!r}", self.f, zero)
+        return f0, f1, f2
 
     def check_space_form(self, c, probes):
         """Residuals of ((f')^2 - k)/f^2 = -c = f''/f over ``probes``."""
         c = float(c)
-        worst_ratio = 0.0
-        worst_second = 0.0
-        for t in np.asarray(probes, dtype=float):
-            f0, f1, f2 = self.warping_jet(t)
-            if f0 == 0.0:
-                raise DomainError(f"warping function vanishes at t={t!r}", self.f)
-            worst_ratio = max(worst_ratio, abs((f1 * f1 - self.k) / (f0 * f0) + c))
-            worst_second = max(worst_second, abs(f2 / f0 + c))
-        return SpaceFormCheck(c, worst_ratio, worst_second)
+        t = np.asarray(probes, dtype=float)
+        f0, f1, f2 = first_failure(lambda k: self._nonvanishing_warping(t[:k]), t.size)
+        ratio = np.abs((f1 * f1 - self.k) / (f0 * f0) + c)
+        second = np.abs(f2 / f0 + c)
+        return SpaceFormCheck(
+            c, float(np.max(ratio, initial=0.0)), float(np.max(second, initial=0.0))
+        )
 
 
 def christoffel_symbols(p, G, dG):
-    """Christoffel symbols at ``p`` from the metric jets ``G``, ``dG``."""
-    if np.linalg.cond(G) > CONDITION_LIMIT:
-        raise SingularMetric(
-            f"chart metric at t={p.t!r}, x={p.x!r} is numerically singular"
-        )
+    """Christoffel symbols at ``p`` from the metric jets ``G``, ``dG``.
+
+    ``G`` and ``dG`` may carry a leading point axis; the first point
+    whose metric is numerically singular is named.
+    """
+    i = first_index(np.linalg.cond(G) > CONDITION_LIMIT)
+    if i is not None:
+        t = float(np.ravel(p.t)[i])
+        x = tuple(float(np.ravel(v)[i]) for v in p.x)
+        raise SingularMetric(f"chart metric at t={t!r}, x={x!r} is numerically singular", i)
     Ginv = np.linalg.inv(G)
-    term1 = np.einsum("ad,dcb->abc", Ginv, dG)  # d_b g_dc
-    term2 = np.einsum("ad,bdc->abc", Ginv, dG)  # d_c g_bd
-    term3 = np.einsum("ad,bcd->abc", Ginv, dG)  # d_d g_bc
+    term1 = np.einsum("...ad,...dcb->...abc", Ginv, dG)  # d_b g_dc
+    term2 = np.einsum("...ad,...bdc->...abc", Ginv, dG)  # d_c g_bd
+    term3 = np.einsum("...ad,...bcd->...abc", Ginv, dG)  # d_d g_bc
     return 0.5 * (term1 + term2 - term3)
 
 

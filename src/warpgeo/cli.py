@@ -24,6 +24,7 @@ from . import __version__
 from .ambient import space_form_models
 from .catalogue import PRESET_DESCRIPTIONS
 from .errors import DomainError, MeshUnsupported, SceneError, WarpGeoError
+from .hypersurface import MAX_GRID_POINTS
 from .objmesh import surface_vertices, write_obj
 from .rotational import RotationalProfile, verify_classification
 from .scene import (
@@ -124,6 +125,13 @@ def _cmd_rotational(args):
 
     if args.mesh and prof.n != 2:
         print(f"error: mesh export needs n = 2, got n = {prof.n}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.mesh and args.samples**2 > MAX_GRID_POINTS:
+        print(
+            f"error: a {args.samples} x {args.samples} mesh exceeds "
+            f"MAX_GRID_POINTS = {MAX_GRID_POINTS}",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
 
     interval = (-math.inf, math.inf)

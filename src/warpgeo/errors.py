@@ -23,22 +23,38 @@ class UnknownIdentifier(WarpGeoError):
         self.offset = offset
 
 
-class DomainError(WarpGeoError):
+class PointError(WarpGeoError):
+    """Failure at one point of an evaluation.
+
+    ``index`` is the position of the failing point in a batched
+    evaluation, or None when there is no batch.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
+
+
+class DomainError(PointError):
     """Evaluation left the domain of an elementary function.
 
     ``expression`` holds the offending subexpression when available.
     """
 
-    def __init__(self, message, expression=None):
-        super().__init__(message)
+    def __init__(self, message, expression=None, index=None):
+        super().__init__(message, index)
         self.expression = expression
 
 
-class SingularMetric(WarpGeoError):
+class OutsideChart(PointError, ValueError):
+    """A point outside the open chart box, the interval or the angle chart."""
+
+
+class SingularMetric(PointError):
     """Chart metric is numerically singular (condition number too large)."""
 
 
-class DegenerateImmersion(WarpGeoError):
+class DegenerateImmersion(PointError):
     """Tangent vectors failed to be linearly independent at a probe point."""
 
 

@@ -17,14 +17,11 @@ def surface_vertices(imm, u_values, v_values):
     """Ambient coordinates of the immersion over a (u, v) grid."""
     if imm.n != 2:
         raise MeshUnsupported(f"mesh export needs n = 2, got n = {imm.n}")
-    rows = len(u_values)
-    cols = len(v_values)
-    out = np.zeros((rows, cols, 3))
-    for i, u in enumerate(u_values):
-        for j, v in enumerate(v_values):
-            q = imm.ambient_point((float(u), float(v)))
-            out[i, j] = (q.t, q.x[0], q.x[1])
-    return out
+    u, v = np.meshgrid(
+        np.asarray(u_values, dtype=float), np.asarray(v_values, dtype=float), indexing="ij"
+    )
+    coords = imm.ambient_coordinates(np.stack([u.ravel(), v.ravel()], axis=-1))
+    return coords.reshape(u.shape + (3,))
 
 
 def obj_lines(vertices):

@@ -13,10 +13,10 @@ exponential warpings f(t) = c3 exp(c5 t) the decaying antiderivative
 
 is used (this normalization, with c2 = 0, is the one that produces a
 soliton); for all other warpings the antiderivative vanishing at u0 is
-computed by adaptive quadrature.  The surface is the orbit of the
-profile under rotation of the fiber about the axis, with first
-fundamental form diag(1, sigma^2 x sphere-chart weights) where
-sigma(u) = f(alpha(u)) beta(u).
+computed by adaptive quadrature, once per distinct u.  The surface is
+the orbit of the profile under rotation of the fiber about the axis,
+with first fundamental form diag(1, sigma^2 x sphere-chart weights)
+where sigma(u) = f(alpha(u)) beta(u).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 import scipy.integrate
 
 from .ambient import Fiber, WarpedProduct
-from .errors import QuadratureFailure, SigmaZero
+from .errors import DomainError, QuadratureFailure, SigmaZero
 from .expr import BinOp, Call, Var, literal
 from .hypersurface import (
     CallableComponent,
@@ -39,7 +39,7 @@ from .hypersurface import (
     Tag,
     induced_christoffels,
 )
-from .jets import Jet2, as_expression, eval_jet2, eval_value
+from .jets import Jet2, as_expression, eval_jet2, eval_value, first_index
 from .soliton import FD_TOL, SOLITON_TOL, Verdict, soliton_residual
 
 QUAD_TOL = 1e-12
@@ -124,7 +124,10 @@ class RotationalProfile:
 
 @dataclass(frozen=True)
 class ProfileCurve:
-    """Solved profile: alpha, beta, sigma = f(alpha) beta as callables."""
+    """Solved profile: alpha, beta, sigma = f(alpha) beta as callables.
+
+    Each callable takes a float or an array of u values.
+    """
 
     profile: RotationalProfile
     alpha: object
@@ -134,24 +137,38 @@ class ProfileCurve:
     exponential_rate: float | None  # c5 when f = c3 exp(c5 t), else None
 
     def sigma(self, u):
-        prof = self.profile
-        f0 = eval_value(prof.f, {"t": self.alpha(u)})
+        f0 = eval_jet2(self.profile.f, {"t": self.alpha(u)}).value
         return f0 * self.beta(u)
 
 
 def _detect_exponential(f, t_values):
     """Return (c3, c5) when (log f)' is constant over the samples."""
-    rates = []
-    for t in t_values:
-        jet = eval_jet2(f, {"t": float(t)}, ("t",))
-        rates.append(jet.grad[0] / jet.value)
-    c5 = rates[0]
-    if any(abs(r - c5) > 1e-12 * (1.0 + abs(c5)) for r in rates):
+    jet = eval_jet2(f, {"t": t_values}, ("t",))
+    rates = jet.grad[:, 0] / jet.value
+    c5 = float(rates[0])
+    if np.any(np.abs(rates - c5) > 1e-12 * (1.0 + abs(c5))):
         return None
-    t0 = float(t_values[0])
-    f0 = eval_value(f, {"t": t0})
-    c3 = f0 * math.exp(-c5 * t0)
+    c3 = float(jet.value[0] * np.exp(-c5 * float(t_values[0])))
     return c3, c5
+
+
+def _per_distinct(fn, u):
+    """``fn`` of a float, mapped over the distinct values of ``u``.
+
+    Values are visited in order of first appearance, so a DomainError
+    names the first point that fails.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 0:
+        return fn(float(u))
+    distinct, first, inverse = np.unique(u, return_index=True, return_inverse=True)
+    out = np.empty(distinct.size)
+    for j in np.argsort(first, kind="stable"):
+        try:
+            out[j] = fn(float(distinct[j]))
+        except DomainError as exc:
+            raise DomainError(str(exc), exc.expression, int(first[j])) from None
+    return out[inverse]
 
 
 def solve_profile(prof):
@@ -190,7 +207,7 @@ def solve_profile(prof):
         c3, c5 = exponential
 
         def base(u):
-            return -theta / (c3 * c5 * slope) * math.exp(-c5 * alpha(u))
+            return -theta / (c3 * c5 * slope) * np.exp(-c5 * alpha(u))
 
         for u in np.linspace(u0, u1, 9):
             expected = base(u) - base(u0)
@@ -204,7 +221,7 @@ def solve_profile(prof):
     else:
 
         def base(u):
-            return integral_from_u0(float(u))
+            return _per_distinct(integral_from_u0, u)
 
         rate = None
 
@@ -212,11 +229,11 @@ def solve_profile(prof):
         return base(u) + prof.c2
 
     def beta_d1(u):
-        return theta / eval_value(prof.f, {"t": alpha(u)})
+        return theta / eval_jet2(prof.f, {"t": alpha(u)}).value
 
     def beta_d2(u):
         jet = eval_jet2(prof.f, {"t": alpha(u)}, ("t",))
-        return -theta * jet.grad[0] * slope / (jet.value * jet.value)
+        return -theta * jet.grad[..., 0] * slope / (jet.value * jet.value)
 
     return ProfileCurve(
         profile=prof,
@@ -229,15 +246,15 @@ def solve_profile(prof):
 
 
 def _profile_jet(curve, values, active):
-    """Jet of beta(u) in the chart's active variables."""
-    u = float(values["u"])
+    """Jet of beta(u) in the chart's active variables, at every point."""
+    u = np.asarray(values["u"], dtype=float)
     m = len(active)
-    grad = np.zeros(m)
-    hess = np.zeros((m, m))
+    grad = np.zeros(u.shape + (m,))
+    hess = np.zeros(u.shape + (m, m))
     if "u" in active:
         i = active.index("u")
-        grad[i] = curve.beta_d1(u)
-        hess[i, i] = curve.beta_d2(u)
+        grad[..., i] = curve.beta_d1(u)
+        hess[..., i, i] = curve.beta_d2(u)
     return Jet2(curve.beta(u), grad, hess)
 
 
@@ -321,11 +338,12 @@ class ClassificationReport:
 
 
 def verify_classification(prof, interval=(-math.inf, math.inf), u_count=9):
-    """Run the four checks deciding whether the build is a soliton."""
-    curve = solve_profile(prof)
-    imm = build_rotational(prof, curve, interval)
-    chart = imm.chart
+    """Run the four checks deciding whether the build is a soliton.
 
+    The classification grid is built first, so an oversized ``u_count``
+    is refused (ValueError) before any profile work.
+    """
+    chart = default_chart(prof)
     margins = {"u": 0.05}
     counts = {"u": u_count}
     for j in range(1, prof.n):
@@ -336,26 +354,23 @@ def verify_classification(prof, interval=(-math.inf, math.inf), u_count=9):
         else:
             margins[name] = 0.05
     grid = chart.grid(counts, margins)
+    curve = solve_profile(prof)
+    imm = build_rotational(prof, curve, interval)
 
-    u_samples = chart.axis_points("u", max(u_count, 16), 0.05)
-    sigma_sup = 0.0
-    balance_sup = 0.0
-    slopes = []
-    for u in u_samples:
-        u = float(u)
-        d_sigma = (curve.sigma(u + SIGMA_FD_STEP) - curve.sigma(u - SIGMA_FD_STEP)) / (
-            2.0 * SIGMA_FD_STEP
-        )
-        sigma_sup = max(sigma_sup, abs(d_sigma))
-        jet = eval_jet2(prof.f, {"t": curve.alpha(u)}, ("t",))
-        lf1 = jet.grad[0] / jet.value
-        slopes.append(lf1)
-        sigma = curve.sigma(u)
-        if abs(sigma) < 1e-12:
-            raise SigmaZero(f"sigma vanishes at u={u!r}")
-        balance = lf1 * (1.0 - prof.theta**2) + prof.theta * prof.slope / sigma
-        balance_sup = max(balance_sup, abs(balance))
-    slope_variation = max(slopes) - min(slopes)
+    u = chart.axis_points("u", max(u_count, 16), 0.05)
+    d_sigma = (curve.sigma(u + SIGMA_FD_STEP) - curve.sigma(u - SIGMA_FD_STEP)) / (
+        2.0 * SIGMA_FD_STEP
+    )
+    sigma_sup = float(np.max(np.abs(d_sigma), initial=0.0))
+    jet = eval_jet2(prof.f, {"t": curve.alpha(u)}, ("t",))
+    slopes = jet.grad[:, 0] / jet.value
+    sigma = curve.sigma(u)
+    vanishing = first_index(np.abs(sigma) < 1e-12)
+    if vanishing is not None:
+        raise SigmaZero(f"sigma vanishes at u={float(u[vanishing])!r}")
+    balance = slopes * (1.0 - prof.theta**2) + prof.theta * prof.slope / sigma
+    balance_sup = float(np.max(np.abs(balance), initial=0.0))
+    slope_variation = float(np.max(slopes) - np.min(slopes))
 
     report = soliton_residual(imm, grid)
     classified = bool(

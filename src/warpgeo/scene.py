@@ -36,7 +36,7 @@ from .catalogue import build_preset
 from .errors import DomainError, SceneError, WarpGeoError
 from .expr import parse as parse_expr, variables_in
 from .hypersurface import ChartBox, Immersion
-from .intrinsic import point_geometry
+from .intrinsic import grid_geometry
 from .objmesh import surface_vertices, write_obj
 from .rotational import verify_classification
 from .soliton import (
@@ -44,6 +44,7 @@ from .soliton import (
     SOLITON_TOL,
     THEOREMS,
     Verdict,
+    first_extreme,
     hypotheses_report,
     soliton_report,
     structural_report,
@@ -222,7 +223,10 @@ def validate_scene(data):
                 f"margin for {name!r} must lie in (0, 0.5)", field="grid.margins"
             )
         margin_map[name] = frac
-    grid = immersion.chart.grid(counts, margin_map)
+    try:
+        grid = immersion.chart.grid(counts, margin_map)
+    except ValueError as exc:  # more than MAX_GRID_POINTS, refused before building
+        raise SceneError(str(exc), field="grid.samples") from None
 
     checks = []
     raw_checks = data["checks"]
@@ -288,14 +292,10 @@ class CheckResult:
 
 
 def _run_lemma1(scene, geometry, soliton):
-    sup = 0.0
-    worst = None
-    for geo in geometry:
-        err = float(np.max(np.abs(geo.hess_identity - geo.hess_direct)))
-        if err > sup:
-            sup = err
-            worst = geo.point
+    errors = np.max(np.abs(geometry.hess_identity - geometry.hess_direct), axis=(-2, -1))
+    sup, i = first_extreme(errors)
     status = "pass" if sup < SOLITON_TOL else "fail"
+    worst = geometry.chart_point(i)
     return CheckResult("lemma1", status, sup_error=sup, worst_point=worst)
 
 
@@ -401,15 +401,16 @@ GRID_CHECKS = ("lemma1", "soliton", "structural") + THEOREMS
 def run_scene(scene):
     """Execute the requested checks; returns (report_dict, all_passed).
 
-    The geometry of every grid point is computed once, before the first
-    check, and shared by all grid checks.  A DomainError raised mid-run
-    names the chart point that was being evaluated.
+    The geometry of every grid point is computed once, as one batch,
+    before the first check, and shared by all grid checks.  A
+    DomainError raised mid-run names the first chart point, in grid
+    order, at which the failing stage fails.
     """
     started = time.perf_counter()
     kinds = {kind for kind, _, _ in scene.checks}
     geometry = soliton = None
     if kinds & set(GRID_CHECKS):
-        geometry = [point_geometry(scene.immersion, p) for p in scene.grid]
+        geometry = grid_geometry(scene.immersion, scene.grid)
     if kinds & {"soliton", "structural"}:
         soliton = soliton_report(geometry)
     results = []

@@ -13,6 +13,9 @@ Christoffel symbols, and the warped-product identity
 
 which holds for every immersion, soliton or not, and is used as a
 universal cross-check.
+
+Every check is a numpy reduction over the batched geometry record of a
+grid; ties go to the first point in grid order.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundaryTooClose, GridTooCoarse
-from .intrinsic import laplacian_height, point_geometry
+from .hypersurface import as_points
+from .intrinsic import grid_geometry, laplacian_height, point_geometry
+from .jets import first_index
 
 SOLITON_TOL = 1e-7  # jet-exact derivative paths
 FD_TOL = 1e-4  # any quantity involving finite differences
@@ -108,38 +113,48 @@ class SolitonReport:
         }
 
 
+def first_extreme(values, start=0.0, lowest=False):
+    """(value, index) of the first extreme entry strictly beyond ``start``.
+
+    NaN entries never win; when no entry passes ``start`` the result is
+    ``(start, None)``.  This is the scan "keep the first strictly larger
+    (or smaller) value" over the points in grid order.
+    """
+    v = np.asarray(values, dtype=float)
+    v = np.where(np.isnan(v), np.inf if lowest else -np.inf, v)
+    if not v.size:
+        return start, None
+    best = np.min(v) if lowest else np.max(v)
+    if best < start if lowest else best > start:
+        i = first_index(v == best)
+        return float(v[i]), i
+    return start, None
+
+
 def soliton_residual(imm, grid):
     """Evaluate the soliton condition over a grid of chart points."""
-    return soliton_report([point_geometry(imm, p) for p in grid])
+    return soliton_report(grid_geometry(imm, grid))
 
 
 def soliton_report(geometry):
-    """Soliton verdict over a list of :class:`PointGeometry` records.
+    """Soliton verdict over the :class:`PointGeometry` record of a grid.
 
     The verdict is SOLITON when the sup of the trace-free residual stays
     below ``SOLITON_TOL``.  Lambda samples are always populated; for a
     NOT_SOLITON verdict they are advisory only.  The universal Hessian
     identity error is recorded under ``identity_checks['lemma_hessian']``.
     """
-    residual_sup = -1.0
-    worst = geometry[0].point
-    lams = np.zeros(len(geometry))
-    gradh_sup = 0.0
-    identity_sup = 0.0
-    for idx, geo in enumerate(geometry):
-        if geo.residual > residual_sup:
-            residual_sup = geo.residual
-            worst = geo.point
-        lams[idx] = geo.lam
-        gradh_sup = max(gradh_sup, math.sqrt(max(geo.shape.grad_h_norm2, 0.0)))
-        identity_sup = max(
-            identity_sup, float(np.max(np.abs(geo.hess_identity - geo.hess_direct)))
-        )
+    residual_sup, worst = first_extreme(geometry.residual, start=-1.0)
+    lams = np.array(geometry.lam, dtype=float)
+    gradh_sup, _ = first_extreme(np.sqrt(np.maximum(geometry.shape.grad_h_norm2, 0.0)))
+    identity_sup, _ = first_extreme(
+        np.max(np.abs(geometry.hess_identity - geometry.hess_direct), axis=(-2, -1))
+    )
     verdict = Verdict.SOLITON if residual_sup < SOLITON_TOL else Verdict.NOT_SOLITON
     return SolitonReport(
-        grid=tuple(geo.point for geo in geometry),
+        grid=geometry.points,
         residual_sup=residual_sup,
-        worst_point=worst,
+        worst_point=geometry.chart_point(worst or 0),
         lambda_samples=lams,
         gradh_sup=gradh_sup,
         verdict=verdict,
@@ -157,57 +172,50 @@ class StructuralReport:
 def _check_stencil(imm, points, step):
     if step > 1e-2:
         raise GridTooCoarse(f"finite-difference step {step!r} exceeds 1e-2")
-    for p in points:
-        for v, lo, hi in zip(p, imm.chart.lower, imm.chart.upper):
-            if v - lo < 2.0 * step or hi - v < 2.0 * step:
-                raise BoundaryTooClose(
-                    f"stencil at {tuple(map(float, p))!r} would leave the chart box"
-                )
+    points = as_points(points, imm.n)
+    lower = np.asarray(imm.chart.lower, dtype=float)
+    upper = np.asarray(imm.chart.upper, dtype=float)
+    near = (points - lower < 2.0 * step) | (upper - points < 2.0 * step)
+    near = first_index(np.any(near, axis=-1))
+    if near is not None:
+        p = tuple(map(float, points[near]))
+        raise BoundaryTooClose(f"stencil at {p!r} would leave the chart box")
 
 
 def structural_identity(imm, points, step=1e-3):
     """Sup-error of Ric(grad h) + (n-1) grad(scal - lambda) over points."""
     _check_stencil(imm, points, step)
-    return structural_report(imm, [point_geometry(imm, p) for p in points], step)
+    return structural_report(imm, grid_geometry(imm, points), step)
 
 
 def structural_report(imm, geometry, step=1e-3):
-    """Structural identity over a list of :class:`PointGeometry` records.
+    """Structural identity over the :class:`PointGeometry` record of a grid.
 
     The gradient of scal - lambda = (Lap h)/n is taken by central
     differences with the given step (meaningful only when the soliton
-    verdict holds, so that lambda is the soliton function); stencil
-    points evaluate Lap h alone.  Raises GridTooCoarse for steps above
-    1e-2 and BoundaryTooClose when a stencil would leave the chart box.
+    verdict holds, so that lambda is the soliton function); the 2n
+    stencil points of every grid point are evaluated as one batch, for
+    Lap h alone.  Raises GridTooCoarse for steps above 1e-2 and
+    BoundaryTooClose when a stencil would leave the chart box.
     """
-    _check_stencil(imm, [geo.point for geo in geometry], step)
+    points = geometry.shape.chart
+    _check_stencil(imm, points, step)
     n = imm.n
-    sup_error = 0.0
-    worst = None
-
-    def scal_minus_lambda(q):
-        return laplacian_height(imm, q) / n
-
-    for geo in geometry:
-        p = geo.point
-        grad_s = np.zeros(n)
-        for k in range(n):
-            plus = list(p)
-            minus = list(p)
-            plus[k] += step
-            minus[k] -= step
-            grad_s[k] = (scal_minus_lambda(tuple(plus)) - scal_minus_lambda(tuple(minus))) / (
-                2.0 * step
-            )
-        # both terms as covectors; norm taken with the inverse metric
-        omega = geo.ric @ geo.shape.grad_h + (n - 1) * grad_s
-        err = math.sqrt(
-            max(float(omega @ np.linalg.solve(geo.shape.metric, omega)), 0.0)
-        )
-        if err > sup_error:
-            sup_error = err
-            worst = p
-    return StructuralReport(sup_error=sup_error, worst_point=worst)
+    # per grid point: +step along each axis, then -step along each axis
+    stencil = np.repeat(points[:, None, :], 2 * n, axis=1)
+    for k in range(n):
+        stencil[:, k, k] += step
+        stencil[:, n + k, k] -= step
+    s = laplacian_height(imm, stencil.reshape(-1, n)).reshape(-1, 2, n) / n
+    grad_s = (s[:, 0] - s[:, 1]) / (2.0 * step)
+    # both terms as covectors; norm taken with the inverse metric
+    omega = (geometry.ric @ geometry.shape.grad_h[..., None])[..., 0] + (n - 1) * grad_s
+    dual = np.linalg.solve(geometry.shape.metric, omega[..., None])[..., 0]
+    err = np.sqrt(np.maximum(np.einsum("...i,...i->...", omega, dual), 0.0))
+    sup_error, worst = first_extreme(err)
+    return StructuralReport(
+        sup_error=sup_error, worst_point=geometry.chart_point(worst)
+    )
 
 
 THEOREMS = ("theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5")
@@ -232,11 +240,10 @@ class HypothesisReport:
 
 def _ratio_or_limit(lf1, theta):
     """|theta|^{-1} (log f)'(h) with the 0/0 limit taken as 0."""
-    if lf1 == 0.0:
-        return 0.0
-    if theta == 0.0:
-        return math.inf if lf1 > 0.0 else -math.inf
-    return lf1 / abs(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = lf1 / np.abs(theta)
+    limit = np.where(lf1 > 0.0, math.inf, -math.inf)
+    return np.where(lf1 == 0.0, 0.0, np.where(theta == 0.0, limit, ratio))
 
 
 def _theorem1_margins(n, geometry, flipped):
@@ -245,27 +252,17 @@ def _theorem1_margins(n, geometry, flipped):
     Condition 1: f''(h)/f(h) <= (n+1)/n^2 H^2.
     Condition 2: 0 <= |theta|^{-1} (log f)'(h) <= H.
     """
-    curvature_worst = math.inf
-    angle_worst = math.inf
-    worst = math.inf
-    worst_point = None
-    for geo in geometry:
-        sd = geo.shape
-        theta = -sd.theta if flipped else sd.theta
-        H = -sd.mean_curvature if flipped else sd.mean_curvature
-        f0, f1, f2 = geo.warping
-        m1 = (n + 1) / (n * n) * H * H - f2 / f0
-        q = _ratio_or_limit(f1 / f0, theta)
-        if math.isfinite(q):
-            m2 = min(q, H - q)
-        else:
-            m2 = -math.inf
-        curvature_worst = min(curvature_worst, m1)
-        angle_worst = min(angle_worst, m2)
-        margin = min(m1, m2)
-        if margin < worst:
-            worst = margin
-            worst_point = geo.point
+    sd = geometry.shape
+    theta = -sd.theta if flipped else sd.theta
+    H = -sd.mean_curvature if flipped else sd.mean_curvature
+    f0, f1, f2 = geometry.warping
+    m1 = (n + 1) / (n * n) * H * H - f2 / f0
+    q = _ratio_or_limit(f1 / f0, theta)
+    m2 = np.where(np.isfinite(q), np.minimum(q, H - q), -math.inf)
+    curvature_worst, _ = first_extreme(m1, math.inf, lowest=True)
+    angle_worst, _ = first_extreme(m2, math.inf, lowest=True)
+    worst, i = first_extreme(np.minimum(m1, m2), math.inf, lowest=True)
+    worst_point = geometry.chart_point(i)
     return worst, worst_point, curvature_worst, angle_worst
 
 
@@ -274,11 +271,11 @@ def check_hypotheses(imm, grid, which):
     which = str(which).lower()
     if which not in THEOREMS:
         raise ValueError(f"unknown hypothesis check {which!r}")
-    return hypotheses_report(imm, [point_geometry(imm, p) for p in grid], which)
+    return hypotheses_report(imm, grid_geometry(imm, grid), which)
 
 
 def hypotheses_report(imm, geometry, which):
-    """One theorem hypothesis over a list of :class:`PointGeometry` records.
+    """One theorem hypothesis over the :class:`PointGeometry` record of a grid.
 
     ``which`` is one of ``THEOREMS``.  theorem1 evaluates both
     orientations and passes when either one satisfies the inequalities
@@ -313,8 +310,12 @@ def hypotheses_report(imm, geometry, which):
             },
         )
 
+    sd = geometry.shape
+    H = sd.mean_curvature
+    f0, f1, f2 = geometry.warping
+
     if which == "theorem3":
-        sup_H = max(abs(geo.shape.mean_curvature) for geo in geometry)
+        sup_H = float(np.max(np.abs(H)))
         if sup_H >= CLASS_TOL:
             return HypothesisReport(
                 name=which,
@@ -323,32 +324,22 @@ def hypotheses_report(imm, geometry, which):
                 worst_point=None,
                 details={"sup_mean_curvature": sup_H},
             )
-        sup_err = 0.0
-        worst_point = None
-        for geo in geometry:
-            f0, f1, _ = geo.warping
-            rhs = (f1 / f0) * (n - 1 + geo.shape.theta * geo.shape.theta)
-            err = abs(n * (geo.scal_gauss - geo.lam) - rhs)
-            if err > sup_err:
-                sup_err = err
-                worst_point = geo.point
+        rhs = (f1 / f0) * (n - 1 + sd.theta * sd.theta)
+        sup_err, i = first_extreme(np.abs(n * (geometry.scal_gauss - geometry.lam) - rhs))
         status = "pass" if sup_err < SOLITON_TOL else "fail"
         return HypothesisReport(
             name=which,
             status=status,
             worst_margin=None,
-            worst_point=worst_point,
+            worst_point=geometry.chart_point(i),
             sup_error=sup_err,
         )
 
     if which == "theorem5":
         window = imm.ambient.probe_window()
         probes = np.linspace(window[0], window[1], 64)
-        f2_over_f = [
-            imm.ambient.warping_jet(t)[2] / imm.ambient.warping_jet(t)[0]
-            for t in probes
-        ]
-        c = -float(np.mean(f2_over_f)) + 0.0  # normalizes -0.0
+        p0, _, p2 = imm.ambient.warping_jet(probes)
+        c = -float(np.mean(p2 / p0)) + 0.0  # normalizes -0.0
         fit = imm.ambient.check_space_form(c, probes)
         if fit.ratio_residual > 1e-8 or fit.second_residual > 1e-8:
             return HypothesisReport(
@@ -358,32 +349,23 @@ def hypotheses_report(imm, geometry, which):
                 worst_point=None,
                 details={"reason": "ambient is not a space form"},
             )
-    worst = math.inf
-    worst_point = None
-    failing = 0
-    for geo in geometry:
-        H = geo.shape.mean_curvature
-        f0, _, f2 = geo.warping
-        if which == "theorem4a":
-            bound = -n * (n - 1) * f2 / f0 + n * n * H * H
-        elif which == "theorem4b":
-            bound = n * (n - 1) * (H * H - f2 / f0)
-        else:  # theorem5
-            bound = (n - 1) * c + n * H * H
-        margin = geo.lam - bound
-        failing += margin < -_MARGIN_TOL
-        if margin < worst:
-            worst = margin
-            worst_point = geo.point
+    if which == "theorem4a":
+        bound = -n * (n - 1) * f2 / f0 + n * n * H * H
+    elif which == "theorem4b":
+        bound = n * (n - 1) * (H * H - f2 / f0)
+    else:  # theorem5
+        bound = (n - 1) * c + n * H * H
+    margin = geometry.lam - bound
+    worst, i = first_extreme(margin, math.inf, lowest=True)
     status = "pass" if worst >= -_MARGIN_TOL else "fail"
     details = {}
     if which == "theorem5":
         details["c"] = c
-        details["failing_points"] = failing
+        details["failing_points"] = int(np.count_nonzero(margin < -_MARGIN_TOL))
     return HypothesisReport(
         name=which,
         status=status,
         worst_margin=worst,
-        worst_point=worst_point,
+        worst_point=geometry.chart_point(i),
         details=details,
     )

@@ -269,7 +269,7 @@ def test_criterion_9_property_suites(catalogue):
             + W.curvature(p, Y, Z, X)
             + W.curvature(p, Z, X, Y)
         )
-        G, dG, _ = W.metric_jets(p)
+        G, dG = W.metric_jets(p)
         gamma = W.christoffels(p)
         compat = (
             np.einsum("bca->abc", dG)

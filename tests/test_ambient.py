@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from warpgeo.ambient import AmbientPoint, Fiber, WarpedProduct, space_form_models
-from warpgeo.errors import SingularMetric
+from warpgeo.errors import DomainError, SingularMetric
 
 from oracles import curvature_fd, random_fiber_point, random_orthonormal_pair
 
@@ -78,7 +78,7 @@ def test_sphere_fiber_christoffels():
 def test_metric_compatibility(rng):
     for name, W, c, window in space_form_models():
         p = random_fiber_point(W, rng)
-        G, dG, _ = W.metric_jets(p)
+        G, dG = W.metric_jets(p)
         gamma = W.christoffels(p)
         # d_a g_bc - Gamma^d_{ab} g_dc - Gamma^d_{ac} g_bd = 0
         res = (
@@ -196,3 +196,14 @@ def test_singular_chart_metric_raises():
     W = WarpedProduct((-INF, INF), "1", Fiber.SPHERE, 2)
     with pytest.raises(SingularMetric):
         W.christoffels(AmbientPoint(0.0, (1e-9, 1.0)))
+
+
+def test_metric_jets_fail_like_the_first_failing_point():
+    # f is positive on the probe window but undefined at t = 6; the second
+    # point leaves the angle chart, which is checked before the entries
+    W = WarpedProduct((-INF, INF), "sqrt(5-t)", Fiber.SPHERE, 2)
+    batch = AmbientPoint(np.array([6.0, 0.0]), (np.array([1.0, 4.0]), np.array([1.0, 1.0])))
+    for method in (W.metric, W.metric_jets):
+        with pytest.raises(DomainError) as err:
+            method(batch)
+        assert err.value.index == 0

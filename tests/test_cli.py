@@ -1,11 +1,14 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from warpgeo.cli import main
-from warpgeo.errors import MeshUnsupported
+from warpgeo.errors import DomainError, MeshUnsupported
+from warpgeo.intrinsic import grid_geometry
+from warpgeo.scene import validate_scene
 from warpgeo.objmesh import obj_lines, surface_vertices
 from warpgeo.catalogue import rotational_soliton_immersion
 
@@ -98,6 +101,18 @@ def test_analyze_domain_error_exit_three(tmp_path, capsys):
     assert "chart point" in err  # location is reported
 
 
+def test_analyze_overflow_exit_three(tmp_path, capsys):
+    scene = hyperplane_scene()
+    scene["immersion"] = {
+        "components": ["exp(1000*u)", "u", "v"],
+        "chart": {"names": ["u", "v"], "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    }
+    path = write_scene(tmp_path, scene)
+    assert main(["analyze", path]) == 3
+    err = capsys.readouterr().err
+    assert "exp overflows" in err and "chart point" in err
+
+
 def test_domain_error_names_the_grid_point(tmp_path, capsys):
     # the construction probe stays inside the domain; the scene grid does not
     scene = hyperplane_scene()
@@ -109,6 +124,55 @@ def test_domain_error_names_the_grid_point(tmp_path, capsys):
     path = write_scene(tmp_path, scene)
     assert main(["analyze", path]) == 3
     assert "{'u': 0.02, 'v': 0.02}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "components, index, named",
+    [
+        # sqrt(0.95-u) is defined on the construction probe (u <= 0.9) but
+        # not at u = 0.98, the last grid row; grid point 20 is its first
+        (["sqrt(0.95-u)", "u", "v"], 20, "{'u': 0.98, 'v': 0.02}"),
+        # the second component first fails at grid point 20, the third
+        # already at grid point 4 (v = 0.98): point 4 is named
+        (["u", "sqrt(0.95-u)", "sqrt(0.95-v)"], 4, "{'u': 0.02, 'v': 0.98}"),
+    ],
+    ids=["one-component", "across-components"],
+)
+def test_domain_error_names_the_first_failing_grid_point(
+    tmp_path, capsys, components, index, named
+):
+    scene = hyperplane_scene()
+    scene["immersion"] = {
+        "components": components,
+        "chart": {"names": ["u", "v"], "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    }
+    scene["grid"] = {"samples": {"u": 5, "v": 5}, "margins": {"u": 0.02, "v": 0.02}}
+    loaded = validate_scene(scene)
+    with pytest.raises(DomainError) as err:
+        grid_geometry(loaded.immersion, loaded.grid)
+    assert err.value.index == index
+    path = write_scene(tmp_path, scene)
+    assert main(["analyze", path]) == 3
+    assert named in capsys.readouterr().err
+
+
+def test_analyze_oversized_grid_exit_two(tmp_path, capsys):
+    scene = hyperplane_scene()
+    scene["grid"] = {"samples": {"u": 1000, "v1": 1000}}
+    path = write_scene(tmp_path, scene)
+    started = time.perf_counter()
+    assert main(["analyze", path]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert "grid.samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--mesh", "unused.obj"]])
+def test_rotational_oversized_samples_exit_two(extra, capsys):
+    samples = "100000" if not extra else "200"
+    started = time.perf_counter()
+    assert main(["rotational", "--theta", "0.5", "--samples", samples, *extra]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert "MAX_GRID_POINTS" in capsys.readouterr().err
 
 
 def test_analyze_non_finite_literal_exit_two(tmp_path, capsys):

@@ -9,11 +9,13 @@ from warpgeo.catalogue import (
     slice_immersion,
     spherical_cap_ambient,
 )
-from warpgeo.errors import DegenerateImmersion
+from warpgeo import hypersurface
+from warpgeo.errors import DegenerateImmersion, DomainError, OutsideChart
 from warpgeo.hypersurface import (
     ChartBox,
     Immersion,
     flip_orientation,
+    grid_shape_data,
     mean_curvature,
     shape_data,
     shape_operator_from_normal_derivative,
@@ -215,3 +217,47 @@ def test_slice_requires_interior_t0():
 def test_hyperplane_requires_flat_fiber():
     with pytest.raises(ValueError):
         hyperplane_immersion(spherical_cap_ambient(2))
+
+
+def _cusp_immersion():
+    # degenerate frame along u = 0, sqrt out of its domain for u > 1.1;
+    # the construction probe (u in {-0.78, 0.1, 0.98}) meets neither
+    chart = ChartBox(("u", "v"), (-1.0, -1.0), (1.2, 1.0))
+    return Immersion(euclidean_ambient(2), chart, ["0", "u^3", "v*sqrt(1.1-u)"])
+
+
+def test_batch_fails_like_its_first_failing_point():
+    # point 3 fails the box check, point 2 the component jets and point 1
+    # the Gram determinant; the stages run in that order, but point 1 is
+    # the first point whose own evaluation fails
+    imm = _cusp_immersion()
+    points = [(0.5, 0.2), (0.0, 0.2), (1.15, 0.2), (1.3, 0.2)]
+    for p, kind in [(points[2], DomainError), (points[3], OutsideChart)]:
+        with pytest.raises(kind):
+            grid_shape_data(imm, [p])
+    with pytest.raises(DegenerateImmersion) as alone:
+        grid_shape_data(imm, [points[1]])
+    for k in (2, 3, 4):
+        with pytest.raises(DegenerateImmersion) as err:
+            grid_shape_data(imm, points[:k])
+        assert err.value.index == 1 and str(err.value) == str(alone.value)
+
+
+def test_slices_change_neither_values_nor_errors(monkeypatch):
+    imm = hyperplane_immersion(euclidean_ambient(2))
+    grid = imm.chart.grid(5, 0.1)
+    whole = grid_shape_data(imm, grid)
+    monkeypatch.setattr(hypersurface, "SLICE_POINTS", 4)
+    sliced = grid_shape_data(imm, grid)
+    for name in ("chart", "frame", "metric", "normal", "shape_operator", "theta", "grad_h"):
+        assert getattr(sliced, name).tobytes() == getattr(whole, name).tobytes(), name
+    # the third slice holds a good point, the degenerate one and a
+    # domain error: the error is the degenerate point's, at its place
+    cusp = _cusp_immersion()
+    points = [(0.5, 0.1 * k) for k in range(9)] + [(0.0, 0.2), (1.15, 0.2)]
+    with pytest.raises(DegenerateImmersion) as err:
+        grid_shape_data(cusp, points)
+    assert err.value.index == 9
+    with pytest.raises(DomainError) as err:
+        grid_shape_data(cusp, points[:9] + points[10:])
+    assert err.value.index == 9 and "(at chart point {'u': 1.15, 'v': 0.2})" in str(err.value)

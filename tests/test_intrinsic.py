@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import fields, is_dataclass
+
+from warpgeo.catalogue import perturbed_immersion
 from warpgeo.errors import BoundaryTooClose
 from warpgeo.hypersurface import shape_data
-from warpgeo.intrinsic import curvature_package, ricci_gradh_extrinsic, scalar_fd_oracle
+from warpgeo.intrinsic import (
+    curvature_package,
+    grid_geometry,
+    point_geometry,
+    ricci_gradh_extrinsic,
+    scalar_fd_oracle,
+)
 from warpgeo.rotational import weingarten_closed_form
 
 
@@ -133,3 +142,40 @@ def test_fd_oracle_values(hyperplane, sphere2, rotational_soliton):
 def test_fd_oracle_boundary_guard(hyperplane):
     with pytest.raises(BoundaryTooClose):
         scalar_fd_oracle(hyperplane, (1.0 - 2e-3, 0.0))
+
+
+def _arrays(record, prefix=""):
+    """Every array of a geometry record, by field path."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            yield from _arrays(value, f"{prefix}{f.name}.")
+        elif isinstance(value, tuple):
+            for k, item in enumerate(value):
+                yield f"{prefix}{f.name}[{k}]", item
+        else:
+            yield prefix + f.name, value
+
+
+def test_geometry_does_not_depend_on_the_batch(catalogue, rng):
+    # each point's record is bit-identical whether it is evaluated with the
+    # whole grid, alone, or in a batch where it sits one place earlier
+    immersions = list(catalogue) + [("perturbed", perturbed_immersion(catalogue[3][1], rng))]
+    for name, imm in immersions:
+        grid = imm.chart.grid(4, 0.1)
+        full = dict(_arrays(grid_geometry(imm, grid)))
+        shifted = dict(_arrays(grid_geometry(imm, grid[1:])))
+        for i, p in enumerate(grid):
+            single = dict(_arrays(grid_geometry(imm, [p])))
+            for key, values in full.items():
+                assert values[i].tobytes() == single[key][0].tobytes(), (name, key, i)
+                if i:
+                    assert values[i].tobytes() == shifted[key][i - 1].tobytes(), (name, key, i)
+
+
+def test_point_geometry_is_the_single_point_view(sphere3):
+    p = sphere3.chart.center()
+    view = point_geometry(sphere3, p)
+    assert tuple(view.shape.chart) == p
+    assert isinstance(view.scal_gauss, float) and view.ric.shape == (3, 3)
+    assert isinstance(view.shape.mean_curvature, float) and view.warping[0] == 1.0

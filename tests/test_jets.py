@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpgeo.errors import DomainError
-from warpgeo.expr import parse, unparse
+from warpgeo.expr import FUNCTIONS, BinOp, Call, Const, Neg, Var, literal, parse, unparse
 from warpgeo.jets import Jet2, eval_jet2, eval_value
 
 from oracles import fd_gradient
@@ -202,3 +204,76 @@ def test_jet_scalar_mixing():
     out = 2.0 * t + 1.0 - t / 2.0
     assert out.value == 5.5
     assert out.grad[0] == 1.5
+
+
+_LEAVES = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0).map(literal),
+    st.sampled_from([Var("t"), Var("u"), Const("pi")]),
+)
+
+
+def _combine(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/^"), children, children).map(lambda t: BinOp(*t)),
+        children.map(Neg),
+        st.tuples(st.sampled_from(FUNCTIONS), children).map(lambda t: Call(*t)),
+    )
+
+
+_COORD = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    expr=st.recursive(_LEAVES, _combine, max_leaves=8),
+    points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=8),
+    active=st.sampled_from([(), ("t",), ("u", "t")]),
+)
+def test_batched_jets_match_single_points(expr, points, active):
+    t = np.array([p[0] for p in points])
+    u = np.array([p[1] for p in points])
+    singles = []
+    for i in range(len(points)):
+        try:
+            singles.append(eval_jet2(expr, {"t": t[i : i + 1], "u": u[i : i + 1]}, active))
+        except DomainError as exc:
+            singles.append(exc)
+    failing = [i for i, s in enumerate(singles) if isinstance(s, DomainError)]
+    if failing:
+        with pytest.raises(DomainError) as err:
+            eval_jet2(expr, {"t": t, "u": u}, active)
+        assert err.value.index == failing[0]
+        assert str(err.value) == str(singles[failing[0]])
+        return
+    batch = eval_jet2(expr, {"t": t, "u": u}, active)
+    assert batch.value.shape == (len(points),)
+    for i, single in enumerate(singles):
+        for name in ("value", "grad", "hess"):
+            assert getattr(batch, name)[i].tobytes() == getattr(single, name)[0].tobytes(), name
+
+
+def test_integer_rule_applies_per_point():
+    # the exponent u is integral at some points only; each point takes its own rule
+    expr = parse("t^u")
+    t = np.array([2.0, 1.5, 3.0])
+    u = np.array([3.0, 0.5, -1.0])
+    batch = eval_jet2(expr, {"t": t, "u": u})
+    for i in range(3):
+        assert batch.value[i] == eval_value(expr, {"t": t[i], "u": u[i]})
+    assert batch.value[0] == 8.0 and batch.value[2] == 1.0 / 3.0
+
+
+def test_domain_error_names_the_first_failing_point():
+    # point 2 fails at log, evaluated first; point 1 fails later, at sqrt
+    expr = parse("log(t) + sqrt(u)")
+    with pytest.raises(DomainError) as err:
+        eval_jet2(expr, {"t": np.array([1.0, 1.0, -1.0]), "u": np.array([1.0, -4.0, 1.0])})
+    assert err.value.index == 1
+    assert "sqrt of negative value -4.0" in str(err.value)
+
+
+def test_overflow_is_a_domain_error():
+    with pytest.raises(DomainError):
+        eval_jet2(parse("exp(1000*t)"), {"t": np.array([0.0, 1.0])}, ("t",))
+    with pytest.raises(DomainError):
+        eval_value(parse("cosh(t)"), {"t": 1000.0})

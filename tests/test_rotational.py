@@ -120,11 +120,11 @@ def test_sigma_constant_minus_one(example_curve):
 def test_build_matches_catalogued_surface(example_profile, example_curve):
     imm = build_rotational(example_profile, example_curve)
     for u, v in [(0.0, 1.0), (0.7, 2.0), (-1.2, 4.5)]:
-        q = imm.ambient_point((u, v))
+        t, x1, x2 = imm.ambient_coordinates([(u, v)])[0]
         r = -math.exp(-u / ROOT2)
-        assert abs(q.t - u / ROOT2) < 1e-14
-        assert abs(q.x[0] - r * math.cos(v)) < 1e-12
-        assert abs(q.x[1] - r * math.sin(v)) < 1e-12
+        assert abs(t - u / ROOT2) < 1e-14
+        assert abs(x1 - r * math.cos(v)) < 1e-12
+        assert abs(x2 - r * math.sin(v)) < 1e-12
 
 
 def test_first_fundamental_form_structure(example_profile, example_curve):

@@ -1,12 +1,13 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from warpgeo.ambient import WarpedProduct
 from warpgeo.errors import SceneError
-from warpgeo.hypersurface import Immersion
+from warpgeo.hypersurface import MAX_GRID_POINTS, Immersion
 from warpgeo.scene import report_to_json, run_scene, validate_scene
 
 
@@ -60,6 +61,10 @@ def test_unknown_ambient_field_rejected():
         (lambda d: d.update(checks=["nonsense"]), "checks"),
         (lambda d: d["grid"].update(samples={"u": 2, "v1": 5}), "grid.samples"),
         (lambda d: d["grid"].update(samples={"w": 5}), "grid.samples"),
+        pytest.param(
+            lambda d: d["grid"].update(samples={"u": 1000, "v1": 1000}), "grid.samples",
+            id="oversized-grid",
+        ),
         (lambda d: d["grid"].update(margins={"u": 0.9}), "grid.margins"),
         (lambda d: d["immersion"].update(preset="missing"), "immersion.preset"),
         (lambda d: d.update(schema_version=2), "schema_version"),
@@ -233,23 +238,24 @@ def example5_scene(checks):
 
 
 def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch):
+    # one batched call each, covering every grid point exactly once
     checks = ["lemma1", "soliton", "theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5"]
     scene = validate_scene(example5_scene(checks))
-    calls = {"component_jets": 0, "metric_jets": 0}
+    calls = {"component_jets": [], "metric_jets": []}
 
-    def count(owner, name):
+    def count(owner, name, points_of):
         original = getattr(owner, name)
 
-        def counted(self, *args, **kwargs):
-            calls[name] += 1
-            return original(self, *args, **kwargs)
+        def counted(self, arg):
+            calls[name].append(points_of(arg))
+            return original(self, arg)
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(Immersion, "component_jets")
-    count(WarpedProduct, "metric_jets")
+    count(Immersion, "component_jets", len)
+    count(WarpedProduct, "metric_jets", lambda q: len(q.t))
     run_scene(scene)
-    assert calls == {"component_jets": len(scene.grid), "metric_jets": len(scene.grid)}
+    assert calls == {"component_jets": [len(scene.grid)], "metric_jets": [len(scene.grid)]}
 
 
 def test_reports_do_not_depend_on_check_order_or_state():
@@ -263,3 +269,28 @@ def test_reports_do_not_depend_on_check_order_or_state():
     assert {key: repr(value) for key, value in vars(scene.immersion).items()} == state
     backward, _ = run_scene(validate_scene(example5_scene(checks[::-1])))
     assert forward["checks"] == backward["checks"][::-1]
+
+
+@pytest.mark.parametrize("n, samples", [(4, 10), (5, 6)])
+def test_maximal_grid_stays_under_256_mb(n, samples):
+    # the largest grids these dimensions allow, with the structural check
+    # (2n stencil points per grid point) on a soliton horosphere
+    names = [f"u{i}" for i in range(1, n + 1)]
+    scene = {
+        "ambient": {"interval": ["-inf", "inf"], "f": "exp(t)", "fiber": "euclidean", "n": n},
+        "immersion": {
+            "components": ["0.5"] + names,
+            "chart": {"names": names, "lower": [-1] * n, "upper": [1] * n},
+        },
+        "grid": {"samples": {name: samples for name in names}},
+        "checks": ["soliton", "structural"],
+    }
+    assert samples**n <= MAX_GRID_POINTS < (samples + 1) ** n
+    tracemalloc.start()
+    try:
+        report, passed = run_scene(validate_scene(scene))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert passed and report["checks"][1]["status"] == "pass"
+    assert peak < 256 * 2**20
