@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .ambient import Fiber, WarpedProduct
-from .errors import SceneError
+from .errors import DomainError, SceneError, WarpGeoError
 from .expr import BinOp, Call, Num, Var, literal, parse
 from .hypersurface import ChartBox, Immersion, Tag
 from .jets import eval_jet2
@@ -200,7 +200,9 @@ def build_preset(name, ambient, params):
             )
             curve = solve_profile(prof)
             imm = build_rotational(prof, curve, ambient.interval)
-        except ValueError as exc:
+        except DomainError:
+            raise  # surfaces as a numeric error, not a validation error
+        except (ValueError, WarpGeoError) as exc:
             raise SceneError(str(exc), field="immersion.params") from None
         return imm, prof
     raise SceneError(f"unknown preset {name!r}", field="immersion.preset")

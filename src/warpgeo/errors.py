@@ -67,7 +67,7 @@ class GridTooCoarse(WarpGeoError):
 
 
 class QuadratureFailure(WarpGeoError):
-    """Adaptive quadrature did not reach the requested tolerance."""
+    """The profile integral did not reach the requested tolerance."""
 
 
 class SigmaZero(WarpGeoError):

@@ -16,6 +16,9 @@ Grammar (EBNF, whitespace insignificant, no implicit multiplication)::
 float (``1e400``) is a syntax error.  Recognized functions: sin, cos, tan,
 sinh, cosh, tanh, exp, log, sqrt, abs.  Recognized constants: pi, e.
 A function name must be followed by a parenthesized argument.
+Nesting (parentheses, calls, unary minus, ``^``) and the depth of the
+tree are both bounded by ``MAX_EXPRESSION_DEPTH``; deeper text is a
+syntax error, so no evaluation of a parsed tree runs out of stack.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .errors import ExprSyntaxError, UnknownIdentifier
 
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", "abs")
 CONSTANTS = {"pi": math.pi, "e": math.e}
+MAX_EXPRESSION_DEPTH = 100
+_TOO_DEEP = f"expression deeper than MAX_EXPRESSION_DEPTH = {MAX_EXPRESSION_DEPTH}"
 
 
 class Expression:
@@ -126,6 +131,16 @@ class _Parser:
         self.length = length
         self.variables = variables
         self.i = 0
+        self.nesting = 0
+
+    def nested(self, parse, pos):
+        """``parse()`` one nesting level deeper, within MAX_EXPRESSION_DEPTH."""
+        self.nesting += 1
+        if self.nesting > MAX_EXPRESSION_DEPTH:
+            raise ExprSyntaxError(_TOO_DEEP, pos)
+        node = parse()
+        self.nesting -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -160,7 +175,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.text == "-":
             self.i += 1
-            return Neg(self.parse_factor())
+            return Neg(self.nested(self.parse_factor, tok.pos))
         return self.parse_power()
 
     def parse_power(self):
@@ -168,7 +183,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.text == "^":
             self.i += 1
-            node = BinOp("^", node, self.parse_factor())
+            node = BinOp("^", node, self.nested(self.parse_factor, tok.pos))
         return node
 
     def parse_atom(self):
@@ -179,7 +194,7 @@ class _Parser:
                 raise ExprSyntaxError(f"number {tok.text!r} is not finite", tok.pos)
             return Num(value)
         if tok.kind == "op" and tok.text == "(":
-            node = self.parse_expr()
+            node = self.nested(self.parse_expr, tok.pos)
             self.expect(")")
             return node
         if tok.kind == "name":
@@ -191,7 +206,7 @@ class _Parser:
                         f"function {name!r} must be called with parentheses", tok.pos
                     )
                 self.i += 1
-                arg = self.parse_expr()
+                arg = self.nested(self.parse_expr, tok.pos)
                 self.expect(")")
                 return Call(name, arg)
             if name in CONSTANTS:
@@ -216,6 +231,8 @@ def parse(text, variables=None):
     trailing = parser.peek()
     if trailing is not None:
         raise ExprSyntaxError(f"unexpected token {trailing.text!r}", trailing.pos)
+    if depth(node) > MAX_EXPRESSION_DEPTH:  # long chains such as t+t+...+t
+        raise ExprSyntaxError(_TOO_DEEP, 0)
     return node
 
 
@@ -227,22 +244,28 @@ def literal(value):
     return Num(value)
 
 
+def _nodes(expr):
+    """Every node of ``expr`` with its level (the root's is 1), without recursion."""
+    stack = [(expr, 1)]
+    while stack:
+        node, level = stack.pop()
+        yield node, level
+        if isinstance(node, Neg):
+            stack.append((node.operand, level + 1))
+        elif isinstance(node, BinOp):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+        elif isinstance(node, Call):
+            stack.append((node.arg, level + 1))
+
+
 def variables_in(expr):
     """Set of variable names referenced by ``expr``."""
-    out = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Neg):
-            stack.append(node.operand)
-        elif isinstance(node, BinOp):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
-    return out
+    return {node.name for node, _ in _nodes(expr) if isinstance(node, Var)}
+
+
+def depth(expr):
+    """Number of nodes on the longest root-to-leaf path of ``expr``."""
+    return max(level for _, level in _nodes(expr))
 
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5

@@ -157,25 +157,8 @@ def _reciprocal(u, node):
     return _chain(u, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
 
 
-def _integral(k):
-    """Where an exponent takes the integer-power rule."""
-    return (k == np.round(k)) & (np.abs(k) <= 2**31)
-
-
-def _pow_int(base_value, k):
-    """Binary exponentiation on plain floats, k >= 1."""
-    result = None
-    acc = base_value
-    while k:
-        if k & 1:
-            result = acc if result is None else result * acc
-        acc = acc * acc
-        k >>= 1
-    return result
-
-
 def _pow_int_jet(u, k, node):
-    """Binary exponentiation on jets; mirrors :func:`_pow_int` exactly."""
+    """Binary exponentiation on jets."""
     if k == 0:
         return Jet2.constant(1.0, u.m)
     if k < 0:
@@ -259,7 +242,8 @@ def _pow_jet(base, exponent, node):
     k = exponent.value
     # An exponent without derivatives at a point and integral there takes
     # the integer rule at that point; every other point the real power.
-    integral = ~exponent.grad.any(-1) & ~exponent.hess.any((-2, -1)) & _integral(k)
+    integral = ~exponent.grad.any(-1) & ~exponent.hess.any((-2, -1))
+    integral = integral & (k == np.round(k)) & (np.abs(k) <= 2**31)
     if np.all(integral):
         ks = np.unique(k) if np.ndim(k) else [k]
         if len(ks) == 1:
@@ -358,57 +342,9 @@ def eval_jet2(expr, bindings, active=()):
 
 
 def eval_value(expr, bindings):
-    """Plain evaluation at one point; the scalar twin of ``eval_jet2``.
-
-    Uses the same elementary functions and domain rules, so the result
-    equals ``eval_jet2(expr, bindings, ()).value`` bit for bit.
-    """
-
-    def rec(node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Const):
-            return CONSTANTS[node.name]
-        if isinstance(node, Var):
-            if node.name not in bindings:
-                raise UnknownIdentifier(node.name)
-            return float(bindings[node.name])
-        if isinstance(node, Neg):
-            return -rec(node.operand)
-        if isinstance(node, Call):
-            return _elementary(node.func, rec(node.arg), node)
-        if isinstance(node, BinOp):
-            a = rec(node.left)
-            b = rec(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                if b == 0.0:
-                    raise DomainError("division by zero", node)
-                return a * (1.0 / b)
-            if _integral(b):
-                k = int(b)
-                if k == 0:
-                    return 1.0
-                p = _pow_int(a, abs(k))
-                if k > 0:
-                    return p
-                if p == 0.0:
-                    raise DomainError("division by zero", node)
-                return 1.0 / p
-            if a <= 0.0:
-                raise DomainError(
-                    f"non-integer power of non-positive base {float(a)!r}", node
-                )
-            return _elementary("exp", b * _elementary("log", a, node), node)
-        raise TypeError(f"not an Expression: {node!r}")
-
-    with np.errstate(all="ignore"):
-        return float(rec(expr))
+    """Plain evaluation at one point: the value of the jet with no
+    active variables, as a float."""
+    return float(eval_jet2(expr, bindings).value)
 
 
 def as_expression(obj):

@@ -12,8 +12,10 @@ exponential warpings f(t) = c3 exp(c5 t) the decaying antiderivative
     B(u) = -theta / (c3 c5 sqrt(1 - theta^2)) * exp(-c5 alpha(u))
 
 is used (this normalization, with c2 = 0, is the one that produces a
-soliton); for all other warpings the antiderivative vanishing at u0 is
-computed by adaptive quadrature, once per distinct u.  The surface is
+soliton); for all other warpings beta is the antiderivative, vanishing
+at u0, of a Chebyshev interpolant of theta/f(alpha), one per profile,
+whose degree doubles until its coefficients have decayed (Battles and
+Trefethen, SIAM J. Sci. Comput. 25, 2004).  The surface is
 the orbit of the profile under rotation of the fiber about the axis,
 with first fundamental form diag(1, sigma^2 x sphere-chart weights)
 where sigma(u) = f(alpha(u)) beta(u).
@@ -23,10 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.integrate
+from numpy.polynomial import Chebyshev
 
 from .ambient import Fiber, WarpedProduct
 from .errors import DomainError, QuadratureFailure, SigmaZero
@@ -39,10 +40,12 @@ from .hypersurface import (
     Tag,
     induced_christoffels,
 )
-from .jets import Jet2, as_expression, eval_jet2, eval_value, first_index
+from .jets import Jet2, as_expression, eval_jet2, first_index
 from .soliton import FD_TOL, SOLITON_TOL, Verdict, soliton_residual
 
-QUAD_TOL = 1e-12
+CHEB_MIN_DEGREE = 16  # first degree of the profile interpolant
+CHEB_MAX_DEGREE = 4096  # degree cap; an integrand unresolved there fails
+CHEB_TAIL_DECAY = 1e-13  # resolved: upper-half coefficients below this times the largest
 _POLAR_MARGIN = 0.2  # keeps grids away from sphere-chart poles for n >= 3
 AZIMUTH_SAMPLES = 9  # classification grid points along the last angle
 SIGMA_FD_STEP = 1e-4  # central-difference step of d sigma / du
@@ -141,69 +144,90 @@ class ProfileCurve:
         return f0 * self.beta(u)
 
 
-def _detect_exponential(f, t_values):
-    """Return (c3, c5) when (log f)' is constant over the samples."""
-    jet = eval_jet2(f, {"t": t_values}, ("t",))
+def _detect_exponential(prof):
+    """Return (c3, c5) when f = c3 exp(c5 t) with c5 != 0, else None.
+
+    Probes f and f' at 17 points of the profile's t range, where (log f)'
+    must be constant.
+    """
+    u0, u1 = prof.u_range
+    t_values = np.linspace(prof.alpha(u0), prof.alpha(u1), 17)
+    jet = eval_jet2(prof.f, {"t": t_values}, ("t",))
     rates = jet.grad[:, 0] / jet.value
     c5 = float(rates[0])
-    if np.any(np.abs(rates - c5) > 1e-12 * (1.0 + abs(c5))):
+    if np.any(np.abs(rates - c5) > 1e-12 * (1.0 + abs(c5))) or not abs(c5) > 1e-12:
         return None
     c3 = float(jet.value[0] * np.exp(-c5 * float(t_values[0])))
     return c3, c5
 
 
-def _per_distinct(fn, u):
-    """``fn`` of a float, mapped over the distinct values of ``u``.
+def _chebyshev_coefficients(values):
+    """Chebyshev coefficients of the interpolant through the values at
+    cos(j pi / n), j = n, ..., 0: a type-I cosine transform by one FFT."""
+    n = values.size - 1
+    samples = values[::-1]
+    coef = np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real / n
+    coef[0] /= 2.0
+    coef[n] /= 2.0
+    return coef
 
-    Values are visited in order of first appearance, so a DomainError
-    names the first point that fails.
+
+def _profile_interpolant(prof):
+    """Chebyshev interpolant of theta / f(alpha(u)) on the u range, and
+    the error estimate (tail magnitude) x (range length) of its integral.
+
+    The degree doubles from ``CHEB_MIN_DEGREE`` until the upper half of
+    the coefficients has decayed below ``CHEB_TAIL_DECAY`` of the largest.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 0:
-        return fn(float(u))
-    distinct, first, inverse = np.unique(u, return_index=True, return_inverse=True)
-    out = np.empty(distinct.size)
-    for j in np.argsort(first, kind="stable"):
+    u0, u1 = prof.u_range
+    integrand = BinOp("/", literal(prof.theta), prof.f)
+    degree = CHEB_MIN_DEGREE
+    while True:
+        u = u0 + 0.5 * (u1 - u0) * (1.0 - np.cos(np.pi * np.arange(degree + 1) / degree))
         try:
-            out[j] = fn(float(distinct[j]))
+            values = eval_jet2(integrand, {"t": prof.alpha(u)}).value
         except DomainError as exc:
-            raise DomainError(str(exc), exc.expression, int(first[j])) from None
-    return out[inverse]
+            raise DomainError(
+                f"profile integrand at u={float(u[exc.index])!r}: {exc}", exc.expression
+            ) from None
+        coef = _chebyshev_coefficients(values)
+        tail = float(np.max(np.abs(coef[degree // 2 + 1 :])))
+        if tail <= CHEB_TAIL_DECAY * np.max(np.abs(coef)):
+            return Chebyshev(coef, domain=[u0, u1]), tail * (u1 - u0)
+        if degree >= CHEB_MAX_DEGREE:
+            raise QuadratureFailure(
+                f"profile integrand not resolved at degree {degree}: tail coefficient {tail!r}"
+            )
+        degree *= 2
 
 
 def solve_profile(prof):
     """Solve the constant-angle conditions for the profile curve.
 
     beta is the pinned antiderivative of theta/f(alpha) plus c2 (see the
-    module docstring for the normalization); for exponential warpings
-    the closed form is cross-checked against adaptive quadrature to
-    1e-10 before being returned.
+    module docstring for the normalization).  The antiderivative of the
+    Chebyshev interpolant must meet the bound 1e-10 (1 + |value|); for
+    exponential warpings the closed form is used, after checking it
+    against that antiderivative at 9 points, to 1e-10 plus the
+    interpolant's error estimate.  f is probed at 17 points before the
+    interpolant is built.
     """
+    return _solve(prof, _detect_exponential(prof))
+
+
+def _solve(prof, exponential):
     theta = prof.theta
     slope = prof.slope
     u0, u1 = prof.u_range
+    alpha = prof.alpha
 
-    def alpha(u):
-        return prof.alpha(u)
+    interpolant, estimate = _profile_interpolant(prof)
+    integral = interpolant.integ(lbnd=u0)
+    value = float(np.max(np.abs(integral(np.linspace(u0, u1, 17)))))
+    if estimate > 1e-10 * (1.0 + value):
+        raise QuadratureFailure(f"profile integral error estimate {estimate!r}")
 
-    def integrand(s):
-        return theta / eval_value(prof.f, {"t": alpha(s)})
-
-    @lru_cache(maxsize=4096)
-    def integral_from_u0(u):
-        value, abserr = scipy.integrate.quad(
-            integrand, u0, u, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200
-        )
-        if abserr > 1e-10 * (1.0 + abs(value)):
-            raise QuadratureFailure(
-                f"profile integral error estimate {abserr!r} at u={u!r}"
-            )
-        return value
-
-    probes = np.linspace(alpha(u0), alpha(u1), 17)
-    exponential = _detect_exponential(prof.f, probes)
-
-    if exponential is not None and abs(exponential[1]) > 1e-12:
+    if exponential is not None:
         c3, c5 = exponential
 
         def base(u):
@@ -211,18 +235,16 @@ def solve_profile(prof):
 
         for u in np.linspace(u0, u1, 9):
             expected = base(u) - base(u0)
-            got = integral_from_u0(float(u))
-            if abs(expected - got) > 1e-10 * (1.0 + abs(expected)):
+            got = integral(u)
+            # the interpolant cannot be checked beyond its own error estimate
+            if abs(expected - got) > 1e-10 * (1.0 + abs(expected)) + estimate:
                 raise QuadratureFailure(
-                    f"closed form and quadrature disagree at u={u!r}: "
+                    f"closed form and interpolant disagree at u={u!r}: "
                     f"{expected!r} vs {got!r}"
                 )
         rate = c5
     else:
-
-        def base(u):
-            return _per_distinct(integral_from_u0, u)
-
+        base = integral
         rate = None
 
     def beta(u):
@@ -280,6 +302,10 @@ def build_rotational(prof, curve=None, interval=(-math.inf, math.inf)):
     if curve is None:
         curve = solve_profile(prof)
     ambient = WarpedProduct(interval, prof.f, Fiber.EUCLIDEAN, prof.n)
+    return _assemble(prof, curve, ambient)
+
+
+def _assemble(prof, curve, ambient):
     chart = default_chart(prof)
     components = [ExpressionComponent(prof.alpha_expression())]
     for x_expr in sphere_chart_expressions(prof.n):
@@ -354,8 +380,12 @@ def verify_classification(prof, interval=(-math.inf, math.inf), u_count=9):
         else:
             margins[name] = 0.05
     grid = chart.grid(counts, margins)
-    curve = solve_profile(prof)
-    imm = build_rotational(prof, curve, interval)
+    # the cheap probes of f, on the profile and then on the interval, run
+    # before the interpolant, so they are the ones to report a bad warping
+    exponential = _detect_exponential(prof)
+    ambient = WarpedProduct(interval, prof.f, Fiber.EUCLIDEAN, prof.n)
+    curve = _solve(prof, exponential)
+    imm = _assemble(prof, curve, ambient)
 
     u = chart.axis_points("u", max(u_count, 16), 0.05)
     d_sigma = (curve.sigma(u + SIGMA_FD_STEP) - curve.sigma(u - SIGMA_FD_STEP)) / (

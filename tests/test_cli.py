@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import warpgeo
 from warpgeo.cli import main
 from warpgeo.errors import DomainError, MeshUnsupported
 from warpgeo.intrinsic import grid_geometry
@@ -183,6 +187,25 @@ def test_analyze_non_finite_literal_exit_two(tmp_path, capsys):
     assert "ambient.f" in capsys.readouterr().err
 
 
+def test_analyze_deeply_nested_warping_exit_two(tmp_path, capsys):
+    scene = hyperplane_scene()
+    scene["ambient"]["f"] = "(" * 2000 + "1" + ")" * 2000
+    path = write_scene(tmp_path, scene)
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert "ambient.f" in err and "MAX_EXPRESSION_DEPTH" in err
+
+
+@pytest.mark.parametrize(
+    "f",
+    ["(" * 2000 + "exp(t)" + ")" * 2000, "+".join(["exp(t)"] * 2000)],
+    ids=["nested", "flat-chain"],
+)
+def test_rotational_deep_warping_exit_two(f, capsys):
+    assert main(["rotational", "--theta", "0.5", "--f", f]) == 2
+    assert "MAX_EXPRESSION_DEPTH" in capsys.readouterr().err
+
+
 def test_analyze_boolean_n_exit_two(tmp_path, capsys):
     scene = hyperplane_scene()
     scene["ambient"]["n"] = True
@@ -299,3 +322,13 @@ def test_obj_rejects_higher_dimension():
     imm = build_rotational(prof)
     with pytest.raises(MeshUnsupported):
         surface_vertices(imm, [0.0, 0.5], [1.0, 2.0])
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(warpgeo.__file__))
+    code = "import sys, warpgeo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -133,3 +133,29 @@ def test_unparse_round_trip_evaluates_identically(expr, t, u):
 def test_unparse_parenthesizes_negative_literals():
     expr = BinOp("^", Num(-1.5), Num(2.0))
     assert eval_value(parse(unparse(expr)), {}) == 2.25
+
+
+@pytest.mark.parametrize(
+    "open_, close",
+    [("(", ")"), ("sin(", ")"), ("-", ""), ("1^", "")],
+    ids=["parentheses", "calls", "unary-minus", "power"],
+)
+def test_nesting_is_bounded(open_, close):
+    from warpgeo.expr import MAX_EXPRESSION_DEPTH
+
+    deepest = open_ * (MAX_EXPRESSION_DEPTH - 1) + "t" + close * (MAX_EXPRESSION_DEPTH - 1)
+    assert math.isfinite(eval_value(parse(deepest), {"t": 0.5}))
+    for levels in (MAX_EXPRESSION_DEPTH + 1, 2000):
+        with pytest.raises(ExprSyntaxError, match="MAX_EXPRESSION_DEPTH"):
+            parse(open_ * levels + "t" + close * levels)
+
+
+def test_long_flat_chain_is_bounded():
+    from warpgeo.expr import MAX_EXPRESSION_DEPTH, depth
+
+    longest = parse("+".join(["t"] * MAX_EXPRESSION_DEPTH))
+    assert depth(longest) == MAX_EXPRESSION_DEPTH
+    assert eval_value(longest, {"t": 1.0}) == MAX_EXPRESSION_DEPTH
+    for terms in (MAX_EXPRESSION_DEPTH + 1, 5000):
+        with pytest.raises(ExprSyntaxError, match="MAX_EXPRESSION_DEPTH"):
+            parse("*".join(["t"] * terms))

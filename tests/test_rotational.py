@@ -5,8 +5,10 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from warpgeo.errors import SigmaZero
+from warpgeo.cli import main
+from warpgeo.errors import DomainError, QuadratureFailure, SigmaZero
 from warpgeo.hypersurface import shape_data
+from warpgeo.jets import eval_jet2
 from warpgeo.rotational import (
     RotationalProfile,
     build_rotational,
@@ -262,3 +264,54 @@ def test_rotational_n3_classifies():
     prof = RotationalProfile(theta=0.6, f="exp(t)", n=3, u_range=(-1.0, 1.0))
     report = verify_classification(prof)
     assert report.classified
+
+
+@pytest.mark.parametrize(
+    "f, u_range",
+    [
+        ("cosh(t)", (-1.5, 1.5)),
+        ("2+sin(t)", (-1.5, 1.5)),
+        ("1/(1+t^2)", (-1.5, 1.5)),
+        ("t^2+0.001", (-1.0, 1.0)),
+    ],
+)
+def test_profile_interpolant_matches_quadrature(f, u_range):
+    prof = RotationalProfile(theta=0.5, f=f, n=2, c2=0.25, u_range=u_range)
+    curve = solve_profile(prof)
+    assert curve.exponential_rate is None
+
+    def slope(s):
+        return prof.theta / float(eval_jet2(prof.f, {"t": curve.alpha(s)}).value)
+
+    u0 = u_range[0]
+    u = np.linspace(u0, u_range[1], 13)
+    got = curve.beta(u) - curve.beta(u0)
+    for ui, gi in zip(u, got):
+        integral, err = scipy.integrate.quad(
+            slope, u0, ui, epsabs=1e-13, epsrel=1e-13, limit=500
+        )
+        assert err < 1e-11
+        assert abs(gi - integral) < 1e-10, (f, ui)
+
+
+def test_unresolved_profile_raises_quadrature_failure():
+    # 1/f has poles at t = +-1e-4 i: no degree up to the cap resolves it
+    prof = RotationalProfile(theta=0.5, f="t^2+1e-8", n=2, u_range=(-1.0, 1.0))
+    with pytest.raises(QuadratureFailure, match="not resolved"):
+        solve_profile(prof)
+    argv = ["rotational", "--theta", "0.5", "--f", "t^2+1e-8", "--u0", "-1", "--u1", "1"]
+    assert main(argv) == 2
+
+
+# sqrt fails for 0.03 < t < 0.07: between the probes at t = 0 and 0.1,
+# and around a node of the degree-64 interpolant
+GAP = "2+sqrt((t-0.05)^2-0.0004)"
+
+
+def test_integrand_failing_between_probes_names_u():
+    prof = RotationalProfile(theta=0.6, f=GAP, n=2, u_range=(-1.0, 1.0))
+    probes = np.linspace(prof.alpha(-1.0), prof.alpha(1.0), 17)
+    eval_jet2(prof.f, {"t": probes}, ("t",))  # the probes pass
+    with pytest.raises(DomainError, match=r"profile integrand at u=0\.04.*sqrt of negative"):
+        solve_profile(prof)
+    assert main(["rotational", "--theta", "0.6", "--f", GAP, "--u0", "-1", "--u1", "1"]) == 3

@@ -56,6 +56,10 @@ def test_unknown_ambient_field_rejected():
         (lambda d: d["ambient"].update(interval=[3, 1]), "ambient"),
         (lambda d: d["ambient"].update(f="2x"), "ambient.f"),
         pytest.param(lambda d: d["ambient"].update(f="1e400"), "ambient.f", id="infinite-f"),
+        pytest.param(
+            lambda d: d["ambient"].update(f="(" * 2000 + "1" + ")" * 2000), "ambient.f",
+            id="deep-f",
+        ),
         (lambda d: d["ambient"].update(interval=["oops", 1]), "ambient.interval"),
         (lambda d: d.update(checks=[]), "checks"),
         (lambda d: d.update(checks=["nonsense"]), "checks"),
