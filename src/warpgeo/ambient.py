@@ -62,12 +62,6 @@ class AmbientPoint:
         return AmbientPoint(cut(self.t), tuple(map(cut, self.x)))
 
 
-def _per_point(fn, p):
-    """``fn(p)`` over the points of ``p``, failing like the first point
-    that fails alone (see :func:`warpgeo.jets.first_failure`)."""
-    return first_failure(lambda k: fn(p.prefix(k)), np.size(p.t))
-
-
 @dataclass(frozen=True)
 class SpaceFormCheck:
     """Residuals of the constant-curvature characterization of f and k.
@@ -157,7 +151,13 @@ class WarpedProduct:
     def _probe_positivity(self):
         a, b = self.probe_window()
         t = np.linspace(a, b, 1024)
-        bad = first_index(~(eval_jet2(self.f, {"t": t}).value > 0.0))
+        try:
+            values = eval_jet2(self.f, {"t": t}).value
+        except DomainError as exc:
+            raise DomainError(
+                f"warping function at t={float(t[exc.index])!r}: {exc}", exc.expression
+            ) from None
+        bad = first_index(~(values > 0.0))
         if bad is not None:
             raise ValueError(
                 f"warping function {unparse(self.f)!r} is not positive at t={float(t[bad])!r}"
@@ -199,23 +199,16 @@ class WarpedProduct:
 
     def metric(self, p):
         """Ambient metric matrix at ``p`` (block diagonal, SPD)."""
-        return _per_point(self._metric, p)
-
-    def _metric(self, p):
-        self.validate_point(p)
-        values = self._bindings(p)
-        d = self.dim
-        G = np.zeros(np.shape(p.t) + (d, d))
-        for a, entry in enumerate(self._metric_diag):
-            G[..., a, a] = eval_jet2(entry, values).value
-        return G
+        return self.metric_jets(p)[0]
 
     def metric_jets(self, p):
         """Metric with its exact first coordinate derivatives.
 
-        Returns ``(G, dG)`` where ``dG[a, b, c] = d G_ab / d x^c``.
+        Returns ``(G, dG)`` where ``dG[a, b, c] = d G_ab / d x^c``.  A
+        batch fails like its first point that fails alone (see
+        :func:`warpgeo.jets.first_failure`).
         """
-        return _per_point(self._metric_jets, p)
+        return first_failure(lambda k: self._metric_jets(p.prefix(k)), np.size(p.t))
 
     def _metric_jets(self, p):
         self.validate_point(p)

@@ -11,6 +11,7 @@ from .hypersurface import ChartBox, Immersion, Tag
 from .jets import eval_jet2
 from .rotational import (
     RotationalProfile,
+    assemble_rotational,
     build_rotational,
     solve_profile,
     sphere_chart_expressions,
@@ -161,8 +162,10 @@ PRESET_DESCRIPTIONS = {
 def build_preset(name, ambient, params):
     """Build a preset immersion against a scene ambient.
 
-    Returns ``(immersion, profile_or_None)``; rotational presets carry
-    their profile so classification checks can reuse it.
+    Returns ``(immersion, curve_or_None)``; rotational presets solve
+    their profile once, assemble the surface against ``ambient`` and
+    return the solved :class:`ProfileCurve`, so the classification check
+    reuses both.
     """
     params = dict(params or {})
     if name in PRESET_BUILDERS:
@@ -199,10 +202,10 @@ def build_preset(name, ambient, params):
                 u_range=(float(merged["u0"]), float(merged["u1"])),
             )
             curve = solve_profile(prof)
-            imm = build_rotational(prof, curve, ambient.interval)
+            imm = assemble_rotational(curve, ambient)
         except DomainError:
             raise  # surfaces as a numeric error, not a validation error
         except (ValueError, WarpGeoError) as exc:
             raise SceneError(str(exc), field="immersion.params") from None
-        return imm, prof
+        return imm, curve
     raise SceneError(f"unknown preset {name!r}", field="immersion.preset")

@@ -19,6 +19,9 @@ A function name must be followed by a parenthesized argument.
 Nesting (parentheses, calls, unary minus, ``^``) and the depth of the
 tree are both bounded by ``MAX_EXPRESSION_DEPTH``; deeper text is a
 syntax error, so no evaluation of a parsed tree runs out of stack.
+Tokens are read as the parser needs them: a ``+``/``-`` or ``*``/``/``
+chain longer than the bound is refused without reading the rest of the
+text, and an error is reported before any bad character after it.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ _OPERATOR_CHARS = "+-*/^()"
 
 
 def _tokenize(text):
-    tokens = []
+    """Tokens of ``text``, produced one at a time as the parser asks."""
     i = 0
     size = len(text)
     while i < size:
@@ -93,7 +96,7 @@ def _tokenize(text):
             i += 1
             continue
         if c in _OPERATOR_CHARS:
-            tokens.append(_Token("op", c, i))
+            yield _Token("op", c, i)
             i += 1
             continue
         if c.isdigit() or (c == "." and i + 1 < size and text[i + 1].isdigit()):
@@ -113,24 +116,25 @@ def _tokenize(text):
                     i = j
                     while i < size and text[i].isdigit():
                         i += 1
-            tokens.append(_Token("num", text[start:i], start))
+            yield _Token("num", text[start:i], start)
             continue
         if c.isalpha() or c == "_":
             start = i
             while i < size and (text[i].isalnum() or text[i] == "_"):
                 i += 1
-            tokens.append(_Token("name", text[start:i], start))
+            yield _Token("name", text[start:i], start)
             continue
         raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    return tokens
 
 
 class _Parser:
-    def __init__(self, tokens, length, variables):
-        self.tokens = tokens
-        self.length = length
+    """Recursive descent over the token stream, one token of lookahead."""
+
+    def __init__(self, text, variables):
+        self.tokens = _tokenize(text)
+        self.length = len(text)
         self.variables = variables
-        self.i = 0
+        self.lookahead = next(self.tokens, None)
         self.nesting = 0
 
     def nested(self, parse, pos):
@@ -143,13 +147,13 @@ class _Parser:
         return node
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return self.lookahead
 
     def next(self):
-        tok = self.peek()
+        tok = self.lookahead
         if tok is None:
             raise ExprSyntaxError("unexpected end of input", self.length)
-        self.i += 1
+        self.lookahead = next(self.tokens, None)
         return tok
 
     def expect(self, text):
@@ -157,24 +161,32 @@ class _Parser:
         if tok.kind != "op" or tok.text != text:
             raise ExprSyntaxError(f"expected {text!r}, found {tok.text!r}", tok.pos)
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in "+-":
-            self.i += 1
-            node = BinOp(tok.text, node, self.parse_term())
+    def chain(self, operand, ops):
+        """``operand { ops operand }``, left-associative.
+
+        Each operator adds a level to the left spine, so a chain longer
+        than MAX_EXPRESSION_DEPTH is refused before the rest is read.
+        """
+        node = operand()
+        links = 0
+        while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in ops:
+            links += 1
+            if links >= MAX_EXPRESSION_DEPTH:
+                raise ExprSyntaxError(_TOO_DEEP, tok.pos)
+            self.next()
+            node = BinOp(tok.text, node, operand())
         return node
 
+    def parse_expr(self):
+        return self.chain(self.parse_term, "+-")
+
     def parse_term(self):
-        node = self.parse_factor()
-        while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in "*/":
-            self.i += 1
-            node = BinOp(tok.text, node, self.parse_factor())
-        return node
+        return self.chain(self.parse_factor, "*/")
 
     def parse_factor(self):
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.text == "-":
-            self.i += 1
+            self.next()
             return Neg(self.nested(self.parse_factor, tok.pos))
         return self.parse_power()
 
@@ -182,7 +194,7 @@ class _Parser:
         node = self.parse_atom()
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.text == "^":
-            self.i += 1
+            self.next()
             node = BinOp("^", node, self.nested(self.parse_factor, tok.pos))
         return node
 
@@ -205,7 +217,7 @@ class _Parser:
                     raise ExprSyntaxError(
                         f"function {name!r} must be called with parentheses", tok.pos
                     )
-                self.i += 1
+                self.next()
                 arg = self.nested(self.parse_expr, tok.pos)
                 self.expect(")")
                 return Call(name, arg)
@@ -226,7 +238,7 @@ def parse(text, variables=None):
     """
     if not isinstance(text, str) or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    parser = _Parser(_tokenize(text), len(text), variables)
+    parser = _Parser(text, variables)
     node = parser.parse_expr()
     trailing = parser.peek()
     if trailing is not None:

@@ -277,13 +277,16 @@ def evaluate_points(imm, fn, points):
     a point fails, the error raised is the one of the first point, in the
     order given, whose own evaluation fails, with its position in
     ``index``; a DomainError also gets the chart point in its message.
+    Numpy floating-point warnings are silenced, as in ``eval_jet2``;
+    failing points are reported by the checks of the stages alone.
     """
     points = as_points(points, imm.n)
     parts = []
     for start in range(0, max(len(points), 1), SLICE_POINTS):
         piece = points[start : start + SLICE_POINTS]
         try:
-            parts.append(first_failure(lambda k: fn(piece[:k]), len(piece)))
+            with np.errstate(all="ignore"):
+                parts.append(first_failure(lambda k: fn(piece[:k]), len(piece)))
         except PointError as exc:
             if exc.index is None:
                 raise

@@ -48,6 +48,7 @@ CHEB_MAX_DEGREE = 4096  # degree cap; an integrand unresolved there fails
 CHEB_TAIL_DECAY = 1e-13  # resolved: upper-half coefficients below this times the largest
 _POLAR_MARGIN = 0.2  # keeps grids away from sphere-chart poles for n >= 3
 AZIMUTH_SAMPLES = 9  # classification grid points along the last angle
+CLASSIFICATION_U_COUNT = 9  # classification grid points along u
 SIGMA_FD_STEP = 1e-4  # central-difference step of d sigma / du
 
 
@@ -302,10 +303,16 @@ def build_rotational(prof, curve=None, interval=(-math.inf, math.inf)):
     if curve is None:
         curve = solve_profile(prof)
     ambient = WarpedProduct(interval, prof.f, Fiber.EUCLIDEAN, prof.n)
-    return _assemble(prof, curve, ambient)
+    return assemble_rotational(curve, ambient)
 
 
-def _assemble(prof, curve, ambient):
+def assemble_rotational(curve, ambient):
+    """The rotational immersion of a solved profile into ``ambient``.
+
+    ``ambient`` must be a Euclidean-fiber warped product with the
+    profile's warping function and dimension.
+    """
+    prof = curve.profile
     chart = default_chart(prof)
     components = [ExpressionComponent(prof.alpha_expression())]
     for x_expr in sphere_chart_expressions(prof.n):
@@ -363,15 +370,15 @@ class ClassificationReport:
         }
 
 
-def verify_classification(prof, interval=(-math.inf, math.inf), u_count=9):
-    """Run the four checks deciding whether the build is a soliton.
+def classification_grid(prof, u_count=CLASSIFICATION_U_COUNT):
+    """Chart points on which a rotational surface is classified.
 
-    The classification grid is built first, so an oversized ``u_count``
-    is refused (ValueError) before any profile work.
+    ``u_count`` values of u, 5 values of every polar angle and
+    ``AZIMUTH_SAMPLES`` of the last angle; a grid of more than
+    ``MAX_GRID_POINTS`` points is refused (ValueError) before it is built.
     """
-    chart = default_chart(prof)
-    margins = {"u": 0.05}
     counts = {"u": u_count}
+    margins = {"u": 0.05}
     for j in range(1, prof.n):
         name = f"v{j}"
         counts[name] = AZIMUTH_SAMPLES if j == prof.n - 1 else 5
@@ -379,15 +386,34 @@ def verify_classification(prof, interval=(-math.inf, math.inf), u_count=9):
             margins[name] = _POLAR_MARGIN / math.pi
         else:
             margins[name] = 0.05
-    grid = chart.grid(counts, margins)
-    # the cheap probes of f, on the profile and then on the interval, run
-    # before the interpolant, so they are the ones to report a bad warping
+    return default_chart(prof).grid(counts, margins)
+
+
+def verify_classification(prof, interval=(-math.inf, math.inf), u_count=CLASSIFICATION_U_COUNT):
+    """Build the rotational surface of ``prof`` and classify it.
+
+    The classification grid is built first, so an oversized ``u_count``
+    is refused (ValueError) before any profile work.  The cheap probes
+    of f, on the profile and then on the interval, run before the
+    interpolant, so they are the ones to report a bad warping.
+    """
+    grid = classification_grid(prof, u_count)
     exponential = _detect_exponential(prof)
     ambient = WarpedProduct(interval, prof.f, Fiber.EUCLIDEAN, prof.n)
     curve = _solve(prof, exponential)
-    imm = _assemble(prof, curve, ambient)
+    return classify_rotational(curve, assemble_rotational(curve, ambient), grid, u_count)
 
-    u = chart.axis_points("u", max(u_count, 16), 0.05)
+
+def classify_rotational(curve, imm, grid, u_count=CLASSIFICATION_U_COUNT):
+    """Run the four checks deciding whether a rotational surface is a soliton.
+
+    ``imm`` is the surface of the solved profile ``curve`` and ``grid``
+    its classification grid for ``u_count`` (see
+    :func:`classification_grid`); sigma is sampled at
+    ``max(u_count, 16)`` values of u.
+    """
+    prof = curve.profile
+    u = imm.chart.axis_points("u", max(u_count, 16), 0.05)
     d_sigma = (curve.sigma(u + SIGMA_FD_STEP) - curve.sigma(u - SIGMA_FD_STEP)) / (
         2.0 * SIGMA_FD_STEP
     )

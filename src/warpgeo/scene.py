@@ -26,7 +26,7 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +38,11 @@ from .expr import parse as parse_expr, variables_in
 from .hypersurface import ChartBox, Immersion
 from .intrinsic import grid_geometry
 from .objmesh import surface_vertices, write_obj
-from .rotational import verify_classification
+from .rotational import classification_grid, classify_rotational
 from .soliton import (
-    FD_TOL,
     SOLITON_TOL,
     THEOREMS,
+    CheckResult,
     Verdict,
     first_extreme,
     hypotheses_report,
@@ -99,7 +99,7 @@ class Scene:
     raw: dict
     ambient: WarpedProduct
     immersion: Immersion
-    profile: object  # RotationalProfile for rotational presets, else None
+    profile: object  # solved ProfileCurve for rotational presets, else None
     grid: list
     checks: list
     report_path: str | None
@@ -267,30 +267,6 @@ def load_scene(path):
     return validate_scene(data)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "not_applicable"
-    sup_error: float | None = None
-    worst_point: tuple | None = None
-    worst_value: float | None = None  # error or margin at the worst point
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self, chart_names):
-        out = {"name": self.name, "status": self.status}
-        if self.sup_error is not None:
-            out["sup_error"] = self.sup_error
-        if self.worst_point is not None:
-            value = self.worst_value if self.worst_value is not None else self.sup_error
-            out["worst"] = {
-                "point": dict(zip(chart_names, self.worst_point)),
-                "value": value,
-            }
-        if self.extras:
-            out["extras"] = self.extras
-        return out
-
-
 def _run_lemma1(scene, geometry, soliton):
     errors = np.max(np.abs(geometry.hess_identity - geometry.hess_direct), axis=(-2, -1))
     sup, i = first_extreme(errors)
@@ -320,29 +296,7 @@ def _run_structural(scene, geometry, soliton):
             "not_applicable",
             extras={"reason": "soliton verdict required"},
         )
-    result = structural_report(scene.immersion, geometry)
-    status = "pass" if result.sup_error < FD_TOL else "fail"
-    return CheckResult(
-        "structural", status, sup_error=result.sup_error, worst_point=result.worst_point
-    )
-
-
-def _run_theorem(name):
-    def runner(scene, geometry, soliton):
-        report = hypotheses_report(scene.immersion, geometry, name)
-        extras = {k: v for k, v in report.details.items()}
-        if report.worst_margin is not None:
-            extras["worst_margin"] = report.worst_margin
-        return CheckResult(
-            name,
-            report.status,
-            sup_error=report.sup_error,
-            worst_point=report.worst_point,
-            worst_value=report.worst_margin,
-            extras=extras,
-        )
-
-    return runner
+    return structural_report(scene.immersion, geometry)
 
 
 def _run_spaceform(c):
@@ -368,7 +322,8 @@ def _run_rotational_classification(scene, geometry, soliton):
             "not_applicable",
             extras={"reason": "immersion is not a rotational preset"},
         )
-    report = verify_classification(scene.profile, interval=scene.ambient.interval)
+    curve = scene.profile
+    report = classify_rotational(curve, scene.immersion, classification_grid(curve.profile))
     status = "pass" if report.classified else "fail"
     sup = max(
         report.balance_residual,
@@ -393,7 +348,6 @@ RUNNERS = {
     "soliton": _run_soliton,
     "structural": _run_structural,
     "rotational-classification": _run_rotational_classification,
-    **{name: _run_theorem(name) for name in THEOREMS},
 }
 GRID_CHECKS = ("lemma1", "soliton", "structural") + THEOREMS
 
@@ -415,6 +369,9 @@ def run_scene(scene):
         soliton = soliton_report(geometry)
     results = []
     for kind, raw, param in scene.checks:
+        if kind in THEOREMS:
+            results.append(hypotheses_report(scene.immersion, geometry, kind))
+            continue
         runner = _run_spaceform(param) if kind == "spaceform" else RUNNERS[kind]
         results.append(runner(scene, geometry, soliton))
 

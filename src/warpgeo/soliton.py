@@ -164,9 +164,39 @@ def soliton_report(geometry):
 
 
 @dataclass
-class StructuralReport:
-    sup_error: float
-    worst_point: tuple
+class CheckResult:
+    """Outcome of one check, as it enters a scene report.
+
+    For inequality checks ``worst_value`` is the most violated slack
+    (nonnegative margins mean the condition holds); for identity checks
+    ``sup_error`` carries the error and ``worst_value`` stays None.
+    ``to_dict`` writes a set ``worst_value`` once more as the last extra,
+    ``worst_margin``.
+    """
+
+    name: str
+    status: str  # "pass" | "fail" | "not_applicable"
+    sup_error: float | None = None
+    worst_point: tuple | None = None
+    worst_value: float | None = None
+    extras: dict = field(default_factory=dict)
+
+    def to_dict(self, chart_names):
+        out = {"name": self.name, "status": self.status}
+        if self.sup_error is not None:
+            out["sup_error"] = self.sup_error
+        if self.worst_point is not None:
+            value = self.worst_value if self.worst_value is not None else self.sup_error
+            out["worst"] = {
+                "point": dict(zip(chart_names, self.worst_point)),
+                "value": value,
+            }
+        extras = dict(self.extras)
+        if self.worst_value is not None:
+            extras["worst_margin"] = self.worst_value
+        if extras:
+            out["extras"] = extras
+        return out
 
 
 def _check_stencil(imm, points, step):
@@ -195,7 +225,8 @@ def structural_report(imm, geometry, step=1e-3):
     differences with the given step (meaningful only when the soliton
     verdict holds, so that lambda is the soliton function); the 2n
     stencil points of every grid point are evaluated as one batch, for
-    Lap h alone.  Raises GridTooCoarse for steps above 1e-2 and
+    Lap h alone.  The check passes when the sup error stays below
+    ``FD_TOL``.  Raises GridTooCoarse for steps above 1e-2 and
     BoundaryTooClose when a stencil would leave the chart box.
     """
     points = geometry.shape.chart
@@ -213,29 +244,13 @@ def structural_report(imm, geometry, step=1e-3):
     dual = np.linalg.solve(geometry.shape.metric, omega[..., None])[..., 0]
     err = np.sqrt(np.maximum(np.einsum("...i,...i->...", omega, dual), 0.0))
     sup_error, worst = first_extreme(err)
-    return StructuralReport(
-        sup_error=sup_error, worst_point=geometry.chart_point(worst)
+    status = "pass" if sup_error < FD_TOL else "fail"
+    return CheckResult(
+        "structural", status, sup_error=sup_error, worst_point=geometry.chart_point(worst)
     )
 
 
 THEOREMS = ("theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5")
-
-
-@dataclass
-class HypothesisReport:
-    """Pointwise margins of one theorem hypothesis over a grid.
-
-    For inequality checks ``worst_margin`` is the most violated slack
-    (nonnegative margins mean the condition holds); for the identity
-    check of theorem3 ``sup_error`` carries the equation error instead.
-    """
-
-    name: str
-    status: str  # "pass" | "fail" | "not_applicable"
-    worst_margin: float | None
-    worst_point: tuple | None
-    sup_error: float | None = None
-    details: dict = field(default_factory=dict)
 
 
 def _ratio_or_limit(lf1, theta):
@@ -282,7 +297,8 @@ def hypotheses_report(imm, geometry, which):
     everywhere (the orientation making H nonnegative is not canonical).
     theorem3 requires a minimal immersion and otherwise reports
     not_applicable.  theorem5 needs the ambient to be a space form; its
-    curvature c is fitted from the warping function.
+    curvature c is fitted from the warping function.  The result is the
+    :class:`CheckResult` named ``which``.
     """
     n = imm.n
 
@@ -291,12 +307,12 @@ def hypotheses_report(imm, geometry, which):
         flipped = _theorem1_margins(n, geometry, flipped=True)
         best = max(default, flipped, key=lambda row: row[0])
         status = "pass" if best[0] >= -_MARGIN_TOL else "fail"
-        return HypothesisReport(
-            name=which,
-            status=status,
-            worst_margin=best[0],
+        return CheckResult(
+            which,
+            status,
             worst_point=best[1],
-            details={
+            worst_value=best[0],
+            extras={
                 "as_oriented": {
                     "margin": default[0],
                     "curvature_margin": default[2],
@@ -317,22 +333,14 @@ def hypotheses_report(imm, geometry, which):
     if which == "theorem3":
         sup_H = float(np.max(np.abs(H)))
         if sup_H >= CLASS_TOL:
-            return HypothesisReport(
-                name=which,
-                status="not_applicable",
-                worst_margin=None,
-                worst_point=None,
-                details={"sup_mean_curvature": sup_H},
+            return CheckResult(
+                which, "not_applicable", extras={"sup_mean_curvature": sup_H}
             )
         rhs = (f1 / f0) * (n - 1 + sd.theta * sd.theta)
         sup_err, i = first_extreme(np.abs(n * (geometry.scal_gauss - geometry.lam) - rhs))
         status = "pass" if sup_err < SOLITON_TOL else "fail"
-        return HypothesisReport(
-            name=which,
-            status=status,
-            worst_margin=None,
-            worst_point=geometry.chart_point(i),
-            sup_error=sup_err,
+        return CheckResult(
+            which, status, sup_error=sup_err, worst_point=geometry.chart_point(i)
         )
 
     if which == "theorem5":
@@ -342,12 +350,8 @@ def hypotheses_report(imm, geometry, which):
         c = -float(np.mean(p2 / p0)) + 0.0  # normalizes -0.0
         fit = imm.ambient.check_space_form(c, probes)
         if fit.ratio_residual > 1e-8 or fit.second_residual > 1e-8:
-            return HypothesisReport(
-                name=which,
-                status="not_applicable",
-                worst_margin=None,
-                worst_point=None,
-                details={"reason": "ambient is not a space form"},
+            return CheckResult(
+                which, "not_applicable", extras={"reason": "ambient is not a space form"}
             )
     if which == "theorem4a":
         bound = -n * (n - 1) * f2 / f0 + n * n * H * H
@@ -358,14 +362,14 @@ def hypotheses_report(imm, geometry, which):
     margin = geometry.lam - bound
     worst, i = first_extreme(margin, math.inf, lowest=True)
     status = "pass" if worst >= -_MARGIN_TOL else "fail"
-    details = {}
+    extras = {}
     if which == "theorem5":
-        details["c"] = c
-        details["failing_points"] = int(np.count_nonzero(margin < -_MARGIN_TOL))
-    return HypothesisReport(
-        name=which,
-        status=status,
-        worst_margin=worst,
+        extras["c"] = c
+        extras["failing_points"] = int(np.count_nonzero(margin < -_MARGIN_TOL))
+    return CheckResult(
+        which,
+        status,
         worst_point=geometry.chart_point(i),
-        details=details,
+        worst_value=worst,
+        extras=extras,
     )

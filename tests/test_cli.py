@@ -105,6 +105,7 @@ def test_analyze_domain_error_exit_three(tmp_path, capsys):
     assert "chart point" in err  # location is reported
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_analyze_overflow_exit_three(tmp_path, capsys):
     scene = hyperplane_scene()
     scene["immersion"] = {
@@ -177,6 +178,21 @@ def test_rotational_oversized_samples_exit_two(extra, capsys):
     assert main(["rotational", "--theta", "0.5", "--samples", samples, *extra]) == 2
     assert time.perf_counter() - started < 1.0
     assert "MAX_GRID_POINTS" in capsys.readouterr().err
+
+
+def test_warping_probe_failure_names_t(tmp_path, capsys):
+    # f is undefined only for |t - 0.05| < 0.02: the 17 profile probes
+    # pass and the 1024-point positivity probe of the ambient fails
+    gap = "2+sqrt((t-0.05)^2-0.0004)"
+    argv = ["rotational", "--theta", "0.6", "--f", gap, "--u0", "-1", "--u1", "1"]
+    assert main(argv) == 3
+    assert "t=" in capsys.readouterr().err
+    scene = hyperplane_scene()
+    scene["ambient"]["f"] = gap
+    path = write_scene(tmp_path, scene)
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert "ambient.f" in err and "t=" in err
 
 
 def test_analyze_non_finite_literal_exit_two(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -159,3 +160,17 @@ def test_long_flat_chain_is_bounded():
     for terms in (MAX_EXPRESSION_DEPTH + 1, 5000):
         with pytest.raises(ExprSyntaxError, match="MAX_EXPRESSION_DEPTH"):
             parse("*".join(["t"] * terms))
+
+
+def test_long_chain_is_refused_before_the_rest_is_read():
+    # the depth error comes before the bad character at the end
+    with pytest.raises(ExprSyntaxError, match="MAX_EXPRESSION_DEPTH"):
+        parse("t+" * 200_000 + "t$")
+
+
+def test_long_chain_is_refused_quickly():
+    text = "+".join(["t"] * 200_000)
+    started = time.perf_counter()
+    with pytest.raises(ExprSyntaxError, match="MAX_EXPRESSION_DEPTH"):
+        parse(text)
+    assert time.perf_counter() - started < 0.05

@@ -262,6 +262,30 @@ def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch):
     assert calls == {"component_jets": [len(scene.grid)], "metric_jets": [len(scene.grid)]}
 
 
+def test_rotational_scene_builds_its_surface_once(monkeypatch):
+    # validation solves the profile and builds the surface against the
+    # scene's ambient; the classification check reuses both
+    import warpgeo.rotational as rotational
+
+    calls = {"_profile_interpolant": 0, "Immersion": 0, "WarpedProduct": 0}
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(rotational, "_profile_interpolant", "_profile_interpolant")
+    count(Immersion, "__init__", "Immersion")
+    count(WarpedProduct, "__init__", "WarpedProduct")
+    report, passed = run_scene(validate_scene(example5_scene(["rotational-classification"])))
+    assert passed and report["checks"][0]["status"] == "pass"
+    assert calls == {"_profile_interpolant": 1, "Immersion": 1, "WarpedProduct": 1}
+
+
 def test_reports_do_not_depend_on_check_order_or_state():
     checks = [
         "lemma1", "soliton", "structural", "theorem1", "theorem3", "theorem4a",

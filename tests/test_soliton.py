@@ -163,10 +163,10 @@ def test_theorem1_horosphere_orientations(horosphere):
     report = check_hypotheses(horosphere, grid(horosphere, count=3), "theorem1")
     # angle condition: |theta|^{-1} (log f)' = 1 needs H >= 1; holds with
     # equality only after the flip makes H = +1
-    assert report.details["as_oriented"]["angle_margin"] == pytest.approx(-2.0)
-    assert report.details["flipped"]["angle_margin"] == pytest.approx(0.0, abs=1e-12)
+    assert report.extras["as_oriented"]["angle_margin"] == pytest.approx(-2.0)
+    assert report.extras["flipped"]["angle_margin"] == pytest.approx(0.0, abs=1e-12)
     # curvature condition fails either way: f''/f = 1 > (3/4) H^2
-    assert report.details["flipped"]["curvature_margin"] == pytest.approx(-0.25)
+    assert report.extras["flipped"]["curvature_margin"] == pytest.approx(-0.25)
     assert report.status == "fail"
 
 
@@ -188,7 +188,7 @@ def test_theorem4_bounds(hyperplane, sphere2):
     for which in ("theorem4a", "theorem4b"):
         report = check_hypotheses(hyperplane, grid(hyperplane, count=3), which)
         assert report.status == "pass"
-        assert report.worst_margin == pytest.approx(0.0, abs=1e-12)
+        assert report.worst_value == pytest.approx(0.0, abs=1e-12)
     # sphere: lambda = 2 + h vs bound 4 (4a) and 2 (4b)
     report = check_hypotheses(sphere2, grid(sphere2, count=4), "theorem4a")
     assert report.status == "fail"
@@ -199,18 +199,18 @@ def test_theorem4_bounds(hyperplane, sphere2):
 def test_theorem5_sphere_fails_below_equator(sphere2):
     report = check_hypotheses(sphere2, grid(sphere2, count=5), "theorem5")
     assert report.status == "fail"
-    assert report.details["c"] == 0.0
-    assert report.details["failing_points"] > 0
+    assert report.extras["c"] == 0.0
+    assert report.extras["failing_points"] > 0
     # worst margin is 2 + h - 2 = h at the lowest sampled height
     heights = [shape_data(sphere2, p).height for p in grid(sphere2, count=5)]
-    assert report.worst_margin == pytest.approx(min(heights), abs=1e-7)
+    assert report.worst_value == pytest.approx(min(heights), abs=1e-7)
 
 
 def test_theorem5_passes_on_spherical_slice(spherical_slice):
     report = check_hypotheses(spherical_slice, grid(spherical_slice, count=3), "theorem5")
     # ambient is the round model (c = 1): lambda = 2/sin(1)^2 >= 1 + 2 cot(1)^2
     assert report.status == "pass"
-    assert report.details["c"] == pytest.approx(1.0)
+    assert report.extras["c"] == pytest.approx(1.0)
 
 
 def test_theorem5_not_applicable_off_space_forms():
