@@ -41,7 +41,6 @@ from .intrinsic import (
     curvature_package,
     grid_geometry,
     point_geometry,
-    ricci_gradh_extrinsic,
 )
 from .jets import Jet2, eval_jet2, eval_value
 from .rotational import (
@@ -109,7 +108,6 @@ __all__ = [
     "mean_curvature",
     "parse",
     "point_geometry",
-    "ricci_gradh_extrinsic",
     "shape_data",
     "soliton_lambda",
     "soliton_residual",

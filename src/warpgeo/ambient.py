@@ -5,6 +5,17 @@ Euclidean n-space (identity chart) or the unit round n-sphere in the
 nested angular chart, so the fiber has constant sectional curvature
 ``k`` equal to 0 or 1.  Ambient coordinates are ``(t, x1, ..., xn)``.
 
+In these charts the metric is diagonal, G = diag(D) with
+D = (1, f^2, f^2 sin(x1)^2, ...), so every routine works with the d
+entries D_a and their first derivatives dD[a, c] = d_c D_a.  The
+Christoffel symbols take the closed form (O'Neill, *Semi-Riemannian
+Geometry*, ch. 7)
+
+    Gamma^a_bc = (delta_ac d_b D_a + delta_ab d_c D_a - delta_bc d_a D_b) / (2 D_a)
+
+and a metric is numerically singular where its condition number
+max D / min D exceeds ``CONDITION_LIMIT``.
+
 Curvature sign convention, fixed once for the whole package:
 
     R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z
@@ -151,16 +162,12 @@ class WarpedProduct:
     def _probe_positivity(self):
         a, b = self.probe_window()
         t = np.linspace(a, b, 1024)
-        try:
-            values = eval_jet2(self.f, {"t": t}).value
-        except DomainError as exc:
-            raise DomainError(
-                f"warping function at t={float(t[exc.index])!r}: {exc}", exc.expression
-            ) from None
+        values = eval_warping(self.f, t).value
         bad = first_index(~(values > 0.0))
         if bad is not None:
+            problem = "underflows to 0" if values[bad] == 0.0 else "is not positive"
             raise ValueError(
-                f"warping function {unparse(self.f)!r} is not positive at t={float(t[bad])!r}"
+                f"warping function {unparse(self.f)!r} {problem} at t={float(t[bad])!r}"
             )
 
     def warping_jet(self, t):
@@ -198,14 +205,14 @@ class WarpedProduct:
         return values
 
     def metric(self, p):
-        """Ambient metric matrix at ``p`` (block diagonal, SPD)."""
-        return self.metric_jets(p)[0]
+        """Ambient metric matrix at ``p`` (diagonal, SPD)."""
+        return self.metric_jets(p)[0][..., None] * np.eye(self.dim)
 
     def metric_jets(self, p):
-        """Metric with its exact first coordinate derivatives.
+        """Diagonal of the metric with its exact first coordinate derivatives.
 
-        Returns ``(G, dG)`` where ``dG[a, b, c] = d G_ab / d x^c``.  A
-        batch fails like its first point that fails alone (see
+        Returns ``(D, dD)`` where ``D[a] = G_aa`` and ``dD[a, c] = d G_aa /
+        d x^c``.  A batch fails like its first point that fails alone (see
         :func:`warpgeo.jets.first_failure`).
         """
         return first_failure(lambda k: self._metric_jets(p.prefix(k)), np.size(p.t))
@@ -215,22 +222,18 @@ class WarpedProduct:
         values = self._bindings(p)
         d = self.dim
         S = np.shape(p.t)
-        G = np.zeros(S + (d, d))
-        dG = np.zeros(S + (d, d, d))
+        D = np.empty(S + (d,))
+        dD = np.empty(S + (d, d))
         for a, entry in enumerate(self._metric_diag):
             jet = eval_jet2(entry, values, self.coordinates)
-            G[..., a, a] = jet.value
-            dG[..., a, a, :] = jet.grad
-        return G, dG
+            D[..., a] = jet.value
+            dD[..., a, :] = jet.grad
+        return D, dD
 
     def christoffels(self, p):
-        """Christoffel symbols Gamma[a, b, c] = Gamma^a_{bc} at ``p``.
-
-        Computed generically from exact metric jets,
-        Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc).
-        """
-        G, dG = self.metric_jets(p)
-        return christoffel_symbols(p, G, dG)
+        """Christoffel symbols Gamma[a, b, c] = Gamma^a_{bc} at ``p``."""
+        D, dD = self.metric_jets(p)
+        return christoffel_symbols(p, D, dD)
 
     def curvature(self, p, X, Y, Z):
         """Curvature R(X, Y)Z of the warped metric in chart components.
@@ -239,13 +242,13 @@ class WarpedProduct:
         curvature fiber; the overall sign is pinned by the convention in
         the module docstring (round models have K = c).
         """
-        return self.curvature_from(self.metric(p), self.warping_jet(p.t), X, Y, Z)
+        return self.curvature_from(self.metric_jets(p)[0], self.warping_jet(p.t), X, Y, Z)
 
-    def curvature_from(self, G, warping, X, Y, Z):
-        """R(X, Y)Z from the metric matrix and (f, f', f'') at the point.
+    def curvature_from(self, D, warping, X, Y, Z):
+        """R(X, Y)Z from the metric diagonal and (f, f', f'') at the point.
 
         Vectors are ``(..., d)`` arrays; leading axes of the vectors, of
-        ``G`` and of the warping values broadcast against each other.
+        ``D`` and of the warping values broadcast against each other.
         """
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
@@ -255,7 +258,7 @@ class WarpedProduct:
         lf2 = f2 / f0 - lf1 * lf1
 
         def ip(a, b):
-            return (a[..., None, :] @ G @ b[..., :, None])[..., 0]
+            return np.sum(a * D * b, axis=-1, keepdims=True)
 
         e0 = np.zeros(self.dim)
         e0[0] = 1.0
@@ -289,22 +292,38 @@ class WarpedProduct:
         )
 
 
-def christoffel_symbols(p, G, dG):
-    """Christoffel symbols at ``p`` from the metric jets ``G``, ``dG``.
+def eval_warping(f, t, active=()):
+    """``eval_jet2`` of the warping function ``f`` over the heights ``t``;
+    a DomainError names the first height at which f fails."""
+    try:
+        return eval_jet2(f, {"t": t}, active)
+    except DomainError as exc:
+        raise DomainError(
+            f"warping function at t={float(t[exc.index])!r}: {exc}", exc.expression
+        ) from None
 
-    ``G`` and ``dG`` may carry a leading point axis; the first point
+
+def christoffel_symbols(p, D, dD):
+    """Christoffel symbols at ``p`` from the metric jets ``D``, ``dD``.
+
+    ``D`` and ``dD`` may carry a leading point axis; the first point
     whose metric is numerically singular is named.
     """
-    i = first_index(np.linalg.cond(G) > CONDITION_LIMIT)
+    i = first_index(np.max(D, axis=-1) > CONDITION_LIMIT * np.min(D, axis=-1))
     if i is not None:
         t = float(np.ravel(p.t)[i])
         x = tuple(float(np.ravel(v)[i]) for v in p.x)
         raise SingularMetric(f"chart metric at t={t!r}, x={x!r} is numerically singular", i)
-    Ginv = np.linalg.inv(G)
-    term1 = np.einsum("...ad,...dcb->...abc", Ginv, dG)  # d_b g_dc
-    term2 = np.einsum("...ad,...bdc->...abc", Ginv, dG)  # d_c g_bd
-    term3 = np.einsum("...ad,...bcd->...abc", Ginv, dG)  # d_d g_bc
-    return 0.5 * (term1 + term2 - term3)
+    d = D.shape[-1]
+    half = dD / (2.0 * D[..., :, None])  # [a, b] = d_b D_a / (2 D_a)
+    cross = np.swapaxes(dD, -1, -2) / (2.0 * D[..., :, None])  # [a, b] = d_a D_b / (2 D_a)
+    gamma = np.zeros(D.shape + (d, d))
+    flat = gamma.reshape(D.shape[:-1] + (d**3,))  # Gamma^a_bc at (a d + b) d + c
+    a, b = np.indices((d, d))
+    flat[..., (a * d + b) * d + a] += half  # delta_ac
+    flat[..., (a * d + a) * d + b] += half  # delta_ab
+    flat[..., (a * d + b) * d + b] -= cross  # delta_bc
+    return gamma
 
 
 def space_form_models(n=2):

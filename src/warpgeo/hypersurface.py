@@ -7,12 +7,19 @@ operator A with A(X) = -nabla_X N, the mean curvature H = tr(A)/n, the
 height h (the t-component of psi), the angle theta = <N, d_t>, and the
 tangential gradient of h.
 
-Orientation convention: N is chosen so that theta >= 0 at the center of
-the chart box; if |theta| < 1e-10 there, the sign of the first nonzero
-component of N breaks the tie.  Away from the center the normal keeps
-the frame orientation det([E_1 .. E_n, N]) fixed, which extends the
-center choice continuously.  The sign is fixed when the immersion is
+Orientation convention: N is the D-normalized D^-1 nu, where G = diag(D)
+is the ambient metric and nu is the cofactor covector of the frame,
+det([E_1 .. E_n, v]) = nu . v, times the sign ``Immersion.orientation``.
+D^-1 nu is G-orthogonal to every E_i and has det([E, D^-1 nu]) > 0, so
+the normal keeps the frame orientation fixed and extends continuously
+from the center of the chart box, where the sign is chosen so that
+theta >= 0; if |theta| < 1e-10 there, the sign of the first nonzero
+component of N breaks the tie.  The sign is fixed when the immersion is
 constructed.
+
+The induced metric g is factored once per point: ``point_jets`` takes
+its Cholesky factor L and carries F = L^-T (a g-orthonormal frame, so
+F^T g F = I) and g^-1 = F F^T, which every later stage reads.
 
 The pipeline runs on batches: ``point_jets`` and ``shape_from_jets``
 take an (N, n) array of chart points and return records whose fields
@@ -41,14 +48,14 @@ GRAM_DET_LIMIT = 1e-12
 BOUNDARY_MARGIN = 1e-6
 _ORIENT_TIE = 1e-10
 # Largest batch evaluated at once.  The working memory of one evaluation
-# grows with n (measured: about 4 KB per point for n = 3, 44 KB for
+# grows with n (measured: about 2.4 KB per point for n = 3, 34 KB for
 # n = 8), so longer batches run in consecutive slices; results do not
 # depend on the slicing.
 SLICE_POINTS = 2048
 # Largest grid ChartBox.grid builds.  What a scene run keeps per grid
 # point (the geometry record, the grid itself) is a few KB.  With every
 # grid check, the measured tracemalloc peak of a maximal grid is 10 MB
-# for n = 2, 30 MB for n = 4, 42 MB for n = 5 and 119 MB for n = 8, the
+# for n = 2, 29 MB for n = 4, 38 MB for n = 5 and 104 MB for n = 8, the
 # largest n a grid can have (each axis takes at least 3 samples).
 MAX_GRID_POINTS = 10_000
 
@@ -308,18 +315,22 @@ class PointJets:
 
     ``chart`` (N, n) holds the points and ``ambient_point`` their images;
     ``frame[:, a, i]`` is d psi^a / d u^i and ``second[:, a, i, j]`` the
-    second chart derivatives; ``G`` and ``dG`` are the ambient metric and
-    its coordinate derivatives at the images, and ``metric`` is
-    g = E^T G E.
+    second chart derivatives; ``D`` and ``dD`` are the diagonal ambient
+    metric and its coordinate derivatives at the images (see
+    ``WarpedProduct.metric_jets``), and ``metric`` is g = E^T diag(D) E.
+    ``factor`` is F = L^-T for the Cholesky factor L of g, and
+    ``metric_inverse`` is g^-1 = F F^T.
     """
 
     chart: np.ndarray
     ambient_point: AmbientPoint
     frame: np.ndarray
     second: np.ndarray
-    G: np.ndarray
-    dG: np.ndarray
+    D: np.ndarray
+    dD: np.ndarray
     metric: np.ndarray
+    factor: np.ndarray
+    metric_inverse: np.ndarray
 
 
 def point_jets(imm, points):
@@ -336,14 +347,15 @@ def point_jets(imm, points):
     q = AmbientPoint(jets[0].value, tuple(jet.value for jet in jets[1:]))
     imm.ambient.validate_point(q)
     E = np.stack([jet.grad for jet in jets], axis=-2)  # (N, d, n)
-    G, dG = imm.ambient.metric_jets(q)
-    g = np.swapaxes(E, -1, -2) @ G @ E
+    D, dD = imm.ambient.metric_jets(q)
+    g = np.swapaxes(E, -1, -2) @ (D[..., :, None] * E)
     bad = first_index(np.linalg.det(g) <= GRAM_DET_LIMIT)
     if bad is not None:
         p = tuple(map(float, points[bad]))
         raise DegenerateImmersion(f"tangent frame is degenerate at chart point {p!r}", bad)
     second = np.stack([jet.hess for jet in jets], axis=-3)
-    return PointJets(points, q, E, second, G, dG, g)
+    F = np.swapaxes(np.linalg.inv(np.linalg.cholesky(g)), -1, -2)
+    return PointJets(points, q, E, second, D, dD, g, F, F @ np.swapaxes(F, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -355,14 +367,15 @@ class ShapeData:
     tangent vectors as columns in ambient chart components;
     ``shape_operator`` is the matrix of A in the chart frame; ``grad_h``
     holds chart components of the tangential gradient of the height
-    function.  ``at(i)`` is the record at one point, whose fields drop
-    the point axis.
+    function; ``metric_inverse`` is g^-1.  ``at(i)`` is the record at one
+    point, whose fields drop the point axis.
     """
 
     chart: np.ndarray
     ambient_point: AmbientPoint
     frame: np.ndarray
     metric: np.ndarray
+    metric_inverse: np.ndarray
     normal: np.ndarray
     shape_operator: np.ndarray
     second_fundamental: np.ndarray
@@ -383,54 +396,51 @@ class ShapeData:
         return point_view(self, i)
 
 
-def _raw_normal(E, G):
-    """Unit normals (sign unfixed) via QR in metric-orthonormal
-    coordinates, with the orientation sign of each frame."""
-    Lt = np.swapaxes(np.linalg.cholesky(G), -1, -2)
-    Et = Lt @ E
-    Q, _ = np.linalg.qr(Et, mode="complete")
-    n_tilde = Q[..., -1]
-    det = np.linalg.det(np.concatenate([Et, n_tilde[..., None]], axis=-1))
-    N = np.linalg.solve(Lt, n_tilde[..., None])[..., 0]
-    return N, np.sign(det)
+def _unit_normal(E, D):
+    """The unit normal D^-1 nu / |D^-1 nu|_D of frames E, where the
+    cofactor covector nu satisfies det([E | v]) = nu . v for every v."""
+    d = E.shape[-1] + 1
+    E = E / np.max(np.abs(E), axis=-2, keepdims=True)  # nu keeps its direction, stays finite
+    minors = E[..., [[b for b in range(d) if b != a] for a in range(d)], :]
+    nu = (-1.0) ** (np.arange(d) + d - 1) * np.linalg.det(minors)
+    v = nu / D
+    return v / np.sqrt(np.sum(nu * v, axis=-1, keepdims=True))
 
 
 def _center_orientation(imm):
-    """Frame-orientation sign that gives theta >= 0 at the chart center."""
+    """Sign of the normal that gives theta >= 0 at the chart center."""
     pj = evaluate_points(imm, lambda pts: point_jets(imm, pts), imm.chart.center())
-    N, det_sign = _raw_normal(pj.frame, pj.G)
-    det_sign = float(det_sign[0])
-    for comp in N[0]:
+    for comp in _unit_normal(pj.frame, pj.D)[0]:
         if abs(comp) > _ORIENT_TIE:
-            return -det_sign if comp < 0.0 else det_sign
-    return det_sign
+            return -1.0 if comp < 0.0 else 1.0
+    return 1.0
 
 
 def shape_from_jets(imm, pj):
     """The extrinsic package from the jets at a batch of points."""
-    E, G, g = pj.frame, pj.G, pj.metric
-    N, det_sign = _raw_normal(E, G)
-    N = np.where((det_sign != imm.orientation)[..., None], -N, N)
-    Gamma = christoffel_symbols(pj.ambient_point, G, pj.dG)
+    E, D, ginv = pj.frame, pj.D, pj.metric_inverse
+    N = imm.orientation * _unit_normal(E, D)
+    Gamma = christoffel_symbols(pj.ambient_point, D, pj.dD)
     GammaE = Gamma @ E[..., None, :, :]  # Gamma^a_{bc} E^c_j
     cov = pj.second + np.swapaxes(E, -1, -2)[..., None, :, :] @ GammaE
-    II = np.einsum("...aij,...a->...ij", cov, (G @ N[..., None])[..., 0])
-    A = np.linalg.solve(g, II)
+    II = np.sum(cov * (D * N)[..., :, None, None], axis=-3)
+    A = ginv @ II
     H = np.trace(A, axis1=-2, axis2=-1) / imm.n
     dh = E[..., 0, :]
-    grad_h = np.linalg.solve(g, dh[..., None])[..., 0]
+    grad_h = (ginv @ dh[..., None])[..., 0]
     return ShapeData(
         chart=pj.chart,
         ambient_point=pj.ambient_point,
         frame=E,
-        metric=g,
+        metric=pj.metric,
+        metric_inverse=ginv,
         normal=N,
         shape_operator=A,
         second_fundamental=II,
         mean_curvature=H,
         theta=N[..., 0].copy(),
         grad_h=grad_h,
-        grad_h_norm2=np.einsum("...i,...i->...", dh, grad_h),
+        grad_h_norm2=np.sum(dh * grad_h, axis=-1),
     )
 
 
@@ -460,54 +470,26 @@ def flip_orientation(sd):
     )
 
 
-def shape_operator_from_normal_derivative(imm, p, step=1e-5):
-    """Cross-check shape operator from A(E_i) = -nabla_{E_i} N.
-
-    The normal field is differentiated by central differences in chart
-    coordinates (the result is only used against the exact
-    second-fundamental-form path at 1e-6 tolerance).
-    """
-    p = tuple(map(float, p))
-    sd = shape_data(imm, p)
-    d, n = sd.frame.shape
-    Gamma = imm.ambient.christoffels(sd.ambient_point)
-    G = imm.ambient.metric(sd.ambient_point)
-    columns = np.zeros((d, n))
-    for i in range(n):
-        plus = list(p)
-        minus = list(p)
-        plus[i] += step
-        minus[i] -= step
-        n_plus = shape_data(imm, tuple(plus)).normal
-        n_minus = shape_data(imm, tuple(minus)).normal
-        dN = (n_plus - n_minus) / (2.0 * step)
-        cov = dN + np.einsum("abc,b,c->a", Gamma, sd.frame[:, i], sd.normal)
-        columns[:, i] = -cov
-    return np.linalg.solve(sd.metric, sd.frame.T @ G @ columns)
-
-
 def induced_christoffels_from_jets(pj):
     """Christoffel symbols Gamma[:, k, i, j] of the induced metric.
 
     The chart derivatives ``dg[k, i, j] = d g_ij / d u^k`` are exact,
-    assembled from the order-2 jets of psi and the ambient ``dG`` (the
+    assembled from the order-2 jets of psi and the ambient ``dD`` (the
     ambient metric is symmetric, so <E_i, d_j d_k psi> serves both
     second-derivative terms).
     """
     E = pj.frame
-    E_ = E[..., None, :, :]
-    inner = np.einsum("...ai,...ajk->...ijk", pj.G @ E, pj.second)  # <E_i, d_j d_k psi>
-    dG_E = np.swapaxes(pj.dG @ E_, -1, -2) @ E_  # [a, k, j] = (d_k G)_{ab} E^b_j
-    dg = (
-        np.einsum("...jik->...kij", inner)
-        + np.einsum("...ijk->...kij", inner)
-        + np.einsum("...ai,...akj->...kij", E, dG_E)
-    )
-    ginv = np.linalg.inv(pj.metric)
-    term1 = np.einsum("...kl,...ilj->...kij", ginv, dg)  # d_i g_lj
-    term2 = np.einsum("...kl,...jil->...kij", ginv, dg)  # d_j g_il
-    term3 = np.einsum("...kl,...lij->...kij", ginv, dg)  # d_l g_ij
-    return 0.5 * (term1 + term2 - term3)
+    n = E.shape[-1]
+    shape = E.shape[:-2] + (n, n, n)
+
+    def contract(X, T):  # sum_a X^a_i T^a_jk as [i, j, k]
+        return (np.swapaxes(X, -1, -2) @ T.reshape(T.shape[:-2] + (-1,))).reshape(shape)
+
+    inner = contract(pj.D[..., :, None] * E, pj.second)  # [i, j, k] = <E_i, d_j d_k psi>
+    dD_E = contract(pj.dD @ E, E[..., :, :, None] * E[..., :, None, :])  # (d_k D_a) E^a_i E^a_j
+    dg = np.swapaxes(inner, -3, -1) + np.moveaxis(inner, -1, -3) + dD_E
+    B = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg  # d_i g_lj + d_j g_il - d_l g_ij
+    return 0.5 * (pj.metric_inverse @ B.reshape(shape[:-2] + (-1,))).reshape(shape)
 
 
 def induced_christoffels(imm, p):
@@ -516,8 +498,3 @@ def induced_christoffels(imm, p):
         imm, lambda pts: induced_christoffels_from_jets(point_jets(imm, pts)), p
     )
     return gamma[0]
-
-
-def orthonormal_frame(g):
-    """Columns F with F^T g F = I (Cholesky based); g may be stacked."""
-    return np.swapaxes(np.linalg.inv(np.linalg.cholesky(g)), -1, -2)

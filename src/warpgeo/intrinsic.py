@@ -6,8 +6,7 @@ of arrays with a leading point axis; ``point_geometry`` is its N = 1
 view.  The scalar curvature comes by two independent routes: the Gauss
 equation (ambient curvature plus quadratic shape-operator terms, traced
 over an orthonormal frame) and the closed warped-product formula for a
-constant-curvature fiber.  A finite-difference oracle over the sampled
-induced metric is test-only.
+constant-curvature fiber.
 """
 
 from __future__ import annotations
@@ -16,15 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryTooClose
 from .hypersurface import (
     ShapeData,
     evaluate_points,
     induced_christoffels_from_jets,
-    orthonormal_frame,
     point_jets,
     point_view,
-    shape_data,
     shape_from_jets,
 )
 
@@ -67,15 +63,16 @@ class PointGeometry:
         return point_view(self, i)
 
 
-def _ambient_ricci(ambient, sd, G, warping, X):
-    """Sum_a R(X, F_a) F_a over a g-orthonormal tangent frame F_a.
+def _ambient_ricci(ambient, D, warping, X, frame):
+    """Sum_a R(X, F_a) F_a over a g-orthonormal tangent frame, whose
+    vectors F_a are the columns of ``frame`` (..., d, n).
 
     ``X`` holds p ambient vectors per point, shape (..., p, d); so does
     the result.
     """
-    Fa = np.swapaxes(sd.frame @ orthonormal_frame(sd.metric), -1, -2)[..., None, :, :]
+    Fa = np.swapaxes(frame, -1, -2)[..., None, :, :]
     R = ambient.curvature_from(
-        G[..., None, None, :, :],
+        D[..., None, None, :],
         tuple(np.asarray(w)[..., None, None] for w in warping),
         X[..., :, None, :],
         Fa,
@@ -87,12 +84,12 @@ def _ambient_ricci(ambient, sd, G, warping, X):
 def _hessian_direct(pj):
     """Hess h = d^2 h - Gamma(dh) through the induced Christoffel symbols."""
     gamma = induced_christoffels_from_jets(pj)
-    return pj.second[..., 0, :, :] - np.einsum("...kij,...k->...ij", gamma, pj.frame[..., 0, :])
+    return pj.second[..., 0, :, :] - np.sum(gamma * pj.frame[..., 0, :, None, None], axis=-3)
 
 
-def _trace_solve(g, B):
-    """trace(g^{-1} B) per point."""
-    return np.trace(np.linalg.solve(g, B), axis1=-2, axis2=-1)
+def _g_trace(ginv, B):
+    """trace(g^-1 B) per point."""
+    return np.sum(ginv * np.swapaxes(B, -1, -2), axis=(-2, -1))
 
 
 def laplacian_height(imm, points):
@@ -100,7 +97,7 @@ def laplacian_height(imm, points):
 
     def laplacian(pts):
         pj = point_jets(imm, pts)
-        return _trace_solve(pj.metric, _hessian_direct(pj))
+        return _g_trace(pj.metric_inverse, _hessian_direct(pj))
 
     return evaluate_points(imm, laplacian, points)
 
@@ -141,17 +138,18 @@ def _geometry(imm, points):
     dh_dh = dh[..., :, None] * dh[..., None, :]
     hess_identity = (f1 / f0)[..., None, None] * (g - dh_dh) + sd.theta[..., None, None] * II
     hess_direct = _hessian_direct(pj)
-    lap = _trace_solve(g, hess_direct)
+    lap = _g_trace(pj.metric_inverse, hess_direct)
     trace_free = hess_direct - (lap / n)[..., None, None] * g
-    # generalized eigenvalues of (trace_free, g) through g = L L^T
-    F = orthonormal_frame(g)
+    # generalized eigenvalues of (trace_free, g) through g = L L^T, F = L^-T
+    F = pj.factor
     eigs = np.linalg.eigvalsh(np.swapaxes(F, -1, -2) @ trace_free @ F)
 
-    V = _ambient_ricci(imm.ambient, sd, pj.G, warping, np.swapaxes(sd.frame, -1, -2))
-    S = V @ pj.G @ sd.frame
+    E = sd.frame
+    V = _ambient_ricci(imm.ambient, pj.D, warping, np.swapaxes(E, -1, -2), E @ F)
+    S = (V * pj.D[..., None, :]) @ E
     S = np.triu(S) + np.swapaxes(np.triu(S, 1), -1, -2)  # symmetric from the upper half
     ric = S + (n * H)[..., None, None] * II - np.swapaxes(A, -1, -2) @ g @ A
-    scal_gauss = _trace_solve(g, ric)
+    scal_gauss = _g_trace(pj.metric_inverse, ric)
 
     lf1 = f1 / f0
     lf2 = f2 / f0 - lf1 * lf1
@@ -190,97 +188,3 @@ def point_geometry(imm, p):
 def curvature_package(imm, p):
     """Ricci and scalar curvature at a chart point (a :class:`PointGeometry`)."""
     return point_geometry(imm, p)
-
-
-def ricci_gradh_extrinsic(imm, p):
-    """Ric(grad h, grad h) evaluated directly in extrinsic terms.
-
-    Independent code path from :func:`grid_geometry` (no Ricci
-    matrix is assembled); the two must agree.
-    """
-    sd = shape_data(imm, p)
-    n = sd.n
-    g = sd.metric
-    A = sd.shape_operator
-    gh = sd.grad_h
-    Agh = A @ gh
-    G = imm.ambient.metric(sd.ambient_point)
-    warping = imm.ambient.warping_jet(sd.height)
-    X = sd.frame @ gh
-    ambient_sum = _ambient_ricci(imm.ambient, sd, G, warping, X[None, :])[0] @ G @ X
-    return float(
-        ambient_sum
-        + n * sd.mean_curvature * (Agh @ g @ gh)
-        - (Agh @ g @ Agh)
-    )
-
-
-def scalar_fd_oracle(imm, p, step=1e-3):
-    """Scalar curvature from finite differences of the induced metric.
-
-    Test-only oracle: samples g on a local 5-point stencil, assembles
-    Christoffel symbols, their derivatives and the curvature contraction
-    with no use of the ambient curvature or the shape operator.
-    Accuracy is O(step^2); the documented contract is 1e-3.
-    """
-    p = tuple(map(float, p))
-    n = imm.n
-    for v, lo, hi in zip(p, imm.chart.lower, imm.chart.upper):
-        if v - lo < 3.0 * step or hi - v < 3.0 * step:
-            raise BoundaryTooClose(
-                f"point {p!r} is within 3*step of the chart boundary"
-            )
-
-    def shifted(k, amount, base=p):
-        out = list(base)
-        out[k] += amount
-        return tuple(out)
-
-    # g on the whole stencil from one batch: the center, the four axial
-    # shifts of every axis, then four diagonal shifts per pair of axes
-    pairs = [(c, k) for c in range(n) for k in range(c + 1, n)]
-    stencil = [p]
-    for amount in (step, -step, 2 * step, -2 * step):
-        stencil += [shifted(k, amount) for k in range(n)]
-    for c, k in pairs:
-        for a, b in ((step, step), (step, -step), (-step, step), (-step, -step)):
-            stencil.append(shifted(k, b, shifted(c, a)))
-    samples = iter(point_jets(imm, stencil).metric)
-    g0 = next(samples)
-    plus1, minus1, plus2, minus2 = ([next(samples) for _ in range(n)] for _ in range(4))
-
-    dg = np.zeros((n, n, n))
-    d2g = np.zeros((n, n, n, n))  # d2g[c, k, i, j] = d_c d_k g_ij
-    for k in range(n):
-        dg[k] = (-plus2[k] + 8.0 * plus1[k] - 8.0 * minus1[k] + minus2[k]) / (12.0 * step)
-        d2g[k, k] = (
-            -plus2[k] + 16.0 * plus1[k] - 30.0 * g0 + 16.0 * minus1[k] - minus2[k]
-        ) / (12.0 * step * step)
-    for c, k in pairs:
-        gpp, gpm, gmp, gmm = (next(samples) for _ in range(4))
-        mixed = (gpp - gpm - gmp + gmm) / (4.0 * step * step)
-        d2g[c, k] = mixed
-        d2g[k, c] = mixed
-
-    ginv = np.linalg.inv(g0)
-    B = np.einsum("ilj->lij", dg) + np.einsum("jil->lij", dg) - dg
-    Gamma = 0.5 * np.einsum("kl,lij->kij", ginv, B)
-    dginv = -np.einsum("km,cmn,nl->ckl", ginv, dg, ginv)
-    dB = (
-        np.einsum("cilj->clij", d2g)
-        + np.einsum("cjil->clij", d2g)
-        - np.einsum("clij->clij", d2g)
-    )
-    dGamma = 0.5 * (
-        np.einsum("ckl,lij->ckij", dginv, B) + np.einsum("kl,clij->ckij", ginv, dB)
-    )
-    # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
-    #            + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
-    riem = (
-        np.einsum("cadb->abcd", dGamma)
-        - np.einsum("dacb->abcd", dGamma)
-        + np.einsum("ace,edb->abcd", Gamma, Gamma)
-        - np.einsum("ade,ecb->abcd", Gamma, Gamma)
-    )
-    ric = np.einsum("abad->bd", riem)
-    return float(np.einsum("bd,bd->", ginv, ric))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Chebyshev
 
-from .ambient import Fiber, WarpedProduct
+from .ambient import Fiber, WarpedProduct, eval_warping
 from .errors import DomainError, QuadratureFailure, SigmaZero
 from .expr import BinOp, Call, Var, literal
 from .hypersurface import (
@@ -153,7 +153,7 @@ def _detect_exponential(prof):
     """
     u0, u1 = prof.u_range
     t_values = np.linspace(prof.alpha(u0), prof.alpha(u1), 17)
-    jet = eval_jet2(prof.f, {"t": t_values}, ("t",))
+    jet = eval_warping(prof.f, t_values, ("t",))
     rates = jet.grad[:, 0] / jet.value
     c5 = float(rates[0])
     if np.any(np.abs(rates - c5) > 1e-12 * (1.0 + abs(c5))) or not abs(c5) > 1e-12:

@@ -241,8 +241,8 @@ def structural_report(imm, geometry, step=1e-3):
     grad_s = (s[:, 0] - s[:, 1]) / (2.0 * step)
     # both terms as covectors; norm taken with the inverse metric
     omega = (geometry.ric @ geometry.shape.grad_h[..., None])[..., 0] + (n - 1) * grad_s
-    dual = np.linalg.solve(geometry.shape.metric, omega[..., None])[..., 0]
-    err = np.sqrt(np.maximum(np.einsum("...i,...i->...", omega, dual), 0.0))
+    dual = (geometry.shape.metric_inverse @ omega[..., None])[..., 0]
+    err = np.sqrt(np.maximum(np.sum(omega * dual, axis=-1), 0.0))
     sup_error, worst = first_extreme(err)
     status = "pass" if sup_error < FD_TOL else "fail"
     return CheckResult(

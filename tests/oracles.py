@@ -2,8 +2,10 @@
 
 These deliberately avoid the closed-form code paths they check: the
 ambient curvature oracle differentiates Christoffel symbols by finite
-differences, and the derivative oracles apply central differences to
-plain evaluations.
+differences, the derivative oracles apply central differences to plain
+evaluations, the generic Christoffel formula and the QR normal treat the
+diagonal ambient metric as a dense matrix, and the scalar curvature
+oracle differentiates the sampled induced metric.
 """
 
 from __future__ import annotations
@@ -11,6 +13,88 @@ from __future__ import annotations
 import numpy as np
 
 from warpgeo.ambient import AmbientPoint
+from warpgeo.errors import BoundaryTooClose
+from warpgeo.hypersurface import point_jets, shape_data
+
+
+def dense_metric_jets(D, dD):
+    """The dense metric G and dG[a, b, c] = d G_ab / d x^c of the
+    diagonal metric jets ``(D, dD)``."""
+    eye = np.eye(D.shape[-1])
+    return D[..., None] * eye, eye[:, :, None] * dD[..., :, None, :]
+
+
+def christoffels_generic(G, dG):
+    """Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc) of a dense metric."""
+    Ginv = np.linalg.inv(G)
+    term1 = np.einsum("...ad,...dcb->...abc", Ginv, dG)  # d_b g_dc
+    term2 = np.einsum("...ad,...bdc->...abc", Ginv, dG)  # d_c g_bd
+    term3 = np.einsum("...ad,...bcd->...abc", Ginv, dG)  # d_d g_bc
+    return 0.5 * (term1 + term2 - term3)
+
+
+def qr_normal(E, G):
+    """Unit normals of frames E with det([E | N]) > 0, by a complete QR
+    in G-orthonormal coordinates."""
+    Lt = np.swapaxes(np.linalg.cholesky(G), -1, -2)
+    Et = Lt @ E
+    Q, _ = np.linalg.qr(Et, mode="complete")
+    n_tilde = Q[..., -1]
+    det = np.linalg.det(np.concatenate([Et, n_tilde[..., None]], axis=-1))
+    N = np.linalg.solve(Lt, n_tilde[..., None])[..., 0]
+    return np.sign(det)[..., None] * N
+
+
+def shape_operator_from_normal_derivative(imm, p, step=1e-5):
+    """Cross-check shape operator from A(E_i) = -nabla_{E_i} N.
+
+    The normal field is differentiated by central differences in chart
+    coordinates (the result is only used against the exact
+    second-fundamental-form path at 1e-6 tolerance).
+    """
+    p = tuple(map(float, p))
+    sd = shape_data(imm, p)
+    d, n = sd.frame.shape
+    Gamma = imm.ambient.christoffels(sd.ambient_point)
+    G = imm.ambient.metric(sd.ambient_point)
+    columns = np.zeros((d, n))
+    for i in range(n):
+        plus = list(p)
+        minus = list(p)
+        plus[i] += step
+        minus[i] -= step
+        n_plus = shape_data(imm, tuple(plus)).normal
+        n_minus = shape_data(imm, tuple(minus)).normal
+        dN = (n_plus - n_minus) / (2.0 * step)
+        cov = dN + np.einsum("abc,b,c->a", Gamma, sd.frame[:, i], sd.normal)
+        columns[:, i] = -cov
+    return np.linalg.solve(sd.metric, sd.frame.T @ G @ columns)
+
+
+def ricci_gradh_extrinsic(imm, p):
+    """Ric(grad h, grad h) evaluated directly in extrinsic terms.
+
+    Independent code path from ``grid_geometry`` (no Ricci matrix is
+    assembled); the two must agree.
+    """
+    sd = shape_data(imm, p)
+    n = sd.n
+    g = sd.metric
+    A = sd.shape_operator
+    gh = sd.grad_h
+    Agh = A @ gh
+    W = imm.ambient
+    G = W.metric(sd.ambient_point)
+    X = sd.frame @ gh
+    frame = sd.frame @ np.linalg.inv(np.linalg.cholesky(g)).T  # g-orthonormal columns
+    ambient_sum = sum(
+        W.curvature(sd.ambient_point, X, frame[:, a], frame[:, a]) for a in range(n)
+    ) @ G @ X
+    return float(
+        ambient_sum
+        + n * sd.mean_curvature * (Agh @ g @ gh)
+        - (Agh @ g @ Agh)
+    )
 
 
 def riemann_fd(W, p, step=1e-4):
@@ -81,3 +165,74 @@ def random_fiber_point(W, rng):
     else:
         x = tuple(float(v) for v in rng.uniform(-1.0, 1.0, W.n))
     return AmbientPoint(t, x)
+
+
+def scalar_fd_oracle(imm, p, step=1e-3):
+    """Scalar curvature from finite differences of the induced metric.
+
+    Test-only oracle: samples g on a local 5-point stencil, assembles
+    Christoffel symbols, their derivatives and the curvature contraction
+    with no use of the ambient curvature or the shape operator.
+    Accuracy is O(step^2); the documented contract is 1e-3.
+    """
+    p = tuple(map(float, p))
+    n = imm.n
+    for v, lo, hi in zip(p, imm.chart.lower, imm.chart.upper):
+        if v - lo < 3.0 * step or hi - v < 3.0 * step:
+            raise BoundaryTooClose(
+                f"point {p!r} is within 3*step of the chart boundary"
+            )
+
+    def shifted(k, amount, base=p):
+        out = list(base)
+        out[k] += amount
+        return tuple(out)
+
+    # g on the whole stencil from one batch: the center, the four axial
+    # shifts of every axis, then four diagonal shifts per pair of axes
+    pairs = [(c, k) for c in range(n) for k in range(c + 1, n)]
+    stencil = [p]
+    for amount in (step, -step, 2 * step, -2 * step):
+        stencil += [shifted(k, amount) for k in range(n)]
+    for c, k in pairs:
+        for a, b in ((step, step), (step, -step), (-step, step), (-step, -step)):
+            stencil.append(shifted(k, b, shifted(c, a)))
+    samples = iter(point_jets(imm, stencil).metric)
+    g0 = next(samples)
+    plus1, minus1, plus2, minus2 = ([next(samples) for _ in range(n)] for _ in range(4))
+
+    dg = np.zeros((n, n, n))
+    d2g = np.zeros((n, n, n, n))  # d2g[c, k, i, j] = d_c d_k g_ij
+    for k in range(n):
+        dg[k] = (-plus2[k] + 8.0 * plus1[k] - 8.0 * minus1[k] + minus2[k]) / (12.0 * step)
+        d2g[k, k] = (
+            -plus2[k] + 16.0 * plus1[k] - 30.0 * g0 + 16.0 * minus1[k] - minus2[k]
+        ) / (12.0 * step * step)
+    for c, k in pairs:
+        gpp, gpm, gmp, gmm = (next(samples) for _ in range(4))
+        mixed = (gpp - gpm - gmp + gmm) / (4.0 * step * step)
+        d2g[c, k] = mixed
+        d2g[k, c] = mixed
+
+    ginv = np.linalg.inv(g0)
+    B = np.einsum("ilj->lij", dg) + np.einsum("jil->lij", dg) - dg
+    Gamma = 0.5 * np.einsum("kl,lij->kij", ginv, B)
+    dginv = -np.einsum("km,cmn,nl->ckl", ginv, dg, ginv)
+    dB = (
+        np.einsum("cilj->clij", d2g)
+        + np.einsum("cjil->clij", d2g)
+        - np.einsum("clij->clij", d2g)
+    )
+    dGamma = 0.5 * (
+        np.einsum("ckl,lij->ckij", dginv, B) + np.einsum("kl,clij->ckij", ginv, dB)
+    )
+    # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
+    #            + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
+    riem = (
+        np.einsum("cadb->abcd", dGamma)
+        - np.einsum("dacb->abcd", dGamma)
+        + np.einsum("ace,edb->abcd", Gamma, Gamma)
+        - np.einsum("ade,ecb->abcd", Gamma, Gamma)
+    )
+    ric = np.einsum("abad->bd", riem)
+    return float(np.einsum("bd,bd->", ginv, ric))

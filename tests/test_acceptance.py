@@ -14,7 +14,7 @@ from warpgeo.ambient import space_form_models
 from warpgeo.catalogue import perturbed_immersion, standard_catalogue
 from warpgeo.cli import main
 from warpgeo.hypersurface import flip_orientation, shape_data
-from warpgeo.intrinsic import curvature_package, scalar_fd_oracle
+from warpgeo.intrinsic import curvature_package
 from warpgeo.jets import eval_jet2, eval_value
 from warpgeo.rotational import (
     RotationalProfile,
@@ -30,7 +30,7 @@ from warpgeo.soliton import (
     structural_identity,
 )
 
-from oracles import fd_gradient, random_fiber_point
+from oracles import dense_metric_jets, fd_gradient, random_fiber_point, scalar_fd_oracle
 
 ROOT2 = math.sqrt(2.0)
 
@@ -269,7 +269,7 @@ def test_criterion_9_property_suites(catalogue):
             + W.curvature(p, Y, Z, X)
             + W.curvature(p, Z, X, Y)
         )
-        G, dG = W.metric_jets(p)
+        G, dG = dense_metric_jets(*W.metric_jets(p))
         gamma = W.christoffels(p)
         compat = (
             np.einsum("bca->abc", dG)

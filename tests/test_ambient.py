@@ -6,7 +6,13 @@ import pytest
 from warpgeo.ambient import AmbientPoint, Fiber, WarpedProduct, space_form_models
 from warpgeo.errors import DomainError, SingularMetric
 
-from oracles import curvature_fd, random_fiber_point, random_orthonormal_pair
+from oracles import (
+    christoffels_generic,
+    curvature_fd,
+    dense_metric_jets,
+    random_fiber_point,
+    random_orthonormal_pair,
+)
 
 INF = math.inf
 
@@ -78,7 +84,7 @@ def test_sphere_fiber_christoffels():
 def test_metric_compatibility(rng):
     for name, W, c, window in space_form_models():
         p = random_fiber_point(W, rng)
-        G, dG = W.metric_jets(p)
+        G, dG = dense_metric_jets(*W.metric_jets(p))
         gamma = W.christoffels(p)
         # d_a g_bc - Gamma^d_{ab} g_dc - Gamma^d_{ac} g_bd = 0
         res = (
@@ -87,6 +93,19 @@ def test_metric_compatibility(rng):
             - np.einsum("dac,bd->abc", gamma, G)
         )
         assert np.max(np.abs(res)) < 1e-8, name
+
+
+def test_diagonal_christoffels_match_generic(rng):
+    for n in (2, 3, 4):
+        models = [(name, W) for name, W, c, window in space_form_models(n)]
+        models.append(("sphere-fiber", WarpedProduct((-INF, INF), "2+sin(t)", Fiber.SPHERE, n)))
+        models.append(("euclidean-fiber", WarpedProduct((-INF, INF), "t^2+1", Fiber.EUCLIDEAN, n)))
+        for name, W in models:
+            for _ in range(3):
+                p = random_fiber_point(W, rng)
+                gamma = W.christoffels(p)
+                oracle = christoffels_generic(*dense_metric_jets(*W.metric_jets(p)))
+                assert np.max(np.abs(gamma - oracle)) <= 1e-14 * np.max(np.abs(oracle)), (n, name)
 
 
 def test_curvature_vanishes_for_euclidean(rng):

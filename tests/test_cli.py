@@ -195,6 +195,23 @@ def test_warping_probe_failure_names_t(tmp_path, capsys):
     assert "ambient.f" in err and "t=" in err
 
 
+def test_profile_probe_failure_names_t(capsys):
+    # sqrt(t+0.75) is undefined at t = -0.8, the first of the 17 profile probes
+    argv = ["rotational", "--theta", "0.6", "--f", "sqrt(t+0.75)", "--u0", "-1", "--u1", "1"]
+    assert main(argv) == 3
+    assert "t=-0.8" in capsys.readouterr().err
+
+
+def test_underflowing_warping_is_not_called_negative(tmp_path, capsys):
+    scene = hyperplane_scene()
+    scene["ambient"].update(interval=[0, "inf"], f="exp(-300*t)")
+    path = write_scene(tmp_path, scene)
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert "'ambient'" in err and "underflows to 0 at t=" in err
+    assert "not positive" not in err
+
+
 def test_analyze_non_finite_literal_exit_two(tmp_path, capsys):
     scene = hyperplane_scene()
     scene["ambient"]["f"] = "1e400"

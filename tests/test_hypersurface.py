@@ -18,8 +18,9 @@ from warpgeo.hypersurface import (
     grid_shape_data,
     mean_curvature,
     shape_data,
-    shape_operator_from_normal_derivative,
 )
+
+from oracles import dense_metric_jets, qr_normal, shape_operator_from_normal_derivative
 
 
 def interior_points(imm, count=3, margin=0.15):
@@ -88,6 +89,16 @@ def test_normal_is_unit_and_orthogonal(catalogue, rng):
             assert abs(sd.normal @ G @ sd.normal - 1.0) < 1e-12, name
             for i in range(sd.n):
                 assert abs(sd.normal @ G @ sd.frame[:, i]) < 1e-10, name
+
+
+def test_diagonal_normal_matches_qr_oracle(catalogue):
+    for name, imm in catalogue:
+        pj = hypersurface.point_jets(imm, interior_points(imm, count=3, margin=0.12))
+        G, _ = dense_metric_jets(pj.D, pj.dD)
+        normal = hypersurface._unit_normal(pj.frame, pj.D)
+        oracle = qr_normal(pj.frame, G)
+        assert np.all(np.linalg.det(np.concatenate([pj.frame, normal[..., None]], -1)) > 0.0), name
+        assert np.max(np.abs(normal - oracle)) < 1e-13, name
 
 
 def test_first_fundamental_form_spd(catalogue):

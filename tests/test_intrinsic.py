@@ -12,10 +12,10 @@ from warpgeo.intrinsic import (
     curvature_package,
     grid_geometry,
     point_geometry,
-    ricci_gradh_extrinsic,
-    scalar_fd_oracle,
 )
 from warpgeo.rotational import weingarten_closed_form
+
+from oracles import ricci_gradh_extrinsic, scalar_fd_oracle
 
 
 def interior_points(imm, count=3, margin=0.15):
