@@ -7,9 +7,13 @@ nested angular chart, so the fiber has constant sectional curvature
 
 In these charts the metric is diagonal, G = diag(D) with
 D = (1, f^2, f^2 sin(x1)^2, ...), so every routine works with the d
-entries D_a and their first derivatives dD[a, c] = d_c D_a.  The
-Christoffel symbols take the closed form (O'Neill, *Semi-Riemannian
-Geometry*, ch. 7)
+entries D_a and their first derivatives dD[a, c] = d_c D_a.  Both come
+in closed form from one order-2 jet of f at the heights of a batch,
+which also gives the warping triple (f, f', f'') that the curvature
+reads.  The products are taken in the order of the jet arithmetic of
+the expressions f^2 * sin(x1)^2 * ..., so D and the nonzero entries of
+dD equal that arithmetic to the bit.  The Christoffel symbols take the
+closed form (O'Neill, *Semi-Riemannian Geometry*, ch. 7)
 
     Gamma^a_bc = (delta_ac d_b D_a + delta_ab d_c D_a - delta_bc d_a D_b) / (2 D_a)
 
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OutsideChart, SingularMetric
-from .expr import BinOp, Call, Num, Var, unparse, variables_in
+from .expr import unparse, variables_in
 from .jets import as_expression, eval_jet2, first_failure, first_index
 
 CONDITION_LIMIT = 1e12
@@ -123,8 +127,6 @@ class WarpedProduct:
         self.fiber = Fiber(fiber)
         self.n = int(n)
         self.k = self.fiber.curvature
-        self.coordinates = ("t",) + tuple(f"x{i}" for i in range(1, n + 1))
-        self._metric_diag = self._build_metric_diag()
         self._probe_positivity()
 
     def __repr__(self):
@@ -136,18 +138,6 @@ class WarpedProduct:
     @property
     def dim(self):
         return self.n + 1
-
-    def _build_metric_diag(self):
-        """Diagonal entries 1, f^2 and f^2 * sin(x1)^2 * ... * sin(x_{i-1})^2."""
-        f_squared = BinOp("^", self.f, Num(2.0))
-        entries = [Num(1.0)]
-        for i in range(1, self.n + 1):
-            entry = f_squared
-            if self.fiber is Fiber.SPHERE:
-                for j in range(1, i):
-                    entry = BinOp("*", entry, BinOp("^", Call("sin", Var(f"x{j}")), Num(2.0)))
-            entries.append(entry)
-        return tuple(entries)
 
     def probe_window(self, margin=0.02, clip=4.0):
         """Finite sub-window of the interval suitable for sampling."""
@@ -198,41 +188,44 @@ class WarpedProduct:
             if not 0.0 < v < top:
                 raise OutsideChart(f"sphere angle x{j}={v!r} outside (0, {top!r})", i)
 
-    def _bindings(self, p):
-        values = {"t": p.t}
-        for i, v in enumerate(p.x, start=1):
-            values[f"x{i}"] = v
-        return values
-
     def metric(self, p):
         """Ambient metric matrix at ``p`` (diagonal, SPD)."""
         return self.metric_jets(p)[0][..., None] * np.eye(self.dim)
 
     def metric_jets(self, p):
-        """Diagonal of the metric with its exact first coordinate derivatives.
+        """Diagonal of the metric, its exact first coordinate derivatives
+        and the warping triple, from one jet of f.
 
-        Returns ``(D, dD)`` where ``D[a] = G_aa`` and ``dD[a, c] = d G_aa /
-        d x^c``.  A batch fails like its first point that fails alone (see
+        Returns ``(D, dD, (f, f', f''))`` where ``D[a] = G_aa``, ``dD[a, c]
+        = d G_aa / d x^c`` and the triple is taken at the heights ``p.t``.
+        A batch fails like its first point that fails alone (see
         :func:`warpgeo.jets.first_failure`).
         """
         return first_failure(lambda k: self._metric_jets(p.prefix(k)), np.size(p.t))
 
     def _metric_jets(self, p):
         self.validate_point(p)
-        values = self._bindings(p)
+        jet = eval_jet2(self.f, {"t": p.t}, ("t",))
+        f0, f1 = jet.value, jet.grad[..., 0]
         d = self.dim
-        S = np.shape(p.t)
-        D = np.empty(S + (d,))
-        dD = np.empty(S + (d, d))
-        for a, entry in enumerate(self._metric_diag):
-            jet = eval_jet2(entry, values, self.coordinates)
-            D[..., a] = jet.value
-            dD[..., a, :] = jet.grad
-        return D, dD
+        D = np.ones(np.shape(p.t) + (d,))
+        dD = np.zeros(np.shape(p.t) + (d, d))
+        with np.errstate(all="ignore"):  # float semantics, as in eval_jet2
+            D[..., 1:] = (f0 * f0)[..., None]
+            dD[..., 1:, 0] = (f0 * f1 + f0 * f1)[..., None]
+            if self.fiber is Fiber.SPHERE:
+                # D_i = D_{i-1} sin(x_{i-1})^2: row i of dD is row i-1 times
+                # that factor, plus D_{i-1} d sin(x_{i-1})^2 in column i-1
+                for i in range(2, d):
+                    s, c = np.sin(p.x[i - 2]), np.cos(p.x[i - 2])
+                    D[..., i] = D[..., i - 1] * (s * s)
+                    dD[..., i, :] = dD[..., i - 1, :] * (s * s)[..., None]
+                    dD[..., i, i - 1] = D[..., i - 1] * (s * c + s * c)
+        return D, dD, (f0, f1, jet.hess[..., 0, 0])
 
     def christoffels(self, p):
         """Christoffel symbols Gamma[a, b, c] = Gamma^a_{bc} at ``p``."""
-        D, dD = self.metric_jets(p)
+        D, dD, _ = self.metric_jets(p)
         return christoffel_symbols(p, D, dD)
 
     def curvature(self, p, X, Y, Z):
@@ -242,7 +235,8 @@ class WarpedProduct:
         curvature fiber; the overall sign is pinned by the convention in
         the module docstring (round models have K = c).
         """
-        return self.curvature_from(self.metric_jets(p)[0], self.warping_jet(p.t), X, Y, Z)
+        D, _, warping = self.metric_jets(p)
+        return self.curvature_from(D, warping, X, Y, Z)
 
     def curvature_from(self, D, warping, X, Y, Z):
         """R(X, Y)Z from the metric diagonal and (f, f', f'') at the point.

@@ -1,4 +1,4 @@
-"""Catalogue of named immersions used by the CLI and the test suite."""
+"""Catalogue of named immersions: the presets of scenes and the CLI."""
 
 from __future__ import annotations
 
@@ -6,9 +6,8 @@ import math
 
 from .ambient import Fiber, WarpedProduct
 from .errors import DomainError, SceneError, WarpGeoError
-from .expr import BinOp, Call, Num, Var, literal, parse
+from .expr import BinOp, Call, Num, Var, literal
 from .hypersurface import ChartBox, Immersion, Tag
-from .jets import eval_jet2
 from .rotational import (
     RotationalProfile,
     assemble_rotational,
@@ -102,42 +101,6 @@ def rotational_soliton_immersion(theta=ROOT2_OVER_2, n=2, u_range=(-1.5, 1.5)):
     """The constant-angle rotational soliton in the exponential warping."""
     prof = RotationalProfile(theta=theta, f="exp(t)", n=n, u_range=tuple(u_range))
     return build_rotational(prof)
-
-
-def standard_catalogue():
-    """Named immersions exercising every verified construction."""
-    return [
-        ("slice-spherical", slice_immersion(spherical_cap_ambient(2), math.pi / 2)),
-        ("horosphere", horosphere_immersion(t0=0.0, n=2)),
-        ("hyperplane", hyperplane_immersion(euclidean_ambient(2))),
-        ("sphere2", sphere_immersion(euclidean_ambient(2))),
-        ("sphere3", sphere_immersion(euclidean_ambient(3))),
-        ("rotational-soliton", rotational_soliton_immersion()),
-    ]
-
-
-def perturbed_immersion(imm, rng, amplitude=0.004):
-    """Jitter every component by a smooth bump expression.
-
-    The bump is amplitude * sin(a u_1 + b) * cos(c u_2 + d) in the first
-    chart variables, with coefficients drawn from ``rng``; amplitudes
-    are kept small so the perturbed map stays an immersion inside the
-    ambient chart.
-    """
-    names = imm.chart.names
-    components = []
-    for comp in imm.components:
-        a, b, c, d = (float(x) for x in rng.uniform(0.5, 2.0, size=4))
-        bump_src = f"{amplitude!r}*sin({a!r}*{names[0]}+{b!r})"
-        if len(names) > 1:
-            bump_src += f"*cos({c!r}*{names[1]}+{d!r})"
-        bump = parse(bump_src)
-
-        def component(values, active, base=comp, bump_expr=bump):
-            return base.jet(values, active) + eval_jet2(bump_expr, values, active)
-
-        components.append(component)
-    return Immersion(imm.ambient, imm.chart, components, tag=Tag.CUSTOM)
 
 
 PRESET_BUILDERS = {

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .ambient import space_form_models
 from .catalogue import PRESET_DESCRIPTIONS
-from .errors import DomainError, MeshUnsupported, SceneError, WarpGeoError
+from .errors import DomainError, MeshUnsupported, PointError, SceneError, WarpGeoError
 from .hypersurface import MAX_GRID_POINTS
 from .objmesh import surface_vertices, write_obj
 from .rotational import RotationalProfile, verify_classification
@@ -71,12 +71,12 @@ def _cmd_analyze(args):
     except SceneError as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DomainError as exc:
+    except PointError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
         report, all_passed = run_scene(scene)
-    except DomainError as exc:
+    except PointError as exc:  # a domain error, or a degenerate or singular point
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except MeshUnsupported as exc:

@@ -133,6 +133,8 @@ class ChartBox:
 class ExpressionComponent:
     """Immersion component backed by an expression AST."""
 
+    width = 1
+
     def __init__(self, expr):
         self.expr = as_expression(expr)
 
@@ -140,25 +142,26 @@ class ExpressionComponent:
     def source(self):
         return unparse(self.expr)
 
-    def jet(self, values, active):
-        return eval_jet2(self.expr, values, active)
+    def jets(self, values, active):
+        return [eval_jet2(self.expr, values, active)]
 
 
 class CallableComponent:
-    """Immersion component backed by a jet-valued callable.
+    """A block of ``width`` consecutive components backed by a callable.
 
-    Used where a component has no closed form in the expression
-    grammar (profile curves defined by quadrature).  ``fn(values,
-    active)`` receives bindings whose values are arrays of N chart
-    coordinates and returns a :class:`Jet2` with that point axis.
+    Used where components have no closed form in the expression grammar
+    (profile curves defined by quadrature).  ``fn(values, active)``
+    receives bindings whose values are arrays of N chart coordinates and
+    returns ``width`` :class:`Jet2` values with that point axis, so work
+    the components share is done once per batch.
     """
 
-    def __init__(self, fn, source=None):
+    def __init__(self, fn, width):
         self.fn = fn
-        self.source = source
+        self.width = width
 
-    def jet(self, values, active):
-        return self.fn(values, active)
+    def jets(self, values, active):
+        return list(self.fn(values, active))
 
 
 def as_component(obj):
@@ -166,8 +169,6 @@ def as_component(obj):
         return obj
     if isinstance(obj, (str, int, float, Expression)):
         return ExpressionComponent(obj)
-    if callable(obj):
-        return CallableComponent(obj)
     raise TypeError(f"cannot interpret {obj!r} as an immersion component")
 
 
@@ -180,7 +181,8 @@ class Immersion:
     """A hypersurface immersion of a chart box into a warped product.
 
     ``components`` gives the n+1 ambient coordinates (t, x1, ..., xn) as
-    functions of the chart variables.  Construction fixes the normal
+    expressions in the chart variables, or as :class:`CallableComponent`
+    blocks of consecutive coordinates.  Construction fixes the normal
     orientation at the chart center and probes a small interior grid:
     the tangent Gram determinant must exceed 1e-12 and the image must
     stay inside the ambient chart.  The object is not modified afterwards.
@@ -193,10 +195,9 @@ class Immersion:
         self.chart = chart
         self.components = tuple(as_component(c) for c in components)
         self.tag = Tag(tag)
-        if len(self.components) != ambient.dim:
-            raise ValueError(
-                f"expected {ambient.dim} components, got {len(self.components)}"
-            )
+        width = sum(c.width for c in self.components)
+        if width != ambient.dim:
+            raise ValueError(f"expected {ambient.dim} components, got {width}")
         if chart.dim != ambient.n:
             raise ValueError(
                 f"chart dimension {chart.dim} must equal hypersurface dimension {ambient.n}"
@@ -222,12 +223,15 @@ class Immersion:
         points = as_points(points, self.n)
         return {name: np.ascontiguousarray(points[:, i]) for i, name in enumerate(self.chart.names)}
 
+    def coordinate_jets(self, values, active):
+        """Jets of the n+1 ambient coordinates at the chart bindings ``values``."""
+        return [jet for c in self.components for jet in c.jets(values, active)]
+
     def _component_jets(self, points, active):
-        values = self._columns(points)
-        return [c.jet(values, active) for c in self.components]
+        return self.coordinate_jets(self._columns(points), active)
 
     def component_jets(self, points):
-        """Jets of every component over an (N, n) array of chart points.
+        """Jets of every ambient coordinate over an (N, n) array of chart points.
 
         A failure is the one of the first point that fails alone.
         """
@@ -316,8 +320,9 @@ class PointJets:
     ``chart`` (N, n) holds the points and ``ambient_point`` their images;
     ``frame[:, a, i]`` is d psi^a / d u^i and ``second[:, a, i, j]`` the
     second chart derivatives; ``D`` and ``dD`` are the diagonal ambient
-    metric and its coordinate derivatives at the images (see
-    ``WarpedProduct.metric_jets``), and ``metric`` is g = E^T diag(D) E.
+    metric and its coordinate derivatives at the images, and ``warping``
+    is (f, f', f'') at their heights, all three from the one jet of f of
+    ``WarpedProduct.metric_jets``; ``metric`` is g = E^T diag(D) E.
     ``factor`` is F = L^-T for the Cholesky factor L of g, and
     ``metric_inverse`` is g^-1 = F F^T.
     """
@@ -328,6 +333,7 @@ class PointJets:
     second: np.ndarray
     D: np.ndarray
     dD: np.ndarray
+    warping: tuple
     metric: np.ndarray
     factor: np.ndarray
     metric_inverse: np.ndarray
@@ -336,7 +342,9 @@ class PointJets:
 def point_jets(imm, points):
     """One component-jet and one metric-jet evaluation over (N, n) chart points.
 
-    Each check names the first point, in the order given, that fails it.
+    Each check names the first point, in the order given, that fails it;
+    a frame, second derivative or metric entry D that is not finite is a
+    DomainError.
     """
     points = as_points(points, imm.n)
     bad = first_index(~imm.chart.contains(points))
@@ -347,15 +355,23 @@ def point_jets(imm, points):
     q = AmbientPoint(jets[0].value, tuple(jet.value for jet in jets[1:]))
     imm.ambient.validate_point(q)
     E = np.stack([jet.grad for jet in jets], axis=-2)  # (N, d, n)
-    D, dD = imm.ambient.metric_jets(q)
+    second = np.stack([jet.hess for jet in jets], axis=-3)
+    D, dD, warping = imm.ambient.metric_jets(q)
+    finite = (
+        np.isfinite(E).all(axis=(-2, -1))
+        & np.isfinite(second).all(axis=(-3, -2, -1))
+        & np.isfinite(D).all(axis=-1)
+    )
+    bad = first_index(~finite)
+    if bad is not None:
+        raise DomainError("tangent frame, second derivatives or metric not finite", index=bad)
     g = np.swapaxes(E, -1, -2) @ (D[..., :, None] * E)
     bad = first_index(np.linalg.det(g) <= GRAM_DET_LIMIT)
     if bad is not None:
         p = tuple(map(float, points[bad]))
         raise DegenerateImmersion(f"tangent frame is degenerate at chart point {p!r}", bad)
-    second = np.stack([jet.hess for jet in jets], axis=-3)
     F = np.swapaxes(np.linalg.inv(np.linalg.cholesky(g)), -1, -2)
-    return PointJets(points, q, E, second, D, dD, g, F, F @ np.swapaxes(F, -1, -2))
+    return PointJets(points, q, E, second, D, dD, warping, g, F, F @ np.swapaxes(F, -1, -2))
 
 
 @dataclass(frozen=True)

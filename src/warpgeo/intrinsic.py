@@ -126,7 +126,7 @@ def grid_geometry(imm, points):
 def _geometry(imm, points):
     pj = point_jets(imm, points)
     sd = shape_from_jets(imm, pj)
-    warping = imm.ambient.warping_jet(sd.height)
+    warping = pj.warping
     n = sd.n
     g = sd.metric
     A = sd.shape_operator

@@ -15,10 +15,14 @@ is used (this normalization, with c2 = 0, is the one that produces a
 soliton); for all other warpings beta is the antiderivative, vanishing
 at u0, of a Chebyshev interpolant of theta/f(alpha), one per profile,
 whose degree doubles until its coefficients have decayed (Battles and
-Trefethen, SIAM J. Sci. Comput. 25, 2004).  The surface is
-the orbit of the profile under rotation of the fiber about the axis,
-with first fundamental form diag(1, sigma^2 x sphere-chart weights)
-where sigma(u) = f(alpha(u)) beta(u).
+Trefethen, SIAM J. Sci. Comput. 25, 2004).  The derivatives of beta
+need no interpolant: beta' = theta / f(alpha) and beta'' = -theta f'(alpha)
+sqrt(1 - theta^2) / f(alpha)^2 come from one jet of f at alpha(u).  The
+surface is the orbit of the profile under rotation of the fiber about
+the axis, with first fundamental form diag(1, sigma^2 x sphere-chart
+weights) where sigma(u) = f(alpha(u)) beta(u); its n fiber coordinates
+are one block, beta times the sphere chart, so a batch of chart points
+evaluates beta and the jet of f once for all of them.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .hypersurface import (
     ExpressionComponent,
     Immersion,
     Tag,
-    induced_christoffels,
 )
 from .jets import Jet2, as_expression, eval_jet2, first_index
 from .soliton import FD_TOL, SOLITON_TOL, Verdict, soliton_residual
@@ -128,17 +131,25 @@ class RotationalProfile:
 
 @dataclass(frozen=True)
 class ProfileCurve:
-    """Solved profile: alpha, beta, sigma = f(alpha) beta as callables.
+    """Solved profile: the callable beta, and alpha, the jet of beta and
+    sigma = f(alpha) beta derived from it.
 
-    Each callable takes a float or an array of u values.
+    Each takes a float or an array of u values.
     """
 
     profile: RotationalProfile
-    alpha: object
     beta: object
-    beta_d1: object
-    beta_d2: object
     exponential_rate: float | None  # c5 when f = c3 exp(c5 t), else None
+
+    def alpha(self, u):
+        return self.profile.alpha(u)
+
+    def beta_jet(self, u):
+        """(beta, beta', beta'') at ``u`` from one jet of f at alpha(u)."""
+        prof = self.profile
+        jet = eval_jet2(prof.f, {"t": prof.alpha(u)}, ("t",))
+        f0, f1 = jet.value, jet.grad[..., 0]
+        return self.beta(u), prof.theta / f0, -prof.theta * f1 * prof.slope / (f0 * f0)
 
     def sigma(self, u):
         f0 = eval_jet2(self.profile.f, {"t": self.alpha(u)}).value
@@ -251,21 +262,7 @@ def _solve(prof, exponential):
     def beta(u):
         return base(u) + prof.c2
 
-    def beta_d1(u):
-        return theta / eval_jet2(prof.f, {"t": alpha(u)}).value
-
-    def beta_d2(u):
-        jet = eval_jet2(prof.f, {"t": alpha(u)}, ("t",))
-        return -theta * jet.grad[..., 0] * slope / (jet.value * jet.value)
-
-    return ProfileCurve(
-        profile=prof,
-        alpha=alpha,
-        beta=beta,
-        beta_d1=beta_d1,
-        beta_d2=beta_d2,
-        exponential_rate=rate,
-    )
+    return ProfileCurve(profile=prof, beta=beta, exponential_rate=rate)
 
 
 def _profile_jet(curve, values, active):
@@ -274,11 +271,11 @@ def _profile_jet(curve, values, active):
     m = len(active)
     grad = np.zeros(u.shape + (m,))
     hess = np.zeros(u.shape + (m, m))
-    if "u" in active:
-        i = active.index("u")
-        grad[..., i] = curve.beta_d1(u)
-        hess[..., i, i] = curve.beta_d2(u)
-    return Jet2(curve.beta(u), grad, hess)
+    if "u" not in active:
+        return Jet2(curve.beta(u), grad, hess)
+    i = active.index("u")
+    beta, grad[..., i], hess[..., i, i] = curve.beta_jet(u)
+    return Jet2(beta, grad, hess)
 
 
 def default_chart(prof):
@@ -313,16 +310,14 @@ def assemble_rotational(curve, ambient):
     profile's warping function and dimension.
     """
     prof = curve.profile
-    chart = default_chart(prof)
-    components = [ExpressionComponent(prof.alpha_expression())]
-    for x_expr in sphere_chart_expressions(prof.n):
+    sphere = sphere_chart_expressions(prof.n)
 
-        def component(values, act, expr=x_expr):
-            beta_jet = _profile_jet(curve, values, act)
-            return beta_jet * eval_jet2(expr, values, act)
+    def fiber(values, active):
+        beta = _profile_jet(curve, values, active)
+        return [beta * eval_jet2(x_expr, values, active) for x_expr in sphere]
 
-        components.append(CallableComponent(component))
-    return Immersion(ambient, chart, components, tag=Tag.ROTATIONAL)
+    components = [ExpressionComponent(prof.alpha_expression()), CallableComponent(fiber, prof.n)]
+    return Immersion(ambient, default_chart(prof), components, tag=Tag.ROTATIONAL)
 
 
 def weingarten_closed_form(prof, curve, u):
@@ -335,7 +330,7 @@ def weingarten_closed_form(prof, curve, u):
     u = float(u)
     jet = eval_jet2(prof.f, {"t": curve.alpha(u)}, ("t",))
     lf1 = jet.grad[0] / jet.value
-    sigma = curve.sigma(u)
+    sigma = jet.value * curve.beta(u)
     if abs(sigma) < 1e-12:
         raise SigmaZero(f"sigma(u)={sigma!r} vanishes at u={u!r}")
     kappa_u = -lf1 * prof.theta
@@ -410,17 +405,17 @@ def classify_rotational(curve, imm, grid, u_count=CLASSIFICATION_U_COUNT):
     ``imm`` is the surface of the solved profile ``curve`` and ``grid``
     its classification grid for ``u_count`` (see
     :func:`classification_grid`); sigma is sampled at
-    ``max(u_count, 16)`` values of u.
+    ``max(u_count, 16)`` values of u; sigma at u and u +- step and the
+    slopes f'/f at u come from one jet of f and one evaluation of beta.
     """
     prof = curve.profile
     u = imm.chart.axis_points("u", max(u_count, 16), 0.05)
-    d_sigma = (curve.sigma(u + SIGMA_FD_STEP) - curve.sigma(u - SIGMA_FD_STEP)) / (
-        2.0 * SIGMA_FD_STEP
-    )
+    abscissae = np.concatenate([u + SIGMA_FD_STEP, u - SIGMA_FD_STEP, u])
+    jet = eval_jet2(prof.f, {"t": curve.alpha(abscissae)}, ("t",))
+    sigma_plus, sigma_minus, sigma = np.split(jet.value * curve.beta(abscissae), 3)
+    slopes = np.split(jet.grad[:, 0] / jet.value, 3)[2]
+    d_sigma = (sigma_plus - sigma_minus) / (2.0 * SIGMA_FD_STEP)
     sigma_sup = float(np.max(np.abs(d_sigma), initial=0.0))
-    jet = eval_jet2(prof.f, {"t": curve.alpha(u)}, ("t",))
-    slopes = jet.grad[:, 0] / jet.value
-    sigma = curve.sigma(u)
     vanishing = first_index(np.abs(sigma) < 1e-12)
     if vanishing is not None:
         raise SigmaZero(f"sigma vanishes at u={float(u[vanishing])!r}")
@@ -443,10 +438,3 @@ def classify_rotational(curve, imm, grid, u_count=CLASSIFICATION_U_COUNT):
         classified=classified,
         immersion=imm,
     )
-
-
-def profile_geodesic_residual(imm, p):
-    """|Gamma^k_{uu}| of the induced metric (the profile line is a geodesic)."""
-    Gamma = induced_christoffels(imm, p)
-    return float(np.max(np.abs(Gamma[:, 0, 0])))
-

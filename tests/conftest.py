@@ -9,8 +9,9 @@ from warpgeo.catalogue import (
     slice_immersion,
     sphere_immersion,
     spherical_cap_ambient,
-    standard_catalogue,
 )
+
+from oracles import standard_catalogue
 
 
 @pytest.fixture(scope="session")

@@ -1,20 +1,106 @@
-"""Independent numerical oracles used by the test suite.
+"""Independent numerical oracles and test immersions used by the test suite.
 
 These deliberately avoid the closed-form code paths they check: the
 ambient curvature oracle differentiates Christoffel symbols by finite
 differences, the derivative oracles apply central differences to plain
 evaluations, the generic Christoffel formula and the QR normal treat the
-diagonal ambient metric as a dense matrix, and the scalar curvature
-oracle differentiates the sampled induced metric.
+diagonal ambient metric as a dense matrix, the metric-jet oracle walks
+each diagonal entry as an expression, and the scalar curvature oracle
+differentiates the sampled induced metric.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from warpgeo.ambient import AmbientPoint
+from warpgeo.ambient import AmbientPoint, Fiber
+from warpgeo.catalogue import (
+    euclidean_ambient,
+    horosphere_immersion,
+    hyperplane_immersion,
+    rotational_soliton_immersion,
+    slice_immersion,
+    sphere_immersion,
+    spherical_cap_ambient,
+)
 from warpgeo.errors import BoundaryTooClose
-from warpgeo.hypersurface import point_jets, shape_data
+from warpgeo.expr import BinOp, Call, Num, Var, parse
+from warpgeo.hypersurface import (
+    CallableComponent,
+    Immersion,
+    induced_christoffels,
+    point_jets,
+    shape_data,
+)
+from warpgeo.jets import eval_jet2
+
+
+def standard_catalogue():
+    """Named immersions exercising every verified construction."""
+    return [
+        ("slice-spherical", slice_immersion(spherical_cap_ambient(2), math.pi / 2)),
+        ("horosphere", horosphere_immersion(t0=0.0, n=2)),
+        ("hyperplane", hyperplane_immersion(euclidean_ambient(2))),
+        ("sphere2", sphere_immersion(euclidean_ambient(2))),
+        ("sphere3", sphere_immersion(euclidean_ambient(3))),
+        ("rotational-soliton", rotational_soliton_immersion()),
+    ]
+
+
+def perturbed_immersion(imm, rng, amplitude=0.004):
+    """Jitter every ambient coordinate by a smooth bump expression.
+
+    The bump is amplitude * sin(a u_1 + b) * cos(c u_2 + d) in the first
+    chart variables, with coefficients drawn from ``rng``; amplitudes
+    are kept small so the perturbed map stays an immersion inside the
+    ambient chart.
+    """
+    names = imm.chart.names
+    bumps = []
+    for _ in range(imm.ambient.dim):
+        a, b, c, d = (float(x) for x in rng.uniform(0.5, 2.0, size=4))
+        bump_src = f"{amplitude!r}*sin({a!r}*{names[0]}+{b!r})"
+        if len(names) > 1:
+            bump_src += f"*cos({c!r}*{names[1]}+{d!r})"
+        bumps.append(parse(bump_src))
+
+    def coordinates(values, active):
+        jets = imm.coordinate_jets(values, active)
+        return [jet + eval_jet2(bump, values, active) for jet, bump in zip(jets, bumps)]
+
+    return Immersion(imm.ambient, imm.chart, [CallableComponent(coordinates, imm.ambient.dim)])
+
+
+def profile_geodesic_residual(imm, p):
+    """|Gamma^k_{uu}| of the induced metric (the profile line is a geodesic)."""
+    Gamma = induced_christoffels(imm, p)
+    return float(np.max(np.abs(Gamma[:, 0, 0])))
+
+
+def metric_jets_ast(W, p):
+    """``W.metric_jets(p)`` by walking every diagonal entry as an expression.
+
+    The entries 1, f^2 and f^2 * sin(x1)^2 * ... * sin(x_{i-1})^2 are
+    order-2 jets in all the ambient coordinates; the warping triple is
+    the jet of f in them.  Returns ``(D, dD, (f, f', f''))``.
+    """
+    f_squared = BinOp("^", W.f, Num(2.0))
+    entries = [Num(1.0)]
+    for i in range(1, W.n + 1):
+        entry = f_squared
+        if W.fiber is Fiber.SPHERE:
+            for j in range(1, i):
+                entry = BinOp("*", entry, BinOp("^", Call("sin", Var(f"x{j}")), Num(2.0)))
+        entries.append(entry)
+    values = {"t": p.t, **{f"x{i}": v for i, v in enumerate(p.x, start=1)}}
+    coordinates = tuple(values)
+    jets = [eval_jet2(entry, values, coordinates) for entry in entries]
+    f = eval_jet2(W.f, values, coordinates)
+    D = np.stack([jet.value for jet in jets], axis=-1)
+    dD = np.stack([jet.grad for jet in jets], axis=-2)
+    return D, dD, (f.value, f.grad[..., 0], f.hess[..., 0, 0])
 
 
 def dense_metric_jets(D, dD):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from warpgeo.ambient import space_form_models
-from warpgeo.catalogue import perturbed_immersion, standard_catalogue
 from warpgeo.cli import main
 from warpgeo.hypersurface import flip_orientation, shape_data
 from warpgeo.intrinsic import curvature_package
@@ -30,7 +29,14 @@ from warpgeo.soliton import (
     structural_identity,
 )
 
-from oracles import dense_metric_jets, fd_gradient, random_fiber_point, scalar_fd_oracle
+from oracles import (
+    dense_metric_jets,
+    fd_gradient,
+    perturbed_immersion,
+    random_fiber_point,
+    scalar_fd_oracle,
+    standard_catalogue,
+)
 
 ROOT2 = math.sqrt(2.0)
 
@@ -269,7 +275,7 @@ def test_criterion_9_property_suites(catalogue):
             + W.curvature(p, Y, Z, X)
             + W.curvature(p, Z, X, Y)
         )
-        G, dG = dense_metric_jets(*W.metric_jets(p))
+        G, dG = dense_metric_jets(*W.metric_jets(p)[:2])
         gamma = W.christoffels(p)
         compat = (
             np.einsum("bca->abc", dG)

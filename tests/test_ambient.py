@@ -10,6 +10,7 @@ from oracles import (
     christoffels_generic,
     curvature_fd,
     dense_metric_jets,
+    metric_jets_ast,
     random_fiber_point,
     random_orthonormal_pair,
 )
@@ -30,6 +31,35 @@ def test_metric_flat_fiber_exponential():
     assert G[0, 0] == 1.0
     assert abs(G[1, 1] - f2) < 1e-12 and abs(G[2, 2] - f2) < 1e-12
     assert G[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "interval, f, fiber",
+    [
+        ((-INF, INF), "exp(t)", Fiber.EUCLIDEAN),
+        ((-INF, INF), "2+sin(3*t)", Fiber.EUCLIDEAN),
+        ((0.0, math.pi), "sin(t)", Fiber.SPHERE),
+        ((0.0, INF), "sinh(t)*(1+t^2)", Fiber.SPHERE),
+    ],
+)
+def test_closed_form_metric_jets_match_the_expression_walk(interval, f, fiber, n):
+    # D and (f, f', f'') equal the jet arithmetic of the entries 1, f^2,
+    # f^2 sin(x1)^2, ... to the bit, one point at a time and as a batch.
+    # So does dD, but for the sign of its zeros: the walk takes d f / d x_j
+    # as f' times a zero derivative of t, which is -0 where f' < 0.
+    W = WarpedProduct(interval, f, fiber, n)
+    rng = np.random.default_rng(n)
+    points = [random_fiber_point(W, rng) for _ in range(6)]
+    t = np.array([p.t for p in points])
+    batch = AmbientPoint(t, tuple(np.array(x) for x in zip(*(p.x for p in points))))
+    for p in points + [batch]:
+        D, dD, warping = W.metric_jets(p)
+        D_ast, dD_ast, warping_ast = metric_jets_ast(W, p)
+        assert D.tobytes() == D_ast.tobytes()
+        assert np.array_equal(dD, dD_ast)  # equal values: equal bits, or zeros
+        for got, want in zip(warping, warping_ast):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_metric_equatorial_sphere_point():
@@ -84,7 +114,7 @@ def test_sphere_fiber_christoffels():
 def test_metric_compatibility(rng):
     for name, W, c, window in space_form_models():
         p = random_fiber_point(W, rng)
-        G, dG = dense_metric_jets(*W.metric_jets(p))
+        G, dG = dense_metric_jets(*W.metric_jets(p)[:2])
         gamma = W.christoffels(p)
         # d_a g_bc - Gamma^d_{ab} g_dc - Gamma^d_{ac} g_bd = 0
         res = (
@@ -104,7 +134,7 @@ def test_diagonal_christoffels_match_generic(rng):
             for _ in range(3):
                 p = random_fiber_point(W, rng)
                 gamma = W.christoffels(p)
-                oracle = christoffels_generic(*dense_metric_jets(*W.metric_jets(p)))
+                oracle = christoffels_generic(*dense_metric_jets(*W.metric_jets(p)[:2]))
                 assert np.max(np.abs(gamma - oracle)) <= 1e-14 * np.max(np.abs(oracle)), (n, name)
 
 

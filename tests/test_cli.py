@@ -118,6 +118,31 @@ def test_analyze_overflow_exit_three(tmp_path, capsys):
     assert "exp overflows" in err and "chart point" in err
 
 
+@pytest.mark.parametrize(
+    "components, samples, message, named",
+    [
+        # the frame degenerates at u = 0.5, a grid point the construction
+        # probe misses
+        (["0", "(u-0.5)^3", "v"], {"u": 19, "v": 3}, "degenerate", "(0.5000000000000001, -0.9)"),
+        # the frame overflows to inf at every point, the chart center first
+        (["0", "u*1e200*1e200", "v"], {"u": 5, "v": 5}, "not finite", "{'u': 0.0, 'v': 0.0}"),
+    ],
+    ids=["degenerate", "not-finite"],
+)
+def test_analyze_point_errors_exit_three(tmp_path, capsys, components, samples, message, named):
+    scene = hyperplane_scene()
+    scene["immersion"] = {
+        "components": components,
+        "chart": {"names": ["u", "v"], "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+    }
+    scene["grid"] = {"samples": samples}
+    path = write_scene(tmp_path, scene)
+    assert main(["analyze", path]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err and named in captured.err and "chart point" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_domain_error_names_the_grid_point(tmp_path, capsys):
     # the construction probe stays inside the domain; the scene grid does not
     scene = hyperplane_scene()

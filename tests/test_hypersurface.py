@@ -272,3 +272,18 @@ def test_slices_change_neither_values_nor_errors(monkeypatch):
     with pytest.raises(DomainError) as err:
         grid_shape_data(cusp, points[:9] + points[10:])
     assert err.value.index == 9 and "(at chart point {'u': 1.15, 'v': 0.2})" in str(err.value)
+
+
+def test_jets_that_are_not_finite_are_a_domain_error():
+    # the u-derivative 1 + 709 exp(709 u - 690) overflows for u > 1.965
+    # while the value stays finite; the construction probe (u in
+    # {-17.8, -9, -0.2}) never gets there
+    chart = ChartBox(("u", "v"), (-20.0, -1.0), (2.0, 1.0))
+    imm = Immersion(euclidean_ambient(2), chart, ["0", "u+exp(709*u-690)", "v"])
+    with pytest.raises(DomainError) as err:
+        grid_shape_data(imm, [(0.5, 0.0), (1.97, 0.5), (1.97, 0.0)])
+    assert err.value.index == 1
+    assert "not finite (at chart point {'u': 1.97, 'v': 0.5})" in str(err.value)
+    # an infinite frame at the chart center fails the construction
+    with pytest.raises(DomainError, match="not finite"):
+        Immersion(euclidean_ambient(2), chart, ["0", "u*1e200*1e200", "v"])

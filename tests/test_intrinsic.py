@@ -5,7 +5,6 @@ import pytest
 
 from dataclasses import fields, is_dataclass
 
-from warpgeo.catalogue import perturbed_immersion
 from warpgeo.errors import BoundaryTooClose
 from warpgeo.hypersurface import shape_data
 from warpgeo.intrinsic import (
@@ -15,7 +14,7 @@ from warpgeo.intrinsic import (
 )
 from warpgeo.rotational import weingarten_closed_form
 
-from oracles import ricci_gradh_extrinsic, scalar_fd_oracle
+from oracles import perturbed_immersion, ricci_gradh_extrinsic, scalar_fd_oracle
 
 
 def interior_points(imm, count=3, margin=0.15):

@@ -1,13 +1,18 @@
 import copy
+import dataclasses
 import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from warpgeo import ambient as ambient_module
+from warpgeo import rotational
 from warpgeo.ambient import WarpedProduct
 from warpgeo.errors import SceneError
 from warpgeo.hypersurface import MAX_GRID_POINTS, Immersion
+from warpgeo.intrinsic import grid_geometry
 from warpgeo.scene import report_to_json, run_scene, validate_scene
 
 
@@ -242,10 +247,21 @@ def example5_scene(checks):
 
 
 def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch):
-    # one batched call each, covering every grid point exactly once
+    # one batched call each, covering every grid point exactly once; the
+    # ambient evaluates f once per batch (in metric_jets), and otherwise
+    # only twice on the 64 probe heights of theorem5 (its fit of c and
+    # check_space_form)
     checks = ["lemma1", "soliton", "theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5"]
     scene = validate_scene(example5_scene(checks))
     calls = {"component_jets": [], "metric_jets": []}
+    ambient_jets = []
+    eval_jet2 = ambient_module.eval_jet2
+
+    def counted_eval(expr, bindings, active=()):
+        ambient_jets.append((expr is scene.ambient.f, np.size(bindings["t"])))
+        return eval_jet2(expr, bindings, active)
+
+    monkeypatch.setattr(ambient_module, "eval_jet2", counted_eval)
 
     def count(owner, name, points_of):
         original = getattr(owner, name)
@@ -260,6 +276,41 @@ def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch):
     count(WarpedProduct, "metric_jets", lambda q: len(q.t))
     run_scene(scene)
     assert calls == {"component_jets": [len(scene.grid)], "metric_jets": [len(scene.grid)]}
+    assert ambient_jets == [(True, len(scene.grid)), (True, 64), (True, 64)]
+
+
+def test_rotational_profile_is_evaluated_once_per_batch(monkeypatch):
+    # the fiber block evaluates beta and the jet of f at alpha(u) once per
+    # batch, for all n fiber coordinates; the classification takes sigma
+    # at u and u +- step and the slopes f'/f from one jet of f and one
+    # beta over the 3 x 16 abscissae, then one batch for its grid
+    scene = validate_scene(example5_scene(["soliton"]))
+    betas, f_jets = [], []
+
+    def beta(u):
+        betas.append(np.size(u))
+        return scene.profile.beta(u)
+
+    curve = dataclasses.replace(scene.profile, beta=beta)
+    eval_jet2 = rotational.eval_jet2
+
+    def counted_eval(expr, bindings, active=()):
+        if expr is curve.profile.f:
+            f_jets.append(np.size(bindings["t"]))
+        return eval_jet2(expr, bindings, active)
+
+    monkeypatch.setattr(rotational, "eval_jet2", counted_eval)
+    imm = rotational.assemble_rotational(curve, scene.ambient)
+    betas.clear()
+    f_jets.clear()
+    grid_geometry(imm, scene.grid)
+    assert betas == f_jets == [len(scene.grid)]
+    betas.clear()
+    f_jets.clear()
+    grid = rotational.classification_grid(curve.profile)
+    report = rotational.classify_rotational(curve, imm, grid)
+    assert report.classified
+    assert betas == f_jets == [48, len(grid)]
 
 
 def test_rotational_scene_builds_its_surface_once(monkeypatch):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from warpgeo.catalogue import perturbed_immersion
 from warpgeo.errors import BoundaryTooClose, GridTooCoarse
 from warpgeo.hypersurface import flip_orientation, shape_data
 from warpgeo.intrinsic import curvature_package
@@ -19,6 +18,8 @@ from warpgeo.soliton import (
     soliton_residual,
     structural_identity,
 )
+
+from oracles import perturbed_immersion
 
 
 def grid(imm, count=4, margin=0.12):
