@@ -18,7 +18,10 @@ closed form (O'Neill, *Semi-Riemannian Geometry*, ch. 7)
     Gamma^a_bc = (delta_ac d_b D_a + delta_ab d_c D_a - delta_bc d_a D_b) / (2 D_a)
 
 and a metric is numerically singular where its condition number
-max D / min D exceeds ``CONDITION_LIMIT``.
+max D / min D exceeds ``CONDITION_LIMIT``.  The geometry pass reads
+Gamma contracted with a vector in closed form (``shape_from_jets``), and
+the Ricci tensor, which is diagonal: Ric_aa = D_a rho_a with
+rho_0 = -n f''/f and rho_a = (n-1)(k - f'^2)/f^2 - f''/f for a >= 1.
 
 Curvature sign convention, fixed once for the whole package:
 
@@ -275,10 +278,11 @@ class WarpedProduct:
         return f0, f1, f2
 
     def check_space_form(self, c, probes):
-        """Residuals of ((f')^2 - k)/f^2 = -c = f''/f over ``probes``."""
-        c = float(c)
+        """Residuals of ((f')^2 - k)/f^2 = -c = f''/f over ``probes``, where
+        ``c`` None is fitted as -mean(f''/f); a vanishing f is a DomainError."""
         t = np.asarray(probes, dtype=float)
         f0, f1, f2 = first_failure(lambda k: self._nonvanishing_warping(t[:k]), t.size)
+        c = -float(np.mean(f2 / f0)) + 0.0 if c is None else float(c)  # + 0.0 normalizes -0.0
         ratio = np.abs((f1 * f1 - self.k) / (f0 * f0) + c)
         second = np.abs(f2 / f0 + c)
         return SpaceFormCheck(
@@ -297,17 +301,22 @@ def eval_warping(f, t, active=()):
         ) from None
 
 
+def check_conditioning(p, D):
+    """Name the first point of ``p`` whose metric diagonal ``D`` is numerically singular."""
+    i = first_index(np.max(D, axis=-1) > CONDITION_LIMIT * np.min(D, axis=-1))
+    if i is not None:
+        t = float(np.ravel(p.t)[i])
+        x = tuple(float(np.ravel(v)[i]) for v in p.x)
+        raise SingularMetric(f"chart metric at t={t!r}, x={x!r} is numerically singular", i)
+
+
 def christoffel_symbols(p, D, dD):
     """Christoffel symbols at ``p`` from the metric jets ``D``, ``dD``.
 
     ``D`` and ``dD`` may carry a leading point axis; the first point
     whose metric is numerically singular is named.
     """
-    i = first_index(np.max(D, axis=-1) > CONDITION_LIMIT * np.min(D, axis=-1))
-    if i is not None:
-        t = float(np.ravel(p.t)[i])
-        x = tuple(float(np.ravel(v)[i]) for v in p.x)
-        raise SingularMetric(f"chart metric at t={t!r}, x={x!r} is numerically singular", i)
+    check_conditioning(p, D)
     d = D.shape[-1]
     half = dD / (2.0 * D[..., :, None])  # [a, b] = d_b D_a / (2 D_a)
     cross = np.swapaxes(dD, -1, -2) / (2.0 * D[..., :, None])  # [a, b] = d_a D_b / (2 D_a)

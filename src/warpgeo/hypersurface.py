@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .ambient import AmbientPoint, WarpedProduct, christoffel_symbols
+from .ambient import AmbientPoint, WarpedProduct, check_conditioning
 from .errors import DegenerateImmersion, DomainError, OutsideChart, PointError
 from .expr import Expression, unparse, variables_in
 from .jets import as_expression, eval_jet2, first_failure, first_index
@@ -433,13 +433,20 @@ def _center_orientation(imm):
 
 
 def shape_from_jets(imm, pj):
-    """The extrinsic package from the jets at a batch of points."""
-    E, D, ginv = pj.frame, pj.D, pj.metric_inverse
+    """The extrinsic package from the jets at a batch of points.
+
+    II_ij = <d_i d_j psi + Gamma(E_i, E_j), N> takes the ambient
+    Christoffel symbols contracted with N in closed form, with P = dD E,
+    q = dD N and X_ij = sum_a P^a_i N^a E^a_j:
+    <Gamma(E_i, E_j), N> = (X_ij + X_ji)/2 - sum_b q_b E^b_i E^b_j / 2.
+    """
+    E, D, dD, ginv = pj.frame, pj.D, pj.dD, pj.metric_inverse
+    check_conditioning(pj.ambient_point, D)
     N = imm.orientation * _unit_normal(E, D)
-    Gamma = christoffel_symbols(pj.ambient_point, D, pj.dD)
-    GammaE = Gamma @ E[..., None, :, :]  # Gamma^a_{bc} E^c_j
-    cov = pj.second + np.swapaxes(E, -1, -2)[..., None, :, :] @ GammaE
-    II = np.sum(cov * (D * N)[..., :, None, None], axis=-3)
+    X = np.swapaxes(dD @ E, -1, -2) @ (N[..., :, None] * E)
+    q = dD @ N[..., :, None]
+    II = (D * N)[..., None, :] @ pj.second.reshape(X.shape[:-2] + (D.shape[-1], -1))
+    II = II.reshape(X.shape) + 0.5 * (X + np.swapaxes(X, -1, -2) - np.swapaxes(E, -1, -2) @ (q * E))
     A = ginv @ II
     H = np.trace(A, axis1=-2, axis2=-1) / imm.n
     dh = E[..., 0, :]
@@ -486,8 +493,9 @@ def flip_orientation(sd):
     )
 
 
-def induced_christoffels_from_jets(pj):
-    """Christoffel symbols Gamma[:, k, i, j] of the induced metric.
+def first_kind_sum(pj):
+    """B[:, l, i, j] = d_i g_lj + d_j g_il - d_l g_ij of the induced metric,
+    twice the Christoffel symbols of the first kind.
 
     The chart derivatives ``dg[k, i, j] = d g_ij / d u^k`` are exact,
     assembled from the order-2 jets of psi and the ambient ``dD`` (the
@@ -504,8 +512,13 @@ def induced_christoffels_from_jets(pj):
     inner = contract(pj.D[..., :, None] * E, pj.second)  # [i, j, k] = <E_i, d_j d_k psi>
     dD_E = contract(pj.dD @ E, E[..., :, :, None] * E[..., :, None, :])  # (d_k D_a) E^a_i E^a_j
     dg = np.swapaxes(inner, -3, -1) + np.moveaxis(inner, -1, -3) + dD_E
-    B = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg  # d_i g_lj + d_j g_il - d_l g_ij
-    return 0.5 * (pj.metric_inverse @ B.reshape(shape[:-2] + (-1,))).reshape(shape)
+    return np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
+
+
+def induced_christoffels_from_jets(pj):
+    """Christoffel symbols Gamma[:, k, i, j] = g^kl B_lij / 2 of the induced metric."""
+    B = first_kind_sum(pj)
+    return 0.5 * (pj.metric_inverse @ B.reshape(B.shape[:-2] + (-1,))).reshape(B.shape)
 
 
 def induced_christoffels(imm, p):

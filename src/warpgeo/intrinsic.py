@@ -3,10 +3,12 @@
 ``grid_geometry`` computes, from one jet evaluation over a batch of
 chart points, everything the checks read at each point, as one record
 of arrays with a leading point axis; ``point_geometry`` is its N = 1
-view.  The scalar curvature comes by two independent routes: the Gauss
-equation (ambient curvature plus quadratic shape-operator terms, traced
-over an orthonormal frame) and the closed warped-product formula for a
-constant-curvature fiber.
+view.  No curvature or Christoffel tensor is built per point.  The
+ambient Ricci tensor is diagonal in the warped chart, Ric-bar_aa =
+D_a rho_a with rho_0 = -n f''/f and rho_a = (n-1)(k - f'^2)/f^2 - f''/f
+(a >= 1), so the ambient part of the Gauss equation takes one curvature
+evaluation R-bar(E_i, N)N per tangent vector.  Hess h contracts the
+induced connection with grad h: Gamma^k_ij d_k h = (grad h)^l B_lij / 2.
 """
 
 from __future__ import annotations
@@ -15,14 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .hypersurface import (
     ShapeData,
     evaluate_points,
-    induced_christoffels_from_jets,
+    first_kind_sum,
     point_jets,
     point_view,
     shape_from_jets,
 )
+from .jets import first_index
 
 
 @dataclass(frozen=True)
@@ -32,10 +36,10 @@ class PointGeometry:
     Every field carries a leading point axis; ``at(i)`` is the record at
     one point, with that axis dropped.  ``warping`` is (f, f', f'') at
     the height.  ``hess_identity`` is Hess h by the warped-product
-    identity and ``hess_direct`` by the induced Christoffel symbols.
+    identity and ``hess_direct`` by the induced connection.  ``ric`` is
+    the Ricci tensor in the chart frame and ``scal_gauss`` its g-trace.
     ``lam`` = scal - (Lap h)/n is the trace-derived soliton function and
     ``residual`` the g-operator norm of the trace-free part of Hess h.
-    ``traceless_norm2`` is |Phi|^2 and ``ric_gradh`` is Ric(grad h, grad h).
     """
 
     shape: ShapeData
@@ -43,10 +47,7 @@ class PointGeometry:
     hess_identity: np.ndarray
     hess_direct: np.ndarray
     ric: np.ndarray
-    ric_gradh: np.ndarray
     scal_gauss: np.ndarray
-    scal_formula: np.ndarray
-    traceless_norm2: np.ndarray
     lam: np.ndarray
     residual: np.ndarray
 
@@ -63,28 +64,26 @@ class PointGeometry:
         return point_view(self, i)
 
 
-def _ambient_ricci(ambient, D, warping, X, frame):
-    """Sum_a R(X, F_a) F_a over a g-orthonormal tangent frame, whose
-    vectors F_a are the columns of ``frame`` (..., d, n).
-
-    ``X`` holds p ambient vectors per point, shape (..., p, d); so does
-    the result.
-    """
-    Fa = np.swapaxes(frame, -1, -2)[..., None, :, :]
-    R = ambient.curvature_from(
-        D[..., None, None, :],
-        tuple(np.asarray(w)[..., None, None] for w in warping),
-        X[..., :, None, :],
-        Fa,
-        Fa,
-    )
-    return R.sum(axis=-2)
+def _ambient_ricci(ambient, pj, N):
+    """Ric-bar(E_i, E_j) - <R-bar(E_i, N)N, E_j> in the chart frame."""
+    D, E = pj.D, pj.frame
+    f0, f1, f2 = (w[..., None] for w in pj.warping)
+    n, first = ambient.n, np.arange(D.shape[-1]) == 0
+    rho = np.where(first, -n * f2 / f0, (n - 1) * (ambient.k - f1 * f1) / (f0 * f0) - f2 / f0)
+    Et = np.swapaxes(E, -1, -2)
+    N = N[..., None, :]
+    RN = ambient.curvature_from(D[..., None, :], (f0, f1, f2), Et, N, N)  # rows R-bar(E_i, N)N
+    S = Et @ ((D * rho)[..., :, None] * E) - (RN * D[..., None, :]) @ E
+    return np.triu(S) + np.swapaxes(np.triu(S, 1), -1, -2)  # symmetric from the upper half
 
 
 def _hessian_direct(pj):
-    """Hess h = d^2 h - Gamma(dh) through the induced Christoffel symbols."""
-    gamma = induced_christoffels_from_jets(pj)
-    return pj.second[..., 0, :, :] - np.sum(gamma * pj.frame[..., 0, :, None, None], axis=-3)
+    """Hess h = d^2 h - Gamma^k_ij d_k h, the connection term as (grad h)^l B_lij / 2."""
+    B = first_kind_sum(pj)
+    shape = B.shape
+    grad_h = np.swapaxes(pj.metric_inverse @ pj.frame[..., 0, :, None], -1, -2)
+    conn = (grad_h @ B.reshape(shape[:-3] + (shape[-3], -1))).reshape(shape[:-3] + shape[-2:])
+    return pj.second[..., 0, :, :] - 0.5 * conn
 
 
 def _g_trace(ginv, B):
@@ -105,20 +104,14 @@ def laplacian_height(imm, points):
 def grid_geometry(imm, points):
     """Build the :class:`PointGeometry` record over (N, n) chart points.
 
-    The Ricci tensor (chart frame, lowered indices) is
+    The Ricci tensor (chart frame, lowered indices) is, by the Gauss
+    equation,
 
-        Ric(X, Y) = sum_a <R(X, F_a) F_a, Y> + n H g(AX, Y) - g(AX, AY)
-
-    and ``scal_formula`` evaluates
-
-        scal = (k / f(h)^2) (n-1) (n - 2 |grad h|^2)
-             + n [(log f)'(h)]^2 (|grad h|^2 - (n-1))
-             - (n-2) (log f)''(h) |grad h|^2
-             - n (f''/f)(h) |grad h|^2
-             + n^2 H^2 - |A|^2.
+        Ric(X, Y) = Ric-bar(X, Y) - <R-bar(X, N)N, Y> + n H g(AX, Y) - g(AX, AY).
 
     A failure is the one of the first point, in the order given, whose
-    own evaluation fails (see ``evaluate_points``).
+    own evaluation fails (see ``evaluate_points``); a point whose
+    soliton residual or lambda is not finite is a DomainError.
     """
     return evaluate_points(imm, lambda pts: _geometry(imm, pts), points)
 
@@ -132,7 +125,7 @@ def _geometry(imm, points):
     A = sd.shape_operator
     II = sd.second_fundamental
     H = sd.mean_curvature
-    f0, f1, f2 = warping
+    f0, f1, _ = warping
 
     dh = sd.frame[..., 0, :]
     dh_dh = dh[..., :, None] * dh[..., None, :]
@@ -144,26 +137,14 @@ def _geometry(imm, points):
     F = pj.factor
     eigs = np.linalg.eigvalsh(np.swapaxes(F, -1, -2) @ trace_free @ F)
 
-    E = sd.frame
-    V = _ambient_ricci(imm.ambient, pj.D, warping, np.swapaxes(E, -1, -2), E @ F)
-    S = (V * pj.D[..., None, :]) @ E
-    S = np.triu(S) + np.swapaxes(np.triu(S, 1), -1, -2)  # symmetric from the upper half
+    S = _ambient_ricci(imm.ambient, pj, sd.normal)
     ric = S + (n * H)[..., None, None] * II - np.swapaxes(A, -1, -2) @ g @ A
     scal_gauss = _g_trace(pj.metric_inverse, ric)
-
-    lf1 = f1 / f0
-    lf2 = f2 / f0 - lf1 * lf1
-    W = sd.grad_h_norm2
-    A_norm2 = np.trace(A @ A, axis1=-2, axis2=-1)
-    k = imm.ambient.k
-    scal_formula = (
-        (k / (f0 * f0)) * (n - 1) * (n - 2.0 * W)
-        + n * lf1 * lf1 * (W - (n - 1))
-        - (n - 2) * lf2 * W
-        - n * (f2 / f0) * W
-        + n * n * H * H
-        - A_norm2
-    )
+    lam = scal_gauss - lap / n
+    residual = np.max(np.abs(eigs), axis=-1)
+    bad = first_index(~(np.isfinite(residual) & np.isfinite(lam)))
+    if bad is not None:
+        raise DomainError("soliton residual or lambda not finite", index=bad)
 
     return PointGeometry(
         shape=sd,
@@ -171,12 +152,9 @@ def _geometry(imm, points):
         hess_identity=hess_identity,
         hess_direct=hess_direct,
         ric=ric,
-        ric_gradh=(sd.grad_h[..., None, :] @ ric @ sd.grad_h[..., :, None])[..., 0, 0],
         scal_gauss=scal_gauss,
-        scal_formula=scal_formula,
-        traceless_norm2=A_norm2 - n * H * H,
-        lam=scal_gauss - lap / n,
-        residual=np.max(np.abs(eigs), axis=-1),
+        lam=lam,
+        residual=residual,
     )
 
 

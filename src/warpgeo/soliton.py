@@ -297,7 +297,8 @@ def hypotheses_report(imm, geometry, which):
     everywhere (the orientation making H nonnegative is not canonical).
     theorem3 requires a minimal immersion and otherwise reports
     not_applicable.  theorem5 needs the ambient to be a space form; its
-    curvature c is fitted from the warping function.  The result is the
+    curvature c is fitted from the warping function on 64 probe heights,
+    from the same jet of f as the residuals of the fit.  The result is the
     :class:`CheckResult` named ``which``.
     """
     n = imm.n
@@ -345,10 +346,8 @@ def hypotheses_report(imm, geometry, which):
 
     if which == "theorem5":
         window = imm.ambient.probe_window()
-        probes = np.linspace(window[0], window[1], 64)
-        p0, _, p2 = imm.ambient.warping_jet(probes)
-        c = -float(np.mean(p2 / p0)) + 0.0  # normalizes -0.0
-        fit = imm.ambient.check_space_form(c, probes)
+        fit = imm.ambient.check_space_form(None, np.linspace(window[0], window[1], 64))
+        c = fit.c
         if fit.ratio_residual > 1e-8 or fit.second_residual > 1e-8:
             return CheckResult(
                 which, "not_applicable", extras={"reason": "ambient is not a space form"}

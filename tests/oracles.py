@@ -6,7 +6,11 @@ differences, the derivative oracles apply central differences to plain
 evaluations, the generic Christoffel formula and the QR normal treat the
 diagonal ambient metric as a dense matrix, the metric-jet oracle walks
 each diagonal entry as an expression, and the scalar curvature oracle
-differentiates the sampled induced metric.
+differentiates the sampled induced metric.  The tensor oracles build
+what the geometry pass contracts in closed form: the ambient Christoffel
+tensor for II, the frame sum of curvature evaluations for the ambient
+Ricci term and the induced Christoffel tensor for Hess h; the scalar
+formula is the closed warped-product expression for scal.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 
 import numpy as np
 
-from warpgeo.ambient import AmbientPoint, Fiber
+from warpgeo.ambient import AmbientPoint, Fiber, christoffel_symbols
 from warpgeo.catalogue import (
     euclidean_ambient,
     horosphere_immersion,
@@ -31,6 +35,7 @@ from warpgeo.hypersurface import (
     CallableComponent,
     Immersion,
     induced_christoffels,
+    induced_christoffels_from_jets,
     point_jets,
     shape_data,
 )
@@ -155,6 +160,67 @@ def shape_operator_from_normal_derivative(imm, p, step=1e-5):
         cov = dN + np.einsum("abc,b,c->a", Gamma, sd.frame[:, i], sd.normal)
         columns[:, i] = -cov
     return np.linalg.solve(sd.metric, sd.frame.T @ G @ columns)
+
+
+def second_fundamental_christoffel(pj, N):
+    """II_ij = <d_i d_j psi + Gamma(E_i, E_j), N> through the full ambient
+    Christoffel tensor, for the jets ``pj`` and unit normals ``N``."""
+    E = pj.frame
+    Gamma = christoffel_symbols(pj.ambient_point, pj.D, pj.dD)
+    GammaE = Gamma @ E[..., None, :, :]  # Gamma^a_{bc} E^c_j
+    cov = pj.second + np.swapaxes(E, -1, -2)[..., None, :, :] @ GammaE
+    return np.sum(cov * (pj.D * N)[..., :, None, None], axis=-3)
+
+
+def tangential_ricci_frame_sum(ambient, pj):
+    """sum_a <R(E_i, F_a) F_a, E_j> over a g-orthonormal tangent frame F,
+    one curvature evaluation per pair (i, a)."""
+    E = pj.frame
+    Fa = np.swapaxes(E @ pj.factor, -1, -2)[..., None, :, :]
+    X = np.swapaxes(E, -1, -2)
+    R = ambient.curvature_from(
+        pj.D[..., None, None, :],
+        tuple(np.asarray(w)[..., None, None] for w in pj.warping),
+        X[..., :, None, :],
+        Fa,
+        Fa,
+    )
+    return (R.sum(axis=-2) * pj.D[..., None, :]) @ E
+
+
+def hessian_height_christoffel(pj):
+    """Hess h = d^2 h - Gamma^k d_k h through the induced Christoffel tensor g^-1 B / 2."""
+    gamma = induced_christoffels_from_jets(pj)
+    return pj.second[..., 0, :, :] - np.sum(gamma * pj.frame[..., 0, :, None, None], axis=-3)
+
+
+def scal_formula(imm, geometry):
+    """Scalar curvature by the closed warped-product formula over a
+    constant-curvature fiber, from a geometry record (one point or a batch):
+
+        scal = (k / f(h)^2) (n-1) (n - 2 |grad h|^2)
+             + n [(log f)'(h)]^2 (|grad h|^2 - (n-1))
+             - (n-2) (log f)''(h) |grad h|^2
+             - n (f''/f)(h) |grad h|^2
+             + n^2 H^2 - |A|^2.
+    """
+    sd = geometry.shape
+    n = imm.n
+    k = imm.ambient.k
+    f0, f1, f2 = geometry.warping
+    lf1 = f1 / f0
+    lf2 = f2 / f0 - lf1 * lf1
+    W = sd.grad_h_norm2
+    H = sd.mean_curvature
+    A = sd.shape_operator
+    return (
+        (k / (f0 * f0)) * (n - 1) * (n - 2.0 * W)
+        + n * lf1 * lf1 * (W - (n - 1))
+        - (n - 2) * lf2 * W
+        - n * (f2 / f0) * W
+        + n * n * H * H
+        - np.trace(A @ A, axis1=-2, axis2=-1)
+    )
 
 
 def ricci_gradh_extrinsic(imm, p):

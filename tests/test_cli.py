@@ -126,8 +126,11 @@ def test_analyze_overflow_exit_three(tmp_path, capsys):
         (["0", "(u-0.5)^3", "v"], {"u": 19, "v": 3}, "degenerate", "(0.5000000000000001, -0.9)"),
         # the frame overflows to inf at every point, the chart center first
         (["0", "u*1e200*1e200", "v"], {"u": 5, "v": 5}, "not finite", "{'u': 0.0, 'v': 0.0}"),
+        # a finite frame whose Gram matrix overflows gives NaN geometry,
+        # caught at the first grid point
+        (["0", "1e200*u", "v"], {"u": 5, "v": 5}, "not finite", "{'u': -0.9, 'v': -0.9}"),
     ],
-    ids=["degenerate", "not-finite"],
+    ids=["degenerate", "not-finite", "gram-overflow"],
 )
 def test_analyze_point_errors_exit_three(tmp_path, capsys, components, samples, message, named):
     scene = hyperplane_scene()
@@ -141,6 +144,26 @@ def test_analyze_point_errors_exit_three(tmp_path, capsys, components, samples, 
     captured = capsys.readouterr()
     assert message in captured.err and named in captured.err and "chart point" in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_theorem5_fit_refuses_a_vanishing_warping(tmp_path, capsys):
+    # f = (t - t1)^2 is positive on the 1024 construction probes but
+    # vanishes at t1, the second of the 64 theorem5 probes; the fit of c
+    # must name it before dividing by f
+    window = (-3.84, 3.84)  # probe window of the whole real line
+    t1 = float(np.linspace(*window, 64)[1])
+    scene = hyperplane_scene()
+    scene["ambient"]["f"] = f"(t-({t1!r}))^2"
+    scene["immersion"] = {
+        "components": ["0.5", "u", "v"],
+        "chart": {"names": ["u", "v"], "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+    }
+    scene["grid"] = {"samples": {"u": 3, "v": 3}}
+    scene["checks"] = ["theorem5"]
+    path = write_scene(tmp_path, scene)
+    assert main(["analyze", path]) == 3
+    assert f"warping function vanishes at t={t1!r}" in capsys.readouterr().err
 
 
 def test_domain_error_names_the_grid_point(tmp_path, capsys):

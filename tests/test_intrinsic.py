@@ -5,27 +5,48 @@ import pytest
 
 from dataclasses import fields, is_dataclass
 
+from warpgeo.ambient import Fiber, WarpedProduct
 from warpgeo.errors import BoundaryTooClose
-from warpgeo.hypersurface import shape_data
+from warpgeo.hypersurface import ChartBox, Immersion, point_jets, shape_data
 from warpgeo.intrinsic import (
     curvature_package,
     grid_geometry,
+    laplacian_height,
     point_geometry,
 )
 from warpgeo.rotational import weingarten_closed_form
 
-from oracles import perturbed_immersion, ricci_gradh_extrinsic, scalar_fd_oracle
+from oracles import (
+    hessian_height_christoffel,
+    perturbed_immersion,
+    ricci_gradh_extrinsic,
+    scal_formula,
+    scalar_fd_oracle,
+    second_fundamental_christoffel,
+    tangential_ricci_frame_sum,
+)
 
 
 def interior_points(imm, count=3, margin=0.15):
     return imm.chart.grid(count, margin)
 
 
+def traceless_norm2(pack):
+    """|Phi|^2 = |A|^2 - n H^2 of the trace-free shape operator."""
+    A = pack.shape.shape_operator
+    return np.trace(A @ A) - pack.shape.n * pack.shape.mean_curvature**2
+
+
+def ric_gradh(pack):
+    """Ric(grad h, grad h) from the Ricci matrix of the record."""
+    return pack.shape.grad_h @ pack.ric @ pack.shape.grad_h
+
+
 def test_unit_sphere_scalar_curvature(sphere2, sphere3):
     for p in interior_points(sphere2):
         pack = curvature_package(sphere2, p)
         assert abs(pack.scal_gauss - 2.0) < 1e-10
-        assert abs(pack.scal_formula - 2.0) < 1e-10
+        assert abs(scal_formula(sphere2, pack) - 2.0) < 1e-10
     p = sphere3.chart.center()
     pack = curvature_package(sphere3, p)
     assert abs(pack.scal_gauss - 6.0) < 1e-10
@@ -35,24 +56,24 @@ def test_hyperplane_is_flat(hyperplane):
     for p in interior_points(hyperplane):
         pack = curvature_package(hyperplane, p)
         assert abs(pack.scal_gauss) < 1e-12
-        assert abs(pack.scal_formula) < 1e-12
+        assert abs(scal_formula(hyperplane, pack)) < 1e-12
         assert np.max(np.abs(pack.ric)) < 1e-12
-        assert abs(pack.traceless_norm2) < 1e-12
+        assert abs(traceless_norm2(pack)) < 1e-12
 
 
 def test_horosphere_is_flat(horosphere):
     for p in interior_points(horosphere):
         pack = curvature_package(horosphere, p)
         assert abs(pack.scal_gauss) < 1e-10
-        assert abs(pack.scal_formula) < 1e-10
-        assert abs(pack.traceless_norm2) < 1e-10  # totally umbilical
+        assert abs(scal_formula(horosphere, pack)) < 1e-10
+        assert abs(traceless_norm2(pack)) < 1e-10  # totally umbilical
 
 
 def test_rotational_soliton_is_flat(rotational_soliton):
     for p in interior_points(rotational_soliton):
         pack = curvature_package(rotational_soliton, p)
         assert abs(pack.scal_gauss) < 1e-10
-        assert abs(pack.scal_formula) < 1e-10
+        assert abs(scal_formula(rotational_soliton, pack)) < 1e-10
 
 
 def test_spherical_slice_scalar(spherical_slice):
@@ -60,7 +81,7 @@ def test_spherical_slice_scalar(spherical_slice):
     for p in interior_points(spherical_slice, count=2, margin=0.2):
         pack = curvature_package(spherical_slice, p)
         assert abs(pack.scal_gauss - expected) < 1e-10
-        assert abs(pack.scal_formula - expected) < 1e-10
+        assert abs(scal_formula(spherical_slice, pack) - expected) < 1e-10
 
 
 def test_three_way_scalar_agreement(catalogue):
@@ -69,7 +90,7 @@ def test_three_way_scalar_agreement(catalogue):
         assert len(points) >= 25
         for p in points:
             pack = curvature_package(imm, p)
-            assert abs(pack.scal_gauss - pack.scal_formula) < 1e-6, name
+            assert abs(pack.scal_gauss - scal_formula(imm, pack)) < 1e-6, name
             fd = scalar_fd_oracle(imm, p)
             assert abs(pack.scal_gauss - fd) < 1e-3, (name, p)
 
@@ -85,7 +106,7 @@ def test_ricci_gradh_zero_on_slices(horosphere, spherical_slice):
     for imm in (horosphere, spherical_slice):
         p = imm.chart.center()
         assert abs(ricci_gradh_extrinsic(imm, p)) < 1e-12
-        assert abs(curvature_package(imm, p).ric_gradh) < 1e-12
+        assert abs(ric_gradh(curvature_package(imm, p))) < 1e-12
 
 
 def test_ricci_gradh_on_sphere3(sphere3):
@@ -97,7 +118,7 @@ def test_ricci_gradh_on_sphere3(sphere3):
     assert abs(sd.height - 0.5) < 1e-12
     expected = 2.0 * (1.0 - 0.25)
     assert abs(ricci_gradh_extrinsic(sphere3, p) - expected) < 1e-10
-    assert abs(curvature_package(sphere3, p).ric_gradh - expected) < 1e-10
+    assert abs(ric_gradh(curvature_package(sphere3, p)) - expected) < 1e-10
 
 
 def test_ricci_gradh_two_routes_agree(catalogue):
@@ -105,20 +126,20 @@ def test_ricci_gradh_two_routes_agree(catalogue):
         for p in interior_points(imm, count=2, margin=0.2):
             pack = curvature_package(imm, p)
             direct = ricci_gradh_extrinsic(imm, p)
-            assert abs(pack.ric_gradh - direct) < 1e-8, name
+            assert abs(ric_gradh(pack) - direct) < 1e-8, name
 
 
 def test_traceless_norm_nonnegative(catalogue):
     for name, imm in catalogue:
         for p in interior_points(imm, count=2, margin=0.2):
             pack = curvature_package(imm, p)
-            assert pack.traceless_norm2 >= -1e-10, name
+            assert traceless_norm2(pack) >= -1e-10, name
 
 
 def test_traceless_norm_detects_umbilicity(horosphere, rotational_soliton):
     # umbilical: A = H Id exactly
     pack = curvature_package(horosphere, (0.2, 0.2))
-    assert abs(pack.traceless_norm2) < 1e-12
+    assert abs(traceless_norm2(pack)) < 1e-12
     # rotational surface: principal curvatures -theta and -1/theta differ
     from warpgeo.rotational import RotationalProfile, solve_profile
 
@@ -128,8 +149,8 @@ def test_traceless_norm_detects_umbilicity(horosphere, rotational_soliton):
     pack = curvature_package(rotational_soliton, p)
     ku, kv = weingarten_closed_form(prof, curve, p[0])
     expected = (ku - kv) ** 2 / 2.0  # ((n-1)/n) (k1 - k2)^2 for n = 2
-    assert pack.traceless_norm2 > 1e-3
-    assert abs(pack.traceless_norm2 - expected) < 1e-10
+    assert traceless_norm2(pack) > 1e-3
+    assert abs(traceless_norm2(pack) - expected) < 1e-10
 
 
 def test_fd_oracle_values(hyperplane, sphere2, rotational_soliton):
@@ -178,3 +199,46 @@ def test_point_geometry_is_the_single_point_view(sphere3):
     assert tuple(view.shape.chart) == p
     assert isinstance(view.scal_gauss, float) and view.ric.shape == (3, 3)
     assert isinstance(view.shape.mean_curvature, float) and view.warping[0] == 1.0
+
+
+def _tilted_immersion(fiber, n, rng):
+    """A perturbed graph over the fiber chart, tilted in t so that N has
+    a fiber part, in the ambient (2 + sin t) over ``fiber``."""
+    names = tuple(f"u{i}" for i in range(1, n + 1))
+    ambient = WarpedProduct((-math.inf, math.inf), "2+sin(t)", fiber, n)
+    tilt = "+".join(f"{0.3 / i!r}*{u}" for i, u in enumerate(names, start=1))
+    height = f"0.4+{tilt}+0.2*{names[-1]}^2"
+    if fiber is Fiber.SPHERE:
+        angles = [f"1.3+0.4*{u}" for u in names]  # inside (0, pi) and (0, 2 pi)
+    else:
+        angles = [f"{u}+0.1*{names[0]}*{u}" for u in names]
+    chart = ChartBox(names, (-1.0,) * n, (1.0,) * n)
+    return perturbed_immersion(Immersion(ambient, chart, [height, *angles]), rng, amplitude=0.02)
+
+
+def _assert_close(value, oracle, label):
+    scale = max(np.max(np.abs(oracle)), 1.0)
+    assert np.max(np.abs(value - oracle)) <= 1e-12 * scale, label
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("fiber", [Fiber.EUCLIDEAN, Fiber.SPHERE], ids=lambda f: f.value)
+def test_closed_forms_match_the_tensor_oracles(fiber, n, rng):
+    # II, the ambient Ricci term and Hess h come from closed-form
+    # contractions; the oracles build the ambient Christoffel tensor, sum
+    # one curvature evaluation per tangent frame vector and apply the
+    # induced Christoffel tensor
+    imm = _tilted_immersion(fiber, n, rng)
+    grid = imm.chart.grid(3, 0.2)
+    geo = grid_geometry(imm, grid)
+    pj = point_jets(imm, grid)
+    sd = geo.shape
+    assert np.min(np.abs(sd.normal[:, 1:])) > 1e-3 and np.min(sd.grad_h_norm2) > 1e-3
+    _assert_close(sd.second_fundamental, second_fundamental_christoffel(pj, sd.normal), "II")
+    _assert_close(geo.hess_direct, hessian_height_christoffel(pj), "Hess h")
+    A, g, H = sd.shape_operator, sd.metric, sd.mean_curvature
+    quadratic = (n * H)[:, None, None] * sd.second_fundamental - np.swapaxes(A, -1, -2) @ g @ A
+    S = tangential_ricci_frame_sum(imm.ambient, pj)
+    _assert_close(geo.ric - quadratic, S, "ambient Ricci")
+    lap = np.trace(np.linalg.solve(g, geo.hess_direct), axis1=1, axis2=2)
+    _assert_close(laplacian_height(imm, grid), lap, "Lap h")

@@ -249,8 +249,8 @@ def example5_scene(checks):
 def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch):
     # one batched call each, covering every grid point exactly once; the
     # ambient evaluates f once per batch (in metric_jets), and otherwise
-    # only twice on the 64 probe heights of theorem5 (its fit of c and
-    # check_space_form)
+    # only once on the 64 probe heights of theorem5 (its fit of c and the
+    # residuals of check_space_form share that jet)
     checks = ["lemma1", "soliton", "theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5"]
     scene = validate_scene(example5_scene(checks))
     calls = {"component_jets": [], "metric_jets": []}
@@ -276,7 +276,7 @@ def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch):
     count(WarpedProduct, "metric_jets", lambda q: len(q.t))
     run_scene(scene)
     assert calls == {"component_jets": [len(scene.grid)], "metric_jets": [len(scene.grid)]}
-    assert ambient_jets == [(True, len(scene.grid)), (True, 64), (True, 64)]
+    assert ambient_jets == [(True, len(scene.grid)), (True, 64)]
 
 
 def test_rotational_profile_is_evaluated_once_per_batch(monkeypatch):
