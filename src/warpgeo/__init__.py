@@ -15,7 +15,6 @@ from .errors import (
     DegenerateImmersion,
     DomainError,
     ExprSyntaxError,
-    GridTooCoarse,
     MeshUnsupported,
     OutsideChart,
     PointError,
@@ -27,28 +26,14 @@ from .errors import (
     WarpGeoError,
 )
 from .expr import Expression, parse, unparse, variables_in
-from .hypersurface import (
-    ChartBox,
-    Immersion,
-    ShapeData,
-    Tag,
-    flip_orientation,
-    mean_curvature,
-    shape_data,
-)
-from .intrinsic import (
-    PointGeometry,
-    curvature_package,
-    grid_geometry,
-    point_geometry,
-)
+from .hypersurface import ChartBox, Immersion, ShapeData, flip_orientation, grid_shape_data
+from .intrinsic import PointGeometry, grid_geometry
 from .jets import Jet2, eval_jet2, eval_value
 from .rotational import (
     ProfileCurve,
     RotationalProfile,
     build_rotational,
     solve_profile,
-    sphere_chart,
     verify_classification,
     weingarten_closed_form,
 )
@@ -56,12 +41,9 @@ from .soliton import (
     SolitonClass,
     SolitonReport,
     Verdict,
-    check_hypotheses,
-    hessian_height,
-    hessian_height_paths,
-    soliton_lambda,
+    hypotheses_report,
     soliton_residual,
-    structural_identity,
+    structural_report,
 )
 
 __all__ = [
@@ -74,7 +56,6 @@ __all__ = [
     "Expression",
     "ExprSyntaxError",
     "Fiber",
-    "GridTooCoarse",
     "Immersion",
     "Jet2",
     "MeshUnsupported",
@@ -91,30 +72,22 @@ __all__ = [
     "SolitonClass",
     "SolitonReport",
     "SpaceFormCheck",
-    "Tag",
     "UnknownIdentifier",
     "Verdict",
     "WarpGeoError",
     "WarpedProduct",
     "build_rotational",
-    "check_hypotheses",
-    "curvature_package",
     "eval_jet2",
     "eval_value",
     "flip_orientation",
     "grid_geometry",
-    "hessian_height",
-    "hessian_height_paths",
-    "mean_curvature",
+    "grid_shape_data",
+    "hypotheses_report",
     "parse",
-    "point_geometry",
-    "shape_data",
-    "soliton_lambda",
     "soliton_residual",
     "solve_profile",
     "space_form_models",
-    "sphere_chart",
-    "structural_identity",
+    "structural_report",
     "unparse",
     "variables_in",
     "verify_classification",

@@ -18,10 +18,11 @@ closed form (O'Neill, *Semi-Riemannian Geometry*, ch. 7)
     Gamma^a_bc = (delta_ac d_b D_a + delta_ab d_c D_a - delta_bc d_a D_b) / (2 D_a)
 
 and a metric is numerically singular where its condition number
-max D / min D exceeds ``CONDITION_LIMIT``.  The geometry pass reads
-Gamma contracted with a vector in closed form (``shape_from_jets``), and
-the Ricci tensor, which is diagonal: Ric_aa = D_a rho_a with
-rho_0 = -n f''/f and rho_a = (n-1)(k - f'^2)/f^2 - f''/f for a >= 1.
+max D / min D exceeds ``CONDITION_LIMIT``.  No Christoffel tensor is
+built: the geometry pass reads Gamma contracted with a vector in closed
+form (``shape_from_jets``), and the diagonal Ricci tensor Ric_aa =
+D_a rho_a with rho_0 = -n f''/f and rho_a = (n-1)(k - f'^2)/f^2 - f''/f
+for a >= 1.
 
 Curvature sign convention, fixed once for the whole package:
 
@@ -191,10 +192,6 @@ class WarpedProduct:
             if not 0.0 < v < top:
                 raise OutsideChart(f"sphere angle x{j}={v!r} outside (0, {top!r})", i)
 
-    def metric(self, p):
-        """Ambient metric matrix at ``p`` (diagonal, SPD)."""
-        return self.metric_jets(p)[0][..., None] * np.eye(self.dim)
-
     def metric_jets(self, p):
         """Diagonal of the metric, its exact first coordinate derivatives
         and the warping triple, from one jet of f.
@@ -226,26 +223,14 @@ class WarpedProduct:
                     dD[..., i, i - 1] = D[..., i - 1] * (s * c + s * c)
         return D, dD, (f0, f1, jet.hess[..., 0, 0])
 
-    def christoffels(self, p):
-        """Christoffel symbols Gamma[a, b, c] = Gamma^a_{bc} at ``p``."""
-        D, dD, _ = self.metric_jets(p)
-        return christoffel_symbols(p, D, dD)
-
-    def curvature(self, p, X, Y, Z):
-        """Curvature R(X, Y)Z of the warped metric in chart components.
+    def curvature_from(self, D, warping, X, Y, Z):
+        """R(X, Y)Z from the metric diagonal and warping triple of ``metric_jets``.
 
         Uses the closed form for a warped product over a constant
         curvature fiber; the overall sign is pinned by the convention in
-        the module docstring (round models have K = c).
-        """
-        D, _, warping = self.metric_jets(p)
-        return self.curvature_from(D, warping, X, Y, Z)
-
-    def curvature_from(self, D, warping, X, Y, Z):
-        """R(X, Y)Z from the metric diagonal and (f, f', f'') at the point.
-
-        Vectors are ``(..., d)`` arrays; leading axes of the vectors, of
-        ``D`` and of the warping values broadcast against each other.
+        the module docstring (round models have K = c).  Vectors are
+        ``(..., d)`` arrays; leading axes of the vectors, of ``D`` and of
+        the warping values broadcast against each other.
         """
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
@@ -308,25 +293,6 @@ def check_conditioning(p, D):
         t = float(np.ravel(p.t)[i])
         x = tuple(float(np.ravel(v)[i]) for v in p.x)
         raise SingularMetric(f"chart metric at t={t!r}, x={x!r} is numerically singular", i)
-
-
-def christoffel_symbols(p, D, dD):
-    """Christoffel symbols at ``p`` from the metric jets ``D``, ``dD``.
-
-    ``D`` and ``dD`` may carry a leading point axis; the first point
-    whose metric is numerically singular is named.
-    """
-    check_conditioning(p, D)
-    d = D.shape[-1]
-    half = dD / (2.0 * D[..., :, None])  # [a, b] = d_b D_a / (2 D_a)
-    cross = np.swapaxes(dD, -1, -2) / (2.0 * D[..., :, None])  # [a, b] = d_a D_b / (2 D_a)
-    gamma = np.zeros(D.shape + (d, d))
-    flat = gamma.reshape(D.shape[:-1] + (d**3,))  # Gamma^a_bc at (a d + b) d + c
-    a, b = np.indices((d, d))
-    flat[..., (a * d + b) * d + a] += half  # delta_ac
-    flat[..., (a * d + a) * d + b] += half  # delta_ab
-    flat[..., (a * d + b) * d + b] -= cross  # delta_bc
-    return gamma
 
 
 def space_form_models(n=2):

@@ -7,7 +7,7 @@ import math
 from .ambient import Fiber, WarpedProduct
 from .errors import DomainError, SceneError, WarpGeoError
 from .expr import BinOp, Call, Num, Var, literal
-from .hypersurface import ChartBox, Immersion, Tag
+from .hypersurface import ChartBox, Immersion
 from .rotational import (
     RotationalProfile,
     assemble_rotational,
@@ -31,7 +31,7 @@ def spherical_cap_ambient(n):
     return WarpedProduct((0.0, math.pi), "sin(t)", Fiber.SPHERE, n)
 
 
-def slice_immersion(ambient, t0, tag=Tag.SLICE, half_width=1.0):
+def slice_immersion(ambient, t0, half_width=1.0):
     """The level set t = t0, charted by the fiber coordinates."""
     lo, hi = ambient.interval
     if not lo < t0 < hi:
@@ -45,14 +45,12 @@ def slice_immersion(ambient, t0, tag=Tag.SLICE, half_width=1.0):
         upper = [half_width] * ambient.n
     chart = ChartBox(names, tuple(lower), tuple(upper))
     components = [literal(t0)] + [Var(name) for name in names]
-    return Immersion(ambient, chart, components, tag=tag)
+    return Immersion(ambient, chart, components)
 
 
 def horosphere_immersion(t0=0.0, n=2, half_width=1.0):
     """Slice of the exponentially warped space (flat, totally umbilical)."""
-    return slice_immersion(
-        hyperbolic_ambient(n), t0, tag=Tag.HOROSPHERE, half_width=half_width
-    )
+    return slice_immersion(hyperbolic_ambient(n), t0, half_width=half_width)
 
 
 def hyperplane_immersion(ambient, half_width=1.0):
@@ -64,7 +62,7 @@ def hyperplane_immersion(ambient, half_width=1.0):
     upper = (half_width,) * ambient.n
     chart = ChartBox(names, lower, upper)
     components = [Var("u"), Num(0.0)] + [Var(f"v{j}") for j in range(1, ambient.n)]
-    return Immersion(ambient, chart, components, tag=Tag.HYPERPLANE)
+    return Immersion(ambient, chart, components)
 
 
 def sphere_immersion(ambient, pad=0.15):
@@ -94,7 +92,7 @@ def sphere_immersion(ambient, pad=0.15):
     else:
         for x_expr in sphere_chart_expressions(n):
             components.append(BinOp("*", Call("cos", u), x_expr))
-    return Immersion(ambient, chart, components, tag=Tag.SPHERE_IN_EUCLIDEAN)
+    return Immersion(ambient, chart, components)
 
 
 def rotational_soliton_immersion(theta=ROOT2_OVER_2, n=2, u_range=(-1.5, 1.5)):
@@ -104,17 +102,15 @@ def rotational_soliton_immersion(theta=ROOT2_OVER_2, n=2, u_range=(-1.5, 1.5)):
 
 
 PRESET_BUILDERS = {
-    "slice": lambda ambient, **kw: slice_immersion(ambient, **kw),
-    "horosphere": lambda ambient, **kw: slice_immersion(
-        ambient, tag=Tag.HOROSPHERE, **kw
-    ),
-    "hyperplane": lambda ambient, **kw: hyperplane_immersion(ambient, **kw),
-    "sphere": lambda ambient, **kw: sphere_immersion(ambient, **kw),
+    "slice": slice_immersion,
+    "horosphere": slice_immersion,
+    "hyperplane": hyperplane_immersion,
+    "sphere": sphere_immersion,
 }
 
 PRESET_DESCRIPTIONS = {
     "slice": "level set t = t0 charted by the fiber (params: t0, half_width)",
-    "horosphere": "slice tagged as a horosphere (params: t0, half_width)",
+    "horosphere": "slice t = t0, a horosphere when f = exp(t) (params: t0, half_width)",
     "hyperplane": "hyperplane x1 = 0 in a Euclidean-fiber ambient (params: half_width)",
     "sphere": "unit sphere about the origin, outward normal (params: pad)",
     "rotational": "constant-angle rotational surface (params: theta, c1, c2, u0, u1)",

@@ -62,10 +62,6 @@ class BoundaryTooClose(WarpGeoError):
     """A finite-difference stencil would leave the chart box."""
 
 
-class GridTooCoarse(WarpGeoError):
-    """Grid spacing too large for the requested finite-difference check."""
-
-
 class QuadratureFailure(WarpGeoError):
     """The profile integral did not reach the requested tolerance."""
 

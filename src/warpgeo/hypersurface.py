@@ -1,11 +1,11 @@
 """Immersed hypersurfaces and their extrinsic geometry.
 
-``shape_data`` evaluates the full per-point package for an immersion
-psi: chart box -> ambient: the tangent frame E_i = d psi / d u^i, the
-first fundamental form g, the oriented unit normal N, the shape
-operator A with A(X) = -nabla_X N, the mean curvature H = tr(A)/n, the
-height h (the t-component of psi), the angle theta = <N, d_t>, and the
-tangential gradient of h.
+``grid_shape_data`` evaluates, at a batch of chart points, the extrinsic
+package of an immersion psi: chart box -> ambient: the tangent frame
+E_i = d psi / d u^i, the first fundamental form g, the oriented unit
+normal N, the shape operator A with A(X) = -nabla_X N, the mean
+curvature H = tr(A)/n, the height h (the t-component of psi), the angle
+theta = <N, d_t>, and the tangential gradient of h.
 
 Orientation convention: N is the D-normalized D^-1 nu, where G = diag(D)
 is the ambient metric and nu is the cofactor covector of the frame,
@@ -24,7 +24,7 @@ F^T g F = I) and g^-1 = F F^T, which every later stage reads.
 The pipeline runs on batches: ``point_jets`` and ``shape_from_jets``
 take an (N, n) array of chart points and return records whose fields
 carry a leading point axis, each elementary operation running once over
-all points.  ``shape_data(imm, p)`` is the view of an N = 1 batch.
+all points; ``record.at(i)`` is the view of point i.
 ``evaluate_points`` runs a pipeline over a batch in slices of at most
 ``SLICE_POINTS`` points and names the first point whose own evaluation
 fails.
@@ -32,7 +32,6 @@ fails.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -58,15 +57,7 @@ SLICE_POINTS = 2048
 # for n = 2, 29 MB for n = 4, 38 MB for n = 5 and 104 MB for n = 8, the
 # largest n a grid can have (each axis takes at least 3 samples).
 MAX_GRID_POINTS = 10_000
-
-
-class Tag(enum.Enum):
-    SLICE = "slice"
-    HYPERPLANE = "hyperplane"
-    SPHERE_IN_EUCLIDEAN = "sphere"
-    HOROSPHERE = "horosphere"
-    ROTATIONAL = "rotational"
-    CUSTOM = "custom"
+MAX_DIMENSION = int(math.log(MAX_GRID_POINTS, 3))  # that largest n, 8
 
 
 @dataclass(frozen=True)
@@ -188,13 +179,12 @@ class Immersion:
     stay inside the ambient chart.  The object is not modified afterwards.
     """
 
-    def __init__(self, ambient, chart, components, tag=Tag.CUSTOM):
+    def __init__(self, ambient, chart, components):
         if not isinstance(ambient, WarpedProduct):
             raise TypeError("ambient must be a WarpedProduct")
         self.ambient = ambient
         self.chart = chart
         self.components = tuple(as_component(c) for c in components)
-        self.tag = Tag(tag)
         width = sum(c.width for c in self.components)
         if width != ambient.dim:
             raise ValueError(f"expected {ambient.dim} components, got {width}")
@@ -472,15 +462,6 @@ def grid_shape_data(imm, points):
     return evaluate_points(imm, lambda pts: shape_from_jets(imm, point_jets(imm, pts)), points)
 
 
-def shape_data(imm, p):
-    """Evaluate the extrinsic package at an interior chart point."""
-    return grid_shape_data(imm, [p]).at(0)
-
-
-def mean_curvature(imm, p):
-    return shape_data(imm, p).mean_curvature
-
-
 def flip_orientation(sd):
     """Reverse the normal: N, A, theta and H change sign, the rest stay."""
     return replace(
@@ -513,17 +494,3 @@ def first_kind_sum(pj):
     dD_E = contract(pj.dD @ E, E[..., :, :, None] * E[..., :, None, :])  # (d_k D_a) E^a_i E^a_j
     dg = np.swapaxes(inner, -3, -1) + np.moveaxis(inner, -1, -3) + dD_E
     return np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
-
-
-def induced_christoffels_from_jets(pj):
-    """Christoffel symbols Gamma[:, k, i, j] = g^kl B_lij / 2 of the induced metric."""
-    B = first_kind_sum(pj)
-    return 0.5 * (pj.metric_inverse @ B.reshape(B.shape[:-2] + (-1,))).reshape(B.shape)
-
-
-def induced_christoffels(imm, p):
-    """Christoffel symbols of the induced metric, Gamma[k, i, j]."""
-    gamma = evaluate_points(
-        imm, lambda pts: induced_christoffels_from_jets(point_jets(imm, pts)), p
-    )
-    return gamma[0]

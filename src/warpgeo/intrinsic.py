@@ -2,8 +2,8 @@
 
 ``grid_geometry`` computes, from one jet evaluation over a batch of
 chart points, everything the checks read at each point, as one record
-of arrays with a leading point axis; ``point_geometry`` is its N = 1
-view.  No curvature or Christoffel tensor is built per point.  The
+of arrays with a leading point axis; ``record.at(i)`` is the view of
+point i.  No curvature or Christoffel tensor is built per point.  The
 ambient Ricci tensor is diagonal in the warped chart, Ric-bar_aa =
 D_a rho_a with rho_0 = -n f''/f and rho_a = (n-1)(k - f'^2)/f^2 - f''/f
 (a >= 1), so the ambient part of the Gauss equation takes one curvature
@@ -157,12 +157,3 @@ def _geometry(imm, points):
         residual=residual,
     )
 
-
-def point_geometry(imm, p):
-    """The :class:`PointGeometry` record at one interior chart point."""
-    return grid_geometry(imm, [p]).at(0)
-
-
-def curvature_package(imm, p):
-    """Ricci and scalar curvature at a chart point (a :class:`PointGeometry`)."""
-    return point_geometry(imm, p)

@@ -36,13 +36,7 @@ from numpy.polynomial import Chebyshev
 from .ambient import Fiber, WarpedProduct, eval_warping
 from .errors import DomainError, QuadratureFailure, SigmaZero
 from .expr import BinOp, Call, Var, literal
-from .hypersurface import (
-    CallableComponent,
-    ChartBox,
-    ExpressionComponent,
-    Immersion,
-    Tag,
-)
+from .hypersurface import CallableComponent, ChartBox, ExpressionComponent, Immersion
 from .jets import Jet2, as_expression, eval_jet2, first_index
 from .soliton import FD_TOL, SOLITON_TOL, Verdict, soliton_residual
 
@@ -53,30 +47,6 @@ _POLAR_MARGIN = 0.2  # keeps grids away from sphere-chart poles for n >= 3
 AZIMUTH_SAMPLES = 9  # classification grid points along the last angle
 CLASSIFICATION_U_COUNT = 9  # classification grid points along u
 SIGMA_FD_STEP = 1e-4  # central-difference step of d sigma / du
-
-
-def sphere_chart(v):
-    """Point of the unit sphere S^{m} in R^{m+1} from nested angles.
-
-    ``v`` holds m angles, the first m-1 in (0, pi) and the last in
-    (0, 2 pi): X1 = cos v1, X2 = sin v1 cos v2, and so on, the last
-    component carrying sines only.
-    """
-    v = tuple(map(float, v))
-    m = len(v)
-    if m < 1:
-        raise ValueError("need at least one angle")
-    for j, angle in enumerate(v):
-        top = 2.0 * math.pi if j == m - 1 else math.pi
-        if not 0.0 < angle < top:
-            raise ValueError(f"angle v{j + 1}={angle!r} outside (0, {top!r})")
-    out = np.zeros(m + 1)
-    sines = 1.0
-    for j in range(m):
-        out[j] = sines * math.cos(v[j])
-        sines *= math.sin(v[j])
-    out[m] = sines
-    return out
 
 
 def sphere_chart_expressions(n):
@@ -131,8 +101,8 @@ class RotationalProfile:
 
 @dataclass(frozen=True)
 class ProfileCurve:
-    """Solved profile: the callable beta, and alpha, the jet of beta and
-    sigma = f(alpha) beta derived from it.
+    """Solved profile: the callable beta, and alpha and the jet of beta
+    derived from it.
 
     Each takes a float or an array of u values.
     """
@@ -150,10 +120,6 @@ class ProfileCurve:
         jet = eval_jet2(prof.f, {"t": prof.alpha(u)}, ("t",))
         f0, f1 = jet.value, jet.grad[..., 0]
         return self.beta(u), prof.theta / f0, -prof.theta * f1 * prof.slope / (f0 * f0)
-
-    def sigma(self, u):
-        f0 = eval_jet2(self.profile.f, {"t": self.alpha(u)}).value
-        return f0 * self.beta(u)
 
 
 def _detect_exponential(prof):
@@ -317,7 +283,7 @@ def assemble_rotational(curve, ambient):
         return [beta * eval_jet2(x_expr, values, active) for x_expr in sphere]
 
     components = [ExpressionComponent(prof.alpha_expression()), CallableComponent(fiber, prof.n)]
-    return Immersion(ambient, default_chart(prof), components, tag=Tag.ROTATIONAL)
+    return Immersion(ambient, default_chart(prof), components)
 
 
 def weingarten_closed_form(prof, curve, u):

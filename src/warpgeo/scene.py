@@ -33,9 +33,9 @@ import numpy as np
 from . import __version__
 from .ambient import WarpedProduct
 from .catalogue import build_preset
-from .errors import DomainError, SceneError, WarpGeoError
+from .errors import BoundaryTooClose, DomainError, SceneError, WarpGeoError
 from .expr import parse as parse_expr, variables_in
-from .hypersurface import ChartBox, Immersion
+from .hypersurface import MAX_DIMENSION, MAX_GRID_POINTS, ChartBox, Immersion
 from .intrinsic import grid_geometry
 from .objmesh import surface_vertices, write_obj
 from .rotational import classification_grid, classify_rotational
@@ -44,6 +44,7 @@ from .soliton import (
     THEOREMS,
     CheckResult,
     Verdict,
+    check_stencil,
     first_extreme,
     hypotheses_report,
     soliton_report,
@@ -136,6 +137,10 @@ def validate_scene(data):
         )
     if isinstance(amb["n"], bool) or not isinstance(amb["n"], int) or amb["n"] < 1:
         raise SceneError("n must be a positive integer", field="ambient.n")
+    if amb["n"] > MAX_DIMENSION:
+        raise SceneError(
+            f"n must be at most {MAX_DIMENSION}: a grid of 3 samples per axis would "
+            f"exceed MAX_GRID_POINTS = {MAX_GRID_POINTS}", field="ambient.n")
     try:
         f_expr = parse_expr(str(amb["f"]), variables={"t"})
         ambient = WarpedProduct((lo, hi), f_expr, amb["fiber"], amb["n"])
@@ -241,6 +246,11 @@ def validate_scene(data):
             checks.append((raw, raw, None))
         else:
             raise SceneError(f"unknown check {raw!r}", field="checks")
+    if any(kind == "structural" for kind, _, _ in checks):
+        try:
+            check_stencil(immersion, grid)
+        except BoundaryTooClose as exc:
+            raise SceneError(f"structural check: {exc}", field="grid.margins") from None
 
     output = data.get("output", {})
     _require_keys(output, ("report", "mesh"), (), "output")
@@ -262,7 +272,7 @@ def load_scene(path):
             data = json.load(handle)
     except OSError as exc:
         raise SceneError(f"cannot read scene file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
         raise SceneError(f"scene file is not valid JSON: {exc}")
     return validate_scene(data)
 

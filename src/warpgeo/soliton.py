@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundaryTooClose, GridTooCoarse
+from .errors import BoundaryTooClose
 from .hypersurface import as_points
-from .intrinsic import grid_geometry, laplacian_height, point_geometry
+from .intrinsic import grid_geometry, laplacian_height
 from .jets import first_index
 
 SOLITON_TOL = 1e-7  # jet-exact derivative paths
 FD_TOL = 1e-4  # any quantity involving finite differences
+FD_STEP = 1e-3  # central-difference step of the structural identity
 CLASS_TOL = 1e-8  # absolute thresholds on lambda and |grad h|
 _MARGIN_TOL = 1e-9  # slack for inequality checks that hold with equality
 
@@ -48,22 +49,6 @@ class SolitonClass(enum.Enum):
     STEADY = "steady"
     SHRINKING = "shrinking"
     SIGN_CHANGING = "sign_changing"
-
-
-def hessian_height_paths(imm, p):
-    """Both Hessian routes at a point, (identity, direct)."""
-    geo = point_geometry(imm, p)
-    return geo.hess_identity, geo.hess_direct
-
-
-def hessian_height(imm, p):
-    """Hessian of h via induced Christoffel symbols (exact jets)."""
-    return point_geometry(imm, p).hess_direct
-
-
-def soliton_lambda(imm, p):
-    """Trace-derived soliton function lambda = scal - (Lap h)/n."""
-    return point_geometry(imm, p).lam
 
 
 def classify(lambda_samples, gradh_sup):
@@ -199,46 +184,40 @@ class CheckResult:
         return out
 
 
-def _check_stencil(imm, points, step):
-    if step > 1e-2:
-        raise GridTooCoarse(f"finite-difference step {step!r} exceeds 1e-2")
+def check_stencil(imm, points):
+    """Raise BoundaryTooClose at the first chart point within 2 ``FD_STEP``
+    of a face of the chart box, where the structural stencil would leave it."""
     points = as_points(points, imm.n)
     lower = np.asarray(imm.chart.lower, dtype=float)
     upper = np.asarray(imm.chart.upper, dtype=float)
-    near = (points - lower < 2.0 * step) | (upper - points < 2.0 * step)
+    near = (points - lower < 2.0 * FD_STEP) | (upper - points < 2.0 * FD_STEP)
     near = first_index(np.any(near, axis=-1))
     if near is not None:
         p = tuple(map(float, points[near]))
         raise BoundaryTooClose(f"stencil at {p!r} would leave the chart box")
 
 
-def structural_identity(imm, points, step=1e-3):
-    """Sup-error of Ric(grad h) + (n-1) grad(scal - lambda) over points."""
-    _check_stencil(imm, points, step)
-    return structural_report(imm, grid_geometry(imm, points), step)
-
-
-def structural_report(imm, geometry, step=1e-3):
+def structural_report(imm, geometry):
     """Structural identity over the :class:`PointGeometry` record of a grid.
 
     The gradient of scal - lambda = (Lap h)/n is taken by central
-    differences with the given step (meaningful only when the soliton
+    differences with step ``FD_STEP`` (meaningful only when the soliton
     verdict holds, so that lambda is the soliton function); the 2n
     stencil points of every grid point are evaluated as one batch, for
     Lap h alone.  The check passes when the sup error stays below
-    ``FD_TOL``.  Raises GridTooCoarse for steps above 1e-2 and
-    BoundaryTooClose when a stencil would leave the chart box.
+    ``FD_TOL``.  Raises BoundaryTooClose when a stencil would leave the
+    chart box (see :func:`check_stencil`).
     """
     points = geometry.shape.chart
-    _check_stencil(imm, points, step)
+    check_stencil(imm, points)
     n = imm.n
-    # per grid point: +step along each axis, then -step along each axis
+    # per grid point: +FD_STEP along each axis, then -FD_STEP along each axis
     stencil = np.repeat(points[:, None, :], 2 * n, axis=1)
     for k in range(n):
-        stencil[:, k, k] += step
-        stencil[:, n + k, k] -= step
+        stencil[:, k, k] += FD_STEP
+        stencil[:, n + k, k] -= FD_STEP
     s = laplacian_height(imm, stencil.reshape(-1, n)).reshape(-1, 2, n) / n
-    grad_s = (s[:, 0] - s[:, 1]) / (2.0 * step)
+    grad_s = (s[:, 0] - s[:, 1]) / (2.0 * FD_STEP)
     # both terms as covectors; norm taken with the inverse metric
     omega = (geometry.ric @ geometry.shape.grad_h[..., None])[..., 0] + (n - 1) * grad_s
     dual = (geometry.shape.metric_inverse @ omega[..., None])[..., 0]
@@ -279,14 +258,6 @@ def _theorem1_margins(n, geometry, flipped):
     worst, i = first_extreme(np.minimum(m1, m2), math.inf, lowest=True)
     worst_point = geometry.chart_point(i)
     return worst, worst_point, curvature_worst, angle_worst
-
-
-def check_hypotheses(imm, grid, which):
-    """Evaluate one theorem hypothesis pointwise over a grid."""
-    which = str(which).lower()
-    if which not in THEOREMS:
-        raise ValueError(f"unknown hypothesis check {which!r}")
-    return hypotheses_report(imm, grid_geometry(imm, grid), which)
 
 
 def hypotheses_report(imm, geometry, which):

@@ -10,7 +10,11 @@ differentiates the sampled induced metric.  The tensor oracles build
 what the geometry pass contracts in closed form: the ambient Christoffel
 tensor for II, the frame sum of curvature evaluations for the ambient
 Ricci term and the induced Christoffel tensor for Hess h; the scalar
-formula is the closed warped-product expression for scal.
+formula is the closed warped-product expression for scal.  The
+Christoffel tensors (``christoffel_symbols``, ``christoffels``,
+``induced_christoffels_from_jets``) and the numeric ``sphere_chart``
+live only here, as references: the package contracts the tensors in
+closed form and charts the sphere by ``sphere_chart_expressions``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 
 import numpy as np
 
-from warpgeo.ambient import AmbientPoint, Fiber, christoffel_symbols
+from warpgeo.ambient import AmbientPoint, Fiber, check_conditioning
 from warpgeo.catalogue import (
     euclidean_ambient,
     horosphere_immersion,
@@ -34,12 +38,34 @@ from warpgeo.expr import BinOp, Call, Num, Var, parse
 from warpgeo.hypersurface import (
     CallableComponent,
     Immersion,
-    induced_christoffels,
-    induced_christoffels_from_jets,
+    first_kind_sum,
+    grid_shape_data,
     point_jets,
-    shape_data,
 )
+from warpgeo.intrinsic import grid_geometry
 from warpgeo.jets import eval_jet2
+
+
+def point_shapes(imm, points):
+    """The ShapeData record of each chart point, from one batched evaluation."""
+    batch = grid_shape_data(imm, points)
+    return [batch.at(i) for i in range(len(points))]
+
+
+def point_geometries(imm, points):
+    """The PointGeometry record of each chart point, from one batched evaluation."""
+    batch = grid_geometry(imm, points)
+    return [batch.at(i) for i in range(len(points))]
+
+
+def shape_at(imm, p):
+    """The ShapeData record at one chart point."""
+    return grid_shape_data(imm, [p]).at(0)
+
+
+def geometry_at(imm, p):
+    """The PointGeometry record at one chart point."""
+    return grid_geometry(imm, [p]).at(0)
 
 
 def standard_catalogue():
@@ -78,10 +104,81 @@ def perturbed_immersion(imm, rng, amplitude=0.004):
     return Immersion(imm.ambient, imm.chart, [CallableComponent(coordinates, imm.ambient.dim)])
 
 
-def profile_geodesic_residual(imm, p):
-    """|Gamma^k_{uu}| of the induced metric (the profile line is a geodesic)."""
-    Gamma = induced_christoffels(imm, p)
-    return float(np.max(np.abs(Gamma[:, 0, 0])))
+def christoffel_symbols(p, D, dD):
+    """Christoffel symbols Gamma[a, b, c] = Gamma^a_{bc} at ``p`` from the
+    diagonal metric jets ``D``, ``dD``, by the closed form
+
+        Gamma^a_bc = (delta_ac d_b D_a + delta_ab d_c D_a - delta_bc d_a D_b) / (2 D_a).
+
+    ``D`` and ``dD`` may carry a leading point axis; the first point
+    whose metric is numerically singular is named.
+    """
+    check_conditioning(p, D)
+    d = D.shape[-1]
+    half = dD / (2.0 * D[..., :, None])  # [a, b] = d_b D_a / (2 D_a)
+    cross = np.swapaxes(dD, -1, -2) / (2.0 * D[..., :, None])  # [a, b] = d_a D_b / (2 D_a)
+    gamma = np.zeros(D.shape + (d, d))
+    flat = gamma.reshape(D.shape[:-1] + (d**3,))  # Gamma^a_bc at (a d + b) d + c
+    a, b = np.indices((d, d))
+    flat[..., (a * d + b) * d + a] += half  # delta_ac
+    flat[..., (a * d + a) * d + b] += half  # delta_ab
+    flat[..., (a * d + b) * d + b] -= cross  # delta_bc
+    return gamma
+
+
+def christoffels(W, p):
+    """Christoffel symbols Gamma[a, b, c] = Gamma^a_{bc} of the warped product ``W`` at ``p``."""
+    D, dD, _ = W.metric_jets(p)
+    return christoffel_symbols(p, D, dD)
+
+
+def dense_metric(W, p):
+    """The metric matrix of the warped product ``W`` at ``p``."""
+    return dense_metric_jets(*W.metric_jets(p)[:2])[0]
+
+
+def curvature(W, p, X, Y, Z):
+    """R(X, Y)Z of ``W`` at ``p`` by the pipeline's route: ``curvature_from``
+    on the metric diagonal and warping triple of ``metric_jets``."""
+    D, _, warping = W.metric_jets(p)
+    return W.curvature_from(D, warping, X, Y, Z)
+
+
+def sphere_chart(v):
+    """Point of the unit sphere S^{m} in R^{m+1} from nested angles.
+
+    ``v`` holds m angles, the first m-1 in (0, pi) and the last in
+    (0, 2 pi): X1 = cos v1, X2 = sin v1 cos v2, and so on, the last
+    component carrying sines only.
+    """
+    v = tuple(map(float, v))
+    m = len(v)
+    if m < 1:
+        raise ValueError("need at least one angle")
+    for j, angle in enumerate(v):
+        top = 2.0 * math.pi if j == m - 1 else math.pi
+        if not 0.0 < angle < top:
+            raise ValueError(f"angle v{j + 1}={angle!r} outside (0, {top!r})")
+    out = np.zeros(m + 1)
+    sines = 1.0
+    for j in range(m):
+        out[j] = sines * math.cos(v[j])
+        sines *= math.sin(v[j])
+    out[m] = sines
+    return out
+
+
+def induced_christoffels_from_jets(pj):
+    """Christoffel symbols Gamma[:, k, i, j] = g^kl B_lij / 2 of the induced metric."""
+    B = first_kind_sum(pj)
+    return 0.5 * (pj.metric_inverse @ B.reshape(B.shape[:-2] + (-1,))).reshape(B.shape)
+
+
+def profile_geodesic_residual(imm, points):
+    """|Gamma^k_{uu}| of the induced metric at each chart point (the
+    profile line is a geodesic)."""
+    Gamma = induced_christoffels_from_jets(point_jets(imm, points))
+    return np.max(np.abs(Gamma[:, :, 0, 0]), axis=-1)
 
 
 def metric_jets_ast(W, p):
@@ -143,20 +240,16 @@ def shape_operator_from_normal_derivative(imm, p, step=1e-5):
     coordinates (the result is only used against the exact
     second-fundamental-form path at 1e-6 tolerance).
     """
-    p = tuple(map(float, p))
-    sd = shape_data(imm, p)
+    p = np.asarray(p, dtype=float)
+    shifts = step * np.eye(p.size)
+    stencil = grid_shape_data(imm, np.vstack([p, p + shifts, p - shifts]))
+    sd = stencil.at(0)
     d, n = sd.frame.shape
-    Gamma = imm.ambient.christoffels(sd.ambient_point)
-    G = imm.ambient.metric(sd.ambient_point)
+    Gamma = christoffels(imm.ambient, sd.ambient_point)
+    G = dense_metric(imm.ambient, sd.ambient_point)
     columns = np.zeros((d, n))
     for i in range(n):
-        plus = list(p)
-        minus = list(p)
-        plus[i] += step
-        minus[i] -= step
-        n_plus = shape_data(imm, tuple(plus)).normal
-        n_minus = shape_data(imm, tuple(minus)).normal
-        dN = (n_plus - n_minus) / (2.0 * step)
+        dN = (stencil.normal[1 + i] - stencil.normal[1 + n + i]) / (2.0 * step)
         cov = dN + np.einsum("abc,b,c->a", Gamma, sd.frame[:, i], sd.normal)
         columns[:, i] = -cov
     return np.linalg.solve(sd.metric, sd.frame.T @ G @ columns)
@@ -229,18 +322,18 @@ def ricci_gradh_extrinsic(imm, p):
     Independent code path from ``grid_geometry`` (no Ricci matrix is
     assembled); the two must agree.
     """
-    sd = shape_data(imm, p)
+    sd = shape_at(imm, p)
     n = sd.n
     g = sd.metric
     A = sd.shape_operator
     gh = sd.grad_h
     Agh = A @ gh
     W = imm.ambient
-    G = W.metric(sd.ambient_point)
+    G = dense_metric(W, sd.ambient_point)
     X = sd.frame @ gh
     frame = sd.frame @ np.linalg.inv(np.linalg.cholesky(g)).T  # g-orthonormal columns
     ambient_sum = sum(
-        W.curvature(sd.ambient_point, X, frame[:, a], frame[:, a]) for a in range(n)
+        curvature(W, sd.ambient_point, X, frame[:, a], frame[:, a]) for a in range(n)
     ) @ G @ X
     return float(
         ambient_sum
@@ -257,15 +350,15 @@ def riemann_fd(W, p, step=1e-4):
     """
     d = W.dim
     coords = np.array((p.t,) + tuple(p.x))
-    gamma0 = W.christoffels(p)
+    gamma0 = christoffels(W, p)
     dGamma = np.zeros((d, d, d, d))  # dGamma[c] = d Gamma / d x^c
     for c in range(d):
         plus = coords.copy()
         minus = coords.copy()
         plus[c] += step
         minus[c] -= step
-        gp = W.christoffels(AmbientPoint(plus[0], tuple(plus[1:])))
-        gm = W.christoffels(AmbientPoint(minus[0], tuple(minus[1:])))
+        gp = christoffels(W, AmbientPoint(plus[0], tuple(plus[1:])))
+        gm = christoffels(W, AmbientPoint(minus[0], tuple(minus[1:])))
         dGamma[c] = (gp - gm) / (2.0 * step)
     riem = (
         np.einsum("cadb->abcd", dGamma)

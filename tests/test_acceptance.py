@@ -12,8 +12,8 @@ import pytest
 
 from warpgeo.ambient import space_form_models
 from warpgeo.cli import main
-from warpgeo.hypersurface import flip_orientation, shape_data
-from warpgeo.intrinsic import curvature_package
+from warpgeo.hypersurface import flip_orientation, grid_shape_data
+from warpgeo.intrinsic import grid_geometry
 from warpgeo.jets import eval_jet2, eval_value
 from warpgeo.rotational import (
     RotationalProfile,
@@ -21,18 +21,16 @@ from warpgeo.rotational import (
     verify_classification,
     weingarten_closed_form,
 )
-from warpgeo.soliton import (
-    SolitonClass,
-    Verdict,
-    hessian_height_paths,
-    soliton_residual,
-    structural_identity,
-)
+from warpgeo.soliton import SolitonClass, Verdict, soliton_residual, structural_report
 
 from oracles import (
+    christoffels,
+    curvature,
     dense_metric_jets,
     fd_gradient,
     perturbed_immersion,
+    point_geometries,
+    point_shapes,
     random_fiber_point,
     scal_formula,
     scalar_fd_oracle,
@@ -77,9 +75,8 @@ def test_criterion_2_hessian_identity_universal(catalogue):
     base = immersions * ((20 + len(immersions) - 1) // len(immersions))
     immersions = immersions + [perturbed_immersion(imm, rng) for imm in base[:20]]
     for imm in immersions:
-        for p in imm.chart.grid(5, 0.1):
-            lemma, direct = hessian_height_paths(imm, p)
-            worst = max(worst, float(np.max(np.abs(lemma - direct))))
+        geo = grid_geometry(imm, imm.chart.grid(5, 0.1))
+        worst = max(worst, float(np.max(np.abs(geo.hess_identity - geo.hess_direct))))
     elapsed = time.perf_counter() - started
     report(
         2,
@@ -92,9 +89,8 @@ def test_criterion_2_hessian_identity_universal(catalogue):
 def test_criterion_3_angle_identity(catalogue):
     worst = 0.0
     for name, imm in catalogue:
-        for p in imm.chart.grid(5, 0.1):
-            sd = shape_data(imm, p)
-            worst = max(worst, abs(sd.grad_h_norm2 + sd.theta**2 - 1.0))
+        sd = grid_shape_data(imm, imm.chart.grid(5, 0.1))
+        worst = max(worst, float(np.max(np.abs(sd.grad_h_norm2 + sd.theta**2 - 1.0))))
     report(
         3,
         f"|grad h|^2 + theta^2 = 1 with sup error {worst:.2e} (< 1e-10)",
@@ -114,8 +110,8 @@ def test_criterion_4_scalar_triangulation(catalogue):
     by_name = dict(catalogue)
     for name, expected in targets.items():
         imm = by_name[name]
-        for p in imm.chart.grid(5, 0.1):
-            pack = curvature_package(imm, p)
+        points = imm.chart.grid(5, 0.1)
+        for p, pack in zip(points, point_geometries(imm, points)):
             formula = scal_formula(imm, pack)
             worst_pair = max(worst_pair, abs(pack.scal_gauss - formula))
             fd = scalar_fd_oracle(imm, p)
@@ -140,33 +136,29 @@ def test_criterion_5_catalogue_solitons(catalogue):
     ok &= abs(hyper.lambda_min) < 1e-7 and abs(hyper.lambda_max) < 1e-7
     summaries.append(f"hyperplane steady lambda=0 ({hyper.residual_sup:.1e})")
 
-    from warpgeo.soliton import soliton_lambda
-
     for name in ("slice-spherical", "horosphere"):
         imm = by_name[name]
         rep = soliton_residual(imm, imm.chart.grid(5, 0.1))
         ok &= rep.verdict is Verdict.SOLITON and rep.residual_sup < 1e-7
         ok &= rep.classification is SolitonClass.TRIVIAL
-        for p in rep.grid:
-            scal = curvature_package(imm, p).scal_gauss
-            ok &= abs(soliton_lambda(imm, p) - scal) < 1e-7
+        geo = grid_geometry(imm, rep.grid)
+        ok &= bool(np.all(np.abs(geo.lam - geo.scal_gauss) < 1e-7))
         summaries.append(f"{name} trivial lambda=scal")
 
     rot = by_name["rotational-soliton"]
     rep = soliton_residual(rot, rot.chart.grid(5, 0.1))
     ok &= rep.verdict is Verdict.SOLITON and rep.residual_sup < 1e-7
     ok &= abs(rep.lambda_min) < 1e-7 and abs(rep.lambda_max) < 1e-7
-    for p in rot.chart.grid(3, 0.2):
-        ok &= abs(curvature_package(rot, p).scal_gauss) < 1e-7
+    geo = grid_geometry(rot, rot.chart.grid(3, 0.2))
+    ok &= bool(np.all(np.abs(geo.scal_gauss) < 1e-7))
     summaries.append("rotational lambda=scal=0")
 
     sphere = by_name["sphere2"]
     rep = soliton_residual(sphere, sphere.chart.grid(5, 0.1))
     ok &= rep.verdict is Verdict.SOLITON and rep.residual_sup < 1e-7
     ok &= rep.classification is SolitonClass.SHRINKING
-    for p in sphere.chart.grid(5, 0.1):
-        sd = shape_data(sphere, p)
-        ok &= abs(soliton_lambda(sphere, p) - (2.0 + sd.height)) < 1e-7
+    geo = grid_geometry(sphere, sphere.chart.grid(5, 0.1))
+    ok &= bool(np.all(np.abs(geo.lam - (2.0 + geo.shape.height)) < 1e-7))
     summaries.append("sphere shrinking lambda=n(n-1)+h")
 
     report(5, "; ".join(summaries), ok)
@@ -201,8 +193,8 @@ def test_criterion_6_classification_dichotomy():
         prof = RotationalProfile(theta=0.5, f=f, n=2, u_range=u_range)
         curve = solve_profile(prof)
         rep = verify_classification(prof, interval=interval)
-        for p in rep.immersion.chart.grid(4, 0.1):
-            sd = shape_data(rep.immersion, p)
+        points = rep.immersion.chart.grid(4, 0.1)
+        for p, sd in zip(points, point_shapes(rep.immersion, points)):
             eigs = np.sort(
                 scipy.linalg.eigh(sd.second_fundamental, sd.metric, eigvals_only=True)
             )
@@ -251,8 +243,8 @@ def test_criterion_8_structural_identity(catalogue):
     by_name = dict(catalogue)
     sphere = by_name["sphere2"]
     rot = by_name["rotational-soliton"]
-    rep_sphere = structural_identity(sphere, sphere.chart.grid(5, 0.12))
-    rep_rot = structural_identity(rot, rot.chart.grid(5, 0.12))
+    rep_sphere = structural_report(sphere, grid_geometry(sphere, sphere.chart.grid(5, 0.12)))
+    rep_rot = structural_report(rot, grid_geometry(rot, rot.chart.grid(5, 0.12)))
     worst = max(rep_sphere.sup_error, rep_rot.sup_error)
     report(
         8,
@@ -271,14 +263,14 @@ def test_criterion_9_property_suites(catalogue):
     for name, W, c, window in space_form_models():
         p = random_fiber_point(W, rng)
         X, Y, Z = rng.standard_normal((3, W.dim))
-        anti = W.curvature(p, X, Y, Z) + W.curvature(p, Y, X, Z)
+        anti = curvature(W, p, X, Y, Z) + curvature(W, p, Y, X, Z)
         bianchi = (
-            W.curvature(p, X, Y, Z)
-            + W.curvature(p, Y, Z, X)
-            + W.curvature(p, Z, X, Y)
+            curvature(W, p, X, Y, Z)
+            + curvature(W, p, Y, Z, X)
+            + curvature(W, p, Z, X, Y)
         )
         G, dG = dense_metric_jets(*W.metric_jets(p)[:2])
-        gamma = W.christoffels(p)
+        gamma = christoffels(W, p)
         compat = (
             np.einsum("bca->abc", dG)
             - np.einsum("dab,dc->abc", gamma, G)
@@ -295,8 +287,7 @@ def test_criterion_9_property_suites(catalogue):
     # shape operator self-adjointness
     selfadj = 0.0
     for name, imm in catalogue:
-        for p in imm.chart.grid(3, 0.15):
-            sd = shape_data(imm, p)
+        for sd in point_shapes(imm, imm.chart.grid(3, 0.15)):
             gA = sd.metric @ sd.shape_operator
             selfadj = max(selfadj, float(np.max(np.abs(gA - gA.T))))
     ok &= selfadj < 1e-8
@@ -305,8 +296,7 @@ def test_criterion_9_property_suites(catalogue):
     flip_err = 0.0
     for name in ("sphere2", "horosphere"):
         imm = dict(catalogue)[name]
-        for p in imm.chart.grid(3, 0.15):
-            sd = shape_data(imm, p)
+        for sd in point_shapes(imm, imm.chart.grid(3, 0.15)):
             fl = flip_orientation(sd)
             f0, f1, _ = imm.ambient.warping_jet(sd.height)
             dh = sd.frame[0, :]

@@ -300,6 +300,45 @@ def test_analyze_boolean_n_exit_two(tmp_path, capsys):
     assert "ambient.n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [9, 150])
+def test_analyze_fiber_dimension_above_eight_exit_two(tmp_path, capsys, n):
+    # 3^9 > MAX_GRID_POINTS: no grid of 3 samples per axis fits
+    scene = hyperplane_scene()
+    scene["ambient"]["n"] = n
+    path = write_scene(tmp_path, scene)
+    assert main(["analyze", path]) == 2
+    assert "ambient.n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["long-integer", "not-utf8"])
+def test_analyze_unreadable_scene_text_exit_two(tmp_path, capsys, case):
+    # json refuses an integer of more than 4,300 digits with a ValueError
+    # (where the interpreter has that limit; otherwise n itself is
+    # refused), and reading bytes that are not UTF-8 raises another
+    text = json.dumps(hyperplane_scene()).replace('"n": 2', '"n": ' + "1" * 5000)
+    path = tmp_path / "scene.json"
+    path.write_bytes(text.encode() if case == "long-integer" else b'{"n": "\xff"}')
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err or "ambient.n" in err
+
+
+def test_structural_stencil_leaving_the_chart_exit_two(tmp_path, capsys):
+    # grid points 2e-4 from the chart faces: the structural stencil
+    # reaches FD_STEP = 1e-3 beyond them, so the scene is refused
+    scene = {
+        "ambient": {"interval": ["-inf", "inf"], "f": "exp(t)", "fiber": "euclidean", "n": 2},
+        "immersion": {"preset": "horosphere", "params": {"t0": 0.0}},
+        "grid": {"samples": {"u1": 5, "u2": 5}, "margins": {"u1": 1e-4, "u2": 1e-4}},
+        "checks": ["soliton", "structural"],
+    }
+    path = write_scene(tmp_path, scene)
+    assert main(["analyze", path]) == 2
+    assert "grid.margins" in capsys.readouterr().err
+    scene["checks"] = ["soliton"]  # the same grid, without the stencil
+    assert main(["analyze", write_scene(tmp_path, scene, "soliton.json")]) == 0
+
+
 def test_rotational_classified(tmp_path, capsys):
     report = str(tmp_path / "rot.json")
     mesh = str(tmp_path / "rot.obj")

@@ -16,11 +16,16 @@ from warpgeo.hypersurface import (
     Immersion,
     flip_orientation,
     grid_shape_data,
-    mean_curvature,
-    shape_data,
 )
 
-from oracles import dense_metric_jets, qr_normal, shape_operator_from_normal_derivative
+from oracles import (
+    dense_metric,
+    dense_metric_jets,
+    point_shapes,
+    qr_normal,
+    shape_at,
+    shape_operator_from_normal_derivative,
+)
 
 
 def interior_points(imm, count=3, margin=0.15):
@@ -28,8 +33,7 @@ def interior_points(imm, count=3, margin=0.15):
 
 
 def test_horosphere_closed_form(horosphere):
-    for p in interior_points(horosphere):
-        sd = shape_data(horosphere, p)
+    for sd in point_shapes(horosphere, interior_points(horosphere)):
         assert np.allclose(sd.shape_operator, -np.eye(2), atol=1e-12)
         assert abs(sd.mean_curvature + 1.0) < 1e-12
         assert abs(sd.theta - 1.0) < 1e-12
@@ -41,16 +45,15 @@ def test_general_slice_closed_form(spherical_slice):
     # slice at t0 has A = -(f'/f)(t0) Id with the outward-in-t normal
     t0 = 1.0
     expected = -math.cos(t0) / math.sin(t0)
-    for p in interior_points(spherical_slice):
-        sd = shape_data(spherical_slice, p)
+    for sd in point_shapes(spherical_slice, interior_points(spherical_slice)):
         assert np.allclose(sd.shape_operator, expected * np.eye(2), atol=1e-10)
         assert abs(sd.theta - 1.0) < 1e-12
         assert sd.height == t0
 
 
 def test_hyperplane_closed_form(hyperplane):
-    for p in interior_points(hyperplane):
-        sd = shape_data(hyperplane, p)
+    points = interior_points(hyperplane)
+    for p, sd in zip(points, point_shapes(hyperplane, points)):
         assert np.max(np.abs(sd.shape_operator)) < 1e-14
         assert abs(sd.theta) < 1e-14
         assert abs(sd.grad_h_norm2 - 1.0) < 1e-12
@@ -58,8 +61,7 @@ def test_hyperplane_closed_form(hyperplane):
 
 
 def test_sphere_outward_orientation(sphere2):
-    for p in interior_points(sphere2):
-        sd = shape_data(sphere2, p)
+    for sd in point_shapes(sphere2, interior_points(sphere2)):
         assert np.allclose(sd.shape_operator, -np.eye(2), atol=1e-10)
         assert abs(sd.theta - sd.height) < 1e-12
         assert abs(sd.mean_curvature + 1.0) < 1e-10
@@ -69,23 +71,21 @@ def test_sphere_outward_orientation(sphere2):
 
 
 def test_sphere3_closed_form(sphere3):
-    for p in interior_points(sphere3, count=2, margin=0.2):
-        sd = shape_data(sphere3, p)
+    for sd in point_shapes(sphere3, interior_points(sphere3, count=2, margin=0.2)):
         assert np.allclose(sd.shape_operator, -np.eye(3), atol=1e-10)
         assert abs(sd.theta - sd.height) < 1e-12
 
 
 def test_theta_nonnegative_at_center(catalogue):
     for name, imm in catalogue:
-        sd = shape_data(imm, imm.chart.center())
+        sd = shape_at(imm, imm.chart.center())
         assert sd.theta > -1e-10, name
 
 
 def test_normal_is_unit_and_orthogonal(catalogue, rng):
     for name, imm in catalogue:
-        for p in interior_points(imm, count=2, margin=0.2):
-            sd = shape_data(imm, p)
-            G = imm.ambient.metric(sd.ambient_point)
+        for sd in point_shapes(imm, interior_points(imm, count=2, margin=0.2)):
+            G = dense_metric(imm.ambient, sd.ambient_point)
             assert abs(sd.normal @ G @ sd.normal - 1.0) < 1e-12, name
             for i in range(sd.n):
                 assert abs(sd.normal @ G @ sd.frame[:, i]) < 1e-10, name
@@ -103,32 +103,28 @@ def test_diagonal_normal_matches_qr_oracle(catalogue):
 
 def test_first_fundamental_form_spd(catalogue):
     for name, imm in catalogue:
-        for p in interior_points(imm, count=2, margin=0.2):
-            sd = shape_data(imm, p)
+        for sd in point_shapes(imm, interior_points(imm, count=2, margin=0.2)):
             assert np.allclose(sd.metric, sd.metric.T, atol=1e-14), name
             assert np.all(np.linalg.eigvalsh(sd.metric) > 0.0), name
 
 
 def test_weingarten_self_adjoint(catalogue):
     for name, imm in catalogue:
-        for p in interior_points(imm, count=3, margin=0.12):
-            sd = shape_data(imm, p)
+        for sd in point_shapes(imm, interior_points(imm, count=3, margin=0.12)):
             gA = sd.metric @ sd.shape_operator
             assert np.max(np.abs(gA - gA.T)) < 1e-8, name
 
 
 def test_angle_identity(catalogue):
     for name, imm in catalogue:
-        for p in interior_points(imm, count=3, margin=0.12):
-            sd = shape_data(imm, p)
+        for sd in point_shapes(imm, interior_points(imm, count=3, margin=0.12)):
             assert abs(sd.grad_h_norm2 + sd.theta**2 - 1.0) < 1e-10, name
 
 
 def test_tangential_projection(catalogue):
     # d_t decomposes as theta N + (tangential gradient of h)
     for name, imm in catalogue:
-        for p in interior_points(imm, count=2, margin=0.2):
-            sd = shape_data(imm, p)
+        for sd in point_shapes(imm, interior_points(imm, count=2, margin=0.2)):
             e0 = np.zeros(imm.ambient.dim)
             e0[0] = 1.0
             residual = e0 - sd.theta * sd.normal - sd.frame @ sd.grad_h
@@ -137,14 +133,14 @@ def test_tangential_projection(catalogue):
 
 def test_shape_operator_two_paths_agree(catalogue):
     for name, imm in catalogue:
-        for p in interior_points(imm, count=2, margin=0.2):
-            sd = shape_data(imm, p)
+        points = interior_points(imm, count=2, margin=0.2)
+        for p, sd in zip(points, point_shapes(imm, points)):
             other = shape_operator_from_normal_derivative(imm, p)
             assert np.max(np.abs(sd.shape_operator - other)) < 1e-6, name
 
 
 def test_flip_orientation_signs(horosphere):
-    sd = shape_data(horosphere, (0.2, -0.1))
+    sd = shape_at(horosphere, (0.2, -0.1))
     flipped = flip_orientation(sd)
     assert flipped.theta == -1.0
     assert np.allclose(flipped.shape_operator, np.eye(2), atol=1e-12)
@@ -155,7 +151,7 @@ def test_flip_orientation_signs(horosphere):
 
 
 def test_flip_is_involution(sphere2):
-    sd = shape_data(sphere2, (0.3, 0.7))
+    sd = shape_at(sphere2, (0.3, 0.7))
     twice = flip_orientation(flip_orientation(sd))
     assert np.array_equal(twice.normal, sd.normal)
     assert np.array_equal(twice.shape_operator, sd.shape_operator)
@@ -164,7 +160,7 @@ def test_flip_is_involution(sphere2):
 
 
 def test_flip_leaves_quadratic_terms_invariant(sphere2):
-    sd = shape_data(sphere2, (0.4, -0.5))
+    sd = shape_at(sphere2, (0.4, -0.5))
     flipped = flip_orientation(sd)
     assert np.array_equal(
         sd.theta * sd.second_fundamental, flipped.theta * flipped.second_fundamental
@@ -173,10 +169,10 @@ def test_flip_leaves_quadratic_terms_invariant(sphere2):
 
 
 def test_mean_curvature_examples(hyperplane, horosphere, rotational_soliton):
-    assert mean_curvature(hyperplane, (0.2, 0.3)) == 0.0
-    assert abs(mean_curvature(horosphere, (0.1, 0.1)) + 1.0) < 1e-12
+    assert shape_at(hyperplane, (0.2, 0.3)).mean_curvature == 0.0
+    assert abs(shape_at(horosphere, (0.1, 0.1)).mean_curvature + 1.0) < 1e-12
     expected = -3.0 * math.sqrt(2.0) / 4.0
-    assert abs(mean_curvature(rotational_soliton, (0.2, 2.0)) - expected) < 1e-12
+    assert abs(shape_at(rotational_soliton, (0.2, 2.0)).mean_curvature - expected) < 1e-12
 
 
 def test_degenerate_immersion_rejected():
@@ -203,9 +199,9 @@ def test_image_must_stay_in_ambient_chart():
 
 def test_boundary_points_rejected(hyperplane):
     with pytest.raises(ValueError):
-        shape_data(hyperplane, (1.0, 0.0))
+        grid_shape_data(hyperplane, [(1.0, 0.0)])
     with pytest.raises(ValueError):
-        shape_data(hyperplane, (1.0 - 1e-9, 0.0))
+        grid_shape_data(hyperplane, [(1.0 - 1e-9, 0.0)])
 
 
 def test_chart_grid_layout():

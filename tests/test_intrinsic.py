@@ -7,22 +7,20 @@ from dataclasses import fields, is_dataclass
 
 from warpgeo.ambient import Fiber, WarpedProduct
 from warpgeo.errors import BoundaryTooClose
-from warpgeo.hypersurface import ChartBox, Immersion, point_jets, shape_data
-from warpgeo.intrinsic import (
-    curvature_package,
-    grid_geometry,
-    laplacian_height,
-    point_geometry,
-)
+from warpgeo.hypersurface import ChartBox, Immersion, point_jets
+from warpgeo.intrinsic import grid_geometry, laplacian_height
 from warpgeo.rotational import weingarten_closed_form
 
 from oracles import (
+    geometry_at,
     hessian_height_christoffel,
     perturbed_immersion,
+    point_geometries,
     ricci_gradh_extrinsic,
     scal_formula,
     scalar_fd_oracle,
     second_fundamental_christoffel,
+    shape_at,
     tangential_ricci_frame_sum,
 )
 
@@ -43,18 +41,16 @@ def ric_gradh(pack):
 
 
 def test_unit_sphere_scalar_curvature(sphere2, sphere3):
-    for p in interior_points(sphere2):
-        pack = curvature_package(sphere2, p)
+    for pack in point_geometries(sphere2, interior_points(sphere2)):
         assert abs(pack.scal_gauss - 2.0) < 1e-10
         assert abs(scal_formula(sphere2, pack) - 2.0) < 1e-10
     p = sphere3.chart.center()
-    pack = curvature_package(sphere3, p)
+    pack = geometry_at(sphere3, p)
     assert abs(pack.scal_gauss - 6.0) < 1e-10
 
 
 def test_hyperplane_is_flat(hyperplane):
-    for p in interior_points(hyperplane):
-        pack = curvature_package(hyperplane, p)
+    for pack in point_geometries(hyperplane, interior_points(hyperplane)):
         assert abs(pack.scal_gauss) < 1e-12
         assert abs(scal_formula(hyperplane, pack)) < 1e-12
         assert np.max(np.abs(pack.ric)) < 1e-12
@@ -62,24 +58,21 @@ def test_hyperplane_is_flat(hyperplane):
 
 
 def test_horosphere_is_flat(horosphere):
-    for p in interior_points(horosphere):
-        pack = curvature_package(horosphere, p)
+    for pack in point_geometries(horosphere, interior_points(horosphere)):
         assert abs(pack.scal_gauss) < 1e-10
         assert abs(scal_formula(horosphere, pack)) < 1e-10
         assert abs(traceless_norm2(pack)) < 1e-10  # totally umbilical
 
 
 def test_rotational_soliton_is_flat(rotational_soliton):
-    for p in interior_points(rotational_soliton):
-        pack = curvature_package(rotational_soliton, p)
+    for pack in point_geometries(rotational_soliton, interior_points(rotational_soliton)):
         assert abs(pack.scal_gauss) < 1e-10
         assert abs(scal_formula(rotational_soliton, pack)) < 1e-10
 
 
 def test_spherical_slice_scalar(spherical_slice):
     expected = 2.0 / math.sin(1.0) ** 2
-    for p in interior_points(spherical_slice, count=2, margin=0.2):
-        pack = curvature_package(spherical_slice, p)
+    for pack in point_geometries(spherical_slice, interior_points(spherical_slice, 2, 0.2)):
         assert abs(pack.scal_gauss - expected) < 1e-10
         assert abs(scal_formula(spherical_slice, pack) - expected) < 1e-10
 
@@ -88,8 +81,7 @@ def test_three_way_scalar_agreement(catalogue):
     for name, imm in catalogue:
         points = imm.chart.grid(5, 0.1)
         assert len(points) >= 25
-        for p in points:
-            pack = curvature_package(imm, p)
+        for p, pack in zip(points, point_geometries(imm, points)):
             assert abs(pack.scal_gauss - scal_formula(imm, pack)) < 1e-6, name
             fd = scalar_fd_oracle(imm, p)
             assert abs(pack.scal_gauss - fd) < 1e-3, (name, p)
@@ -97,8 +89,7 @@ def test_three_way_scalar_agreement(catalogue):
 
 def test_ricci_matrix_symmetric(catalogue):
     for name, imm in catalogue:
-        for p in interior_points(imm, count=2, margin=0.2):
-            pack = curvature_package(imm, p)
+        for pack in point_geometries(imm, interior_points(imm, count=2, margin=0.2)):
             assert np.max(np.abs(pack.ric - pack.ric.T)) < 1e-8, name
 
 
@@ -106,7 +97,7 @@ def test_ricci_gradh_zero_on_slices(horosphere, spherical_slice):
     for imm in (horosphere, spherical_slice):
         p = imm.chart.center()
         assert abs(ricci_gradh_extrinsic(imm, p)) < 1e-12
-        assert abs(ric_gradh(curvature_package(imm, p))) < 1e-12
+        assert abs(ric_gradh(geometry_at(imm, p))) < 1e-12
 
 
 def test_ricci_gradh_on_sphere3(sphere3):
@@ -114,31 +105,30 @@ def test_ricci_gradh_on_sphere3(sphere3):
     target_h = 0.5
     u = math.asin(target_h)
     p = (u,) + sphere3.chart.center()[1:]
-    sd = shape_data(sphere3, p)
+    sd = shape_at(sphere3, p)
     assert abs(sd.height - 0.5) < 1e-12
     expected = 2.0 * (1.0 - 0.25)
     assert abs(ricci_gradh_extrinsic(sphere3, p) - expected) < 1e-10
-    assert abs(ric_gradh(curvature_package(sphere3, p)) - expected) < 1e-10
+    assert abs(ric_gradh(geometry_at(sphere3, p)) - expected) < 1e-10
 
 
 def test_ricci_gradh_two_routes_agree(catalogue):
     for name, imm in catalogue:
-        for p in interior_points(imm, count=2, margin=0.2):
-            pack = curvature_package(imm, p)
+        points = interior_points(imm, count=2, margin=0.2)
+        for p, pack in zip(points, point_geometries(imm, points)):
             direct = ricci_gradh_extrinsic(imm, p)
             assert abs(ric_gradh(pack) - direct) < 1e-8, name
 
 
 def test_traceless_norm_nonnegative(catalogue):
     for name, imm in catalogue:
-        for p in interior_points(imm, count=2, margin=0.2):
-            pack = curvature_package(imm, p)
+        for pack in point_geometries(imm, interior_points(imm, count=2, margin=0.2)):
             assert traceless_norm2(pack) >= -1e-10, name
 
 
 def test_traceless_norm_detects_umbilicity(horosphere, rotational_soliton):
     # umbilical: A = H Id exactly
-    pack = curvature_package(horosphere, (0.2, 0.2))
+    pack = geometry_at(horosphere, (0.2, 0.2))
     assert abs(traceless_norm2(pack)) < 1e-12
     # rotational surface: principal curvatures -theta and -1/theta differ
     from warpgeo.rotational import RotationalProfile, solve_profile
@@ -146,7 +136,7 @@ def test_traceless_norm_detects_umbilicity(horosphere, rotational_soliton):
     prof = RotationalProfile(theta=math.sqrt(2) / 2, f="exp(t)", n=2, u_range=(-1.5, 1.5))
     curve = solve_profile(prof)
     p = (0.3, 2.5)
-    pack = curvature_package(rotational_soliton, p)
+    pack = geometry_at(rotational_soliton, p)
     ku, kv = weingarten_closed_form(prof, curve, p[0])
     expected = (ku - kv) ** 2 / 2.0  # ((n-1)/n) (k1 - k2)^2 for n = 2
     assert traceless_norm2(pack) > 1e-3
@@ -195,7 +185,7 @@ def test_geometry_does_not_depend_on_the_batch(catalogue, rng):
 
 def test_point_geometry_is_the_single_point_view(sphere3):
     p = sphere3.chart.center()
-    view = point_geometry(sphere3, p)
+    view = grid_geometry(sphere3, [p]).at(0)
     assert tuple(view.shape.chart) == p
     assert isinstance(view.scal_gauss, float) and view.ric.shape == (3, 3)
     assert isinstance(view.shape.mean_curvature, float) and view.warping[0] == 1.0

@@ -9,6 +9,7 @@ import pytest
 
 from warpgeo import ambient as ambient_module
 from warpgeo import rotational
+from warpgeo import scene as scene_module
 from warpgeo.ambient import WarpedProduct
 from warpgeo.errors import SceneError
 from warpgeo.hypersurface import MAX_GRID_POINTS, Immersion
@@ -85,6 +86,29 @@ def test_validation_errors_name_the_field(mutate, field):
     with pytest.raises(SceneError) as err:
         validate_scene(data)
     assert err.value.field == field
+
+
+class _Built(Exception):
+    pass
+
+
+def _refuse_build(*args, **kwargs):
+    raise _Built
+
+
+def test_fiber_dimension_refused_before_the_ambient_is_built(monkeypatch):
+    # every grid axis takes at least 3 samples and 3^9 > MAX_GRID_POINTS,
+    # so n = 8 is the largest; a larger n never reaches WarpedProduct
+    monkeypatch.setattr(scene_module, "WarpedProduct", _refuse_build)
+    scene = hyperplane_scene()
+    scene["ambient"]["n"] = 8
+    with pytest.raises(_Built):
+        validate_scene(scene)
+    for n in (9, 150, 10**6):
+        scene["ambient"]["n"] = n
+        with pytest.raises(SceneError) as err:
+            validate_scene(scene)
+        assert err.value.field == "ambient.n", n
 
 
 def test_component_immersion_scene():
