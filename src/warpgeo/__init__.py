@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .ambient import AmbientPoint, Fiber, SpaceFormCheck, WarpedProduct, space_form_models
 from .errors import (
-    BoundaryTooClose,
     DegenerateImmersion,
     DomainError,
     ExprSyntaxError,
@@ -49,7 +48,6 @@ from .soliton import (
 __all__ = [
     "__version__",
     "AmbientPoint",
-    "BoundaryTooClose",
     "ChartBox",
     "DegenerateImmersion",
     "DomainError",

@@ -7,12 +7,12 @@ nested angular chart, so the fiber has constant sectional curvature
 
 In these charts the metric is diagonal, G = diag(D) with
 D = (1, f^2, f^2 sin(x1)^2, ...), so every routine works with the d
-entries D_a and their first derivatives dD[a, c] = d_c D_a.  Both come
-in closed form from one order-2 jet of f at the heights of a batch,
-which also gives the warping triple (f, f', f'') that the curvature
-reads.  The products are taken in the order of the jet arithmetic of
-the expressions f^2 * sin(x1)^2 * ..., so D and the nonzero entries of
-dD equal that arithmetic to the bit.  The Christoffel symbols take the
+entries D_a, their derivatives dD[a, c] = d_c D_a and, for the
+structural check, d2D.  All come in closed form from the warping triple
+(f, f', f''), one order-2 jet of f at the heights of a batch, which the
+curvature reads too.  The products follow the jet arithmetic of f^2 *
+sin(x1)^2 * ..., so D and the nonzero entries of dD equal that
+arithmetic to the bit.  The Christoffel symbols take the
 closed form (O'Neill, *Semi-Riemannian Geometry*, ch. 7)
 
     Gamma^a_bc = (delta_ac d_b D_a + delta_ab d_c D_a - delta_bc d_a D_b) / (2 D_a)
@@ -206,22 +206,37 @@ class WarpedProduct:
     def _metric_jets(self, p):
         self.validate_point(p)
         jet = eval_jet2(self.f, {"t": p.t}, ("t",))
-        f0, f1 = jet.value, jet.grad[..., 0]
+        warping = jet.value, jet.grad[..., 0], jet.hess[..., 0, 0]
+        return *self.diagonal_jets(p.x, warping)[:2], warping
+
+    def diagonal_jets(self, x, warping, second=False):
+        """``(D, dD, d2D)`` at fiber coordinates ``x`` from the warping triple at
+        the heights; ``d2D[a, b, c] = d_b d_c D_a`` only when ``second``, else None."""
+        f0, f1, f2 = warping
         d = self.dim
-        D = np.ones(np.shape(p.t) + (d,))
-        dD = np.zeros(np.shape(p.t) + (d, d))
+        D = np.ones(np.shape(f0) + (d,))
+        dD = np.zeros(np.shape(f0) + (d, d))
+        d2D = np.zeros(np.shape(f0) + (d, d, d)) if second else None
         with np.errstate(all="ignore"):  # float semantics, as in eval_jet2
             D[..., 1:] = (f0 * f0)[..., None]
             dD[..., 1:, 0] = (f0 * f1 + f0 * f1)[..., None]
+            if second:
+                d2D[..., 1:, 0, 0] = (2.0 * (f1 * f1 + f0 * f2))[..., None]
             if self.fiber is Fiber.SPHERE:
                 # D_i = D_{i-1} sin(x_{i-1})^2: row i of dD is row i-1 times
-                # that factor, plus D_{i-1} d sin(x_{i-1})^2 in column i-1
+                # that factor, plus D_{i-1} d sin(x_{i-1})^2 in column i-1,
+                # and d2D follows by the product rule once more
                 for i in range(2, d):
-                    s, c = np.sin(p.x[i - 2]), np.cos(p.x[i - 2])
+                    s, c = np.sin(x[i - 2]), np.cos(x[i - 2])
+                    if second:
+                        d2D[..., i, :, :] = d2D[..., i - 1, :, :] * (s * s)[..., None, None]
+                        d2D[..., i, i - 1, :] += dD[..., i - 1, :] * (s * c + s * c)[..., None]
+                        d2D[..., i, :, i - 1] += dD[..., i - 1, :] * (s * c + s * c)[..., None]
+                        d2D[..., i, i - 1, i - 1] += 2.0 * D[..., i - 1] * (c * c - s * s)
                     D[..., i] = D[..., i - 1] * (s * s)
                     dD[..., i, :] = dD[..., i - 1, :] * (s * s)[..., None]
                     dD[..., i, i - 1] = D[..., i - 1] * (s * c + s * c)
-        return D, dD, (f0, f1, jet.hess[..., 0, 0])
+        return D, dD, d2D
 
     def curvature_from(self, D, warping, X, Y, Z):
         """R(X, Y)Z from the metric diagonal and warping triple of ``metric_jets``.

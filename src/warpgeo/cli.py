@@ -24,6 +24,7 @@ from . import __version__
 from .ambient import space_form_models
 from .catalogue import PRESET_DESCRIPTIONS
 from .errors import DomainError, MeshUnsupported, PointError, SceneError, WarpGeoError
+from .expr import unparse
 from .hypersurface import MAX_GRID_POINTS
 from .objmesh import surface_vertices, write_obj
 from .rotational import RotationalProfile, verify_classification
@@ -42,6 +43,20 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
+def _flag_error(args):
+    """The usage error of the first flag of a command out of its range, or None."""
+    flags = vars(args)
+    if "theta" in flags and not 0.0 < args.theta < 1.0:
+        return f"--theta must lie strictly in (0, 1), got {args.theta!r}"
+    if flags.get("samples", 1) < 1:
+        return f"--samples must be at least 1, got {args.samples!r}"
+    for name in ("u0", "u1", "c1", "c2"):
+        if not math.isfinite(flags.get(name, 0.0)):
+            return f"--{name} must be finite, got {flags[name]!r}"
+    if flags.get("u0", 0.0) >= flags.get("u1", 1.0):
+        return "--u0 must be less than --u1"
+
+
 def _cmd_spaceforms(args):
     rows = []
     all_passed = True
@@ -54,8 +69,6 @@ def _cmd_spaceforms(args):
     print(header)
     print("-" * len(header))
     for name, model, c, result in rows:
-        from .expr import unparse
-
         status = "pass" if result.passed else "FAIL"
         print(
             f"{name:<18}{unparse(model.f):<10}{model.k:>3.0f}{c:>5.0f}  "
@@ -101,24 +114,9 @@ def _cmd_analyze(args):
 
 
 def _cmd_rotational(args):
-    if not 0.0 < args.theta < 1.0:
-        print(
-            f"error: --theta must lie strictly in (0, 1), got {args.theta!r}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if not args.u0 < args.u1:
-        print("error: --u0 must be less than --u1", file=sys.stderr)
-        return EXIT_USAGE
+    flags = {name: getattr(args, name) for name in ("theta", "f", "n", "c1", "c2")}
     try:
-        prof = RotationalProfile(
-            theta=args.theta,
-            f=args.f,
-            n=args.n,
-            c1=args.c1,
-            c2=args.c2,
-            u_range=(args.u0, args.u1),
-        )
+        prof = RotationalProfile(**flags, u_range=(args.u0, args.u1))
     except (ValueError, WarpGeoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -134,12 +132,8 @@ def _cmd_rotational(args):
         )
         return EXIT_USAGE
 
-    interval = (-math.inf, math.inf)
-    if args.t_min is not None or args.t_max is not None:
-        interval = (
-            -math.inf if args.t_min is None else args.t_min,
-            math.inf if args.t_max is None else args.t_max,
-        )
+    lo, hi = args.t_min, args.t_max
+    interval = (-math.inf if lo is None else lo, math.inf if hi is None else hi)
     started = time.perf_counter()
     try:
         result = verify_classification(prof, interval=interval, u_count=args.samples)
@@ -174,14 +168,7 @@ def _cmd_rotational(args):
         doc = {
             "schema_version": SCHEMA_VERSION,
             "tool_version": __version__,
-            "rotational": {
-                "theta": args.theta,
-                "f": args.f,
-                "n": args.n,
-                "c1": args.c1,
-                "c2": args.c2,
-                "u_range": [args.u0, args.u1],
-            },
+            "rotational": {**flags, "u_range": [args.u0, args.u1]},
             "result": result.to_dict(),
             "warnings": warnings,
             "timing_seconds": time.perf_counter() - started,
@@ -238,8 +225,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; flags out of range are refused (exit 2) before any work."""
+    args = build_parser().parse_args(argv)
+    error = _flag_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

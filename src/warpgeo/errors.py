@@ -58,10 +58,6 @@ class DegenerateImmersion(PointError):
     """Tangent vectors failed to be linearly independent at a probe point."""
 
 
-class BoundaryTooClose(WarpGeoError):
-    """A finite-difference stencil would leave the chart box."""
-
-
 class QuadratureFailure(WarpGeoError):
     """The profile integral did not reach the requested tolerance."""
 

@@ -133,26 +133,26 @@ class ExpressionComponent:
     def source(self):
         return unparse(self.expr)
 
-    def jets(self, values, active):
-        return [eval_jet2(self.expr, values, active)]
+    def jets(self, values, active, order=2):
+        return [eval_jet2(self.expr, values, active, order)]
 
 
 class CallableComponent:
     """A block of ``width`` consecutive components backed by a callable.
 
     Used where components have no closed form in the expression grammar
-    (profile curves defined by quadrature).  ``fn(values, active)``
+    (profile curves defined by quadrature).  ``fn(values, active, order)``
     receives bindings whose values are arrays of N chart coordinates and
-    returns ``width`` :class:`Jet2` values with that point axis, so work
-    the components share is done once per batch.
+    returns ``width`` :class:`Jet2` values of that order with that point
+    axis, so work the components share is done once per batch.
     """
 
     def __init__(self, fn, width):
         self.fn = fn
         self.width = width
 
-    def jets(self, values, active):
-        return list(self.fn(values, active))
+    def jets(self, values, active, order=2):
+        return list(self.fn(values, active, order))
 
 
 def as_component(obj):
@@ -213,21 +213,21 @@ class Immersion:
         points = as_points(points, self.n)
         return {name: np.ascontiguousarray(points[:, i]) for i, name in enumerate(self.chart.names)}
 
-    def coordinate_jets(self, values, active):
+    def coordinate_jets(self, values, active, order=2):
         """Jets of the n+1 ambient coordinates at the chart bindings ``values``."""
-        return [jet for c in self.components for jet in c.jets(values, active)]
+        return [jet for c in self.components for jet in c.jets(values, active, order)]
 
-    def _component_jets(self, points, active):
-        return self.coordinate_jets(self._columns(points), active)
+    def _component_jets(self, points, active, order=2):
+        return self.coordinate_jets(self._columns(points), active, order)
 
-    def component_jets(self, points):
-        """Jets of every ambient coordinate over an (N, n) array of chart points.
+    def component_jets(self, points, order=2):
+        """Jets of ``order`` 2 or 3 of every ambient coordinate over (N, n) chart points.
 
         A failure is the one of the first point that fails alone.
         """
         points = as_points(points, self.n)
         return first_failure(
-            lambda k: self._component_jets(points[:k], self.chart.names), len(points)
+            lambda k: self._component_jets(points[:k], self.chart.names, order), len(points)
         )
 
     def ambient_coordinates(self, points):
@@ -240,11 +240,13 @@ class Immersion:
 def _leaves(fn, *records):
     """``fn`` applied to the matching arrays of batched records.
 
-    Records are dataclasses whose fields are arrays, tuples of arrays or
-    records again (``ShapeData``, ``PointGeometry``, ``AmbientPoint``);
-    a bare array is its own leaf.
+    Records are dataclasses whose fields are arrays, tuples of arrays,
+    records again (``ShapeData``, ``PointGeometry``, ``AmbientPoint``) or
+    None; a bare array is its own leaf.
     """
     first = records[0]
+    if first is None:
+        return None
     if is_dataclass(first):
         return replace(
             first,
@@ -314,7 +316,8 @@ class PointJets:
     is (f, f', f'') at their heights, all three from the one jet of f of
     ``WarpedProduct.metric_jets``; ``metric`` is g = E^T diag(D) E.
     ``factor`` is F = L^-T for the Cholesky factor L of g, and
-    ``metric_inverse`` is g^-1 = F F^T.
+    ``metric_inverse`` is g^-1 = F F^T.  ``third[:, a, i, j, k]`` holds the
+    third chart derivatives of an order-3 evaluation, else None.
     """
 
     chart: np.ndarray
@@ -327,10 +330,11 @@ class PointJets:
     metric: np.ndarray
     factor: np.ndarray
     metric_inverse: np.ndarray
+    third: np.ndarray | None = None
 
 
-def point_jets(imm, points):
-    """One component-jet and one metric-jet evaluation over (N, n) chart points.
+def point_jets(imm, points, order=2):
+    """Component jets of ``order`` and metric jets over (N, n) chart points, one pass each.
 
     Each check names the first point, in the order given, that fails it;
     a frame, second derivative or metric entry D that is not finite is a
@@ -341,7 +345,7 @@ def point_jets(imm, points):
     if bad is not None:
         p = tuple(map(float, points[bad]))
         raise OutsideChart(f"chart point {p!r} is outside the open box (margin 1e-6)", bad)
-    jets = imm.component_jets(points)
+    jets = imm.component_jets(points, order)
     q = AmbientPoint(jets[0].value, tuple(jet.value for jet in jets[1:]))
     imm.ambient.validate_point(q)
     E = np.stack([jet.grad for jet in jets], axis=-2)  # (N, d, n)
@@ -361,7 +365,8 @@ def point_jets(imm, points):
         p = tuple(map(float, points[bad]))
         raise DegenerateImmersion(f"tangent frame is degenerate at chart point {p!r}", bad)
     F = np.swapaxes(np.linalg.inv(np.linalg.cholesky(g)), -1, -2)
-    return PointJets(points, q, E, second, D, dD, warping, g, F, F @ np.swapaxes(F, -1, -2))
+    third = None if order == 2 else np.stack([jet.third for jet in jets], axis=-4)
+    return PointJets(points, q, E, second, D, dD, warping, g, F, F @ np.swapaxes(F, -1, -2), third)
 
 
 @dataclass(frozen=True)
@@ -474,15 +479,10 @@ def flip_orientation(sd):
     )
 
 
-def first_kind_sum(pj):
-    """B[:, l, i, j] = d_i g_lj + d_j g_il - d_l g_ij of the induced metric,
-    twice the Christoffel symbols of the first kind.
-
-    The chart derivatives ``dg[k, i, j] = d g_ij / d u^k`` are exact,
-    assembled from the order-2 jets of psi and the ambient ``dD`` (the
-    ambient metric is symmetric, so <E_i, d_j d_k psi> serves both
-    second-derivative terms).
-    """
+def metric_derivative(pj):
+    """dg[:, k, i, j] = d g_ij / d u^k of the induced metric, exact, from the
+    order-2 jets of psi and the ambient ``dD`` (the ambient metric is
+    symmetric, so <E_i, d_j d_k psi> serves both second-derivative terms)."""
     E = pj.frame
     n = E.shape[-1]
     shape = E.shape[:-2] + (n, n, n)
@@ -492,5 +492,4 @@ def first_kind_sum(pj):
 
     inner = contract(pj.D[..., :, None] * E, pj.second)  # [i, j, k] = <E_i, d_j d_k psi>
     dD_E = contract(pj.dD @ E, E[..., :, :, None] * E[..., :, None, :])  # (d_k D_a) E^a_i E^a_j
-    dg = np.swapaxes(inner, -3, -1) + np.moveaxis(inner, -1, -3) + dD_E
-    return np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
+    return np.swapaxes(inner, -3, -1) + np.moveaxis(inner, -1, -3) + dD_E

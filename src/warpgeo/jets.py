@@ -1,18 +1,19 @@
-"""Order-2 forward-mode jets and exact evaluation of expressions.
+"""Forward-mode jets of order 2 or 3 and exact evaluation of expressions.
 
-A :class:`Jet2` carries a value together with its gradient and Hessian
-with respect to an ordered list of active variables.  Arithmetic on jets
-propagates derivatives exactly (to floating-point rounding), so every
-geometric quantity that needs at most two derivatives of an immersion is
-free of truncation error.
+A :class:`Jet2` carries a value together with its gradient, Hessian and,
+at order 3, third derivative with respect to an ordered list of active
+variables.  Arithmetic on jets propagates derivatives exactly (to
+floating-point rounding; Griewank and Walther, *Evaluating Derivatives*,
+ch. 13), so every quantity that needs at most three derivatives of an
+immersion is free of truncation error.  At order 2 the third slot is None.
 
 Jets are evaluated in vector forward mode: a binding may be an array of
-N values, and the jet then has a leading point axis (value ``(N,)``,
-grad ``(N, m)``, hess ``(N, m, m)``).  Every elementary operation runs
-once over all points, with the same arithmetic per point as for a
-single point, so each point's result does not depend on the batch it is
-evaluated in.  A domain error names the first point, in binding order,
-whose own evaluation fails (``DomainError.index``).
+N values, and the jet then has a leading point axis (value ``(N,)``, grad
+``(N, m)`` and so on).  Every elementary operation runs once over all
+points, with the same arithmetic per point as for a single point, so each
+point's result does not depend on the batch it is evaluated in.  A domain
+error names the first point, in binding order, whose own evaluation fails
+(``DomainError.index``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PointError, UnknownIdentifier
-from .expr import FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Var, parse, unparse
+from .expr import FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Var, literal, parse, unparse
 
 
 def _value(v):
@@ -32,47 +33,54 @@ def _value(v):
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value, gradient and symmetric Hessian in ``m`` active variables.
+    """Value, gradient and symmetric Hessian in ``m`` active variables, and
+    at order 3 the symmetric third derivative (None at order 2).
 
-    The value may carry leading point axes, which the gradient and
-    Hessian share: value ``S``, grad ``S + (m,)``, hess ``S + (m, m)``.
+    The value may carry leading point axes, which the derivatives share:
+    value ``S``, grad ``S + (m,)``, hess ``S + (m, m)``, third ``S + (m, m, m)``.
     """
 
     value: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
+    third: np.ndarray | None = None
 
     @property
     def m(self):
         return self.grad.shape[-1]
 
-    @staticmethod
-    def constant(value, m):
-        return Jet2(_value(value), np.zeros(m), np.zeros((m, m)))
+    @property
+    def order(self):
+        return 2 if self.third is None else 3
+
+    def slots(self):
+        """The value and the derivatives up to the jet's order."""
+        return (self.value, self.grad, self.hess, self.third)[: self.order + 1]
 
     @staticmethod
-    def variable(value, index, m):
-        g = np.zeros(m)
-        g[index] = 1.0
-        return Jet2(_value(value), g, np.zeros((m, m)))
+    def constant(value, m, order=2):
+        third = None if order == 2 else np.zeros((m, m, m))
+        return Jet2(_value(value), np.zeros(m), np.zeros((m, m)), third)
+
+    @staticmethod
+    def variable(value, index, m, order=2):
+        jet = Jet2.constant(value, m, order)
+        jet.grad[index] = 1.0
+        return jet
 
     def _lift(self, other):
-        if isinstance(other, Jet2):
-            return other
-        return Jet2.constant(other, self.m)
+        return other if isinstance(other, Jet2) else Jet2.constant(other, self.m, self.order)
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
+        return Jet2(*(-a for a in self.slots()))
 
     def __add__(self, other):
-        other = self._lift(other)
-        return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
+        return Jet2(*(a + b for a, b in zip(self.slots(), self._lift(other).slots())))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._lift(other)
-        return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
+        return Jet2(*(a - b for a, b in zip(self.slots(), self._lift(other).slots())))
 
     def __rsub__(self, other):
         return self._lift(other) - self
@@ -82,10 +90,15 @@ class Jet2:
         a = np.asarray(self.value)[..., None]
         b = np.asarray(other.value)[..., None]
         cross = self.grad[..., :, None] * other.grad[..., None, :]
+        third = None
+        if self.third is not None:
+            t = _outer(self.hess, other.grad) + _outer(other.hess, self.grad)
+            third = _plus(_plus(_sym3(t), a, other.third), b, self.third)
         return Jet2(
             self.value * other.value,
             a * other.grad + b * self.grad,
             a[..., None] * other.hess + b[..., None] * self.hess + cross + np.swapaxes(cross, -1, -2),
+            third,
         )
 
     __rmul__ = __mul__
@@ -96,6 +109,22 @@ class Jet2:
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
+
+
+def _outer(h, g):
+    """t[i, j, k] = h_ij g_k."""
+    return h[..., :, :, None] * g[..., None, None, :]
+
+
+def _plus(total, c, third):
+    """total + c third; a zero third slot without point axis (a constant's
+    or a variable's) adds nothing."""
+    return total + c[..., None, None] * third if third.ndim > 3 or third.any() else total
+
+
+def _sym3(t):
+    """t_ijk + t_ikj + t_jki for t symmetric in its first two indices."""
+    return t + np.swapaxes(t, -1, -2) + np.swapaxes(np.swapaxes(t, -2, -1), -3, -2)
 
 
 def first_index(mask):
@@ -143,24 +172,30 @@ def _raise_at(bad, node, message, value=None):
         raise DomainError(message, node, index=i)
 
 
-def _chain(u, f0, f1, f2):
-    """Compose a scalar function with jet ``u`` via the chain rule."""
+def _chain(u, f0, f1, f2, f3):
+    """Compose a scalar function with jet ``u`` via the chain rule;
+    ``f3`` is a callable giving the third derivative, called at order 3 only."""
     f1 = np.asarray(f1)[..., None]
     f2 = np.asarray(f2)[..., None, None]
     outer = u.grad[..., :, None] * u.grad[..., None, :]
-    return Jet2(f0, f1 * u.grad, f1[..., None] * u.hess + f2 * outer)
+    third = None
+    if u.third is not None:
+        # f2 (u_ij u_k + u_ik u_j + u_jk u_i) + f3 u_i u_j u_k by one symmetrization
+        t = _outer(f2 * u.hess + np.asarray(f3() / 3.0)[..., None, None] * outer, u.grad)
+        third = _plus(_sym3(t), f1, u.third)
+    return Jet2(f0, f1 * u.grad, f1[..., None] * u.hess + f2 * outer, third)
 
 
 def _reciprocal(u, node):
     v = u.value
     _raise_at(v == 0.0, node, "division by zero")
-    return _chain(u, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
+    return _chain(u, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v), lambda: -6.0 / (v * v * v * v))
 
 
 def _pow_int_jet(u, k, node):
     """Binary exponentiation on jets."""
     if k == 0:
-        return Jet2.constant(1.0, u.m)
+        return Jet2.constant(1.0, u.m, u.order)
     if k < 0:
         return _reciprocal(_pow_int_jet(u, -k, node), node)
     result = None
@@ -196,31 +231,31 @@ def _apply_function(name, u, node):
     v = u.value
     w = _elementary(name, v, node)
     if name == "sin":
-        return _chain(u, w, np.cos(v), -w)
+        return _chain(u, w, np.cos(v), -w, lambda: -np.cos(v))
     if name == "cos":
-        return _chain(u, w, -np.sin(v), -w)
+        return _chain(u, w, -np.sin(v), -w, lambda: np.sin(v))
     if name == "tan":
         d = 1.0 + w * w
-        return _chain(u, w, d, 2.0 * w * d)
+        return _chain(u, w, d, 2.0 * w * d, lambda: 2.0 * d * (d + 2.0 * w * w))
     if name == "sinh":
         c = np.cosh(v)
-        return _chain(u, w, c, w)
+        return _chain(u, w, c, w, lambda: c)
     if name == "cosh":
-        return _chain(u, w, np.sinh(v), w)
+        return _chain(u, w, np.sinh(v), w, lambda: np.sinh(v))
     if name == "tanh":
         d = 1.0 - w * w
-        return _chain(u, w, d, -2.0 * w * d)
+        return _chain(u, w, d, -2.0 * w * d, lambda: 2.0 * d * (2.0 * w * w - d))
     if name == "exp":
-        return _chain(u, w, w, w)
+        return _chain(u, w, w, w, lambda: w)
     if name == "log":
-        return _chain(u, w, 1.0 / v, -1.0 / (v * v))
+        return _chain(u, w, 1.0 / v, -1.0 / (v * v), lambda: 2.0 / (v * v * v))
     if u.m == 0:  # sqrt and abs have no kink to refuse without derivatives
-        return Jet2(w, u.grad, u.hess)
+        return Jet2(w, u.grad, u.hess, u.third)
     if name == "sqrt":
         _raise_at(v == 0.0, node, "sqrt is not differentiable at 0")
-        return _chain(u, w, 0.5 / w, -0.25 / (w * v))
+        return _chain(u, w, 0.5 / w, -0.25 / (w * v), lambda: 0.375 / (w * v * v))
     _raise_at(v == 0.0, node, "abs is not differentiable at 0")
-    return _chain(u, w, np.where(v > 0.0, 1.0, -1.0), np.zeros_like(v))
+    return _chain(u, w, np.where(v > 0.0, 1.0, -1.0), np.zeros_like(v), lambda: 0.0)
 
 
 def _real_pow(base, exponent, node):
@@ -230,12 +265,18 @@ def _real_pow(base, exponent, node):
 
 def _take(jet, shape, idx):
     """The points ``idx`` of a jet broadcast to ``shape``."""
-    m = jet.m
-    return Jet2(
-        np.broadcast_to(jet.value, shape)[idx],
-        np.broadcast_to(jet.grad, shape + (m,))[idx],
-        np.broadcast_to(jet.hess, shape + (m, m))[idx],
-    )
+    return Jet2(*(np.broadcast_to(a, shape + (jet.m,) * r)[idx] for r, a in enumerate(jet.slots())))
+
+
+def _int_pow(base, exponent, k, node):
+    """The integer rule base^k.  At order 3 an exponent whose derivatives start
+    at the third adds base^k log(base) times it (nan where base <= 0)."""
+    part = _pow_int_jet(base, k, node)
+    if part.third is None or not exponent.third.any():
+        return part
+    log_b = np.log(np.where(exponent.third.any((-3, -2, -1)), base.value, 1.0))
+    third = part.third + (part.value * log_b)[..., None, None, None] * exponent.third
+    return Jet2(part.value, part.grad, part.hess, third)
 
 
 def _pow_jet(base, exponent, node):
@@ -247,46 +288,44 @@ def _pow_jet(base, exponent, node):
     if np.all(integral):
         ks = np.unique(k) if np.ndim(k) else [k]
         if len(ks) == 1:
-            return _pow_int_jet(base, int(ks[0]), node)
+            return _int_pow(base, exponent, int(ks[0]), node)
     elif not np.any(integral):
         return _real_pow(base, exponent, node)
     shape = np.broadcast_shapes(np.shape(base.value), np.shape(k), integral.shape)
     integral = np.broadcast_to(integral, shape)
     kk = np.broadcast_to(k, shape)
-    m = base.m
-    value, grad, hess = np.empty(shape), np.empty(shape + (m,)), np.empty(shape + (m, m))
+    out = [np.empty(shape + (base.m,) * r) for r in range(base.order + 1)]
     groups = [(np.flatnonzero(~integral), None)]
     groups += [(np.flatnonzero(integral & (kk == e)), int(e)) for e in np.unique(kk[integral])]
     for idx, e in groups:
         if not idx.size:
             continue
-        sub_base = _take(base, shape, idx)
+        sub_base, sub_exponent = _take(base, shape, idx), _take(exponent, shape, idx)
         try:
             if e is None:
-                part = _real_pow(sub_base, _take(exponent, shape, idx), node)
+                part = _real_pow(sub_base, sub_exponent, node)
             else:
-                part = _pow_int_jet(sub_base, e, node)
+                part = _int_pow(sub_base, sub_exponent, e, node)
         except DomainError as exc:
             raise DomainError(str(exc), node, index=int(idx[exc.index])) from None
-        value[idx] = part.value
-        grad[idx] = part.grad
-        hess[idx] = part.hess
-    return Jet2(value, grad, hess)
+        for slot, values in zip(out, part.slots()):
+            slot[idx] = values
+    return Jet2(*out)
 
 
-def _walk(expr, values, index, m):
+def _walk(expr, values, index, m, order):
     def rec(node):
         if isinstance(node, Num):
-            return Jet2.constant(node.value, m)
+            return Jet2.constant(node.value, m, order)
         if isinstance(node, Const):
-            return Jet2.constant(CONSTANTS[node.name], m)
+            return Jet2.constant(CONSTANTS[node.name], m, order)
         if isinstance(node, Var):
             if node.name not in values:
                 raise UnknownIdentifier(node.name)
             value = values[node.name]
             if node.name in index:
-                return Jet2.variable(value, index[node.name], m)
-            return Jet2(value, np.zeros(m), np.zeros((m, m)))
+                return Jet2.variable(value, index[node.name], m, order)
+            return Jet2.constant(value, m, order)
         if isinstance(node, Neg):
             return -rec(node.operand)
         if isinstance(node, Call):
@@ -312,15 +351,15 @@ def _full(a, shape):
     return a if a.shape == shape else np.broadcast_to(a, shape).copy()
 
 
-def eval_jet2(expr, bindings, active=()):
-    """Evaluate ``expr`` as an order-2 jet.
+def eval_jet2(expr, bindings, active=(), order=2):
+    """Evaluate ``expr`` as a jet of ``order`` 2 or 3.
 
     ``bindings`` maps every variable appearing in ``expr`` to a real
     value, or to a 1-d array of N values (one per point); ``active`` is the
     ordered subset of variables that derivatives are taken against.
-    With an empty ``active`` list this is a plain evaluation.  A
-    DomainError carries in ``index`` the first point whose evaluation
-    fails.
+    With an empty ``active`` list this is a plain evaluation; the slots of
+    order 2 do not depend on ``order``.  A DomainError carries in ``index``
+    the first point whose evaluation fails.
     """
     active = tuple(active)
     m = len(active)
@@ -331,13 +370,13 @@ def eval_jet2(expr, bindings, active=()):
     def evaluate(k):
         prefix = {name: v[:k] if np.ndim(v) else v for name, v in values.items()}
         with np.errstate(all="ignore"):  # float semantics: inf and nan propagate
-            return _walk(expr, prefix, index, m)
+            return _walk(expr, prefix, index, m, order)
 
     jet = first_failure(evaluate, shape[0] if shape else 1)
+    value, *derivatives = jet.slots()
     return Jet2(
-        _value(_full(np.asarray(jet.value), shape)),
-        _full(jet.grad, shape + (m,)),
-        _full(jet.hess, shape + (m, m)),
+        _value(_full(np.asarray(value), shape)),
+        *(_full(a, shape + (m,) * r) for r, a in enumerate(derivatives, start=1)),
     )
 
 
@@ -354,8 +393,7 @@ def as_expression(obj):
     if isinstance(obj, str):
         return parse(obj)
     if isinstance(obj, (int, float)):
-        value = float(obj)
-        return Neg(Num(-value)) if value < 0 else Num(value)
+        return literal(obj)
     raise TypeError(f"cannot interpret {obj!r} as an expression")
 
 

@@ -16,13 +16,15 @@ soliton); for all other warpings beta is the antiderivative, vanishing
 at u0, of a Chebyshev interpolant of theta/f(alpha), one per profile,
 whose degree doubles until its coefficients have decayed (Battles and
 Trefethen, SIAM J. Sci. Comput. 25, 2004).  The derivatives of beta
-need no interpolant: beta' = theta / f(alpha) and beta'' = -theta f'(alpha)
-sqrt(1 - theta^2) / f(alpha)^2 come from one jet of f at alpha(u).  The
-surface is the orbit of the profile under rotation of the fiber about
-the axis, with first fundamental form diag(1, sigma^2 x sphere-chart
-weights) where sigma(u) = f(alpha(u)) beta(u); its n fiber coordinates
-are one block, beta times the sphere chart, so a batch of chart points
-evaluates beta and the jet of f once for all of them.
+need no interpolant: with a = sqrt(1 - theta^2), beta' = theta / f,
+beta'' = -theta a f' / f^2 and beta''' = -theta a^2 (f f'' - 2 f'^2) / f^3
+come from one jet of f at alpha(u).  The surface is the orbit of the
+profile under rotation of the fiber about the axis, with first
+fundamental form diag(1, sigma^2 x sphere-chart weights) where sigma(u)
+= f(alpha(u)) beta(u), so d sigma / du = f'(alpha) a beta + theta
+exactly; its n fiber coordinates are one block, beta times the sphere
+chart, so a batch of chart points evaluates beta and the jet of f once
+for all of them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import DomainError, QuadratureFailure, SigmaZero
 from .expr import BinOp, Call, Var, literal
 from .hypersurface import CallableComponent, ChartBox, ExpressionComponent, Immersion
 from .jets import Jet2, as_expression, eval_jet2, first_index
-from .soliton import FD_TOL, SOLITON_TOL, Verdict, soliton_residual
+from .soliton import SOLITON_TOL, Verdict, soliton_residual
 
 CHEB_MIN_DEGREE = 16  # first degree of the profile interpolant
 CHEB_MAX_DEGREE = 4096  # degree cap; an integrand unresolved there fails
@@ -46,7 +48,6 @@ CHEB_TAIL_DECAY = 1e-13  # resolved: upper-half coefficients below this times th
 _POLAR_MARGIN = 0.2  # keeps grids away from sphere-chart poles for n >= 3
 AZIMUTH_SAMPLES = 9  # classification grid points along the last angle
 CLASSIFICATION_U_COUNT = 9  # classification grid points along u
-SIGMA_FD_STEP = 1e-4  # central-difference step of d sigma / du
 
 
 def sphere_chart_expressions(n):
@@ -115,11 +116,13 @@ class ProfileCurve:
         return self.profile.alpha(u)
 
     def beta_jet(self, u):
-        """(beta, beta', beta'') at ``u`` from one jet of f at alpha(u)."""
+        """(beta, beta', beta'', beta''') at ``u`` from one jet of f at alpha(u)."""
         prof = self.profile
         jet = eval_jet2(prof.f, {"t": prof.alpha(u)}, ("t",))
-        f0, f1 = jet.value, jet.grad[..., 0]
-        return self.beta(u), prof.theta / f0, -prof.theta * f1 * prof.slope / (f0 * f0)
+        f0, f1, f2 = jet.value, jet.grad[..., 0], jet.hess[..., 0, 0]
+        theta, a = prof.theta, prof.slope
+        third = -theta * a * a * (f0 * f2 - 2.0 * f1 * f1) / (f0 * f0 * f0)
+        return self.beta(u), theta / f0, -theta * f1 * a / (f0 * f0), third
 
 
 def _detect_exponential(prof):
@@ -131,7 +134,8 @@ def _detect_exponential(prof):
     u0, u1 = prof.u_range
     t_values = np.linspace(prof.alpha(u0), prof.alpha(u1), 17)
     jet = eval_warping(prof.f, t_values, ("t",))
-    rates = jet.grad[:, 0] / jet.value
+    with np.errstate(divide="ignore", invalid="ignore"):  # a vanishing f is no exponential
+        rates = jet.grad[:, 0] / jet.value
     c5 = float(rates[0])
     if np.any(np.abs(rates - c5) > 1e-12 * (1.0 + abs(c5))) or not abs(c5) > 1e-12:
         return None
@@ -231,17 +235,16 @@ def _solve(prof, exponential):
     return ProfileCurve(profile=prof, beta=beta, exponential_rate=rate)
 
 
-def _profile_jet(curve, values, active):
-    """Jet of beta(u) in the chart's active variables, at every point."""
+def _profile_jet(curve, values, active, order):
+    """Jet of beta(u) of ``order`` in the chart's active variables, at every point."""
     u = np.asarray(values["u"], dtype=float)
-    m = len(active)
-    grad = np.zeros(u.shape + (m,))
-    hess = np.zeros(u.shape + (m, m))
+    slots = [np.zeros(u.shape + (len(active),) * r) for r in range(1, order + 1)]
     if "u" not in active:
-        return Jet2(curve.beta(u), grad, hess)
-    i = active.index("u")
-    beta, grad[..., i], hess[..., i, i] = curve.beta_jet(u)
-    return Jet2(beta, grad, hess)
+        return Jet2(curve.beta(u), *slots)
+    beta, *derivatives = curve.beta_jet(u)
+    for r, (slot, value) in enumerate(zip(slots, derivatives), start=1):
+        slot[(...,) + (active.index("u"),) * r] = value
+    return Jet2(beta, *slots)
 
 
 def default_chart(prof):
@@ -278,9 +281,9 @@ def assemble_rotational(curve, ambient):
     prof = curve.profile
     sphere = sphere_chart_expressions(prof.n)
 
-    def fiber(values, active):
-        beta = _profile_jet(curve, values, active)
-        return [beta * eval_jet2(x_expr, values, active) for x_expr in sphere]
+    def fiber(values, active, order):
+        beta = _profile_jet(curve, values, active, order)
+        return [beta * eval_jet2(x_expr, values, active, order) for x_expr in sphere]
 
     components = [ExpressionComponent(prof.alpha_expression()), CallableComponent(fiber, prof.n)]
     return Immersion(ambient, default_chart(prof), components)
@@ -371,16 +374,17 @@ def classify_rotational(curve, imm, grid, u_count=CLASSIFICATION_U_COUNT):
     ``imm`` is the surface of the solved profile ``curve`` and ``grid``
     its classification grid for ``u_count`` (see
     :func:`classification_grid`); sigma is sampled at
-    ``max(u_count, 16)`` values of u; sigma at u and u +- step and the
-    slopes f'/f at u come from one jet of f and one evaluation of beta.
+    ``max(u_count, 16)`` values of u; sigma, its exact derivative
+    d sigma / du = f'(alpha) alpha' beta + theta (as f(alpha) beta' = theta)
+    and the slopes f'/f come from one jet of f and one evaluation of beta.
     """
     prof = curve.profile
     u = imm.chart.axis_points("u", max(u_count, 16), 0.05)
-    abscissae = np.concatenate([u + SIGMA_FD_STEP, u - SIGMA_FD_STEP, u])
-    jet = eval_jet2(prof.f, {"t": curve.alpha(abscissae)}, ("t",))
-    sigma_plus, sigma_minus, sigma = np.split(jet.value * curve.beta(abscissae), 3)
-    slopes = np.split(jet.grad[:, 0] / jet.value, 3)[2]
-    d_sigma = (sigma_plus - sigma_minus) / (2.0 * SIGMA_FD_STEP)
+    jet = eval_jet2(prof.f, {"t": curve.alpha(u)}, ("t",))
+    beta = curve.beta(u)
+    sigma = jet.value * beta
+    slopes = jet.grad[:, 0] / jet.value
+    d_sigma = jet.grad[:, 0] * prof.slope * beta + prof.theta
     sigma_sup = float(np.max(np.abs(d_sigma), initial=0.0))
     vanishing = first_index(np.abs(sigma) < 1e-12)
     if vanishing is not None:
@@ -391,7 +395,7 @@ def classify_rotational(curve, imm, grid, u_count=CLASSIFICATION_U_COUNT):
 
     report = soliton_residual(imm, grid)
     classified = bool(
-        sigma_sup < FD_TOL
+        sigma_sup < SOLITON_TOL
         and balance_sup < SOLITON_TOL
         and report.verdict is Verdict.SOLITON
         and slope_variation < SOLITON_TOL

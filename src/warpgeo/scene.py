@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .ambient import WarpedProduct
 from .catalogue import build_preset
-from .errors import BoundaryTooClose, DomainError, SceneError, WarpGeoError
+from .errors import DomainError, SceneError, WarpGeoError
 from .expr import parse as parse_expr, variables_in
 from .hypersurface import MAX_DIMENSION, MAX_GRID_POINTS, ChartBox, Immersion
 from .intrinsic import grid_geometry
@@ -44,7 +44,6 @@ from .soliton import (
     THEOREMS,
     CheckResult,
     Verdict,
-    check_stencil,
     first_extreme,
     hypotheses_report,
     soliton_report,
@@ -190,9 +189,7 @@ def validate_scene(data):
             immersion = Immersion(ambient, chart, exprs)
         except DomainError:
             raise  # surfaces as a numeric error, not a validation error
-        except WarpGeoError as exc:
-            raise SceneError(str(exc), field="immersion") from None
-        except ValueError as exc:
+        except (WarpGeoError, ValueError) as exc:
             raise SceneError(str(exc), field="immersion") from None
 
     grid_block = data.get("grid", {})
@@ -208,18 +205,10 @@ def validate_scene(data):
                 field="grid.samples",
             )
         counts[name] = count
-    unknown = set(samples) - set(immersion.chart.names)
-    if unknown:
-        raise SceneError(
-            f"samples given for unknown variables {sorted(unknown)}",
-            field="grid.samples",
-        )
-    unknown = set(margins) - set(immersion.chart.names)
-    if unknown:
-        raise SceneError(
-            f"margins given for unknown variables {sorted(unknown)}",
-            field="grid.margins",
-        )
+    for key, given in (("samples", samples), ("margins", margins)):
+        unknown = set(given) - set(immersion.chart.names)
+        if unknown:
+            raise SceneError(f"{key} given for unknown variables {sorted(unknown)}", f"grid.{key}")
     margin_map = {}
     for name in immersion.chart.names:
         frac = float(margins.get(name, 0.05))
@@ -246,11 +235,6 @@ def validate_scene(data):
             checks.append((raw, raw, None))
         else:
             raise SceneError(f"unknown check {raw!r}", field="checks")
-    if any(kind == "structural" for kind, _, _ in checks):
-        try:
-            check_stencil(immersion, grid)
-        except BoundaryTooClose as exc:
-            raise SceneError(f"structural check: {exc}", field="grid.margins") from None
 
     output = data.get("output", {})
     _require_keys(output, ("report", "mesh"), (), "output")
@@ -301,11 +285,8 @@ def _run_soliton(scene, geometry, soliton):
 
 def _run_structural(scene, geometry, soliton):
     if soliton.verdict is not Verdict.SOLITON:
-        return CheckResult(
-            "structural",
-            "not_applicable",
-            extras={"reason": "soliton verdict required"},
-        )
+        reason = {"reason": "soliton verdict required"}
+        return CheckResult("structural", "not_applicable", extras=reason)
     return structural_report(scene.immersion, geometry)
 
 
@@ -315,42 +296,25 @@ def _run_spaceform(c):
         probes = np.linspace(window[0], window[1], 200)
         result = scene.ambient.check_space_form(c, probes)
         sup = max(result.ratio_residual, result.second_residual)
-        return CheckResult(
-            f"spaceform c={c!r}",
-            "pass" if result.passed else "fail",
-            sup_error=sup,
-            extras={"c": c},
-        )
+        status = "pass" if result.passed else "fail"
+        return CheckResult(f"spaceform c={c!r}", status, sup_error=sup, extras={"c": c})
 
     return runner
 
 
 def _run_rotational_classification(scene, geometry, soliton):
     if scene.profile is None:
-        return CheckResult(
-            "rotational-classification",
-            "not_applicable",
-            extras={"reason": "immersion is not a rotational preset"},
-        )
+        reason = {"reason": "immersion is not a rotational preset"}
+        return CheckResult("rotational-classification", "not_applicable", extras=reason)
     curve = scene.profile
     report = classify_rotational(curve, scene.immersion, classification_grid(curve.profile))
     status = "pass" if report.classified else "fail"
-    sup = max(
-        report.balance_residual,
-        report.sigma_constancy,
-        report.soliton.residual_sup,
-        report.logf_slope_variation,
-    )
-    return CheckResult(
-        "rotational-classification",
-        status,
-        sup_error=sup,
-        extras={
-            "sigma_constancy": report.sigma_constancy,
-            "balance_residual": report.balance_residual,
-            "logf_slope_variation": report.logf_slope_variation,
-        },
-    )
+    extras = {
+        key: getattr(report, key)
+        for key in ("sigma_constancy", "balance_residual", "logf_slope_variation")
+    }
+    sup = max(report.soliton.residual_sup, *extras.values())
+    return CheckResult("rotational-classification", status, sup_error=sup, extras=extras)
 
 
 RUNNERS = {
@@ -373,8 +337,8 @@ def run_scene(scene):
     started = time.perf_counter()
     kinds = {kind for kind, _, _ in scene.checks}
     geometry = soliton = None
-    if kinds & set(GRID_CHECKS):
-        geometry = grid_geometry(scene.immersion, scene.grid)
+    if kinds & set(GRID_CHECKS):  # structural reads the third jets of the same pass
+        geometry = grid_geometry(scene.immersion, scene.grid, 3 if "structural" in kinds else 2)
     if kinds & {"soliton", "structural"}:
         soliton = soliton_report(geometry)
     results = []

@@ -12,7 +12,8 @@ Christoffel symbols, and the warped-product identity
     Hess h = (f'/f)(h) [g - dh (x) dh] + theta * g A
 
 which holds for every immersion, soliton or not, and is used as a
-universal cross-check.
+universal cross-check.  The structural identity Ric(grad h) + (n-1)
+grad(scal - lambda) = 0 takes grad(Lap h) exactly from third jets.
 
 Every check is a numpy reduction over the batched geometry record of a
 grid; ties go to the first point in grid order.
@@ -26,14 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundaryTooClose
-from .hypersurface import as_points
-from .intrinsic import grid_geometry, laplacian_height
+from .errors import DomainError
+from .intrinsic import grid_geometry
 from .jets import first_index
 
 SOLITON_TOL = 1e-7  # jet-exact derivative paths
-FD_TOL = 1e-4  # any quantity involving finite differences
-FD_STEP = 1e-3  # central-difference step of the structural identity
 CLASS_TOL = 1e-8  # absolute thresholds on lambda and |grad h|
 _MARGIN_TOL = 1e-9  # slack for inequality checks that hold with equality
 
@@ -184,46 +182,30 @@ class CheckResult:
         return out
 
 
-def check_stencil(imm, points):
-    """Raise BoundaryTooClose at the first chart point within 2 ``FD_STEP``
-    of a face of the chart box, where the structural stencil would leave it."""
-    points = as_points(points, imm.n)
-    lower = np.asarray(imm.chart.lower, dtype=float)
-    upper = np.asarray(imm.chart.upper, dtype=float)
-    near = (points - lower < 2.0 * FD_STEP) | (upper - points < 2.0 * FD_STEP)
-    near = first_index(np.any(near, axis=-1))
-    if near is not None:
-        p = tuple(map(float, points[near]))
-        raise BoundaryTooClose(f"stencil at {p!r} would leave the chart box")
-
-
 def structural_report(imm, geometry):
     """Structural identity over the :class:`PointGeometry` record of a grid.
 
-    The gradient of scal - lambda = (Lap h)/n is taken by central
-    differences with step ``FD_STEP`` (meaningful only when the soliton
-    verdict holds, so that lambda is the soliton function); the 2n
-    stencil points of every grid point are evaluated as one batch, for
-    Lap h alone.  The check passes when the sup error stays below
-    ``FD_TOL``.  Raises BoundaryTooClose when a stencil would leave the
-    chart box (see :func:`check_stencil`).
+    The gradient of scal - lambda = (Lap h)/n is the exact
+    ``lap_gradient`` of a record of order 3; a record of order 2 is built
+    again at order 3.  It is meaningful only when the soliton verdict
+    holds, so that lambda is the soliton function.  The check passes when
+    the sup error stays below ``SOLITON_TOL``; a gradient that is not
+    finite is a DomainError.
     """
-    points = geometry.shape.chart
-    check_stencil(imm, points)
+    if geometry.lap_gradient is None:
+        geometry = grid_geometry(imm, geometry.shape.chart, order=3)
+    bad = first_index(~np.isfinite(geometry.lap_gradient).all(axis=-1))
+    if bad is not None:
+        p = imm.bindings(geometry.shape.chart[bad])
+        raise DomainError(f"gradient of Lap h not finite (at chart point {p!r})", index=bad)
     n = imm.n
-    # per grid point: +FD_STEP along each axis, then -FD_STEP along each axis
-    stencil = np.repeat(points[:, None, :], 2 * n, axis=1)
-    for k in range(n):
-        stencil[:, k, k] += FD_STEP
-        stencil[:, n + k, k] -= FD_STEP
-    s = laplacian_height(imm, stencil.reshape(-1, n)).reshape(-1, 2, n) / n
-    grad_s = (s[:, 0] - s[:, 1]) / (2.0 * FD_STEP)
+    grad_s = geometry.lap_gradient / n
     # both terms as covectors; norm taken with the inverse metric
     omega = (geometry.ric @ geometry.shape.grad_h[..., None])[..., 0] + (n - 1) * grad_s
     dual = (geometry.shape.metric_inverse @ omega[..., None])[..., 0]
     err = np.sqrt(np.maximum(np.sum(omega * dual, axis=-1), 0.0))
     sup_error, worst = first_extreme(err)
-    status = "pass" if sup_error < FD_TOL else "fail"
+    status = "pass" if sup_error < SOLITON_TOL else "fail"
     return CheckResult(
         "structural", status, sup_error=sup_error, worst_point=geometry.chart_point(worst)
     )
@@ -279,24 +261,11 @@ def hypotheses_report(imm, geometry, which):
         flipped = _theorem1_margins(n, geometry, flipped=True)
         best = max(default, flipped, key=lambda row: row[0])
         status = "pass" if best[0] >= -_MARGIN_TOL else "fail"
-        return CheckResult(
-            which,
-            status,
-            worst_point=best[1],
-            worst_value=best[0],
-            extras={
-                "as_oriented": {
-                    "margin": default[0],
-                    "curvature_margin": default[2],
-                    "angle_margin": default[3],
-                },
-                "flipped": {
-                    "margin": flipped[0],
-                    "curvature_margin": flipped[2],
-                    "angle_margin": flipped[3],
-                },
-            },
-        )
+        extras = {
+            name: {"margin": row[0], "curvature_margin": row[2], "angle_margin": row[3]}
+            for name, row in (("as_oriented", default), ("flipped", flipped))
+        }
+        return CheckResult(which, status, worst_point=best[1], worst_value=best[0], extras=extras)
 
     sd = geometry.shape
     H = sd.mean_curvature

@@ -3,8 +3,10 @@
 These deliberately avoid the closed-form code paths they check: the
 ambient curvature oracle differentiates Christoffel symbols by finite
 differences, the derivative oracles apply central differences to plain
-evaluations, the generic Christoffel formula and the QR normal treat the
-diagonal ambient metric as a dense matrix, the metric-jet oracle walks
+evaluations (the gradient of Lap h among them: Lap h through the induced
+Christoffel tensor at 2n stencil points per point), the generic
+Christoffel formula and the QR normal treat the diagonal ambient metric
+as a dense matrix, the metric-jet oracle walks
 each diagonal entry as an expression, and the scalar curvature oracle
 differentiates the sampled induced metric.  The tensor oracles build
 what the geometry pass contracts in closed form: the ambient Christoffel
@@ -33,13 +35,12 @@ from warpgeo.catalogue import (
     sphere_immersion,
     spherical_cap_ambient,
 )
-from warpgeo.errors import BoundaryTooClose
 from warpgeo.expr import BinOp, Call, Num, Var, parse
 from warpgeo.hypersurface import (
     CallableComponent,
     Immersion,
-    first_kind_sum,
     grid_shape_data,
+    metric_derivative,
     point_jets,
 )
 from warpgeo.intrinsic import grid_geometry
@@ -97,9 +98,9 @@ def perturbed_immersion(imm, rng, amplitude=0.004):
             bump_src += f"*cos({c!r}*{names[1]}+{d!r})"
         bumps.append(parse(bump_src))
 
-    def coordinates(values, active):
-        jets = imm.coordinate_jets(values, active)
-        return [jet + eval_jet2(bump, values, active) for jet, bump in zip(jets, bumps)]
+    def coordinates(values, active, order):
+        jets = imm.coordinate_jets(values, active, order)
+        return [jet + eval_jet2(bump, values, active, order) for jet, bump in zip(jets, bumps)]
 
     return Immersion(imm.ambient, imm.chart, [CallableComponent(coordinates, imm.ambient.dim)])
 
@@ -169,8 +170,10 @@ def sphere_chart(v):
 
 
 def induced_christoffels_from_jets(pj):
-    """Christoffel symbols Gamma[:, k, i, j] = g^kl B_lij / 2 of the induced metric."""
-    B = first_kind_sum(pj)
+    """Christoffel symbols Gamma[:, k, i, j] = g^kl B_lij / 2 of the induced metric,
+    B_lij = d_i g_lj + d_j g_il - d_l g_ij."""
+    dg = metric_derivative(pj)
+    B = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
     return 0.5 * (pj.metric_inverse @ B.reshape(B.shape[:-2] + (-1,))).reshape(B.shape)
 
 
@@ -285,6 +288,41 @@ def hessian_height_christoffel(pj):
     """Hess h = d^2 h - Gamma^k d_k h through the induced Christoffel tensor g^-1 B / 2."""
     gamma = induced_christoffels_from_jets(pj)
     return pj.second[..., 0, :, :] - np.sum(gamma * pj.frame[..., 0, :, None, None], axis=-3)
+
+
+FD_TOL = 1e-4  # tolerance of every comparison with a finite-difference oracle
+FD_STEP = 1e-3  # central-difference step of the Lap h gradient oracle
+
+
+def laplacian_height(imm, points):
+    """Lap h = trace(g^-1 Hess h) over (N, n) chart points, Hess h through
+    the induced Christoffel tensor."""
+    pj = point_jets(imm, points)
+    return np.trace(pj.metric_inverse @ hessian_height_christoffel(pj), axis1=-2, axis2=-1)
+
+
+def laplacian_gradient_fd(imm, points, step=FD_STEP):
+    """d_m Lap h by central differences: the 2n stencil points of every
+    chart point are evaluated as one batch.  Accuracy is O(step^2)."""
+    points = np.asarray(points, dtype=float).reshape(-1, imm.n)
+    n = imm.n
+    # per point: +step along each axis, then -step along each axis
+    stencil = np.repeat(points[:, None, :], 2 * n, axis=1)
+    for k in range(n):
+        stencil[:, k, k] += step
+        stencil[:, n + k, k] -= step
+    lap = laplacian_height(imm, stencil.reshape(-1, n)).reshape(-1, 2, n)
+    return (lap[:, 0] - lap[:, 1]) / (2.0 * step)
+
+
+def structural_error_fd(imm, geometry):
+    """Sup over the grid of |Ric(grad h) + (n-1) grad (Lap h)/n|, the
+    gradient by ``laplacian_gradient_fd``."""
+    n = imm.n
+    grad_s = laplacian_gradient_fd(imm, geometry.shape.chart) / n
+    omega = (geometry.ric @ geometry.shape.grad_h[..., None])[..., 0] + (n - 1) * grad_s
+    dual = (geometry.shape.metric_inverse @ omega[..., None])[..., 0]
+    return float(np.max(np.sqrt(np.maximum(np.sum(omega * dual, axis=-1), 0.0))))
 
 
 def scal_formula(imm, geometry):
@@ -424,7 +462,7 @@ def scalar_fd_oracle(imm, p, step=1e-3):
     n = imm.n
     for v, lo, hi in zip(p, imm.chart.lower, imm.chart.upper):
         if v - lo < 3.0 * step or hi - v < 3.0 * step:
-            raise BoundaryTooClose(
+            raise ValueError(
                 f"point {p!r} is within 3*step of the chart boundary"
             )
 

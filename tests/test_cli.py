@@ -146,6 +146,23 @@ def test_analyze_point_errors_exit_three(tmp_path, capsys, components, samples, 
     assert "Traceback" not in captured.err + captured.out
 
 
+def test_structural_gradient_not_finite_exit_three(tmp_path, capsys):
+    # the third derivatives of 1e-250 sin(1e120 u) overflow while the
+    # geometry of order 2 stays finite: structural names the grid point
+    scene = hyperplane_scene()
+    scene["immersion"] = {
+        "components": ["0.5+1e-250*sin(1e120*u)", "u", "v"],
+        "chart": {"names": ["u", "v"], "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+    }
+    scene["grid"] = {"samples": {"u": 5, "v": 5}}
+    scene["checks"] = ["soliton", "structural"]
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 3
+    err = capsys.readouterr().err
+    assert "gradient of Lap h not finite" in err and "{'u': -0.9, 'v': -0.9}" in err
+    scene["checks"] = ["soliton"]
+    assert main(["analyze", write_scene(tmp_path, scene, "soliton.json")]) == 0
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_theorem5_fit_refuses_a_vanishing_warping(tmp_path, capsys):
     # f = (t - t1)^2 is positive on the 1024 construction probes but
@@ -323,20 +340,64 @@ def test_analyze_unreadable_scene_text_exit_two(tmp_path, capsys, case):
     assert "not valid JSON" in err or "ambient.n" in err
 
 
-def test_structural_stencil_leaving_the_chart_exit_two(tmp_path, capsys):
-    # grid points 2e-4 from the chart faces: the structural stencil
-    # reaches FD_STEP = 1e-3 beyond them, so the scene is refused
+def test_structural_near_the_chart_edge_exit_zero(tmp_path, capsys):
+    # grid points 2e-4 from the chart faces: the structural check reads
+    # the grid points alone, so the scene runs and passes
     scene = {
         "ambient": {"interval": ["-inf", "inf"], "f": "exp(t)", "fiber": "euclidean", "n": 2},
         "immersion": {"preset": "horosphere", "params": {"t0": 0.0}},
         "grid": {"samples": {"u1": 5, "u2": 5}, "margins": {"u1": 1e-4, "u2": 1e-4}},
         "checks": ["soliton", "structural"],
+        "output": {"report": str(tmp_path / "report.json")},
     }
-    path = write_scene(tmp_path, scene)
-    assert main(["analyze", path]) == 2
-    assert "grid.margins" in capsys.readouterr().err
-    scene["checks"] = ["soliton"]  # the same grid, without the stencil
-    assert main(["analyze", write_scene(tmp_path, scene, "soliton.json")]) == 0
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 0
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert checks[1]["name"] == "structural" and checks[1]["status"] == "pass"
+    assert checks[1]["sup_error"] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["spaceforms", "--samples", "-3"], "--samples"),
+        (["spaceforms", "--samples", "0"], "--samples"),
+        (["rotational", "--theta", "0.5", "--samples", "0"], "--samples"),
+        (["rotational", "--theta", "0.5", "--samples", "-1"], "--samples"),
+        (["rotational", "--theta", "0.5", "--u0=-inf"], "--u0"),
+        (["rotational", "--theta", "0.5", "--u1", "inf"], "--u1"),
+        (["rotational", "--theta", "0.5", "--u1", "nan"], "--u1"),
+        (["rotational", "--theta", "0.5", "--c1", "inf"], "--c1"),
+        (["rotational", "--theta", "0.5", "--c2", "nan"], "--c2"),
+    ],
+)
+def test_out_of_range_flags_exit_two(argv, flag, capsys, monkeypatch):
+    # refused before any profile work, with a message naming the flag
+    import warpgeo.rotational as rotational
+
+    def no_profile_work(*args, **kwargs):
+        raise AssertionError("profile work started")
+
+    monkeypatch.setattr(rotational, "_detect_exponential", no_profile_work)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "Traceback" not in captured.err
+    assert "passed" not in captured.out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--f", "t", "--t-min", "0"], "profile integrand not resolved"),
+        (["--f", "0*t"], "underflows to 0"),
+    ],
+    ids=["vanishing-f", "zero-f"],
+)
+def test_exponential_probe_of_a_vanishing_warping_is_silent(extra, message, capsys):
+    # the probe of (log f)' divides by f = 0 without a numpy warning
+    assert main(["rotational", "--theta", "0.5", *extra]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "RuntimeWarning" not in err
 
 
 def test_rotational_classified(tmp_path, capsys):

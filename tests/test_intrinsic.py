@@ -6,14 +6,16 @@ import pytest
 from dataclasses import fields, is_dataclass
 
 from warpgeo.ambient import Fiber, WarpedProduct
-from warpgeo.errors import BoundaryTooClose
 from warpgeo.hypersurface import ChartBox, Immersion, point_jets
-from warpgeo.intrinsic import grid_geometry, laplacian_height
+from warpgeo.intrinsic import grid_geometry
 from warpgeo.rotational import weingarten_closed_form
 
 from oracles import (
+    FD_TOL,
     geometry_at,
     hessian_height_christoffel,
+    laplacian_gradient_fd,
+    laplacian_height,
     perturbed_immersion,
     point_geometries,
     ricci_gradh_extrinsic,
@@ -150,7 +152,7 @@ def test_fd_oracle_values(hyperplane, sphere2, rotational_soliton):
 
 
 def test_fd_oracle_boundary_guard(hyperplane):
-    with pytest.raises(BoundaryTooClose):
+    with pytest.raises(ValueError):
         scalar_fd_oracle(hyperplane, (1.0 - 2e-3, 0.0))
 
 
@@ -160,6 +162,8 @@ def _arrays(record, prefix=""):
         value = getattr(record, f.name)
         if is_dataclass(value):
             yield from _arrays(value, f"{prefix}{f.name}.")
+        elif value is None:
+            continue
         elif isinstance(value, tuple):
             for k, item in enumerate(value):
                 yield f"{prefix}{f.name}[{k}]", item
@@ -181,6 +185,24 @@ def test_geometry_does_not_depend_on_the_batch(catalogue, rng):
                 assert values[i].tobytes() == single[key][0].tobytes(), (name, key, i)
                 if i:
                     assert values[i].tobytes() == shifted[key][i - 1].tobytes(), (name, key, i)
+
+
+def test_order_three_record_extends_order_two(catalogue, rng):
+    # the pass of order 3 adds lap_gradient and leaves every other field
+    # bit-identical; each point's gradient does not depend on the batch
+    immersions = list(catalogue) + [("perturbed", perturbed_immersion(catalogue[3][1], rng))]
+    for name, imm in immersions:
+        grid = imm.chart.grid(3, 0.1)
+        two = dict(_arrays(grid_geometry(imm, grid)))
+        three = dict(_arrays(grid_geometry(imm, grid, order=3)))
+        gradient = three.pop("lap_gradient")
+        assert gradient.shape == (len(grid), imm.n) and np.all(np.isfinite(gradient)), name
+        assert {key: v.tobytes() for key, v in two.items()} == {
+            key: v.tobytes() for key, v in three.items()
+        }, name
+        for i, p in enumerate(grid):
+            single = grid_geometry(imm, [p], order=3).lap_gradient[0]
+            assert single.tobytes() == gradient[i].tobytes(), (name, i)
 
 
 def test_point_geometry_is_the_single_point_view(sphere3):
@@ -232,3 +254,30 @@ def test_closed_forms_match_the_tensor_oracles(fiber, n, rng):
     _assert_close(geo.ric - quadratic, S, "ambient Ricci")
     lap = np.trace(np.linalg.solve(g, geo.hess_direct), axis1=1, axis2=2)
     _assert_close(laplacian_height(imm, grid), lap, "Lap h")
+
+
+def _rotational(f, n):
+    from warpgeo.rotational import RotationalProfile, build_rotational
+
+    return build_rotational(RotationalProfile(theta=0.6, f=f, n=n, u_range=(-1.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["euclidean-2", "euclidean-3", "sphere-2", "sphere-3", "rotational-exp", "rotational-cosh"],
+)
+def test_laplacian_gradient_matches_finite_differences(case, rng):
+    # the exact d_m Lap h of one order-3 jet pass against central
+    # differences of Lap h: tilted graphs over both fibers (the normal has
+    # a fiber part, the sphere fiber brings d2D off the t axis), and
+    # rotational profiles with the closed-form beta and the interpolant
+    kind, arg = case.split("-")
+    if kind == "rotational":
+        imm = _rotational(arg + "(t)", 3 if arg == "exp" else 2)
+    else:
+        imm = _tilted_immersion(Fiber(kind), int(arg), rng)
+    grid = imm.chart.grid(3, 0.2)
+    exact = grid_geometry(imm, grid, order=3).lap_gradient
+    fd = laplacian_gradient_fd(imm, grid)
+    assert exact.shape == (len(grid), imm.n)
+    assert np.max(np.abs(exact - fd)) < FD_TOL * max(1.0, np.max(np.abs(fd)))

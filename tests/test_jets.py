@@ -277,3 +277,76 @@ def test_overflow_is_a_domain_error():
         eval_jet2(parse("exp(1000*t)"), {"t": np.array([0.0, 1.0])}, ("t",))
     with pytest.raises(DomainError):
         eval_value(parse("cosh(t)"), {"t": 1000.0})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    expr=st.recursive(_LEAVES, _combine, max_leaves=8),
+    points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=8),
+    active=st.sampled_from([(), ("t",), ("u", "t")]),
+)
+def test_order_three_jets_match_single_points_and_order_two(expr, points, active):
+    # the third slot comes from the same walk: the slots of order 2 are
+    # the order-2 ones to the bit, a failure is the same, and each point
+    # is bit-identical whether evaluated in the batch or alone (a NaN
+    # counts as one value: numpy's loops for a batch and for a single
+    # point may pass on the sign of either NaN operand)
+    t = np.array([p[0] for p in points])
+    u = np.array([p[1] for p in points])
+    try:
+        order2 = eval_jet2(expr, {"t": t, "u": u}, active)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as err:
+            eval_jet2(expr, {"t": t, "u": u}, active, order=3)
+        assert err.value.index == exc.index and str(err.value) == str(exc)
+        return
+    batch = eval_jet2(expr, {"t": t, "u": u}, active, order=3)
+    assert order2.third is None and batch.third.shape == (len(points),) + (len(active),) * 3
+    for name in ("value", "grad", "hess"):
+        assert getattr(batch, name).tobytes() == getattr(order2, name).tobytes(), name
+    for i in range(len(points)):
+        single = eval_jet2(expr, {"t": t[i : i + 1], "u": u[i : i + 1]}, active, order=3)
+        for name in ("value", "grad", "hess", "third"):
+            assert _bits(getattr(batch, name)[i]) == _bits(getattr(single, name)[0]), name
+
+
+def _bits(a):
+    """The bytes of ``a`` with every NaN as the one NaN of numpy."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+@pytest.mark.parametrize(
+    "src, t",
+    [
+        ("-t*u + t", 0.4),  # negation, sum, product
+        ("t - u*u*u", 0.4),
+        ("t / (u + t)", 0.4),  # reciprocal
+        ("t^3 * u^-2", 0.4),  # integer powers
+        ("(t + 2)^u", 0.4),  # real power
+        ("(t + 2)^w", np.array([0.4, 1.3])),  # the integer rule at one point, the real power at the other
+        ("u^(t*t*t)", 0.0),  # an exponent whose derivatives start at the third
+        ("sin(t*u)", 0.4),
+        ("cos(t*u)", 0.4),
+        ("tan(t*u/2)", 0.4),
+        ("sinh(t*u)", 0.4),
+        ("cosh(t*u)", 0.4),
+        ("tanh(t*u)", 0.4),
+        ("exp(t*u)", 0.4),
+        ("log(t + u)", 0.4),
+        ("sqrt(t + u)", 0.4),
+        ("abs(t - u)", 0.4),
+    ],
+)
+def test_third_derivatives_match_differences_of_the_hessian(src, t):
+    # each rule's third derivative against central differences of the
+    # exact Hessian along t and u
+    expr, step = parse(src), 1e-5
+    u, w = 1.7, np.where(np.asarray(t) == 1.3, 0.5, 3.0)  # w is inactive
+    active = ("t", "u")
+    jet = eval_jet2(expr, {"t": t, "u": u, "w": w}, active, order=3)
+    for k, (dt, du) in enumerate([(step, 0.0), (0.0, step)]):
+        plus = eval_jet2(expr, {"t": t + dt, "u": u + du, "w": w}, active).hess
+        minus = eval_jet2(expr, {"t": t - dt, "u": u - du, "w": w}, active).hess
+        fd = (plus - minus) / (2.0 * step)
+        assert np.max(np.abs(jet.third[..., k] - fd) / (1.0 + np.abs(fd))) < 1e-6, k
+    assert np.allclose(jet.third, np.swapaxes(jet.third, -1, -3), rtol=1e-12, atol=1e-12)

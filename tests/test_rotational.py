@@ -16,6 +16,7 @@ from warpgeo.rotational import (
     verify_classification,
     weingarten_closed_form,
 )
+from warpgeo.soliton import SOLITON_TOL
 
 from oracles import point_shapes, profile_geodesic_residual, sphere_chart
 
@@ -227,7 +228,7 @@ def test_classification_dichotomy():
         prof = RotationalProfile(theta=0.5, f=f, n=2, u_range=u_range)
         report = verify_classification(prof, interval=interval)
         assert report.classified, f
-        assert report.sigma_constancy < 1e-4
+        assert report.sigma_constancy < SOLITON_TOL
         assert report.balance_residual < 1e-7
     for f, interval, u_range in failing:
         prof = RotationalProfile(theta=0.5, f=f, n=2, u_range=u_range)
@@ -314,3 +315,32 @@ def test_integrand_failing_between_probes_names_u():
     with pytest.raises(DomainError, match=r"profile integrand at u=0\.04.*sqrt of negative"):
         solve_profile(prof)
     assert main(["rotational", "--theta", "0.6", "--f", GAP, "--u0", "-1", "--u1", "1"]) == 3
+
+
+@pytest.mark.parametrize("f", ["exp(t)", "cosh(t)"], ids=["closed-form", "interpolant"])
+def test_beta_derivatives_match_differences(f):
+    # the first three derivatives of beta in closed form from the jet of
+    # f, against central differences of the derivative below each
+    curve = solve_profile(RotationalProfile(theta=0.5, f=f, n=2, u_range=(-1.0, 1.0)))
+    u, step = np.linspace(-0.9, 0.9, 7), 1e-5
+    exact = curve.beta_jet(u)
+    plus, minus = curve.beta_jet(u + step), curve.beta_jet(u - step)
+    for k in range(3):
+        fd = (plus[k] - minus[k]) / (2.0 * step)
+        assert np.max(np.abs(exact[k + 1] - fd)) < 1e-6 * (1.0 + np.max(np.abs(fd))), k
+
+
+def test_sigma_constancy_is_the_exact_derivative():
+    # off the soliton, sup |d sigma / du| is far from 0 and equals the
+    # central differences of sigma = f(alpha) beta on the same u samples
+    prof = RotationalProfile(theta=0.5, f="cosh(t)", n=2, u_range=(-1.0, 1.0))
+    report = verify_classification(prof)
+    curve = solve_profile(prof)
+    u, step = report.immersion.chart.axis_points("u", 16, 0.05), 1e-5
+
+    def sigma(u):
+        return np.cosh(curve.alpha(u)) * curve.beta(u)
+
+    fd = np.max(np.abs((sigma(u + step) - sigma(u - step)) / (2.0 * step)))
+    assert report.sigma_constancy > 1e-2
+    assert abs(report.sigma_constancy - fd) < 1e-8

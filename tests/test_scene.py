@@ -164,7 +164,7 @@ def test_run_sphere_scene():
     assert 1.0 < report["soliton"]["lambda_min"] < report["soliton"]["lambda_max"] < 3.0
     structural = next(c for c in report["checks"] if c["name"] == "structural")
     assert structural["status"] == "pass"
-    assert structural["sup_error"] < 1e-4
+    assert structural["sup_error"] < 1e-12
 
 
 def test_structural_not_applicable_without_soliton():
@@ -231,7 +231,7 @@ def test_soliton_block_aggregates_identity_checks():
     identity = report["soliton"]["identity_checks"]
     assert "lemma_hessian" in identity
     assert "lemma1" in identity and identity["lemma1"] < 1e-7
-    assert "structural" in identity and identity["structural"] < 1e-4
+    assert "structural" in identity and identity["structural"] < 1e-12
     assert "theorem3" in identity
     assert identity["theorem4a"] == 0.0  # bound holds with equality
 
@@ -270,13 +270,16 @@ def example5_scene(checks):
     return data
 
 
-def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch):
+@pytest.mark.parametrize("structural", [False, True])
+def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch, structural):
     # one batched call each, covering every grid point exactly once; the
     # ambient evaluates f once per batch (in metric_jets), and otherwise
     # only once on the 64 probe heights of theorem5 (its fit of c and the
-    # residuals of check_space_form share that jet)
+    # residuals of check_space_form share that jet).  Only structural
+    # makes its one pass of order 3, over the grid points alone, and
+    # takes d2D from the warping triple without evaluating f again
     checks = ["lemma1", "soliton", "theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5"]
-    scene = validate_scene(example5_scene(checks))
+    scene = validate_scene(example5_scene(checks + ["structural"] * structural))
     calls = {"component_jets": [], "metric_jets": []}
     ambient_jets = []
     eval_jet2 = ambient_module.eval_jet2
@@ -286,28 +289,34 @@ def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch):
         return eval_jet2(expr, bindings, active)
 
     monkeypatch.setattr(ambient_module, "eval_jet2", counted_eval)
+    component_jets = Immersion.component_jets
 
-    def count(owner, name, points_of):
-        original = getattr(owner, name)
+    def counted_component_jets(self, points, order=2):
+        calls["component_jets"].append((len(points), order))
+        return component_jets(self, points, order)
 
-        def counted(self, arg):
-            calls[name].append(points_of(arg))
-            return original(self, arg)
+    metric_jets = WarpedProduct.metric_jets
 
-        monkeypatch.setattr(owner, name, counted)
+    def counted_metric_jets(self, q):
+        calls["metric_jets"].append(len(q.t))
+        return metric_jets(self, q)
 
-    count(Immersion, "component_jets", len)
-    count(WarpedProduct, "metric_jets", lambda q: len(q.t))
-    run_scene(scene)
-    assert calls == {"component_jets": [len(scene.grid)], "metric_jets": [len(scene.grid)]}
-    assert ambient_jets == [(True, len(scene.grid)), (True, 64)]
+    monkeypatch.setattr(Immersion, "component_jets", counted_component_jets)
+    monkeypatch.setattr(WarpedProduct, "metric_jets", counted_metric_jets)
+    report, _ = run_scene(scene)
+    statuses = {check["name"]: check["status"] for check in report["checks"]}
+    assert statuses["soliton"] == statuses.get("structural", "pass") == "pass"
+    N = len(scene.grid)
+    orders = [(N, 3)] if structural else [(N, 2)]
+    assert calls == {"component_jets": orders, "metric_jets": [N]}
+    assert ambient_jets == [(True, N), (True, 64)]
 
 
 def test_rotational_profile_is_evaluated_once_per_batch(monkeypatch):
     # the fiber block evaluates beta and the jet of f at alpha(u) once per
-    # batch, for all n fiber coordinates; the classification takes sigma
-    # at u and u +- step and the slopes f'/f from one jet of f and one
-    # beta over the 3 x 16 abscissae, then one batch for its grid
+    # batch, for all n fiber coordinates; the classification takes sigma,
+    # its exact derivative and the slopes f'/f from one jet of f and one
+    # beta over 16 values of u, then one batch for its grid
     scene = validate_scene(example5_scene(["soliton"]))
     betas, f_jets = [], []
 
@@ -318,10 +327,10 @@ def test_rotational_profile_is_evaluated_once_per_batch(monkeypatch):
     curve = dataclasses.replace(scene.profile, beta=beta)
     eval_jet2 = rotational.eval_jet2
 
-    def counted_eval(expr, bindings, active=()):
+    def counted_eval(expr, bindings, active=(), order=2):
         if expr is curve.profile.f:
             f_jets.append(np.size(bindings["t"]))
-        return eval_jet2(expr, bindings, active)
+        return eval_jet2(expr, bindings, active, order)
 
     monkeypatch.setattr(rotational, "eval_jet2", counted_eval)
     imm = rotational.assemble_rotational(curve, scene.ambient)
@@ -334,7 +343,7 @@ def test_rotational_profile_is_evaluated_once_per_batch(monkeypatch):
     grid = rotational.classification_grid(curve.profile)
     report = rotational.classify_rotational(curve, imm, grid)
     assert report.classified
-    assert betas == f_jets == [48, len(grid)]
+    assert betas == f_jets == [16, len(grid)]
 
 
 def test_rotational_scene_builds_its_surface_once(monkeypatch):
@@ -377,7 +386,7 @@ def test_reports_do_not_depend_on_check_order_or_state():
 @pytest.mark.parametrize("n, samples", [(4, 10), (5, 6)])
 def test_maximal_grid_stays_under_256_mb(n, samples):
     # the largest grids these dimensions allow, with the structural check
-    # (2n stencil points per grid point) on a soliton horosphere
+    # (third jets of every component) on a soliton horosphere
     names = [f"u{i}" for i in range(1, n + 1)]
     scene = {
         "ambient": {"interval": ["-inf", "inf"], "f": "exp(t)", "fiber": "euclidean", "n": n},

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from warpgeo.errors import BoundaryTooClose
+from warpgeo.catalogue import euclidean_ambient, sphere_immersion
 from warpgeo.hypersurface import flip_orientation, grid_shape_data
 from warpgeo.intrinsic import grid_geometry
 from warpgeo.rotational import RotationalProfile, build_rotational, solve_profile
 from warpgeo.soliton import (
+    SOLITON_TOL,
     SolitonClass,
     Verdict,
     classify,
@@ -139,18 +140,31 @@ def test_flip_invariance_of_soliton_quantities(sphere2, horosphere):
             assert sd.theta * sd.mean_curvature == flipped.theta * flipped.mean_curvature
 
 
-def test_structural_identity_on_solitons(sphere2, rotational_soliton, hyperplane):
-    rep = structural_on_grid(sphere2, grid(sphere2, count=4, margin=0.15))
-    assert rep.sup_error < 1e-4
-    rep = structural_on_grid(rotational_soliton, grid(rotational_soliton, count=4))
-    assert rep.sup_error < 1e-8
+def test_structural_identity_on_solitons(sphere2, sphere3, rotational_soliton, hyperplane):
+    # the gradient of Lap h is jet-exact, so the identity holds to rounding
+    for imm in (sphere2, sphere3, rotational_soliton):
+        rep = structural_on_grid(imm, grid(imm, count=4, margin=0.15))
+        assert rep.status == "pass" and rep.sup_error < 1e-12
     rep = structural_on_grid(hyperplane, grid(hyperplane, count=3))
     assert rep.sup_error < 1e-12
 
 
-def test_structural_identity_guards(hyperplane):
-    with pytest.raises(BoundaryTooClose):
-        structural_on_grid(hyperplane, [(1.0 - 1e-4, 0.0)])
+def test_structural_identity_near_the_chart_edge(hyperplane, sphere2):
+    # the check reads the grid points alone: a point 1e-4 from a face is
+    # evaluated like any other
+    rep = structural_on_grid(hyperplane, [(1.0 - 1e-4, 0.0)])
+    assert rep.status == "pass" and rep.sup_error < 1e-12
+    upper = sphere2.chart.upper[0] - 1e-4
+    rep = structural_on_grid(sphere2, [(upper, 0.3)])
+    assert rep.status == "pass" and rep.sup_error < SOLITON_TOL
+
+
+def test_structural_identity_fails_off_solitons(rng):
+    # a perturbed sphere is no soliton: Ric(grad h) + (n-1) grad(scal - lambda)
+    # is far from 0 and the check fails at the SOLITON_TOL tier
+    imm = perturbed_immersion(sphere_immersion(euclidean_ambient(2)), rng, amplitude=0.02)
+    rep = structural_on_grid(imm, grid(imm, count=3))
+    assert rep.status == "fail" and rep.sup_error > 1e-3
 
 
 def test_theorem1_horosphere_orientations(horosphere):
