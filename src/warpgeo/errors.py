@@ -62,8 +62,8 @@ class QuadratureFailure(WarpGeoError):
     """The profile integral did not reach the requested tolerance."""
 
 
-class SigmaZero(WarpGeoError):
-    """Rotational radius function vanished where a formula divides by it."""
+class SigmaZero(DomainError):
+    """Rotational radius function vanished where a formula divides by it (names u)."""
 
 
 class MeshUnsupported(WarpGeoError):

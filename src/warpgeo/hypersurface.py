@@ -173,10 +173,13 @@ class Immersion:
 
     ``components`` gives the n+1 ambient coordinates (t, x1, ..., xn) as
     expressions in the chart variables, or as :class:`CallableComponent`
-    blocks of consecutive coordinates.  Construction fixes the normal
-    orientation at the chart center and probes a small interior grid:
-    the tangent Gram determinant must exceed 1e-12 and the image must
-    stay inside the ambient chart.  The object is not modified afterwards.
+    blocks of consecutive coordinates.  Construction evaluates the chart
+    center and the 3^n probe points of ``chart.grid(3, margins=0.1)`` in
+    one batch, the center first.  The center fixes the normal
+    orientation; at every point the tangent Gram determinant must exceed
+    1e-12 and the image must stay inside the ambient chart, and at the
+    probe points the ambient metric must be well conditioned.  The
+    object is not modified afterwards.
     """
 
     def __init__(self, ambient, chart, components):
@@ -199,8 +202,20 @@ class Immersion:
                     raise ValueError(
                         f"component {comp.source!r} uses undeclared variables {sorted(extra)}"
                     )
-        self.orientation = _center_orientation(self)
-        grid_shape_data(self, self.chart.grid(3, margins=0.1))
+        probes = [self.chart.center()] + self.chart.grid(3, margins=0.1)
+        evaluate_points(self, self._probe, probes)
+
+    def _probe(self, points):
+        """Fix the orientation at row 0, the chart center, and check the shape of the rest."""
+        pj = point_jets(self, points)
+        normal = _unit_normal(pj.frame[:1], pj.D[:1])[0]
+        signs = normal[np.abs(normal) > _ORIENT_TIE]
+        self.orientation = -1.0 if signs.size and signs[0] < 0.0 else 1.0
+        try:
+            shape_from_jets(self, _leaves(lambda a: a[1:], pj))
+        except PointError as exc:
+            exc.index += 1
+            raise
 
     @property
     def n(self):
@@ -416,15 +431,6 @@ def _unit_normal(E, D):
     nu = (-1.0) ** (np.arange(d) + d - 1) * np.linalg.det(minors)
     v = nu / D
     return v / np.sqrt(np.sum(nu * v, axis=-1, keepdims=True))
-
-
-def _center_orientation(imm):
-    """Sign of the normal that gives theta >= 0 at the chart center."""
-    pj = evaluate_points(imm, lambda pts: point_jets(imm, pts), imm.chart.center())
-    for comp in _unit_normal(pj.frame, pj.D)[0]:
-        if abs(comp) > _ORIENT_TIE:
-            return -1.0 if comp < 0.0 else 1.0
-    return 1.0
 
 
 def shape_from_jets(imm, pj):

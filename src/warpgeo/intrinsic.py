@@ -53,11 +53,6 @@ class PointGeometry:
     residual: np.ndarray
     lap_gradient: np.ndarray | None = None
 
-    @property
-    def points(self):
-        """The chart points as a tuple of tuples."""
-        return tuple(map(tuple, self.shape.chart.tolist()))
-
     def chart_point(self, i):
         """Chart point ``i`` as a tuple of floats (None for ``i`` None)."""
         return None if i is None else tuple(map(float, self.shape.chart[i]))

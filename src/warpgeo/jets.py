@@ -117,9 +117,12 @@ def _outer(h, g):
 
 
 def _plus(total, c, third):
-    """total + c third; a zero third slot without point axis (a constant's
-    or a variable's) adds nothing."""
-    return total + c[..., None, None] * third if third.ndim > 3 or third.any() else total
+    """total + c third wherever third is not zero.  A zero entry adds nothing,
+    not even the sign of a zero or the nan of an infinite c, so a point's
+    result does not depend on whether its batch gives that slot a point axis."""
+    if third.ndim > 3 or third.any():  # else a constant's or a variable's zero slot
+        return np.where(third != 0.0, total + c[..., None, None] * third, total)
+    return total
 
 
 def _sym3(t):
@@ -274,8 +277,7 @@ def _int_pow(base, exponent, k, node):
     part = _pow_int_jet(base, k, node)
     if part.third is None or not exponent.third.any():
         return part
-    log_b = np.log(np.where(exponent.third.any((-3, -2, -1)), base.value, 1.0))
-    third = part.third + (part.value * log_b)[..., None, None, None] * exponent.third
+    third = _plus(part.third, (part.value * np.log(base.value))[..., None], exponent.third)
     return Jet2(part.value, part.grad, part.hess, third)
 
 

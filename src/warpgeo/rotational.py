@@ -40,7 +40,8 @@ from .errors import DomainError, QuadratureFailure, SigmaZero
 from .expr import BinOp, Call, Var, literal
 from .hypersurface import CallableComponent, ChartBox, ExpressionComponent, Immersion
 from .jets import Jet2, as_expression, eval_jet2, first_index
-from .soliton import SOLITON_TOL, Verdict, soliton_residual
+from .intrinsic import grid_geometry
+from .soliton import SOLITON_TOL, Verdict, soliton_report
 
 CHEB_MIN_DEGREE = 16  # first degree of the profile interpolant
 CHEB_MAX_DEGREE = 4096  # degree cap; an integrand unresolved there fails
@@ -48,6 +49,7 @@ CHEB_TAIL_DECAY = 1e-13  # resolved: upper-half coefficients below this times th
 _POLAR_MARGIN = 0.2  # keeps grids away from sphere-chart poles for n >= 3
 AZIMUTH_SAMPLES = 9  # classification grid points along the last angle
 CLASSIFICATION_U_COUNT = 9  # classification grid points along u
+PROFILE_RESIDUALS = ("sigma_constancy", "balance_residual", "logf_slope_variation")
 
 
 def sphere_chart_expressions(n):
@@ -324,14 +326,13 @@ class ClassificationReport:
     classified: bool
     immersion: object
 
+    def residuals(self):
+        """The three profile residuals by name, in report order."""
+        return {key: getattr(self, key) for key in PROFILE_RESIDUALS}
+
     def to_dict(self):
-        return {
-            "classified": self.classified,
-            "sigma_constancy": self.sigma_constancy,
-            "balance_residual": self.balance_residual,
-            "logf_slope_variation": self.logf_slope_variation,
-            "soliton": self.soliton.to_dict(),
-        }
+        soliton = self.soliton.to_dict()
+        return {"classified": self.classified, **self.residuals(), "soliton": soliton}
 
 
 def classification_grid(prof, u_count=CLASSIFICATION_U_COUNT):
@@ -359,27 +360,29 @@ def verify_classification(prof, interval=(-math.inf, math.inf), u_count=CLASSIFI
     The classification grid is built first, so an oversized ``u_count``
     is refused (ValueError) before any profile work.  The cheap probes
     of f, on the profile and then on the interval, run before the
-    interpolant, so they are the ones to report a bad warping.
+    interpolant, so they are the ones to report a bad warping, and the
+    profile residuals run before the one geometry pass over the grid.
     """
     grid = classification_grid(prof, u_count)
     exponential = _detect_exponential(prof)
     ambient = WarpedProduct(interval, prof.f, Fiber.EUCLIDEAN, prof.n)
     curve = _solve(prof, exponential)
-    return classify_rotational(curve, assemble_rotational(curve, ambient), grid, u_count)
+    imm = assemble_rotational(curve, ambient)
+    residuals = profile_residuals(curve, u_count)
+    return classify_rotational(imm, grid_geometry(imm, grid), residuals)
 
 
-def classify_rotational(curve, imm, grid, u_count=CLASSIFICATION_U_COUNT):
-    """Run the four checks deciding whether a rotational surface is a soliton.
+def profile_residuals(curve, u_count=CLASSIFICATION_U_COUNT):
+    """(sigma constancy, balance residual, log-slope variation) along the profile.
 
-    ``imm`` is the surface of the solved profile ``curve`` and ``grid``
-    its classification grid for ``u_count`` (see
-    :func:`classification_grid`); sigma is sampled at
-    ``max(u_count, 16)`` values of u; sigma, its exact derivative
-    d sigma / du = f'(alpha) alpha' beta + theta (as f(alpha) beta' = theta)
-    and the slopes f'/f come from one jet of f and one evaluation of beta.
+    sigma is sampled at ``max(u_count, 16)`` values of u; sigma, its exact
+    derivative d sigma / du = f'(alpha) alpha' beta + theta (as
+    f(alpha) beta' = theta) and the slopes f'/f come from one jet of f
+    and one evaluation of beta.  A sigma that vanishes is a SigmaZero
+    naming u.
     """
     prof = curve.profile
-    u = imm.chart.axis_points("u", max(u_count, 16), 0.05)
+    u = default_chart(prof).axis_points("u", max(u_count, 16), 0.05)
     jet = eval_jet2(prof.f, {"t": curve.alpha(u)}, ("t",))
     beta = curve.beta(u)
     sigma = jet.value * beta
@@ -391,20 +394,22 @@ def classify_rotational(curve, imm, grid, u_count=CLASSIFICATION_U_COUNT):
         raise SigmaZero(f"sigma vanishes at u={float(u[vanishing])!r}")
     balance = slopes * (1.0 - prof.theta**2) + prof.theta * prof.slope / sigma
     balance_sup = float(np.max(np.abs(balance), initial=0.0))
-    slope_variation = float(np.max(slopes) - np.min(slopes))
+    return sigma_sup, balance_sup, float(np.max(slopes) - np.min(slopes))
 
-    report = soliton_residual(imm, grid)
-    classified = bool(
-        sigma_sup < SOLITON_TOL
-        and balance_sup < SOLITON_TOL
-        and report.verdict is Verdict.SOLITON
-        and slope_variation < SOLITON_TOL
-    )
+
+def classify_rotational(imm, geometry, residuals):
+    """Decide whether a rotational surface is a soliton from the four checks.
+
+    ``geometry`` is the :class:`PointGeometry` record of the surface
+    ``imm`` over its classification grid (see :func:`classification_grid`),
+    or the rows of a larger record that hold those points; ``residuals``
+    are the :func:`profile_residuals` of its profile.
+    """
+    report = soliton_report(geometry)
+    classified = all(r < SOLITON_TOL for r in residuals) and report.verdict is Verdict.SOLITON
     return ClassificationReport(
-        sigma_constancy=float(sigma_sup),
-        balance_residual=float(balance_sup),
+        **dict(zip(PROFILE_RESIDUALS, residuals)),
         soliton=report,
-        logf_slope_variation=float(slope_variation),
         classified=classified,
         immersion=imm,
     )

@@ -35,10 +35,10 @@ from .ambient import WarpedProduct
 from .catalogue import build_preset
 from .errors import DomainError, SceneError, WarpGeoError
 from .expr import parse as parse_expr, variables_in
-from .hypersurface import MAX_DIMENSION, MAX_GRID_POINTS, ChartBox, Immersion
+from .hypersurface import MAX_DIMENSION, MAX_GRID_POINTS, ChartBox, Immersion, _leaves
 from .intrinsic import grid_geometry
 from .objmesh import surface_vertices, write_obj
-from .rotational import classification_grid, classify_rotational
+from .rotational import classification_grid, classify_rotational, profile_residuals
 from .soliton import (
     SOLITON_TOL,
     THEOREMS,
@@ -51,6 +51,9 @@ from .soliton import (
 )
 
 SCHEMA_VERSION = 1
+# Largest scene file read.  A scene is a few KB of JSON; a larger file is
+# refused before it is parsed.
+MAX_SCENE_BYTES = 1 << 20
 SPACEFORM_RE = re.compile(r"^spaceform\s+c=(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)$")
 CHECK_NAMES = (
     "lemma1",
@@ -73,9 +76,7 @@ MESH_WARNING = (
 def _require_keys(block, allowed, required, where):
     unknown = set(block) - set(allowed)
     if unknown:
-        raise SceneError(
-            f"unknown field(s) {sorted(unknown)}", field=where
-        )
+        raise SceneError(f"unknown field(s) {sorted(unknown)}", field=where)
     for key in required:
         if key not in block:
             raise SceneError(f"missing required field {key!r}", field=where)
@@ -118,9 +119,7 @@ def validate_scene(data):
     )
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
-        raise SceneError(
-            f"unsupported schema_version {version!r}", field="schema_version"
-        )
+        raise SceneError(f"unsupported schema_version {version!r}", field="schema_version")
 
     amb = data["ambient"]
     _require_keys(amb, ("interval", "f", "fiber", "n"), ("interval", "f", "fiber", "n"), "ambient")
@@ -152,9 +151,8 @@ def validate_scene(data):
     profile = None
     if "preset" in imm_block:
         _require_keys(imm_block, ("preset", "params"), ("preset",), "immersion")
-        immersion, profile = build_preset(
-            str(imm_block["preset"]), ambient, imm_block.get("params")
-        )
+        params = imm_block.get("params")
+        immersion, profile = build_preset(str(imm_block["preset"]), ambient, params)
     else:
         _require_keys(imm_block, ("components", "chart"), ("components", "chart"), "immersion")
         chart_block = imm_block["chart"]
@@ -175,9 +173,7 @@ def validate_scene(data):
             try:
                 expr = parse_expr(str(src))
             except WarpGeoError as exc:
-                raise SceneError(
-                    str(exc), field=f"immersion.components[{idx}]"
-                ) from None
+                raise SceneError(str(exc), field=f"immersion.components[{idx}]") from None
             extra = variables_in(expr) - set(chart.names)
             if extra:
                 raise SceneError(
@@ -213,9 +209,7 @@ def validate_scene(data):
     for name in immersion.chart.names:
         frac = float(margins.get(name, 0.05))
         if not 0.0 < frac < 0.5:
-            raise SceneError(
-                f"margin for {name!r} must lie in (0, 0.5)", field="grid.margins"
-            )
+            raise SceneError(f"margin for {name!r} must lie in (0, 0.5)", field="grid.margins")
         margin_map[name] = frac
     try:
         grid = immersion.chart.grid(counts, margin_map)
@@ -251,103 +245,97 @@ def validate_scene(data):
 
 
 def load_scene(path):
+    """Read, parse and validate a scene file; reading stops one byte past ``MAX_SCENE_BYTES``."""
     try:
-        with open(path) as handle:
-            data = json.load(handle)
+        with open(path, "rb") as handle:
+            raw = handle.read(MAX_SCENE_BYTES + 1)
     except OSError as exc:
         raise SceneError(f"cannot read scene file: {exc}")
+    if len(raw) > MAX_SCENE_BYTES:
+        raise SceneError(f"scene file {path} exceeds MAX_SCENE_BYTES = {MAX_SCENE_BYTES} bytes")
+    try:
+        data = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
         raise SceneError(f"scene file is not valid JSON: {exc}")
     return validate_scene(data)
 
 
-def _run_lemma1(scene, geometry, soliton):
-    errors = np.max(np.abs(geometry.hess_identity - geometry.hess_direct), axis=(-2, -1))
-    sup, i = first_extreme(errors)
-    status = "pass" if sup < SOLITON_TOL else "fail"
-    worst = geometry.chart_point(i)
-    return CheckResult("lemma1", status, sup_error=sup, worst_point=worst)
-
-
-def _run_soliton(scene, geometry, soliton):
-    status = "pass" if soliton.verdict is Verdict.SOLITON else "fail"
-    return CheckResult(
-        "soliton",
-        status,
-        sup_error=soliton.residual_sup,
-        worst_point=soliton.worst_point,
-        extras={
-            "verdict": soliton.verdict.value,
-            "classification": soliton.classification.value,
-        },
-    )
-
-
-def _run_structural(scene, geometry, soliton):
-    if soliton.verdict is not Verdict.SOLITON:
-        reason = {"reason": "soliton verdict required"}
-        return CheckResult("structural", "not_applicable", extras=reason)
-    return structural_report(scene.immersion, geometry)
-
-
-def _run_spaceform(c):
-    def runner(scene, geometry, soliton):
+def _run_check(kind, c, scene, geometry, soliton, classification):
+    """The :class:`CheckResult` of one check; ``c`` is the value of ``spaceform c=``."""
+    if kind in THEOREMS:
+        return hypotheses_report(scene.immersion, geometry, kind)
+    if kind == "lemma1":
+        errors = np.max(np.abs(geometry.hess_identity - geometry.hess_direct), axis=(-2, -1))
+        sup, i = first_extreme(errors)
+        status = "pass" if sup < SOLITON_TOL else "fail"
+        return CheckResult(kind, status, sup_error=sup, worst_point=geometry.chart_point(i))
+    if kind == "soliton":
+        status = "pass" if soliton.verdict is Verdict.SOLITON else "fail"
+        extras = {"verdict": soliton.verdict.value, "classification": soliton.classification.value}
+        return CheckResult(kind, status, soliton.residual_sup, soliton.worst_point, extras=extras)
+    if kind == "structural":
+        if soliton.verdict is Verdict.SOLITON:
+            return structural_report(scene.immersion, geometry)
+        return CheckResult(kind, "not_applicable", extras={"reason": "soliton verdict required"})
+    if kind == "spaceform":
         window = scene.ambient.probe_window()
-        probes = np.linspace(window[0], window[1], 200)
-        result = scene.ambient.check_space_form(c, probes)
+        result = scene.ambient.check_space_form(c, np.linspace(window[0], window[1], 200))
         sup = max(result.ratio_residual, result.second_residual)
         status = "pass" if result.passed else "fail"
         return CheckResult(f"spaceform c={c!r}", status, sup_error=sup, extras={"c": c})
-
-    return runner
-
-
-def _run_rotational_classification(scene, geometry, soliton):
-    if scene.profile is None:
+    if classification is None:
         reason = {"reason": "immersion is not a rotational preset"}
-        return CheckResult("rotational-classification", "not_applicable", extras=reason)
-    curve = scene.profile
-    report = classify_rotational(curve, scene.immersion, classification_grid(curve.profile))
-    status = "pass" if report.classified else "fail"
-    extras = {
-        key: getattr(report, key)
-        for key in ("sigma_constancy", "balance_residual", "logf_slope_variation")
-    }
-    sup = max(report.soliton.residual_sup, *extras.values())
-    return CheckResult("rotational-classification", status, sup_error=sup, extras=extras)
+        return CheckResult(kind, "not_applicable", extras=reason)
+    extras = classification.residuals()
+    sup = max(classification.soliton.residual_sup, *extras.values())
+    status = "pass" if classification.classified else "fail"
+    return CheckResult(kind, status, sup_error=sup, extras=extras)
 
 
-RUNNERS = {
-    "lemma1": _run_lemma1,
-    "soliton": _run_soliton,
-    "structural": _run_structural,
-    "rotational-classification": _run_rotational_classification,
-}
 GRID_CHECKS = ("lemma1", "soliton", "structural") + THEOREMS
 
 
 def run_scene(scene):
     """Execute the requested checks; returns (report_dict, all_passed).
 
-    The geometry of every grid point is computed once, as one batch,
-    before the first check, and shared by all grid checks.  A
-    DomainError raised mid-run names the first chart point, in grid
+    Every chart point's geometry is computed once, in one batch, before
+    the first check: the scene grid when a grid check asks for it, then
+    the points of the classification grid that the scene grid lacks.
+    Grid checks and ``rotational-classification`` read their own rows of
+    that record; the profile residuals, which may raise SigmaZero, run
+    before it.  A DomainError names the first chart point, in batch
     order, at which the failing stage fails.
     """
     started = time.perf_counter()
     kinds = {kind for kind, _, _ in scene.checks}
-    geometry = soliton = None
-    if kinds & set(GRID_CHECKS):  # structural reads the third jets of the same pass
-        geometry = grid_geometry(scene.immersion, scene.grid, 3 if "structural" in kinds else 2)
+    imm, curve = scene.immersion, scene.profile
+    points = list(scene.grid) if kinds & set(GRID_CHECKS) else []
+    size = len(points)
+    classify = curve is not None and "rotational-classification" in kinds
+    if classify:
+        residuals = profile_residuals(curve)
+        extra = classification_grid(curve.profile)
+        index = {p: i for i, p in enumerate(points)}
+        for p in extra:
+            if p not in index:
+                index[p] = len(points)
+                points.append(p)
+    geometry = soliton = classification = None
+    if points:  # structural reads the third jets of the same pass
+        record = grid_geometry(imm, points, 3 if "structural" in kinds else 2)
+        if size:
+            geometry = record if size == len(points) else _leaves(lambda a: a[:size], record)
+        if classify:
+            rows = [index[p] for p in extra]
+            if rows != list(range(len(points))):
+                record = _leaves(lambda a: a[rows], record)
+            classification = classify_rotational(imm, record, residuals)
     if kinds & {"soliton", "structural"}:
         soliton = soliton_report(geometry)
-    results = []
-    for kind, raw, param in scene.checks:
-        if kind in THEOREMS:
-            results.append(hypotheses_report(scene.immersion, geometry, kind))
-            continue
-        runner = _run_spaceform(param) if kind == "spaceform" else RUNNERS[kind]
-        results.append(runner(scene, geometry, soliton))
+    results = [
+        _run_check(kind, c, scene, geometry, soliton, classification)
+        for kind, _, c in scene.checks
+    ]
 
     if soliton is not None:
         for result in results:

@@ -67,7 +67,6 @@ def classify(lambda_samples, gradh_sup):
 class SolitonReport:
     """Grid-wise soliton verification results."""
 
-    grid: tuple
     residual_sup: float
     worst_point: tuple
     lambda_samples: np.ndarray
@@ -135,7 +134,6 @@ def soliton_report(geometry):
     )
     verdict = Verdict.SOLITON if residual_sup < SOLITON_TOL else Verdict.NOT_SOLITON
     return SolitonReport(
-        grid=geometry.points,
         residual_sup=residual_sup,
         worst_point=geometry.chart_point(worst or 0),
         lambda_samples=lams,

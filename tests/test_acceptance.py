@@ -149,7 +149,7 @@ def test_criterion_5_catalogue_solitons(catalogue):
         rep = soliton_residual(imm, imm.chart.grid(5, 0.1))
         ok &= rep.verdict is Verdict.SOLITON and rep.residual_sup < 1e-7
         ok &= rep.classification is SolitonClass.TRIVIAL
-        geo = grid_geometry(imm, rep.grid)
+        geo = grid_geometry(imm, imm.chart.grid(5, 0.1))
         ok &= bool(np.all(np.abs(geo.lam - geo.scal_gauss) < 1e-7))
         summaries.append(f"{name} trivial lambda=scal")
 

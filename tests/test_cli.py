@@ -12,6 +12,7 @@ import warpgeo
 from warpgeo.cli import main
 from warpgeo.errors import DomainError, MeshUnsupported
 from warpgeo.intrinsic import grid_geometry
+from warpgeo import scene as scene_module
 from warpgeo.scene import validate_scene
 from warpgeo.objmesh import obj_lines, surface_vertices
 from warpgeo.catalogue import rotational_soliton_immersion
@@ -338,6 +339,39 @@ def test_analyze_unreadable_scene_text_exit_two(tmp_path, capsys, case):
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert "not valid JSON" in err or "ambient.n" in err
+
+
+def test_analyze_scene_file_above_the_size_bound_exit_two(tmp_path, capsys):
+    # a valid scene padded with whitespace to the bound runs; one byte
+    # more is refused before it is parsed, naming the file
+    bound = scene_module.MAX_SCENE_BYTES
+    assert bound == 2**20
+    text = json.dumps(hyperplane_scene())
+    path = tmp_path / "scene.json"
+    path.write_text(text + " " * (bound - len(text)))
+    assert main(["analyze", str(path)]) == 0
+    path.write_text(text + " " * (bound + 1 - len(text)))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"scene file {path} exceeds MAX_SCENE_BYTES = {bound} bytes" in err
+
+
+def test_vanishing_sigma_exit_three(tmp_path, capsys):
+    # beta = (u + 1)/2 - 0.23 vanishes at u = -0.54, one of the 16 values
+    # of u at which the classification samples sigma: a numeric error
+    # naming u, from a scene and from the rotational command alike
+    scene = hyperplane_scene()
+    scene["immersion"] = {
+        "preset": "rotational",
+        "params": {"theta": 0.5, "c2": -0.23, "u0": -1, "u1": 1},
+    }
+    scene["grid"] = {"samples": {"u": 4, "v1": 3}}
+    scene["checks"] = ["rotational-classification"]
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 3
+    argv = ["--theta", "0.5", "--f", "1", "--c2", "-0.23", "--u0", "-1", "--u1", "1"]
+    assert main(["rotational", *argv, "--samples", "9"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["domain error: sigma vanishes at u=-0.54"] * 2
 
 
 def test_structural_near_the_chart_edge_exit_zero(tmp_path, capsys):

@@ -283,3 +283,30 @@ def test_jets_that_are_not_finite_are_a_domain_error():
     # an infinite frame at the chart center fails the construction
     with pytest.raises(DomainError, match="not finite"):
         Immersion(euclidean_ambient(2), chart, ["0", "u*1e200*1e200", "v"])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_construction_evaluates_one_batch(monkeypatch, n):
+    # the chart center, as row 0, and the 3^n probe grid go through one
+    # component-jet pass
+    calls = []
+    component_jets = Immersion.component_jets
+
+    def counted(self, points, order=2):
+        calls.append((len(points), order))
+        return component_jets(self, points, order)
+
+    monkeypatch.setattr(Immersion, "component_jets", counted)
+    slice_immersion(euclidean_ambient(n), 0.5)
+    assert calls == [(1 + 3**n, 2)]
+
+
+def test_construction_fails_at_the_center_first():
+    # the probe u = 0.1 leaves the domain of log in the component pass,
+    # but the center comes first: its frame degenerates at a later stage,
+    # and that is the error, as when the center is evaluated alone
+    chart = ChartBox(("u", "v"), (0.0, 0.0), (1.0, 1.0))
+    components = ["0", "(u-0.5)^3*log(u-0.2)", "v"]
+    with pytest.raises(DegenerateImmersion, match=r"chart point \(0\.5, 0\.5\)") as err:
+        Immersion(euclidean_ambient(2), chart, components)
+    assert err.value.index == 0

@@ -12,7 +12,7 @@ from warpgeo import rotational
 from warpgeo import scene as scene_module
 from warpgeo.ambient import WarpedProduct
 from warpgeo.errors import SceneError
-from warpgeo.hypersurface import MAX_GRID_POINTS, Immersion
+from warpgeo.hypersurface import MAX_GRID_POINTS, Immersion, _leaves
 from warpgeo.intrinsic import grid_geometry
 from warpgeo.scene import report_to_json, run_scene, validate_scene
 
@@ -270,17 +270,36 @@ def example5_scene(checks):
     return data
 
 
+def count_component_jets(monkeypatch):
+    """The (points, order) of every ``Immersion.component_jets`` call from now on."""
+    calls = []
+    component_jets = Immersion.component_jets
+
+    def counted(self, points, order=2):
+        calls.append((len(points), order))
+        return component_jets(self, points, order)
+
+    monkeypatch.setattr(Immersion, "component_jets", counted)
+    return calls
+
+
+@pytest.mark.parametrize("classification", [False, True])
 @pytest.mark.parametrize("structural", [False, True])
-def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch, structural):
+def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch, structural, classification):
     # one batched call each, covering every grid point exactly once; the
     # ambient evaluates f once per batch (in metric_jets), and otherwise
     # only once on the 64 probe heights of theorem5 (its fit of c and the
     # residuals of check_space_form share that jet).  Only structural
     # makes its one pass of order 3, over the grid points alone, and
-    # takes d2D from the warping triple without evaluating f again
+    # takes d2D from the warping triple without evaluating f again.  The
+    # 9 x 9 grid is the classification grid of example5, so the
+    # classification adds no point to that pass
     checks = ["lemma1", "soliton", "theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5"]
-    scene = validate_scene(example5_scene(checks + ["structural"] * structural))
-    calls = {"component_jets": [], "metric_jets": []}
+    checks += ["structural"] * structural + ["rotational-classification"] * classification
+    data = example5_scene(checks)
+    data["grid"] = {"samples": {"u": 9, "v1": 9}}
+    scene = validate_scene(data)
+    calls = {"component_jets": count_component_jets(monkeypatch), "metric_jets": []}
     ambient_jets = []
     eval_jet2 = ambient_module.eval_jet2
 
@@ -289,35 +308,91 @@ def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch, structural):
         return eval_jet2(expr, bindings, active)
 
     monkeypatch.setattr(ambient_module, "eval_jet2", counted_eval)
-    component_jets = Immersion.component_jets
-
-    def counted_component_jets(self, points, order=2):
-        calls["component_jets"].append((len(points), order))
-        return component_jets(self, points, order)
-
     metric_jets = WarpedProduct.metric_jets
 
     def counted_metric_jets(self, q):
         calls["metric_jets"].append(len(q.t))
         return metric_jets(self, q)
 
-    monkeypatch.setattr(Immersion, "component_jets", counted_component_jets)
     monkeypatch.setattr(WarpedProduct, "metric_jets", counted_metric_jets)
     report, _ = run_scene(scene)
     statuses = {check["name"]: check["status"] for check in report["checks"]}
     assert statuses["soliton"] == statuses.get("structural", "pass") == "pass"
+    assert statuses.get("rotational-classification", "pass") == "pass"
     N = len(scene.grid)
-    orders = [(N, 3)] if structural else [(N, 2)]
-    assert calls == {"component_jets": orders, "metric_jets": [N]}
+    assert N == 81
+    assert calls == {"component_jets": [(N, 2 + structural)], "metric_jets": [N]}
     assert ambient_jets == [(True, N), (True, 64)]
+
+
+def rotational_cosh_scene(checks):
+    data = hyperplane_scene(checks=checks, grid={"samples": {"u": 7, "v1": 7}})
+    data["ambient"]["f"] = "cosh(t)"
+    data["immersion"] = {"preset": "rotational", "params": {"theta": 0.5}}
+    return data
+
+
+@pytest.mark.parametrize(
+    "checks, points",
+    [
+        # 49 grid points, then the 72 of the 9 x 9 classification grid
+        # that are not among them
+        (["soliton", "rotational-classification"], 121),
+        # no grid check: the classification grid alone
+        (["rotational-classification"], 81),
+    ],
+)
+def test_rotational_scene_evaluates_jets_once(monkeypatch, checks, points):
+    scene = validate_scene(rotational_cosh_scene(checks))
+    calls = count_component_jets(monkeypatch)
+    report, _ = run_scene(scene)
+    assert calls == [(points, 2)]
+    assert report["checks"][-1]["status"] == "fail"  # cosh(t) is no exponential
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        rotational_cosh_scene(["soliton", "rotational-classification"]),
+        example5_scene(["soliton", "structural", "rotational-classification"]),
+    ],
+    ids=["rotational-cosh", "example5-structural"],
+)
+def test_classification_rows_equal_their_own_pass(monkeypatch, data):
+    # the rows the classification reads from the scene's record hold, in
+    # every field, the bits of a pass over the classification grid alone
+    # (a NaN counts as one value)
+    seen = []
+    classify = scene_module.classify_rotational
+
+    def spy(imm, geometry, residuals):
+        seen.append(geometry)
+        return classify(imm, geometry, residuals)
+
+    monkeypatch.setattr(scene_module, "classify_rotational", spy)
+    scene = validate_scene(data)
+    run_scene(scene)
+    order = 3 if "structural" in data["checks"] else 2
+    grid = rotational.classification_grid(scene.profile.profile)
+    alone = grid_geometry(scene.immersion, grid, order)
+    same = []
+    _leaves(lambda a, b: same.append(_bits(a) == _bits(b)), seen[0], alone)
+    assert len(same) > 20 and all(same)
+
+
+def _bits(a):
+    """The bytes of ``a`` with every NaN as the one NaN of numpy."""
+    a = np.asarray(a)
+    return np.where(np.isnan(a), np.nan, a).tobytes() + str(a.shape).encode()
 
 
 def test_rotational_profile_is_evaluated_once_per_batch(monkeypatch):
     # the fiber block evaluates beta and the jet of f at alpha(u) once per
     # batch, for all n fiber coordinates; the classification takes sigma,
     # its exact derivative and the slopes f'/f from one jet of f and one
-    # beta over 16 values of u, then one batch for its grid
-    scene = validate_scene(example5_scene(["soliton"]))
+    # beta over 16 values of u, before the scene's one pass, which holds
+    # the 25 grid points and the 56 classification points not among them
+    scene = validate_scene(example5_scene(["soliton", "rotational-classification"]))
     betas, f_jets = [], []
 
     def beta(u):
@@ -336,14 +411,11 @@ def test_rotational_profile_is_evaluated_once_per_batch(monkeypatch):
     imm = rotational.assemble_rotational(curve, scene.ambient)
     betas.clear()
     f_jets.clear()
-    grid_geometry(imm, scene.grid)
-    assert betas == f_jets == [len(scene.grid)]
-    betas.clear()
-    f_jets.clear()
-    grid = rotational.classification_grid(curve.profile)
-    report = rotational.classify_rotational(curve, imm, grid)
-    assert report.classified
-    assert betas == f_jets == [16, len(grid)]
+    report, passed = run_scene(dataclasses.replace(scene, immersion=imm, profile=curve))
+    assert passed
+    points = set(scene.grid) | set(rotational.classification_grid(curve.profile))
+    assert len(scene.grid) == 25 and len(points) == 81
+    assert betas == f_jets == [16, len(points)]
 
 
 def test_rotational_scene_builds_its_surface_once(monkeypatch):
