@@ -173,13 +173,12 @@ class Immersion:
 
     ``components`` gives the n+1 ambient coordinates (t, x1, ..., xn) as
     expressions in the chart variables, or as :class:`CallableComponent`
-    blocks of consecutive coordinates.  Construction evaluates the chart
-    center and the 3^n probe points of ``chart.grid(3, margins=0.1)`` in
-    one batch, the center first.  The center fixes the normal
-    orientation; at every point the tangent Gram determinant must exceed
-    1e-12 and the image must stay inside the ambient chart, and at the
-    probe points the ambient metric must be well conditioned.  The
-    object is not modified afterwards.
+    blocks of consecutive coordinates.  Construction evaluates, in one
+    batch, the chart center, which fixes the normal orientation, and the
+    3^n probe points of ``chart.grid(3, margins=0.1)``.  At all of them
+    the tangent Gram determinant must exceed 1e-12 and the image must
+    stay inside the ambient chart; at the probes the ambient metric must
+    be well conditioned.  The object is not modified afterwards.
     """
 
     def __init__(self, ambient, chart, components):
@@ -202,20 +201,23 @@ class Immersion:
                     raise ValueError(
                         f"component {comp.source!r} uses undeclared variables {sorted(extra)}"
                     )
-        probes = [self.chart.center()] + self.chart.grid(3, margins=0.1)
-        evaluate_points(self, self._probe, probes)
+        self.orientation = None
+        evaluate_points(self, self._probe, [self.chart.center()] + self.chart.grid(3, margins=0.1))
 
     def _probe(self, points):
-        """Fix the orientation at row 0, the chart center, and check the shape of the rest."""
+        """Check a slice of the probe batch.  The first slice, while the orientation is
+        unset, starts with the chart center, which fixes it and is not conditioning-checked."""
         pj = point_jets(self, points)
-        normal = _unit_normal(pj.frame[:1], pj.D[:1])[0]
-        signs = normal[np.abs(normal) > _ORIENT_TIE]
-        self.orientation = -1.0 if signs.size and signs[0] < 0.0 else 1.0
+        skip = int(self.orientation is None)
         try:
-            shape_from_jets(self, _leaves(lambda a: a[1:], pj))
+            check_conditioning(_leaves(lambda a: a[skip:], pj.ambient_point), pj.D[skip:])
         except PointError as exc:
-            exc.index += 1
+            exc.index += skip
             raise
+        if skip:
+            normal = _unit_normal(pj.frame[:1], pj.D[:1])[0]
+            signs = normal[np.abs(normal) > _ORIENT_TIE]
+            self.orientation = -1.0 if signs.size and signs[0] < 0.0 else 1.0
 
     @property
     def n(self):

@@ -345,12 +345,9 @@ def classification_grid(prof, u_count=CLASSIFICATION_U_COUNT):
     counts = {"u": u_count}
     margins = {"u": 0.05}
     for j in range(1, prof.n):
-        name = f"v{j}"
-        counts[name] = AZIMUTH_SAMPLES if j == prof.n - 1 else 5
-        if j < prof.n - 1:
-            margins[name] = _POLAR_MARGIN / math.pi
-        else:
-            margins[name] = 0.05
+        polar = j < prof.n - 1
+        counts[f"v{j}"] = 5 if polar else AZIMUTH_SAMPLES
+        margins[f"v{j}"] = _POLAR_MARGIN / math.pi if polar else 0.05
     return default_chart(prof).grid(counts, margins)
 
 

@@ -76,7 +76,9 @@ MESH_WARNING = (
 def _require_keys(block, allowed, required, where):
     unknown = set(block) - set(allowed)
     if unknown:
-        raise SceneError(f"unknown field(s) {sorted(unknown)}", field=where)
+        raise SceneError(
+            f"unknown field(s) {sorted(unknown)}", field=where
+        )
     for key in required:
         if key not in block:
             raise SceneError(f"missing required field {key!r}", field=where)
@@ -119,7 +121,9 @@ def validate_scene(data):
     )
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
-        raise SceneError(f"unsupported schema_version {version!r}", field="schema_version")
+        raise SceneError(
+            f"unsupported schema_version {version!r}", field="schema_version"
+        )
 
     amb = data["ambient"]
     _require_keys(amb, ("interval", "f", "fiber", "n"), ("interval", "f", "fiber", "n"), "ambient")
@@ -151,8 +155,9 @@ def validate_scene(data):
     profile = None
     if "preset" in imm_block:
         _require_keys(imm_block, ("preset", "params"), ("preset",), "immersion")
-        params = imm_block.get("params")
-        immersion, profile = build_preset(str(imm_block["preset"]), ambient, params)
+        immersion, profile = build_preset(
+            str(imm_block["preset"]), ambient, imm_block.get("params")
+        )
     else:
         _require_keys(imm_block, ("components", "chart"), ("components", "chart"), "immersion")
         chart_block = imm_block["chart"]
@@ -173,7 +178,9 @@ def validate_scene(data):
             try:
                 expr = parse_expr(str(src))
             except WarpGeoError as exc:
-                raise SceneError(str(exc), field=f"immersion.components[{idx}]") from None
+                raise SceneError(
+                    str(exc), field=f"immersion.components[{idx}]"
+                ) from None
             extra = variables_in(expr) - set(chart.names)
             if extra:
                 raise SceneError(
@@ -209,7 +216,9 @@ def validate_scene(data):
     for name in immersion.chart.names:
         frac = float(margins.get(name, 0.05))
         if not 0.0 < frac < 0.5:
-            raise SceneError(f"margin for {name!r} must lie in (0, 0.5)", field="grid.margins")
+            raise SceneError(
+                f"margin for {name!r} must lie in (0, 0.5)", field="grid.margins"
+            )
         margin_map[name] = frac
     try:
         grid = immersion.chart.grid(counts, margin_map)
@@ -315,17 +324,15 @@ def run_scene(scene):
     if classify:
         residuals = profile_residuals(curve)
         extra = classification_grid(curve.profile)
-        index = {p: i for i, p in enumerate(points)}
-        for p in extra:
-            if p not in index:
-                index[p] = len(points)
-                points.append(p)
+        known = set(points)
+        points += [p for p in dict.fromkeys(extra) if p not in known]
     geometry = soliton = classification = None
     if points:  # structural reads the third jets of the same pass
         record = grid_geometry(imm, points, 3 if "structural" in kinds else 2)
         if size:
             geometry = record if size == len(points) else _leaves(lambda a: a[:size], record)
         if classify:
+            index = {p: i for i, p in enumerate(points)}
             rows = [index[p] for p in extra]
             if rows != list(range(len(points))):
                 record = _leaves(lambda a: a[rows], record)

@@ -310,3 +310,29 @@ def test_construction_fails_at_the_center_first():
     with pytest.raises(DegenerateImmersion, match=r"chart point \(0\.5, 0\.5\)") as err:
         Immersion(euclidean_ambient(2), chart, components)
     assert err.value.index == 0
+
+
+def test_orientation_comes_from_the_center_in_a_sliced_probe_batch(monkeypatch):
+    # at n = 7 the 1 + 3^7 probe points run in two slices; the second
+    # starts at probe 2047 (u1 = 0.8), where theta has the opposite sign
+    # of the center's (u1 = 0): the center alone fixes the orientation,
+    # and every probe point, that one too, has its conditioning checked
+    n = 7
+    names = tuple(f"u{i}" for i in range(1, n + 1))
+    chart = ChartBox(names, (-1.0,) * n, (1.0,) * n)
+    components = ["u1", "(u1-0.5)^2/2"] + list(names[1:])
+    assert 1 + 3**n > hypersurface.SLICE_POINTS
+    checked = []
+    check_conditioning = hypersurface.check_conditioning
+
+    def counted(p, D):
+        checked.append(len(D))
+        return check_conditioning(p, D)
+
+    monkeypatch.setattr(hypersurface, "check_conditioning", counted)
+    imm = Immersion(euclidean_ambient(n), chart, components)
+    assert checked == [hypersurface.SLICE_POINTS - 1, 3**n - hypersurface.SLICE_POINTS + 1]
+    monkeypatch.undo()
+    probe = chart.grid(3, margins=0.1)[2047]
+    sd = grid_shape_data(imm, [chart.center(), probe])
+    assert sd.theta[0] > 0.0 and sd.theta[1] < 0.0
