@@ -25,23 +25,21 @@ from .errors import (
     WarpGeoError,
 )
 from .expr import Expression, parse, unparse, variables_in
-from .hypersurface import ChartBox, Immersion, ShapeData, flip_orientation, grid_shape_data
+from .hypersurface import ChartBox, Immersion, ShapeData
 from .intrinsic import PointGeometry, grid_geometry
-from .jets import Jet2, eval_jet2, eval_value
+from .jets import Jet2, eval_jet2
 from .rotational import (
     ProfileCurve,
     RotationalProfile,
-    build_rotational,
     solve_profile,
     verify_classification,
-    weingarten_closed_form,
 )
 from .soliton import (
     SolitonClass,
     SolitonReport,
     Verdict,
     hypotheses_report,
-    soliton_residual,
+    soliton_report,
     structural_report,
 )
 
@@ -74,20 +72,15 @@ __all__ = [
     "Verdict",
     "WarpGeoError",
     "WarpedProduct",
-    "build_rotational",
     "eval_jet2",
-    "eval_value",
-    "flip_orientation",
     "grid_geometry",
-    "grid_shape_data",
     "hypotheses_report",
     "parse",
-    "soliton_residual",
+    "soliton_report",
     "solve_profile",
     "space_form_models",
     "structural_report",
     "unparse",
     "variables_in",
     "verify_classification",
-    "weingarten_closed_form",
 ]

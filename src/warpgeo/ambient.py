@@ -205,8 +205,7 @@ class WarpedProduct:
 
     def _metric_jets(self, p):
         self.validate_point(p)
-        jet = eval_jet2(self.f, {"t": p.t}, ("t",))
-        warping = jet.value, jet.grad[..., 0], jet.hess[..., 0, 0]
+        warping = self.warping_jet(p.t)
         return *self.diagonal_jets(p.x, warping)[:2], warping
 
     def diagonal_jets(self, x, warping, second=False):

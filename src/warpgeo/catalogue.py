@@ -11,24 +11,11 @@ from .hypersurface import ChartBox, Immersion
 from .rotational import (
     RotationalProfile,
     assemble_rotational,
-    build_rotational,
     solve_profile,
     sphere_chart_expressions,
 )
 
 ROOT2_OVER_2 = math.sqrt(2.0) / 2.0
-
-
-def euclidean_ambient(n):
-    return WarpedProduct((-math.inf, math.inf), "1", Fiber.EUCLIDEAN, n)
-
-
-def hyperbolic_ambient(n):
-    return WarpedProduct((-math.inf, math.inf), "exp(t)", Fiber.EUCLIDEAN, n)
-
-
-def spherical_cap_ambient(n):
-    return WarpedProduct((0.0, math.pi), "sin(t)", Fiber.SPHERE, n)
 
 
 def slice_immersion(ambient, t0, half_width=1.0):
@@ -46,11 +33,6 @@ def slice_immersion(ambient, t0, half_width=1.0):
     chart = ChartBox(names, tuple(lower), tuple(upper))
     components = [literal(t0)] + [Var(name) for name in names]
     return Immersion(ambient, chart, components)
-
-
-def horosphere_immersion(t0=0.0, n=2, half_width=1.0):
-    """Slice of the exponentially warped space (flat, totally umbilical)."""
-    return slice_immersion(hyperbolic_ambient(n), t0, half_width=half_width)
 
 
 def hyperplane_immersion(ambient, half_width=1.0):
@@ -98,7 +80,8 @@ def sphere_immersion(ambient, pad=0.15):
 def rotational_soliton_immersion(theta=ROOT2_OVER_2, n=2, u_range=(-1.5, 1.5)):
     """The constant-angle rotational soliton in the exponential warping."""
     prof = RotationalProfile(theta=theta, f="exp(t)", n=n, u_range=tuple(u_range))
-    return build_rotational(prof)
+    ambient = WarpedProduct((-math.inf, math.inf), prof.f, Fiber.EUCLIDEAN, n)
+    return assemble_rotational(solve_profile(prof), ambient)
 
 
 PRESET_BUILDERS = {

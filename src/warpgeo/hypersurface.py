@@ -1,11 +1,11 @@
 """Immersed hypersurfaces and their extrinsic geometry.
 
-``grid_shape_data`` evaluates, at a batch of chart points, the extrinsic
-package of an immersion psi: chart box -> ambient: the tangent frame
-E_i = d psi / d u^i, the first fundamental form g, the oriented unit
-normal N, the shape operator A with A(X) = -nabla_X N, the mean
-curvature H = tr(A)/n, the height h (the t-component of psi), the angle
-theta = <N, d_t>, and the tangential gradient of h.
+``shape_from_jets`` computes, from the jets at a batch of chart points,
+the extrinsic package of an immersion psi: chart box -> ambient: the
+tangent frame E_i = d psi / d u^i, the first fundamental form g, the
+oriented unit normal N, the shape operator A with A(X) = -nabla_X N,
+the mean curvature H = tr(A)/n, the height h (the t-component of psi),
+the angle theta = <N, d_t>, and the tangential gradient of h.
 
 Orientation convention: N is the D-normalized D^-1 nu, where G = diag(D)
 is the ambient metric and nu is the cofactor covector of the frame,
@@ -24,10 +24,9 @@ F^T g F = I) and g^-1 = F F^T, which every later stage reads.
 The pipeline runs on batches: ``point_jets`` and ``shape_from_jets``
 take an (N, n) array of chart points and return records whose fields
 carry a leading point axis, each elementary operation running once over
-all points; ``record.at(i)`` is the view of point i.
-``evaluate_points`` runs a pipeline over a batch in slices of at most
-``SLICE_POINTS`` points and names the first point whose own evaluation
-fails.
+all points.  ``evaluate_points`` runs a pipeline over a batch in
+slices of at most ``SLICE_POINTS`` points and names the first point
+whose own evaluation fails.
 """
 
 from __future__ import annotations
@@ -129,10 +128,6 @@ class ExpressionComponent:
     def __init__(self, expr):
         self.expr = as_expression(expr)
 
-    @property
-    def source(self):
-        return unparse(self.expr)
-
     def jets(self, values, active, order=2):
         return [eval_jet2(self.expr, values, active, order)]
 
@@ -199,7 +194,7 @@ class Immersion:
                 extra = variables_in(comp.expr) - set(chart.names)
                 if extra:
                     raise ValueError(
-                        f"component {comp.source!r} uses undeclared variables {sorted(extra)}"
+                        f"component {unparse(comp.expr)!r} uses undeclared variables {sorted(extra)}"
                     )
         self.orientation = None
         evaluate_points(self, self._probe, [self.chart.center()] + self.chart.grid(3, margins=0.1))
@@ -275,19 +270,6 @@ def _leaves(fn, *records):
     if isinstance(first, tuple):
         return tuple(_leaves(fn, *items) for items in zip(*records))
     return fn(*records)
-
-
-def point_view(record, i):
-    """The record at point ``i``: every field without its point axis.
-
-    0-d entries become floats.
-    """
-
-    def item(value):
-        value = value[i]
-        return float(value) if np.ndim(value) == 0 else value
-
-    return _leaves(item, record)
 
 
 def evaluate_points(imm, fn, points):
@@ -395,8 +377,7 @@ class ShapeData:
     tangent vectors as columns in ambient chart components;
     ``shape_operator`` is the matrix of A in the chart frame; ``grad_h``
     holds chart components of the tangential gradient of the height
-    function; ``metric_inverse`` is g^-1.  ``at(i)`` is the record at one
-    point, whose fields drop the point axis.
+    function; ``metric_inverse`` is g^-1.
     """
 
     chart: np.ndarray
@@ -419,9 +400,6 @@ class ShapeData:
     @property
     def height(self):
         return self.ambient_point.t
-
-    def at(self, i):
-        return point_view(self, i)
 
 
 def _unit_normal(E, D):
@@ -467,23 +445,6 @@ def shape_from_jets(imm, pj):
         theta=N[..., 0].copy(),
         grad_h=grad_h,
         grad_h_norm2=np.sum(dh * grad_h, axis=-1),
-    )
-
-
-def grid_shape_data(imm, points):
-    """The extrinsic package over an (N, n) array of chart points."""
-    return evaluate_points(imm, lambda pts: shape_from_jets(imm, point_jets(imm, pts)), points)
-
-
-def flip_orientation(sd):
-    """Reverse the normal: N, A, theta and H change sign, the rest stay."""
-    return replace(
-        sd,
-        normal=-sd.normal,
-        shape_operator=-sd.shape_operator,
-        second_fundamental=-sd.second_fundamental,
-        theta=-sd.theta,
-        mean_curvature=-sd.mean_curvature,
     )
 
 

@@ -2,13 +2,13 @@
 
 ``grid_geometry`` computes, from one jet evaluation over a batch of
 chart points, everything the checks read at each point, as one record
-of arrays with a leading point axis; ``record.at(i)`` is the view of
-point i.  No curvature or Christoffel tensor is built per point.  The
-ambient Ricci tensor is diagonal in the warped chart, Ric-bar_aa =
-D_a rho_a with rho_0 = -n f''/f and rho_a = (n-1)(k - f'^2)/f^2 - f''/f
-(a >= 1), so the ambient part of the Gauss equation takes one curvature
-evaluation R-bar(E_i, N)N per tangent vector.  Hess h contracts the
-induced connection with grad h: Gamma^k_ij d_k h = (grad h)^l B_lij / 2.
+of arrays with a leading point axis.  No curvature or Christoffel tensor
+is built per point.  The ambient Ricci tensor is diagonal in the warped
+chart, Ric-bar_aa = D_a rho_a with rho_0 = -n f''/f and
+rho_a = (n-1)(k - f'^2)/f^2 - f''/f (a >= 1), so the ambient part of the
+Gauss equation takes one curvature evaluation R-bar(E_i, N)N per tangent
+vector.  Hess h contracts the induced connection with grad h:
+Gamma^k_ij d_k h = (grad h)^l B_lij / 2.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .hypersurface import (
     evaluate_points,
     metric_derivative,
     point_jets,
-    point_view,
     shape_from_jets,
 )
 from .jets import first_index
@@ -33,9 +32,8 @@ from .jets import first_index
 class PointGeometry:
     """Geometry of the immersion at N chart points.
 
-    Every field carries a leading point axis; ``at(i)`` is the record at
-    one point, with that axis dropped.  ``warping`` is (f, f', f'') at
-    the height.  ``hess_identity`` is Hess h by the warped-product
+    Every field carries a leading point axis.  ``warping`` is (f, f', f'')
+    at the height.  ``hess_identity`` is Hess h by the warped-product
     identity and ``hess_direct`` by the induced connection.  ``ric`` is
     the Ricci tensor in the chart frame and ``scal_gauss`` its g-trace.
     ``lam`` = scal - (Lap h)/n is the trace-derived soliton function and
@@ -56,9 +54,6 @@ class PointGeometry:
     def chart_point(self, i):
         """Chart point ``i`` as a tuple of floats (None for ``i`` None)."""
         return None if i is None else tuple(map(float, self.shape.chart[i]))
-
-    def at(self, i):
-        return point_view(self, i)
 
 
 def _ambient_ricci(ambient, pj, N):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PointError, UnknownIdentifier
-from .expr import FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Var, literal, parse, unparse
+from .expr import FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Var, literal, parse
 
 
 def _value(v):
@@ -382,12 +382,6 @@ def eval_jet2(expr, bindings, active=(), order=2):
     )
 
 
-def eval_value(expr, bindings):
-    """Plain evaluation at one point: the value of the jet with no
-    active variables, as a float."""
-    return float(eval_jet2(expr, bindings).value)
-
-
 def as_expression(obj):
     """Coerce a string or AST into an :class:`Expression`."""
     if isinstance(obj, Expression):
@@ -402,10 +396,7 @@ def as_expression(obj):
 __all__ = [
     "Jet2",
     "eval_jet2",
-    "eval_value",
     "as_expression",
     "first_failure",
     "first_index",
-    "parse",
-    "unparse",
 ]

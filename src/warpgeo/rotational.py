@@ -262,18 +262,6 @@ def default_chart(prof):
     return ChartBox(tuple(names), tuple(lower), tuple(upper))
 
 
-def build_rotational(prof, curve=None, interval=(-math.inf, math.inf)):
-    """Assemble the rotational immersion for a solved profile.
-
-    The ambient is ``interval x_f R^n`` with the profile's warping
-    function; pass a finite interval when f is positive only there.
-    """
-    if curve is None:
-        curve = solve_profile(prof)
-    ambient = WarpedProduct(interval, prof.f, Fiber.EUCLIDEAN, prof.n)
-    return assemble_rotational(curve, ambient)
-
-
 def assemble_rotational(curve, ambient):
     """The rotational immersion of a solved profile into ``ambient``.
 
@@ -289,24 +277,6 @@ def assemble_rotational(curve, ambient):
 
     components = [ExpressionComponent(prof.alpha_expression()), CallableComponent(fiber, prof.n)]
     return Immersion(ambient, default_chart(prof), components)
-
-
-def weingarten_closed_form(prof, curve, u):
-    """Principal curvatures (kappa_u, kappa_v) of the rotational surface.
-
-    kappa_u belongs to the profile direction, kappa_v to each rotation
-    direction (multiplicity n-1); the formulas divide by the signed
-    radius sigma, so a vanishing sigma is an error rather than a branch.
-    """
-    u = float(u)
-    jet = eval_jet2(prof.f, {"t": curve.alpha(u)}, ("t",))
-    lf1 = jet.grad[0] / jet.value
-    sigma = jet.value * curve.beta(u)
-    if abs(sigma) < 1e-12:
-        raise SigmaZero(f"sigma(u)={sigma!r} vanishes at u={u!r}")
-    kappa_u = -lf1 * prof.theta
-    kappa_v = prof.slope / sigma - lf1 * prof.theta
-    return kappa_u, kappa_v
 
 
 @dataclass

@@ -73,8 +73,15 @@ MESH_WARNING = (
 )
 
 
+def _object(block, where):
+    """``block`` if it is a JSON object; anything else is refused, naming ``where``."""
+    if not isinstance(block, dict):
+        raise SceneError("must be a JSON object", field=where)
+    return block
+
+
 def _require_keys(block, allowed, required, where):
-    unknown = set(block) - set(allowed)
+    unknown = set(_object(block, where)) - set(allowed)
     if unknown:
         raise SceneError(
             f"unknown field(s) {sorted(unknown)}", field=where
@@ -111,8 +118,6 @@ class Scene:
 
 def validate_scene(data):
     """Validate a scene dictionary and build the runtime objects."""
-    if not isinstance(data, dict):
-        raise SceneError("scene must be a JSON object")
     _require_keys(
         data,
         ("schema_version", "ambient", "immersion", "grid", "checks", "output"),
@@ -153,22 +158,24 @@ def validate_scene(data):
 
     imm_block = data["immersion"]
     profile = None
-    if "preset" in imm_block:
+    if "preset" in _object(imm_block, "immersion"):
         _require_keys(imm_block, ("preset", "params"), ("preset",), "immersion")
-        immersion, profile = build_preset(
-            str(imm_block["preset"]), ambient, imm_block.get("params")
-        )
+        params = _object(imm_block.get("params") or {}, "immersion.params")
+        immersion, profile = build_preset(str(imm_block["preset"]), ambient, params)
     else:
         _require_keys(imm_block, ("components", "chart"), ("components", "chart"), "immersion")
         chart_block = imm_block["chart"]
         _require_keys(chart_block, ("names", "lower", "upper"), ("names", "lower", "upper"), "immersion.chart")
+        for key in ("names", "lower", "upper"):
+            if not isinstance(chart_block[key], list):
+                raise SceneError(f"{key} must be a list", field=f"immersion.chart.{key}")
         try:
             chart = ChartBox(
                 tuple(map(str, chart_block["names"])),
                 tuple(map(float, chart_block["lower"])),
                 tuple(map(float, chart_block["upper"])),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:  # a bound that is not a number
             raise SceneError(str(exc), field="immersion.chart") from None
         components = imm_block["components"]
         if not isinstance(components, list):
@@ -197,8 +204,8 @@ def validate_scene(data):
 
     grid_block = data.get("grid", {})
     _require_keys(grid_block, ("samples", "margins"), (), "grid")
-    samples = grid_block.get("samples", {})
-    margins = grid_block.get("margins", {})
+    samples = _object(grid_block.get("samples", {}), "grid.samples")
+    margins = _object(grid_block.get("margins", {}), "grid.margins")
     counts = {}
     for name in immersion.chart.names:
         count = samples.get(name, 7)
@@ -214,7 +221,12 @@ def validate_scene(data):
             raise SceneError(f"{key} given for unknown variables {sorted(unknown)}", f"grid.{key}")
     margin_map = {}
     for name in immersion.chart.names:
-        frac = float(margins.get(name, 0.05))
+        try:
+            frac = float(margins.get(name, 0.05))
+        except (TypeError, ValueError):
+            raise SceneError(
+                f"margin for {name!r} must be a number", field="grid.margins"
+            ) from None
         if not 0.0 < frac < 0.5:
             raise SceneError(
                 f"margin for {name!r} must lie in (0, 0.5)", field="grid.margins"
@@ -241,6 +253,9 @@ def validate_scene(data):
 
     output = data.get("output", {})
     _require_keys(output, ("report", "mesh"), (), "output")
+    for key, path in output.items():
+        if path is not None and not isinstance(path, str):
+            raise SceneError(f"{key} must be a file path", field=f"output.{key}")
     return Scene(
         raw=data,
         ambient=ambient,

@@ -113,11 +113,6 @@ def first_extreme(values, start=0.0, lowest=False):
     return start, None
 
 
-def soliton_residual(imm, grid):
-    """Evaluate the soliton condition over a grid of chart points."""
-    return soliton_report(grid_geometry(imm, grid))
-
-
 def soliton_report(geometry):
     """Soliton verdict over the :class:`PointGeometry` record of a grid.
 

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from warpgeo.catalogue import (
-    euclidean_ambient,
-    horosphere_immersion,
     hyperplane_immersion,
     rotational_soliton_immersion,
     slice_immersion,
     sphere_immersion,
-    spherical_cap_ambient,
 )
 
-from oracles import standard_catalogue
+from oracles import (
+    euclidean_ambient,
+    horosphere_immersion,
+    spherical_cap_ambient,
+    standard_catalogue,
+)
 
 
 @pytest.fixture(scope="session")

@@ -17,56 +17,150 @@ Christoffel tensors (``christoffel_symbols``, ``christoffels``,
 ``induced_christoffels_from_jets``) and the numeric ``sphere_chart``
 live only here, as references: the package contracts the tensors in
 closed form and charts the sphere by ``sphere_chart_expressions``.
+The test-only helpers live here as well: the standard ambients, the
+horosphere, ``build_rotational``, the closed-form principal curvatures
+``weingarten_closed_form``, the extrinsic package ``grid_shape_data``,
+``flip_orientation``, ``eval_value``, ``soliton_residual`` and ``row``,
+the record of one point of a batch.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from warpgeo.ambient import AmbientPoint, Fiber, check_conditioning
+from warpgeo.ambient import AmbientPoint, Fiber, WarpedProduct, check_conditioning
 from warpgeo.catalogue import (
-    euclidean_ambient,
-    horosphere_immersion,
     hyperplane_immersion,
     rotational_soliton_immersion,
     slice_immersion,
     sphere_immersion,
-    spherical_cap_ambient,
 )
+from warpgeo.errors import SigmaZero
 from warpgeo.expr import BinOp, Call, Num, Var, parse
 from warpgeo.hypersurface import (
     CallableComponent,
     Immersion,
-    grid_shape_data,
+    _leaves,
+    evaluate_points,
     metric_derivative,
     point_jets,
+    shape_from_jets,
 )
 from warpgeo.intrinsic import grid_geometry
 from warpgeo.jets import eval_jet2
+from warpgeo.rotational import assemble_rotational, solve_profile
+from warpgeo.soliton import soliton_report
+
+
+def row(record, i):
+    """The record at point ``i``: every field without its point axis.
+
+    0-d entries become floats.
+    """
+
+    def item(value):
+        value = value[i]
+        return float(value) if np.ndim(value) == 0 else value
+
+    return _leaves(item, record)
+
+
+def euclidean_ambient(n):
+    return WarpedProduct((-math.inf, math.inf), "1", Fiber.EUCLIDEAN, n)
+
+
+def hyperbolic_ambient(n):
+    return WarpedProduct((-math.inf, math.inf), "exp(t)", Fiber.EUCLIDEAN, n)
+
+
+def spherical_cap_ambient(n):
+    return WarpedProduct((0.0, math.pi), "sin(t)", Fiber.SPHERE, n)
+
+
+def horosphere_immersion(t0=0.0, n=2, half_width=1.0):
+    """Slice of the exponentially warped space (flat, totally umbilical)."""
+    return slice_immersion(hyperbolic_ambient(n), t0, half_width=half_width)
+
+
+def build_rotational(prof, curve=None, interval=(-math.inf, math.inf)):
+    """The rotational immersion of ``prof`` (solved here unless ``curve`` is
+    given) in ``interval x_f R^n``; pass a finite interval when f is
+    positive only there."""
+    if curve is None:
+        curve = solve_profile(prof)
+    ambient = WarpedProduct(interval, prof.f, Fiber.EUCLIDEAN, prof.n)
+    return assemble_rotational(curve, ambient)
+
+
+def weingarten_closed_form(prof, curve, u):
+    """Principal curvatures (kappa_u, kappa_v) of the rotational surface.
+
+    kappa_u belongs to the profile direction, kappa_v to each rotation
+    direction (multiplicity n-1); the formulas divide by the signed
+    radius sigma, so a vanishing sigma is an error rather than a branch.
+    """
+    u = float(u)
+    jet = eval_jet2(prof.f, {"t": curve.alpha(u)}, ("t",))
+    lf1 = jet.grad[0] / jet.value
+    sigma = jet.value * curve.beta(u)
+    if abs(sigma) < 1e-12:
+        raise SigmaZero(f"sigma(u)={sigma!r} vanishes at u={u!r}")
+    kappa_u = -lf1 * prof.theta
+    kappa_v = prof.slope / sigma - lf1 * prof.theta
+    return kappa_u, kappa_v
+
+
+def grid_shape_data(imm, points):
+    """The extrinsic package over an (N, n) array of chart points."""
+    return evaluate_points(imm, lambda pts: shape_from_jets(imm, point_jets(imm, pts)), points)
+
+
+def flip_orientation(sd):
+    """Reverse the normal: N, A, theta and H change sign, the rest stay."""
+    return replace(
+        sd,
+        normal=-sd.normal,
+        shape_operator=-sd.shape_operator,
+        second_fundamental=-sd.second_fundamental,
+        theta=-sd.theta,
+        mean_curvature=-sd.mean_curvature,
+    )
+
+
+def eval_value(expr, bindings):
+    """Plain evaluation at one point: the value of the jet with no
+    active variables, as a float."""
+    return float(eval_jet2(expr, bindings).value)
+
+
+def soliton_residual(imm, grid):
+    """Evaluate the soliton condition over a grid of chart points."""
+    return soliton_report(grid_geometry(imm, grid))
 
 
 def point_shapes(imm, points):
     """The ShapeData record of each chart point, from one batched evaluation."""
     batch = grid_shape_data(imm, points)
-    return [batch.at(i) for i in range(len(points))]
+    return [row(batch, i) for i in range(len(points))]
 
 
 def point_geometries(imm, points):
     """The PointGeometry record of each chart point, from one batched evaluation."""
     batch = grid_geometry(imm, points)
-    return [batch.at(i) for i in range(len(points))]
+    return [row(batch, i) for i in range(len(points))]
 
 
 def shape_at(imm, p):
     """The ShapeData record at one chart point."""
-    return grid_shape_data(imm, [p]).at(0)
+    return row(grid_shape_data(imm, [p]), 0)
 
 
 def geometry_at(imm, p):
     """The PointGeometry record at one chart point."""
-    return grid_geometry(imm, [p]).at(0)
+    return row(grid_geometry(imm, [p]), 0)
 
 
 def standard_catalogue():
@@ -246,7 +340,7 @@ def shape_operator_from_normal_derivative(imm, p, step=1e-5):
     p = np.asarray(p, dtype=float)
     shifts = step * np.eye(p.size)
     stencil = grid_shape_data(imm, np.vstack([p, p + shifts, p - shifts]))
-    sd = stencil.at(0)
+    sd = row(stencil, 0)
     d, n = sd.frame.shape
     Gamma = christoffels(imm.ambient, sd.ambient_point)
     G = dense_metric(imm.ambient, sd.ambient_point)

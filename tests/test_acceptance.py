@@ -12,37 +12,30 @@ import pytest
 
 from warpgeo.ambient import space_form_models
 from warpgeo.cli import main
-from warpgeo.hypersurface import flip_orientation, grid_shape_data
 from warpgeo.intrinsic import grid_geometry
-from warpgeo.jets import eval_jet2, eval_value
-from warpgeo.rotational import (
-    RotationalProfile,
-    solve_profile,
-    verify_classification,
-    weingarten_closed_form,
-)
-from warpgeo.soliton import (
-    SOLITON_TOL,
-    SolitonClass,
-    Verdict,
-    soliton_residual,
-    structural_report,
-)
+from warpgeo.jets import eval_jet2
+from warpgeo.rotational import RotationalProfile, solve_profile, verify_classification
+from warpgeo.soliton import SOLITON_TOL, SolitonClass, Verdict, structural_report
 
 from oracles import (
     FD_TOL,
     christoffels,
     curvature,
     dense_metric_jets,
+    eval_value,
     fd_gradient,
+    flip_orientation,
+    grid_shape_data,
     perturbed_immersion,
     point_geometries,
     point_shapes,
     random_fiber_point,
     scal_formula,
     scalar_fd_oracle,
+    soliton_residual,
     standard_catalogue,
     structural_error_fd,
+    weingarten_closed_form,
 )
 
 ROOT2 = math.sqrt(2.0)

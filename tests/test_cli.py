@@ -88,6 +88,52 @@ def test_analyze_validation_error_exit_two(tmp_path, capsys):
     assert "surprise" in capsys.readouterr().err
 
 
+def horosphere_scene():
+    return {
+        "ambient": {"interval": ["-inf", "inf"], "f": "exp(t)", "fiber": "euclidean", "n": 2},
+        "immersion": {"preset": "horosphere", "params": {"t0": 0.0}},
+        "grid": {"samples": {"u1": 5, "u2": 5}},
+        "checks": ["soliton"],
+    }
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda s: s.update(grid=5), "grid"),
+        (lambda s: s.update(ambient=5), "ambient"),
+        (lambda s: s.update(immersion=5), "immersion"),
+        (lambda s: s.update(grid={"samples": [1, 2]}), "grid.samples"),
+        (lambda s: s["grid"].update(margins={"u1": "abc"}), "grid.margins"),
+        (lambda s: s["grid"].update(margins={"u1": [1]}), "grid.margins"),
+        (lambda s: s["immersion"].update(params=[1]), "immersion.params"),
+        (
+            lambda s: s.update(
+                immersion={
+                    "components": ["0", "u1", "u2"],
+                    "chart": {"names": 5, "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+                }
+            ),
+            "immersion.chart.names",
+        ),
+        # output paths must be strings: open() takes an integer as a file descriptor
+        (lambda s: s.update(output={"report": ["r.json"]}), "output.report"),
+        (lambda s: s.update(output={"mesh": {}}), "output.mesh"),
+    ],
+    ids=[
+        "grid", "ambient", "immersion", "samples-list", "margin-text", "margin-list",
+        "params-list", "chart-names", "report-list", "mesh-object",
+    ],
+)
+def test_analyze_block_of_the_wrong_type_exit_two(tmp_path, capsys, edit, field):
+    assert main(["analyze", write_scene(tmp_path, horosphere_scene())]) == 0
+    scene = horosphere_scene()
+    edit(scene)
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 2
+    err = capsys.readouterr().err
+    assert f"scene field {field!r}" in err and "Traceback" not in err
+
+
 def test_analyze_missing_file_exit_two(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 
@@ -531,7 +577,9 @@ def test_scene_mesh_output(tmp_path):
 
 
 def test_obj_rejects_higher_dimension():
-    from warpgeo.rotational import RotationalProfile, build_rotational
+    from warpgeo.rotational import RotationalProfile
+
+    from oracles import build_rotational
 
     prof = RotationalProfile(theta=0.5, f="exp(t)", n=3, u_range=(-1.0, 1.0))
     imm = build_rotational(prof)

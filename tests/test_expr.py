@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from warpgeo.errors import ExprSyntaxError, UnknownIdentifier
 from warpgeo.expr import BinOp, Call, Const, Num, Neg, Var, literal, parse, unparse, variables_in
-from warpgeo.jets import eval_value
+
+from oracles import eval_value
 
 
 def test_single_function_ast():

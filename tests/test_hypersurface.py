@@ -3,28 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from warpgeo.catalogue import (
-    euclidean_ambient,
-    hyperplane_immersion,
-    slice_immersion,
-    spherical_cap_ambient,
-)
+from warpgeo.catalogue import hyperplane_immersion, slice_immersion
 from warpgeo import hypersurface
 from warpgeo.errors import DegenerateImmersion, DomainError, OutsideChart
-from warpgeo.hypersurface import (
-    ChartBox,
-    Immersion,
-    flip_orientation,
-    grid_shape_data,
-)
+from warpgeo.hypersurface import ChartBox, Immersion
 
 from oracles import (
     dense_metric,
     dense_metric_jets,
+    euclidean_ambient,
+    flip_orientation,
+    grid_shape_data,
     point_shapes,
     qr_normal,
     shape_at,
     shape_operator_from_normal_derivative,
+    spherical_cap_ambient,
 )
 
 

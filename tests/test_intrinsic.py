@@ -8,7 +8,6 @@ from dataclasses import fields, is_dataclass
 from warpgeo.ambient import Fiber, WarpedProduct
 from warpgeo.hypersurface import ChartBox, Immersion, point_jets
 from warpgeo.intrinsic import grid_geometry
-from warpgeo.rotational import weingarten_closed_form
 
 from oracles import (
     FD_TOL,
@@ -19,11 +18,13 @@ from oracles import (
     perturbed_immersion,
     point_geometries,
     ricci_gradh_extrinsic,
+    row,
     scal_formula,
     scalar_fd_oracle,
     second_fundamental_christoffel,
     shape_at,
     tangential_ricci_frame_sum,
+    weingarten_closed_form,
 )
 
 
@@ -207,7 +208,7 @@ def test_order_three_record_extends_order_two(catalogue, rng):
 
 def test_point_geometry_is_the_single_point_view(sphere3):
     p = sphere3.chart.center()
-    view = grid_geometry(sphere3, [p]).at(0)
+    view = row(grid_geometry(sphere3, [p]), 0)
     assert tuple(view.shape.chart) == p
     assert isinstance(view.scal_gauss, float) and view.ric.shape == (3, 3)
     assert isinstance(view.shape.mean_curvature, float) and view.warping[0] == 1.0
@@ -257,7 +258,9 @@ def test_closed_forms_match_the_tensor_oracles(fiber, n, rng):
 
 
 def _rotational(f, n):
-    from warpgeo.rotational import RotationalProfile, build_rotational
+    from warpgeo.rotational import RotationalProfile
+
+    from oracles import build_rotational
 
     return build_rotational(RotationalProfile(theta=0.6, f=f, n=n, u_range=(-1.0, 1.0)))
 

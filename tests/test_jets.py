@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from warpgeo.errors import DomainError
 from warpgeo.expr import FUNCTIONS, BinOp, Call, Const, Neg, Var, literal, parse, unparse
-from warpgeo.jets import Jet2, eval_jet2, eval_value
+from warpgeo.jets import Jet2, eval_jet2
 
-from oracles import fd_gradient
+from oracles import eval_value, fd_gradient
 
 
 def test_exp_jet_at_zero():

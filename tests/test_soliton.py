@@ -3,21 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from warpgeo.catalogue import euclidean_ambient, sphere_immersion
-from warpgeo.hypersurface import flip_orientation, grid_shape_data
+from warpgeo.catalogue import sphere_immersion
 from warpgeo.intrinsic import grid_geometry
-from warpgeo.rotational import RotationalProfile, build_rotational, solve_profile
+from warpgeo.rotational import RotationalProfile, solve_profile
 from warpgeo.soliton import (
     SOLITON_TOL,
     SolitonClass,
     Verdict,
     classify,
     hypotheses_report,
-    soliton_residual,
     structural_report,
 )
 
-from oracles import geometry_at, perturbed_immersion, point_geometries, point_shapes
+from oracles import (
+    build_rotational,
+    euclidean_ambient,
+    flip_orientation,
+    geometry_at,
+    grid_shape_data,
+    perturbed_immersion,
+    point_geometries,
+    point_shapes,
+    soliton_residual,
+)
 
 
 def grid(imm, count=4, margin=0.12):
