@@ -7,19 +7,14 @@ oriented unit normal N, the shape operator A with A(X) = -nabla_X N,
 the mean curvature H = tr(A)/n, the height h (the t-component of psi),
 the angle theta = <N, d_t>, and the tangential gradient of h.
 
-Orientation convention: N is the D-normalized D^-1 nu, where G = diag(D)
-is the ambient metric and nu is the cofactor covector of the frame,
-det([E_1 .. E_n, v]) = nu . v, times the sign ``Immersion.orientation``.
-D^-1 nu is G-orthogonal to every E_i and has det([E, D^-1 nu]) > 0, so
-the normal keeps the frame orientation fixed and extends continuously
-from the center of the chart box, where the sign is chosen so that
-theta >= 0; if |theta| < 1e-10 there, the sign of the first nonzero
-component of N breaks the tie.  The sign is fixed when the immersion is
-constructed.
+Orientation convention: N is the G-unit normal (G = diag(D), the ambient
+metric) with det([E_1 .. E_n, N]) > 0, which extends continuously from
+the chart center, times ``Immersion.orientation``, fixed at construction
+to make theta > 0 there (if |theta| < 1e-10, the first nonzero entry of N).
 
-The induced metric g is factored once per point: ``point_jets`` takes
-its Cholesky factor L and carries F = L^-T (a g-orthonormal frame, so
-F^T g F = I) and g^-1 = F F^T, which every later stage reads.
+g is factored once per point by a Cholesky loop over its columns, each
+step vectorized over the points (``_factor``): the pivots give det g, and
+F = L^-T (F^T g F = I) gives g^-1 = F F^T and N (``_unit_normal``).
 
 The pipeline runs on batches: ``point_jets`` and ``shape_from_jets``
 take an (N, n) array of chart points and return records whose fields
@@ -210,7 +205,7 @@ class Immersion:
             exc.index += skip
             raise
         if skip:
-            normal = _unit_normal(pj.frame[:1], pj.D[:1])[0]
+            normal = _unit_normal(pj.frame[:1], pj.D[:1], pj.factor[:1])[0]
             signs = normal[np.abs(normal) > _ORIENT_TIE]
             self.orientation = -1.0 if signs.size and signs[0] < 0.0 else 1.0
 
@@ -309,14 +304,11 @@ class PointJets:
     """Jets of psi and of the ambient metric at N interior chart points.
 
     ``chart`` (N, n) holds the points and ``ambient_point`` their images;
-    ``frame[:, a, i]`` is d psi^a / d u^i and ``second[:, a, i, j]`` the
-    second chart derivatives; ``D`` and ``dD`` are the diagonal ambient
-    metric and its coordinate derivatives at the images, and ``warping``
-    is (f, f', f'') at their heights, all three from the one jet of f of
-    ``WarpedProduct.metric_jets``; ``metric`` is g = E^T diag(D) E.
-    ``factor`` is F = L^-T for the Cholesky factor L of g, and
-    ``metric_inverse`` is g^-1 = F F^T.  ``third[:, a, i, j, k]`` holds the
-    third chart derivatives of an order-3 evaluation, else None.
+    ``frame[:, a, i]`` is d psi^a / d u^i, ``second`` and ``third`` (order
+    3, else None) the higher chart derivatives; ``D``, ``dD`` and
+    ``warping`` = (f, f', f'') come from the one jet of f of
+    ``WarpedProduct.metric_jets``; ``metric`` is g = E^T diag(D) E,
+    ``factor`` F = L^-T of ``_factor`` and ``metric_inverse`` g^-1 = F F^T.
     """
 
     chart: np.ndarray
@@ -359,11 +351,11 @@ def point_jets(imm, points, order=2):
     if bad is not None:
         raise DomainError("tangent frame, second derivatives or metric not finite", index=bad)
     g = np.swapaxes(E, -1, -2) @ (D[..., :, None] * E)
-    bad = first_index(np.linalg.det(g) <= GRAM_DET_LIMIT)
+    pivots, F = _factor(g)  # a non-finite g gives NaN pivots and fails later checks
+    bad = first_index((pivots <= 0.0).any(axis=-1) | (pivots.prod(axis=-1) <= GRAM_DET_LIMIT))
     if bad is not None:
         p = tuple(map(float, points[bad]))
         raise DegenerateImmersion(f"tangent frame is degenerate at chart point {p!r}", bad)
-    F = np.swapaxes(np.linalg.inv(np.linalg.cholesky(g)), -1, -2)
     third = None if order == 2 else np.stack([jet.third for jet in jets], axis=-4)
     return PointJets(points, q, E, second, D, dD, warping, g, F, F @ np.swapaxes(F, -1, -2), third)
 
@@ -402,15 +394,29 @@ class ShapeData:
         return self.ambient_point.t
 
 
-def _unit_normal(E, D):
-    """The unit normal D^-1 nu / |D^-1 nu|_D of frames E, where the
-    cofactor covector nu satisfies det([E | v]) = nu . v for every v."""
-    d = E.shape[-1] + 1
-    E = E / np.max(np.abs(E), axis=-2, keepdims=True)  # nu keeps its direction, stays finite
-    minors = E[..., [[b for b in range(d) if b != a] for a in range(d)], :]
-    nu = (-1.0) ** (np.arange(d) + d - 1) * np.linalg.det(minors)
-    v = nu / D
-    return v / np.sqrt(np.sum(nu * v, axis=-1, keepdims=True))
+def _factor(g):
+    """The pivots p_j = L_jj^2 (det g = prod p) and F = L^-T of g = L L^T, by
+    Cholesky and forward substitution over columns (L's diagonal is not read)."""
+    L, F, pivots = np.zeros_like(g), np.zeros_like(g), np.empty(g.shape[:-1])
+    for j in range(g.shape[-1]):
+        col = g[..., j:, j] - (L[..., j:, :j] @ L[..., j, :j, None])[..., 0]
+        pivots[..., j] = col[..., 0]
+        L[..., j:, j] = col / (root := np.sqrt(col[..., :1]))
+        F[..., :j, j] = -(F[..., :j, :j] @ L[..., j, :j, None])[..., 0] / root
+        F[..., j, j] = 1.0 / root[..., 0]
+    return pivots, F
+
+
+def _unit_normal(E, D, F):
+    """The G-unit normal N of frames E with det([E | N]) > 0.  W = E F is
+    G-orthonormal, so I - W W^T diag(D) = N N^T diag(D), whose column with
+    the largest diagonal entry D_c N_c^2 >= 1/d is D-normalized to +-N."""
+    W = E @ F
+    c = np.argmin(D * np.sum(W * W, axis=-1), axis=-1)
+    rows = np.arange(len(c))
+    v = np.eye(D.shape[-1])[c] - (W @ W[rows, c, :, None])[..., 0] * D[rows, c, None]
+    det = np.linalg.det(np.concatenate([E, v[..., None]], axis=-1))
+    return v / (np.sign(det) * np.sqrt(np.sum(D * v * v, axis=-1)))[..., None]
 
 
 def shape_from_jets(imm, pj):
@@ -423,7 +429,7 @@ def shape_from_jets(imm, pj):
     """
     E, D, dD, ginv = pj.frame, pj.D, pj.dD, pj.metric_inverse
     check_conditioning(pj.ambient_point, D)
-    N = imm.orientation * _unit_normal(E, D)
+    N = imm.orientation * _unit_normal(E, D, pj.factor)
     X = np.swapaxes(dD @ E, -1, -2) @ (N[..., :, None] * E)
     q = dD @ N[..., :, None]
     II = (D * N)[..., None, :] @ pj.second.reshape(X.shape[:-2] + (D.shape[-1], -1))

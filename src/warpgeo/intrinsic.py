@@ -34,7 +34,8 @@ class PointGeometry:
 
     Every field carries a leading point axis.  ``warping`` is (f, f', f'')
     at the height.  ``hess_identity`` is Hess h by the warped-product
-    identity and ``hess_direct`` by the induced connection.  ``ric`` is
+    identity and ``hess_direct`` by the induced connection, and
+    ``identity_error`` is max |hess_identity - hess_direct|.  ``ric`` is
     the Ricci tensor in the chart frame and ``scal_gauss`` its g-trace.
     ``lam`` = scal - (Lap h)/n is the trace-derived soliton function and
     ``residual`` the g-operator norm of the trace-free part of Hess h.
@@ -45,6 +46,7 @@ class PointGeometry:
     warping: tuple
     hess_identity: np.ndarray
     hess_direct: np.ndarray
+    identity_error: np.ndarray
     ric: np.ndarray
     scal_gauss: np.ndarray
     lam: np.ndarray
@@ -69,13 +71,11 @@ def _ambient_ricci(ambient, pj, N):
     return np.triu(S) + np.swapaxes(np.triu(S, 1), -1, -2)  # symmetric from the upper half
 
 
-def _hessian_direct(pj, dg):
+def _hessian_direct(pj, dg, grad_h):
     """Hess h = d^2 h - Gamma^k_ij d_k h, the connection term as (grad h)^l B_lij / 2
     with B_lij = d_i g_lj + d_j g_il - d_l g_ij."""
     B = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
-    shape = B.shape
-    grad_h = np.swapaxes(pj.metric_inverse @ pj.frame[..., 0, :, None], -1, -2)
-    conn = (grad_h @ B.reshape(shape[:-3] + (shape[-3], -1))).reshape(shape[:-3] + shape[-2:])
+    conn = (grad_h[..., None, :] @ B.reshape(B.shape[:-2] + (-1,))).reshape(B.shape[:-1])
     return pj.second[..., 0, :, :] - 0.5 * conn
 
 
@@ -116,18 +116,20 @@ def _geometry(imm, points, order):
     dh_dh = dh[..., :, None] * dh[..., None, :]
     hess_identity = (f1 / f0)[..., None, None] * (g - dh_dh) + sd.theta[..., None, None] * II
     dg = metric_derivative(pj)
-    hess_direct = _hessian_direct(pj, dg)
+    hess_direct = _hessian_direct(pj, dg, sd.grad_h)
     lap = _g_trace(pj.metric_inverse, hess_direct)
     trace_free = hess_direct - (lap / n)[..., None, None] * g
-    # generalized eigenvalues of (trace_free, g) through g = L L^T, F = L^-T
-    F = pj.factor
-    eigs = np.linalg.eigvalsh(np.swapaxes(F, -1, -2) @ trace_free @ F)
+    M = np.swapaxes(pj.factor, -1, -2) @ trace_free @ pj.factor  # residual: max |eig M|
+    if n == 2:
+        a, b, c = M[..., 0, 0], M[..., 1, 0], M[..., 1, 1]
+        residual = np.abs(0.5 * (a + c)) + np.hypot(0.5 * (a - c), b)
+    else:
+        residual = np.max(np.abs(np.linalg.eigvalsh(M)), axis=-1)
 
     S = _ambient_ricci(imm.ambient, pj, sd.normal)
     ric = S + (n * H)[..., None, None] * II - np.swapaxes(A, -1, -2) @ g @ A
     scal_gauss = _g_trace(pj.metric_inverse, ric)
     lam = scal_gauss - lap / n
-    residual = np.max(np.abs(eigs), axis=-1)
     bad = first_index(~(np.isfinite(residual) & np.isfinite(lam)))
     if bad is not None:
         raise DomainError("soliton residual or lambda not finite", index=bad)
@@ -137,6 +139,7 @@ def _geometry(imm, points, order):
         warping=warping,
         hess_identity=hess_identity,
         hess_direct=hess_direct,
+        identity_error=np.max(np.abs(hess_identity - hess_direct), axis=(-2, -1)),
         ric=ric,
         scal_gauss=scal_gauss,
         lam=lam,

@@ -34,7 +34,7 @@ from . import __version__
 from .ambient import WarpedProduct
 from .catalogue import build_preset
 from .errors import DomainError, SceneError, WarpGeoError
-from .expr import parse as parse_expr, variables_in
+from .expr import CONSTANTS, FUNCTIONS, parse as parse_expr
 from .hypersurface import MAX_DIMENSION, MAX_GRID_POINTS, ChartBox, Immersion, _leaves
 from .intrinsic import grid_geometry
 from .objmesh import surface_vertices, write_obj
@@ -169,12 +169,13 @@ def validate_scene(data):
         for key in ("names", "lower", "upper"):
             if not isinstance(chart_block[key], list):
                 raise SceneError(f"{key} must be a list", field=f"immersion.chart.{key}")
+        names = tuple(map(str, chart_block["names"]))
+        if len(set(names)) < len(names) or set(names) & (set(CONSTANTS) | set(FUNCTIONS)):
+            message = f"chart names must be distinct and not constants or functions: {list(names)}"
+            raise SceneError(message, field="immersion.chart.names")
         try:
-            chart = ChartBox(
-                tuple(map(str, chart_block["names"])),
-                tuple(map(float, chart_block["lower"])),
-                tuple(map(float, chart_block["upper"])),
-            )
+            lower, upper = (tuple(map(float, chart_block[k])) for k in ("lower", "upper"))
+            chart = ChartBox(names, lower, upper)
         except (TypeError, ValueError) as exc:  # a bound that is not a number
             raise SceneError(str(exc), field="immersion.chart") from None
         components = imm_block["components"]
@@ -182,19 +183,12 @@ def validate_scene(data):
             raise SceneError("components must be a list", field="immersion.components")
         exprs = []
         for idx, src in enumerate(components):
-            try:
-                expr = parse_expr(str(src))
+            try:  # an undeclared variable is an UnknownIdentifier
+                exprs.append(parse_expr(str(src), variables=set(names)))
             except WarpGeoError as exc:
                 raise SceneError(
                     str(exc), field=f"immersion.components[{idx}]"
                 ) from None
-            extra = variables_in(expr) - set(chart.names)
-            if extra:
-                raise SceneError(
-                    f"undeclared variables {sorted(extra)}",
-                    field=f"immersion.components[{idx}]",
-                )
-            exprs.append(expr)
         try:
             immersion = Immersion(ambient, chart, exprs)
         except DomainError:
@@ -289,8 +283,7 @@ def _run_check(kind, c, scene, geometry, soliton, classification):
     if kind in THEOREMS:
         return hypotheses_report(scene.immersion, geometry, kind)
     if kind == "lemma1":
-        errors = np.max(np.abs(geometry.hess_identity - geometry.hess_direct), axis=(-2, -1))
-        sup, i = first_extreme(errors)
+        sup, i = first_extreme(geometry.identity_error)
         status = "pass" if sup < SOLITON_TOL else "fail"
         return CheckResult(kind, status, sup_error=sup, worst_point=geometry.chart_point(i))
     if kind == "soliton":

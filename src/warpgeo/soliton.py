@@ -124,9 +124,7 @@ def soliton_report(geometry):
     residual_sup, worst = first_extreme(geometry.residual, start=-1.0)
     lams = np.array(geometry.lam, dtype=float)
     gradh_sup, _ = first_extreme(np.sqrt(np.maximum(geometry.shape.grad_h_norm2, 0.0)))
-    identity_sup, _ = first_extreme(
-        np.max(np.abs(geometry.hess_identity - geometry.hess_direct), axis=(-2, -1))
-    )
+    identity_sup, _ = first_extreme(geometry.identity_error)
     verdict = Verdict.SOLITON if residual_sup < SOLITON_TOL else Verdict.NOT_SOLITON
     return SolitonReport(
         residual_sup=residual_sup,

@@ -6,7 +6,8 @@ differences, the derivative oracles apply central differences to plain
 evaluations (the gradient of Lap h among them: Lap h through the induced
 Christoffel tensor at 2n stencil points per point), the generic
 Christoffel formula and the QR normal treat the diagonal ambient metric
-as a dense matrix, the metric-jet oracle walks
+as a dense matrix, the cofactor normal takes the d determinants of the
+n x n minors of the frame, the metric-jet oracle walks
 each diagonal entry as an expression, and the scalar curvature oracle
 differentiates the sampled induced metric.  The tensor oracles build
 what the geometry pass contracts in closed form: the ambient Christoffel
@@ -328,6 +329,18 @@ def qr_normal(E, G):
     det = np.linalg.det(np.concatenate([Et, n_tilde[..., None]], axis=-1))
     N = np.linalg.solve(Lt, n_tilde[..., None])[..., 0]
     return np.sign(det)[..., None] * N
+
+
+def cofactor_normal(E, D):
+    """Unit normals D^-1 nu / |D^-1 nu|_D of frames E, where the cofactor
+    covector nu satisfies det([E | v]) = nu . v for every v, from the d
+    determinants of the n x n minors of E (so det([E | N]) > 0)."""
+    d = E.shape[-1] + 1
+    E = E / np.max(np.abs(E), axis=-2, keepdims=True)  # nu keeps its direction, stays finite
+    minors = E[..., [[b for b in range(d) if b != a] for a in range(d)], :]
+    nu = (-1.0) ** (np.arange(d) + d - 1) * np.linalg.det(minors)
+    v = nu / D
+    return v / np.sqrt(np.sum(nu * v, axis=-1, keepdims=True))
 
 
 def shape_operator_from_normal_derivative(imm, p, step=1e-5):

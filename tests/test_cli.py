@@ -134,6 +134,32 @@ def test_analyze_block_of_the_wrong_type_exit_two(tmp_path, capsys, edit, field)
     assert f"scene field {field!r}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "names, components",
+    [
+        (["u", "pi"], ["0", "u", "pi"]),
+        (["u", "u"], ["0", "u", "u"]),
+        (["e", "v"], ["0", "v", "v"]),
+        (["u", "sin"], ["0", "u", "u"]),
+    ],
+    ids=["constant", "repeated", "constant-e", "function"],
+)
+def test_analyze_chart_names_that_are_not_variables_exit_two(tmp_path, capsys, names, components):
+    # a constant name parses as the constant and a repeated name collapses
+    # two axes: either left the frame degenerate at the chart center, a
+    # misleading message; the scene names the chart names instead
+    scene = hyperplane_scene()
+    scene["immersion"] = {
+        "components": components,
+        "chart": {"names": names, "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+    }
+    scene["grid"] = {}
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 2
+    err = capsys.readouterr().err
+    assert "scene field 'immersion.chart.names'" in err
+    assert "degenerate" not in err and "Traceback" not in err
+
+
 def test_analyze_missing_file_exit_two(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 

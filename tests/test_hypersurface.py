@@ -9,6 +9,7 @@ from warpgeo.errors import DegenerateImmersion, DomainError, OutsideChart
 from warpgeo.hypersurface import ChartBox, Immersion
 
 from oracles import (
+    cofactor_normal,
     dense_metric,
     dense_metric_jets,
     euclidean_ambient,
@@ -89,10 +90,83 @@ def test_diagonal_normal_matches_qr_oracle(catalogue):
     for name, imm in catalogue:
         pj = hypersurface.point_jets(imm, interior_points(imm, count=3, margin=0.12))
         G, _ = dense_metric_jets(pj.D, pj.dD)
-        normal = hypersurface._unit_normal(pj.frame, pj.D)
+        normal = hypersurface._unit_normal(pj.frame, pj.D, pj.factor)
         oracle = qr_normal(pj.frame, G)
         assert np.all(np.linalg.det(np.concatenate([pj.frame, normal[..., None]], -1)) > 0.0), name
         assert np.max(np.abs(normal - oracle)) < 1e-13, name
+        assert np.max(np.abs(normal - cofactor_normal(pj.frame, pj.D))) < 1e-13, name
+
+
+def _well_conditioned_grams(rng, n, count):
+    """Gram matrices A^T A / n + I of random A: eigenvalues between 1 and about 5."""
+    A = rng.standard_normal((count, n, n))
+    return np.swapaxes(A, -1, -2) @ A / n + np.eye(n)
+
+
+def _assert_factor_matches_lapack(g):
+    pivots, F = hypersurface._factor(g)
+    L = np.linalg.cholesky(g)
+    oracle = np.swapaxes(np.linalg.inv(L), -1, -2)
+    size = np.max(np.abs(oracle), axis=(-2, -1))
+    assert np.all(np.max(np.abs(F - oracle), axis=(-2, -1)) <= 1e-13 * size)
+    diagonal = np.diagonal(L, axis1=-2, axis2=-1) ** 2
+    assert np.all(np.abs(pivots - diagonal) <= 1e-13 * diagonal)
+    det = np.linalg.det(g)
+    assert np.all(np.abs(np.prod(pivots, axis=-1) - det) <= 1e-13 * det)
+    return pivots, F
+
+
+@pytest.mark.parametrize("n", range(1, hypersurface.MAX_DIMENSION + 1))
+def test_column_factor_matches_lapack(n, rng):
+    # the pivots, det g and F = L^-T agree with LAPACK's Cholesky and
+    # inverse, and a batched matrix gives the bits it gives alone
+    g = _well_conditioned_grams(rng, n, 40)
+    pivots, F = _assert_factor_matches_lapack(g)
+    for i in range(len(g)):
+        alone = hypersurface._factor(g[i : i + 1])
+        assert alone[0].tobytes() == pivots[i : i + 1].tobytes()
+        assert alone[1].tobytes() == F[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_column_factor_near_the_gram_limit(n, rng):
+    # well-conditioned g scaled so that det g straddles GRAM_DET_LIMIT:
+    # the pivot product classifies each matrix as the determinant does
+    g = _well_conditioned_grams(rng, n, 40)
+    det = np.linalg.det(g)
+    target = hypersurface.GRAM_DET_LIMIT * np.exp(rng.uniform(-1e-6, 1e-6, len(g)))
+    g *= ((target / det) ** (1.0 / n))[:, None, None]
+    pivots, _ = _assert_factor_matches_lapack(g)
+    limit = hypersurface.GRAM_DET_LIMIT
+    assert np.array_equal(np.prod(pivots, axis=-1) <= limit, np.linalg.det(g) <= limit)
+    assert 0 < np.count_nonzero(np.prod(pivots, axis=-1) <= limit) < len(g)
+
+
+def test_column_factor_of_a_non_finite_gram_has_no_nonpositive_pivot():
+    # a Gram matrix that overflowed gives inf or NaN pivots, never a pivot
+    # <= 0, so point_jets does not call it degenerate: the later finiteness
+    # checks report it (the "gram-overflow" CLI case exits 3, "not finite")
+    g = np.array([[[np.inf, 0.0], [0.0, 1.0]], [[np.inf, np.inf], [np.inf, np.inf]]])
+    with np.errstate(all="ignore"):
+        pivots, _ = hypersurface._factor(g)
+    assert not np.any(pivots <= 0.0)
+    assert not np.any(np.prod(pivots, axis=-1) <= hypersurface.GRAM_DET_LIMIT)
+
+
+@pytest.mark.parametrize("n", range(1, hypersurface.MAX_DIMENSION + 1))
+def test_factor_normal_matches_the_cofactor_oracle_on_random_frames(n, rng):
+    # frames with orthonormal columns times I + 0.3 R (condition below
+    # about 3) and a diagonal metric in [0.5, 2]
+    count, d = 40, n + 1
+    Q = np.linalg.qr(rng.standard_normal((count, d, d)))[0][..., :n]
+    E = Q @ (np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, (count, n, n)) / n)
+    D = rng.uniform(0.5, 2.0, (count, d))
+    _, F = hypersurface._factor(np.swapaxes(E, -1, -2) @ (D[..., :, None] * E))
+    normal = hypersurface._unit_normal(E, D, F)
+    assert np.max(np.abs(normal - cofactor_normal(E, D))) < 1e-13
+    for i in range(count):
+        alone = hypersurface._unit_normal(E[i : i + 1], D[i : i + 1], F[i : i + 1])
+        assert alone.tobytes() == normal[i : i + 1].tobytes()
 
 
 def test_first_fundamental_form_spd(catalogue):

@@ -206,6 +206,24 @@ def test_order_three_record_extends_order_two(catalogue, rng):
             assert single.tobytes() == gradient[i].tobytes(), (name, i)
 
 
+def test_residual_is_the_largest_generalized_eigenvalue(catalogue, rng):
+    # the residual is max |eigenvalue| of g^-1 (Hess h - (Lap h / n) g):
+    # in closed form for n = 2, by eigvalsh of the factored matrix for n = 3
+    immersions = list(catalogue) + [
+        (f"perturbed-{i}", perturbed_immersion(catalogue[i][1], rng, amplitude=0.05))
+        for i in (3, 4)
+    ]
+    for name, imm in immersions:
+        geo = grid_geometry(imm, imm.chart.grid(4, 0.1))
+        g, hess = geo.shape.metric, geo.hess_direct
+        lap = np.trace(np.linalg.solve(g, hess), axis1=-2, axis2=-1)
+        trace_free = hess - (lap / imm.n)[:, None, None] * g
+        oracle = np.max(np.abs(np.linalg.eigvals(np.linalg.solve(g, trace_free))), axis=-1)
+        assert np.all(np.abs(geo.residual - oracle) <= 1e-12 * np.maximum(oracle, 1.0)), name
+        if name.startswith("perturbed"):
+            assert np.min(oracle) > 1e-4, name
+
+
 def test_point_geometry_is_the_single_point_view(sphere3):
     p = sphere3.chart.center()
     view = row(grid_geometry(sphere3, [p]), 0)
