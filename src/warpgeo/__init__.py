@@ -25,7 +25,7 @@ from .errors import (
     WarpGeoError,
 )
 from .expr import Expression, parse, unparse, variables_in
-from .hypersurface import ChartBox, Immersion, ShapeData
+from .hypersurface import ChartBox, Immersion
 from .intrinsic import PointGeometry, grid_geometry
 from .jets import Jet2, eval_jet2
 from .rotational import (
@@ -62,7 +62,6 @@ __all__ = [
     "QuadratureFailure",
     "RotationalProfile",
     "SceneError",
-    "ShapeData",
     "SigmaZero",
     "SingularMetric",
     "SolitonClass",

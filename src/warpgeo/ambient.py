@@ -20,7 +20,7 @@ closed form (O'Neill, *Semi-Riemannian Geometry*, ch. 7)
 and a metric is numerically singular where its condition number
 max D / min D exceeds ``CONDITION_LIMIT``.  No Christoffel tensor is
 built: the geometry pass reads Gamma contracted with a vector in closed
-form (``shape_from_jets``), and the diagonal Ricci tensor Ric_aa =
+form (``intrinsic.grid_geometry``), and the diagonal Ricci tensor Ric_aa =
 D_a rho_a with rho_0 = -n f''/f and rho_a = (n-1)(k - f'^2)/f^2 - f''/f
 for a >= 1.
 
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, OutsideChart, SingularMetric
 from .expr import unparse, variables_in
-from .jets import as_expression, eval_jet2, first_failure, first_index
+from .jets import _leaves, as_expression, eval_jet2, first_failure, first_index
 
 CONDITION_LIMIT = 1e12
 SPACE_FORM_TOL = 1e-10
@@ -71,14 +71,6 @@ class AmbientPoint:
 
     t: float
     x: tuple
-
-    def prefix(self, k):
-        """The first ``k`` points (the point itself when not a batch)."""
-
-        def cut(v):
-            return v[:k] if np.ndim(v) else v
-
-        return AmbientPoint(cut(self.t), tuple(map(cut, self.x)))
 
 
 @dataclass(frozen=True)
@@ -201,7 +193,10 @@ class WarpedProduct:
         A batch fails like its first point that fails alone (see
         :func:`warpgeo.jets.first_failure`).
         """
-        return first_failure(lambda k: self._metric_jets(p.prefix(k)), np.size(p.t))
+        return first_failure(
+            lambda k: self._metric_jets(_leaves(lambda v: v[:k] if np.ndim(v) else v, p)),
+            np.size(p.t),
+        )
 
     def _metric_jets(self, p):
         self.validate_point(p)

@@ -134,14 +134,21 @@ def build_preset(name, ambient, params):
         merged = {**defaults, **params}
         if "theta" not in merged:
             raise SceneError("rotational preset needs theta", field="immersion.params")
+        for key, given in merged.items():
+            try:
+                merged[key] = float(given)
+            except (TypeError, ValueError, OverflowError):
+                merged[key] = math.nan
+            if not math.isfinite(merged[key]):
+                raise SceneError(f"{key} must be a finite number, got {given!r}", "immersion.params")
         try:
             prof = RotationalProfile(
-                theta=float(merged["theta"]),
+                theta=merged["theta"],
                 f=ambient.f,
                 n=ambient.n,
-                c1=float(merged["c1"]),
-                c2=float(merged["c2"]),
-                u_range=(float(merged["u0"]), float(merged["u1"])),
+                c1=merged["c1"],
+                c2=merged["c2"],
+                u_range=(merged["u0"], merged["u1"]),
             )
             curve = solve_profile(prof)
             imm = assemble_rotational(curve, ambient)

@@ -1,11 +1,11 @@
-"""Immersed hypersurfaces and their extrinsic geometry.
+"""Immersed hypersurfaces and the jets of an immersion.
 
-``shape_from_jets`` computes, from the jets at a batch of chart points,
-the extrinsic package of an immersion psi: chart box -> ambient: the
-tangent frame E_i = d psi / d u^i, the first fundamental form g, the
-oriented unit normal N, the shape operator A with A(X) = -nabla_X N,
-the mean curvature H = tr(A)/n, the height h (the t-component of psi),
-the angle theta = <N, d_t>, and the tangential gradient of h.
+``point_jets`` evaluates, at a batch of chart points, the jets of an
+immersion psi: chart box -> ambient and of the ambient metric at the
+images: the tangent frame E_i = d psi / d u^i and its higher chart
+derivatives, the first fundamental form g and its factor.  The geometry
+pass of ``intrinsic`` reads the extrinsic and intrinsic quantities
+from them, with the oriented unit normal N of ``_unit_normal``.
 
 Orientation convention: N is the G-unit normal (G = diag(D), the ambient
 metric) with det([E_1 .. E_n, N]) > 0, which extends continuously from
@@ -16,26 +16,26 @@ g is factored once per point by a Cholesky loop over its columns, each
 step vectorized over the points (``_factor``): the pivots give det g, and
 F = L^-T (F^T g F = I) gives g^-1 = F F^T and N (``_unit_normal``).
 
-The pipeline runs on batches: ``point_jets`` and ``shape_from_jets``
-take an (N, n) array of chart points and return records whose fields
-carry a leading point axis, each elementary operation running once over
-all points.  ``evaluate_points`` runs a pipeline over a batch in
-slices of at most ``SLICE_POINTS`` points and names the first point
-whose own evaluation fails.
+The pipeline runs on batches: ``point_jets`` takes an (N, n) array of
+chart points and returns a record whose fields carry a leading point
+axis, each elementary operation running once over all points.
+``evaluate_points`` runs a pipeline over a batch in slices of at most
+``SLICE_POINTS`` points and names the first point whose own evaluation
+fails.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ambient import AmbientPoint, WarpedProduct, check_conditioning
 from .errors import DegenerateImmersion, DomainError, OutsideChart, PointError
 from .expr import Expression, unparse, variables_in
-from .jets import as_expression, eval_jet2, first_failure, first_index
+from .jets import _leaves, as_expression, eval_jet2, first_failure, first_index
 
 GRAM_DET_LIMIT = 1e-12
 BOUNDARY_MARGIN = 1e-6
@@ -244,29 +244,6 @@ class Immersion:
         return np.stack([jet.value for jet in jets], axis=-1)
 
 
-def _leaves(fn, *records):
-    """``fn`` applied to the matching arrays of batched records.
-
-    Records are dataclasses whose fields are arrays, tuples of arrays,
-    records again (``ShapeData``, ``PointGeometry``, ``AmbientPoint``) or
-    None; a bare array is its own leaf.
-    """
-    first = records[0]
-    if first is None:
-        return None
-    if is_dataclass(first):
-        return replace(
-            first,
-            **{
-                f.name: _leaves(fn, *(getattr(r, f.name) for r in records))
-                for f in fields(first)
-            },
-        )
-    if isinstance(first, tuple):
-        return tuple(_leaves(fn, *items) for items in zip(*records))
-    return fn(*records)
-
-
 def evaluate_points(imm, fn, points):
     """``fn`` over an (N, n) array of chart points, joined along the point axis.
 
@@ -360,40 +337,6 @@ def point_jets(imm, points, order=2):
     return PointJets(points, q, E, second, D, dD, warping, g, F, F @ np.swapaxes(F, -1, -2), third)
 
 
-@dataclass(frozen=True)
-class ShapeData:
-    """Extrinsic bundle of an immersed hypersurface at N chart points.
-
-    Every field carries a leading point axis.  ``chart`` (N, n) holds the
-    chart points and ``ambient_point`` their images; ``frame`` has the
-    tangent vectors as columns in ambient chart components;
-    ``shape_operator`` is the matrix of A in the chart frame; ``grad_h``
-    holds chart components of the tangential gradient of the height
-    function; ``metric_inverse`` is g^-1.
-    """
-
-    chart: np.ndarray
-    ambient_point: AmbientPoint
-    frame: np.ndarray
-    metric: np.ndarray
-    metric_inverse: np.ndarray
-    normal: np.ndarray
-    shape_operator: np.ndarray
-    second_fundamental: np.ndarray
-    mean_curvature: np.ndarray
-    theta: np.ndarray
-    grad_h: np.ndarray
-    grad_h_norm2: np.ndarray
-
-    @property
-    def n(self):
-        return self.metric.shape[-1]
-
-    @property
-    def height(self):
-        return self.ambient_point.t
-
-
 def _factor(g):
     """The pivots p_j = L_jj^2 (det g = prod p) and F = L^-T of g = L L^T, by
     Cholesky and forward substitution over columns (L's diagonal is not read)."""
@@ -417,41 +360,6 @@ def _unit_normal(E, D, F):
     v = np.eye(D.shape[-1])[c] - (W @ W[rows, c, :, None])[..., 0] * D[rows, c, None]
     det = np.linalg.det(np.concatenate([E, v[..., None]], axis=-1))
     return v / (np.sign(det) * np.sqrt(np.sum(D * v * v, axis=-1)))[..., None]
-
-
-def shape_from_jets(imm, pj):
-    """The extrinsic package from the jets at a batch of points.
-
-    II_ij = <d_i d_j psi + Gamma(E_i, E_j), N> takes the ambient
-    Christoffel symbols contracted with N in closed form, with P = dD E,
-    q = dD N and X_ij = sum_a P^a_i N^a E^a_j:
-    <Gamma(E_i, E_j), N> = (X_ij + X_ji)/2 - sum_b q_b E^b_i E^b_j / 2.
-    """
-    E, D, dD, ginv = pj.frame, pj.D, pj.dD, pj.metric_inverse
-    check_conditioning(pj.ambient_point, D)
-    N = imm.orientation * _unit_normal(E, D, pj.factor)
-    X = np.swapaxes(dD @ E, -1, -2) @ (N[..., :, None] * E)
-    q = dD @ N[..., :, None]
-    II = (D * N)[..., None, :] @ pj.second.reshape(X.shape[:-2] + (D.shape[-1], -1))
-    II = II.reshape(X.shape) + 0.5 * (X + np.swapaxes(X, -1, -2) - np.swapaxes(E, -1, -2) @ (q * E))
-    A = ginv @ II
-    H = np.trace(A, axis1=-2, axis2=-1) / imm.n
-    dh = E[..., 0, :]
-    grad_h = (ginv @ dh[..., None])[..., 0]
-    return ShapeData(
-        chart=pj.chart,
-        ambient_point=pj.ambient_point,
-        frame=E,
-        metric=pj.metric,
-        metric_inverse=ginv,
-        normal=N,
-        shape_operator=A,
-        second_fundamental=II,
-        mean_curvature=H,
-        theta=N[..., 0].copy(),
-        grad_h=grad_h,
-        grad_h_norm2=np.sum(dh * grad_h, axis=-1),
-    )
 
 
 def metric_derivative(pj):

@@ -1,14 +1,14 @@
-"""Intrinsic curvature of immersed hypersurfaces: the geometry record.
+"""Geometry of immersed hypersurfaces: the per-point record.
 
 ``grid_geometry`` computes, from one jet evaluation over a batch of
-chart points, everything the checks read at each point, as one record
-of arrays with a leading point axis.  No curvature or Christoffel tensor
-is built per point.  The ambient Ricci tensor is diagonal in the warped
-chart, Ric-bar_aa = D_a rho_a with rho_0 = -n f''/f and
-rho_a = (n-1)(k - f'^2)/f^2 - f''/f (a >= 1), so the ambient part of the
-Gauss equation takes one curvature evaluation R-bar(E_i, N)N per tangent
-vector.  Hess h contracts the induced connection with grad h:
-Gamma^k_ij d_k h = (grad h)^l B_lij / 2.
+chart points, everything the checks read at each point, extrinsic and
+intrinsic, as one record of arrays with a leading point axis.  No
+curvature or Christoffel tensor is built per point.  The ambient Ricci
+tensor is diagonal in the warped chart, Ric-bar_aa = D_a rho_a with
+rho_0 = -n f''/f and rho_a = (n-1)(k - f'^2)/f^2 - f''/f (a >= 1), so
+the ambient part of the Gauss equation takes one curvature evaluation
+R-bar(E_i, N)N per tangent vector.  Hess h contracts the induced
+connection with grad h: Gamma^k_ij d_k h = (grad h)^l B_lij / 2.
 """
 
 from __future__ import annotations
@@ -17,14 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ambient import AmbientPoint, check_conditioning
 from .errors import DomainError
-from .hypersurface import (
-    ShapeData,
-    evaluate_points,
-    metric_derivative,
-    point_jets,
-    shape_from_jets,
-)
+from .hypersurface import _unit_normal, evaluate_points, metric_derivative, point_jets
 from .jets import first_index
 
 
@@ -32,7 +27,13 @@ from .jets import first_index
 class PointGeometry:
     """Geometry of the immersion at N chart points.
 
-    Every field carries a leading point axis.  ``warping`` is (f, f', f'')
+    Every field carries a leading point axis.  ``chart`` (N, n) holds the
+    chart points and ``ambient_point`` their images; ``frame`` has the
+    tangent vectors as columns in ambient chart components; ``normal`` is
+    the unit normal N, ``shape_operator`` the matrix of A(X) = -nabla_X N
+    in the chart frame and H = tr(A)/n; ``theta`` is <N, d_t>; ``grad_h``
+    holds chart components of the tangential gradient of the height
+    h = psi^t; ``metric_inverse`` is g^-1.  ``warping`` is (f, f', f'')
     at the height.  ``hess_identity`` is Hess h by the warped-product
     identity and ``hess_direct`` by the induced connection, and
     ``identity_error`` is max |hess_identity - hess_direct|.  ``ric`` is
@@ -42,7 +43,18 @@ class PointGeometry:
     ``lap_gradient`` is d_m Lap h, in a record of order 3 only (else None).
     """
 
-    shape: ShapeData
+    chart: np.ndarray
+    ambient_point: AmbientPoint
+    frame: np.ndarray
+    metric: np.ndarray
+    metric_inverse: np.ndarray
+    normal: np.ndarray
+    shape_operator: np.ndarray
+    second_fundamental: np.ndarray
+    mean_curvature: np.ndarray
+    theta: np.ndarray
+    grad_h: np.ndarray
+    grad_h_norm2: np.ndarray
     warping: tuple
     hess_identity: np.ndarray
     hess_direct: np.ndarray
@@ -53,9 +65,17 @@ class PointGeometry:
     residual: np.ndarray
     lap_gradient: np.ndarray | None = None
 
+    @property
+    def n(self):
+        return self.metric.shape[-1]
+
+    @property
+    def height(self):
+        return self.ambient_point.t
+
     def chart_point(self, i):
         """Chart point ``i`` as a tuple of floats (None for ``i`` None)."""
-        return None if i is None else tuple(map(float, self.shape.chart[i]))
+        return None if i is None else tuple(map(float, self.chart[i]))
 
 
 def _ambient_ricci(ambient, pj, N):
@@ -102,22 +122,29 @@ def grid_geometry(imm, points, order=2):
 
 
 def _geometry(imm, points, order):
+    """The record over a slice of points.  II_ij = <d_i d_j psi + Gamma(E_i, E_j), N>
+    takes the ambient Christoffel symbols contracted with N in closed form,
+    with P = dD E, q = dD N and X_ij = sum_a P^a_i N^a E^a_j:
+    <Gamma(E_i, E_j), N> = (X_ij + X_ji)/2 - sum_b q_b E^b_i E^b_j / 2."""
     pj = point_jets(imm, points, order)
-    sd = shape_from_jets(imm, pj)
-    warping = pj.warping
-    n = sd.n
-    g = sd.metric
-    A = sd.shape_operator
-    II = sd.second_fundamental
-    H = sd.mean_curvature
-    f0, f1, _ = warping
-
-    dh = sd.frame[..., 0, :]
+    E, D, dD, g, ginv = pj.frame, pj.D, pj.dD, pj.metric, pj.metric_inverse
+    n = imm.n
+    check_conditioning(pj.ambient_point, D)
+    N = imm.orientation * _unit_normal(E, D, pj.factor)
+    X = np.swapaxes(dD @ E, -1, -2) @ (N[..., :, None] * E)
+    q = dD @ N[..., :, None]
+    II = (D * N)[..., None, :] @ pj.second.reshape(X.shape[:-2] + (D.shape[-1], -1))
+    II = II.reshape(X.shape) + 0.5 * (X + np.swapaxes(X, -1, -2) - np.swapaxes(E, -1, -2) @ (q * E))
+    A = ginv @ II
+    H = np.trace(A, axis1=-2, axis2=-1) / n
+    dh = E[..., 0, :]
+    grad_h = (ginv @ dh[..., None])[..., 0]
+    f0, f1, _ = pj.warping
     dh_dh = dh[..., :, None] * dh[..., None, :]
-    hess_identity = (f1 / f0)[..., None, None] * (g - dh_dh) + sd.theta[..., None, None] * II
+    hess_identity = (f1 / f0)[..., None, None] * (g - dh_dh) + N[..., 0, None, None] * II
     dg = metric_derivative(pj)
-    hess_direct = _hessian_direct(pj, dg, sd.grad_h)
-    lap = _g_trace(pj.metric_inverse, hess_direct)
+    hess_direct = _hessian_direct(pj, dg, grad_h)
+    lap = _g_trace(ginv, hess_direct)
     trace_free = hess_direct - (lap / n)[..., None, None] * g
     M = np.swapaxes(pj.factor, -1, -2) @ trace_free @ pj.factor  # residual: max |eig M|
     if n == 2:
@@ -126,17 +153,28 @@ def _geometry(imm, points, order):
     else:
         residual = np.max(np.abs(np.linalg.eigvalsh(M)), axis=-1)
 
-    S = _ambient_ricci(imm.ambient, pj, sd.normal)
+    S = _ambient_ricci(imm.ambient, pj, N)
     ric = S + (n * H)[..., None, None] * II - np.swapaxes(A, -1, -2) @ g @ A
-    scal_gauss = _g_trace(pj.metric_inverse, ric)
+    scal_gauss = _g_trace(ginv, ric)
     lam = scal_gauss - lap / n
     bad = first_index(~(np.isfinite(residual) & np.isfinite(lam)))
     if bad is not None:
         raise DomainError("soliton residual or lambda not finite", index=bad)
 
     return PointGeometry(
-        shape=sd,
-        warping=warping,
+        chart=pj.chart,
+        ambient_point=pj.ambient_point,
+        frame=E,
+        metric=g,
+        metric_inverse=ginv,
+        normal=N,
+        shape_operator=A,
+        second_fundamental=II,
+        mean_curvature=H,
+        theta=N[..., 0].copy(),
+        grad_h=grad_h,
+        grad_h_norm2=np.sum(dh * grad_h, axis=-1),
+        warping=pj.warping,
         hess_identity=hess_identity,
         hess_direct=hess_direct,
         identity_error=np.max(np.abs(hess_identity - hess_direct), axis=(-2, -1)),
@@ -144,7 +182,7 @@ def _geometry(imm, points, order):
         scal_gauss=scal_gauss,
         lam=lam,
         residual=residual,
-        lap_gradient=None if order == 2 else _laplacian_gradient(imm.ambient, pj, dg, sd.grad_h),
+        lap_gradient=None if order == 2 else _laplacian_gradient(imm.ambient, pj, dg, grad_h),
     )
 
 

@@ -18,7 +18,7 @@ error names the first point, in binding order, whose own evaluation fails
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -161,6 +161,29 @@ def first_failure(evaluate, count):
         else:
             break
     raise error
+
+
+def _leaves(fn, *records):
+    """``fn`` applied to the matching arrays of batched records.
+
+    Records are dataclasses whose fields are arrays, tuples of arrays,
+    records again (``PointGeometry``, ``PointJets``, ``AmbientPoint``) or
+    None; a bare array is its own leaf.
+    """
+    first = records[0]
+    if first is None:
+        return None
+    if is_dataclass(first):
+        return replace(
+            first,
+            **{
+                f.name: _leaves(fn, *(getattr(r, f.name) for r in records))
+                for f in fields(first)
+            },
+        )
+    if isinstance(first, tuple):
+        return tuple(_leaves(fn, *items) for items in zip(*records))
+    return fn(*records)
 
 
 def _raise_at(bad, node, message, value=None):

@@ -35,8 +35,9 @@ from .ambient import WarpedProduct
 from .catalogue import build_preset
 from .errors import DomainError, SceneError, WarpGeoError
 from .expr import CONSTANTS, FUNCTIONS, parse as parse_expr
-from .hypersurface import MAX_DIMENSION, MAX_GRID_POINTS, ChartBox, Immersion, _leaves
+from .hypersurface import MAX_DIMENSION, MAX_GRID_POINTS, ChartBox, Immersion
 from .intrinsic import grid_geometry
+from .jets import _leaves
 from .objmesh import surface_vertices, write_obj
 from .rotational import classification_grid, classify_rotational, profile_residuals
 from .soliton import (
@@ -156,6 +157,14 @@ def validate_scene(data):
     except ValueError as exc:
         raise SceneError(str(exc), field="ambient") from None
 
+    output = data.get("output", {})
+    _require_keys(output, ("report", "mesh"), (), "output")
+    for key, path in output.items():
+        if path is not None and not isinstance(path, str):
+            raise SceneError(f"{key} must be a file path", field=f"output.{key}")
+    if output.get("mesh") and ambient.n != 2:
+        raise SceneError(f"mesh export needs n = 2, got n = {ambient.n}", field="output.mesh")
+
     imm_block = data["immersion"]
     profile = None
     if "preset" in _object(imm_block, "immersion"):
@@ -239,17 +248,15 @@ def validate_scene(data):
         raw = str(raw)
         match = SPACEFORM_RE.match(raw)
         if match:
-            checks.append(("spaceform", raw, float(match.group(1))))
+            c = float(match.group(1))
+            if not math.isfinite(c):
+                raise SceneError(f"spaceform c={match.group(1)} is not a finite number", "checks")
+            checks.append(("spaceform", raw, c))
         elif raw in CHECK_NAMES:
             checks.append((raw, raw, None))
         else:
             raise SceneError(f"unknown check {raw!r}", field="checks")
 
-    output = data.get("output", {})
-    _require_keys(output, ("report", "mesh"), (), "output")
-    for key, path in output.items():
-        if path is not None and not isinstance(path, str):
-            raise SceneError(f"{key} must be a file path", field=f"output.{key}")
     return Scene(
         raw=data,
         ambient=ambient,

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .intrinsic import grid_geometry
 from .jets import first_index
 
 SOLITON_TOL = 1e-7  # jet-exact derivative paths
@@ -123,7 +122,7 @@ def soliton_report(geometry):
     """
     residual_sup, worst = first_extreme(geometry.residual, start=-1.0)
     lams = np.array(geometry.lam, dtype=float)
-    gradh_sup, _ = first_extreme(np.sqrt(np.maximum(geometry.shape.grad_h_norm2, 0.0)))
+    gradh_sup, _ = first_extreme(np.sqrt(np.maximum(geometry.grad_h_norm2, 0.0)))
     identity_sup, _ = first_extreme(geometry.identity_error)
     verdict = Verdict.SOLITON if residual_sup < SOLITON_TOL else Verdict.NOT_SOLITON
     return SolitonReport(
@@ -177,23 +176,23 @@ def structural_report(imm, geometry):
     """Structural identity over the :class:`PointGeometry` record of a grid.
 
     The gradient of scal - lambda = (Lap h)/n is the exact
-    ``lap_gradient`` of a record of order 3; a record of order 2 is built
-    again at order 3.  It is meaningful only when the soliton verdict
-    holds, so that lambda is the soliton function.  The check passes when
-    the sup error stays below ``SOLITON_TOL``; a gradient that is not
-    finite is a DomainError.
+    ``lap_gradient`` of a record of order 3; a record of order 2 is a
+    ValueError.  It is meaningful only when the soliton verdict holds, so
+    that lambda is the soliton function.  The check passes when the sup
+    error stays below ``SOLITON_TOL``; a gradient that is not finite is a
+    DomainError.
     """
     if geometry.lap_gradient is None:
-        geometry = grid_geometry(imm, geometry.shape.chart, order=3)
+        raise ValueError("structural_report needs a record of grid_geometry(..., order=3)")
     bad = first_index(~np.isfinite(geometry.lap_gradient).all(axis=-1))
     if bad is not None:
-        p = imm.bindings(geometry.shape.chart[bad])
+        p = imm.bindings(geometry.chart[bad])
         raise DomainError(f"gradient of Lap h not finite (at chart point {p!r})", index=bad)
     n = imm.n
     grad_s = geometry.lap_gradient / n
     # both terms as covectors; norm taken with the inverse metric
-    omega = (geometry.ric @ geometry.shape.grad_h[..., None])[..., 0] + (n - 1) * grad_s
-    dual = (geometry.shape.metric_inverse @ omega[..., None])[..., 0]
+    omega = (geometry.ric @ geometry.grad_h[..., None])[..., 0] + (n - 1) * grad_s
+    dual = (geometry.metric_inverse @ omega[..., None])[..., 0]
     err = np.sqrt(np.maximum(np.sum(omega * dual, axis=-1), 0.0))
     sup_error, worst = first_extreme(err)
     status = "pass" if sup_error < SOLITON_TOL else "fail"
@@ -219,9 +218,8 @@ def _theorem1_margins(n, geometry, flipped):
     Condition 1: f''(h)/f(h) <= (n+1)/n^2 H^2.
     Condition 2: 0 <= |theta|^{-1} (log f)'(h) <= H.
     """
-    sd = geometry.shape
-    theta = -sd.theta if flipped else sd.theta
-    H = -sd.mean_curvature if flipped else sd.mean_curvature
+    theta = -geometry.theta if flipped else geometry.theta
+    H = -geometry.mean_curvature if flipped else geometry.mean_curvature
     f0, f1, f2 = geometry.warping
     m1 = (n + 1) / (n * n) * H * H - f2 / f0
     q = _ratio_or_limit(f1 / f0, theta)
@@ -258,8 +256,7 @@ def hypotheses_report(imm, geometry, which):
         }
         return CheckResult(which, status, worst_point=best[1], worst_value=best[0], extras=extras)
 
-    sd = geometry.shape
-    H = sd.mean_curvature
+    H = geometry.mean_curvature
     f0, f1, f2 = geometry.warping
 
     if which == "theorem3":
@@ -268,7 +265,7 @@ def hypotheses_report(imm, geometry, which):
             return CheckResult(
                 which, "not_applicable", extras={"sup_mean_curvature": sup_H}
             )
-        rhs = (f1 / f0) * (n - 1 + sd.theta * sd.theta)
+        rhs = (f1 / f0) * (n - 1 + geometry.theta * geometry.theta)
         sup_err, i = first_extreme(np.abs(n * (geometry.scal_gauss - geometry.lam) - rhs))
         status = "pass" if sup_err < SOLITON_TOL else "fail"
         return CheckResult(

@@ -20,9 +20,8 @@ live only here, as references: the package contracts the tensors in
 closed form and charts the sphere by ``sphere_chart_expressions``.
 The test-only helpers live here as well: the standard ambients, the
 horosphere, ``build_rotational``, the closed-form principal curvatures
-``weingarten_closed_form``, the extrinsic package ``grid_shape_data``,
-``flip_orientation``, ``eval_value``, ``soliton_residual`` and ``row``,
-the record of one point of a batch.
+``weingarten_closed_form``, ``flip_orientation``, ``eval_value``,
+``soliton_residual`` and ``row``, the record of one point of a batch.
 """
 
 from __future__ import annotations
@@ -44,14 +43,11 @@ from warpgeo.expr import BinOp, Call, Num, Var, parse
 from warpgeo.hypersurface import (
     CallableComponent,
     Immersion,
-    _leaves,
-    evaluate_points,
     metric_derivative,
     point_jets,
-    shape_from_jets,
 )
 from warpgeo.intrinsic import grid_geometry
-from warpgeo.jets import eval_jet2
+from warpgeo.jets import _leaves, eval_jet2
 from warpgeo.rotational import assemble_rotational, solve_profile
 from warpgeo.soliton import soliton_report
 
@@ -114,11 +110,6 @@ def weingarten_closed_form(prof, curve, u):
     return kappa_u, kappa_v
 
 
-def grid_shape_data(imm, points):
-    """The extrinsic package over an (N, n) array of chart points."""
-    return evaluate_points(imm, lambda pts: shape_from_jets(imm, point_jets(imm, pts)), points)
-
-
 def flip_orientation(sd):
     """Reverse the normal: N, A, theta and H change sign, the rest stay."""
     return replace(
@@ -142,21 +133,10 @@ def soliton_residual(imm, grid):
     return soliton_report(grid_geometry(imm, grid))
 
 
-def point_shapes(imm, points):
-    """The ShapeData record of each chart point, from one batched evaluation."""
-    batch = grid_shape_data(imm, points)
-    return [row(batch, i) for i in range(len(points))]
-
-
 def point_geometries(imm, points):
     """The PointGeometry record of each chart point, from one batched evaluation."""
     batch = grid_geometry(imm, points)
     return [row(batch, i) for i in range(len(points))]
-
-
-def shape_at(imm, p):
-    """The ShapeData record at one chart point."""
-    return row(grid_shape_data(imm, [p]), 0)
 
 
 def geometry_at(imm, p):
@@ -352,7 +332,7 @@ def shape_operator_from_normal_derivative(imm, p, step=1e-5):
     """
     p = np.asarray(p, dtype=float)
     shifts = step * np.eye(p.size)
-    stencil = grid_shape_data(imm, np.vstack([p, p + shifts, p - shifts]))
+    stencil = grid_geometry(imm, np.vstack([p, p + shifts, p - shifts]))
     sd = row(stencil, 0)
     d, n = sd.frame.shape
     Gamma = christoffels(imm.ambient, sd.ambient_point)
@@ -426,9 +406,9 @@ def structural_error_fd(imm, geometry):
     """Sup over the grid of |Ric(grad h) + (n-1) grad (Lap h)/n|, the
     gradient by ``laplacian_gradient_fd``."""
     n = imm.n
-    grad_s = laplacian_gradient_fd(imm, geometry.shape.chart) / n
-    omega = (geometry.ric @ geometry.shape.grad_h[..., None])[..., 0] + (n - 1) * grad_s
-    dual = (geometry.shape.metric_inverse @ omega[..., None])[..., 0]
+    grad_s = laplacian_gradient_fd(imm, geometry.chart) / n
+    omega = (geometry.ric @ geometry.grad_h[..., None])[..., 0] + (n - 1) * grad_s
+    dual = (geometry.metric_inverse @ omega[..., None])[..., 0]
     return float(np.max(np.sqrt(np.maximum(np.sum(omega * dual, axis=-1), 0.0))))
 
 
@@ -442,15 +422,14 @@ def scal_formula(imm, geometry):
              - n (f''/f)(h) |grad h|^2
              + n^2 H^2 - |A|^2.
     """
-    sd = geometry.shape
     n = imm.n
     k = imm.ambient.k
     f0, f1, f2 = geometry.warping
     lf1 = f1 / f0
     lf2 = f2 / f0 - lf1 * lf1
-    W = sd.grad_h_norm2
-    H = sd.mean_curvature
-    A = sd.shape_operator
+    W = geometry.grad_h_norm2
+    H = geometry.mean_curvature
+    A = geometry.shape_operator
     return (
         (k / (f0 * f0)) * (n - 1) * (n - 2.0 * W)
         + n * lf1 * lf1 * (W - (n - 1))
@@ -467,7 +446,7 @@ def ricci_gradh_extrinsic(imm, p):
     Independent code path from ``grid_geometry`` (no Ricci matrix is
     assembled); the two must agree.
     """
-    sd = shape_at(imm, p)
+    sd = geometry_at(imm, p)
     n = sd.n
     g = sd.metric
     A = sd.shape_operator

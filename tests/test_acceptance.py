@@ -25,10 +25,8 @@ from oracles import (
     eval_value,
     fd_gradient,
     flip_orientation,
-    grid_shape_data,
     perturbed_immersion,
     point_geometries,
-    point_shapes,
     random_fiber_point,
     scal_formula,
     scalar_fd_oracle,
@@ -90,7 +88,7 @@ def test_criterion_2_hessian_identity_universal(catalogue):
 def test_criterion_3_angle_identity(catalogue):
     worst = 0.0
     for name, imm in catalogue:
-        sd = grid_shape_data(imm, imm.chart.grid(5, 0.1))
+        sd = grid_geometry(imm, imm.chart.grid(5, 0.1))
         worst = max(worst, float(np.max(np.abs(sd.grad_h_norm2 + sd.theta**2 - 1.0))))
     report(
         3,
@@ -159,7 +157,7 @@ def test_criterion_5_catalogue_solitons(catalogue):
     ok &= rep.verdict is Verdict.SOLITON and rep.residual_sup < 1e-7
     ok &= rep.classification is SolitonClass.SHRINKING
     geo = grid_geometry(sphere, sphere.chart.grid(5, 0.1))
-    ok &= bool(np.all(np.abs(geo.lam - (2.0 + geo.shape.height)) < 1e-7))
+    ok &= bool(np.all(np.abs(geo.lam - (2.0 + geo.height)) < 1e-7))
     summaries.append("sphere shrinking lambda=n(n-1)+h")
 
     report(5, "; ".join(summaries), ok)
@@ -195,7 +193,7 @@ def test_criterion_6_classification_dichotomy():
         curve = solve_profile(prof)
         rep = verify_classification(prof, interval=interval)
         points = rep.immersion.chart.grid(4, 0.1)
-        for p, sd in zip(points, point_shapes(rep.immersion, points)):
+        for p, sd in zip(points, point_geometries(rep.immersion, points)):
             eigs = np.sort(
                 scipy.linalg.eigh(sd.second_fundamental, sd.metric, eigvals_only=True)
             )
@@ -244,7 +242,9 @@ def test_criterion_8_structural_identity(catalogue):
     by_name = dict(catalogue)
     sphere = by_name["sphere2"]
     rot = by_name["rotational-soliton"]
-    geometries = [(imm, grid_geometry(imm, imm.chart.grid(5, 0.12))) for imm in (sphere, rot)]
+    geometries = [
+        (imm, grid_geometry(imm, imm.chart.grid(5, 0.12), order=3)) for imm in (sphere, rot)
+    ]
     worst = max(structural_report(imm, geo).sup_error for imm, geo in geometries)
     # the same identity with grad(Lap h) by central differences
     worst_fd = max(structural_error_fd(imm, geo) for imm, geo in geometries)
@@ -289,7 +289,7 @@ def test_criterion_9_property_suites(catalogue):
     # shape operator self-adjointness
     selfadj = 0.0
     for name, imm in catalogue:
-        for sd in point_shapes(imm, imm.chart.grid(3, 0.15)):
+        for sd in point_geometries(imm, imm.chart.grid(3, 0.15)):
             gA = sd.metric @ sd.shape_operator
             selfadj = max(selfadj, float(np.max(np.abs(gA - gA.T))))
     ok &= selfadj < 1e-8
@@ -298,7 +298,7 @@ def test_criterion_9_property_suites(catalogue):
     flip_err = 0.0
     for name in ("sphere2", "horosphere"):
         imm = dict(catalogue)[name]
-        for sd in point_shapes(imm, imm.chart.grid(3, 0.15)):
+        for sd in point_geometries(imm, imm.chart.grid(3, 0.15)):
             fl = flip_orientation(sd)
             f0, f1, _ = imm.ambient.warping_jet(sd.height)
             dh = sd.frame[0, :]

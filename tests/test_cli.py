@@ -119,10 +119,32 @@ def horosphere_scene():
         # output paths must be strings: open() takes an integer as a file descriptor
         (lambda s: s.update(output={"report": ["r.json"]}), "output.report"),
         (lambda s: s.update(output={"mesh": {}}), "output.mesh"),
+        # a mesh is a surface: refused before the immersion is built for any other n
+        (lambda s: s["ambient"].update(n=1) or s.update(output={"mesh": "mesh.obj"}), "output.mesh"),
+        (
+            lambda s: s.update(
+                ambient={"interval": ["-inf", "inf"], "f": "1", "fiber": "euclidean", "n": 3},
+                immersion={"preset": "sphere"},
+                grid={},
+                output={"mesh": "mesh.obj"},
+            ),
+            "output.mesh",
+        ),
+        # rotational parameters must be finite numbers before the profile is solved
+        (lambda s: s.update(immersion={"preset": "rotational", "params": {"theta": [1]}}),
+         "immersion.params"),
+        (lambda s: s.update(immersion={"preset": "rotational", "params": {"theta": None}}),
+         "immersion.params"),
+        (lambda s: s.update(immersion={"preset": "rotational", "params": {"theta": 0.5, "c2": "nan"}}),
+         "immersion.params"),
+        (lambda s: s.update(immersion={"preset": "rotational", "params": {"theta": 0.5, "u0": "-inf"}}),
+         "immersion.params"),
+        (lambda s: s.update(checks=["spaceform c=1e400"]), "checks"),
     ],
     ids=[
         "grid", "ambient", "immersion", "samples-list", "margin-text", "margin-list",
-        "params-list", "chart-names", "report-list", "mesh-object",
+        "params-list", "chart-names", "report-list", "mesh-object", "mesh-n1", "mesh-n3",
+        "theta-list", "theta-null", "c2-nan", "u0-inf", "spaceform-inf",
     ],
 )
 def test_analyze_block_of_the_wrong_type_exit_two(tmp_path, capsys, edit, field):
@@ -333,11 +355,20 @@ def test_warping_probe_failure_names_t(tmp_path, capsys):
     assert "ambient.f" in err and "t=" in err
 
 
-def test_profile_probe_failure_names_t(capsys):
-    # sqrt(t+0.75) is undefined at t = -0.8, the first of the 17 profile probes
-    argv = ["rotational", "--theta", "0.6", "--f", "sqrt(t+0.75)", "--u0", "-1", "--u1", "1"]
-    assert main(argv) == 3
-    assert "t=-0.8" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flags, t",
+    [
+        # sqrt(t+0.75) is undefined at t = -0.8, the first of the 17 profile probes
+        (["--f", "sqrt(t+0.75)", "--u0", "-1", "--u1", "1"], "t=-0.8"),
+        # every probe misses the pole t = -1.08 = alpha(-1.35), the first
+        # sample of the profile residuals
+        (["--f", "(t+1.08)^-2"], "t=-1.08"),
+    ],
+    ids=["profile-probe", "profile-residuals"],
+)
+def test_profile_probe_failure_names_t(capsys, flags, t):
+    assert main(["rotational", "--theta", "0.6", *flags]) == 3
+    assert t in capsys.readouterr().err
 
 
 def test_underflowing_warping_is_not_called_negative(tmp_path, capsys):

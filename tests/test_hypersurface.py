@@ -7,6 +7,7 @@ from warpgeo.catalogue import hyperplane_immersion, slice_immersion
 from warpgeo import hypersurface
 from warpgeo.errors import DegenerateImmersion, DomainError, OutsideChart
 from warpgeo.hypersurface import ChartBox, Immersion
+from warpgeo.intrinsic import grid_geometry
 
 from oracles import (
     cofactor_normal,
@@ -14,10 +15,9 @@ from oracles import (
     dense_metric_jets,
     euclidean_ambient,
     flip_orientation,
-    grid_shape_data,
-    point_shapes,
+    geometry_at,
+    point_geometries,
     qr_normal,
-    shape_at,
     shape_operator_from_normal_derivative,
     spherical_cap_ambient,
 )
@@ -28,7 +28,7 @@ def interior_points(imm, count=3, margin=0.15):
 
 
 def test_horosphere_closed_form(horosphere):
-    for sd in point_shapes(horosphere, interior_points(horosphere)):
+    for sd in point_geometries(horosphere, interior_points(horosphere)):
         assert np.allclose(sd.shape_operator, -np.eye(2), atol=1e-12)
         assert abs(sd.mean_curvature + 1.0) < 1e-12
         assert abs(sd.theta - 1.0) < 1e-12
@@ -40,7 +40,7 @@ def test_general_slice_closed_form(spherical_slice):
     # slice at t0 has A = -(f'/f)(t0) Id with the outward-in-t normal
     t0 = 1.0
     expected = -math.cos(t0) / math.sin(t0)
-    for sd in point_shapes(spherical_slice, interior_points(spherical_slice)):
+    for sd in point_geometries(spherical_slice, interior_points(spherical_slice)):
         assert np.allclose(sd.shape_operator, expected * np.eye(2), atol=1e-10)
         assert abs(sd.theta - 1.0) < 1e-12
         assert sd.height == t0
@@ -48,7 +48,7 @@ def test_general_slice_closed_form(spherical_slice):
 
 def test_hyperplane_closed_form(hyperplane):
     points = interior_points(hyperplane)
-    for p, sd in zip(points, point_shapes(hyperplane, points)):
+    for p, sd in zip(points, point_geometries(hyperplane, points)):
         assert np.max(np.abs(sd.shape_operator)) < 1e-14
         assert abs(sd.theta) < 1e-14
         assert abs(sd.grad_h_norm2 - 1.0) < 1e-12
@@ -56,7 +56,7 @@ def test_hyperplane_closed_form(hyperplane):
 
 
 def test_sphere_outward_orientation(sphere2):
-    for sd in point_shapes(sphere2, interior_points(sphere2)):
+    for sd in point_geometries(sphere2, interior_points(sphere2)):
         assert np.allclose(sd.shape_operator, -np.eye(2), atol=1e-10)
         assert abs(sd.theta - sd.height) < 1e-12
         assert abs(sd.mean_curvature + 1.0) < 1e-10
@@ -66,20 +66,20 @@ def test_sphere_outward_orientation(sphere2):
 
 
 def test_sphere3_closed_form(sphere3):
-    for sd in point_shapes(sphere3, interior_points(sphere3, count=2, margin=0.2)):
+    for sd in point_geometries(sphere3, interior_points(sphere3, count=2, margin=0.2)):
         assert np.allclose(sd.shape_operator, -np.eye(3), atol=1e-10)
         assert abs(sd.theta - sd.height) < 1e-12
 
 
 def test_theta_nonnegative_at_center(catalogue):
     for name, imm in catalogue:
-        sd = shape_at(imm, imm.chart.center())
+        sd = geometry_at(imm, imm.chart.center())
         assert sd.theta > -1e-10, name
 
 
 def test_normal_is_unit_and_orthogonal(catalogue, rng):
     for name, imm in catalogue:
-        for sd in point_shapes(imm, interior_points(imm, count=2, margin=0.2)):
+        for sd in point_geometries(imm, interior_points(imm, count=2, margin=0.2)):
             G = dense_metric(imm.ambient, sd.ambient_point)
             assert abs(sd.normal @ G @ sd.normal - 1.0) < 1e-12, name
             for i in range(sd.n):
@@ -171,28 +171,28 @@ def test_factor_normal_matches_the_cofactor_oracle_on_random_frames(n, rng):
 
 def test_first_fundamental_form_spd(catalogue):
     for name, imm in catalogue:
-        for sd in point_shapes(imm, interior_points(imm, count=2, margin=0.2)):
+        for sd in point_geometries(imm, interior_points(imm, count=2, margin=0.2)):
             assert np.allclose(sd.metric, sd.metric.T, atol=1e-14), name
             assert np.all(np.linalg.eigvalsh(sd.metric) > 0.0), name
 
 
 def test_weingarten_self_adjoint(catalogue):
     for name, imm in catalogue:
-        for sd in point_shapes(imm, interior_points(imm, count=3, margin=0.12)):
+        for sd in point_geometries(imm, interior_points(imm, count=3, margin=0.12)):
             gA = sd.metric @ sd.shape_operator
             assert np.max(np.abs(gA - gA.T)) < 1e-8, name
 
 
 def test_angle_identity(catalogue):
     for name, imm in catalogue:
-        for sd in point_shapes(imm, interior_points(imm, count=3, margin=0.12)):
+        for sd in point_geometries(imm, interior_points(imm, count=3, margin=0.12)):
             assert abs(sd.grad_h_norm2 + sd.theta**2 - 1.0) < 1e-10, name
 
 
 def test_tangential_projection(catalogue):
     # d_t decomposes as theta N + (tangential gradient of h)
     for name, imm in catalogue:
-        for sd in point_shapes(imm, interior_points(imm, count=2, margin=0.2)):
+        for sd in point_geometries(imm, interior_points(imm, count=2, margin=0.2)):
             e0 = np.zeros(imm.ambient.dim)
             e0[0] = 1.0
             residual = e0 - sd.theta * sd.normal - sd.frame @ sd.grad_h
@@ -202,13 +202,13 @@ def test_tangential_projection(catalogue):
 def test_shape_operator_two_paths_agree(catalogue):
     for name, imm in catalogue:
         points = interior_points(imm, count=2, margin=0.2)
-        for p, sd in zip(points, point_shapes(imm, points)):
+        for p, sd in zip(points, point_geometries(imm, points)):
             other = shape_operator_from_normal_derivative(imm, p)
             assert np.max(np.abs(sd.shape_operator - other)) < 1e-6, name
 
 
 def test_flip_orientation_signs(horosphere):
-    sd = shape_at(horosphere, (0.2, -0.1))
+    sd = geometry_at(horosphere, (0.2, -0.1))
     flipped = flip_orientation(sd)
     assert flipped.theta == -1.0
     assert np.allclose(flipped.shape_operator, np.eye(2), atol=1e-12)
@@ -219,7 +219,7 @@ def test_flip_orientation_signs(horosphere):
 
 
 def test_flip_is_involution(sphere2):
-    sd = shape_at(sphere2, (0.3, 0.7))
+    sd = geometry_at(sphere2, (0.3, 0.7))
     twice = flip_orientation(flip_orientation(sd))
     assert np.array_equal(twice.normal, sd.normal)
     assert np.array_equal(twice.shape_operator, sd.shape_operator)
@@ -228,7 +228,7 @@ def test_flip_is_involution(sphere2):
 
 
 def test_flip_leaves_quadratic_terms_invariant(sphere2):
-    sd = shape_at(sphere2, (0.4, -0.5))
+    sd = geometry_at(sphere2, (0.4, -0.5))
     flipped = flip_orientation(sd)
     assert np.array_equal(
         sd.theta * sd.second_fundamental, flipped.theta * flipped.second_fundamental
@@ -237,10 +237,10 @@ def test_flip_leaves_quadratic_terms_invariant(sphere2):
 
 
 def test_mean_curvature_examples(hyperplane, horosphere, rotational_soliton):
-    assert shape_at(hyperplane, (0.2, 0.3)).mean_curvature == 0.0
-    assert abs(shape_at(horosphere, (0.1, 0.1)).mean_curvature + 1.0) < 1e-12
+    assert geometry_at(hyperplane, (0.2, 0.3)).mean_curvature == 0.0
+    assert abs(geometry_at(horosphere, (0.1, 0.1)).mean_curvature + 1.0) < 1e-12
     expected = -3.0 * math.sqrt(2.0) / 4.0
-    assert abs(shape_at(rotational_soliton, (0.2, 2.0)).mean_curvature - expected) < 1e-12
+    assert abs(geometry_at(rotational_soliton, (0.2, 2.0)).mean_curvature - expected) < 1e-12
 
 
 def test_degenerate_immersion_rejected():
@@ -267,9 +267,9 @@ def test_image_must_stay_in_ambient_chart():
 
 def test_boundary_points_rejected(hyperplane):
     with pytest.raises(ValueError):
-        grid_shape_data(hyperplane, [(1.0, 0.0)])
+        grid_geometry(hyperplane, [(1.0, 0.0)])
     with pytest.raises(ValueError):
-        grid_shape_data(hyperplane, [(1.0 - 1e-9, 0.0)])
+        grid_geometry(hyperplane, [(1.0 - 1e-9, 0.0)])
 
 
 def test_chart_grid_layout():
@@ -309,21 +309,21 @@ def test_batch_fails_like_its_first_failing_point():
     points = [(0.5, 0.2), (0.0, 0.2), (1.15, 0.2), (1.3, 0.2)]
     for p, kind in [(points[2], DomainError), (points[3], OutsideChart)]:
         with pytest.raises(kind):
-            grid_shape_data(imm, [p])
+            grid_geometry(imm, [p])
     with pytest.raises(DegenerateImmersion) as alone:
-        grid_shape_data(imm, [points[1]])
+        grid_geometry(imm, [points[1]])
     for k in (2, 3, 4):
         with pytest.raises(DegenerateImmersion) as err:
-            grid_shape_data(imm, points[:k])
+            grid_geometry(imm, points[:k])
         assert err.value.index == 1 and str(err.value) == str(alone.value)
 
 
 def test_slices_change_neither_values_nor_errors(monkeypatch):
     imm = hyperplane_immersion(euclidean_ambient(2))
     grid = imm.chart.grid(5, 0.1)
-    whole = grid_shape_data(imm, grid)
+    whole = grid_geometry(imm, grid)
     monkeypatch.setattr(hypersurface, "SLICE_POINTS", 4)
-    sliced = grid_shape_data(imm, grid)
+    sliced = grid_geometry(imm, grid)
     for name in ("chart", "frame", "metric", "normal", "shape_operator", "theta", "grad_h"):
         assert getattr(sliced, name).tobytes() == getattr(whole, name).tobytes(), name
     # the third slice holds a good point, the degenerate one and a
@@ -331,10 +331,10 @@ def test_slices_change_neither_values_nor_errors(monkeypatch):
     cusp = _cusp_immersion()
     points = [(0.5, 0.1 * k) for k in range(9)] + [(0.0, 0.2), (1.15, 0.2)]
     with pytest.raises(DegenerateImmersion) as err:
-        grid_shape_data(cusp, points)
+        grid_geometry(cusp, points)
     assert err.value.index == 9
     with pytest.raises(DomainError) as err:
-        grid_shape_data(cusp, points[:9] + points[10:])
+        grid_geometry(cusp, points[:9] + points[10:])
     assert err.value.index == 9 and "(at chart point {'u': 1.15, 'v': 0.2})" in str(err.value)
 
 
@@ -345,7 +345,7 @@ def test_jets_that_are_not_finite_are_a_domain_error():
     chart = ChartBox(("u", "v"), (-20.0, -1.0), (2.0, 1.0))
     imm = Immersion(euclidean_ambient(2), chart, ["0", "u+exp(709*u-690)", "v"])
     with pytest.raises(DomainError) as err:
-        grid_shape_data(imm, [(0.5, 0.0), (1.97, 0.5), (1.97, 0.0)])
+        grid_geometry(imm, [(0.5, 0.0), (1.97, 0.5), (1.97, 0.0)])
     assert err.value.index == 1
     assert "not finite (at chart point {'u': 1.97, 'v': 0.5})" in str(err.value)
     # an infinite frame at the chart center fails the construction
@@ -402,5 +402,5 @@ def test_orientation_comes_from_the_center_in_a_sliced_probe_batch(monkeypatch):
     assert checked == [hypersurface.SLICE_POINTS - 1, 3**n - hypersurface.SLICE_POINTS + 1]
     monkeypatch.undo()
     probe = chart.grid(3, margins=0.1)[2047]
-    sd = grid_shape_data(imm, [chart.center(), probe])
+    sd = grid_geometry(imm, [chart.center(), probe])
     assert sd.theta[0] > 0.0 and sd.theta[1] < 0.0

@@ -22,7 +22,6 @@ from oracles import (
     scal_formula,
     scalar_fd_oracle,
     second_fundamental_christoffel,
-    shape_at,
     tangential_ricci_frame_sum,
     weingarten_closed_form,
 )
@@ -34,13 +33,13 @@ def interior_points(imm, count=3, margin=0.15):
 
 def traceless_norm2(pack):
     """|Phi|^2 = |A|^2 - n H^2 of the trace-free shape operator."""
-    A = pack.shape.shape_operator
-    return np.trace(A @ A) - pack.shape.n * pack.shape.mean_curvature**2
+    A = pack.shape_operator
+    return np.trace(A @ A) - pack.n * pack.mean_curvature**2
 
 
 def ric_gradh(pack):
     """Ric(grad h, grad h) from the Ricci matrix of the record."""
-    return pack.shape.grad_h @ pack.ric @ pack.shape.grad_h
+    return pack.grad_h @ pack.ric @ pack.grad_h
 
 
 def test_unit_sphere_scalar_curvature(sphere2, sphere3):
@@ -108,7 +107,7 @@ def test_ricci_gradh_on_sphere3(sphere3):
     target_h = 0.5
     u = math.asin(target_h)
     p = (u,) + sphere3.chart.center()[1:]
-    sd = shape_at(sphere3, p)
+    sd = geometry_at(sphere3, p)
     assert abs(sd.height - 0.5) < 1e-12
     expected = 2.0 * (1.0 - 0.25)
     assert abs(ricci_gradh_extrinsic(sphere3, p) - expected) < 1e-10
@@ -215,7 +214,7 @@ def test_residual_is_the_largest_generalized_eigenvalue(catalogue, rng):
     ]
     for name, imm in immersions:
         geo = grid_geometry(imm, imm.chart.grid(4, 0.1))
-        g, hess = geo.shape.metric, geo.hess_direct
+        g, hess = geo.metric, geo.hess_direct
         lap = np.trace(np.linalg.solve(g, hess), axis1=-2, axis2=-1)
         trace_free = hess - (lap / imm.n)[:, None, None] * g
         oracle = np.max(np.abs(np.linalg.eigvals(np.linalg.solve(g, trace_free))), axis=-1)
@@ -227,9 +226,9 @@ def test_residual_is_the_largest_generalized_eigenvalue(catalogue, rng):
 def test_point_geometry_is_the_single_point_view(sphere3):
     p = sphere3.chart.center()
     view = row(grid_geometry(sphere3, [p]), 0)
-    assert tuple(view.shape.chart) == p
+    assert tuple(view.chart) == p
     assert isinstance(view.scal_gauss, float) and view.ric.shape == (3, 3)
-    assert isinstance(view.shape.mean_curvature, float) and view.warping[0] == 1.0
+    assert isinstance(view.mean_curvature, float) and view.warping[0] == 1.0
 
 
 def _tilted_immersion(fiber, n, rng):
@@ -263,12 +262,11 @@ def test_closed_forms_match_the_tensor_oracles(fiber, n, rng):
     grid = imm.chart.grid(3, 0.2)
     geo = grid_geometry(imm, grid)
     pj = point_jets(imm, grid)
-    sd = geo.shape
-    assert np.min(np.abs(sd.normal[:, 1:])) > 1e-3 and np.min(sd.grad_h_norm2) > 1e-3
-    _assert_close(sd.second_fundamental, second_fundamental_christoffel(pj, sd.normal), "II")
+    assert np.min(np.abs(geo.normal[:, 1:])) > 1e-3 and np.min(geo.grad_h_norm2) > 1e-3
+    _assert_close(geo.second_fundamental, second_fundamental_christoffel(pj, geo.normal), "II")
     _assert_close(geo.hess_direct, hessian_height_christoffel(pj), "Hess h")
-    A, g, H = sd.shape_operator, sd.metric, sd.mean_curvature
-    quadratic = (n * H)[:, None, None] * sd.second_fundamental - np.swapaxes(A, -1, -2) @ g @ A
+    A, g, H = geo.shape_operator, geo.metric, geo.mean_curvature
+    quadratic = (n * H)[:, None, None] * geo.second_fundamental - np.swapaxes(A, -1, -2) @ g @ A
     S = tangential_ricci_frame_sum(imm.ambient, pj)
     _assert_close(geo.ric - quadratic, S, "ambient Ricci")
     lap = np.trace(np.linalg.solve(g, geo.hess_direct), axis1=1, axis2=2)

@@ -18,7 +18,7 @@ from warpgeo.soliton import SOLITON_TOL
 
 from oracles import (
     build_rotational,
-    point_shapes,
+    point_geometries,
     profile_geodesic_residual,
     sphere_chart,
     weingarten_closed_form,
@@ -138,7 +138,7 @@ def test_build_matches_catalogued_surface(example_profile, example_curve):
 def test_first_fundamental_form_structure(example_profile, example_curve):
     # sigma = -1 makes the induced metric the identity
     imm = build_rotational(example_profile, example_curve)
-    for sd in point_shapes(imm, imm.chart.grid(3, 0.15)):
+    for sd in point_geometries(imm, imm.chart.grid(3, 0.15)):
         assert np.allclose(sd.metric, np.eye(2), atol=1e-12)
 
 
@@ -147,7 +147,7 @@ def test_first_fundamental_form_general():
     curve = solve_profile(prof)
     imm = build_rotational(prof, curve)
     points = imm.chart.grid({"u": 3, "v1": 3, "v2": 3}, {"u": 0.2, "v1": 0.2, "v2": 0.1})
-    for p, sd in zip(points, point_shapes(imm, points)):
+    for p, sd in zip(points, point_geometries(imm, points)):
         f0 = math.exp(curve.alpha(p[0]))
         sigma2 = (f0 * curve.beta(p[0])) ** 2
         expected = np.diag([1.0, sigma2, sigma2 * math.sin(p[1]) ** 2])
@@ -159,7 +159,7 @@ def test_height_function(example_profile, example_curve):
     imm = build_rotational(example_profile, example_curve)
     prof = example_profile
     points = imm.chart.grid(3, 0.1)
-    for p, sd in zip(points, point_shapes(imm, points)):
+    for p, sd in zip(points, point_geometries(imm, points)):
         assert abs(sd.height - (p[0] * prof.slope + prof.c1)) < 1e-14
 
 
@@ -181,7 +181,7 @@ def test_weingarten_matches_numerical_eigenvalues():
         curve = solve_profile(prof)
         imm = build_rotational(prof, curve, interval)
         points = imm.chart.grid(4, 0.1)
-        for p, sd in zip(points, point_shapes(imm, points)):
+        for p, sd in zip(points, point_geometries(imm, points)):
             eigs = np.sort(
                 scipy.linalg.eigh(sd.second_fundamental, sd.metric, eigvals_only=True)
             )
@@ -214,7 +214,7 @@ def test_angle_recovered_from_shape_data():
     for theta in (0.3, ROOT2 / 2, 0.9):
         prof = RotationalProfile(theta=theta, f="exp(t)", n=2, u_range=(-1.0, 1.0))
         imm = build_rotational(prof)
-        for sd in point_shapes(imm, imm.chart.grid(3, 0.15)):
+        for sd in point_geometries(imm, imm.chart.grid(3, 0.15)):
             assert abs(abs(sd.theta) - theta) < 1e-10
 
 

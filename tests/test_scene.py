@@ -12,7 +12,8 @@ from warpgeo import rotational
 from warpgeo import scene as scene_module
 from warpgeo.ambient import WarpedProduct
 from warpgeo.errors import SceneError
-from warpgeo.hypersurface import MAX_GRID_POINTS, Immersion, _leaves
+from warpgeo.hypersurface import MAX_GRID_POINTS, Immersion
+from warpgeo.jets import _leaves
 from warpgeo.intrinsic import grid_geometry
 from warpgeo.scene import report_to_json, run_scene, validate_scene
 

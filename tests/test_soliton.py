@@ -20,10 +20,8 @@ from oracles import (
     euclidean_ambient,
     flip_orientation,
     geometry_at,
-    grid_shape_data,
     perturbed_immersion,
     point_geometries,
-    point_shapes,
     soliton_residual,
 )
 
@@ -39,7 +37,7 @@ def hypotheses_on_grid(imm, points, which):
 
 def structural_on_grid(imm, points):
     """The structural identity over a grid, as a scene run evaluates it."""
-    return structural_report(imm, grid_geometry(imm, points))
+    return structural_report(imm, grid_geometry(imm, points, order=3))
 
 
 def test_hyperplane_hessian_vanishes(hyperplane):
@@ -50,7 +48,7 @@ def test_hyperplane_hessian_vanishes(hyperplane):
 
 def test_sphere_hessian_is_minus_h_g(sphere2):
     for geo in point_geometries(sphere2, grid(sphere2)):
-        expected = -geo.shape.height * geo.shape.metric
+        expected = -geo.height * geo.metric
         assert np.max(np.abs(geo.hess_direct - expected)) < 1e-12
 
 
@@ -75,10 +73,10 @@ def test_hessian_trace_identity(catalogue):
     # trace_g Hess h = (f'/f)(n - |grad h|^2) + theta n H
     for name, imm in catalogue:
         for geo in point_geometries(imm, grid(imm, count=3, margin=0.15)):
-            sd, hess = geo.shape, geo.hess_direct
-            lap = float(np.trace(np.linalg.solve(sd.metric, hess)))
-            f0, f1, _ = imm.ambient.warping_jet(sd.height)
-            expected = (f1 / f0) * (sd.n - sd.grad_h_norm2) + sd.theta * sd.n * sd.mean_curvature
+            hess = geo.hess_direct
+            lap = float(np.trace(np.linalg.solve(geo.metric, hess)))
+            f0, f1, _ = imm.ambient.warping_jet(geo.height)
+            expected = (f1 / f0) * (geo.n - geo.grad_h_norm2) + geo.theta * geo.n * geo.mean_curvature
             assert abs(lap - expected) < 1e-8, name
 
 
@@ -87,7 +85,7 @@ def test_lambda_values(hyperplane, sphere2, rotational_soliton):
     p = (0.0, 0.4)  # h = sin(0) = 0 on the sphere chart
     assert abs(geometry_at(sphere2, p).lam - 2.0) < 1e-10
     geo = grid_geometry(sphere2, grid(sphere2, count=3))
-    assert np.max(np.abs(geo.lam - (2.0 + geo.shape.height))) < 1e-7
+    assert np.max(np.abs(geo.lam - (2.0 + geo.height))) < 1e-7
     geo = geometry_at(rotational_soliton, (0.5, 3.0))
     assert abs(geo.lam) < 1e-10 and abs(geo.lam - geo.scal_gauss) < 1e-10
 
@@ -137,7 +135,7 @@ def test_flip_invariance_of_soliton_quantities(sphere2, horosphere):
     # the Hessian identity only involves theta A and theta H products,
     # so the residual and lambda cannot depend on the orientation choice
     for imm in (sphere2, horosphere):
-        for sd in point_shapes(imm, grid(imm, count=3)):
+        for sd in point_geometries(imm, grid(imm, count=3)):
             flipped = flip_orientation(sd)
             f0, f1, _ = imm.ambient.warping_jet(sd.height)
             dh = sd.frame[0, :]
@@ -173,6 +171,12 @@ def test_structural_identity_fails_off_solitons(rng):
     imm = perturbed_immersion(sphere_immersion(euclidean_ambient(2)), rng, amplitude=0.02)
     rep = structural_on_grid(imm, grid(imm, count=3))
     assert rep.status == "fail" and rep.sup_error > 1e-3
+
+
+def test_structural_identity_needs_an_order_3_record(sphere2):
+    # the gradient of Lap h comes from third jets: an order-2 record is refused, not rebuilt
+    with pytest.raises(ValueError, match="order=3"):
+        structural_report(sphere2, grid_geometry(sphere2, grid(sphere2, count=3)))
 
 
 def test_theorem1_horosphere_orientations(horosphere):
@@ -218,7 +222,7 @@ def test_theorem5_sphere_fails_below_equator(sphere2):
     assert report.extras["c"] == 0.0
     assert report.extras["failing_points"] > 0
     # worst margin is 2 + h - 2 = h at the lowest sampled height
-    heights = grid_shape_data(sphere2, grid(sphere2, count=5)).height
+    heights = grid_geometry(sphere2, grid(sphere2, count=5)).height
     assert report.worst_value == pytest.approx(min(heights), abs=1e-7)
 
 
