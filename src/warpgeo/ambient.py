@@ -20,9 +20,10 @@ closed form (O'Neill, *Semi-Riemannian Geometry*, ch. 7)
 and a metric is numerically singular where its condition number
 max D / min D exceeds ``CONDITION_LIMIT``.  No Christoffel tensor is
 built: the geometry pass reads Gamma contracted with a vector in closed
-form (``intrinsic.grid_geometry``), and the diagonal Ricci tensor Ric_aa =
-D_a rho_a with rho_0 = -n f''/f and rho_a = (n-1)(k - f'^2)/f^2 - f''/f
-for a >= 1.
+form (``intrinsic.grid_geometry``).  Nor is a curvature tensor: the
+curvature is fixed by two scalars of the triple, a = (k - f'^2)/f^2 on
+planes tangent to the fiber and a + b = -f''/f on planes that contain
+d_t (O'Neill, ch. 7).
 
 Curvature sign convention, fixed once for the whole package:
 
@@ -231,38 +232,6 @@ class WarpedProduct:
                     dD[..., i, :] = dD[..., i - 1, :] * (s * s)[..., None]
                     dD[..., i, i - 1] = D[..., i - 1] * (s * c + s * c)
         return D, dD, d2D
-
-    def curvature_from(self, D, warping, X, Y, Z):
-        """R(X, Y)Z from the metric diagonal and warping triple of ``metric_jets``.
-
-        Uses the closed form for a warped product over a constant
-        curvature fiber; the overall sign is pinned by the convention in
-        the module docstring (round models have K = c).  Vectors are
-        ``(..., d)`` arrays; leading axes of the vectors, of ``D`` and of
-        the warping values broadcast against each other.
-        """
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        Z = np.asarray(Z, dtype=float)
-        f0, f1, f2 = (np.asarray(w, dtype=float)[..., None] for w in warping)
-        lf1 = f1 / f0
-        lf2 = f2 / f0 - lf1 * lf1
-
-        def ip(a, b):
-            return np.sum(a * D * b, axis=-1, keepdims=True)
-
-        e0 = np.zeros(self.dim)
-        e0[0] = 1.0
-        X0, Y0, Z0 = X[..., :1], Y[..., :1], Z[..., :1]
-        out = lf1 * lf1 * (ip(X, Z) * Y - ip(Y, Z) * X)
-        out = out - lf2 * Z0 * (Y0 * X - X0 * Y)
-        out = out + lf2 * (Y0 * ip(X, Z) - X0 * ip(Y, Z)) * e0
-        if self.k != 0.0:
-            Xs = X - X0 * e0
-            Ys = Y - Y0 * e0
-            Zs = Z - Z0 * e0
-            out = out - (self.k / (f0 * f0)) * (ip(Xs, Zs) * Ys - ip(Ys, Zs) * Xs)
-        return out
 
     def _nonvanishing_warping(self, t):
         f0, f1, f2 = self.warping_jet(t)

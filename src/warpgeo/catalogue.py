@@ -110,6 +110,9 @@ def build_preset(name, ambient, params):
     reuses both.
     """
     params = dict(params or {})
+    for key, value in params.items():
+        if isinstance(value, bool):  # JSON true and false are not the numbers 1 and 0
+            raise SceneError(f"{key} must be a number, got {value!r}", field="immersion.params")
     if name in PRESET_BUILDERS:
         try:
             return PRESET_BUILDERS[name](ambient, **params), None

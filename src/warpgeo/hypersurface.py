@@ -112,7 +112,7 @@ class ChartBox:
             else:
                 margin = 0.05 if margins is None else float(margins)
             axes.append(self.axis_points(name, count, margin))
-        return [tuple(map(float, p)) for p in itertools.product(*axes)]
+        return list(itertools.product(*(axis.tolist() for axis in axes)))
 
 
 class ExpressionComponent:

@@ -3,12 +3,13 @@
 ``grid_geometry`` computes, from one jet evaluation over a batch of
 chart points, everything the checks read at each point, extrinsic and
 intrinsic, as one record of arrays with a leading point axis.  No
-curvature or Christoffel tensor is built per point.  The ambient Ricci
-tensor is diagonal in the warped chart, Ric-bar_aa = D_a rho_a with
-rho_0 = -n f''/f and rho_a = (n-1)(k - f'^2)/f^2 - f''/f (a >= 1), so
-the ambient part of the Gauss equation takes one curvature evaluation
-R-bar(E_i, N)N per tangent vector.  Hess h contracts the induced
-connection with grad h: Gamma^k_ij d_k h = (grad h)^l B_lij / 2.
+curvature or Christoffel tensor is built per point.  The ambient
+curvature is a (G o G)/2 + b (G o dt^2) with a = (k - f'^2)/f^2 and
+a + b = -f''/f (O'Neill, *Semi-Riemannian Geometry*, ch. 7), so the
+ambient part of the Gauss equation is ((n-1) a + b (1 - theta^2)) g +
+(n-2) b dh dh, read from the warping triple, theta and the t-row of the
+frame.  Hess h contracts the induced connection with grad h:
+Gamma^k_ij d_k h = (grad h)^l B_lij / 2.
 """
 
 from __future__ import annotations
@@ -79,16 +80,16 @@ class PointGeometry:
 
 
 def _ambient_ricci(ambient, pj, N):
-    """Ric-bar(E_i, E_j) - <R-bar(E_i, N)N, E_j> in the chart frame."""
-    D, E = pj.D, pj.frame
-    f0, f1, f2 = (w[..., None] for w in pj.warping)
-    n, first = ambient.n, np.arange(D.shape[-1]) == 0
-    rho = np.where(first, -n * f2 / f0, (n - 1) * (ambient.k - f1 * f1) / (f0 * f0) - f2 / f0)
-    Et = np.swapaxes(E, -1, -2)
-    N = N[..., None, :]
-    RN = ambient.curvature_from(D[..., None, :], (f0, f1, f2), Et, N, N)  # rows R-bar(E_i, N)N
-    S = Et @ ((D * rho)[..., :, None] * E) - (RN * D[..., None, :]) @ E
-    return np.triu(S) + np.swapaxes(np.triu(S, 1), -1, -2)  # symmetric from the upper half
+    """Ric-bar(E_i, E_j) - <R-bar(E_i, N)N, E_j> in the chart frame, by the closed
+    form of the module docstring with theta = N^0 and dh_i = E^0_i."""
+    f0, f1, f2 = pj.warping
+    n, theta, dh = ambient.n, N[..., 0], pj.frame[..., 0, :]
+    a = (ambient.k - f1 * f1) / (f0 * f0)
+    b = -f2 / f0 - a
+    c = (n - 1) * a + b * (1.0 - theta * theta)
+    return c[..., None, None] * pj.metric + ((n - 2) * b)[..., None, None] * (
+        dh[..., :, None] * dh[..., None, :]
+    )
 
 
 def _hessian_direct(pj, dg, grad_h):

@@ -11,13 +11,14 @@ n x n minors of the frame, the metric-jet oracle walks
 each diagonal entry as an expression, and the scalar curvature oracle
 differentiates the sampled induced metric.  The tensor oracles build
 what the geometry pass contracts in closed form: the ambient Christoffel
-tensor for II, the frame sum of curvature evaluations for the ambient
+tensor for II, frame sums of curvature evaluations for the ambient
 Ricci term and the induced Christoffel tensor for Hess h; the scalar
 formula is the closed warped-product expression for scal.  The
 Christoffel tensors (``christoffel_symbols``, ``christoffels``,
-``induced_christoffels_from_jets``) and the numeric ``sphere_chart``
-live only here, as references: the package contracts the tensors in
-closed form and charts the sphere by ``sphere_chart_expressions``.
+``induced_christoffels_from_jets``), the curvature ``curvature_from``
+and the numeric ``sphere_chart`` live only here, as references: the
+package contracts the tensors in closed form, reads the curvature from
+its two scalars and charts the sphere by ``sphere_chart_expressions``.
 The test-only helpers live here as well: the standard ambients, the
 horosphere, ``build_rotational``, the closed-form principal curvatures
 ``weingarten_closed_form``, ``flip_orientation``, ``eval_value``,
@@ -213,11 +214,45 @@ def dense_metric(W, p):
     return dense_metric_jets(*W.metric_jets(p)[:2])[0]
 
 
+def curvature_from(W, D, warping, X, Y, Z):
+    """R(X, Y)Z of the warped product ``W`` from the metric diagonal and
+    warping triple of ``metric_jets``.
+
+    Uses the closed form for a warped product over a constant
+    curvature fiber; the overall sign is pinned by the convention of
+    ``warpgeo.ambient`` (round models have K = c).  Vectors are
+    ``(..., d)`` arrays; leading axes of the vectors, of ``D`` and of
+    the warping values broadcast against each other.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    f0, f1, f2 = (np.asarray(w, dtype=float)[..., None] for w in warping)
+    lf1 = f1 / f0
+    lf2 = f2 / f0 - lf1 * lf1
+
+    def ip(a, b):
+        return np.sum(a * D * b, axis=-1, keepdims=True)
+
+    e0 = np.zeros(W.dim)
+    e0[0] = 1.0
+    X0, Y0, Z0 = X[..., :1], Y[..., :1], Z[..., :1]
+    out = lf1 * lf1 * (ip(X, Z) * Y - ip(Y, Z) * X)
+    out = out - lf2 * Z0 * (Y0 * X - X0 * Y)
+    out = out + lf2 * (Y0 * ip(X, Z) - X0 * ip(Y, Z)) * e0
+    if W.k != 0.0:
+        Xs = X - X0 * e0
+        Ys = Y - Y0 * e0
+        Zs = Z - Z0 * e0
+        out = out - (W.k / (f0 * f0)) * (ip(Xs, Zs) * Ys - ip(Ys, Zs) * Xs)
+    return out
+
+
 def curvature(W, p, X, Y, Z):
-    """R(X, Y)Z of ``W`` at ``p`` by the pipeline's route: ``curvature_from``
-    on the metric diagonal and warping triple of ``metric_jets``."""
+    """R(X, Y)Z of ``W`` at ``p``: ``curvature_from`` on the metric
+    diagonal and warping triple of ``metric_jets``."""
     D, _, warping = W.metric_jets(p)
-    return W.curvature_from(D, warping, X, Y, Z)
+    return curvature_from(W, D, warping, X, Y, Z)
 
 
 def sphere_chart(v):
@@ -355,20 +390,34 @@ def second_fundamental_christoffel(pj, N):
     return np.sum(cov * (pj.D * N)[..., :, None, None], axis=-3)
 
 
-def tangential_ricci_frame_sum(ambient, pj):
-    """sum_a <R(E_i, F_a) F_a, E_j> over a g-orthonormal tangent frame F,
-    one curvature evaluation per pair (i, a)."""
+def _curvature_frame_sum(ambient, pj, V, signs):
+    """sum_e signs_e <R(E_i, V_e) V_e, E_j> over the rows V_e of V,
+    one curvature evaluation per pair (i, e)."""
     E = pj.frame
-    Fa = np.swapaxes(E @ pj.factor, -1, -2)[..., None, :, :]
-    X = np.swapaxes(E, -1, -2)
-    R = ambient.curvature_from(
+    V = V[..., None, :, :]
+    R = curvature_from(
+        ambient,
         pj.D[..., None, None, :],
         tuple(np.asarray(w)[..., None, None] for w in pj.warping),
-        X[..., :, None, :],
-        Fa,
-        Fa,
+        np.swapaxes(E, -1, -2)[..., :, None, :],
+        V,
+        V,
     )
-    return (R.sum(axis=-2) * pj.D[..., None, :]) @ E
+    return (np.sum(signs[:, None] * R, axis=-2) * pj.D[..., None, :]) @ E
+
+
+def tangential_ricci_frame_sum(ambient, pj):
+    """sum_a <R(E_i, F_a) F_a, E_j> over a g-orthonormal tangent frame F."""
+    F = np.swapaxes(pj.frame @ pj.factor, -1, -2)
+    return _curvature_frame_sum(ambient, pj, F, np.ones(F.shape[-2]))
+
+
+def ambient_ricci_frame_sum(ambient, pj, N):
+    """Ric-bar(E_i, E_j) - <R-bar(E_i, N)N, E_j>: the sum over the coordinate
+    frame e_a = d_a / sqrt(D_a) of <R(E_i, e_a) e_a, E_j>, less the term of N."""
+    d = pj.D.shape[-1]
+    V = np.concatenate([np.eye(d) / np.sqrt(pj.D)[..., :, None], N[..., None, :]], axis=-2)
+    return _curvature_frame_sum(ambient, pj, V, np.append(np.ones(d), -1.0))
 
 
 def hessian_height_christoffel(pj):

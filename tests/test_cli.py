@@ -421,6 +421,24 @@ def test_analyze_boolean_n_exit_two(tmp_path, capsys):
     assert "ambient.n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "immersion",
+    [
+        {"preset": "rotational", "params": {"theta": 0.5, "c1": True}},
+        {"preset": "slice", "params": {"t0": True}},
+    ],
+    ids=["rotational-c1", "slice-t0"],
+)
+def test_analyze_boolean_preset_param_exit_two(tmp_path, capsys, immersion):
+    # JSON true is not the number 1: a boolean preset parameter is refused
+    scene = hyperplane_scene()
+    scene["immersion"] = immersion
+    scene["grid"] = {}
+    path = write_scene(tmp_path, scene)
+    assert main(["analyze", path]) == 2
+    assert "immersion.params" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n", [9, 150])
 def test_analyze_fiber_dimension_above_eight_exit_two(tmp_path, capsys, n):
     # 3^9 > MAX_GRID_POINTS: no grid of 3 samples per axis fits

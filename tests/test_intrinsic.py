@@ -7,10 +7,11 @@ from dataclasses import fields, is_dataclass
 
 from warpgeo.ambient import Fiber, WarpedProduct
 from warpgeo.hypersurface import ChartBox, Immersion, point_jets
-from warpgeo.intrinsic import grid_geometry
+from warpgeo.intrinsic import _ambient_ricci, grid_geometry
 
 from oracles import (
     FD_TOL,
+    ambient_ricci_frame_sum,
     geometry_at,
     hessian_height_christoffel,
     laplacian_gradient_fd,
@@ -173,8 +174,13 @@ def _arrays(record, prefix=""):
 
 def test_geometry_does_not_depend_on_the_batch(catalogue, rng):
     # each point's record is bit-identical whether it is evaluated with the
-    # whole grid, alone, or in a batch where it sits one place earlier
+    # whole grid, alone, or in a batch where it sits one place earlier;
+    # the tilted graphs bring n = 4 and ambients that are not space forms
     immersions = list(catalogue) + [("perturbed", perturbed_immersion(catalogue[3][1], rng))]
+    immersions += [
+        (f"tilted-{fiber.value}-{n}", _tilted_immersion(fiber, n, rng, CURVED_WARPINGS[0]))
+        for fiber, n in ((Fiber.SPHERE, 3), (Fiber.EUCLIDEAN, 4))
+    ]
     for name, imm in immersions:
         grid = imm.chart.grid(4, 0.1)
         full = dict(_arrays(grid_geometry(imm, grid)))
@@ -231,11 +237,11 @@ def test_point_geometry_is_the_single_point_view(sphere3):
     assert isinstance(view.mean_curvature, float) and view.warping[0] == 1.0
 
 
-def _tilted_immersion(fiber, n, rng):
+def _tilted_immersion(fiber, n, rng, f="2+sin(t)"):
     """A perturbed graph over the fiber chart, tilted in t so that N has
-    a fiber part, in the ambient (2 + sin t) over ``fiber``."""
+    a fiber part, in the ambient ``f`` (default 2 + sin t) over ``fiber``."""
     names = tuple(f"u{i}" for i in range(1, n + 1))
-    ambient = WarpedProduct((-math.inf, math.inf), "2+sin(t)", fiber, n)
+    ambient = WarpedProduct((-math.inf, math.inf), f, fiber, n)
     tilt = "+".join(f"{0.3 / i!r}*{u}" for i, u in enumerate(names, start=1))
     height = f"0.4+{tilt}+0.2*{names[-1]}^2"
     if fiber is Fiber.SPHERE:
@@ -271,6 +277,28 @@ def test_closed_forms_match_the_tensor_oracles(fiber, n, rng):
     _assert_close(geo.ric - quadratic, S, "ambient Ricci")
     lap = np.trace(np.linalg.solve(g, geo.hess_direct), axis1=1, axis2=2)
     _assert_close(laplacian_height(imm, grid), lap, "Lap h")
+
+
+# warpings whose ambient is not a space form: f'' != 0 and f'^2 != k
+CURVED_WARPINGS = ["2+sin(t)+0.1*t^2", "cosh(t)+0.5*t"]
+
+
+@pytest.mark.parametrize("f", CURVED_WARPINGS)
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("fiber", [Fiber.EUCLIDEAN, Fiber.SPHERE], ids=lambda f: f.value)
+def test_ambient_ricci_closed_form_matches_the_curvature_frame_sum(fiber, n, f, rng):
+    # ((n-1) a + b (1 - theta^2)) g + (n-2) b dh dh against Ric-bar less
+    # <R-bar(E_i, N)N, E_j>, each a sum of curvature evaluations
+    imm = _tilted_immersion(fiber, n, rng, f)
+    grid = imm.chart.grid(3, 0.2)
+    pj = point_jets(imm, grid)
+    geo = grid_geometry(imm, grid)
+    assert np.min(np.abs(geo.normal[:, 1:])) > 1e-3 and np.min(geo.grad_h_norm2) > 1e-3
+    f0, f1, f2 = pj.warping
+    assert np.ptp(f2 / f0) > 1e-2 and np.ptp((f1 * f1 - imm.ambient.k) / (f0 * f0)) > 1e-2
+    closed = _ambient_ricci(imm.ambient, pj, geo.normal)
+    oracle = ambient_ricci_frame_sum(imm.ambient, pj, geo.normal)
+    assert np.max(np.abs(closed - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
 def _rotational(f, n):
