@@ -264,10 +264,13 @@ def eval_warping(f, t, active=()):
         ) from None
 
 
-def check_conditioning(p, D):
-    """Name the first point of ``p`` whose metric diagonal ``D`` is numerically singular."""
+def check_conditioning(p, D, skip=0):
+    """Name the first point of ``p``, from row ``skip`` on, whose metric
+    diagonal ``D`` is numerically singular."""
+    D = D[skip:]
     i = first_index(np.max(D, axis=-1) > CONDITION_LIMIT * np.min(D, axis=-1))
     if i is not None:
+        i += skip
         t = float(np.ravel(p.t)[i])
         x = tuple(float(np.ravel(v)[i]) for v in p.x)
         raise SingularMetric(f"chart metric at t={t!r}, x={x!r} is numerically singular", i)

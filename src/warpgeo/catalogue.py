@@ -116,9 +116,7 @@ def build_preset(name, ambient, params):
     if name in PRESET_BUILDERS:
         try:
             return PRESET_BUILDERS[name](ambient, **params), None
-        except TypeError as exc:
-            raise SceneError(str(exc), field="immersion.params") from None
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SceneError(str(exc), field="immersion.params") from None
     if name in ("rotational", "example5"):
         if ambient.fiber is not Fiber.EUCLIDEAN:

@@ -81,14 +81,10 @@ def _cmd_spaceforms(args):
 def _cmd_analyze(args):
     try:
         scene = load_scene(args.scene)
-    except SceneError as exc:
+        report, all_passed = run_scene(scene)
+    except SceneError as exc:  # a bad field, or a failing probe of the immersion
         print(f"scene error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PointError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
-        report, all_passed = run_scene(scene)
     except PointError as exc:  # a domain error, or a degenerate or singular point
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

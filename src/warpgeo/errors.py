@@ -27,8 +27,12 @@ class PointError(WarpGeoError):
     """Failure at one point of an evaluation.
 
     ``index`` is the position of the failing point in a batched
-    evaluation, or None when there is no batch.
+    evaluation, or None when there is no batch.  ``probe`` is True for a
+    point of the probe block a geometry pass evaluates ahead of its own
+    points (``intrinsic.grid_geometry``); ``index`` then counts from it.
     """
+
+    probe = False
 
     def __init__(self, message, index=None):
         super().__init__(message)

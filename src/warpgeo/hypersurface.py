@@ -9,8 +9,10 @@ from them, with the oriented unit normal N of ``_unit_normal``.
 
 Orientation convention: N is the G-unit normal (G = diag(D), the ambient
 metric) with det([E_1 .. E_n, N]) > 0, which extends continuously from
-the chart center, times ``Immersion.orientation``, fixed at construction
-to make theta > 0 there (if |theta| < 1e-10, the first nonzero entry of N).
+the chart center, times the sign that makes theta > 0 at the center (if
+|theta| < 1e-10, the first nonzero entry of N).  No immersion stores that
+sign: every geometry pass evaluates the center at the head of its batch
+and takes the sign from it (``intrinsic.grid_geometry``).
 
 g is factored once per point by a Cholesky loop over its columns, each
 step vectorized over the points (``_factor``): the pivots give det g, and
@@ -19,9 +21,7 @@ F = L^-T (F^T g F = I) gives g^-1 = F F^T and N (``_unit_normal``).
 The pipeline runs on batches: ``point_jets`` takes an (N, n) array of
 chart points and returns a record whose fields carry a leading point
 axis, each elementary operation running once over all points.
-``evaluate_points`` runs a pipeline over a batch in slices of at most
-``SLICE_POINTS`` points and names the first point whose own evaluation
-fails.
+Constructing an :class:`Immersion` evaluates nothing.
 """
 
 from __future__ import annotations
@@ -32,14 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import AmbientPoint, WarpedProduct, check_conditioning
-from .errors import DegenerateImmersion, DomainError, OutsideChart, PointError
+from .ambient import AmbientPoint, WarpedProduct
+from .errors import DegenerateImmersion, DomainError, OutsideChart
 from .expr import Expression, unparse, variables_in
-from .jets import _leaves, as_expression, eval_jet2, first_failure, first_index
+from .jets import as_expression, eval_jet2, first_failure, first_index
 
 GRAM_DET_LIMIT = 1e-12
 BOUNDARY_MARGIN = 1e-6
-_ORIENT_TIE = 1e-10
 # Largest batch evaluated at once.  The working memory of one evaluation
 # grows with n (measured: about 2.4 KB per point for n = 3, 34 KB for
 # n = 8), so longer batches run in consecutive slices; results do not
@@ -66,6 +65,8 @@ class ChartBox:
         if not (len(self.names) == len(self.lower) == len(self.upper)):
             raise ValueError("chart names and bounds must have equal length")
         for name, lo, hi in zip(self.names, self.lower, self.upper):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"chart range for {name!r} must be finite: ({lo}, {hi})")
             if not lo < hi:
                 raise ValueError(f"empty chart range for {name!r}: ({lo}, {hi})")
 
@@ -154,7 +155,10 @@ def as_component(obj):
 
 
 def as_points(points, n):
-    """Chart points as an (N, n) float array."""
+    """Chart points as an (N, n) float array; a list of tuples is read in one pass."""
+    if isinstance(points, list) and points and isinstance(points[0], tuple):
+        flat = itertools.chain.from_iterable(points)
+        return np.fromiter(flat, float, count=len(points) * n).reshape(-1, n)
     return np.asarray(points, dtype=float).reshape(-1, n)
 
 
@@ -163,12 +167,11 @@ class Immersion:
 
     ``components`` gives the n+1 ambient coordinates (t, x1, ..., xn) as
     expressions in the chart variables, or as :class:`CallableComponent`
-    blocks of consecutive coordinates.  Construction evaluates, in one
-    batch, the chart center, which fixes the normal orientation, and the
-    3^n probe points of ``chart.grid(3, margins=0.1)``.  At all of them
-    the tangent Gram determinant must exceed 1e-12 and the image must
-    stay inside the ambient chart; at the probes the ambient metric must
-    be well conditioned.  The object is not modified afterwards.
+    blocks of consecutive coordinates.  Construction checks the shapes
+    and the variables of the components and evaluates nothing; the object
+    is not modified afterwards.  ``probes`` holds the chart center and the
+    3^n points of ``chart.grid(3, margins=0.1)``, which every geometry pass
+    evaluates and checks ahead of its own points (``intrinsic.grid_geometry``).
     """
 
     def __init__(self, ambient, chart, components):
@@ -191,23 +194,8 @@ class Immersion:
                     raise ValueError(
                         f"component {unparse(comp.expr)!r} uses undeclared variables {sorted(extra)}"
                     )
-        self.orientation = None
-        evaluate_points(self, self._probe, [self.chart.center()] + self.chart.grid(3, margins=0.1))
-
-    def _probe(self, points):
-        """Check a slice of the probe batch.  The first slice, while the orientation is
-        unset, starts with the chart center, which fixes it and is not conditioning-checked."""
-        pj = point_jets(self, points)
-        skip = int(self.orientation is None)
-        try:
-            check_conditioning(_leaves(lambda a: a[skip:], pj.ambient_point), pj.D[skip:])
-        except PointError as exc:
-            exc.index += skip
-            raise
-        if skip:
-            normal = _unit_normal(pj.frame[:1], pj.D[:1], pj.factor[:1])[0]
-            signs = normal[np.abs(normal) > _ORIENT_TIE]
-            self.orientation = -1.0 if signs.size and signs[0] < 0.0 else 1.0
+        self.probes = as_points([chart.center()] + chart.grid(3, margins=0.1), chart.dim)
+        self.probes.flags.writeable = False
 
     @property
     def n(self):
@@ -244,38 +232,6 @@ class Immersion:
         return np.stack([jet.value for jet in jets], axis=-1)
 
 
-def evaluate_points(imm, fn, points):
-    """``fn`` over an (N, n) array of chart points, joined along the point axis.
-
-    Batches longer than ``SLICE_POINTS`` run in consecutive slices.  When
-    a point fails, the error raised is the one of the first point, in the
-    order given, whose own evaluation fails, with its position in
-    ``index``; a DomainError also gets the chart point in its message.
-    Numpy floating-point warnings are silenced, as in ``eval_jet2``;
-    failing points are reported by the checks of the stages alone.
-    """
-    points = as_points(points, imm.n)
-    parts = []
-    for start in range(0, max(len(points), 1), SLICE_POINTS):
-        piece = points[start : start + SLICE_POINTS]
-        try:
-            with np.errstate(all="ignore"):
-                parts.append(first_failure(lambda k: fn(piece[:k]), len(piece)))
-        except PointError as exc:
-            if exc.index is None:
-                raise
-            exc.index += start
-            if not isinstance(exc, DomainError):
-                raise
-            p = points[exc.index]
-            raise DomainError(
-                f"{exc} (at chart point {imm.bindings(p)!r})", exc.expression, exc.index
-            ) from exc
-    if len(parts) == 1:
-        return parts[0]
-    return _leaves(lambda *arrays: np.concatenate(arrays), *parts)
-
-
 @dataclass(frozen=True)
 class PointJets:
     """Jets of psi and of the ambient metric at N interior chart points.
@@ -299,6 +255,14 @@ class PointJets:
     factor: np.ndarray
     metric_inverse: np.ndarray
     third: np.ndarray | None = None
+
+    def rows(self, start):
+        """The record of the rows from ``start`` on, by basic slices (no copies)."""
+        q, s = self.ambient_point, slice(start, None)
+        return PointJets(
+            self.chart[s], AmbientPoint(q.t[s], tuple(x[s] for x in q.x)), self.frame[s], self.second[s],
+            self.D[s], self.dD[s], tuple(w[s] for w in self.warping), self.metric[s], self.factor[s],
+            self.metric_inverse[s], None if self.third is None else self.third[s])
 
 
 def point_jets(imm, points, order=2):

@@ -19,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import AmbientPoint, check_conditioning
-from .errors import DomainError
-from .hypersurface import _unit_normal, evaluate_points, metric_derivative, point_jets
-from .jets import first_index
+from . import hypersurface
+from .errors import DomainError, PointError
+from .hypersurface import _unit_normal, as_points, metric_derivative, point_jets
+from .jets import _leaves, first_failure, first_index
+
+_ORIENT_TIE = 1e-10  # theta > 0 at the center, or the first entry of N beyond this
 
 
 @dataclass(frozen=True)
@@ -115,23 +118,63 @@ def grid_geometry(imm, points, order=2):
 
     At ``order`` 3 the component jets carry third derivatives and the
     record ``lap_gradient``; every other field is the one of order 2, to
-    the bit.  A failure is the one of the first point, in the order
-    given, whose own evaluation fails (see ``evaluate_points``); a point
-    whose soliton residual or lambda is not finite is a DomainError.
+    the bit.  The batch starts with the probe block ``imm.probes``: it
+    passes the jet stage and its checks, conditioning too (not at the
+    center), and is cut off before the geometry; the center's normal
+    orients the pass.  Slices of ``SLICE_POINTS`` rows change nothing.
+    The error is the one of the first row whose own evaluation fails, a
+    probe's (``probe`` set, ``index`` from the center) before a point's;
+    a DomainError names the chart point, as does a residual or lambda
+    that is not finite.  With no points the result is None.
     """
-    return evaluate_points(imm, lambda pts: _geometry(imm, pts, order), points)
+    head, parts, orientation = imm.probes, [], None
+    rows = np.concatenate([head, as_points(points, imm.n)])
+
+    def run(start, k):  # the first k rows of the slice at ``start``
+        nonlocal orientation
+        pj = point_jets(imm, rows[start : start + k], order)
+        check_conditioning(pj.ambient_point, pj.D, skip=int(start == 0))
+        normal = _unit_normal(pj.frame, pj.D, pj.factor)
+        if start == 0:
+            signs = normal[0][np.abs(normal[0]) > _ORIENT_TIE]
+            orientation = -1.0 if signs.size and signs[0] < 0.0 else 1.0
+        cut = min(max(len(head) - start, 0), k)
+        if cut == k:  # probes alone
+            return None
+        try:
+            return _geometry(imm, pj.rows(cut), orientation * normal[cut:], order)
+        except PointError as exc:
+            exc.index += cut
+            raise
+
+    for start in range(0, len(rows), hypersurface.SLICE_POINTS):
+        size = min(hypersurface.SLICE_POINTS, len(rows) - start)
+        try:
+            with np.errstate(all="ignore"):
+                parts.append(first_failure(lambda k: run(start, k), size))
+        except PointError as exc:
+            if exc.index is not None:
+                exc.index += start
+                if isinstance(exc, DomainError):
+                    exc.args = (f"{exc} (at chart point {imm.bindings(rows[exc.index])!r})",)
+                exc.probe = exc.index < len(head)
+                if not exc.probe:
+                    exc.index -= len(head)
+            raise
+    parts = [part for part in parts if part is not None]
+    if len(parts) < 2:
+        return parts[0] if parts else None
+    return _leaves(lambda *arrays: np.concatenate(arrays), *parts)
 
 
-def _geometry(imm, points, order):
-    """The record over a slice of points.  II_ij = <d_i d_j psi + Gamma(E_i, E_j), N>
-    takes the ambient Christoffel symbols contracted with N in closed form,
+def _geometry(imm, pj, N, order):
+    """The record over the rows of ``pj`` with unit normals ``N``.
+    II_ij = <d_i d_j psi + Gamma(E_i, E_j), N> takes the ambient
+    Christoffel symbols contracted with N in closed form,
     with P = dD E, q = dD N and X_ij = sum_a P^a_i N^a E^a_j:
     <Gamma(E_i, E_j), N> = (X_ij + X_ji)/2 - sum_b q_b E^b_i E^b_j / 2."""
-    pj = point_jets(imm, points, order)
     E, D, dD, g, ginv = pj.frame, pj.D, pj.dD, pj.metric, pj.metric_inverse
     n = imm.n
-    check_conditioning(pj.ambient_point, D)
-    N = imm.orientation * _unit_normal(E, D, pj.factor)
     X = np.swapaxes(dD @ E, -1, -2) @ (N[..., :, None] * E)
     q = dD @ N[..., :, None]
     II = (D * N)[..., None, :] @ pj.second.reshape(X.shape[:-2] + (D.shape[-1], -1))

@@ -18,7 +18,7 @@ error names the first point, in binding order, whose own evaluation fails
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,17 +173,12 @@ def _leaves(fn, *records):
     first = records[0]
     if first is None:
         return None
-    if is_dataclass(first):
-        return replace(
-            first,
-            **{
-                f.name: _leaves(fn, *(getattr(r, f.name) for r in records))
-                for f in fields(first)
-            },
-        )
     if isinstance(first, tuple):
         return tuple(_leaves(fn, *items) for items in zip(*records))
-    return fn(*records)
+    names = getattr(first, "__dataclass_fields__", None)
+    if names is None:
+        return fn(*records)
+    return type(first)(*(_leaves(fn, *(getattr(r, name) for r in records)) for name in names))
 
 
 def _raise_at(bad, node, message, value=None):
@@ -198,18 +193,39 @@ def _raise_at(bad, node, message, value=None):
         raise DomainError(message, node, index=i)
 
 
+def _per_point(flat, known, general):
+    """``known()`` where ``flat`` holds (everywhere if None), else ``general()``; each only if needed."""
+    if flat is None:
+        return known()
+    if not np.count_nonzero(flat):
+        return general()
+    a = known()
+    return np.where(flat.reshape(flat.shape + (1,) * (a.ndim - flat.ndim)), a, general())
+
+
 def _chain(u, f0, f1, f2, f3):
     """Compose a scalar function with jet ``u`` via the chain rule;
-    ``f3`` is a callable giving the third derivative, called at order 3 only."""
+    ``f3`` is a callable giving the third derivative, called at order 3 only.
+    Where u's Hessian is zero (a variable, say) the Hessian is f2 u_i u_j
+    and the third slot f3 u_i u_j u_k, f3 summed as the three f3/3 terms of
+    ``_sym3`` (the general rule's bits when u_i is 0 or +-1).  The rule is
+    chosen per point, so a point's result is its own in any batch; on a
+    variable's slots (no point axis) no other tensor is formed per point."""
     f1 = np.asarray(f1)[..., None]
     f2 = np.asarray(f2)[..., None, None]
     outer = u.grad[..., :, None] * u.grad[..., None, :]
+    flat = ~u.hess.any(axis=(-2, -1)) if u.hess.any() else None  # None: zero at every point
+    hess = _per_point(flat, lambda: f2 * outer, lambda: f1[..., None] * u.hess + f2 * outer)
     third = None
     if u.third is not None:
-        # f2 (u_ij u_k + u_ik u_j + u_jk u_i) + f3 u_i u_j u_k by one symmetrization
-        t = _outer(f2 * u.hess + np.asarray(f3() / 3.0)[..., None, None] * outer, u.grad)
-        third = _plus(_sym3(t), f1, u.third)
-    return Jet2(f0, f1 * u.grad, f1[..., None] * u.hess + f2 * outer, third)
+        s = np.asarray(f3() / 3.0)
+        third = _per_point(
+            flat,
+            lambda: ((s + s) + s)[..., None, None, None] * (outer[..., None] * u.grad[..., None, None, :]),
+            lambda: _sym3(_outer(f2 * u.hess + s[..., None, None] * outer, u.grad)),
+        )
+        third = _plus(third, f1, u.third)
+    return Jet2(f0, f1 * u.grad, hess, third)
 
 
 def _reciprocal(u, node):

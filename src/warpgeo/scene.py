@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .ambient import WarpedProduct
 from .catalogue import build_preset
-from .errors import DomainError, SceneError, WarpGeoError
+from .errors import DomainError, PointError, SceneError, WarpGeoError
 from .expr import CONSTANTS, FUNCTIONS, parse as parse_expr
 from .hypersurface import MAX_DIMENSION, MAX_GRID_POINTS, ChartBox, Immersion
 from .intrinsic import grid_geometry
@@ -84,23 +84,18 @@ def _object(block, where):
 def _require_keys(block, allowed, required, where):
     unknown = set(_object(block, where)) - set(allowed)
     if unknown:
-        raise SceneError(
-            f"unknown field(s) {sorted(unknown)}", field=where
-        )
+        raise SceneError(f"unknown field(s) {sorted(unknown)}", field=where)
     for key in required:
         if key not in block:
             raise SceneError(f"missing required field {key!r}", field=where)
 
 
 def _parse_endpoint(value, where):
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text in ("inf", "+inf", "infinity"):
-            return math.inf
-        if text == "-inf":
-            return -math.inf
-        raise SceneError(f"bad interval endpoint {value!r}", field=where)
-    if isinstance(value, (int, float)):
+    """A number (not a boolean) or the text "inf" / "-inf"."""
+    text = value.strip().lower() if isinstance(value, str) else None
+    if text in ("inf", "+inf", "infinity", "-inf"):
+        return -math.inf if text == "-inf" else math.inf
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise SceneError(f"bad interval endpoint {value!r}", field=where)
 
@@ -119,17 +114,11 @@ class Scene:
 
 def validate_scene(data):
     """Validate a scene dictionary and build the runtime objects."""
-    _require_keys(
-        data,
-        ("schema_version", "ambient", "immersion", "grid", "checks", "output"),
-        ("ambient", "immersion", "checks"),
-        where="<root>",
-    )
+    blocks = ("schema_version", "ambient", "immersion", "grid", "checks", "output")
+    _require_keys(data, blocks, ("ambient", "immersion", "checks"), where="<root>")
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
-        raise SceneError(
-            f"unsupported schema_version {version!r}", field="schema_version"
-        )
+        raise SceneError(f"unsupported schema_version {version!r}", field="schema_version")
 
     amb = data["ambient"]
     _require_keys(amb, ("interval", "f", "fiber", "n"), ("interval", "f", "fiber", "n"), "ambient")
@@ -139,10 +128,8 @@ def validate_scene(data):
     lo = _parse_endpoint(interval[0], "ambient.interval")
     hi = _parse_endpoint(interval[1], "ambient.interval")
     if amb["fiber"] not in ("euclidean", "sphere"):
-        raise SceneError(
-            f"fiber must be 'euclidean' or 'sphere', got {amb['fiber']!r}",
-            field="ambient.fiber",
-        )
+        message = f"fiber must be 'euclidean' or 'sphere', got {amb['fiber']!r}"
+        raise SceneError(message, field="ambient.fiber")
     if isinstance(amb["n"], bool) or not isinstance(amb["n"], int) or amb["n"] < 1:
         raise SceneError("n must be a positive integer", field="ambient.n")
     if amb["n"] > MAX_DIMENSION:
@@ -182,6 +169,9 @@ def validate_scene(data):
         if len(set(names)) < len(names) or set(names) & (set(CONSTANTS) | set(FUNCTIONS)):
             message = f"chart names must be distinct and not constants or functions: {list(names)}"
             raise SceneError(message, field="immersion.chart.names")
+        for bound in chart_block["lower"] + chart_block["upper"]:
+            if isinstance(bound, bool):  # JSON true and false are not the numbers 1 and 0
+                raise SceneError(f"chart bounds must be numbers, got {bound!r}", "immersion.chart")
         try:
             lower, upper = (tuple(map(float, chart_block[k])) for k in ("lower", "upper"))
             chart = ChartBox(names, lower, upper)
@@ -195,14 +185,10 @@ def validate_scene(data):
             try:  # an undeclared variable is an UnknownIdentifier
                 exprs.append(parse_expr(str(src), variables=set(names)))
             except WarpGeoError as exc:
-                raise SceneError(
-                    str(exc), field=f"immersion.components[{idx}]"
-                ) from None
+                raise SceneError(str(exc), field=f"immersion.components[{idx}]") from None
         try:
             immersion = Immersion(ambient, chart, exprs)
-        except DomainError:
-            raise  # surfaces as a numeric error, not a validation error
-        except (WarpGeoError, ValueError) as exc:
+        except ValueError as exc:
             raise SceneError(str(exc), field="immersion") from None
 
     grid_block = data.get("grid", {})
@@ -213,10 +199,7 @@ def validate_scene(data):
     for name in immersion.chart.names:
         count = samples.get(name, 7)
         if not isinstance(count, int) or count < 3:
-            raise SceneError(
-                f"sample count for {name!r} must be an integer >= 3",
-                field="grid.samples",
-            )
+            raise SceneError(f"sample count for {name!r} must be an integer >= 3", "grid.samples")
         counts[name] = count
     for key, given in (("samples", samples), ("margins", margins)):
         unknown = set(given) - set(immersion.chart.names)
@@ -227,13 +210,9 @@ def validate_scene(data):
         try:
             frac = float(margins.get(name, 0.05))
         except (TypeError, ValueError):
-            raise SceneError(
-                f"margin for {name!r} must be a number", field="grid.margins"
-            ) from None
+            raise SceneError(f"margin for {name!r} must be a number", "grid.margins") from None
         if not 0.0 < frac < 0.5:
-            raise SceneError(
-                f"margin for {name!r} must lie in (0, 0.5)", field="grid.margins"
-            )
+            raise SceneError(f"margin for {name!r} must lie in (0, 0.5)", "grid.margins")
         margin_map[name] = frac
     try:
         grid = immersion.chart.grid(counts, margin_map)
@@ -257,16 +236,8 @@ def validate_scene(data):
         else:
             raise SceneError(f"unknown check {raw!r}", field="checks")
 
-    return Scene(
-        raw=data,
-        ambient=ambient,
-        immersion=immersion,
-        profile=profile,
-        grid=grid,
-        checks=checks,
-        report_path=output.get("report"),
-        mesh_path=output.get("mesh"),
-    )
+    report_path, mesh_path = output.get("report"), output.get("mesh")
+    return Scene(data, ambient, immersion, profile, grid, checks, report_path, mesh_path)
 
 
 def load_scene(path):
@@ -322,13 +293,13 @@ GRID_CHECKS = ("lemma1", "soliton", "structural") + THEOREMS
 def run_scene(scene):
     """Execute the requested checks; returns (report_dict, all_passed).
 
-    Every chart point's geometry is computed once, in one batch, before
-    the first check: the scene grid when a grid check asks for it, then
-    the points of the classification grid that the scene grid lacks.
-    Grid checks and ``rotational-classification`` read their own rows of
-    that record; the profile residuals, which may raise SigmaZero, run
-    before it.  A DomainError names the first chart point, in batch
-    order, at which the failing stage fails.
+    Every chart point's geometry is computed once, in one pass before the
+    first check (the probe block of ``grid_geometry`` runs even when no
+    check reads a point): the scene grid when a grid check asks for it,
+    then the points of the classification grid that it lacks.  The
+    checks read their own rows of that record; the profile residuals,
+    which may raise SigmaZero, run first.  A failing probe is a SceneError
+    naming the immersion block, unless it is a DomainError.
     """
     started = time.perf_counter()
     kinds = {kind for kind, _, _ in scene.checks}
@@ -342,16 +313,21 @@ def run_scene(scene):
         known = set(points)
         points += [p for p in dict.fromkeys(extra) if p not in known]
     geometry = soliton = classification = None
-    if points:  # structural reads the third jets of the same pass
+    try:  # structural reads the third jets of the same pass
         record = grid_geometry(imm, points, 3 if "structural" in kinds else 2)
-        if size:
-            geometry = record if size == len(points) else _leaves(lambda a: a[:size], record)
-        if classify:
-            index = {p: i for i, p in enumerate(points)}
-            rows = [index[p] for p in extra]
-            if rows != list(range(len(points))):
-                record = _leaves(lambda a: a[rows], record)
-            classification = classify_rotational(imm, record, residuals)
+    except PointError as exc:
+        if not exc.probe or isinstance(exc, DomainError):
+            raise
+        field = "immersion.params" if "preset" in scene.raw["immersion"] else "immersion"
+        raise SceneError(str(exc), field=field) from None
+    if size:
+        geometry = record if size == len(points) else _leaves(lambda a: a[:size], record)
+    if classify:
+        index = {p: i for i, p in enumerate(points)}
+        rows = [index[p] for p in extra]
+        if rows != list(range(len(points))):
+            record = _leaves(lambda a: a[rows], record)
+        classification = classify_rotational(imm, record, residuals)
     if kinds & {"soliton", "structural"}:
         soliton = soliton_report(geometry)
     results = [

@@ -105,9 +105,8 @@ def first_extreme(values, start=0.0, lowest=False):
     v = np.where(np.isnan(v), np.inf if lowest else -np.inf, v)
     if not v.size:
         return start, None
-    best = np.min(v) if lowest else np.max(v)
-    if best < start if lowest else best > start:
-        i = first_index(v == best)
+    i = int(np.argmin(v) if lowest else np.argmax(v))  # the first extreme entry
+    if v[i] < start if lowest else v[i] > start:
         return float(v[i]), i
     return start, None
 

@@ -207,10 +207,38 @@ def test_analyze_overflow_exit_three(tmp_path, capsys):
         "components": ["exp(1000*u)", "u", "v"],
         "chart": {"names": ["u", "v"], "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
     }
+    scene["grid"] = {"samples": {"u": 5, "v": 5}}
     path = write_scene(tmp_path, scene)
     assert main(["analyze", path]) == 3
     err = capsys.readouterr().err
     assert "exp overflows" in err and "chart point" in err
+
+
+def test_analyze_degenerate_preset_exit_two(tmp_path, capsys):
+    # at t0 = -30 in f = exp(t) the slice's Gram determinant f^4 is below
+    # GRAM_DET_LIMIT at the chart center: the probe block of the scene's
+    # pass fails, and a failing probe of a preset names its params
+    scene = hyperplane_scene()
+    scene["ambient"]["f"] = "exp(t)"
+    scene["immersion"] = {"preset": "slice", "params": {"t0": -30.0}}
+    scene["grid"] = {}
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 2
+    err = capsys.readouterr().err
+    assert "scene field 'immersion.params'" in err and "degenerate at chart point (0.0, 0.0)" in err
+
+
+def test_scene_fields_are_refused_before_the_probe_runs(tmp_path, capsys):
+    # the probe block runs in the scene's one pass, after validation: a
+    # grid that names variables the chart lacks is refused first, although
+    # exp(1000 u) overflows at the chart center
+    scene = hyperplane_scene()
+    scene["immersion"] = {
+        "components": ["exp(1000*u)", "u", "v"],
+        "chart": {"names": ["u", "v"], "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    }
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 2
+    err = capsys.readouterr().err
+    assert "scene field 'grid.samples'" in err and "exp overflows" not in err
 
 
 @pytest.mark.parametrize(
@@ -437,6 +465,51 @@ def test_analyze_boolean_preset_param_exit_two(tmp_path, capsys, immersion):
     path = write_scene(tmp_path, scene)
     assert main(["analyze", path]) == 2
     assert "immersion.params" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "immersion, field",
+    [
+        ('{"preset": "slice", "params": {"t0": 0.0, "half_width": 1e400}}', "immersion.params"),
+        ('{"preset": "sphere", "params": {"pad": -1e400}}', "immersion.params"),
+        (
+            '{"components": ["0.5", "u", "v"], "chart": {"names": ["u", "v"], '
+            '"lower": [-1, -1], "upper": [1e400, 1]}}',
+            "immersion.chart",
+        ),
+    ],
+    ids=["slice-half-width", "sphere-pad", "chart-upper"],
+)
+def test_analyze_infinite_chart_bound_exit_two(tmp_path, capsys, immersion, field):
+    # JSON 1e400 reads as inf: the chart box refuses it, naming the field,
+    # before a chart point is computed from it (inf - inf is NaN)
+    scene = hyperplane_scene()
+    scene["immersion"] = "IMMERSION"
+    scene["grid"] = {}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene).replace('"IMMERSION"', immersion))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"scene field {field!r}" in err and "must be finite" in err and "nan" not in err
+
+
+def test_analyze_boolean_interval_and_chart_bounds_exit_two(tmp_path, capsys):
+    # JSON false and true are not the numbers 0 and 1, as interval
+    # endpoints or as chart bounds
+    scene = hyperplane_scene()
+    scene["ambient"]["interval"] = [False, True]
+    scene["immersion"] = {
+        "components": ["0.5", "u", "v"],
+        "chart": {"names": ["u", "v"], "lower": [False, False], "upper": [True, True]},
+    }
+    scene["grid"] = {}
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 2
+    assert "scene field 'ambient.interval'" in capsys.readouterr().err
+    scene["ambient"]["interval"] = [0, 1]
+    assert main(["analyze", write_scene(tmp_path, scene, "chart.json")]) == 2
+    assert "scene field 'immersion.chart'" in capsys.readouterr().err
+    scene["immersion"]["chart"].update(lower=[0, 0], upper=[1, 1])
+    assert main(["analyze", write_scene(tmp_path, scene, "numbers.json")]) == 0
 
 
 @pytest.mark.parametrize("n", [9, 150])

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from warpgeo.ambient import WarpedProduct
 from warpgeo.catalogue import hyperplane_immersion, slice_immersion
-from warpgeo import hypersurface
+from warpgeo import hypersurface, intrinsic
 from warpgeo.errors import DegenerateImmersion, DomainError, OutsideChart
 from warpgeo.hypersurface import ChartBox, Immersion
 from warpgeo.intrinsic import grid_geometry
@@ -245,10 +246,14 @@ def test_mean_curvature_examples(hyperplane, horosphere, rotational_soliton):
 
 
 def test_degenerate_immersion_rejected():
+    # construction evaluates nothing: the first pass meets the degenerate
+    # frame at the chart center, the head of its probe block
     ambient = euclidean_ambient(2)
     chart = ChartBox(("u", "v"), (-1.0, -1.0), (1.0, 1.0))
-    with pytest.raises(DegenerateImmersion):
-        Immersion(ambient, chart, ["u+v", "u+v", "0"])
+    imm = Immersion(ambient, chart, ["u+v", "u+v", "0"])
+    with pytest.raises(DegenerateImmersion) as err:
+        grid_geometry(imm, [(0.5, 0.5)])
+    assert err.value.probe and err.value.index == 0
 
 
 def test_component_variables_validated():
@@ -261,9 +266,11 @@ def test_component_variables_validated():
 def test_image_must_stay_in_ambient_chart():
     ambient = spherical_cap_ambient(2)
     chart = ChartBox(("u", "v"), (0.5, 0.5), (1.0, 1.0))
-    # t component wanders outside (0, pi)
-    with pytest.raises(ValueError):
-        Immersion(ambient, chart, ["10*u", "u", "v"])
+    # t component wanders outside (0, pi), from the chart center on
+    imm = Immersion(ambient, chart, ["10*u", "u", "v"])
+    with pytest.raises(ValueError) as err:
+        grid_geometry(imm, [(0.6, 0.6)])
+    assert err.value.probe and err.value.index == 0
 
 
 def test_boundary_points_rejected(hyperplane):
@@ -363,59 +370,74 @@ def test_jets_that_are_not_finite_are_a_domain_error():
         grid_geometry(imm, [(0.5, 0.0), (1.97, 0.5), (1.97, 0.0)])
     assert err.value.index == 1
     assert "not finite (at chart point {'u': 1.97, 'v': 0.5})" in str(err.value)
-    # an infinite frame at the chart center fails the construction
-    with pytest.raises(DomainError, match="not finite"):
-        Immersion(euclidean_ambient(2), chart, ["0", "u*1e200*1e200", "v"])
+    # an infinite frame at the chart center fails the first pass, at its probe block
+    imm = Immersion(euclidean_ambient(2), chart, ["0", "u*1e200*1e200", "v"])
+    with pytest.raises(DomainError, match="not finite") as err:
+        grid_geometry(imm, [(0.5, 0.0)])
+    assert err.value.probe and err.value.index == 0
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_construction_evaluates_one_batch(monkeypatch, n):
-    # the chart center, as row 0, and the 3^n probe grid go through one
-    # component-jet pass
+    # construction evaluates nothing; a pass makes one component-jet and
+    # one metric-jet call over the chart center, the 3^n probe grid and
+    # its own points, in that order
     calls = []
-    component_jets = Immersion.component_jets
+    component_jets, metric_jets = Immersion.component_jets, WarpedProduct.metric_jets
 
     def counted(self, points, order=2):
-        calls.append((len(points), order))
+        calls.append(("component", len(points), order))
         return component_jets(self, points, order)
 
+    def counted_metric(self, q):
+        calls.append(("metric", len(q.t)))
+        return metric_jets(self, q)
+
     monkeypatch.setattr(Immersion, "component_jets", counted)
-    slice_immersion(euclidean_ambient(n), 0.5)
-    assert calls == [(1 + 3**n, 2)]
+    monkeypatch.setattr(WarpedProduct, "metric_jets", counted_metric)
+    imm = slice_immersion(euclidean_ambient(n), 0.5)
+    assert calls == []
+    assert not hasattr(imm, "orientation") and not hasattr(imm, "_probe")
+    rows = 1 + 3**n + 4**n
+    grid_geometry(imm, imm.chart.grid(4))
+    assert calls == [("component", rows, 2), ("metric", rows)]
 
 
 def test_construction_fails_at_the_center_first():
-    # the probe u = 0.1 leaves the domain of log in the component pass,
-    # but the center comes first: its frame degenerates at a later stage,
-    # and that is the error, as when the center is evaluated alone
+    # the probe u = 0.1 and the requested point u = 0.15 leave the domain
+    # of log in the component pass, but the center comes first: its frame
+    # degenerates at a later stage, and that is the error, as when the
+    # center is evaluated alone
     chart = ChartBox(("u", "v"), (0.0, 0.0), (1.0, 1.0))
     components = ["0", "(u-0.5)^3*log(u-0.2)", "v"]
+    imm = Immersion(euclidean_ambient(2), chart, components)
     with pytest.raises(DegenerateImmersion, match=r"chart point \(0\.5, 0\.5\)") as err:
-        Immersion(euclidean_ambient(2), chart, components)
-    assert err.value.index == 0
+        grid_geometry(imm, [(0.15, 0.5)])
+    assert err.value.index == 0 and err.value.probe
 
 
 def test_orientation_comes_from_the_center_in_a_sliced_probe_batch(monkeypatch):
-    # at n = 7 the 1 + 3^7 probe points run in two slices; the second
-    # starts at probe 2047 (u1 = 0.8), where theta has the opposite sign
-    # of the center's (u1 = 0): the center alone fixes the orientation,
-    # and every probe point, that one too, has its conditioning checked
+    # at n = 7 a pass over 2 points runs its 1 + 3^7 probe rows and the
+    # points in two slices; the second starts at probe 2047 (u1 = 0.8),
+    # where theta has the opposite sign of the center's (u1 = 0): the
+    # center alone fixes the orientation of the whole pass, and every row
+    # but the center, that probe too, has its conditioning checked
     n = 7
     names = tuple(f"u{i}" for i in range(1, n + 1))
     chart = ChartBox(names, (-1.0,) * n, (1.0,) * n)
     components = ["u1", "(u1-0.5)^2/2"] + list(names[1:])
     assert 1 + 3**n > hypersurface.SLICE_POINTS
     checked = []
-    check_conditioning = hypersurface.check_conditioning
+    check_conditioning = intrinsic.check_conditioning
 
-    def counted(p, D):
-        checked.append(len(D))
-        return check_conditioning(p, D)
+    def counted(p, D, skip=0):
+        checked.append(len(D) - skip)
+        return check_conditioning(p, D, skip)
 
-    monkeypatch.setattr(hypersurface, "check_conditioning", counted)
+    monkeypatch.setattr(intrinsic, "check_conditioning", counted)
     imm = Immersion(euclidean_ambient(n), chart, components)
-    assert checked == [hypersurface.SLICE_POINTS - 1, 3**n - hypersurface.SLICE_POINTS + 1]
-    monkeypatch.undo()
     probe = chart.grid(3, margins=0.1)[2047]
     sd = grid_geometry(imm, [chart.center(), probe])
+    rows = 1 + 3**n + 2
+    assert checked == [hypersurface.SLICE_POINTS - 1, rows - hypersurface.SLICE_POINTS]
     assert sd.theta[0] > 0.0 and sd.theta[1] < 0.0

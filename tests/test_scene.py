@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -271,6 +273,49 @@ def example5_scene(checks):
     return data
 
 
+def _without_timing(report):
+    return json.loads(report_to_json({**report, "timing_seconds": 0.0}))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        example5_scene(list(scene_module.CHECK_NAMES) + ["spaceform c=-1"]),
+        hyperplane_scene(
+            ambient={"interval": ["-inf", "inf"], "f": "1", "fiber": "euclidean", "n": 3},
+            immersion={"preset": "sphere"},
+            grid={"samples": {"u": 3, "v1": 3, "v2": 3}},
+            checks=["structural"],
+        ),
+    ],
+    ids=["example5-every-check", "sphere3-structural"],
+)
+def test_one_scene_runs_from_two_threads_at_once(data):
+    # an Immersion does not change after construction and a pass keeps its
+    # state to itself, so one validated scene may run from two threads at
+    # once: each report equals the serial one apart from the timing
+    scene = validate_scene(data)
+    serial = _without_timing(run_scene(scene)[0])
+    start, reports = threading.Barrier(2), [None, None]
+
+    def run(slot):
+        start.wait()
+        reports[slot] = _without_timing(run_scene(scene)[0])
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-pass
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reports == [serial, serial]
+
+
 def count_component_jets(monkeypatch):
     """The (points, order) of every ``Immersion.component_jets`` call from now on."""
     calls = []
@@ -287,11 +332,11 @@ def count_component_jets(monkeypatch):
 @pytest.mark.parametrize("classification", [False, True])
 @pytest.mark.parametrize("structural", [False, True])
 def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch, structural, classification):
-    # one batched call each, covering every grid point exactly once; the
-    # ambient evaluates f once per batch (in metric_jets), and otherwise
-    # only once on the 64 probe heights of theorem5 (its fit of c and the
-    # residuals of check_space_form share that jet).  Only structural
-    # makes its one pass of order 3, over the grid points alone, and
+    # one batched call each, covering the probe rows and every grid point
+    # exactly once; the ambient evaluates f once per batch (in
+    # metric_jets), and otherwise only once on the 64 probe heights of
+    # theorem5 (its fit of c and the residuals of check_space_form share
+    # that jet).  Only structural makes its one pass of order 3, and
     # takes d2D from the warping triple without evaluating f again.  The
     # 9 x 9 grid is the classification grid of example5, so the
     # classification adds no point to that pass
@@ -322,8 +367,9 @@ def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch, structural, c
     assert statuses.get("rotational-classification", "pass") == "pass"
     N = len(scene.grid)
     assert N == 81
-    assert calls == {"component_jets": [(N, 2 + structural)], "metric_jets": [N]}
-    assert ambient_jets == [(True, N), (True, 64)]
+    rows = 10 + N  # the chart center and the 3^2 probes lead the pass
+    assert calls == {"component_jets": [(rows, 2 + structural)], "metric_jets": [rows]}
+    assert ambient_jets == [(True, rows), (True, 64)]
 
 
 def rotational_cosh_scene(checks):
@@ -347,7 +393,7 @@ def test_rotational_scene_evaluates_jets_once(monkeypatch, checks, points):
     scene = validate_scene(rotational_cosh_scene(checks))
     calls = count_component_jets(monkeypatch)
     report, _ = run_scene(scene)
-    assert calls == [(points, 2)]
+    assert calls == [(10 + points, 2)]  # after the center and the 3^2 probes
     assert report["checks"][-1]["status"] == "fail"  # cosh(t) is no exponential
 
 
@@ -392,7 +438,8 @@ def test_rotational_profile_is_evaluated_once_per_batch(monkeypatch):
     # batch, for all n fiber coordinates; the classification takes sigma,
     # its exact derivative and the slopes f'/f from one jet of f and one
     # beta over 16 values of u, before the scene's one pass, which holds
-    # the 25 grid points and the 56 classification points not among them
+    # the 10 probe rows (the center and 3^2 probes), the 25 grid points and
+    # the 56 classification points not among them
     scene = validate_scene(example5_scene(["soliton", "rotational-classification"]))
     betas, f_jets = [], []
 
@@ -416,7 +463,7 @@ def test_rotational_profile_is_evaluated_once_per_batch(monkeypatch):
     assert passed
     points = set(scene.grid) | set(rotational.classification_grid(curve.profile))
     assert len(scene.grid) == 25 and len(points) == 81
-    assert betas == f_jets == [16, len(points)]
+    assert betas == f_jets == [16, 10 + len(points)]
 
 
 def test_rotational_scene_builds_its_surface_once(monkeypatch):
