@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .ambient import Fiber, WarpedProduct
-from .errors import DomainError, SceneError, WarpGeoError
+from .errors import DomainError, SceneError, WarpGeoError, _number
 from .expr import BinOp, Call, Num, Var, literal
 from .hypersurface import ChartBox, Immersion
 from .rotational import (
@@ -79,83 +79,57 @@ def sphere_immersion(ambient, pad=0.15):
 
 def rotational_soliton_immersion(theta=ROOT2_OVER_2, n=2, u_range=(-1.5, 1.5)):
     """The constant-angle rotational soliton in the exponential warping."""
-    prof = RotationalProfile(theta=theta, f="exp(t)", n=n, u_range=tuple(u_range))
-    ambient = WarpedProduct((-math.inf, math.inf), prof.f, Fiber.EUCLIDEAN, n)
-    return assemble_rotational(solve_profile(prof), ambient)
+    ambient = WarpedProduct((-math.inf, math.inf), "exp(t)", Fiber.EUCLIDEAN, n)
+    return _rotational(ambient, theta, 0.0, 0.0, *u_range)[0]
 
 
-PRESET_BUILDERS = {
-    "slice": slice_immersion,
-    "horosphere": slice_immersion,
-    "hyperplane": hyperplane_immersion,
-    "sphere": sphere_immersion,
-}
+def _rotational(ambient, theta, c1, c2, u0, u1):
+    """The rotational preset's surface against ``ambient``, and its solved profile."""
+    prof = RotationalProfile(theta=theta, f=ambient.f, n=ambient.n, c1=c1, c2=c2, u_range=(u0, u1))
+    curve = solve_profile(prof)
+    return assemble_rotational(curve, ambient), curve
 
-PRESET_DESCRIPTIONS = {
-    "slice": "level set t = t0 charted by the fiber (params: t0, half_width)",
-    "horosphere": "slice t = t0, a horosphere when f = exp(t) (params: t0, half_width)",
-    "hyperplane": "hyperplane x1 = 0 in a Euclidean-fiber ambient (params: half_width)",
-    "sphere": "unit sphere about the origin, outward normal (params: pad)",
-    "rotational": "constant-angle rotational surface (params: theta, c1, c2, u0, u1)",
-    "example5": "rotational soliton preset, theta = sqrt(2)/2 in f = exp(t)",
+
+REQUIRED = None  # the default of a parameter a preset cannot do without
+_SLICE = {"t0": REQUIRED, "half_width": 1.0}
+_ROTATIONAL = {"theta": REQUIRED, "c1": 0.0, "c2": 0.0, "u0": -1.5, "u1": 1.5}
+
+# The presets of scenes: name -> (builder, {param: default or REQUIRED},
+# description).  Every parameter is a finite number (errors._number).
+PRESETS = {
+    "slice": (slice_immersion, _SLICE, "level set t = t0 charted by the fiber"),
+    "horosphere": (slice_immersion, _SLICE, "slice t = t0, a horosphere when f = exp(t)"),
+    "hyperplane": (hyperplane_immersion, {"half_width": 1.0}, "hyperplane x1 = 0, Euclidean fiber"),
+    "sphere": (sphere_immersion, {"pad": 0.15}, "unit sphere about the origin, outward normal"),
+    "rotational": (_rotational, _ROTATIONAL, "constant-angle rotational surface"),
+    "example5": (_rotational, {**_ROTATIONAL, "theta": ROOT2_OVER_2}, "the soliton of f = exp(t)"),
 }
 
 
 def build_preset(name, ambient, params):
-    """Build a preset immersion against a scene ambient.
+    """``(immersion, curve_or_None)`` of preset ``name`` against a scene ambient.
 
-    Returns ``(immersion, curve_or_None)``; rotational presets solve
-    their profile once, assemble the surface against ``ambient`` and
-    return the solved :class:`ProfileCurve`, so the classification check
-    reuses both.
+    A rotational preset solves its profile once and returns the solved
+    :class:`ProfileCurve` too, so the classification check reuses both.
     """
-    params = dict(params or {})
-    for key, value in params.items():
-        if isinstance(value, bool):  # JSON true and false are not the numbers 1 and 0
-            raise SceneError(f"{key} must be a number, got {value!r}", field="immersion.params")
-    if name in PRESET_BUILDERS:
-        try:
-            return PRESET_BUILDERS[name](ambient, **params), None
-        except (TypeError, ValueError) as exc:
-            raise SceneError(str(exc), field="immersion.params") from None
-    if name in ("rotational", "example5"):
-        if ambient.fiber is not Fiber.EUCLIDEAN:
-            raise SceneError(
-                "rotational presets need a Euclidean fiber", field="ambient.fiber"
-            )
-        defaults = {"c1": 0.0, "c2": 0.0, "u0": -1.5, "u1": 1.5}
-        if name == "example5":
-            defaults["theta"] = ROOT2_OVER_2
-        unknown = set(params) - {"theta", "c1", "c2", "u0", "u1"}
-        if unknown:
-            raise SceneError(
-                f"unknown rotational parameters {sorted(unknown)}",
-                field="immersion.params",
-            )
-        merged = {**defaults, **params}
-        if "theta" not in merged:
-            raise SceneError("rotational preset needs theta", field="immersion.params")
-        for key, given in merged.items():
-            try:
-                merged[key] = float(given)
-            except (TypeError, ValueError, OverflowError):
-                merged[key] = math.nan
-            if not math.isfinite(merged[key]):
-                raise SceneError(f"{key} must be a finite number, got {given!r}", "immersion.params")
-        try:
-            prof = RotationalProfile(
-                theta=merged["theta"],
-                f=ambient.f,
-                n=ambient.n,
-                c1=merged["c1"],
-                c2=merged["c2"],
-                u_range=(merged["u0"], merged["u1"]),
-            )
-            curve = solve_profile(prof)
-            imm = assemble_rotational(curve, ambient)
-        except DomainError:
-            raise  # surfaces as a numeric error, not a validation error
-        except (ValueError, WarpGeoError) as exc:
-            raise SceneError(str(exc), field="immersion.params") from None
-        return imm, curve
-    raise SceneError(f"unknown preset {name!r}", field="immersion.preset")
+    if name not in PRESETS:
+        raise SceneError(f"unknown preset {name!r}", field="immersion.preset")
+    builder, defaults, _ = PRESETS[name]
+    if builder is _rotational and ambient.fiber is not Fiber.EUCLIDEAN:
+        raise SceneError("rotational presets need a Euclidean fiber", field="ambient.fiber")
+    params = params or {}
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise SceneError(f"unknown parameters {sorted(unknown)} for preset {name!r}", "immersion.params")
+    values = {}
+    for key, default in defaults.items():
+        if key not in params and default is REQUIRED:
+            raise SceneError(f"{name} needs {key}", field="immersion.params")
+        values[key] = _number(params.get(key, default), "immersion.params", key)
+    try:
+        built = builder(ambient, **values)
+    except DomainError:
+        raise  # surfaces as a numeric error, not a validation error
+    except (ValueError, WarpGeoError) as exc:
+        raise SceneError(str(exc), field="immersion.params") from None
+    return built if builder is _rotational else (built, None)

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .ambient import space_form_models
-from .catalogue import PRESET_DESCRIPTIONS
-from .errors import DomainError, MeshUnsupported, PointError, SceneError, WarpGeoError
+from .catalogue import PRESETS, REQUIRED
+from .errors import DomainError, MeshUnsupported, PointError, SceneError, WarpGeoError, _number
 from .expr import unparse
 from .hypersurface import MAX_GRID_POINTS
 from .objmesh import surface_vertices, write_obj
@@ -43,16 +43,19 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
+# The numeric flags refused before any work: flag -> (integer, lo, hi) of
+# errors._number, the rule of scene numbers; () reads a finite number.
+FLAG_RANGES = {"theta": (False, 0.0, 1.0), "samples": (True, 1), "u0": (), "u1": (), "c1": (), "c2": ()}
+
+
 def _flag_error(args):
     """The usage error of the first flag of a command out of its range, or None."""
     flags = vars(args)
-    if "theta" in flags and not 0.0 < args.theta < 1.0:
-        return f"--theta must lie strictly in (0, 1), got {args.theta!r}"
-    if flags.get("samples", 1) < 1:
-        return f"--samples must be at least 1, got {args.samples!r}"
-    for name in ("u0", "u1", "c1", "c2"):
-        if not math.isfinite(flags.get(name, 0.0)):
-            return f"--{name} must be finite, got {flags[name]!r}"
+    try:
+        for name in filter(flags.__contains__, FLAG_RANGES):  # the flags of this command
+            _number(flags[name], None, f"--{name}", *FLAG_RANGES[name])
+    except SceneError as exc:
+        return str(exc)
     if flags.get("u0", 0.0) >= flags.get("u1", 1.0):
         return "--u0 must be less than --u1"
 
@@ -128,11 +131,9 @@ def _cmd_rotational(args):
         )
         return EXIT_USAGE
 
-    lo, hi = args.t_min, args.t_max
-    interval = (-math.inf if lo is None else lo, math.inf if hi is None else hi)
     started = time.perf_counter()
     try:
-        result = verify_classification(prof, interval=interval, u_count=args.samples)
+        result = verify_classification(prof, (args.t_min, args.t_max), u_count=args.samples)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -176,9 +177,10 @@ def _cmd_rotational(args):
 
 
 def _cmd_presets(args):
-    width = max(len(name) for name in PRESET_DESCRIPTIONS)
-    for name, description in sorted(PRESET_DESCRIPTIONS.items()):
-        print(f"{name:<{width + 2}}{description}")
+    width = max(len(name) for name in PRESETS)
+    for name, (_, params, description) in sorted(PRESETS.items()):
+        listed = ", ".join(f"{k}={'required' if v is REQUIRED else repr(v)}" for k, v in params.items())
+        print(f"{name:<{width + 2}}{description} (params: {listed})")
     return EXIT_OK
 
 
@@ -201,16 +203,13 @@ def build_parser():
     p_an.set_defaults(func=_cmd_analyze)
 
     p_rot = sub.add_parser("rotational", help="build and classify a rotational surface")
-    p_rot.add_argument("--theta", type=float, required=True)
     p_rot.add_argument("--f", default="exp(t)")
     p_rot.add_argument("--n", type=int, default=2)
-    p_rot.add_argument("--c1", type=float, default=0.0)
-    p_rot.add_argument("--c2", type=float, default=0.0)
-    p_rot.add_argument("--u0", type=float, default=-1.5)
-    p_rot.add_argument("--u1", type=float, default=1.5)
+    for name, default in PRESETS["rotational"][1].items():  # theta, c1, c2, u0, u1
+        p_rot.add_argument(f"--{name}", type=float, default=default, required=default is REQUIRED)
     p_rot.add_argument("--samples", type=int, default=33)
-    p_rot.add_argument("--t-min", type=float, default=None)
-    p_rot.add_argument("--t-max", type=float, default=None)
+    p_rot.add_argument("--t-min", type=float, default=-math.inf)
+    p_rot.add_argument("--t-max", type=float, default=math.inf)
     p_rot.add_argument("--mesh", default=None, help="write an OBJ mesh (n = 2 only)")
     p_rot.add_argument("--report", default=None, help="write a JSON report")
     p_rot.set_defaults(func=_cmd_rotational)

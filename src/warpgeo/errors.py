@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule for input numbers."""
+
+import math
+from reprlib import repr as _short
 
 
 class WarpGeoError(Exception):
@@ -81,3 +84,30 @@ class SceneError(WarpGeoError):
         prefix = f"scene field {field!r}: " if field else ""
         super().__init__(prefix + message)
         self.field = field
+
+
+def _number(value, field, name, integer=False, lo=-math.inf, hi=math.inf, finite=True):
+    """``value`` as the number ``name``, else a SceneError naming ``field``.
+
+    The one rule for input numbers: a boolean is never one; an integer lies in [lo, hi]; any
+    other number is a float, finite and in the open (lo, hi), unless ``finite`` is false: an
+    interval endpoint, which may be any float or the text "inf" / "-inf"."""
+    text = value.strip().lower() if isinstance(value, str) and not finite else None
+    if text in ("inf", "+inf", "infinity", "-inf"):
+        return -math.inf if text == "-inf" else math.inf
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise SceneError(f"{name} must be {kind}, got {_short(value)}", field)
+    if integer:
+        if lo <= value <= hi:
+            return value
+        raise SceneError(f"{name} must lie in [{lo}, {hi}], got {_short(value)}", field)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if finite and not math.isfinite(number):
+        raise SceneError(f"{name} must be finite, got {_short(value)}", field)
+    if finite and not lo < number < hi:
+        raise SceneError(f"{name} must lie in ({lo}, {hi}), got {_short(value)}", field)
+    return number

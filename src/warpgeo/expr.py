@@ -9,7 +9,7 @@ Grammar (EBNF, whitespace insignificant, no implicit multiplication)::
     atom     = NUMBER | NAME | NAME "(" expr ")" | "(" expr ")" ;
     NUMBER   = DIGITS [ "." DIGITS ] [ ("e" | "E") [ "+" | "-" ] DIGITS ]
              | "." DIGITS [ ("e" | "E") [ "+" | "-" ] DIGITS ] ;
-    NAME     = LETTER { LETTER | DIGIT | "_" } ;
+    NAME     = (LETTER | "_") { LETTER | DIGIT | "_" } ;
 
 ``^`` is right-associative and binds tighter than unary minus, so
 ``-t^2`` parses as ``-(t^2)``.  A number literal that is not finite as a
@@ -84,6 +84,11 @@ class _Token:
 
 
 _OPERATOR_CHARS = "+-*/^()"
+
+
+def is_name(text):
+    """Whether ``text`` is one NAME token: a letter or "_", then letters, digits or "_"."""
+    return (text[:1].isalpha() or text[:1] == "_") and all(c.isalnum() or c == "_" for c in text)
 
 
 def _tokenize(text):

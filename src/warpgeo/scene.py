@@ -14,10 +14,13 @@ A scene is a JSON object with exactly these blocks::
       "output":    {"report": path, "mesh": path-optional}
     }
 
-Interval endpoints may be the strings "inf" / "-inf".  Unknown fields
-anywhere are validation errors, not silently ignored.  Reports are
-deterministic: identical scenes produce byte-identical documents apart
-from the timing field.
+Every number is read by one rule, ``errors._number``, with the arguments
+of its field in ``NUMBER_FIELDS`` (preset parameters: ``catalogue.PRESETS``):
+a boolean is never a number, text is one only as the interval endpoint
+"inf" / "-inf", and numbers are finite elsewhere.  Chart names are NAMEs
+of the expression grammar.  Unknown fields anywhere are validation
+errors, not silently ignored.  Reports are deterministic: identical
+scenes produce byte-identical documents apart from the timing field.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import json
 import math
 import re
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +37,8 @@ import numpy as np
 from . import __version__
 from .ambient import WarpedProduct
 from .catalogue import build_preset
-from .errors import DomainError, PointError, SceneError, WarpGeoError
-from .expr import CONSTANTS, FUNCTIONS, parse as parse_expr
+from .errors import DomainError, PointError, SceneError, WarpGeoError, _number
+from .expr import CONSTANTS, FUNCTIONS, is_name, parse as parse_expr
 from .hypersurface import MAX_DIMENSION, MAX_GRID_POINTS, ChartBox, Immersion
 from .intrinsic import grid_geometry
 from .jets import _leaves
@@ -90,14 +94,22 @@ def _require_keys(block, allowed, required, where):
             raise SceneError(f"missing required field {key!r}", field=where)
 
 
-def _parse_endpoint(value, where):
-    """A number (not a boolean) or the text "inf" / "-inf"."""
-    text = value.strip().lower() if isinstance(value, str) else None
-    if text in ("inf", "+inf", "infinity", "-inf"):
-        return -math.inf if text == "-inf" else math.inf
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise SceneError(f"bad interval endpoint {value!r}", field=where)
+# A numeric scene field: the arguments of errors._number, and its default.
+Number = namedtuple("Number", "integer lo hi finite default", defaults=(-math.inf, math.inf, True, None))
+
+# Every numeric field of a scene, under the name its errors report.
+NUMBER_FIELDS = {
+    "schema_version": Number(True, SCHEMA_VERSION, SCHEMA_VERSION, default=SCHEMA_VERSION),
+    "ambient.interval": Number(False, finite=False),
+    "ambient.n": Number(True, 1, MAX_DIMENSION),
+    "immersion.chart": Number(False),  # each bound of "lower" and "upper"
+    "grid.samples": Number(True, 3, MAX_GRID_POINTS, default=7),
+    "grid.margins": Number(False, 0.0, 0.5, default=0.05),
+}
+
+
+def _field(value, field, name):
+    return _number(value, field, name, *NUMBER_FIELDS[field][:4])
 
 
 @dataclass
@@ -116,26 +128,18 @@ def validate_scene(data):
     """Validate a scene dictionary and build the runtime objects."""
     blocks = ("schema_version", "ambient", "immersion", "grid", "checks", "output")
     _require_keys(data, blocks, ("ambient", "immersion", "checks"), where="<root>")
-    version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise SceneError(f"unsupported schema_version {version!r}", field="schema_version")
+    _field(data.get("schema_version", SCHEMA_VERSION), "schema_version", "schema_version")
 
     amb = data["ambient"]
     _require_keys(amb, ("interval", "f", "fiber", "n"), ("interval", "f", "fiber", "n"), "ambient")
     interval = amb["interval"]
     if not isinstance(interval, (list, tuple)) or len(interval) != 2:
         raise SceneError("interval must be a [lo, hi] pair", field="ambient.interval")
-    lo = _parse_endpoint(interval[0], "ambient.interval")
-    hi = _parse_endpoint(interval[1], "ambient.interval")
+    lo, hi = (_field(end, "ambient.interval", "interval endpoint") for end in interval)
     if amb["fiber"] not in ("euclidean", "sphere"):
         message = f"fiber must be 'euclidean' or 'sphere', got {amb['fiber']!r}"
         raise SceneError(message, field="ambient.fiber")
-    if isinstance(amb["n"], bool) or not isinstance(amb["n"], int) or amb["n"] < 1:
-        raise SceneError("n must be a positive integer", field="ambient.n")
-    if amb["n"] > MAX_DIMENSION:
-        raise SceneError(
-            f"n must be at most {MAX_DIMENSION}: a grid of 3 samples per axis would "
-            f"exceed MAX_GRID_POINTS = {MAX_GRID_POINTS}", field="ambient.n")
+    _field(amb["n"], "ambient.n", "n")
     try:
         f_expr = parse_expr(str(amb["f"]), variables={"t"})
         ambient = WarpedProduct((lo, hi), f_expr, amb["fiber"], amb["n"])
@@ -165,17 +169,16 @@ def validate_scene(data):
         for key in ("names", "lower", "upper"):
             if not isinstance(chart_block[key], list):
                 raise SceneError(f"{key} must be a list", field=f"immersion.chart.{key}")
-        names = tuple(map(str, chart_block["names"]))
-        if len(set(names)) < len(names) or set(names) & (set(CONSTANTS) | set(FUNCTIONS)):
-            message = f"chart names must be distinct and not constants or functions: {list(names)}"
+        names = tuple(chart_block["names"])
+        valid = all(isinstance(v, str) and is_name(v) for v in names)
+        if not valid or len(set(names)) < len(names) or set(names) & {*CONSTANTS, *FUNCTIONS}:
+            message = f"chart names must be distinct NAMEs, not constants or functions: {list(names)}"
             raise SceneError(message, field="immersion.chart.names")
-        for bound in chart_block["lower"] + chart_block["upper"]:
-            if isinstance(bound, bool):  # JSON true and false are not the numbers 1 and 0
-                raise SceneError(f"chart bounds must be numbers, got {bound!r}", "immersion.chart")
+        lower, upper = (tuple(_field(b, "immersion.chart", "chart bound") for b in chart_block[k])
+                        for k in ("lower", "upper"))
         try:
-            lower, upper = (tuple(map(float, chart_block[k])) for k in ("lower", "upper"))
             chart = ChartBox(names, lower, upper)
-        except (TypeError, ValueError) as exc:  # a bound that is not a number
+        except ValueError as exc:
             raise SceneError(str(exc), field="immersion.chart") from None
         components = imm_block["components"]
         if not isinstance(components, list):
@@ -195,25 +198,16 @@ def validate_scene(data):
     _require_keys(grid_block, ("samples", "margins"), (), "grid")
     samples = _object(grid_block.get("samples", {}), "grid.samples")
     margins = _object(grid_block.get("margins", {}), "grid.margins")
-    counts = {}
-    for name in immersion.chart.names:
-        count = samples.get(name, 7)
-        if not isinstance(count, int) or count < 3:
-            raise SceneError(f"sample count for {name!r} must be an integer >= 3", "grid.samples")
-        counts[name] = count
+    names = immersion.chart.names
+    count, margin = (NUMBER_FIELDS[f"grid.{key}"].default for key in ("samples", "margins"))
+    counts = {v: _field(samples.get(v, count), "grid.samples", f"sample count for {v!r}")
+              for v in names}
     for key, given in (("samples", samples), ("margins", margins)):
-        unknown = set(given) - set(immersion.chart.names)
+        unknown = set(given) - set(names)
         if unknown:
             raise SceneError(f"{key} given for unknown variables {sorted(unknown)}", f"grid.{key}")
-    margin_map = {}
-    for name in immersion.chart.names:
-        try:
-            frac = float(margins.get(name, 0.05))
-        except (TypeError, ValueError):
-            raise SceneError(f"margin for {name!r} must be a number", "grid.margins") from None
-        if not 0.0 < frac < 0.5:
-            raise SceneError(f"margin for {name!r} must lie in (0, 0.5)", "grid.margins")
-        margin_map[name] = frac
+    margin_map = {v: _field(margins.get(v, margin), "grid.margins", f"margin for {v!r}")
+                  for v in names}
     try:
         grid = immersion.chart.grid(counts, margin_map)
     except ValueError as exc:  # more than MAX_GRID_POINTS, refused before building
@@ -227,10 +221,7 @@ def validate_scene(data):
         raw = str(raw)
         match = SPACEFORM_RE.match(raw)
         if match:
-            c = float(match.group(1))
-            if not math.isfinite(c):
-                raise SceneError(f"spaceform c={match.group(1)} is not a finite number", "checks")
-            checks.append(("spaceform", raw, c))
+            checks.append(("spaceform", raw, _number(float(match[1]), "checks", "spaceform c")))
         elif raw in CHECK_NAMES:
             checks.append((raw, raw, None))
         else:

@@ -15,7 +15,7 @@ from warpgeo.intrinsic import grid_geometry
 from warpgeo import scene as scene_module
 from warpgeo.scene import validate_scene
 from warpgeo.objmesh import obj_lines, surface_vertices
-from warpgeo.catalogue import rotational_soliton_immersion
+from warpgeo.catalogue import PRESETS, REQUIRED, rotational_soliton_immersion
 
 
 def write_scene(tmp_path, data, name="scene.json"):
@@ -51,6 +51,16 @@ def test_presets_lists_catalogue(capsys):
     out = capsys.readouterr().out
     for name in ("slice", "hyperplane", "sphere", "horosphere", "rotational", "example5"):
         assert name in out
+
+
+def test_presets_list_every_parameter_and_default(capsys):
+    assert main(["presets"]) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert set(lines) == set(PRESETS)
+    for name, (_, params, _) in PRESETS.items():
+        for key, default in params.items():
+            shown = "required" if default is REQUIRED else repr(default)
+            assert f"{key}={shown}" in lines[name], (name, key)
 
 
 def test_analyze_pass(tmp_path, capsys):
@@ -140,11 +150,47 @@ def horosphere_scene():
         (lambda s: s.update(immersion={"preset": "rotational", "params": {"theta": 0.5, "u0": "-inf"}}),
          "immersion.params"),
         (lambda s: s.update(checks=["spaceform c=1e400"]), "checks"),
+        # preset parameters: missing, unknown, or text where a number belongs
+        (lambda s: s["immersion"].update(params={}), "immersion.params"),
+        (lambda s: s["immersion"]["params"].update(pad=0.1), "immersion.params"),
+        (lambda s: s.update(immersion={"preset": "sphere", "params": {"pad": "0.1"}}),
+         "immersion.params"),
+        (lambda s: s["immersion"]["params"].update(half_width="1"), "immersion.params"),
+        (lambda s: s["immersion"]["params"].update(t0="0"), "immersion.params"),
+        # chart names must be NAMEs of the expression grammar
+        (lambda s: s.update(immersion={
+            "components": ["0", "u", "v"],
+            "chart": {"names": [1, 2], "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}),
+         "immersion.chart.names"),
+        (lambda s: s.update(immersion={
+            "components": ["0", "u v", "w"],
+            "chart": {"names": ["u v", "w"], "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}),
+         "immersion.chart.names"),
+        # text is a number only as an interval endpoint, and 1.0 is not an integer
+        (lambda s: s["grid"].update(margins={"u1": "0.1"}), "grid.margins"),
+        (lambda s: s.update(immersion={
+            "components": ["0", "u", "v"],
+            "chart": {"names": ["u", "v"], "lower": ["-1", "-1"], "upper": [1.0, 1.0]}}),
+         "immersion.chart"),
+        (lambda s: s.update(immersion={"preset": "example5", "params": {"u0": "-1"}}),
+         "immersion.params"),
+        (lambda s: s.update(immersion={"preset": "rotational", "params": {"theta": "0.5"}}),
+         "immersion.params"),
+        (lambda s: s.update(schema_version=True), "schema_version"),
+        (lambda s: s.update(schema_version=1.0), "schema_version"),
+        # an integer beyond the float range is not a finite number
+        (lambda s: s["grid"].update(margins={"u1": 10**400}), "grid.margins"),
+        (lambda s: s["immersion"]["params"].update(t0=10**400), "immersion.params"),
+        (lambda s: s["grid"]["samples"].update(u1=10**400), "grid.samples"),
     ],
     ids=[
         "grid", "ambient", "immersion", "samples-list", "margin-text", "margin-list",
         "params-list", "chart-names", "report-list", "mesh-object", "mesh-n1", "mesh-n3",
         "theta-list", "theta-null", "c2-nan", "u0-inf", "spaceform-inf",
+        "t0-missing", "pad-unknown", "pad-text", "half-width-text", "t0-text",
+        "names-numbers", "names-with-space",
+        "margin-number-text", "bound-text", "u0-text", "theta-text", "schema-true", "schema-float",
+        "margin-long-integer", "t0-long-integer", "samples-long-integer",
     ],
 )
 def test_analyze_block_of_the_wrong_type_exit_two(tmp_path, capsys, edit, field):
@@ -154,6 +200,40 @@ def test_analyze_block_of_the_wrong_type_exit_two(tmp_path, capsys, edit, field)
     assert main(["analyze", write_scene(tmp_path, scene)]) == 2
     err = capsys.readouterr().err
     assert f"scene field {field!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "immersion, message",
+    [
+        ({"preset": "horosphere"}, "horosphere needs t0"),
+        ({"preset": "horosphere", "params": {"t0": 0.0, "pad": 0.1}},
+         "unknown parameters ['pad'] for preset 'horosphere'"),
+        ({"preset": "sphere", "params": {"pad": "0.1"}}, "pad must be a number, got '0.1'"),
+        ({"preset": "slice", "params": {"t0": 0.0, "half_width": "1"}},
+         "half_width must be a number, got '1'"),
+        ({"preset": "slice", "params": {"t0": "0"}}, "t0 must be a number, got '0'"),
+        ({"preset": "rotational"}, "rotational needs theta"),
+    ],
+    ids=["t0-missing", "pad-unknown", "pad-text", "half-width-text", "t0-text", "theta-missing"],
+)
+def test_preset_parameter_errors_name_the_parameter(tmp_path, capsys, immersion, message):
+    # the message names the parameter, never a Python TypeError of the builder
+    scene = horosphere_scene()
+    scene["immersion"] = immersion
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 2
+    err = capsys.readouterr().err
+    assert f"scene field 'immersion.params': {message}" in err
+    assert "operand" not in err and "argument" not in err
+
+
+def test_interval_endpoint_beyond_the_float_range_reads_as_infinite(tmp_path, capsys):
+    # JSON 1e400 reads as inf, and so does an integer beyond the float range
+    scene = horosphere_scene()
+    scene["ambient"]["interval"] = [-10**400, 10**400]
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 0
+    scene["ambient"]["interval"] = [10**400, "inf"]
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 2
+    assert "scene field 'ambient': empty interval (inf, inf)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -596,6 +676,7 @@ def test_structural_near_the_chart_edge_exit_zero(tmp_path, capsys):
         (["rotational", "--theta", "0.5", "--u1", "nan"], "--u1"),
         (["rotational", "--theta", "0.5", "--c1", "inf"], "--c1"),
         (["rotational", "--theta", "0.5", "--c2", "nan"], "--c2"),
+        (["rotational", "--theta", "nan"], "--theta"),
     ],
 )
 def test_out_of_range_flags_exit_two(argv, flag, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from warpgeo import ambient as ambient_module
 from warpgeo import rotational
 from warpgeo import scene as scene_module
 from warpgeo.ambient import WarpedProduct
-from warpgeo.errors import SceneError
+from warpgeo.catalogue import PRESETS
+from warpgeo.errors import SceneError, _number
 from warpgeo.hypersurface import MAX_GRID_POINTS, Immersion
 from warpgeo.jets import _leaves
 from warpgeo.intrinsic import grid_geometry
-from warpgeo.scene import report_to_json, run_scene, validate_scene
+from warpgeo.scene import NUMBER_FIELDS, report_to_json, run_scene, validate_scene
 
 
 def hyperplane_scene(**overrides):
@@ -89,6 +91,51 @@ def test_validation_errors_name_the_field(mutate, field):
     with pytest.raises(SceneError) as err:
         validate_scene(data)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "value, rule, expected",
+    [
+        (2, {"integer": True, "lo": 1, "hi": 8}, 2),
+        (0.25, {"lo": 0.0, "hi": 0.5}, 0.25),
+        (3, {}, 3.0),
+        ("-inf", {"finite": False}, -math.inf),
+        (" Infinity ", {"finite": False}, math.inf),
+        (10**400, {"finite": False}, math.inf),
+    ],
+)
+def test_number_rule_reads(value, rule, expected):
+    number = _number(value, "grid.margins", "x", **rule)
+    assert number == expected and type(number) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "value, rule",
+    [
+        (True, {}), (False, {"integer": True}), (True, {"finite": False}), (None, {}), ([1], {}),
+        ("1", {}), ("inf", {}), ("-infinity", {"finite": False}), (1.0, {"integer": True}),
+        (math.inf, {}), (math.nan, {}), (10**400, {}), (0.5, {"lo": 0.0, "hi": 0.5}),
+        (0, {"integer": True, "lo": 1}), (9, {"integer": True, "lo": 1, "hi": 8}),
+    ],
+)
+def test_number_rule_refuses(value, rule):
+    with pytest.raises(SceneError) as err:
+        _number(value, "grid.margins", "x", **rule)
+    assert err.value.field == "grid.margins" and str(err.value).startswith("scene field")
+
+
+def test_readme_lists_every_numeric_field_and_preset():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Scene files", 1)[1].split("\n## ", 1)[0]
+    bullets = {item.split("`")[1]: " ".join(item.split()) for item in section.split("\n* ")[1:]}
+    for field, spec in NUMBER_FIELDS.items():
+        assert field in bullets, field
+        if spec.default is not None:
+            assert f"default {spec.default}" in bullets[field], field
+    for name, (_, params, _) in PRESETS.items():
+        assert f"`{name}`" in bullets["immersion.preset"], name
+        for key in params:
+            assert f"`{key}`" in bullets["immersion.preset"], (name, key)
 
 
 class _Built(Exception):
