@@ -7,8 +7,10 @@ Commands::
     warpgeo rotational [flags]         build and classify a rotational surface
     warpgeo presets                    list catalogue presets
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 scene or usage
-error, 3 numeric domain error (message carries the chart location).
+Exit codes, by one rule for every command (``main``): 0 all checks
+passed, 1 a check failed, 2 scene or usage error (a bad scene field or
+flag, a failing probe of the immersion, an unwritable output), 3 numeric
+error at a point of the pass (the message carries the chart location).
 """
 
 from __future__ import annotations
@@ -23,19 +25,12 @@ import numpy as np
 from . import __version__
 from .ambient import space_form_models
 from .catalogue import PRESETS, REQUIRED
-from .errors import DomainError, MeshUnsupported, PointError, SceneError, WarpGeoError, _number
+from .errors import PointError, SceneError, WarpGeoError, _number
 from .expr import unparse
-from .hypersurface import MAX_GRID_POINTS
+from .hypersurface import MAX_DIMENSION, MAX_GRID_POINTS
 from .objmesh import surface_vertices, write_obj
 from .rotational import RotationalProfile, verify_classification
-from .scene import (
-    MESH_WARNING,
-    SCHEMA_VERSION,
-    load_scene,
-    report_to_json,
-    run_scene,
-    write_report,
-)
+from .scene import MESH_WARNING, SCHEMA_VERSION, load_scene, run_scene, write_report
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -45,19 +40,17 @@ EXIT_DOMAIN = 3
 
 # The numeric flags refused before any work: flag -> (integer, lo, hi) of
 # errors._number, the rule of scene numbers; () reads a finite number.
-FLAG_RANGES = {"theta": (False, 0.0, 1.0), "samples": (True, 1), "u0": (), "u1": (), "c1": (), "c2": ()}
+FLAG_RANGES = {"theta": (False, 0.0, 1.0), "n": (True, 1, MAX_DIMENSION), "samples": (True, 1),
+               "u0": (), "u1": (), "c1": (), "c2": ()}
 
 
-def _flag_error(args):
-    """The usage error of the first flag of a command out of its range, or None."""
+def _check_flags(args):
+    """Refuse (ValueError) the first flag of the command out of its range."""
     flags = vars(args)
-    try:
-        for name in filter(flags.__contains__, FLAG_RANGES):  # the flags of this command
-            _number(flags[name], None, f"--{name}", *FLAG_RANGES[name])
-    except SceneError as exc:
-        return str(exc)
+    for name in filter(flags.__contains__, FLAG_RANGES):  # the flags of this command
+        _number(flags[name], None, f"--{name}", *FLAG_RANGES[name])
     if flags.get("u0", 0.0) >= flags.get("u1", 1.0):
-        return "--u0 must be less than --u1"
+        raise ValueError("--u0 must be less than --u1")
 
 
 def _cmd_spaceforms(args):
@@ -82,19 +75,8 @@ def _cmd_spaceforms(args):
 
 
 def _cmd_analyze(args):
-    try:
-        scene = load_scene(args.scene)
-        report, all_passed = run_scene(scene)
-    except SceneError as exc:  # a bad field, or a failing probe of the immersion
-        print(f"scene error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PointError as exc:  # a domain error, or a degenerate or singular point
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except MeshUnsupported as exc:
-        print(f"mesh error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    scene = load_scene(args.scene)
+    report, all_passed = run_scene(scene)
     for entry in report["checks"]:
         line = f"{entry['name']:<28}{entry['status']:<16}"
         if "sup_error" in entry:
@@ -114,43 +96,21 @@ def _cmd_analyze(args):
 
 def _cmd_rotational(args):
     flags = {name: getattr(args, name) for name in ("theta", "f", "n", "c1", "c2")}
-    try:
-        prof = RotationalProfile(**flags, u_range=(args.u0, args.u1))
-    except (ValueError, WarpGeoError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    prof = RotationalProfile(**flags, u_range=(args.u0, args.u1))
     if args.mesh and prof.n != 2:
-        print(f"error: mesh export needs n = 2, got n = {prof.n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"mesh export needs n = 2, got n = {prof.n}")
     if args.mesh and args.samples**2 > MAX_GRID_POINTS:
-        print(
-            f"error: a {args.samples} x {args.samples} mesh exceeds "
-            f"MAX_GRID_POINTS = {MAX_GRID_POINTS}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ValueError(f"a {args.samples} x {args.samples} mesh exceeds "
+                         f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
 
     started = time.perf_counter()
-    try:
-        result = verify_classification(prof, (args.t_min, args.t_max), u_count=args.samples)
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (ValueError, WarpGeoError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    result = verify_classification(prof, (args.t_min, args.t_max), u_count=args.samples)
     warnings = []
     if args.mesh:
         chart = result.immersion.chart
         u_values = chart.axis_points("u", args.samples, 0.0)
         v_values = chart.axis_points("v1", args.samples, 0.02)
-        try:
-            write_obj(args.mesh, surface_vertices(result.immersion, u_values, v_values))
-        except MeshUnsupported as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        write_obj(args.mesh, surface_vertices(result.immersion, u_values, v_values))
         warnings.append(MESH_WARNING)
         print(f"mesh written to {args.mesh}")
 
@@ -170,8 +130,7 @@ def _cmd_rotational(args):
             "warnings": warnings,
             "timing_seconds": time.perf_counter() - started,
         }
-        with open(args.report, "w") as handle:
-            handle.write(report_to_json(doc))
+        write_report(args.report, doc)
         print(f"report written to {args.report}")
     return EXIT_OK if result.classified else EXIT_CHECK_FAILED
 
@@ -220,13 +179,23 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; flags out of range are refused (exit 2) before any work."""
+    """Run one command, its flags checked first, and map a refusal to its exit code.
+
+    The one rule of every command: a SceneError is exit 2; a PointError
+    is exit 3, unless it is a failing probe of the immersion
+    (``PointError.immersion_fault``), exit 2; any other ValueError,
+    WarpGeoError or OSError (an unwritable output) is exit 2.
+    """
     args = build_parser().parse_args(argv)
-    error = _flag_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    return args.func(args)
+    try:
+        _check_flags(args)
+        return args.func(args)
+    except (ValueError, WarpGeoError, OSError) as exc:
+        code, prefix = EXIT_USAGE, "scene error" if isinstance(exc, SceneError) else "error"
+        if isinstance(exc, PointError) and not exc.immersion_fault:
+            code, prefix = EXIT_DOMAIN, "domain error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

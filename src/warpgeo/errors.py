@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the rule for input numbers."""
 
 import math
+from functools import partial
 from reprlib import repr as _short
 
 
@@ -40,6 +41,12 @@ class PointError(WarpGeoError):
     def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
+
+    @property
+    def immersion_fault(self):
+        """A failing probe that is not a DomainError: the immersion is at
+        fault, not a point of the pass, so it is refused as a usage error."""
+        return self.probe and not isinstance(self, DomainError)
 
 
 class DomainError(PointError):
@@ -87,27 +94,29 @@ class SceneError(WarpGeoError):
 
 
 def _number(value, field, name, integer=False, lo=-math.inf, hi=math.inf, finite=True):
-    """``value`` as the number ``name``, else a SceneError naming ``field``.
+    """``value`` as the number ``name``, else a SceneError naming ``field``
+    (a ValueError when ``field`` is None: the number of a command-line flag).
 
     The one rule for input numbers: a boolean is never one; an integer lies in [lo, hi]; any
     other number is a float, finite and in the open (lo, hi), unless ``finite`` is false: an
     interval endpoint, which may be any float or the text "inf" / "-inf"."""
+    refuse = partial(SceneError, field=field) if field else ValueError
     text = value.strip().lower() if isinstance(value, str) and not finite else None
     if text in ("inf", "+inf", "infinity", "-inf"):
         return -math.inf if text == "-inf" else math.inf
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "an integer" if integer else "a number"
-        raise SceneError(f"{name} must be {kind}, got {_short(value)}", field)
+        raise refuse(f"{name} must be {kind}, got {_short(value)}")
     if integer:
         if lo <= value <= hi:
             return value
-        raise SceneError(f"{name} must lie in [{lo}, {hi}], got {_short(value)}", field)
+        raise refuse(f"{name} must lie in [{lo}, {hi}], got {_short(value)}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf if value > 0 else -math.inf
     if finite and not math.isfinite(number):
-        raise SceneError(f"{name} must be finite, got {_short(value)}", field)
+        raise refuse(f"{name} must be finite, got {_short(value)}")
     if finite and not lo < number < hi:
-        raise SceneError(f"{name} must lie in ({lo}, {hi}), got {_short(value)}", field)
+        raise refuse(f"{name} must lie in ({lo}, {hi}), got {_short(value)}")
     return number

@@ -351,11 +351,7 @@ def profile_residuals(curve, u_count=CLASSIFICATION_U_COUNT):
     prof = curve.profile
     u = default_chart(prof).axis_points("u", max(u_count, 16), 0.05)
     t = curve.alpha(u)
-    try:  # the profile's own jet of f, named like eval_warping names a failure
-        jet = eval_jet2(prof.f, {"t": t}, ("t",))
-    except DomainError as exc:
-        message = f"warping function at t={float(t[exc.index])!r}: {exc}"
-        raise DomainError(message, exc.expression) from None
+    jet = eval_warping(prof.f, t, ("t",))
     beta = curve.beta(u)
     sigma = jet.value * beta
     slopes = jet.grad[:, 0] / jet.value

@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .ambient import WarpedProduct
 from .catalogue import build_preset
-from .errors import DomainError, PointError, SceneError, WarpGeoError, _number
+from .errors import PointError, SceneError, WarpGeoError, _number
 from .expr import CONSTANTS, FUNCTIONS, is_name, parse as parse_expr
 from .hypersurface import MAX_DIMENSION, MAX_GRID_POINTS, ChartBox, Immersion
 from .intrinsic import grid_geometry
@@ -289,8 +289,9 @@ def run_scene(scene):
     check reads a point): the scene grid when a grid check asks for it,
     then the points of the classification grid that it lacks.  The
     checks read their own rows of that record; the profile residuals,
-    which may raise SigmaZero, run first.  A failing probe is a SceneError
-    naming the immersion block, unless it is a DomainError.
+    which may raise SigmaZero, run first.  A failing probe that is the
+    immersion's fault (``PointError.immersion_fault``) is a SceneError
+    naming the immersion block.
     """
     started = time.perf_counter()
     kinds = {kind for kind, _, _ in scene.checks}
@@ -307,7 +308,7 @@ def run_scene(scene):
     try:  # structural reads the third jets of the same pass
         record = grid_geometry(imm, points, 3 if "structural" in kinds else 2)
     except PointError as exc:
-        if not exc.probe or isinstance(exc, DomainError):
+        if not exc.immersion_fault:
             raise
         field = "immersion.params" if "preset" in scene.raw["immersion"] else "immersion"
         raise SceneError(str(exc), field=field) from None

@@ -648,6 +648,43 @@ def test_vanishing_sigma_exit_three(tmp_path, capsys):
     assert err == ["domain error: sigma vanishes at u=-0.54"] * 2
 
 
+@pytest.mark.parametrize(
+    "c1, code, message",
+    [
+        # the probes pass and a point of the 9 x 9 classification grid is singular
+        (12.69, 3, "chart metric at t=13.859134295108992"),
+        # a probe of the immersion fails: the immersion is at fault
+        (20.0, 2, "chart metric at t=18.960769515458672"),
+    ],
+    ids=["point", "probe"],
+)
+def test_rotational_scene_and_command_share_exit_codes(tmp_path, capsys, c1, code, message):
+    scene = hyperplane_scene()
+    scene["ambient"]["f"] = "exp(t)"
+    scene["immersion"] = {"preset": "rotational", "params": {"theta": 0.5, "c1": c1}}
+    scene["checks"] = ["rotational-classification"]
+    assert main(["analyze", write_scene(tmp_path, scene)]) == code
+    assert main(["rotational", "--theta", "0.5", "--c1", str(c1), "--samples", "9"]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(message in line for line in err)
+    if code == 3:
+        assert err[0] == err[1] and err[0].startswith("domain error: ")
+
+
+@pytest.mark.parametrize("output", ["report", "mesh", "--report", "--mesh"])
+def test_unwritable_output_exit_two(tmp_path, capsys, output):
+    path = str(tmp_path / "missing" / "out")
+    if output.startswith("--"):
+        argv = ["rotational", "--theta", "0.5", output, path]
+    else:
+        scene = hyperplane_scene()
+        scene["output"] = {output: path}
+        argv = ["analyze", write_scene(tmp_path, scene)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+
+
 def test_structural_near_the_chart_edge_exit_zero(tmp_path, capsys):
     # grid points 2e-4 from the chart faces: the structural check reads
     # the grid points alone, so the scene runs and passes
@@ -677,6 +714,8 @@ def test_structural_near_the_chart_edge_exit_zero(tmp_path, capsys):
         (["rotational", "--theta", "0.5", "--c1", "inf"], "--c1"),
         (["rotational", "--theta", "0.5", "--c2", "nan"], "--c2"),
         (["rotational", "--theta", "nan"], "--theta"),
+        (["rotational", "--theta", "0.5", "--n", "9"], "--n"),
+        (["rotational", "--theta", "0.5", "--n", "100000"], "--n"),
     ],
 )
 def test_out_of_range_flags_exit_two(argv, flag, capsys, monkeypatch):

@@ -383,8 +383,10 @@ def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch, structural, c
     # exactly once; the ambient evaluates f once per batch (in
     # metric_jets), and otherwise only once on the 64 probe heights of
     # theorem5 (its fit of c and the residuals of check_space_form share
-    # that jet).  Only structural makes its one pass of order 3, and
-    # takes d2D from the warping triple without evaluating f again.  The
+    # that jet) and, for the classification, once on the 16 profile
+    # heights of profile_residuals (through eval_warping).  Only
+    # structural makes its one pass of order 3, and takes d2D from the
+    # warping triple without evaluating f again.  The
     # 9 x 9 grid is the classification grid of example5, so the
     # classification adds no point to that pass
     checks = ["lemma1", "soliton", "theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5"]
@@ -416,7 +418,7 @@ def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch, structural, c
     assert N == 81
     rows = 10 + N  # the chart center and the 3^2 probes lead the pass
     assert calls == {"component_jets": [(rows, 2 + structural)], "metric_jets": [rows]}
-    assert ambient_jets == [(True, rows), (True, 64)]
+    assert ambient_jets == [(True, 16)] * classification + [(True, rows), (True, 64)]
 
 
 def rotational_cosh_scene(checks):
@@ -502,7 +504,14 @@ def test_rotational_profile_is_evaluated_once_per_batch(monkeypatch):
             f_jets.append(np.size(bindings["t"]))
         return eval_jet2(expr, bindings, active, order)
 
+    eval_warping = rotational.eval_warping
+
+    def counted_warping(f, t, active=()):  # the jet of profile_residuals
+        f_jets.append(np.size(t))
+        return eval_warping(f, t, active)
+
     monkeypatch.setattr(rotational, "eval_jet2", counted_eval)
+    monkeypatch.setattr(rotational, "eval_warping", counted_warping)
     imm = rotational.assemble_rotational(curve, scene.ambient)
     betas.clear()
     f_jets.clear()
