@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class Fiber(enum.Enum):
         return 0.0 if self is Fiber.EUCLIDEAN else 1.0
 
 
-@dataclass(frozen=True)
-class AmbientPoint:
+class AmbientPoint(NamedTuple):
     """A point (t, x) in ambient chart coordinates.
 
     ``t`` and the entries of ``x`` are floats, or arrays of N values for
@@ -74,8 +73,7 @@ class AmbientPoint:
     x: tuple
 
 
-@dataclass(frozen=True)
-class SpaceFormCheck:
+class SpaceFormCheck(NamedTuple):
     """Residuals of the constant-curvature characterization of f and k.
 
     ``ratio_residual`` is sup |((f')^2 - k)/f^2 + c| and

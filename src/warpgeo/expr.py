@@ -27,7 +27,8 @@ text, and an error is reported before any bad character after it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import ExprSyntaxError, UnknownIdentifier
 
@@ -37,47 +38,47 @@ MAX_EXPRESSION_DEPTH = 100
 _TOO_DEEP = f"expression deeper than MAX_EXPRESSION_DEPTH = {MAX_EXPRESSION_DEPTH}"
 
 
-class Expression:
-    """Base class for AST nodes; all nodes are immutable."""
+class Expression(tuple):
+    """Base class for AST nodes: named tuples, so immutable, equal and
+    hashed by node type and fields (``Var("pi") != Const("pi")``)."""
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
 
-@dataclass(frozen=True)
-class Num(Expression):
-    value: float
+    def __ne__(self, other):
+        return not self == other
 
-
-@dataclass(frozen=True)
-class Var(Expression):
-    name: str
-
-
-@dataclass(frozen=True)
-class Const(Expression):
-    name: str
+    def __hash__(self):
+        return hash((type(self), *self))
 
 
-@dataclass(frozen=True)
-class Neg(Expression):
-    operand: Expression
+class Num(Expression, namedtuple("Num", "value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BinOp(Expression):
-    op: str
-    left: Expression
-    right: Expression
+class Var(Expression, namedtuple("Var", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Call(Expression):
-    func: str
-    arg: Expression
+class Const(Expression, namedtuple("Const", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _Token:
+class Neg(Expression, namedtuple("Neg", "operand")):
+    __slots__ = ()
+
+
+class BinOp(Expression, namedtuple("BinOp", "op left right")):
+    __slots__ = ()
+
+
+class Call(Expression, namedtuple("Call", "func arg")):
+    __slots__ = ()
+
+
+class _Token(NamedTuple):
     kind: str  # "num" | "name" | "op"
     text: str
     pos: int

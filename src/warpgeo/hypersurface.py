@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,22 +54,21 @@ MAX_GRID_POINTS = 10_000
 MAX_DIMENSION = int(math.log(MAX_GRID_POINTS, 3))  # that largest n, 8
 
 
-@dataclass(frozen=True)
-class ChartBox:
-    """Open box domain with named coordinates."""
+class ChartBox(namedtuple("ChartBox", "names lower upper")):
+    """Open box domain with named coordinates; the bounds are checked at construction."""
 
-    names: tuple
-    lower: tuple
-    upper: tuple
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if not (len(self.names) == len(self.lower) == len(self.upper)):
+    def __new__(cls, names, lower, upper):
+        if not (len(names) == len(lower) == len(upper)):
             raise ValueError("chart names and bounds must have equal length")
-        for name, lo, hi in zip(self.names, self.lower, self.upper):
+        for name, lo, hi in zip(names, lower, upper):
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"chart range for {name!r} must be finite: ({lo}, {hi})")
             if not lo < hi:
                 raise ValueError(f"empty chart range for {name!r}: ({lo}, {hi})")
+        return super().__new__(cls, names, lower, upper)
 
     @property
     def dim(self):
@@ -232,8 +232,7 @@ class Immersion:
         return np.stack([jet.value for jet in jets], axis=-1)
 
 
-@dataclass(frozen=True)
-class PointJets:
+class PointJets(NamedTuple):
     """Jets of psi and of the ambient metric at N interior chart points.
 
     ``chart`` (N, n) holds the points and ``ambient_point`` their images;

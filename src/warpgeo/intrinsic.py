@@ -14,7 +14,7 @@ Gamma^k_ij d_k h = (grad h)^l B_lij / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .jets import _leaves, first_failure, first_index
 _ORIENT_TIE = 1e-10  # theta > 0 at the center, or the first entry of N beyond this
 
 
-@dataclass(frozen=True)
-class PointGeometry:
+class PointGeometry(NamedTuple):
     """Geometry of the immersion at N chart points.
 
     Every field carries a leading point axis.  ``chart`` (N, n) holds the

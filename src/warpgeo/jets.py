@@ -18,7 +18,7 @@ error names the first point, in binding order, whose own evaluation fails
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,19 +31,22 @@ def _value(v):
     return np.asarray(v, dtype=float)[()]
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(NamedTuple):
     """Value, gradient and symmetric Hessian in ``m`` active variables, and
     at order 3 the symmetric third derivative (None at order 2).
 
     The value may carry leading point axes, which the derivatives share:
     value ``S``, grad ``S + (m,)``, hess ``S + (m, m)``, third ``S + (m, m, m)``.
+    A jet is a named tuple; numpy defers to its operators rather than
+    reading it as a sequence (``np.float64(2.0) * jet`` is ``jet * 2.0``).
     """
 
     value: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
     third: np.ndarray | None = None
+
+    __array_ufunc__ = None
 
     @property
     def m(self):
@@ -166,19 +169,18 @@ def first_failure(evaluate, count):
 def _leaves(fn, *records):
     """``fn`` applied to the matching arrays of batched records.
 
-    Records are dataclasses whose fields are arrays, tuples of arrays,
-    records again (``PointGeometry``, ``PointJets``, ``AmbientPoint``) or
-    None; a bare array is its own leaf.
+    Records are named tuples whose fields are arrays, plain tuples of
+    arrays, records again (``PointGeometry``, ``PointJets``,
+    ``AmbientPoint``) or None; a bare array is its own leaf.
     """
     first = records[0]
     if first is None:
         return None
+    if hasattr(first, "_fields"):
+        return type(first)(*(_leaves(fn, *items) for items in zip(*records)))
     if isinstance(first, tuple):
         return tuple(_leaves(fn, *items) for items in zip(*records))
-    names = getattr(first, "__dataclass_fields__", None)
-    if names is None:
-        return fn(*records)
-    return type(first)(*(_leaves(fn, *(getattr(r, name) for r in records)) for name in names))
+    return fn(*records)
 
 
 def _raise_at(bad, node, message, value=None):

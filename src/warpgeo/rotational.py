@@ -30,10 +30,10 @@ for all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import Chebyshev
 
 from .ambient import Fiber, WarpedProduct, eval_warping
 from .errors import DomainError, QuadratureFailure, SigmaZero
@@ -67,29 +67,26 @@ def sphere_chart_expressions(n):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RotationalProfile:
+class RotationalProfile(namedtuple("RotationalProfile", "theta f n c1 c2 u_range")):
     """Data of a constant-angle rotational profile.
 
     ``theta`` must lie strictly in (0, 1); the endpoints are degenerate.
+    ``f`` is held as an expression AST.
     """
 
-    theta: float
-    f: object
-    n: int
-    c1: float = 0.0
-    c2: float = 0.0
-    u_range: tuple = (-1.0, 1.0)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", as_expression(self.f))
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta={self.theta!r} must lie strictly in (0, 1)")
-        if self.n < 2:
+    def __new__(cls, theta, f, n, c1=0.0, c2=0.0, u_range=(-1.0, 1.0)):
+        f = as_expression(f)
+        if not 0.0 < theta < 1.0:
+            raise ValueError(f"theta={theta!r} must lie strictly in (0, 1)")
+        if n < 2:
             raise ValueError("rotational hypersurfaces need n >= 2")
-        u0, u1 = self.u_range
+        u0, u1 = u_range
         if not u0 < u1:
-            raise ValueError(f"empty u range {self.u_range!r}")
+            raise ValueError(f"empty u range {u_range!r}")
+        return super().__new__(cls, theta, f, n, c1, c2, u_range)
 
     @property
     def slope(self):
@@ -102,8 +99,7 @@ class RotationalProfile:
         return BinOp("+", BinOp("*", Var("u"), literal(self.slope)), literal(self.c1))
 
 
-@dataclass(frozen=True)
-class ProfileCurve:
+class ProfileCurve(NamedTuple):
     """Solved profile: the callable beta, and alpha and the jet of beta
     derived from it.
 
@@ -177,7 +173,7 @@ def _profile_interpolant(prof):
         coef = _chebyshev_coefficients(values)
         tail = float(np.max(np.abs(coef[degree // 2 + 1 :])))
         if tail <= CHEB_TAIL_DECAY * np.max(np.abs(coef)):
-            return Chebyshev(coef, domain=[u0, u1]), tail * (u1 - u0)
+            return np.polynomial.Chebyshev(coef, domain=[u0, u1]), tail * (u1 - u0)
         if degree >= CHEB_MAX_DEGREE:
             raise QuadratureFailure(
                 f"profile integrand not resolved at degree {degree}: tail coefficient {tail!r}"
@@ -279,8 +275,7 @@ def assemble_rotational(curve, ambient):
     return Immersion(ambient, default_chart(prof), components)
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Results of the four constant-angle soliton checks.
 
     The construction is a soliton exactly when sigma is constant, the
@@ -329,10 +324,16 @@ def verify_classification(prof, interval=(-math.inf, math.inf), u_count=CLASSIFI
     of f, on the profile and then on the interval, run before the
     interpolant, so they are the ones to report a bad warping, and the
     profile residuals run before the one geometry pass over the grid.
+    An f undefined on the interval is bad input, not a failing point: a
+    ValueError naming ``--f``, the flag of ``warpgeo rotational``, as a
+    scene names ``ambient.f``.
     """
     grid = classification_grid(prof, u_count)
     exponential = _detect_exponential(prof)
-    ambient = WarpedProduct(interval, prof.f, Fiber.EUCLIDEAN, prof.n)
+    try:
+        ambient = WarpedProduct(interval, prof.f, Fiber.EUCLIDEAN, prof.n)
+    except DomainError as exc:
+        raise ValueError(f"--f: {exc}") from None
     curve = _solve(prof, exponential)
     imm = assemble_rotational(curve, ambient)
     residuals = profile_residuals(curve, u_count)

@@ -30,7 +30,7 @@ import math
 import re
 import time
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,8 +112,7 @@ def _field(value, field, name):
     return _number(value, field, name, *NUMBER_FIELDS[field][:4])
 
 
-@dataclass
-class Scene:
+class Scene(NamedTuple):
     raw: dict
     ambient: WarpedProduct
     immersion: Immersion

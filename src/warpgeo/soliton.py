@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +63,7 @@ def classify(lambda_samples, gradh_sup):
     return SolitonClass.SIGN_CHANGING
 
 
-@dataclass
-class SolitonReport:
+class SolitonReport(NamedTuple):
     """Grid-wise soliton verification results."""
 
     residual_sup: float
@@ -72,7 +72,7 @@ class SolitonReport:
     gradh_sup: float
     verdict: Verdict
     classification: SolitonClass
-    identity_checks: dict = field(default_factory=dict)
+    identity_checks: dict
 
     @property
     def lambda_min(self):
@@ -135,8 +135,7 @@ def soliton_report(geometry):
     )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one check, as it enters a scene report.
 
     For inequality checks ``worst_value`` is the most violated slack
@@ -151,7 +150,7 @@ class CheckResult:
     sup_error: float | None = None
     worst_point: tuple | None = None
     worst_value: float | None = None
-    extras: dict = field(default_factory=dict)
+    extras: dict = MappingProxyType({})  # read-only, so records share no mutable dict
 
     def to_dict(self, chart_names):
         out = {"name": self.name, "status": self.status}

@@ -28,7 +28,6 @@ horosphere, ``build_rotational``, the closed-form principal curvatures
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -113,8 +112,7 @@ def weingarten_closed_form(prof, curve, u):
 
 def flip_orientation(sd):
     """Reverse the normal: N, A, theta and H change sign, the rest stay."""
-    return replace(
-        sd,
+    return sd._replace(
         normal=-sd.normal,
         shape_operator=-sd.shape_operator,
         second_fundamental=-sd.second_fundamental,

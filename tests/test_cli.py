@@ -450,11 +450,13 @@ def test_rotational_oversized_samples_exit_two(extra, capsys):
 
 def test_warping_probe_failure_names_t(tmp_path, capsys):
     # f is undefined only for |t - 0.05| < 0.02: the 17 profile probes
-    # pass and the 1024-point positivity probe of the ambient fails
+    # pass and the 1024-point positivity probe of the ambient fails, a bad
+    # input in both commands, named by its flag or its scene field
     gap = "2+sqrt((t-0.05)^2-0.0004)"
     argv = ["rotational", "--theta", "0.6", "--f", gap, "--u0", "-1", "--u1", "1"]
-    assert main(argv) == 3
-    assert "t=" in capsys.readouterr().err
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--f" in err and "t=" in err
     scene = hyperplane_scene()
     scene["ambient"]["f"] = gap
     path = write_scene(tmp_path, scene)
@@ -863,3 +865,20 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_nothing_beyond_numpy_argparse_json():
+    # no dataclasses (they generate code at import), no numpy.polynomial
+    # (only profile solving reaches it) and no other library
+    src = os.path.dirname(os.path.dirname(warpgeo.__file__))
+    code = (
+        "import json, sys; import numpy, argparse; before = set(sys.modules); "
+        "import warpgeo.cli; print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    extra = json.loads(out.stdout)
+    assert "warpgeo.cli" in extra
+    assert [m for m in extra if m.split(".")[0] != "warpgeo" and m != "__future__"] == []

@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from dataclasses import fields, is_dataclass
-
 from warpgeo.ambient import Fiber, WarpedProduct
 from warpgeo.hypersurface import ChartBox, Immersion, point_jets
 from warpgeo.intrinsic import _ambient_ricci, grid_geometry
@@ -159,17 +157,17 @@ def test_fd_oracle_boundary_guard(hyperplane):
 
 def _arrays(record, prefix=""):
     """Every array of a geometry record, by field path."""
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if is_dataclass(value):
-            yield from _arrays(value, f"{prefix}{f.name}.")
+    for name in record._fields:
+        value = getattr(record, name)
+        if hasattr(value, "_fields"):
+            yield from _arrays(value, f"{prefix}{name}.")
         elif value is None:
             continue
         elif isinstance(value, tuple):
             for k, item in enumerate(value):
-                yield f"{prefix}{f.name}[{k}]", item
+                yield f"{prefix}{name}[{k}]", item
         else:
-            yield prefix + f.name, value
+            yield prefix + name, value
 
 
 def test_geometry_does_not_depend_on_the_batch(catalogue, rng):

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import math
 import sys
@@ -496,7 +495,7 @@ def test_rotational_profile_is_evaluated_once_per_batch(monkeypatch):
         betas.append(np.size(u))
         return scene.profile.beta(u)
 
-    curve = dataclasses.replace(scene.profile, beta=beta)
+    curve = scene.profile._replace(beta=beta)
     eval_jet2 = rotational.eval_jet2
 
     def counted_eval(expr, bindings, active=(), order=2):
@@ -515,7 +514,7 @@ def test_rotational_profile_is_evaluated_once_per_batch(monkeypatch):
     imm = rotational.assemble_rotational(curve, scene.ambient)
     betas.clear()
     f_jets.clear()
-    report, passed = run_scene(dataclasses.replace(scene, immersion=imm, profile=curve))
+    report, passed = run_scene(scene._replace(immersion=imm, profile=curve))
     assert passed
     points = set(scene.grid) | set(rotational.classification_grid(curve.profile))
     assert len(scene.grid) == 25 and len(points) == 81
