@@ -28,12 +28,7 @@ from .expr import Expression, parse, unparse, variables_in
 from .hypersurface import ChartBox, Immersion
 from .intrinsic import PointGeometry, grid_geometry
 from .jets import Jet2, eval_jet2
-from .rotational import (
-    ProfileCurve,
-    RotationalProfile,
-    solve_profile,
-    verify_classification,
-)
+from .rotational import ProfileCurve, RotationalProfile, solve_profile, verify_classification
 from .soliton import (
     SolitonClass,
     SolitonReport,

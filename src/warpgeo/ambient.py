@@ -158,7 +158,7 @@ class WarpedProduct:
     def warping_jet(self, t):
         """Return (f(t), f'(t), f''(t)); ``t`` may be an array of heights."""
         jet = eval_jet2(self.f, {"t": t}, ("t",))
-        return jet.value, jet.grad[..., 0], jet.hess[..., 0, 0]
+        return jet.value, jet.grad[0], jet.hess[0, 0]
 
     def validate_point(self, p):
         """Reject the first point outside the interval or the angle chart."""

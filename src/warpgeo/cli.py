@@ -49,8 +49,9 @@ def _check_flags(args):
     flags = vars(args)
     for name in filter(flags.__contains__, FLAG_RANGES):  # the flags of this command
         _number(flags[name], None, f"--{name}", *FLAG_RANGES[name])
-    if flags.get("u0", 0.0) >= flags.get("u1", 1.0):
-        raise ValueError("--u0 must be less than --u1")
+    for lo, hi in (("u0", "u1"), ("t_min", "t_max")):  # the bounds of a range
+        if not flags.get(lo, 0.0) < flags.get(hi, 1.0):
+            raise ValueError(f"--{lo} must be less than --{hi}".replace("_", "-"))
 
 
 def _cmd_spaceforms(args):

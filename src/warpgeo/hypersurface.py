@@ -36,7 +36,7 @@ import numpy as np
 from .ambient import AmbientPoint, WarpedProduct
 from .errors import DegenerateImmersion, DomainError, OutsideChart
 from .expr import Expression, unparse, variables_in
-from .jets import as_expression, eval_jet2, first_failure, first_index
+from .jets import _leaves, as_expression, eval_jet2, first_failure, first_index
 
 GRAM_DET_LIMIT = 1e-12
 BOUNDARY_MARGIN = 1e-6
@@ -134,8 +134,9 @@ class CallableComponent:
     Used where components have no closed form in the expression grammar
     (profile curves defined by quadrature).  ``fn(values, active, order)``
     receives bindings whose values are arrays of N chart coordinates and
-    returns ``width`` :class:`Jet2` values of that order with that point
-    axis, so work the components share is done once per batch.
+    returns ``width`` :class:`Jet2` values of that order with that trailing
+    point axis (grad ``(m, N)``), so work the components share is done once
+    per batch.
     """
 
     def __init__(self, fn, width):
@@ -204,16 +205,13 @@ class Immersion:
     def bindings(self, p):
         return dict(zip(self.chart.names, map(float, p)))
 
-    def _columns(self, points):
-        points = as_points(points, self.n)
-        return {name: np.ascontiguousarray(points[:, i]) for i, name in enumerate(self.chart.names)}
-
     def coordinate_jets(self, values, active, order=2):
         """Jets of the n+1 ambient coordinates at the chart bindings ``values``."""
         return [jet for c in self.components for jet in c.jets(values, active, order)]
 
-    def _component_jets(self, points, active, order=2):
-        return self.coordinate_jets(self._columns(points), active, order)
+    def _component_jets(self, points, active, order=2):  # points: an (N, n) array
+        columns = {name: np.ascontiguousarray(points[:, i]) for i, name in enumerate(self.chart.names)}
+        return self.coordinate_jets(columns, active, order)
 
     def component_jets(self, points, order=2):
         """Jets of ``order`` 2 or 3 of every ambient coordinate over (N, n) chart points.
@@ -257,11 +255,7 @@ class PointJets(NamedTuple):
 
     def rows(self, start):
         """The record of the rows from ``start`` on, by basic slices (no copies)."""
-        q, s = self.ambient_point, slice(start, None)
-        return PointJets(
-            self.chart[s], AmbientPoint(q.t[s], tuple(x[s] for x in q.x)), self.frame[s], self.second[s],
-            self.D[s], self.dD[s], tuple(w[s] for w in self.warping), self.metric[s], self.factor[s],
-            self.metric_inverse[s], None if self.third is None else self.third[s])
+        return _leaves(lambda a: a[start:], self)
 
 
 def point_jets(imm, points, order=2):
@@ -279,8 +273,7 @@ def point_jets(imm, points, order=2):
     jets = imm.component_jets(points, order)
     q = AmbientPoint(jets[0].value, tuple(jet.value for jet in jets[1:]))
     imm.ambient.validate_point(q)
-    E = np.stack([jet.grad for jet in jets], axis=-2)  # (N, d, n)
-    second = np.stack([jet.hess for jet in jets], axis=-3)
+    E, second = _gather(jets, 1), _gather(jets, 2)  # (N, d, n), (N, d, n, n)
     D, dD, warping = imm.ambient.metric_jets(q)
     finite = (
         np.isfinite(E).all(axis=(-2, -1))
@@ -296,8 +289,16 @@ def point_jets(imm, points, order=2):
     if bad is not None:
         p = tuple(map(float, points[bad]))
         raise DegenerateImmersion(f"tangent frame is degenerate at chart point {p!r}", bad)
-    third = None if order == 2 else np.stack([jet.third for jet in jets], axis=-4)
-    return PointJets(points, q, E, second, D, dD, warping, g, F, F @ np.swapaxes(F, -1, -2), third)
+    ginv = F @ np.swapaxes(F, 1, 2).copy()  # F^T C-ordered: a faster matmul, the same bits
+    return PointJets(points, q, E, second, D, dD, warping, g, F, ginv, None if order == 2 else _gather(jets, 3))
+
+
+def _gather(jets, r):
+    """Slot ``r`` of the component jets, point axis first: out[p, a, ...] = jets[a][r][..., p]."""
+    shape = jets[0][r].shape
+    out = np.empty(shape[-1:] + (len(jets),) + shape[:-1])
+    np.stack([jet[r] for jet in jets], out=out.transpose(*range(1, r + 2), 0))
+    return out
 
 
 def _factor(g):
@@ -315,14 +316,30 @@ def _factor(g):
 
 def _unit_normal(E, D, F):
     """The G-unit normal N of frames E with det([E | N]) > 0.  W = E F is
-    G-orthonormal, so I - W W^T diag(D) = N N^T diag(D), whose column with
-    the largest diagonal entry D_c N_c^2 >= 1/d is D-normalized to +-N."""
+    G-orthonormal, so I - W W^T diag(D) = N N^T diag(D), whose column v with
+    the largest diagonal entry D_c N_c^2 >= 1/d is D-normalized to +-N.  As
+    v - e_c is a combination of E's columns, det([E | v]) = det([E | e_c]) =
+    -det(M) for c < n (det(M) for c = n), M = E[:n] with row c set to E[n]."""
     W = E @ F
     c = np.argmin(D * np.sum(W * W, axis=-1), axis=-1)
-    rows = np.arange(len(c))
-    v = np.eye(D.shape[-1])[c] - (W @ W[rows, c, :, None])[..., 0] * D[rows, c, None]
-    det = np.linalg.det(np.concatenate([E, v[..., None]], axis=-1))
-    return v / (np.sign(det) * np.sqrt(np.sum(D * v * v, axis=-1)))[..., None]
+    rows, n = np.arange(len(c)), E.shape[-1]
+    v = np.eye(n + 1)[c] - (W @ W[rows, c, :, None])[..., 0] * D[rows, c, None]
+    M = E.copy()
+    M[rows, c] = E[:, n]
+    sign = np.sign(_det(M[:, :n]))
+    return v / (np.where(c == n, sign, -sign) * np.sqrt(np.sum(D * v * v, axis=-1)))[..., None]
+
+
+def _det(M):
+    """det of each n x n matrix M, by cofactors for n = 2, 3 (LAPACK's LU per matrix costs more)."""
+    r = M.transpose(1, 2, 0)  # r[i][j]: entry (i, j) at every point
+    if len(r) == 2:
+        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
+    if len(r) != 3:
+        return np.linalg.det(M)
+    a, b, c = r
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
 def metric_derivative(pj):
@@ -337,5 +354,5 @@ def metric_derivative(pj):
         return (np.swapaxes(X, -1, -2) @ T.reshape(T.shape[:-2] + (-1,))).reshape(shape)
 
     inner = contract(pj.D[..., :, None] * E, pj.second)  # [i, j, k] = <E_i, d_j d_k psi>
-    dD_E = contract(pj.dD @ E, E[..., :, :, None] * E[..., :, None, :])  # (d_k D_a) E^a_i E^a_j
+    dD_E = contract(pj.dD @ E, E[..., :, :, None] @ E[..., :, None, :])  # (d_k D_a) E^a_i E^a_j
     return np.swapaxes(inner, -3, -1) + np.moveaxis(inner, -1, -3) + dD_E

@@ -90,7 +90,7 @@ def _ambient_ricci(ambient, pj, N):
     b = -f2 / f0 - a
     c = (n - 1) * a + b * (1.0 - theta * theta)
     return c[..., None, None] * pj.metric + ((n - 2) * b)[..., None, None] * (
-        dh[..., :, None] * dh[..., None, :]
+        dh[..., :, None] @ dh[..., None, :]
     )
 
 
@@ -183,7 +183,7 @@ def _geometry(imm, pj, N, order):
     dh = E[..., 0, :]
     grad_h = (ginv @ dh[..., None])[..., 0]
     f0, f1, _ = pj.warping
-    dh_dh = dh[..., :, None] * dh[..., None, :]
+    dh_dh = dh[..., :, None] @ dh[..., None, :]
     hess_identity = (f1 / f0)[..., None, None] * (g - dh_dh) + N[..., 0, None, None] * II
     dg = metric_derivative(pj)
     hess_direct = _hessian_direct(pj, dg, grad_h)

@@ -8,10 +8,12 @@ ch. 13), so every quantity that needs at most three derivatives of an
 immersion is free of truncation error.  At order 2 the third slot is None.
 
 Jets are evaluated in vector forward mode: a binding may be an array of
-N values, and the jet then has a leading point axis (value ``(N,)``, grad
-``(N, m)`` and so on).  Every elementary operation runs once over all
-points, with the same arithmetic per point as for a single point, so each
-point's result does not depend on the batch it is evaluated in.  A domain
+N values, and the jet then has a trailing point axis (value ``(N,)``, grad
+``(m, N)``, hess ``(m, m, N)`` and so on), so every elementary operation
+runs once over all points, contiguously along them.  Inside a batch a
+constant's or variable's derivative slots carry a trailing singleton axis.
+The arithmetic per point is that of a single point, so each point's
+result does not depend on the batch it is evaluated in.  A domain
 error names the first point, in binding order, whose own evaluation fails
 (``DomainError.index``).
 """
@@ -35,8 +37,9 @@ class Jet2(NamedTuple):
     """Value, gradient and symmetric Hessian in ``m`` active variables, and
     at order 3 the symmetric third derivative (None at order 2).
 
-    The value may carry leading point axes, which the derivatives share:
-    value ``S``, grad ``S + (m,)``, hess ``S + (m, m)``, third ``S + (m, m, m)``.
+    The value may carry trailing point axes, which follow the derivative
+    axes: value ``S``, grad ``(m,) + S``, hess ``(m, m) + S``, third
+    ``(m, m, m) + S``.
     A jet is a named tuple; numpy defers to its operators rather than
     reading it as a sequence (``np.float64(2.0) * jet`` is ``jet * 2.0``).
     """
@@ -50,7 +53,7 @@ class Jet2(NamedTuple):
 
     @property
     def m(self):
-        return self.grad.shape[-1]
+        return self.grad.shape[0]
 
     @property
     def order(self):
@@ -61,18 +64,20 @@ class Jet2(NamedTuple):
         return (self.value, self.grad, self.hess, self.third)[: self.order + 1]
 
     @staticmethod
-    def constant(value, m, order=2):
-        third = None if order == 2 else np.zeros((m, m, m))
-        return Jet2(_value(value), np.zeros(m), np.zeros((m, m)), third)
+    def constant(value, m, order=2, tail=()):  # tail: singleton point axes of a batch
+        third = None if order == 2 else np.zeros((m, m, m) + tail)
+        return Jet2(_value(value), np.zeros((m,) + tail), np.zeros((m, m) + tail), third)
 
     @staticmethod
-    def variable(value, index, m, order=2):
-        jet = Jet2.constant(value, m, order)
+    def variable(value, index, m, order=2, tail=()):
+        jet = Jet2.constant(value, m, order, tail)
         jet.grad[index] = 1.0
         return jet
 
     def _lift(self, other):
-        return other if isinstance(other, Jet2) else Jet2.constant(other, self.m, self.order)
+        if isinstance(other, Jet2):
+            return other
+        return Jet2.constant(other, self.m, self.order, (1,) * (self.grad.ndim - 1))
 
     def __neg__(self):
         return Jet2(*(-a for a in self.slots()))
@@ -90,17 +95,16 @@ class Jet2(NamedTuple):
 
     def __mul__(self, other):
         other = self._lift(other)
-        a = np.asarray(self.value)[..., None]
-        b = np.asarray(other.value)[..., None]
-        cross = self.grad[..., :, None] * other.grad[..., None, :]
+        a, b = self.value, other.value
+        cross = self.grad[:, None] * other.grad[None, :]
         third = None
         if self.third is not None:
             t = _outer(self.hess, other.grad) + _outer(other.hess, self.grad)
             third = _plus(_plus(_sym3(t), a, other.third), b, self.third)
         return Jet2(
-            self.value * other.value,
+            a * b,
             a * other.grad + b * self.grad,
-            a[..., None] * other.hess + b[..., None] * self.hess + cross + np.swapaxes(cross, -1, -2),
+            a * other.hess + b * self.hess + cross + np.swapaxes(cross, 0, 1),
             third,
         )
 
@@ -116,21 +120,21 @@ class Jet2(NamedTuple):
 
 def _outer(h, g):
     """t[i, j, k] = h_ij g_k."""
-    return h[..., :, :, None] * g[..., None, None, :]
+    return h[:, :, None] * g[None, None, :]
 
 
 def _plus(total, c, third):
     """total + c third wherever third is not zero.  A zero entry adds nothing,
     not even the sign of a zero or the nan of an infinite c, so a point's
     result does not depend on whether its batch gives that slot a point axis."""
-    if third.ndim > 3 or third.any():  # else a constant's or a variable's zero slot
-        return np.where(third != 0.0, total + c[..., None, None] * third, total)
+    if third.size > third.shape[0] ** 3 or third.any():  # else a constant's or variable's zero slot
+        return np.where(third != 0.0, total + c * third, total)
     return total
 
 
 def _sym3(t):
     """t_ijk + t_ikj + t_jki for t symmetric in its first two indices."""
-    return t + np.swapaxes(t, -1, -2) + np.swapaxes(np.swapaxes(t, -2, -1), -3, -2)
+    return t + np.swapaxes(t, 1, 2) + np.swapaxes(np.swapaxes(t, 1, 2), 0, 1)
 
 
 def first_index(mask):
@@ -201,8 +205,7 @@ def _per_point(flat, known, general):
         return known()
     if not np.count_nonzero(flat):
         return general()
-    a = known()
-    return np.where(flat.reshape(flat.shape + (1,) * (a.ndim - flat.ndim)), a, general())
+    return np.where(flat, known(), general())
 
 
 def _chain(u, f0, f1, f2, f3):
@@ -212,19 +215,17 @@ def _chain(u, f0, f1, f2, f3):
     and the third slot f3 u_i u_j u_k, f3 summed as the three f3/3 terms of
     ``_sym3`` (the general rule's bits when u_i is 0 or +-1).  The rule is
     chosen per point, so a point's result is its own in any batch; on a
-    variable's slots (no point axis) no other tensor is formed per point."""
-    f1 = np.asarray(f1)[..., None]
-    f2 = np.asarray(f2)[..., None, None]
-    outer = u.grad[..., :, None] * u.grad[..., None, :]
-    flat = ~u.hess.any(axis=(-2, -1)) if u.hess.any() else None  # None: zero at every point
-    hess = _per_point(flat, lambda: f2 * outer, lambda: f1[..., None] * u.hess + f2 * outer)
+    variable's slots (a singleton point axis) no other tensor is formed per point."""
+    outer = u.grad[:, None] * u.grad[None, :]
+    flat = ~u.hess.any(axis=(0, 1)) if u.hess.any() else None  # None: zero at every point
+    hess = _per_point(flat, lambda: f2 * outer, lambda: f1 * u.hess + f2 * outer)
     third = None
     if u.third is not None:
-        s = np.asarray(f3() / 3.0)
+        s = f3() / 3.0
         third = _per_point(
             flat,
-            lambda: ((s + s) + s)[..., None, None, None] * (outer[..., None] * u.grad[..., None, None, :]),
-            lambda: _sym3(_outer(f2 * u.hess + s[..., None, None] * outer, u.grad)),
+            lambda: ((s + s) + s) * (outer[:, :, None] * u.grad[None, None, :]),
+            lambda: _sym3(_outer(f2 * u.hess + s * outer, u.grad)),
         )
         third = _plus(third, f1, u.third)
     return Jet2(f0, f1 * u.grad, hess, third)
@@ -239,7 +240,7 @@ def _reciprocal(u, node):
 def _pow_int_jet(u, k, node):
     """Binary exponentiation on jets."""
     if k == 0:
-        return Jet2.constant(1.0, u.m, u.order)
+        return u._lift(1.0)
     if k < 0:
         return _reciprocal(_pow_int_jet(u, -k, node), node)
     result = None
@@ -309,7 +310,7 @@ def _real_pow(base, exponent, node):
 
 def _take(jet, shape, idx):
     """The points ``idx`` of a jet broadcast to ``shape``."""
-    return Jet2(*(np.broadcast_to(a, shape + (jet.m,) * r)[idx] for r, a in enumerate(jet.slots())))
+    return Jet2(*(np.broadcast_to(a, (jet.m,) * r + shape)[..., idx] for r, a in enumerate(jet.slots())))
 
 
 def _int_pow(base, exponent, k, node):
@@ -318,7 +319,7 @@ def _int_pow(base, exponent, k, node):
     part = _pow_int_jet(base, k, node)
     if part.third is None or not exponent.third.any():
         return part
-    third = _plus(part.third, (part.value * np.log(base.value))[..., None], exponent.third)
+    third = _plus(part.third, part.value * np.log(base.value), exponent.third)
     return Jet2(part.value, part.grad, part.hess, third)
 
 
@@ -326,7 +327,7 @@ def _pow_jet(base, exponent, node):
     k = exponent.value
     # An exponent without derivatives at a point and integral there takes
     # the integer rule at that point; every other point the real power.
-    integral = ~exponent.grad.any(-1) & ~exponent.hess.any((-2, -1))
+    integral = ~exponent.grad.any(0) & ~exponent.hess.any((0, 1))
     integral = integral & (k == np.round(k)) & (np.abs(k) <= 2**31)
     if np.all(integral):
         ks = np.unique(k) if np.ndim(k) else [k]
@@ -337,7 +338,7 @@ def _pow_jet(base, exponent, node):
     shape = np.broadcast_shapes(np.shape(base.value), np.shape(k), integral.shape)
     integral = np.broadcast_to(integral, shape)
     kk = np.broadcast_to(k, shape)
-    out = [np.empty(shape + (base.m,) * r) for r in range(base.order + 1)]
+    out = [np.empty((base.m,) * r + shape) for r in range(base.order + 1)]
     groups = [(np.flatnonzero(~integral), None)]
     groups += [(np.flatnonzero(integral & (kk == e)), int(e)) for e in np.unique(kk[integral])]
     for idx, e in groups:
@@ -352,23 +353,23 @@ def _pow_jet(base, exponent, node):
         except DomainError as exc:
             raise DomainError(str(exc), node, index=int(idx[exc.index])) from None
         for slot, values in zip(out, part.slots()):
-            slot[idx] = values
+            slot[..., idx] = values
     return Jet2(*out)
 
 
-def _walk(expr, values, index, m, order):
+def _walk(expr, values, index, m, order, tail):
     def rec(node):
         if isinstance(node, Num):
-            return Jet2.constant(node.value, m, order)
+            return Jet2.constant(node.value, m, order, tail)
         if isinstance(node, Const):
-            return Jet2.constant(CONSTANTS[node.name], m, order)
+            return Jet2.constant(CONSTANTS[node.name], m, order, tail)
         if isinstance(node, Var):
             if node.name not in values:
                 raise UnknownIdentifier(node.name)
             value = values[node.name]
             if node.name in index:
-                return Jet2.variable(value, index[node.name], m, order)
-            return Jet2.constant(value, m, order)
+                return Jet2.variable(value, index[node.name], m, order, tail)
+            return Jet2.constant(value, m, order, tail)
         if isinstance(node, Neg):
             return -rec(node.operand)
         if isinstance(node, Call):
@@ -409,18 +410,16 @@ def eval_jet2(expr, bindings, active=(), order=2):
     index = {name: i for i, name in enumerate(active)}
     values = {name: _value(v) for name, v in bindings.items()}
     shape = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
+    tail = (1,) * len(shape)
 
     def evaluate(k):
         prefix = {name: v[:k] if np.ndim(v) else v for name, v in values.items()}
         with np.errstate(all="ignore"):  # float semantics: inf and nan propagate
-            return _walk(expr, prefix, index, m, order)
+            return _walk(expr, prefix, index, m, order, tail)
 
     jet = first_failure(evaluate, shape[0] if shape else 1)
-    value, *derivatives = jet.slots()
-    return Jet2(
-        _value(_full(np.asarray(value), shape)),
-        *(_full(a, shape + (m,) * r) for r, a in enumerate(derivatives, start=1)),
-    )
+    value, *derivatives = (_full(np.asarray(a), (m,) * r + shape) for r, a in enumerate(jet.slots()))
+    return Jet2(_value(value), *derivatives)
 
 
 def as_expression(obj):

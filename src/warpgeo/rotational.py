@@ -117,7 +117,7 @@ class ProfileCurve(NamedTuple):
         """(beta, beta', beta'', beta''') at ``u`` from one jet of f at alpha(u)."""
         prof = self.profile
         jet = eval_jet2(prof.f, {"t": prof.alpha(u)}, ("t",))
-        f0, f1, f2 = jet.value, jet.grad[..., 0], jet.hess[..., 0, 0]
+        f0, f1, f2 = jet.value, jet.grad[0], jet.hess[0, 0]
         theta, a = prof.theta, prof.slope
         third = -theta * a * a * (f0 * f2 - 2.0 * f1 * f1) / (f0 * f0 * f0)
         return self.beta(u), theta / f0, -theta * f1 * a / (f0 * f0), third
@@ -133,7 +133,7 @@ def _detect_exponential(prof):
     t_values = np.linspace(prof.alpha(u0), prof.alpha(u1), 17)
     jet = eval_warping(prof.f, t_values, ("t",))
     with np.errstate(divide="ignore", invalid="ignore"):  # a vanishing f is no exponential
-        rates = jet.grad[:, 0] / jet.value
+        rates = jet.grad[0] / jet.value
     c5 = float(rates[0])
     if np.any(np.abs(rates - c5) > 1e-12 * (1.0 + abs(c5))) or not abs(c5) > 1e-12:
         return None
@@ -188,7 +188,7 @@ def solve_profile(prof):
     module docstring for the normalization).  The antiderivative of the
     Chebyshev interpolant must meet the bound 1e-10 (1 + |value|); for
     exponential warpings the closed form is used, after checking it
-    against that antiderivative at 9 points, to 1e-10 plus the
+    against that antiderivative at 9 of its 17 probes, to 1e-10 plus the
     interpolant's error estimate.  f is probed at 17 points before the
     interpolant is built.
     """
@@ -196,32 +196,29 @@ def solve_profile(prof):
 
 
 def _solve(prof, exponential):
-    theta = prof.theta
-    slope = prof.slope
     u0, u1 = prof.u_range
-    alpha = prof.alpha
-
     interpolant, estimate = _profile_interpolant(prof)
     integral = interpolant.integ(lbnd=u0)
-    value = float(np.max(np.abs(integral(np.linspace(u0, u1, 17)))))
-    if estimate > 1e-10 * (1.0 + value):
+    probes = np.linspace(u0, u1, 17)
+    values = integral(probes)
+    if estimate > 1e-10 * (1.0 + float(np.max(np.abs(values)))):
         raise QuadratureFailure(f"profile integral error estimate {estimate!r}")
 
     if exponential is not None:
         c3, c5 = exponential
 
         def base(u):
-            return -theta / (c3 * c5 * slope) * np.exp(-c5 * alpha(u))
+            return -prof.theta / (c3 * c5 * prof.slope) * np.exp(-c5 * prof.alpha(u))
 
-        for u in np.linspace(u0, u1, 9):
-            expected = base(u) - base(u0)
-            got = integral(u)
-            # the interpolant cannot be checked beyond its own error estimate
-            if abs(expected - got) > 1e-10 * (1.0 + abs(expected)) + estimate:
-                raise QuadratureFailure(
-                    f"closed form and interpolant disagree at u={u!r}: "
-                    f"{expected!r} vs {got!r}"
-                )
+        u, got = probes[::2], values[::2]  # linspace(u0, u1, 9), to the bit
+        expected = base(u) - base(u0)
+        # the interpolant cannot be checked beyond its own error estimate
+        bad = first_index(np.abs(expected - got) > 1e-10 * (1.0 + np.abs(expected)) + estimate)
+        if bad is not None:
+            raise QuadratureFailure(
+                f"closed form and interpolant disagree at u={float(u[bad])!r}: "
+                f"{float(expected[bad])!r} vs {float(got[bad])!r}"
+            )
         rate = c5
     else:
         base = integral
@@ -236,12 +233,12 @@ def _solve(prof, exponential):
 def _profile_jet(curve, values, active, order):
     """Jet of beta(u) of ``order`` in the chart's active variables, at every point."""
     u = np.asarray(values["u"], dtype=float)
-    slots = [np.zeros(u.shape + (len(active),) * r) for r in range(1, order + 1)]
+    slots = [np.zeros((len(active),) * r + u.shape) for r in range(1, order + 1)]
     if "u" not in active:
         return Jet2(curve.beta(u), *slots)
     beta, *derivatives = curve.beta_jet(u)
     for r, (slot, value) in enumerate(zip(slots, derivatives), start=1):
-        slot[(...,) + (active.index("u"),) * r] = value
+        slot[(active.index("u"),) * r] = value
     return Jet2(beta, *slots)
 
 
@@ -324,15 +321,17 @@ def verify_classification(prof, interval=(-math.inf, math.inf), u_count=CLASSIFI
     of f, on the profile and then on the interval, run before the
     interpolant, so they are the ones to report a bad warping, and the
     profile residuals run before the one geometry pass over the grid.
-    An f undefined on the interval is bad input, not a failing point: a
-    ValueError naming ``--f``, the flag of ``warpgeo rotational``, as a
-    scene names ``ambient.f``.
+    An f undefined or not positive on a non-empty interval is bad input,
+    not a failing point: a ValueError naming ``--f``, the flag of
+    ``warpgeo rotational``, as a scene names ``ambient.f``.
     """
     grid = classification_grid(prof, u_count)
     exponential = _detect_exponential(prof)
     try:
         ambient = WarpedProduct(interval, prof.f, Fiber.EUCLIDEAN, prof.n)
-    except DomainError as exc:
+    except (DomainError, ValueError) as exc:
+        if not interval[0] < interval[1]:  # the interval's fault, not f's
+            raise
         raise ValueError(f"--f: {exc}") from None
     curve = _solve(prof, exponential)
     imm = assemble_rotational(curve, ambient)
@@ -355,8 +354,8 @@ def profile_residuals(curve, u_count=CLASSIFICATION_U_COUNT):
     jet = eval_warping(prof.f, t, ("t",))
     beta = curve.beta(u)
     sigma = jet.value * beta
-    slopes = jet.grad[:, 0] / jet.value
-    d_sigma = jet.grad[:, 0] * prof.slope * beta + prof.theta
+    slopes = jet.grad[0] / jet.value
+    d_sigma = jet.grad[0] * prof.slope * beta + prof.theta
     sigma_sup = float(np.max(np.abs(d_sigma), initial=0.0))
     vanishing = first_index(np.abs(sigma) < 1e-12)
     if vanishing is not None:

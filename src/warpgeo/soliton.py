@@ -194,9 +194,7 @@ def structural_report(imm, geometry):
     err = np.sqrt(np.maximum(np.sum(omega * dual, axis=-1), 0.0))
     sup_error, worst = first_extreme(err)
     status = "pass" if sup_error < SOLITON_TOL else "fail"
-    return CheckResult(
-        "structural", status, sup_error=sup_error, worst_point=geometry.chart_point(worst)
-    )
+    return CheckResult("structural", status, sup_error=sup_error, worst_point=geometry.chart_point(worst))
 
 
 THEOREMS = ("theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5")
@@ -260,15 +258,11 @@ def hypotheses_report(imm, geometry, which):
     if which == "theorem3":
         sup_H = float(np.max(np.abs(H)))
         if sup_H >= CLASS_TOL:
-            return CheckResult(
-                which, "not_applicable", extras={"sup_mean_curvature": sup_H}
-            )
+            return CheckResult(which, "not_applicable", extras={"sup_mean_curvature": sup_H})
         rhs = (f1 / f0) * (n - 1 + geometry.theta * geometry.theta)
         sup_err, i = first_extreme(np.abs(n * (geometry.scal_gauss - geometry.lam) - rhs))
         status = "pass" if sup_err < SOLITON_TOL else "fail"
-        return CheckResult(
-            which, status, sup_error=sup_err, worst_point=geometry.chart_point(i)
-        )
+        return CheckResult(which, status, sup_error=sup_err, worst_point=geometry.chart_point(i))
 
     if which == "theorem5":
         window = imm.ambient.probe_window()
@@ -291,10 +285,5 @@ def hypotheses_report(imm, geometry, which):
     if which == "theorem5":
         extras["c"] = c
         extras["failing_points"] = int(np.count_nonzero(margin < -_MARGIN_TOL))
-    return CheckResult(
-        which,
-        status,
-        worst_point=geometry.chart_point(i),
-        worst_value=worst,
-        extras=extras,
-    )
+    return CheckResult(which, status, worst_point=geometry.chart_point(i), worst_value=worst,
+                       extras=extras)

@@ -312,8 +312,8 @@ def metric_jets_ast(W, p):
     jets = [eval_jet2(entry, values, coordinates) for entry in entries]
     f = eval_jet2(W.f, values, coordinates)
     D = np.stack([jet.value for jet in jets], axis=-1)
-    dD = np.stack([jet.grad for jet in jets], axis=-2)
-    return D, dD, (f.value, f.grad[..., 0], f.hess[..., 0, 0])
+    dD = np.stack([np.moveaxis(jet.grad, 0, -1) for jet in jets], axis=-2)
+    return D, dD, (f.value, f.grad[0], f.hess[0, 0])
 
 
 def dense_metric_jets(D, dD):

@@ -718,6 +718,9 @@ def test_structural_near_the_chart_edge_exit_zero(tmp_path, capsys):
         (["rotational", "--theta", "nan"], "--theta"),
         (["rotational", "--theta", "0.5", "--n", "9"], "--n"),
         (["rotational", "--theta", "0.5", "--n", "100000"], "--n"),
+        (["rotational", "--theta", "0.5", "--t-min", "1", "--t-max", "0"], "--t-min"),
+        (["rotational", "--theta", "0.5", "--t-min", "1", "--t-max", "1"], "--t-min"),
+        (["rotational", "--theta", "0.5", "--t-max", "nan"], "--t-max"),
     ],
 )
 def test_out_of_range_flags_exit_two(argv, flag, capsys, monkeypatch):
@@ -748,6 +751,17 @@ def test_exponential_probe_of_a_vanishing_warping_is_silent(extra, message, caps
     assert main(["rotational", "--theta", "0.5", *extra]) == 2
     err = capsys.readouterr().err
     assert message in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [("0*t", "underflows to 0 at t=-3.84"), ("t-10", "is not positive at t=-3.84")],
+    ids=["zero-f", "negative-f"],
+)
+def test_non_positive_warping_names_the_flag(f, message, capsys):
+    assert main(["rotational", "--theta", "0.5", "--f", f]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --f: warping function") and message in err
 
 
 def test_rotational_classified(tmp_path, capsys):

@@ -171,6 +171,41 @@ def test_factor_normal_matches_the_cofactor_oracle_on_random_frames(n, rng):
         assert alone.tobytes() == normal[i : i + 1].tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unit_normal_is_positively_oriented(n, rng):
+    # det([E | N]) > 0 by LAPACK's determinant of the (n+1) x (n+1) matrix,
+    # on generic frames and metrics, so every deleted row c occurs
+    count, d = 400, n + 1
+    E = rng.standard_normal((count, d, n))
+    D = np.exp(rng.uniform(-2.0, 2.0, (count, d)))
+    _, F = hypersurface._factor(np.swapaxes(E, -1, -2) @ (D[..., :, None] * E))
+    normal = hypersurface._unit_normal(E, D, F)
+    W = E @ F
+    rows = set(np.argmin(D * np.sum(W * W, axis=-1), axis=-1).tolist())
+    assert rows == set(range(d))
+    assert np.all(np.linalg.det(np.concatenate([E, normal[..., None]], axis=-1)) > 0.0)
+    assert np.max(np.abs(np.sum(D * normal * normal, axis=-1) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_point_jets_hold_the_component_jet_slots(sphere3, rotational_soliton, order):
+    # frame[p, a, i], second[p, a, i, j] and third[p, a, i, j, k] are the
+    # slots of component a at point p, to the bit, for expression and
+    # callable components alike
+    for imm in (sphere3, rotational_soliton):
+        points = imm.chart.grid(3, 0.2)
+        jets = imm.component_jets(points, order)
+        pj = hypersurface.point_jets(imm, points, order)
+        slots = [pj.frame, pj.second] + ([pj.third] if order == 3 else [])
+        assert (pj.third is None) == (order == 2)
+        for r, slot in enumerate(slots, start=1):
+            assert slot.flags.c_contiguous
+            want = np.stack([jet[r] for jet in jets])  # (d, n, ..., N)
+            assert slot.tobytes() == np.moveaxis(want, -1, 0).tobytes()
+            for a, jet in enumerate(jets):
+                assert np.array_equal(slot[:, a], np.moveaxis(jet[r], -1, 0))
+
+
 def test_first_fundamental_form_spd(catalogue):
     for name, imm in catalogue:
         for sd in point_geometries(imm, interior_points(imm, count=2, margin=0.2)):

@@ -258,7 +258,7 @@ def test_batched_jets_match_single_points(expr, points, active):
     assert batch.value.shape == (len(points),)
     for i, single in enumerate(singles):
         for name in ("value", "grad", "hess"):
-            assert _bits(getattr(batch, name)[i]) == _bits(getattr(single, name)[0]), name
+            assert _bits(getattr(batch, name)[..., i]) == _bits(getattr(single, name)[..., 0]), name
 
 
 def test_integer_rule_applies_per_point():
@@ -314,13 +314,13 @@ def test_order_three_jets_match_single_points_and_order_two(expr, points, active
         assert err.value.index == exc.index and str(err.value) == str(exc)
         return
     batch = eval_jet2(expr, {"t": t, "u": u}, active, order=3)
-    assert order2.third is None and batch.third.shape == (len(points),) + (len(active),) * 3
+    assert order2.third is None and batch.third.shape == (len(active),) * 3 + (len(points),)
     for name in ("value", "grad", "hess"):
         assert getattr(batch, name).tobytes() == getattr(order2, name).tobytes(), name
     for i in range(len(points)):
         single = eval_jet2(expr, {"t": t[i : i + 1], "u": u[i : i + 1]}, active, order=3)
         for name in ("value", "grad", "hess", "third"):
-            assert _bits(getattr(batch, name)[i]) == _bits(getattr(single, name)[0]), name
+            assert _bits(getattr(batch, name)[..., i]) == _bits(getattr(single, name)[..., 0]), name
 
 
 def _bits(a):
@@ -361,5 +361,5 @@ def test_third_derivatives_match_differences_of_the_hessian(src, t):
         plus = eval_jet2(expr, {"t": t + dt, "u": u + du, "w": w}, active).hess
         minus = eval_jet2(expr, {"t": t - dt, "u": u - du, "w": w}, active).hess
         fd = (plus - minus) / (2.0 * step)
-        assert np.max(np.abs(jet.third[..., k] - fd) / (1.0 + np.abs(fd))) < 1e-6, k
-    assert np.allclose(jet.third, np.swapaxes(jet.third, -1, -3), rtol=1e-12, atol=1e-12)
+        assert np.max(np.abs(jet.third[:, :, k] - fd) / (1.0 + np.abs(fd))) < 1e-6, k
+    assert np.allclose(jet.third, np.swapaxes(jet.third, 0, 2), rtol=1e-12, atol=1e-12)

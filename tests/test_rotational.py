@@ -298,6 +298,27 @@ def test_profile_interpolant_matches_quadrature(f, u_range):
         assert abs(gi - integral) < 1e-10, (f, ui)
 
 
+def test_wrong_closed_form_raises_quadrature_failure_naming_u(monkeypatch):
+    # a closed form 1 % off the interpolant disagrees first at the second
+    # of the 9 check points (at u0 both vanish)
+    import warpgeo.rotational as rotational
+
+    detect = rotational._detect_exponential
+    monkeypatch.setattr(rotational, "_detect_exponential", lambda prof: (1.01 * detect(prof)[0], 1.0))
+    prof = RotationalProfile(theta=0.5, f="exp(t)", n=2, u_range=(-1.0, 1.0))
+    u = float(np.linspace(-1.0, 1.0, 9)[1])
+    with pytest.raises(QuadratureFailure, match=rf"disagree at u={u!r}: "):
+        solve_profile(prof)
+    with pytest.raises(QuadratureFailure, match=rf"disagree at u={u!r}: "):
+        verify_classification(prof)
+
+
+def test_empty_interval_is_not_blamed_on_f():
+    prof = RotationalProfile(theta=0.5, f="exp(t)", n=2)
+    with pytest.raises(ValueError, match=r"^empty interval \(1.0, 0.0\)$"):
+        verify_classification(prof, interval=(1.0, 0.0))
+
+
 def test_unresolved_profile_raises_quadrature_failure():
     # 1/f has poles at t = +-1e-4 i: no degree up to the cap resolves it
     prof = RotationalProfile(theta=0.5, f="t^2+1e-8", n=2, u_range=(-1.0, 1.0))
