@@ -188,7 +188,8 @@ class WarpedProduct:
         and the warping triple, from one jet of f.
 
         Returns ``(D, dD, (f, f', f''))`` where ``D[a] = G_aa``, ``dD[a, c]
-        = d G_aa / d x^c`` and the triple is taken at the heights ``p.t``.
+        = d G_aa / d x^c`` and the triple is taken at the heights ``p.t``, each
+        with a trailing point axis at a batch of points.
         A batch fails like its first point that fails alone (see
         :func:`warpgeo.jets.first_failure`).
         """
@@ -204,17 +205,18 @@ class WarpedProduct:
 
     def diagonal_jets(self, x, warping, second=False):
         """``(D, dD, d2D)`` at fiber coordinates ``x`` from the warping triple at
-        the heights; ``d2D[a, b, c] = d_b d_c D_a`` only when ``second``, else None."""
+        the heights, the point axis last: ``D[a]``, ``dD[a, c] = d_c D_a`` and,
+        only when ``second`` (else None), ``d2D[a, b, c] = d_b d_c D_a``."""
         f0, f1, f2 = warping
-        d = self.dim
-        D = np.ones(np.shape(f0) + (d,))
-        dD = np.zeros(np.shape(f0) + (d, d))
-        d2D = np.zeros(np.shape(f0) + (d, d, d)) if second else None
+        d, shape = self.dim, np.shape(f0)
+        D = np.ones((d,) + shape)
+        dD = np.zeros((d, d) + shape)
+        d2D = np.zeros((d, d, d) + shape) if second else None
         with np.errstate(all="ignore"):  # float semantics, as in eval_jet2
-            D[..., 1:] = (f0 * f0)[..., None]
-            dD[..., 1:, 0] = (f0 * f1 + f0 * f1)[..., None]
+            D[1:] = f0 * f0
+            dD[1:, 0] = f0 * f1 + f0 * f1
             if second:
-                d2D[..., 1:, 0, 0] = (2.0 * (f1 * f1 + f0 * f2))[..., None]
+                d2D[1:, 0, 0] = 2.0 * (f1 * f1 + f0 * f2)
             if self.fiber is Fiber.SPHERE:
                 # D_i = D_{i-1} sin(x_{i-1})^2: row i of dD is row i-1 times
                 # that factor, plus D_{i-1} d sin(x_{i-1})^2 in column i-1,
@@ -222,13 +224,13 @@ class WarpedProduct:
                 for i in range(2, d):
                     s, c = np.sin(x[i - 2]), np.cos(x[i - 2])
                     if second:
-                        d2D[..., i, :, :] = d2D[..., i - 1, :, :] * (s * s)[..., None, None]
-                        d2D[..., i, i - 1, :] += dD[..., i - 1, :] * (s * c + s * c)[..., None]
-                        d2D[..., i, :, i - 1] += dD[..., i - 1, :] * (s * c + s * c)[..., None]
-                        d2D[..., i, i - 1, i - 1] += 2.0 * D[..., i - 1] * (c * c - s * s)
-                    D[..., i] = D[..., i - 1] * (s * s)
-                    dD[..., i, :] = dD[..., i - 1, :] * (s * s)[..., None]
-                    dD[..., i, i - 1] = D[..., i - 1] * (s * c + s * c)
+                        d2D[i] = d2D[i - 1] * (s * s)
+                        d2D[i, i - 1] += dD[i - 1] * (s * c + s * c)
+                        d2D[i, :, i - 1] += dD[i - 1] * (s * c + s * c)
+                        d2D[i, i - 1, i - 1] += 2.0 * D[i - 1] * (c * c - s * s)
+                    D[i] = D[i - 1] * (s * s)
+                    dD[i] = dD[i - 1] * (s * s)
+                    dD[i, i - 1] = D[i - 1] * (s * c + s * c)
         return D, dD, d2D
 
     def _nonvanishing_warping(self, t):
@@ -264,9 +266,9 @@ def eval_warping(f, t, active=()):
 
 def check_conditioning(p, D, skip=0):
     """Name the first point of ``p``, from row ``skip`` on, whose metric
-    diagonal ``D`` is numerically singular."""
-    D = D[skip:]
-    i = first_index(np.max(D, axis=-1) > CONDITION_LIMIT * np.min(D, axis=-1))
+    diagonal ``D`` (d, N) is numerically singular."""
+    D = D[:, skip:]
+    i = first_index(np.max(D, axis=0) > CONDITION_LIMIT * np.min(D, axis=0))
     if i is not None:
         i += skip
         t = float(np.ravel(p.t)[i])

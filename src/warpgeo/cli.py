@@ -26,7 +26,7 @@ from . import __version__
 from .ambient import space_form_models
 from .catalogue import PRESETS, REQUIRED
 from .errors import PointError, SceneError, WarpGeoError, _number
-from .expr import unparse
+from .expr import parse, unparse
 from .hypersurface import MAX_DIMENSION, MAX_GRID_POINTS
 from .objmesh import surface_vertices, write_obj
 from .rotational import RotationalProfile, verify_classification
@@ -97,7 +97,11 @@ def _cmd_analyze(args):
 
 def _cmd_rotational(args):
     flags = {name: getattr(args, name) for name in ("theta", "f", "n", "c1", "c2")}
-    prof = RotationalProfile(**flags, u_range=(args.u0, args.u1))
+    try:  # f in t alone, as a scene's ambient.f, before any probe evaluates it
+        f = parse(args.f, variables={"t"})
+    except WarpGeoError as exc:
+        raise ValueError(f"--f: {exc}") from None
+    prof = RotationalProfile(**{**flags, "f": f}, u_range=(args.u0, args.u1))
     if args.mesh and prof.n != 2:
         raise ValueError(f"mesh export needs n = 2, got n = {prof.n}")
     if args.mesh and args.samples**2 > MAX_GRID_POINTS:

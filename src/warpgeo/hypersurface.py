@@ -19,8 +19,9 @@ step vectorized over the points (``_factor``): the pivots give det g, and
 F = L^-T (F^T g F = I) gives g^-1 = F F^T and N (``_unit_normal``).
 
 The pipeline runs on batches: ``point_jets`` takes an (N, n) array of
-chart points and returns a record whose fields carry a leading point
-axis, each elementary operation running once over all points.
+chart points and returns a record whose fields carry a trailing point
+axis, each elementary operation running once over all points and each
+contraction an ``np.einsum`` over the leading axes (``contract``).
 Constructing an :class:`Immersion` evaluates nothing.
 """
 
@@ -233,12 +234,14 @@ class Immersion:
 class PointJets(NamedTuple):
     """Jets of psi and of the ambient metric at N interior chart points.
 
-    ``chart`` (N, n) holds the points and ``ambient_point`` their images;
-    ``frame[:, a, i]`` is d psi^a / d u^i, ``second`` and ``third`` (order
-    3, else None) the higher chart derivatives; ``D``, ``dD`` and
-    ``warping`` = (f, f', f'') come from the one jet of f of
-    ``WarpedProduct.metric_jets``; ``metric`` is g = E^T diag(D) E,
-    ``factor`` F = L^-T of ``_factor`` and ``metric_inverse`` g^-1 = F F^T.
+    Every field carries a trailing point axis.  ``chart`` (n, N) holds the
+    points and ``ambient_point`` their images; ``frame[a, i]`` (d, n, N)
+    is d psi^a / d u^i, ``second`` (d, n, n, N) and ``third`` (d, n, n, n,
+    N; order 3, else None) the higher chart derivatives; ``D`` (d, N),
+    ``dD`` (d, d, N) and ``warping`` = (f, f', f'') come from the one jet
+    of f of ``WarpedProduct.metric_jets``; ``metric`` (n, n, N) is
+    g = E^T diag(D) E, ``factor`` F = L^-T of ``_factor`` and
+    ``metric_inverse`` g^-1 = F F^T.
     """
 
     chart: np.ndarray
@@ -255,7 +258,15 @@ class PointJets(NamedTuple):
 
     def rows(self, start):
         """The record of the rows from ``start`` on, by basic slices (no copies)."""
-        return _leaves(lambda a: a[start:], self)
+        return _leaves(lambda a: a[..., start:], self)
+
+
+def contract(spec, *operands):
+    """``np.einsum(spec, *operands)`` over a trailing point axis.  numpy sums a lone
+    point's terms in another order than a wider batch's, so it is contracted twice over."""
+    if operands[0].shape[-1] != 1:
+        return np.einsum(spec, *operands)
+    return np.einsum(spec, *(np.concatenate([x, x], axis=-1) for x in operands))[..., :1]
 
 
 def point_jets(imm, points, order=2):
@@ -273,44 +284,37 @@ def point_jets(imm, points, order=2):
     jets = imm.component_jets(points, order)
     q = AmbientPoint(jets[0].value, tuple(jet.value for jet in jets[1:]))
     imm.ambient.validate_point(q)
-    E, second = _gather(jets, 1), _gather(jets, 2)  # (N, d, n), (N, d, n, n)
+    E, second = (np.stack([jet[r] for jet in jets]) for r in (1, 2))  # (d, n, N), (d, n, n, N)
     D, dD, warping = imm.ambient.metric_jets(q)
     finite = (
-        np.isfinite(E).all(axis=(-2, -1))
-        & np.isfinite(second).all(axis=(-3, -2, -1))
-        & np.isfinite(D).all(axis=-1)
+        np.isfinite(E).all(axis=(0, 1))
+        & np.isfinite(second).all(axis=(0, 1, 2))
+        & np.isfinite(D).all(axis=0)
     )
     bad = first_index(~finite)
     if bad is not None:
         raise DomainError("tangent frame, second derivatives or metric not finite", index=bad)
-    g = np.swapaxes(E, -1, -2) @ (D[..., :, None] * E)
+    g = contract("aip,ajp->ijp", E, D[:, None] * E)
     pivots, F = _factor(g)  # a non-finite g gives NaN pivots and fails later checks
-    bad = first_index((pivots <= 0.0).any(axis=-1) | (pivots.prod(axis=-1) <= GRAM_DET_LIMIT))
+    bad = first_index((pivots <= 0.0).any(axis=0) | (pivots.prod(axis=0) <= GRAM_DET_LIMIT))
     if bad is not None:
         p = tuple(map(float, points[bad]))
         raise DegenerateImmersion(f"tangent frame is degenerate at chart point {p!r}", bad)
-    ginv = F @ np.swapaxes(F, 1, 2).copy()  # F^T C-ordered: a faster matmul, the same bits
-    return PointJets(points, q, E, second, D, dD, warping, g, F, ginv, None if order == 2 else _gather(jets, 3))
-
-
-def _gather(jets, r):
-    """Slot ``r`` of the component jets, point axis first: out[p, a, ...] = jets[a][r][..., p]."""
-    shape = jets[0][r].shape
-    out = np.empty(shape[-1:] + (len(jets),) + shape[:-1])
-    np.stack([jet[r] for jet in jets], out=out.transpose(*range(1, r + 2), 0))
-    return out
+    ginv = contract("ikp,jkp->ijp", F, F)
+    third = None if order == 2 else np.stack([jet.third for jet in jets])
+    return PointJets(points.T, q, E, second, D, dD, warping, g, F, ginv, third)
 
 
 def _factor(g):
     """The pivots p_j = L_jj^2 (det g = prod p) and F = L^-T of g = L L^T, by
     Cholesky and forward substitution over columns (L's diagonal is not read)."""
-    L, F, pivots = np.zeros_like(g), np.zeros_like(g), np.empty(g.shape[:-1])
-    for j in range(g.shape[-1]):
-        col = g[..., j:, j] - (L[..., j:, :j] @ L[..., j, :j, None])[..., 0]
-        pivots[..., j] = col[..., 0]
-        L[..., j:, j] = col / (root := np.sqrt(col[..., :1]))
-        F[..., :j, j] = -(F[..., :j, :j] @ L[..., j, :j, None])[..., 0] / root
-        F[..., j, j] = 1.0 / root[..., 0]
+    L, F, pivots = np.zeros(g.shape), np.zeros(g.shape), np.empty(g.shape[1:])
+    for j in range(len(g)):
+        col = g[j:, j] - contract("ikp,kp->ip", L[j:, :j], L[j, :j])
+        pivots[j] = col[0]
+        L[j:, j] = col / (root := np.sqrt(col[:1]))
+        F[:j, j] = -contract("ikp,kp->ip", F[:j, :j], L[j, :j]) / root
+        F[j, j] = 1.0 / root[0]
     return pivots, F
 
 
@@ -320,39 +324,33 @@ def _unit_normal(E, D, F):
     the largest diagonal entry D_c N_c^2 >= 1/d is D-normalized to +-N.  As
     v - e_c is a combination of E's columns, det([E | v]) = det([E | e_c]) =
     -det(M) for c < n (det(M) for c = n), M = E[:n] with row c set to E[n]."""
-    W = E @ F
-    c = np.argmin(D * np.sum(W * W, axis=-1), axis=-1)
-    rows, n = np.arange(len(c)), E.shape[-1]
-    v = np.eye(n + 1)[c] - (W @ W[rows, c, :, None])[..., 0] * D[rows, c, None]
+    W = contract("aip,ijp->ajp", E, F)
+    c = np.argmin(D * contract("aip,aip->ap", W, W), axis=0)
+    points, n = np.arange(c.size), E.shape[1]
+    v = (np.arange(n + 1)[:, None] == c) - contract("aip,ip->ap", W, W[c, :, points].T) * D[c, points]
     M = E.copy()
-    M[rows, c] = E[:, n]
-    sign = np.sign(_det(M[:, :n]))
-    return v / (np.where(c == n, sign, -sign) * np.sqrt(np.sum(D * v * v, axis=-1)))[..., None]
+    M[c, :, points] = E[n, :, points]
+    sign = np.sign(_det(M[:n]))
+    return v / (np.where(c == n, sign, -sign) * np.sqrt(contract("ap,ap->p", D * v, v)))
 
 
 def _det(M):
-    """det of each n x n matrix M, by cofactors for n = 2, 3 (LAPACK's LU per matrix costs more)."""
-    r = M.transpose(1, 2, 0)  # r[i][j]: entry (i, j) at every point
-    if len(r) == 2:
-        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-    if len(r) != 3:
-        return np.linalg.det(M)
-    a, b, c = r
+    """det of each n x n matrix M[:, :, p], by cofactors for n = 2, 3 (LAPACK's LU per matrix costs more)."""
+    if len(M) == 2:
+        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    if len(M) != 3:
+        return np.linalg.det(np.moveaxis(M, -1, 0))
+    a, b, c = M
     return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
 def metric_derivative(pj):
-    """dg[:, k, i, j] = d g_ij / d u^k of the induced metric, exact, from the
+    """dg[k, i, j] = d g_ij / d u^k of the induced metric, exact, from the
     order-2 jets of psi and the ambient ``dD`` (the ambient metric is
     symmetric, so <E_i, d_j d_k psi> serves both second-derivative terms)."""
     E = pj.frame
-    n = E.shape[-1]
-    shape = E.shape[:-2] + (n, n, n)
-
-    def contract(X, T):  # sum_a X^a_i T^a_jk as [i, j, k]
-        return (np.swapaxes(X, -1, -2) @ T.reshape(T.shape[:-2] + (-1,))).reshape(shape)
-
-    inner = contract(pj.D[..., :, None] * E, pj.second)  # [i, j, k] = <E_i, d_j d_k psi>
-    dD_E = contract(pj.dD @ E, E[..., :, :, None] @ E[..., :, None, :])  # (d_k D_a) E^a_i E^a_j
-    return np.swapaxes(inner, -3, -1) + np.moveaxis(inner, -1, -3) + dD_E
+    inner = contract("aip,ajkp->ijkp", pj.D[:, None] * E, pj.second)  # <E_i, d_j d_k psi>
+    P = contract("acp,cip->aip", pj.dD, E)
+    dD_E = contract("akp,aijp->kijp", P, E[:, :, None] * E[:, None])  # (d_k D_a) E^a_i E^a_j
+    return np.swapaxes(inner, 0, 2) + np.moveaxis(inner, 2, 0) + dD_E

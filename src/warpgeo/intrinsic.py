@@ -2,7 +2,7 @@
 
 ``grid_geometry`` computes, from one jet evaluation over a batch of
 chart points, everything the checks read at each point, extrinsic and
-intrinsic, as one record of arrays with a leading point axis.  No
+intrinsic, as one record of arrays with a trailing point axis.  No
 curvature or Christoffel tensor is built per point.  The ambient
 curvature is a (G o G)/2 + b (G o dt^2) with a = (k - f'^2)/f^2 and
 a + b = -f''/f (O'Neill, *Semi-Riemannian Geometry*, ch. 7), so the
@@ -21,7 +21,7 @@ import numpy as np
 from .ambient import AmbientPoint, check_conditioning
 from . import hypersurface
 from .errors import DomainError, PointError
-from .hypersurface import _unit_normal, as_points, metric_derivative, point_jets
+from .hypersurface import _unit_normal, as_points, contract, metric_derivative, point_jets
 from .jets import _leaves, first_failure, first_index
 
 _ORIENT_TIE = 1e-10  # theta > 0 at the center, or the first entry of N beyond this
@@ -30,8 +30,9 @@ _ORIENT_TIE = 1e-10  # theta > 0 at the center, or the first entry of N beyond t
 class PointGeometry(NamedTuple):
     """Geometry of the immersion at N chart points.
 
-    Every field carries a leading point axis.  ``chart`` (N, n) holds the
-    chart points and ``ambient_point`` their images; ``frame`` has the
+    Every field carries a trailing point axis, as in ``PointJets``: the
+    metric is (n, n, N), theta (N,).  ``chart`` (n, N) holds the chart
+    points and ``ambient_point`` their images; ``frame`` (d, n, N) has the
     tangent vectors as columns in ambient chart components; ``normal`` is
     the unit normal N, ``shape_operator`` the matrix of A(X) = -nabla_X N
     in the chart frame and H = tr(A)/n; ``theta`` is <N, d_t>; ``grad_h``
@@ -78,33 +79,18 @@ class PointGeometry(NamedTuple):
 
     def chart_point(self, i):
         """Chart point ``i`` as a tuple of floats (None for ``i`` None)."""
-        return None if i is None else tuple(map(float, self.chart[i]))
+        return None if i is None else tuple(map(float, self.chart[:, i]))
 
 
 def _ambient_ricci(ambient, pj, N):
     """Ric-bar(E_i, E_j) - <R-bar(E_i, N)N, E_j> in the chart frame, by the closed
     form of the module docstring with theta = N^0 and dh_i = E^0_i."""
     f0, f1, f2 = pj.warping
-    n, theta, dh = ambient.n, N[..., 0], pj.frame[..., 0, :]
+    n, theta, dh = ambient.n, N[0], pj.frame[0]
     a = (ambient.k - f1 * f1) / (f0 * f0)
     b = -f2 / f0 - a
     c = (n - 1) * a + b * (1.0 - theta * theta)
-    return c[..., None, None] * pj.metric + ((n - 2) * b)[..., None, None] * (
-        dh[..., :, None] @ dh[..., None, :]
-    )
-
-
-def _hessian_direct(pj, dg, grad_h):
-    """Hess h = d^2 h - Gamma^k_ij d_k h, the connection term as (grad h)^l B_lij / 2
-    with B_lij = d_i g_lj + d_j g_il - d_l g_ij."""
-    B = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
-    conn = (grad_h[..., None, :] @ B.reshape(B.shape[:-2] + (-1,))).reshape(B.shape[:-1])
-    return pj.second[..., 0, :, :] - 0.5 * conn
-
-
-def _g_trace(ginv, B):
-    """trace(g^-1 B) per point."""
-    return np.sum(ginv * np.swapaxes(B, -1, -2), axis=(-2, -1))
+    return c * pj.metric + ((n - 2) * b) * (dh[:, None] * dh)
 
 
 def grid_geometry(imm, points, order=2):
@@ -135,13 +121,13 @@ def grid_geometry(imm, points, order=2):
         check_conditioning(pj.ambient_point, pj.D, skip=int(start == 0))
         normal = _unit_normal(pj.frame, pj.D, pj.factor)
         if start == 0:
-            signs = normal[0][np.abs(normal[0]) > _ORIENT_TIE]
+            signs = normal[:, 0][np.abs(normal[:, 0]) > _ORIENT_TIE]
             orientation = -1.0 if signs.size and signs[0] < 0.0 else 1.0
         cut = min(max(len(head) - start, 0), k)
         if cut == k:  # probes alone
             return None
         try:
-            return _geometry(imm, pj.rows(cut), orientation * normal[cut:], order)
+            return _geometry(imm, pj.rows(cut), orientation * normal[:, cut:], order)
         except PointError as exc:
             exc.index += cut
             raise
@@ -163,7 +149,7 @@ def grid_geometry(imm, points, order=2):
     parts = [part for part in parts if part is not None]
     if len(parts) < 2:
         return parts[0] if parts else None
-    return _leaves(lambda *arrays: np.concatenate(arrays), *parts)
+    return _leaves(lambda *arrays: np.concatenate(arrays, axis=-1), *parts)
 
 
 def _geometry(imm, pj, N, order):
@@ -174,31 +160,32 @@ def _geometry(imm, pj, N, order):
     <Gamma(E_i, E_j), N> = (X_ij + X_ji)/2 - sum_b q_b E^b_i E^b_j / 2."""
     E, D, dD, g, ginv = pj.frame, pj.D, pj.dD, pj.metric, pj.metric_inverse
     n = imm.n
-    X = np.swapaxes(dD @ E, -1, -2) @ (N[..., :, None] * E)
-    q = dD @ N[..., :, None]
-    II = (D * N)[..., None, :] @ pj.second.reshape(X.shape[:-2] + (D.shape[-1], -1))
-    II = II.reshape(X.shape) + 0.5 * (X + np.swapaxes(X, -1, -2) - np.swapaxes(E, -1, -2) @ (q * E))
-    A = ginv @ II
-    H = np.trace(A, axis1=-2, axis2=-1) / n
-    dh = E[..., 0, :]
-    grad_h = (ginv @ dh[..., None])[..., 0]
+    X = contract("aip,ajp->ijp", contract("acp,cip->aip", dD, E), N[:, None] * E)
+    q = contract("abp,bp->ap", dD, N)
+    II = contract("ap,aijp->ijp", D * N, pj.second)
+    II += 0.5 * (X + np.swapaxes(X, 0, 1) - contract("aip,ajp->ijp", E, q[:, None] * E))
+    A = contract("ikp,kjp->ijp", ginv, II)
+    H = contract("iip->p", A) / n
+    dh = E[0]
+    grad_h = contract("ijp,jp->ip", ginv, dh)
     f0, f1, _ = pj.warping
-    dh_dh = dh[..., :, None] @ dh[..., None, :]
-    hess_identity = (f1 / f0)[..., None, None] * (g - dh_dh) + N[..., 0, None, None] * II
+    hess_identity = (f1 / f0) * (g - dh[:, None] * dh) + N[0] * II
     dg = metric_derivative(pj)
-    hess_direct = _hessian_direct(pj, dg, grad_h)
-    lap = _g_trace(ginv, hess_direct)
-    trace_free = hess_direct - (lap / n)[..., None, None] * g
-    M = np.swapaxes(pj.factor, -1, -2) @ trace_free @ pj.factor  # residual: max |eig M|
+    B = np.swapaxes(dg, 0, 1) + np.swapaxes(dg, 0, 2) - dg  # B_lij = d_i g_lj + d_j g_il - d_l g_ij
+    hess_direct = pj.second[0] - 0.5 * contract("lp,lijp->ijp", grad_h, B)
+    lap = contract("ijp,jip->p", ginv, hess_direct)  # trace(g^-1 Hess h)
+    trace_free = hess_direct - (lap / n) * g
+    F = pj.factor  # residual: max |eig M| of M = F^T trace_free F
+    M = contract("ikp,kjp->ijp", contract("kip,kjp->ijp", F, trace_free), F)
     if n == 2:
-        a, b, c = M[..., 0, 0], M[..., 1, 0], M[..., 1, 1]
+        a, b, c = M[0, 0], M[1, 0], M[1, 1]
         residual = np.abs(0.5 * (a + c)) + np.hypot(0.5 * (a - c), b)
     else:
-        residual = np.max(np.abs(np.linalg.eigvalsh(M)), axis=-1)
+        residual = np.max(np.abs(np.linalg.eigvalsh(np.moveaxis(M, -1, 0))), axis=-1)
 
     S = _ambient_ricci(imm.ambient, pj, N)
-    ric = S + (n * H)[..., None, None] * II - np.swapaxes(A, -1, -2) @ g @ A
-    scal_gauss = _g_trace(ginv, ric)
+    ric = S + (n * H) * II - contract("kip,kjp->ijp", A, contract("klp,ljp->kjp", g, A))
+    scal_gauss = contract("ijp,jip->p", ginv, ric)
     lam = scal_gauss - lap / n
     bad = first_index(~(np.isfinite(residual) & np.isfinite(lam)))
     if bad is not None:
@@ -214,13 +201,13 @@ def _geometry(imm, pj, N, order):
         shape_operator=A,
         second_fundamental=II,
         mean_curvature=H,
-        theta=N[..., 0].copy(),
+        theta=N[0].copy(),
         grad_h=grad_h,
-        grad_h_norm2=np.sum(dh * grad_h, axis=-1),
+        grad_h_norm2=contract("ip,ip->p", dh, grad_h),
         warping=pj.warping,
         hess_identity=hess_identity,
         hess_direct=hess_direct,
-        identity_error=np.max(np.abs(hess_identity - hess_direct), axis=(-2, -1)),
+        identity_error=np.max(np.abs(hess_identity - hess_direct), axis=(0, 1)),
         ric=ric,
         scal_gauss=scal_gauss,
         lam=lam,
@@ -235,25 +222,25 @@ def _laplacian_gradient(ambient, pj, dg, grad_h):
     phi_a = F_a . P_a, psi_a = F_a . E_a, Lap h = sigma_0 - sum_a (D_a e_a sigma_a
     + e_a phi_a - p_a psi_a / 2), whose product rule is a sum of contractions of
     d3 psi, d2 psi, d2D, dD, d2h and d_m g^-1 = -g^-1 d_m g g^-1."""
-    E, S, T, D, G = pj.frame, pj.second, pj.third, pj.D, pj.metric_inverse
-    N, d, n = E.shape
+    E, S, T, D, G, dD = pj.frame, pj.second, pj.third, pj.D, pj.metric_inverse, pj.dD
     d2D = ambient.diagonal_jets(pj.ambient_point.x, pj.warping, second=True)[2]
-    P, Et, Sf = pj.dD @ E, np.swapaxes(E, -1, -2), S.reshape(N, d, -1)
-    F, PG = E @ G, P @ G
-    e, p = (E @ grad_h[..., None])[..., 0], (P @ grad_h[..., None])[..., 0]
-    sigma = (Sf @ G.reshape(N, -1, 1))[..., 0]
-    phi, psi = np.sum(F * P, axis=-1), np.sum(F * E, axis=-1)
+    P = contract("acp,cip->aip", dD, E)
+    F, PG = contract("aip,ijp->ajp", E, G), contract("aip,ijp->ajp", P, G)
+    e, p = contract("aip,ip->ap", E, grad_h), contract("aip,ip->ap", P, grad_h)
+    sigma = contract("aijp,ijp->ap", S, G)
+    phi, psi = contract("ajp,ajp->ap", F, P), contract("ajp,ajp->ap", F, E)
     w, c = -e * D, D * sigma + phi
-    w[:, 0] += 1.0
+    w[0] += 1.0
     # the coefficients of d_m g^-1 (M), of d2 psi (Z_S), of d_m P (Z_Q) and of d2h (y)
-    M = (w[:, None] @ Sf).reshape(N, n, n) + Et @ (0.5 * p[..., None] * E - e[..., None] * P)
-    M += (0.5 * psi[:, None] @ P - c[:, None] @ E)[:, 0, :, None] * E[:, None, 0]
-    Z_Q = 0.5 * psi[..., None] * grad_h[:, None] - e[..., None] * F
-    Z_S = p[..., None] * F - e[..., None] * PG - c[..., None] * grad_h[:, None]
-    Z_S += np.swapaxes(pj.dD, -1, -2) @ Z_Q  # d_m P = E^T d2D E + dD d2 psi
-    y = 0.5 * psi[:, None] @ PG - c[:, None] @ F
-    V = (Z_Q @ Et).reshape(N, 1, -1) @ d2D.reshape(N, d * d, d)
-    coef = np.concatenate([w[..., None] * G.reshape(N, 1, -1), Z_S], axis=-1).reshape(N, 1, -1)
-    terms = np.concatenate([T.reshape(N, d, -1, n), S], axis=2).reshape(N, -1, n)
-    grad = (coef @ terms)[:, 0] - (dg.reshape(N, n, -1) @ (G @ M @ G).reshape(N, -1, 1))[..., 0]
-    return grad + ((V - (e * sigma)[:, None] @ pj.dD) @ E + y @ S[:, 0])[:, 0]
+    M = contract("ap,aijp->ijp", w, S) + contract("aip,ajp->ijp", E, 0.5 * p[:, None] * E - e[:, None] * P)
+    M += (contract("ap,ajp->jp", 0.5 * psi, P) - contract("ap,ajp->jp", c, E))[:, None] * E[0]
+    Z_Q = 0.5 * psi[:, None] * grad_h - e[:, None] * F
+    Z_S = p[:, None] * F - e[:, None] * PG - c[:, None] * grad_h
+    Z_S += contract("cap,cjp->ajp", dD, Z_Q)  # d_m P = E^T d2D E + dD d2 psi
+    y = contract("ap,ajp->jp", 0.5 * psi, PG) - contract("ap,ajp->jp", c, F)
+    V = contract("abp,abcp->cp", contract("ajp,bjp->abp", Z_Q, E), d2D)
+    GMG = contract("ikp,kjp->ijp", contract("ikp,kjp->ijp", G, M), G)
+    grad = contract("aijp,aijmp->mp", w[:, None, None] * G, T) + contract("ajp,ajmp->mp", Z_S, S)
+    grad -= contract("mijp,ijp->mp", dg, GMG)
+    U = V - contract("ap,acp->cp", e * sigma, dD)
+    return grad + (contract("cp,cmp->mp", U, E) + contract("jp,jmp->mp", y, S[0]))

@@ -144,8 +144,8 @@ def validate_scene(data):
         ambient = WarpedProduct((lo, hi), f_expr, amb["fiber"], amb["n"])
     except WarpGeoError as exc:
         raise SceneError(str(exc), field="ambient.f") from None
-    except ValueError as exc:
-        raise SceneError(str(exc), field="ambient") from None
+    except ValueError as exc:  # the interval's fault when it is empty, else f's
+        raise SceneError(str(exc), field="ambient.f" if lo < hi else "ambient") from None
 
     output = data.get("output", {})
     _require_keys(output, ("report", "mesh"), (), "output")
@@ -312,12 +312,12 @@ def run_scene(scene):
         field = "immersion.params" if "preset" in scene.raw["immersion"] else "immersion"
         raise SceneError(str(exc), field=field) from None
     if size:
-        geometry = record if size == len(points) else _leaves(lambda a: a[:size], record)
+        geometry = record if size == len(points) else _leaves(lambda a: a[..., :size], record)
     if classify:
         index = {p: i for i, p in enumerate(points)}
         rows = [index[p] for p in extra]
         if rows != list(range(len(points))):
-            record = _leaves(lambda a: a[rows], record)
+            record = _leaves(lambda a: a[..., rows], record)
         classification = classify_rotational(imm, record, residuals)
     if kinds & {"soliton", "structural"}:
         soliton = soliton_report(geometry)

@@ -15,8 +15,8 @@ which holds for every immersion, soliton or not, and is used as a
 universal cross-check.  The structural identity Ric(grad h) + (n-1)
 grad(scal - lambda) = 0 takes grad(Lap h) exactly from third jets.
 
-Every check is a numpy reduction over the batched geometry record of a
-grid; ties go to the first point in grid order.
+Every check is a numpy reduction over the point axis of the batched
+geometry record of a grid; ties go to the first point in grid order.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
+from .hypersurface import contract
 from .jets import first_index
 
 SOLITON_TOL = 1e-7  # jet-exact derivative paths
@@ -182,16 +183,16 @@ def structural_report(imm, geometry):
     """
     if geometry.lap_gradient is None:
         raise ValueError("structural_report needs a record of grid_geometry(..., order=3)")
-    bad = first_index(~np.isfinite(geometry.lap_gradient).all(axis=-1))
+    bad = first_index(~np.isfinite(geometry.lap_gradient).all(axis=0))
     if bad is not None:
-        p = imm.bindings(geometry.chart[bad])
+        p = imm.bindings(geometry.chart[:, bad])
         raise DomainError(f"gradient of Lap h not finite (at chart point {p!r})", index=bad)
     n = imm.n
     grad_s = geometry.lap_gradient / n
     # both terms as covectors; norm taken with the inverse metric
-    omega = (geometry.ric @ geometry.grad_h[..., None])[..., 0] + (n - 1) * grad_s
-    dual = (geometry.metric_inverse @ omega[..., None])[..., 0]
-    err = np.sqrt(np.maximum(np.sum(omega * dual, axis=-1), 0.0))
+    omega = contract("ijp,jp->ip", geometry.ric, geometry.grad_h) + (n - 1) * grad_s
+    dual = contract("ijp,jp->ip", geometry.metric_inverse, omega)
+    err = np.sqrt(np.maximum(contract("ip,ip->p", omega, dual), 0.0))
     sup_error, worst = first_extreme(err)
     status = "pass" if sup_error < SOLITON_TOL else "fail"
     return CheckResult("structural", status, sup_error=sup_error, worst_point=geometry.chart_point(worst))

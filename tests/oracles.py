@@ -53,16 +53,52 @@ from warpgeo.soliton import soliton_report
 
 
 def row(record, i):
-    """The record at point ``i``: every field without its point axis.
+    """The record at point ``i``: every field without its (trailing) point axis.
 
     0-d entries become floats.
     """
 
     def item(value):
-        value = value[i]
+        value = value[..., i]
         return float(value) if np.ndim(value) == 0 else value
 
     return _leaves(item, record)
+
+
+def record_arrays(record, prefix=""):
+    """Every array of a geometry record, by field path."""
+    for name in record._fields:
+        value = getattr(record, name)
+        if hasattr(value, "_fields"):
+            yield from record_arrays(value, f"{prefix}{name}.")
+        elif value is None:
+            continue
+        elif isinstance(value, tuple):
+            for k, item in enumerate(value):
+                yield f"{prefix}{name}[{k}]", item
+        else:
+            yield prefix + name, value
+
+
+def point_first(record):
+    """A batched record (or array) with the point axis first, the layout the
+    oracles below compute in; they take and return the program's layout,
+    the point axis last."""
+    return _leaves(lambda a: np.moveaxis(a, -1, 0), record)
+
+
+def point_last(array):
+    """A point-first array in the program's layout, C-contiguous like the
+    program's own arrays."""
+    return np.ascontiguousarray(np.moveaxis(array, 0, -1))
+
+
+def metric_jets(W, p):
+    """``W.metric_jets(p)`` with the point axis of a batch first."""
+    D, dD, warping = W.metric_jets(p)
+    if np.ndim(p.t):
+        D, dD = np.moveaxis(D, -1, 0), np.moveaxis(dD, -1, 0)
+    return D, dD, warping
 
 
 def euclidean_ambient(n):
@@ -188,7 +224,7 @@ def christoffel_symbols(p, D, dD):
     ``D`` and ``dD`` may carry a leading point axis; the first point
     whose metric is numerically singular is named.
     """
-    check_conditioning(p, D)
+    check_conditioning(p, np.reshape(D, (-1, D.shape[-1])).T)
     d = D.shape[-1]
     half = dD / (2.0 * D[..., :, None])  # [a, b] = d_b D_a / (2 D_a)
     cross = np.swapaxes(dD, -1, -2) / (2.0 * D[..., :, None])  # [a, b] = d_a D_b / (2 D_a)
@@ -203,13 +239,13 @@ def christoffel_symbols(p, D, dD):
 
 def christoffels(W, p):
     """Christoffel symbols Gamma[a, b, c] = Gamma^a_{bc} of the warped product ``W`` at ``p``."""
-    D, dD, _ = W.metric_jets(p)
+    D, dD, _ = metric_jets(W, p)
     return christoffel_symbols(p, D, dD)
 
 
 def dense_metric(W, p):
     """The metric matrix of the warped product ``W`` at ``p``."""
-    return dense_metric_jets(*W.metric_jets(p)[:2])[0]
+    return dense_metric_jets(*metric_jets(W, p)[:2])[0]
 
 
 def curvature_from(W, D, warping, X, Y, Z):
@@ -249,7 +285,7 @@ def curvature_from(W, D, warping, X, Y, Z):
 def curvature(W, p, X, Y, Z):
     """R(X, Y)Z of ``W`` at ``p``: ``curvature_from`` on the metric
     diagonal and warping triple of ``metric_jets``."""
-    D, _, warping = W.metric_jets(p)
+    D, _, warping = metric_jets(W, p)
     return curvature_from(W, D, warping, X, Y, Z)
 
 
@@ -279,10 +315,11 @@ def sphere_chart(v):
 
 def induced_christoffels_from_jets(pj):
     """Christoffel symbols Gamma[:, k, i, j] = g^kl B_lij / 2 of the induced metric,
-    B_lij = d_i g_lj + d_j g_il - d_l g_ij."""
-    dg = metric_derivative(pj)
+    B_lij = d_i g_lj + d_j g_il - d_l g_ij, point axis first."""
+    dg = point_first(metric_derivative(pj))
     B = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
-    return 0.5 * (pj.metric_inverse @ B.reshape(B.shape[:-2] + (-1,))).reshape(B.shape)
+    ginv = point_first(pj.metric_inverse)
+    return 0.5 * (ginv @ B.reshape(B.shape[:-2] + (-1,))).reshape(B.shape)
 
 
 def profile_geodesic_residual(imm, points):
@@ -311,8 +348,8 @@ def metric_jets_ast(W, p):
     coordinates = tuple(values)
     jets = [eval_jet2(entry, values, coordinates) for entry in entries]
     f = eval_jet2(W.f, values, coordinates)
-    D = np.stack([jet.value for jet in jets], axis=-1)
-    dD = np.stack([np.moveaxis(jet.grad, 0, -1) for jet in jets], axis=-2)
+    D = np.stack([jet.value for jet in jets])
+    dD = np.stack([jet.grad for jet in jets])
     return D, dD, (f.value, f.grad[0], f.hess[0, 0])
 
 
@@ -372,7 +409,7 @@ def shape_operator_from_normal_derivative(imm, p, step=1e-5):
     G = dense_metric(imm.ambient, sd.ambient_point)
     columns = np.zeros((d, n))
     for i in range(n):
-        dN = (stencil.normal[1 + i] - stencil.normal[1 + n + i]) / (2.0 * step)
+        dN = (stencil.normal[:, 1 + i] - stencil.normal[:, 1 + n + i]) / (2.0 * step)
         cov = dN + np.einsum("abc,b,c->a", Gamma, sd.frame[:, i], sd.normal)
         columns[:, i] = -cov
     return np.linalg.solve(sd.metric, sd.frame.T @ G @ columns)
@@ -381,16 +418,17 @@ def shape_operator_from_normal_derivative(imm, p, step=1e-5):
 def second_fundamental_christoffel(pj, N):
     """II_ij = <d_i d_j psi + Gamma(E_i, E_j), N> through the full ambient
     Christoffel tensor, for the jets ``pj`` and unit normals ``N``."""
+    pj, N = point_first(pj), point_first(N)
     E = pj.frame
     Gamma = christoffel_symbols(pj.ambient_point, pj.D, pj.dD)
     GammaE = Gamma @ E[..., None, :, :]  # Gamma^a_{bc} E^c_j
     cov = pj.second + np.swapaxes(E, -1, -2)[..., None, :, :] @ GammaE
-    return np.sum(cov * (pj.D * N)[..., :, None, None], axis=-3)
+    return point_last(np.sum(cov * (pj.D * N)[..., :, None, None], axis=-3))
 
 
 def _curvature_frame_sum(ambient, pj, V, signs):
     """sum_e signs_e <R(E_i, V_e) V_e, E_j> over the rows V_e of V,
-    one curvature evaluation per pair (i, e)."""
+    one curvature evaluation per pair (i, e), for point-first ``pj``."""
     E = pj.frame
     V = V[..., None, :, :]
     R = curvature_from(
@@ -401,11 +439,12 @@ def _curvature_frame_sum(ambient, pj, V, signs):
         V,
         V,
     )
-    return (np.sum(signs[:, None] * R, axis=-2) * pj.D[..., None, :]) @ E
+    return point_last((np.sum(signs[:, None] * R, axis=-2) * pj.D[..., None, :]) @ E)
 
 
 def tangential_ricci_frame_sum(ambient, pj):
     """sum_a <R(E_i, F_a) F_a, E_j> over a g-orthonormal tangent frame F."""
+    pj = point_first(pj)
     F = np.swapaxes(pj.frame @ pj.factor, -1, -2)
     return _curvature_frame_sum(ambient, pj, F, np.ones(F.shape[-2]))
 
@@ -413,6 +452,7 @@ def tangential_ricci_frame_sum(ambient, pj):
 def ambient_ricci_frame_sum(ambient, pj, N):
     """Ric-bar(E_i, E_j) - <R-bar(E_i, N)N, E_j>: the sum over the coordinate
     frame e_a = d_a / sqrt(D_a) of <R(E_i, e_a) e_a, E_j>, less the term of N."""
+    pj, N = point_first(pj), point_first(N)
     d = pj.D.shape[-1]
     V = np.concatenate([np.eye(d) / np.sqrt(pj.D)[..., :, None], N[..., None, :]], axis=-2)
     return _curvature_frame_sum(ambient, pj, V, np.append(np.ones(d), -1.0))
@@ -421,7 +461,8 @@ def ambient_ricci_frame_sum(ambient, pj, N):
 def hessian_height_christoffel(pj):
     """Hess h = d^2 h - Gamma^k d_k h through the induced Christoffel tensor g^-1 B / 2."""
     gamma = induced_christoffels_from_jets(pj)
-    return pj.second[..., 0, :, :] - np.sum(gamma * pj.frame[..., 0, :, None, None], axis=-3)
+    pj = point_first(pj)
+    return point_last(pj.second[..., 0, :, :] - np.sum(gamma * pj.frame[..., 0, :, None, None], axis=-3))
 
 
 FD_TOL = 1e-4  # tolerance of every comparison with a finite-difference oracle
@@ -432,7 +473,8 @@ def laplacian_height(imm, points):
     """Lap h = trace(g^-1 Hess h) over (N, n) chart points, Hess h through
     the induced Christoffel tensor."""
     pj = point_jets(imm, points)
-    return np.trace(pj.metric_inverse @ hessian_height_christoffel(pj), axis1=-2, axis2=-1)
+    ginv = point_first(pj.metric_inverse)
+    return np.trace(ginv @ point_first(hessian_height_christoffel(pj)), axis1=-2, axis2=-1)
 
 
 def laplacian_gradient_fd(imm, points, step=FD_STEP):
@@ -452,7 +494,7 @@ def laplacian_gradient_fd(imm, points, step=FD_STEP):
 def structural_error_fd(imm, geometry):
     """Sup over the grid of |Ric(grad h) + (n-1) grad (Lap h)/n|, the
     gradient by ``laplacian_gradient_fd``."""
-    n = imm.n
+    n, geometry = imm.n, point_first(geometry)
     grad_s = laplacian_gradient_fd(imm, geometry.chart) / n
     omega = (geometry.ric @ geometry.grad_h[..., None])[..., 0] + (n - 1) * grad_s
     dual = (geometry.metric_inverse @ omega[..., None])[..., 0]
@@ -483,7 +525,7 @@ def scal_formula(imm, geometry):
         - (n - 2) * lf2 * W
         - n * (f2 / f0) * W
         + n * n * H * H
-        - np.trace(A @ A, axis1=-2, axis2=-1)
+        - np.einsum("ij...,ji...->...", A, A)
     )
 
 
@@ -613,7 +655,7 @@ def scalar_fd_oracle(imm, p, step=1e-3):
     for c, k in pairs:
         for a, b in ((step, step), (step, -step), (-step, step), (-step, -step)):
             stencil.append(shifted(k, b, shifted(c, a)))
-    samples = iter(point_jets(imm, stencil).metric)
+    samples = iter(point_first(point_jets(imm, stencil).metric))
     g0 = next(samples)
     plus1, minus1, plus2, minus2 = ([next(samples) for _ in range(n)] for _ in range(4))
 

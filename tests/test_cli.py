@@ -481,14 +481,21 @@ def test_profile_probe_failure_names_t(capsys, flags, t):
     assert t in capsys.readouterr().err
 
 
-def test_underflowing_warping_is_not_called_negative(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "f, message",
+    [("exp(-300*t)", "underflows to 0 at t="), ("t-10", "is not positive at t=")],
+    ids=["underflowing-f", "negative-f"],
+)
+def test_non_positive_warping_names_the_scene_field(tmp_path, capsys, f, message):
+    # an f that is not positive names ambient.f, as an undefined f does,
+    # and an underflow is not called negative
     scene = hyperplane_scene()
-    scene["ambient"].update(interval=[0, "inf"], f="exp(-300*t)")
+    scene["ambient"].update(interval=[0, "inf"], f=f)
     path = write_scene(tmp_path, scene)
     assert main(["analyze", path]) == 2
     err = capsys.readouterr().err
-    assert "'ambient'" in err and "underflows to 0 at t=" in err
-    assert "not positive" not in err
+    assert "scene field 'ambient.f'" in err and message in err
+    assert ("not positive" in err) == (f == "t-10")
 
 
 def test_analyze_non_finite_literal_exit_two(tmp_path, capsys):
@@ -721,6 +728,8 @@ def test_structural_near_the_chart_edge_exit_zero(tmp_path, capsys):
         (["rotational", "--theta", "0.5", "--t-min", "1", "--t-max", "0"], "--t-min"),
         (["rotational", "--theta", "0.5", "--t-min", "1", "--t-max", "1"], "--t-min"),
         (["rotational", "--theta", "0.5", "--t-max", "nan"], "--t-max"),
+        (["rotational", "--theta", "0.5", "--f", "u+2"], "--f: unknown identifier 'u'"),
+        (["rotational", "--theta", "0.5", "--f", "2x"], "--f"),
     ],
 )
 def test_out_of_range_flags_exit_two(argv, flag, capsys, monkeypatch):

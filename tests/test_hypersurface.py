@@ -18,8 +18,13 @@ from oracles import (
     euclidean_ambient,
     flip_orientation,
     geometry_at,
+    hyperbolic_ambient,
+    perturbed_immersion,
+    point_first,
     point_geometries,
+    point_last,
     qr_normal,
+    record_arrays,
     shape_operator_from_normal_derivative,
     spherical_cap_ambient,
 )
@@ -91,12 +96,13 @@ def test_normal_is_unit_and_orthogonal(catalogue, rng):
 def test_diagonal_normal_matches_qr_oracle(catalogue):
     for name, imm in catalogue:
         pj = hypersurface.point_jets(imm, interior_points(imm, count=3, margin=0.12))
-        G, _ = dense_metric_jets(pj.D, pj.dD)
-        normal = hypersurface._unit_normal(pj.frame, pj.D, pj.factor)
-        oracle = qr_normal(pj.frame, G)
-        assert np.all(np.linalg.det(np.concatenate([pj.frame, normal[..., None]], -1)) > 0.0), name
+        normal = point_first(hypersurface._unit_normal(pj.frame, pj.D, pj.factor))
+        E, D = point_first(pj.frame), point_first(pj.D)
+        G, _ = dense_metric_jets(D, point_first(pj.dD))
+        oracle = qr_normal(E, G)
+        assert np.all(np.linalg.det(np.concatenate([E, normal[..., None]], -1)) > 0.0), name
         assert np.max(np.abs(normal - oracle)) < 1e-13, name
-        assert np.max(np.abs(normal - cofactor_normal(pj.frame, pj.D))) < 1e-13, name
+        assert np.max(np.abs(normal - cofactor_normal(E, D))) < 1e-13, name
 
 
 def _well_conditioned_grams(rng, n, count):
@@ -106,15 +112,17 @@ def _well_conditioned_grams(rng, n, count):
 
 
 def _assert_factor_matches_lapack(g):
+    """``_factor`` of the (n, n, N) matrices ``g`` against LAPACK, which
+    takes them point axis first; returns the pivots and F."""
     pivots, F = hypersurface._factor(g)
-    L = np.linalg.cholesky(g)
+    L = np.linalg.cholesky(point_first(g))
     oracle = np.swapaxes(np.linalg.inv(L), -1, -2)
     size = np.max(np.abs(oracle), axis=(-2, -1))
-    assert np.all(np.max(np.abs(F - oracle), axis=(-2, -1)) <= 1e-13 * size)
+    assert np.all(np.max(np.abs(point_first(F) - oracle), axis=(-2, -1)) <= 1e-13 * size)
     diagonal = np.diagonal(L, axis1=-2, axis2=-1) ** 2
-    assert np.all(np.abs(pivots - diagonal) <= 1e-13 * diagonal)
-    det = np.linalg.det(g)
-    assert np.all(np.abs(np.prod(pivots, axis=-1) - det) <= 1e-13 * det)
+    assert np.all(np.abs(point_first(pivots) - diagonal) <= 1e-13 * diagonal)
+    det = np.linalg.det(point_first(g))
+    assert np.all(np.abs(np.prod(pivots, axis=0) - det) <= 1e-13 * det)
     return pivots, F
 
 
@@ -122,12 +130,12 @@ def _assert_factor_matches_lapack(g):
 def test_column_factor_matches_lapack(n, rng):
     # the pivots, det g and F = L^-T agree with LAPACK's Cholesky and
     # inverse, and a batched matrix gives the bits it gives alone
-    g = _well_conditioned_grams(rng, n, 40)
+    g = point_last(_well_conditioned_grams(rng, n, 40))
     pivots, F = _assert_factor_matches_lapack(g)
-    for i in range(len(g)):
-        alone = hypersurface._factor(g[i : i + 1])
-        assert alone[0].tobytes() == pivots[i : i + 1].tobytes()
-        assert alone[1].tobytes() == F[i : i + 1].tobytes()
+    for i in range(g.shape[-1]):
+        alone = hypersurface._factor(g[..., i : i + 1])
+        assert alone[0].tobytes() == pivots[..., i : i + 1].tobytes()
+        assert alone[1].tobytes() == F[..., i : i + 1].tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -138,10 +146,10 @@ def test_column_factor_near_the_gram_limit(n, rng):
     det = np.linalg.det(g)
     target = hypersurface.GRAM_DET_LIMIT * np.exp(rng.uniform(-1e-6, 1e-6, len(g)))
     g *= ((target / det) ** (1.0 / n))[:, None, None]
-    pivots, _ = _assert_factor_matches_lapack(g)
+    pivots, _ = _assert_factor_matches_lapack(point_last(g))
     limit = hypersurface.GRAM_DET_LIMIT
-    assert np.array_equal(np.prod(pivots, axis=-1) <= limit, np.linalg.det(g) <= limit)
-    assert 0 < np.count_nonzero(np.prod(pivots, axis=-1) <= limit) < len(g)
+    assert np.array_equal(np.prod(pivots, axis=0) <= limit, np.linalg.det(g) <= limit)
+    assert 0 < np.count_nonzero(np.prod(pivots, axis=0) <= limit) < len(g)
 
 
 def test_column_factor_of_a_non_finite_gram_has_no_nonpositive_pivot():
@@ -150,9 +158,9 @@ def test_column_factor_of_a_non_finite_gram_has_no_nonpositive_pivot():
     # checks report it (the "gram-overflow" CLI case exits 3, "not finite")
     g = np.array([[[np.inf, 0.0], [0.0, 1.0]], [[np.inf, np.inf], [np.inf, np.inf]]])
     with np.errstate(all="ignore"):
-        pivots, _ = hypersurface._factor(g)
+        pivots, _ = hypersurface._factor(point_last(g))
     assert not np.any(pivots <= 0.0)
-    assert not np.any(np.prod(pivots, axis=-1) <= hypersurface.GRAM_DET_LIMIT)
+    assert not np.any(np.prod(pivots, axis=0) <= hypersurface.GRAM_DET_LIMIT)
 
 
 @pytest.mark.parametrize("n", range(1, hypersurface.MAX_DIMENSION + 1))
@@ -163,12 +171,14 @@ def test_factor_normal_matches_the_cofactor_oracle_on_random_frames(n, rng):
     Q = np.linalg.qr(rng.standard_normal((count, d, d)))[0][..., :n]
     E = Q @ (np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, (count, n, n)) / n)
     D = rng.uniform(0.5, 2.0, (count, d))
-    _, F = hypersurface._factor(np.swapaxes(E, -1, -2) @ (D[..., :, None] * E))
+    oracle = cofactor_normal(E, D)
+    E, D = point_last(E), point_last(D)
+    _, F = hypersurface._factor(np.einsum("aip,ajp->ijp", E, D[:, None] * E))
     normal = hypersurface._unit_normal(E, D, F)
-    assert np.max(np.abs(normal - cofactor_normal(E, D))) < 1e-13
+    assert np.max(np.abs(point_first(normal) - oracle)) < 1e-13
     for i in range(count):
-        alone = hypersurface._unit_normal(E[i : i + 1], D[i : i + 1], F[i : i + 1])
-        assert alone.tobytes() == normal[i : i + 1].tobytes()
+        alone = hypersurface._unit_normal(E[..., i : i + 1], D[..., i : i + 1], F[..., i : i + 1])
+        assert alone.tobytes() == normal[..., i : i + 1].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -178,9 +188,9 @@ def test_unit_normal_is_positively_oriented(n, rng):
     count, d = 400, n + 1
     E = rng.standard_normal((count, d, n))
     D = np.exp(rng.uniform(-2.0, 2.0, (count, d)))
-    _, F = hypersurface._factor(np.swapaxes(E, -1, -2) @ (D[..., :, None] * E))
-    normal = hypersurface._unit_normal(E, D, F)
-    W = E @ F
+    _, F = hypersurface._factor(point_last(np.swapaxes(E, -1, -2) @ (D[..., :, None] * E)))
+    normal = point_first(hypersurface._unit_normal(point_last(E), point_last(D), F))
+    W = E @ point_first(F)
     rows = set(np.argmin(D * np.sum(W * W, axis=-1), axis=-1).tolist())
     assert rows == set(range(d))
     assert np.all(np.linalg.det(np.concatenate([E, normal[..., None]], axis=-1)) > 0.0)
@@ -189,9 +199,9 @@ def test_unit_normal_is_positively_oriented(n, rng):
 
 @pytest.mark.parametrize("order", [2, 3])
 def test_point_jets_hold_the_component_jet_slots(sphere3, rotational_soliton, order):
-    # frame[p, a, i], second[p, a, i, j] and third[p, a, i, j, k] are the
+    # frame[a, i, p], second[a, i, j, p] and third[a, i, j, k, p] are the
     # slots of component a at point p, to the bit, for expression and
-    # callable components alike
+    # callable components alike: the slots stacked along a leading axis
     for imm in (sphere3, rotational_soliton):
         points = imm.chart.grid(3, 0.2)
         jets = imm.component_jets(points, order)
@@ -201,9 +211,9 @@ def test_point_jets_hold_the_component_jet_slots(sphere3, rotational_soliton, or
         for r, slot in enumerate(slots, start=1):
             assert slot.flags.c_contiguous
             want = np.stack([jet[r] for jet in jets])  # (d, n, ..., N)
-            assert slot.tobytes() == np.moveaxis(want, -1, 0).tobytes()
+            assert slot.shape == want.shape and slot.tobytes() == want.tobytes()
             for a, jet in enumerate(jets):
-                assert np.array_equal(slot[:, a], np.moveaxis(jet[r], -1, 0))
+                assert np.array_equal(slot[a], jet[r])
 
 
 def test_first_fundamental_form_spd(catalogue):
@@ -375,14 +385,25 @@ def test_batch_fails_like_its_first_failing_point():
         assert err.value.index == 1 and str(err.value) == str(alone.value)
 
 
-def test_slices_change_neither_values_nor_errors(monkeypatch):
-    imm = hyperplane_immersion(euclidean_ambient(2))
-    grid = imm.chart.grid(5, 0.1)
-    whole = grid_geometry(imm, grid)
-    monkeypatch.setattr(hypersurface, "SLICE_POINTS", 4)
-    sliced = grid_geometry(imm, grid)
-    for name in ("chart", "frame", "metric", "normal", "shape_operator", "theta", "grad_h"):
-        assert getattr(sliced, name).tobytes() == getattr(whole, name).tobytes(), name
+@pytest.mark.parametrize(
+    "n, count, size, order",
+    # rows: 1 + 3^n probes and count^n points, in slices of ``size``; at
+    # n = 3 the last slice holds one row (1 + 27 + 27 = 9 x 6 + 1)
+    [(2, 5, 4, 2), (3, 3, 6, 2), (3, 3, 6, 3)],
+)
+def test_slices_change_neither_values_nor_errors(monkeypatch, rng, n, count, size, order):
+    imm = perturbed_immersion(hyperplane_immersion(hyperbolic_ambient(n)), rng, amplitude=0.05)
+    grid = imm.chart.grid(count, 0.1)
+    whole = dict(record_arrays(grid_geometry(imm, grid, order)))
+    monkeypatch.setattr(hypersurface, "SLICE_POINTS", size)
+    rows = len(imm.probes) + len(grid)
+    assert rows > size and (rows % size == 1) == (n == 3)
+    sliced = dict(record_arrays(grid_geometry(imm, grid, order)))
+    assert sliced.keys() == whole.keys() and ("lap_gradient" in whole) == (order == 3)
+    for name, values in whole.items():
+        assert sliced[name].tobytes() == values.tobytes(), name
+    if n == 3:
+        return
     # the third slice holds a good point, the degenerate one and a
     # domain error: the error is the degenerate point's, at its place
     cusp = _cusp_immersion()
@@ -466,7 +487,7 @@ def test_orientation_comes_from_the_center_in_a_sliced_probe_batch(monkeypatch):
     check_conditioning = intrinsic.check_conditioning
 
     def counted(p, D, skip=0):
-        checked.append(len(D) - skip)
+        checked.append(D.shape[-1] - skip)
         return check_conditioning(p, D, skip)
 
     monkeypatch.setattr(intrinsic, "check_conditioning", counted)

@@ -15,7 +15,10 @@ from oracles import (
     laplacian_gradient_fd,
     laplacian_height,
     perturbed_immersion,
+    point_first,
     point_geometries,
+    point_last,
+    record_arrays,
     ricci_gradh_extrinsic,
     row,
     scal_formula,
@@ -155,21 +158,6 @@ def test_fd_oracle_boundary_guard(hyperplane):
         scalar_fd_oracle(hyperplane, (1.0 - 2e-3, 0.0))
 
 
-def _arrays(record, prefix=""):
-    """Every array of a geometry record, by field path."""
-    for name in record._fields:
-        value = getattr(record, name)
-        if hasattr(value, "_fields"):
-            yield from _arrays(value, f"{prefix}{name}.")
-        elif value is None:
-            continue
-        elif isinstance(value, tuple):
-            for k, item in enumerate(value):
-                yield f"{prefix}{name}[{k}]", item
-        else:
-            yield prefix + name, value
-
-
 def test_geometry_does_not_depend_on_the_batch(catalogue, rng):
     # each point's record is bit-identical whether it is evaluated with the
     # whole grid, alone, or in a batch where it sits one place earlier;
@@ -181,14 +169,14 @@ def test_geometry_does_not_depend_on_the_batch(catalogue, rng):
     ]
     for name, imm in immersions:
         grid = imm.chart.grid(4, 0.1)
-        full = dict(_arrays(grid_geometry(imm, grid)))
-        shifted = dict(_arrays(grid_geometry(imm, grid[1:])))
+        full = dict(record_arrays(grid_geometry(imm, grid)))
+        shifted = dict(record_arrays(grid_geometry(imm, grid[1:])))
         for i, p in enumerate(grid):
-            single = dict(_arrays(grid_geometry(imm, [p])))
+            single = dict(record_arrays(grid_geometry(imm, [p])))
             for key, values in full.items():
-                assert values[i].tobytes() == single[key][0].tobytes(), (name, key, i)
+                assert values[..., i].tobytes() == single[key][..., 0].tobytes(), (name, key, i)
                 if i:
-                    assert values[i].tobytes() == shifted[key][i - 1].tobytes(), (name, key, i)
+                    assert values[..., i].tobytes() == shifted[key][..., i - 1].tobytes(), (name, key, i)
 
 
 def test_order_three_record_extends_order_two(catalogue, rng):
@@ -197,16 +185,16 @@ def test_order_three_record_extends_order_two(catalogue, rng):
     immersions = list(catalogue) + [("perturbed", perturbed_immersion(catalogue[3][1], rng))]
     for name, imm in immersions:
         grid = imm.chart.grid(3, 0.1)
-        two = dict(_arrays(grid_geometry(imm, grid)))
-        three = dict(_arrays(grid_geometry(imm, grid, order=3)))
+        two = dict(record_arrays(grid_geometry(imm, grid)))
+        three = dict(record_arrays(grid_geometry(imm, grid, order=3)))
         gradient = three.pop("lap_gradient")
-        assert gradient.shape == (len(grid), imm.n) and np.all(np.isfinite(gradient)), name
+        assert gradient.shape == (imm.n, len(grid)) and np.all(np.isfinite(gradient)), name
         assert {key: v.tobytes() for key, v in two.items()} == {
             key: v.tobytes() for key, v in three.items()
         }, name
         for i, p in enumerate(grid):
-            single = grid_geometry(imm, [p], order=3).lap_gradient[0]
-            assert single.tobytes() == gradient[i].tobytes(), (name, i)
+            single = grid_geometry(imm, [p], order=3).lap_gradient[..., 0]
+            assert single.tobytes() == gradient[..., i].tobytes(), (name, i)
 
 
 def test_residual_is_the_largest_generalized_eigenvalue(catalogue, rng):
@@ -218,7 +206,7 @@ def test_residual_is_the_largest_generalized_eigenvalue(catalogue, rng):
     ]
     for name, imm in immersions:
         geo = grid_geometry(imm, imm.chart.grid(4, 0.1))
-        g, hess = geo.metric, geo.hess_direct
+        g, hess = point_first(geo.metric), point_first(geo.hess_direct)
         lap = np.trace(np.linalg.solve(g, hess), axis1=-2, axis2=-1)
         trace_free = hess - (lap / imm.n)[:, None, None] * g
         oracle = np.max(np.abs(np.linalg.eigvals(np.linalg.solve(g, trace_free))), axis=-1)
@@ -266,14 +254,15 @@ def test_closed_forms_match_the_tensor_oracles(fiber, n, rng):
     grid = imm.chart.grid(3, 0.2)
     geo = grid_geometry(imm, grid)
     pj = point_jets(imm, grid)
-    assert np.min(np.abs(geo.normal[:, 1:])) > 1e-3 and np.min(geo.grad_h_norm2) > 1e-3
+    assert np.min(np.abs(geo.normal[1:])) > 1e-3 and np.min(geo.grad_h_norm2) > 1e-3
     _assert_close(geo.second_fundamental, second_fundamental_christoffel(pj, geo.normal), "II")
     _assert_close(geo.hess_direct, hessian_height_christoffel(pj), "Hess h")
-    A, g, H = geo.shape_operator, geo.metric, geo.mean_curvature
-    quadratic = (n * H)[:, None, None] * geo.second_fundamental - np.swapaxes(A, -1, -2) @ g @ A
+    A, g, H = point_first(geo.shape_operator), point_first(geo.metric), geo.mean_curvature
+    II = point_first(geo.second_fundamental)
+    quadratic = point_last((n * H)[:, None, None] * II - np.swapaxes(A, -1, -2) @ g @ A)
     S = tangential_ricci_frame_sum(imm.ambient, pj)
     _assert_close(geo.ric - quadratic, S, "ambient Ricci")
-    lap = np.trace(np.linalg.solve(g, geo.hess_direct), axis1=1, axis2=2)
+    lap = np.trace(np.linalg.solve(g, point_first(geo.hess_direct)), axis1=1, axis2=2)
     _assert_close(laplacian_height(imm, grid), lap, "Lap h")
 
 
@@ -291,7 +280,7 @@ def test_ambient_ricci_closed_form_matches_the_curvature_frame_sum(fiber, n, f, 
     grid = imm.chart.grid(3, 0.2)
     pj = point_jets(imm, grid)
     geo = grid_geometry(imm, grid)
-    assert np.min(np.abs(geo.normal[:, 1:])) > 1e-3 and np.min(geo.grad_h_norm2) > 1e-3
+    assert np.min(np.abs(geo.normal[1:])) > 1e-3 and np.min(geo.grad_h_norm2) > 1e-3
     f0, f1, f2 = pj.warping
     assert np.ptp(f2 / f0) > 1e-2 and np.ptp((f1 * f1 - imm.ambient.k) / (f0 * f0)) > 1e-2
     closed = _ambient_ricci(imm.ambient, pj, geo.normal)
@@ -324,5 +313,5 @@ def test_laplacian_gradient_matches_finite_differences(case, rng):
     grid = imm.chart.grid(3, 0.2)
     exact = grid_geometry(imm, grid, order=3).lap_gradient
     fd = laplacian_gradient_fd(imm, grid)
-    assert exact.shape == (len(grid), imm.n)
-    assert np.max(np.abs(exact - fd)) < FD_TOL * max(1.0, np.max(np.abs(fd)))
+    assert exact.shape == (imm.n, len(grid))
+    assert np.max(np.abs(point_first(exact) - fd)) < FD_TOL * max(1.0, np.max(np.abs(fd)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from warpgeo.expr import Const, Num, Var, parse
-from warpgeo.hypersurface import ChartBox
+from warpgeo.hypersurface import ChartBox, point_jets
 from warpgeo.intrinsic import grid_geometry
 from warpgeo.jets import Jet2, eval_jet2
 from warpgeo.rotational import RotationalProfile
@@ -28,6 +28,37 @@ def test_records_refuse_assignment(hyperplane):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
             record.extra = None
+
+
+# the shape of every batched field, in letters: n chart, d = n + 1 ambient
+# dimensions, N points, always the last axis
+GEOMETRY_SHAPES = {
+    "chart": "nN", "frame": "dnN", "metric": "nnN", "metric_inverse": "nnN", "normal": "dN",
+    "shape_operator": "nnN", "second_fundamental": "nnN", "mean_curvature": "N", "theta": "N",
+    "grad_h": "nN", "grad_h_norm2": "N", "hess_identity": "nnN", "hess_direct": "nnN",
+    "identity_error": "N", "ric": "nnN", "scal_gauss": "N", "lam": "N", "residual": "N",
+    "lap_gradient": "nN",
+}
+JET_SHAPES = {
+    "chart": "nN", "frame": "dnN", "second": "dnnN", "third": "dnnnN", "D": "dN", "dD": "ddN",
+    "metric": "nnN", "factor": "nnN", "metric_inverse": "nnN",
+}
+
+
+@pytest.mark.parametrize("fixture", ["hyperplane", "sphere3"])
+def test_records_carry_a_trailing_point_axis(fixture, request):
+    imm = request.getfixturevalue(fixture)
+    points = imm.chart.grid(4, 0.2)[:7]  # N = 7 matches no other axis
+    sizes = {"n": imm.n, "d": imm.n + 1, "N": len(points)}
+    geometry, jets = grid_geometry(imm, points, order=3), point_jets(imm, points, order=3)
+    for record, shapes in ((geometry, GEOMETRY_SHAPES), (jets, JET_SHAPES)):
+        for name, letters in shapes.items():
+            assert getattr(record, name).shape == tuple(sizes[c] for c in letters), name
+        # the heights, fiber coordinates and warping triple: one value per point
+        values = [record.ambient_point.t, *record.ambient_point.x, *record.warping]
+        assert all(np.shape(a) == (len(points),) for a in values)
+    d2D = imm.ambient.diagonal_jets(jets.ambient_point.x, jets.warping, second=True)[2]
+    assert d2D.shape == (sizes["d"],) * 3 + (len(points),)
 
 
 def test_nodes_compare_by_type():
