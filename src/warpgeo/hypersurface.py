@@ -323,14 +323,15 @@ def _unit_normal(E, D, F):
     G-orthonormal, so I - W W^T diag(D) = N N^T diag(D), whose column v with
     the largest diagonal entry D_c N_c^2 >= 1/d is D-normalized to +-N.  As
     v - e_c is a combination of E's columns, det([E | v]) = det([E | e_c]) =
-    -det(M) for c < n (det(M) for c = n), M = E[:n] with row c set to E[n]."""
+    -det(M) for c < n (det(M) for c = n), M = E[:n] with row c set to E[n];
+    M's columns are scaled to a largest entry of 1: the sign stays, and det(M) cannot overflow."""
     W = contract("aip,ijp->ajp", E, F)
     c = np.argmin(D * contract("aip,aip->ap", W, W), axis=0)
     points, n = np.arange(c.size), E.shape[1]
     v = (np.arange(n + 1)[:, None] == c) - contract("aip,ip->ap", W, W[c, :, points].T) * D[c, points]
     M = E.copy()
     M[c, :, points] = E[n, :, points]
-    sign = np.sign(_det(M[:n]))
+    sign = np.sign(_det(M[:n] / np.max(np.abs(M[:n]), axis=0)))
     return v / (np.where(c == n, sign, -sign) * np.sqrt(contract("ap,ap->p", D * v, v)))
 
 

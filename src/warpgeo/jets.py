@@ -10,12 +10,12 @@ immersion is free of truncation error.  At order 2 the third slot is None.
 Jets are evaluated in vector forward mode: a binding may be an array of
 N values, and the jet then has a trailing point axis (value ``(N,)``, grad
 ``(m, N)``, hess ``(m, m, N)`` and so on), so every elementary operation
-runs once over all points, contiguously along them.  Inside a batch a
-constant's or variable's derivative slots carry a trailing singleton axis.
-The arithmetic per point is that of a single point, so each point's
-result does not depend on the batch it is evaluated in.  A domain
-error names the first point, in binding order, whose own evaluation fails
-(``DomainError.index``).
+runs once over all points, contiguously along them.  The zero pattern is
+structural (Griewank and Walther, ch. 7): a constant's or variable's Hessian
+and third slot are zero by construction, a sentinel that every rule
+propagates, so no slot is masked per point and each point's result does not
+depend on the batch it is evaluated in.  A domain error names the first
+point, in binding order, whose own evaluation fails (``DomainError.index``).
 """
 
 from __future__ import annotations
@@ -33,13 +33,27 @@ def _value(v):
     return np.asarray(v, dtype=float)[()]
 
 
+class _Zero:
+    """A Hessian or third slot that is zero by construction at every point: it
+    adds nothing (not even the sign of a zero) and absorbs every factor."""
+
+    __array_ufunc__ = None  # numpy defers to the operators below
+    __neg__ = __mul__ = __rmul__ = lambda self, other=None: self
+    __add__ = __radd__ = __rsub__ = lambda self, other: other
+    __sub__ = lambda self, other: -other
+
+
+_ZERO = _Zero()
+
+
 class Jet2(NamedTuple):
     """Value, gradient and symmetric Hessian in ``m`` active variables, and
     at order 3 the symmetric third derivative (None at order 2).
 
     The value may carry trailing point axes, which follow the derivative
     axes: value ``S``, grad ``(m,) + S``, hess ``(m, m) + S``, third
-    ``(m, m, m) + S``.
+    ``(m, m, m) + S``.  Inside the walk a slot that is zero by construction is
+    the sentinel ``_ZERO``; :func:`eval_jet2` returns arrays only.
     A jet is a named tuple; numpy defers to its operators rather than
     reading it as a sequence (``np.float64(2.0) * jet`` is ``jet * 2.0``).
     """
@@ -63,21 +77,10 @@ class Jet2(NamedTuple):
         """The value and the derivatives up to the jet's order."""
         return (self.value, self.grad, self.hess, self.third)[: self.order + 1]
 
-    @staticmethod
-    def constant(value, m, order=2, tail=()):  # tail: singleton point axes of a batch
-        third = None if order == 2 else np.zeros((m, m, m) + tail)
-        return Jet2(_value(value), np.zeros((m,) + tail), np.zeros((m, m) + tail), third)
-
-    @staticmethod
-    def variable(value, index, m, order=2, tail=()):
-        jet = Jet2.constant(value, m, order, tail)
-        jet.grad[index] = 1.0
-        return jet
-
     def _lift(self, other):
         if isinstance(other, Jet2):
             return other
-        return Jet2.constant(other, self.m, self.order, (1,) * (self.grad.ndim - 1))
+        return _constant(other, self.m, self.order, (1,) * (self.grad.ndim - 1))
 
     def __neg__(self):
         return Jet2(*(-a for a in self.slots()))
@@ -100,7 +103,7 @@ class Jet2(NamedTuple):
         third = None
         if self.third is not None:
             t = _outer(self.hess, other.grad) + _outer(other.hess, self.grad)
-            third = _plus(_plus(_sym3(t), a, other.third), b, self.third)
+            third = _sym3(t) + a * other.third + b * self.third
         return Jet2(
             a * b,
             a * other.grad + b * self.grad,
@@ -111,30 +114,24 @@ class Jet2(NamedTuple):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        return self * _reciprocal(other, None)
+        return self * _reciprocal(self._lift(other), None)
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
 
+def _constant(value, m, order=2, tail=()):  # tail: singleton point axes of a batch
+    return Jet2(_value(value), np.zeros((m,) + tail), _ZERO, None if order == 2 else _ZERO)
+
+
 def _outer(h, g):
     """t[i, j, k] = h_ij g_k."""
-    return h[:, :, None] * g[None, None, :]
-
-
-def _plus(total, c, third):
-    """total + c third wherever third is not zero.  A zero entry adds nothing,
-    not even the sign of a zero or the nan of an infinite c, so a point's
-    result does not depend on whether its batch gives that slot a point axis."""
-    if third.size > third.shape[0] ** 3 or third.any():  # else a constant's or variable's zero slot
-        return np.where(third != 0.0, total + c * third, total)
-    return total
+    return h if h is _ZERO else h[:, :, None] * g[None, None, :]
 
 
 def _sym3(t):
     """t_ijk + t_ikj + t_jki for t symmetric in its first two indices."""
-    return t + np.swapaxes(t, 1, 2) + np.swapaxes(np.swapaxes(t, 1, 2), 0, 1)
+    return t if t is _ZERO else t + np.swapaxes(t, 1, 2) + np.swapaxes(np.swapaxes(t, 1, 2), 0, 1)
 
 
 def first_index(mask):
@@ -199,35 +196,23 @@ def _raise_at(bad, node, message, value=None):
         raise DomainError(message, node, index=i)
 
 
-def _per_point(flat, known, general):
-    """``known()`` where ``flat`` holds (everywhere if None), else ``general()``; each only if needed."""
-    if flat is None:
-        return known()
-    if not np.count_nonzero(flat):
-        return general()
-    return np.where(flat, known(), general())
-
-
 def _chain(u, f0, f1, f2, f3):
     """Compose a scalar function with jet ``u`` via the chain rule;
     ``f3`` is a callable giving the third derivative, called at order 3 only.
-    Where u's Hessian is zero (a variable, say) the Hessian is f2 u_i u_j
-    and the third slot f3 u_i u_j u_k, f3 summed as the three f3/3 terms of
-    ``_sym3`` (the general rule's bits when u_i is 0 or +-1).  The rule is
-    chosen per point, so a point's result is its own in any batch; on a
-    variable's slots (a singleton point axis) no other tensor is formed per point."""
+    Where u's Hessian is zero by construction (a variable, say) the third
+    slot is f3 u_i u_j u_k, f3 summed as the three f3/3 terms of ``_sym3``
+    (the general rule's bits when u_i is 0 or +-1) without forming them.
+    The choice is fixed by the expression, so no slot is masked per point."""
     outer = u.grad[:, None] * u.grad[None, :]
-    flat = ~u.hess.any(axis=(0, 1)) if u.hess.any() else None  # None: zero at every point
-    hess = _per_point(flat, lambda: f2 * outer, lambda: f1 * u.hess + f2 * outer)
+    hess = f1 * u.hess + f2 * outer
     third = None
     if u.third is not None:
         s = f3() / 3.0
-        third = _per_point(
-            flat,
-            lambda: ((s + s) + s) * (outer[:, :, None] * u.grad[None, None, :]),
-            lambda: _sym3(_outer(f2 * u.hess + s * outer, u.grad)),
-        )
-        third = _plus(third, f1, u.third)
+        if u.hess is _ZERO:
+            third = ((s + s) + s) * (outer[:, :, None] * u.grad[None, None, :])
+        else:
+            third = _sym3(_outer(f2 * u.hess + s * outer, u.grad))
+        third = third + f1 * u.third
     return Jet2(f0, f1 * u.grad, hess, third)
 
 
@@ -310,35 +295,39 @@ def _real_pow(base, exponent, node):
 
 def _take(jet, shape, idx):
     """The points ``idx`` of a jet broadcast to ``shape``."""
-    return Jet2(*(np.broadcast_to(a, (jet.m,) * r + shape)[..., idx] for r, a in enumerate(jet.slots())))
+    return Jet2(*(a if a is _ZERO else np.broadcast_to(a, (jet.m,) * r + shape)[..., idx]
+                  for r, a in enumerate(jet.slots())))
 
 
 def _int_pow(base, exponent, k, node):
     """The integer rule base^k.  At order 3 an exponent whose derivatives start
-    at the third adds base^k log(base) times it (nan where base <= 0)."""
+    at the third adds base^k log(base) times it (nan where base <= 0), only
+    at the entries where that third derivative is not zero."""
     part = _pow_int_jet(base, k, node)
-    if part.third is None or not exponent.third.any():
+    if part.third is None or exponent.third is _ZERO:
         return part
-    third = _plus(part.third, part.value * np.log(base.value), exponent.third)
+    term = part.value * np.log(base.value) * exponent.third
+    third = part.third + np.where(exponent.third != 0.0, term, 0.0)
     return Jet2(part.value, part.grad, part.hess, third)
 
 
 def _pow_jet(base, exponent, node):
     k = exponent.value
     # An exponent without derivatives at a point and integral there takes
-    # the integer rule at that point; every other point the real power.
-    integral = ~exponent.grad.any(0) & ~exponent.hess.any((0, 1))
-    integral = integral & (k == np.round(k)) & (np.abs(k) <= 2**31)
-    if np.all(integral):
-        ks = np.unique(k) if np.ndim(k) else [k]
-        if len(ks) == 1:
-            return _int_pow(base, exponent, int(ks[0]), node)
-    elif not np.any(integral):
+    # the integer rule at that point; every other point the real power.  An
+    # exponent with a point axis goes point by point even where it is one
+    # integer, so a point's zero pattern does not depend on its batch.
+    integral = ~exponent.grad.any(0) & (k == np.round(k)) & (np.abs(k) <= 2**31)
+    if exponent.hess is not _ZERO:
+        integral = integral & ~exponent.hess.any((0, 1))
+    if not np.any(integral):
         return _real_pow(base, exponent, node)
+    if np.ndim(k) == 0 and np.all(integral):
+        return _int_pow(base, exponent, int(k), node)
     shape = np.broadcast_shapes(np.shape(base.value), np.shape(k), integral.shape)
     integral = np.broadcast_to(integral, shape)
     kk = np.broadcast_to(k, shape)
-    out = [np.empty((base.m,) * r + shape) for r in range(base.order + 1)]
+    out = [np.zeros((base.m,) * r + shape) for r in range(base.order + 1)]
     groups = [(np.flatnonzero(~integral), None)]
     groups += [(np.flatnonzero(integral & (kk == e)), int(e)) for e in np.unique(kk[integral])]
     for idx, e in groups:
@@ -353,23 +342,24 @@ def _pow_jet(base, exponent, node):
         except DomainError as exc:
             raise DomainError(str(exc), node, index=int(idx[exc.index])) from None
         for slot, values in zip(out, part.slots()):
-            slot[..., idx] = values
+            if values is not _ZERO:
+                slot[..., idx] = values
     return Jet2(*out)
 
 
 def _walk(expr, values, index, m, order, tail):
     def rec(node):
         if isinstance(node, Num):
-            return Jet2.constant(node.value, m, order, tail)
+            return _constant(node.value, m, order, tail)
         if isinstance(node, Const):
-            return Jet2.constant(CONSTANTS[node.name], m, order, tail)
+            return _constant(CONSTANTS[node.name], m, order, tail)
         if isinstance(node, Var):
             if node.name not in values:
                 raise UnknownIdentifier(node.name)
-            value = values[node.name]
+            jet = _constant(values[node.name], m, order, tail)
             if node.name in index:
-                return Jet2.variable(value, index[node.name], m, order, tail)
-            return Jet2.constant(value, m, order, tail)
+                jet.grad[index[node.name]] = 1.0
+            return jet
         if isinstance(node, Neg):
             return -rec(node.operand)
         if isinstance(node, Call):
@@ -392,7 +382,9 @@ def _walk(expr, values, index, m, order, tail):
 
 
 def _full(a, shape):
-    return a if a.shape == shape else np.broadcast_to(a, shape).copy()
+    if a is _ZERO:
+        return np.zeros(shape)
+    return a if np.shape(a) == shape else np.broadcast_to(a, shape).copy()
 
 
 def eval_jet2(expr, bindings, active=(), order=2):
@@ -418,7 +410,7 @@ def eval_jet2(expr, bindings, active=(), order=2):
             return _walk(expr, prefix, index, m, order, tail)
 
     jet = first_failure(evaluate, shape[0] if shape else 1)
-    value, *derivatives = (_full(np.asarray(a), (m,) * r + shape) for r, a in enumerate(jet.slots()))
+    value, *derivatives = (_full(a, (m,) * r + shape) for r, a in enumerate(jet.slots()))
     return Jet2(_value(value), *derivatives)
 
 

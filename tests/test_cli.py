@@ -294,6 +294,25 @@ def test_analyze_overflow_exit_three(tmp_path, capsys):
     assert "exp overflows" in err and "chart point" in err
 
 
+def test_flat_hyperplane_of_size_1e120_exit_zero(tmp_path, capsys):
+    # g is finite (entries near 1e240), and the 3 x 3 minor that orients
+    # the normal has entries near 1e120: it is scaled before its determinant
+    scene = hyperplane_scene()
+    scene["ambient"]["n"] = 3
+    scene["immersion"] = {
+        "components": [
+            "1e120*((-0.24)*u+(0.13)*v1+(0.77)*v2)",
+            "1e120*((-0.45)*u+(-0.85)*v1+(0.15)*v2)",
+            "1e120*((-0.72)*u+(0.50)*v1+(0.05)*v2)",
+            "1e120*((0.47)*u+(0.01)*v1+(0.61)*v2)",
+        ],
+        "chart": {"names": ["u", "v1", "v2"], "lower": [-1, -1, -1], "upper": [1, 1, 1]},
+    }
+    scene["grid"] = {"samples": {"u": 3, "v1": 3, "v2": 3}}
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 0
+    assert "verdict=soliton" in capsys.readouterr().out
+
+
 def test_analyze_degenerate_preset_exit_two(tmp_path, capsys):
     # at t0 = -30 in f = exp(t) the slice's Gram determinant f^4 is below
     # GRAM_DET_LIMIT at the chart center: the probe block of the scene's

@@ -181,19 +181,24 @@ def test_factor_normal_matches_the_cofactor_oracle_on_random_frames(n, rng):
         assert alone.tobytes() == normal[..., i : i + 1].tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_unit_normal_is_positively_oriented(n, rng):
+@pytest.mark.parametrize(
+    "n, scale",
+    [(n, 1.0) for n in (1, 2, 3, 4)] + [(n, 1e120) for n in (1, 2, 3, 4)],
+    ids=["1", "2", "3", "4", "1-1e120", "2-1e120", "3-1e120", "4-1e120"],
+)
+def test_unit_normal_is_positively_oriented(n, scale, rng):
     # det([E | N]) > 0 by LAPACK's determinant of the (n+1) x (n+1) matrix,
-    # on generic frames and metrics, so every deleted row c occurs
+    # on generic frames and metrics, so every deleted row c occurs; a frame
+    # of size 1e120 has a finite metric, and its sign minor must not overflow
     count, d = 400, n + 1
-    E = rng.standard_normal((count, d, n))
+    E = scale * rng.standard_normal((count, d, n))
     D = np.exp(rng.uniform(-2.0, 2.0, (count, d)))
     _, F = hypersurface._factor(point_last(np.swapaxes(E, -1, -2) @ (D[..., :, None] * E)))
     normal = point_first(hypersurface._unit_normal(point_last(E), point_last(D), F))
     W = E @ point_first(F)
     rows = set(np.argmin(D * np.sum(W * W, axis=-1), axis=-1).tolist())
     assert rows == set(range(d))
-    assert np.all(np.linalg.det(np.concatenate([E, normal[..., None]], axis=-1)) > 0.0)
+    assert np.all(np.linalg.det(np.concatenate([E / scale, normal[..., None]], axis=-1)) > 0.0)
     assert np.max(np.abs(np.sum(D * normal * normal, axis=-1) - 1.0)) < 1e-12
 
 

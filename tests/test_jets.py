@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from warpgeo.errors import DomainError
 from warpgeo.expr import FUNCTIONS, BinOp, Call, Const, Neg, Var, literal, parse, unparse
-from warpgeo.jets import Jet2, eval_jet2
+from warpgeo.jets import eval_jet2
 
 from oracles import eval_value, fd_gradient
 
@@ -199,8 +199,29 @@ def test_domain_error_carries_subexpression():
     assert "log" in unparse(err.value.expression)
 
 
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("t", [0.5, np.array([0.5, -1.0, 2.0])], ids=["point", "batch"])
+@pytest.mark.parametrize("src", ["2", "t", "t+u"])
+def test_every_returned_slot_is_an_array_of_its_shape(src, t, order):
+    # slots that are zero by construction inside the walk are arrays here
+    jet = eval_jet2(parse(src), {"t": t, "u": 1.5}, ("t", "u"), order)
+    S = np.shape(t)
+    assert np.shape(jet.value) == S
+    for r, slot in enumerate(jet.slots()[1:], start=1):
+        assert isinstance(slot, np.ndarray) and slot.shape == (2,) * r + S
+    assert np.all(jet.hess == 0.0) and (order == 2 or np.all(jet.third == 0.0))
+
+
+@pytest.mark.parametrize("src, u", [("u^(t*t*t*t)", 0.0), ("(u-3)^(t*t*t*t)", 1.0)])
+def test_integer_power_third_is_finite_where_the_exponent_third_is_zero(src, u):
+    # at t = 0 the exponent is 0 with every derivative zero, and base <= 0:
+    # log(base) times the exponent's zero third slot adds nothing
+    jet = eval_jet2(parse(src), {"t": 0.0, "u": u}, ("t", "u"), order=3)
+    assert np.all(np.isfinite(jet.third))
+
+
 def test_jet_scalar_mixing():
-    t = Jet2.variable(3.0, 0, 1)
+    t = eval_jet2(parse("t"), {"t": 3.0}, ("t",))
     out = 2.0 * t + 1.0 - t / 2.0
     assert out.value == 5.5
     assert out.grad[0] == 1.5
@@ -236,6 +257,11 @@ _COORD = st.floats(min_value=-3.0, max_value=3.0)
     points=[(1.0, 0.0), (1.0, 0.0), (2.2250738585e-313, 0.0)],
     active=("u", "t"),
 )
+# one integer exponent over a point axis takes the rule point by point; a
+# chain and products on Hessians that are zero by construction
+@example(expr=parse("t^u"), points=[(1.5, 2.0), (-0.5, 2.0)], active=("u", "t"))
+@example(expr=parse("sin(t+u)"), points=[(0.3, -1.2), (2.0, 1.0)], active=("u", "t"))
+@example(expr=parse("t*u*t"), points=[(0.3, -1.2), (-0.0, 1.0)], active=("u", "t"))
 def test_batched_jets_match_single_points(expr, points, active):
     # each point is bit-identical whether evaluated in the batch or alone,
     # a NaN counting as one value, and a failure is the first point's
@@ -298,6 +324,9 @@ def test_overflow_is_a_domain_error():
 # integer ones) where each point alone takes one rule for the whole batch
 @example(expr=parse("0.5^u"), points=[(0.0, 0.0), (0.0, -0.5)], active=("t",))
 @example(expr=parse("-sin(0.0^u)"), points=[(0.0, 0.0), (0.0, 1.0)], active=("t",))
+@example(expr=parse("t^u"), points=[(1.5, 2.0), (-0.5, 2.0)], active=("u", "t"))
+@example(expr=parse("sin(t+u)"), points=[(0.3, -1.2), (2.0, 1.0)], active=("u", "t"))
+@example(expr=parse("t*u*t"), points=[(0.3, -1.2), (-0.0, 1.0)], active=("u", "t"))
 def test_order_three_jets_match_single_points_and_order_two(expr, points, active):
     # the third slot comes from the same walk: the slots of order 2 are
     # the order-2 ones to the bit, a failure is the same, and each point

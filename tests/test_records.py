@@ -18,7 +18,7 @@ def test_records_refuse_assignment(hyperplane):
     geometry = grid_geometry(hyperplane, [hyperplane.chart.center()])
     records = [
         (Num(1.0), "value"),
-        (Jet2.constant(1.0, 2), "grad"),
+        (eval_jet2(parse("1"), {}, ("t", "u")), "grad"),
         (ChartBox(("u",), (0.0,), (1.0,)), "lower"),
         (RotationalProfile(theta=0.5, f="exp(t)", n=2), "theta"),
         (geometry, "lam"),
