@@ -115,9 +115,11 @@ def build_preset(name, ambient, params):
     if name not in PRESETS:
         raise SceneError(f"unknown preset {name!r}", field="immersion.preset")
     builder, defaults, _ = PRESETS[name]
-    if builder is _rotational and ambient.fiber is not Fiber.EUCLIDEAN:
-        raise SceneError("rotational presets need a Euclidean fiber", field="ambient.fiber")
-    params = params or {}
+    # demands on the ambient name its field (the builders check again for library callers)
+    if builder is not slice_immersion and ambient.fiber is not Fiber.EUCLIDEAN:
+        raise SceneError(f"{name} preset needs a Euclidean fiber", field="ambient.fiber")
+    if builder is _rotational and ambient.n < 2:
+        raise SceneError("rotational hypersurfaces need n >= 2", field="ambient.n")
     unknown = set(params) - set(defaults)
     if unknown:
         raise SceneError(f"unknown parameters {sorted(unknown)} for preset {name!r}", "immersion.params")

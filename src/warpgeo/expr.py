@@ -85,6 +85,7 @@ class _Token(NamedTuple):
 
 
 _OPERATOR_CHARS = "+-*/^()"
+_DIGITS = frozenset("0123456789")  # of a number: str.isdigit() also holds for "²" and "٣"
 
 
 def is_name(text):
@@ -105,22 +106,22 @@ def _tokenize(text):
             yield _Token("op", c, i)
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < size and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < size and text[i + 1] in _DIGITS):
             start = i
-            while i < size and text[i].isdigit():
+            while i < size and text[i] in _DIGITS:
                 i += 1
             if i < size and text[i] == ".":
                 i += 1
-                while i < size and text[i].isdigit():
+                while i < size and text[i] in _DIGITS:
                     i += 1
             # exponent part only when followed by digits (with optional sign)
             if i < size and text[i] in "eE":
                 j = i + 1
                 if j < size and text[j] in "+-":
                     j += 1
-                if j < size and text[j].isdigit():
+                if j < size and text[j] in _DIGITS:
                     i = j
-                    while i < size and text[i].isdigit():
+                    while i < size and text[i] in _DIGITS:
                         i += 1
             yield _Token("num", text[start:i], start)
             continue

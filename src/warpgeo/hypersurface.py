@@ -117,43 +117,14 @@ class ChartBox(namedtuple("ChartBox", "names lower upper")):
         return list(itertools.product(*(axis.tolist() for axis in axes)))
 
 
-class ExpressionComponent:
-    """Immersion component backed by an expression AST."""
+class CallableComponent(NamedTuple):
+    """``width`` consecutive coordinates without a closed form (a profile defined by
+    quadrature): ``fn(values, active, order)`` takes bindings to arrays of N chart
+    coordinates and returns ``width`` :class:`Jet2` values of that order with that
+    trailing point axis (grad ``(m, N)``), so work they share runs once per batch."""
 
-    width = 1
-
-    def __init__(self, expr):
-        self.expr = as_expression(expr)
-
-    def jets(self, values, active, order=2):
-        return [eval_jet2(self.expr, values, active, order)]
-
-
-class CallableComponent:
-    """A block of ``width`` consecutive components backed by a callable.
-
-    Used where components have no closed form in the expression grammar
-    (profile curves defined by quadrature).  ``fn(values, active, order)``
-    receives bindings whose values are arrays of N chart coordinates and
-    returns ``width`` :class:`Jet2` values of that order with that trailing
-    point axis (grad ``(m, N)``), so work the components share is done once
-    per batch.
-    """
-
-    def __init__(self, fn, width):
-        self.fn = fn
-        self.width = width
-
-    def jets(self, values, active, order=2):
-        return list(self.fn(values, active, order))
-
-
-def as_component(obj):
-    if isinstance(obj, (ExpressionComponent, CallableComponent)):
-        return obj
-    if isinstance(obj, (str, int, float, Expression)):
-        return ExpressionComponent(obj)
-    raise TypeError(f"cannot interpret {obj!r} as an immersion component")
+    fn: object
+    width: int
 
 
 def as_points(points, n):
@@ -167,10 +138,10 @@ def as_points(points, n):
 class Immersion:
     """A hypersurface immersion of a chart box into a warped product.
 
-    ``components`` gives the n+1 ambient coordinates (t, x1, ..., xn) as
-    expressions in the chart variables, or as :class:`CallableComponent`
-    blocks of consecutive coordinates.  Construction checks the shapes
-    and the variables of the components and evaluates nothing; the object
+    ``components`` gives the n+1 ambient coordinates (t, x1, ..., xn) as expressions
+    in the chart variables (text, numbers or ASTs, held as :class:`Expression`), or as
+    :class:`CallableComponent` blocks of consecutive coordinates.  Construction checks
+    the widths and the variables of the expressions and evaluates nothing; the object
     is not modified afterwards.  ``probes`` holds the chart center and the
     3^n points of ``chart.grid(3, margins=0.1)``, which every geometry pass
     evaluates and checks ahead of its own points (``intrinsic.grid_geometry``).
@@ -179,23 +150,18 @@ class Immersion:
     def __init__(self, ambient, chart, components):
         if not isinstance(ambient, WarpedProduct):
             raise TypeError("ambient must be a WarpedProduct")
-        self.ambient = ambient
-        self.chart = chart
-        self.components = tuple(as_component(c) for c in components)
-        width = sum(c.width for c in self.components)
+        self.ambient, self.chart = ambient, chart
+        self.components = tuple(c if isinstance(c, CallableComponent) else as_expression(c)
+                                for c in components)
+        width = sum(c.width if isinstance(c, CallableComponent) else 1 for c in self.components)
         if width != ambient.dim:
             raise ValueError(f"expected {ambient.dim} components, got {width}")
         if chart.dim != ambient.n:
-            raise ValueError(
-                f"chart dimension {chart.dim} must equal hypersurface dimension {ambient.n}"
-            )
-        for comp in self.components:
-            if isinstance(comp, ExpressionComponent):
-                extra = variables_in(comp.expr) - set(chart.names)
-                if extra:
-                    raise ValueError(
-                        f"component {unparse(comp.expr)!r} uses undeclared variables {sorted(extra)}"
-                    )
+            raise ValueError(f"chart dimension {chart.dim} must equal hypersurface dimension {ambient.n}")
+        for expr in self.components:
+            extra = isinstance(expr, Expression) and sorted(variables_in(expr) - set(chart.names))
+            if extra:
+                raise ValueError(f"component {unparse(expr)!r} uses undeclared variables {extra}")
         self.probes = as_points([chart.center()] + chart.grid(3, margins=0.1), chart.dim)
         self.probes.flags.writeable = False
 
@@ -208,17 +174,21 @@ class Immersion:
 
     def coordinate_jets(self, values, active, order=2):
         """Jets of the n+1 ambient coordinates at the chart bindings ``values``."""
-        return [jet for c in self.components for jet in c.jets(values, active, order)]
+        jets = []
+        for c in self.components:
+            if isinstance(c, CallableComponent):
+                jets.extend(c.fn(values, active, order))
+            else:
+                jets.append(eval_jet2(c, values, active, order))
+        return jets
 
     def _component_jets(self, points, active, order=2):  # points: an (N, n) array
         columns = {name: np.ascontiguousarray(points[:, i]) for i, name in enumerate(self.chart.names)}
         return self.coordinate_jets(columns, active, order)
 
     def component_jets(self, points, order=2):
-        """Jets of ``order`` 2 or 3 of every ambient coordinate over (N, n) chart points.
-
-        A failure is the one of the first point that fails alone.
-        """
+        """Jets of ``order`` 2 or 3 of every ambient coordinate over (N, n) chart points;
+        a failure is the one of the first point that fails alone."""
         points = as_points(points, self.n)
         return first_failure(
             lambda k: self._component_jets(points[:k], self.chart.names, order), len(points)

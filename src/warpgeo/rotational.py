@@ -38,7 +38,7 @@ import numpy as np
 from .ambient import Fiber, WarpedProduct, eval_warping
 from .errors import DomainError, QuadratureFailure, SigmaZero
 from .expr import BinOp, Call, Var, literal
-from .hypersurface import CallableComponent, ChartBox, ExpressionComponent, Immersion
+from .hypersurface import CallableComponent, ChartBox, Immersion
 from .jets import Jet2, as_expression, eval_jet2, first_index
 from .intrinsic import grid_geometry
 from .soliton import SOLITON_TOL, Verdict, soliton_report
@@ -268,7 +268,7 @@ def assemble_rotational(curve, ambient):
         beta = _profile_jet(curve, values, active, order)
         return [beta * eval_jet2(x_expr, values, active, order) for x_expr in sphere]
 
-    components = [ExpressionComponent(prof.alpha_expression()), CallableComponent(fiber, prof.n)]
+    components = [prof.alpha_expression(), CallableComponent(fiber, prof.n)]
     return Immersion(ambient, default_chart(prof), components)
 
 

@@ -78,15 +78,16 @@ MESH_WARNING = (
 )
 
 
-def _object(block, where):
-    """``block`` if it is a JSON object; anything else is refused, naming ``where``."""
-    if not isinstance(block, dict):
-        raise SceneError("must be a JSON object", field=where)
-    return block
+def _typed(value, where, kind=dict):
+    """``value`` if it is a ``kind``, a JSON object (dict) or a string (str); anything
+    else is refused, naming ``where``."""
+    if not isinstance(value, kind):
+        raise SceneError("must be a JSON object" if kind is dict else "must be a string", field=where)
+    return value
 
 
 def _require_keys(block, allowed, required, where):
-    unknown = set(_object(block, where)) - set(allowed)
+    unknown = set(_typed(block, where)) - set(allowed)
     if unknown:
         raise SceneError(f"unknown field(s) {sorted(unknown)}", field=where)
     for key in required:
@@ -139,8 +140,9 @@ def validate_scene(data):
         message = f"fiber must be 'euclidean' or 'sphere', got {amb['fiber']!r}"
         raise SceneError(message, field="ambient.fiber")
     _field(amb["n"], "ambient.n", "n")
+    f_text = _typed(amb["f"], "ambient.f", str)
     try:
-        f_expr = parse_expr(str(amb["f"]), variables={"t"})
+        f_expr = parse_expr(f_text, variables={"t"})
         ambient = WarpedProduct((lo, hi), f_expr, amb["fiber"], amb["n"])
     except WarpGeoError as exc:
         raise SceneError(str(exc), field="ambient.f") from None
@@ -150,17 +152,18 @@ def validate_scene(data):
     output = data.get("output", {})
     _require_keys(output, ("report", "mesh"), (), "output")
     for key, path in output.items():
-        if path is not None and not isinstance(path, str):
+        if path is not None and not (isinstance(path, str) and path):
             raise SceneError(f"{key} must be a file path", field=f"output.{key}")
     if output.get("mesh") and ambient.n != 2:
         raise SceneError(f"mesh export needs n = 2, got n = {ambient.n}", field="output.mesh")
 
     imm_block = data["immersion"]
     profile = None
-    if "preset" in _object(imm_block, "immersion"):
+    if "preset" in _typed(imm_block, "immersion"):
         _require_keys(imm_block, ("preset", "params"), ("preset",), "immersion")
-        params = _object(imm_block.get("params") or {}, "immersion.params")
-        immersion, profile = build_preset(str(imm_block["preset"]), ambient, params)
+        params = _typed(imm_block.get("params", {}), "immersion.params")
+        preset = _typed(imm_block["preset"], "immersion.preset", str)
+        immersion, profile = build_preset(preset, ambient, params)
     else:
         _require_keys(imm_block, ("components", "chart"), ("components", "chart"), "immersion")
         chart_block = imm_block["chart"]
@@ -184,10 +187,12 @@ def validate_scene(data):
             raise SceneError("components must be a list", field="immersion.components")
         exprs = []
         for idx, src in enumerate(components):
+            field = f"immersion.components[{idx}]"
+            src = _typed(src, field, str)
             try:  # an undeclared variable is an UnknownIdentifier
-                exprs.append(parse_expr(str(src), variables=set(names)))
+                exprs.append(parse_expr(src, variables=set(names)))
             except WarpGeoError as exc:
-                raise SceneError(str(exc), field=f"immersion.components[{idx}]") from None
+                raise SceneError(str(exc), field=field) from None
         try:
             immersion = Immersion(ambient, chart, exprs)
         except ValueError as exc:
@@ -195,8 +200,8 @@ def validate_scene(data):
 
     grid_block = data.get("grid", {})
     _require_keys(grid_block, ("samples", "margins"), (), "grid")
-    samples = _object(grid_block.get("samples", {}), "grid.samples")
-    margins = _object(grid_block.get("margins", {}), "grid.margins")
+    samples = _typed(grid_block.get("samples", {}), "grid.samples")
+    margins = _typed(grid_block.get("margins", {}), "grid.margins")
     names = immersion.chart.names
     count, margin = (NUMBER_FIELDS[f"grid.{key}"].default for key in ("samples", "margins"))
     counts = {v: _field(samples.get(v, count), "grid.samples", f"sample count for {v!r}")
@@ -217,7 +222,7 @@ def validate_scene(data):
     if not isinstance(raw_checks, list) or not raw_checks:
         raise SceneError("checks must be a non-empty list", field="checks")
     for raw in raw_checks:
-        raw = str(raw)
+        raw = _typed(raw, "checks", str)
         match = SPACEFORM_RE.match(raw)
         if match:
             checks.append(("spaceform", raw, _number(float(match[1]), "checks", "spaceform c")))

@@ -182,6 +182,18 @@ def horosphere_scene():
         (lambda s: s["grid"].update(margins={"u1": 10**400}), "grid.margins"),
         (lambda s: s["immersion"]["params"].update(t0=10**400), "immersion.params"),
         (lambda s: s["grid"]["samples"].update(u1=10**400), "grid.samples"),
+        # params is an object: no other value stands for "no parameters"
+        *[(lambda s, v=v: s.update(immersion={"preset": "example5", "params": v}, grid={}),
+           "immersion.params") for v in ([], None, 0, False, "")],
+        # an empty output path would write nothing and report nothing
+        (lambda s: s.update(output={"report": ""}), "output.report"),
+        (lambda s: s.update(output={"mesh": ""}), "output.mesh"),
+        # "²" satisfies str.isdigit() but is no digit of a number
+        (lambda s: s.update(immersion={
+            "components": ["²", "u1", "u2"],
+            "chart": {"names": ["u1", "u2"], "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}),
+         "immersion.components[0]"),
+        (lambda s: s["ambient"].update(interval=[1, 2]), "immersion.params"),
     ],
     ids=[
         "grid", "ambient", "immersion", "samples-list", "margin-text", "margin-list",
@@ -191,6 +203,8 @@ def horosphere_scene():
         "names-numbers", "names-with-space",
         "margin-number-text", "bound-text", "u0-text", "theta-text", "schema-true", "schema-float",
         "margin-long-integer", "t0-long-integer", "samples-long-integer",
+        "params-empty-list", "params-null", "params-zero", "params-false", "params-empty-text",
+        "report-empty", "mesh-empty", "component-superscript-two", "t0-outside-interval",
     ],
 )
 def test_analyze_block_of_the_wrong_type_exit_two(tmp_path, capsys, edit, field):
@@ -200,6 +214,50 @@ def test_analyze_block_of_the_wrong_type_exit_two(tmp_path, capsys, edit, field)
     assert main(["analyze", write_scene(tmp_path, scene)]) == 2
     err = capsys.readouterr().err
     assert f"scene field {field!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda s: s["ambient"].update(f=2), "ambient.f"),
+        (lambda s: s["ambient"].update(f=True), "ambient.f"),
+        (lambda s: s["immersion"].update(preset=["horosphere"]), "immersion.preset"),
+        (lambda s: s.update(immersion={
+            "components": ["0", 0, "u2"],
+            "chart": {"names": ["u1", "u2"], "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}),
+         "immersion.components[1]"),
+        (lambda s: s.update(checks=["soliton", ["soliton"]]), "checks"),
+    ],
+    ids=["f-number", "f-boolean", "preset-list", "component-number", "check-list"],
+)
+def test_scene_text_fields_must_be_strings(tmp_path, capsys, edit, field):
+    # no str() is applied: 2 is not the expression "2", nor true "True"
+    scene = horosphere_scene()
+    edit(scene)
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 2
+    assert f"scene field {field!r}: must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset, ambient, field",
+    [
+        ("hyperplane", {"fiber": "sphere"}, "ambient.fiber"),
+        ("sphere", {"fiber": "sphere"}, "ambient.fiber"),
+        ("rotational", {"fiber": "sphere"}, "ambient.fiber"),
+        ("example5", {"fiber": "sphere"}, "ambient.fiber"),
+        ("rotational", {"n": 1}, "ambient.n"),
+        ("example5", {"n": 1}, "ambient.n"),
+    ],
+    ids=["hyperplane-fiber", "sphere-fiber", "rotational-fiber", "example5-fiber",
+         "rotational-n1", "example5-n1"],
+)
+def test_preset_demands_on_the_ambient_name_its_field(tmp_path, capsys, preset, ambient, field):
+    scene = horosphere_scene()
+    scene["ambient"].update(ambient)
+    scene["immersion"] = {"preset": preset, "params": {"theta": 0.5} if preset == "rotational" else {}}
+    scene["grid"] = {}
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 2
+    assert f"scene field {field!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -749,6 +807,7 @@ def test_structural_near_the_chart_edge_exit_zero(tmp_path, capsys):
         (["rotational", "--theta", "0.5", "--t-max", "nan"], "--t-max"),
         (["rotational", "--theta", "0.5", "--f", "u+2"], "--f: unknown identifier 'u'"),
         (["rotational", "--theta", "0.5", "--f", "2x"], "--f"),
+        (["rotational", "--theta", "0.5", "--f", "exp(t)+²"], "--f"),
     ],
 )
 def test_out_of_range_flags_exit_two(argv, flag, capsys, monkeypatch):

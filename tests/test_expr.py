@@ -74,6 +74,11 @@ def test_syntax_error_offsets():
         parse("")
     with pytest.raises(ExprSyntaxError):
         parse("1 2")
+    # digits are ASCII: "²" and "٣" satisfy str.isdigit() but start no number
+    for text, offset in (("²", 0), ("exp(t)+²", 7), ("٣", 0), ("1.٣", 2), ("2e²", 1)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert err.value.offset == offset, text
 
 
 def test_unknown_identifier_at_parse_time():
@@ -161,6 +166,18 @@ def test_long_flat_chain_is_bounded():
     for terms in (MAX_EXPRESSION_DEPTH + 1, 5000):
         with pytest.raises(ExprSyntaxError, match="MAX_EXPRESSION_DEPTH"):
             parse("*".join(["t"] * terms))
+
+
+def test_depth_is_bounded_after_parsing():
+    # no chain (59 links) and no nesting (1 level) reaches the bound, but the
+    # parenthesized chain hangs at the foot of the outer one: depth 119
+    from warpgeo.expr import MAX_EXPRESSION_DEPTH
+
+    text = "(" + "+".join(["t"] * 60) + ")+" + "+".join(["t"] * 59)
+    with pytest.raises(ExprSyntaxError, match="MAX_EXPRESSION_DEPTH") as err:
+        parse(text)
+    assert err.value.offset == 0
+    assert MAX_EXPRESSION_DEPTH < 119
 
 
 def test_long_chain_is_refused_before_the_rest_is_read():

@@ -307,6 +307,19 @@ def test_domain_error_names_the_first_failing_point():
     assert "sqrt of negative value -4.0" in str(err.value)
 
 
+def test_failing_power_group_names_its_point_in_the_batch():
+    # point 0 (integral exponent -1 of base 0) fails in its own power group;
+    # its index in that group maps back to its index in the batch
+    expr = parse("t^u")
+    batch = {"t": np.array([0.0, 2.0, -1.0]), "u": np.array([-1.0, 0.5, 0.5])}
+    with pytest.raises(DomainError) as err:
+        eval_jet2(expr, batch)
+    with pytest.raises(DomainError) as alone:
+        eval_jet2(expr, {"t": 0.0, "u": -1.0})
+    assert err.value.index == 0 and "division by zero" in str(err.value)
+    assert str(err.value) == str(alone.value)
+
+
 def test_overflow_is_a_domain_error():
     with pytest.raises(DomainError):
         eval_jet2(parse("exp(1000*t)"), {"t": np.array([0.0, 1.0])}, ("t",))

@@ -58,6 +58,19 @@ def test_unknown_ambient_field_rejected():
 
 
 @pytest.mark.parametrize(
+    "drop, field, key",
+    [(lambda d: d.pop("checks"), "<root>", "checks"), (lambda d: d["ambient"].pop("f"), "ambient", "f")],
+    ids=["checks", "ambient-f"],
+)
+def test_missing_required_field_is_named(drop, field, key):
+    data = hyperplane_scene()
+    drop(data)
+    with pytest.raises(SceneError, match=f"missing required field {key!r}") as err:
+        validate_scene(data)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize(
     "mutate, field",
     [
         (lambda d: d["ambient"].update(fiber="weird"), "ambient.fiber"),
