@@ -40,7 +40,7 @@ EXIT_DOMAIN = 3
 
 # The numeric flags refused before any work: flag -> (integer, lo, hi) of
 # errors._number, the rule of scene numbers; () reads a finite number.
-FLAG_RANGES = {"theta": (False, 0.0, 1.0), "n": (True, 1, MAX_DIMENSION), "samples": (True, 1),
+FLAG_RANGES = {"theta": (False, 0.0, 1.0), "n": (True, 2, MAX_DIMENSION), "samples": (True, 1),
                "u0": (), "u1": (), "c1": (), "c2": ()}
 
 
@@ -55,6 +55,9 @@ def _check_flags(args):
 
 
 def _cmd_spaceforms(args):
+    if args.samples > MAX_GRID_POINTS:
+        raise ValueError(f"--samples must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}, "
+                         f"got {args.samples}")
     rows = []
     all_passed = True
     for name, model, c, window in space_form_models():

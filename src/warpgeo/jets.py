@@ -10,12 +10,16 @@ immersion is free of truncation error.  At order 2 the third slot is None.
 Jets are evaluated in vector forward mode: a binding may be an array of
 N values, and the jet then has a trailing point axis (value ``(N,)``, grad
 ``(m, N)``, hess ``(m, m, N)`` and so on), so every elementary operation
-runs once over all points, contiguously along them.  The zero pattern is
-structural (Griewank and Walther, ch. 7): a constant's or variable's Hessian
-and third slot are zero by construction, a sentinel that every rule
-propagates, so no slot is masked per point and each point's result does not
-depend on the batch it is evaluated in.  A domain error names the first
-point, in binding order, whose own evaluation fails (``DomainError.index``).
+runs once over all points, contiguously along them.  Which rule a node
+takes depends only on the expression, the active variables and the order,
+never on the values: a power whose exponent has no variables and an integer
+value is a product, any other power exp(exponent * log(base)).  The zero
+pattern is structural (Griewank and Walther, ch. 7): a constant's or
+variable's Hessian and third slot are zero by construction, a sentinel that
+every rule propagates, so no slot is masked per point and each point's
+result does not depend on the batch it is evaluated in.  A domain error
+names the first point, in binding order, whose own evaluation fails
+(``DomainError.index``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, PointError, UnknownIdentifier
-from .expr import FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Var, literal, parse
+from .expr import (FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Var, literal, parse,
+                   variables_in)
 
 
 def _value(v):
@@ -289,62 +294,21 @@ def _apply_function(name, u, node):
 
 
 def _real_pow(base, exponent, node):
-    _raise_at(base.value <= 0.0, node, "non-integer power of non-positive base {!r}", base.value)
+    _raise_at(base.value <= 0.0, node,
+              "power of non-positive base {!r} needs a constant integer exponent k, |k| <= 2^31",
+              base.value)
     return _apply_function("exp", exponent * _apply_function("log", base, node), node)
 
 
-def _take(jet, shape, idx):
-    """The points ``idx`` of a jet broadcast to ``shape``."""
-    return Jet2(*(a if a is _ZERO else np.broadcast_to(a, (jet.m,) * r + shape)[..., idx]
-                  for r, a in enumerate(jet.slots())))
-
-
-def _int_pow(base, exponent, k, node):
-    """The integer rule base^k.  At order 3 an exponent whose derivatives start
-    at the third adds base^k log(base) times it (nan where base <= 0), only
-    at the entries where that third derivative is not zero."""
-    part = _pow_int_jet(base, k, node)
-    if part.third is None or exponent.third is _ZERO:
-        return part
-    term = part.value * np.log(base.value) * exponent.third
-    third = part.third + np.where(exponent.third != 0.0, term, 0.0)
-    return Jet2(part.value, part.grad, part.hess, third)
-
-
 def _pow_jet(base, exponent, node):
-    k = exponent.value
-    # An exponent without derivatives at a point and integral there takes
-    # the integer rule at that point; every other point the real power.  An
-    # exponent with a point axis goes point by point even where it is one
-    # integer, so a point's zero pattern does not depend on its batch.
-    integral = ~exponent.grad.any(0) & (k == np.round(k)) & (np.abs(k) <= 2**31)
-    if exponent.hess is not _ZERO:
-        integral = integral & ~exponent.hess.any((0, 1))
-    if not np.any(integral):
-        return _real_pow(base, exponent, node)
-    if np.ndim(k) == 0 and np.all(integral):
-        return _int_pow(base, exponent, int(k), node)
-    shape = np.broadcast_shapes(np.shape(base.value), np.shape(k), integral.shape)
-    integral = np.broadcast_to(integral, shape)
-    kk = np.broadcast_to(k, shape)
-    out = [np.zeros((base.m,) * r + shape) for r in range(base.order + 1)]
-    groups = [(np.flatnonzero(~integral), None)]
-    groups += [(np.flatnonzero(integral & (kk == e)), int(e)) for e in np.unique(kk[integral])]
-    for idx, e in groups:
-        if not idx.size:
-            continue
-        sub_base, sub_exponent = _take(base, shape, idx), _take(exponent, shape, idx)
-        try:
-            if e is None:
-                part = _real_pow(sub_base, sub_exponent, node)
-            else:
-                part = _int_pow(sub_base, sub_exponent, e, node)
-        except DomainError as exc:
-            raise DomainError(str(exc), node, index=int(idx[exc.index])) from None
-        for slot, values in zip(out, part.slots()):
-            if values is not _ZERO:
-                slot[..., idx] = values
-    return Jet2(*out)
+    """The power rule the expression fixes: an exponent without variables
+    whose value is an integer k with |k| <= 2^31 takes repeated
+    multiplication, any other exponent exp(exponent * log(base))."""
+    if not variables_in(node.right):
+        k = float(exponent.value)
+        if abs(k) <= 2**31 and k.is_integer():  # False for inf and nan
+            return _pow_int_jet(base, int(k), node)
+    return _real_pow(base, exponent, node)
 
 
 def _walk(expr, values, index, m, order, tail):

@@ -59,7 +59,7 @@ SCHEMA_VERSION = 1
 # Largest scene file read.  A scene is a few KB of JSON; a larger file is
 # refused before it is parsed.
 MAX_SCENE_BYTES = 1 << 20
-SPACEFORM_RE = re.compile(r"^spaceform\s+c=(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)$")
+SPACEFORM_RE = re.compile(r"^spaceform\s+c=(-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)$")
 CHECK_NAMES = (
     "lemma1",
     "soliton",

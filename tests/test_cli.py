@@ -792,6 +792,7 @@ def test_structural_near_the_chart_edge_exit_zero(tmp_path, capsys):
     [
         (["spaceforms", "--samples", "-3"], "--samples"),
         (["spaceforms", "--samples", "0"], "--samples"),
+        (["spaceforms", "--samples", "1000000000000"], "--samples must be at most MAX_GRID_POINTS"),
         (["rotational", "--theta", "0.5", "--samples", "0"], "--samples"),
         (["rotational", "--theta", "0.5", "--samples", "-1"], "--samples"),
         (["rotational", "--theta", "0.5", "--u0=-inf"], "--u0"),
@@ -801,6 +802,7 @@ def test_structural_near_the_chart_edge_exit_zero(tmp_path, capsys):
         (["rotational", "--theta", "0.5", "--c2", "nan"], "--c2"),
         (["rotational", "--theta", "nan"], "--theta"),
         (["rotational", "--theta", "0.5", "--n", "9"], "--n"),
+        (["rotational", "--theta", "0.5", "--n", "1"], "--n must lie in [2, 8]"),
         (["rotational", "--theta", "0.5", "--n", "100000"], "--n"),
         (["rotational", "--theta", "0.5", "--t-min", "1", "--t-max", "0"], "--t-min"),
         (["rotational", "--theta", "0.5", "--t-min", "1", "--t-max", "1"], "--t-min"),

@@ -313,6 +313,19 @@ def test_component_variables_validated():
         Immersion(ambient, chart, ["u", "v", "w"])
 
 
+def test_power_rule_does_not_depend_on_the_active_variables():
+    # the exponent v has a variable, so (u-3)^v is the real power even at
+    # v = 2: the image and the jets in u and v refuse the point alike
+    chart = ChartBox(("u", "v"), (0.0, 1.0), (1.0, 3.0))
+    imm = Immersion(euclidean_ambient(2), chart, ["u", "(u-3)^v", "v"])
+    with pytest.raises(DomainError) as image:
+        imm.ambient_coordinates([(0.5, 2.0)])
+    with pytest.raises(DomainError) as jets:
+        imm.component_jets([(0.5, 2.0)])
+    assert str(image.value) == str(jets.value)
+    assert "non-positive base -2.5" in str(jets.value)
+
+
 def test_image_must_stay_in_ambient_chart():
     ambient = spherical_cap_ambient(2)
     chart = ChartBox(("u", "v"), (0.5, 0.5), (1.0, 1.0))

@@ -144,6 +144,9 @@ def test_integer_powers_are_exact_products():
     assert jet.grad[0] == 3.0 * 1.5 * 1.5
     jet = eval_jet2(parse("(-2)^2"), {}, ())
     assert jet.value == 4.0
+    # an exponent without variables is read by its value: 4/2 is the integer 2
+    jet = eval_jet2(parse("t^(4/2)"), {"t": -1.5}, ("t",))
+    assert jet.value == (-1.5) * (-1.5) == 2.25
 
 
 def test_negative_integer_power():
@@ -167,6 +170,8 @@ def test_nonconstant_exponent():
         ("1/t", {"t": 0.0}),
         ("t^0.5", {"t": -1.0}),
         ("t^-1", {"t": 0.0}),
+        ("t^(1e300*1e300)", {"t": -1.5}),  # an infinite exponent is no integer
+        ("t^(0*(1e300*1e300))", {"t": -1.5}),  # nor is a nan one
     ],
 )
 def test_domain_errors(src, bindings):
@@ -213,11 +218,15 @@ def test_every_returned_slot_is_an_array_of_its_shape(src, t, order):
 
 
 @pytest.mark.parametrize("src, u", [("u^(t*t*t*t)", 0.0), ("(u-3)^(t*t*t*t)", 1.0)])
-def test_integer_power_third_is_finite_where_the_exponent_third_is_zero(src, u):
-    # at t = 0 the exponent is 0 with every derivative zero, and base <= 0:
-    # log(base) times the exponent's zero third slot adds nothing
-    jet = eval_jet2(parse(src), {"t": 0.0, "u": u}, ("t", "u"), order=3)
-    assert np.all(np.isfinite(jet.third))
+def test_variable_exponent_refuses_a_non_positive_base_at_every_order(src, u):
+    # at t = 0 the exponent is the integer 0, but it has a variable: the real
+    # power, which refuses base <= 0 alike at orders 2 and 3
+    errors = []
+    for order in (2, 3):
+        with pytest.raises(DomainError) as err:
+            eval_jet2(parse(src), {"t": 0.0, "u": u}, ("t", "u"), order=order)
+        errors.append((err.value.index, str(err.value)))
+    assert errors[0] == errors[1] and "non-positive base" in errors[0][1]
 
 
 def test_jet_scalar_mixing():
@@ -257,8 +266,9 @@ _COORD = st.floats(min_value=-3.0, max_value=3.0)
     points=[(1.0, 0.0), (1.0, 0.0), (2.2250738585e-313, 0.0)],
     active=("u", "t"),
 )
-# one integer exponent over a point axis takes the rule point by point; a
-# chain and products on Hessians that are zero by construction
+# an exponent with a variable is the real power even where it is an integer,
+# so the negative base fails alone and in the batch; a chain and products on
+# Hessians that are zero by construction
 @example(expr=parse("t^u"), points=[(1.5, 2.0), (-0.5, 2.0)], active=("u", "t"))
 @example(expr=parse("sin(t+u)"), points=[(0.3, -1.2), (2.0, 1.0)], active=("u", "t"))
 @example(expr=parse("t*u*t"), points=[(0.3, -1.2), (-0.0, 1.0)], active=("u", "t"))
@@ -287,15 +297,15 @@ def test_batched_jets_match_single_points(expr, points, active):
             assert _bits(getattr(batch, name)[..., i]) == _bits(getattr(single, name)[..., 0]), name
 
 
-def test_integer_rule_applies_per_point():
-    # the exponent u is integral at some points only; each point takes its own rule
-    expr = parse("t^u")
+def test_variable_exponent_takes_the_real_power_at_every_point():
+    # the exponent u is integral at some points only; every point takes exp(u*log(t))
     t = np.array([2.0, 1.5, 3.0])
     u = np.array([3.0, 0.5, -1.0])
-    batch = eval_jet2(expr, {"t": t, "u": u})
-    for i in range(3):
-        assert batch.value[i] == eval_value(expr, {"t": t[i], "u": u[i]})
-    assert batch.value[0] == 8.0 and batch.value[2] == 1.0 / 3.0
+    batch = eval_jet2(parse("t^u"), {"t": t, "u": u}, ("t", "u"))
+    assert batch.value.tobytes() == np.exp(u * np.log(t)).tobytes()
+    real = eval_jet2(parse("exp(u*log(t))"), {"t": t, "u": u}, ("t", "u"))
+    for name in ("value", "grad", "hess"):
+        assert getattr(batch, name).tobytes() == getattr(real, name).tobytes(), name
 
 
 def test_domain_error_names_the_first_failing_point():
@@ -307,16 +317,16 @@ def test_domain_error_names_the_first_failing_point():
     assert "sqrt of negative value -4.0" in str(err.value)
 
 
-def test_failing_power_group_names_its_point_in_the_batch():
-    # point 0 (integral exponent -1 of base 0) fails in its own power group;
-    # its index in that group maps back to its index in the batch
+def test_failing_power_names_its_point_in_the_batch():
+    # point 0 (exponent -1, base 0) fails the real power's base check, as
+    # point 2 does; the first of them is named, with its own message
     expr = parse("t^u")
     batch = {"t": np.array([0.0, 2.0, -1.0]), "u": np.array([-1.0, 0.5, 0.5])}
     with pytest.raises(DomainError) as err:
         eval_jet2(expr, batch)
     with pytest.raises(DomainError) as alone:
         eval_jet2(expr, {"t": 0.0, "u": -1.0})
-    assert err.value.index == 0 and "division by zero" in str(err.value)
+    assert err.value.index == 0 and "non-positive base 0.0" in str(err.value)
     assert str(err.value) == str(alone.value)
 
 
@@ -333,8 +343,8 @@ def test_overflow_is_a_domain_error():
     points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=8),
     active=st.sampled_from([(), ("t",), ("u", "t")]),
 )
-# the batch mixes per-point power rules (a real and an integer one, two
-# integer ones) where each point alone takes one rule for the whole batch
+# exponents with a variable, integral at some points and not at others:
+# every point takes the real power, in the batch and alone
 @example(expr=parse("0.5^u"), points=[(0.0, 0.0), (0.0, -0.5)], active=("t",))
 @example(expr=parse("-sin(0.0^u)"), points=[(0.0, 0.0), (0.0, 1.0)], active=("t",))
 @example(expr=parse("t^u"), points=[(1.5, 2.0), (-0.5, 2.0)], active=("u", "t"))
@@ -378,7 +388,7 @@ def _bits(a):
         ("t / (u + t)", 0.4),  # reciprocal
         ("t^3 * u^-2", 0.4),  # integer powers
         ("(t + 2)^u", 0.4),  # real power
-        ("(t + 2)^w", np.array([0.4, 1.3])),  # the integer rule at one point, the real power at the other
+        ("(t + 2)^w", np.array([0.4, 1.3])),  # w = 3 and 0.5, inactive: the real power at both
         ("u^(t*t*t)", 0.0),  # an exponent whose derivatives start at the third
         ("sin(t*u)", 0.4),
         ("cos(t*u)", 0.4),

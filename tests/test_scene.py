@@ -86,6 +86,8 @@ def test_missing_required_field_is_named(drop, field, key):
         (lambda d: d["ambient"].update(interval=["oops", 1]), "ambient.interval"),
         (lambda d: d.update(checks=[]), "checks"),
         (lambda d: d.update(checks=["nonsense"]), "checks"),
+        pytest.param(lambda d: d.update(checks=["spaceform c=٣"]), "checks", id="spaceform-digit-three"),
+        pytest.param(lambda d: d.update(checks=["spaceform c=-١"]), "checks", id="spaceform-digit-one"),
         (lambda d: d["grid"].update(samples={"u": 2, "v1": 5}), "grid.samples"),
         (lambda d: d["grid"].update(samples={"w": 5}), "grid.samples"),
         pytest.param(
