@@ -11,6 +11,11 @@ Exit codes, by one rule for every command (``main``): 0 all checks
 passed, 1 a check failed, 2 scene or usage error (a bad scene field or
 flag, a failing probe of the immersion, an unwritable output), 3 numeric
 error at a point of the pass (the message carries the chart location).
+
+Importing this module loads no numpy: each command imports the engine
+modules it needs after its own refusals, so ``presets``, ``--help``,
+``--version``, a usage error, an out-of-range flag and a refused
+``rotational --mesh`` never load it.
 """
 
 from __future__ import annotations
@@ -20,17 +25,10 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .ambient import space_form_models
 from .catalogue import PRESETS, REQUIRED
-from .errors import PointError, SceneError, WarpGeoError, _number
+from .errors import MAX_DIMENSION, MAX_GRID_POINTS, PointError, SceneError, WarpGeoError, _number
 from .expr import parse, unparse
-from .hypersurface import MAX_DIMENSION, MAX_GRID_POINTS
-from .objmesh import surface_vertices, write_obj
-from .rotational import RotationalProfile, verify_classification
-from .scene import MESH_WARNING, SCHEMA_VERSION, load_scene, run_scene, write_report
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -58,6 +56,10 @@ def _cmd_spaceforms(args):
     if args.samples > MAX_GRID_POINTS:
         raise ValueError(f"--samples must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}, "
                          f"got {args.samples}")
+    import numpy as np
+
+    from .ambient import space_form_models
+
     rows = []
     all_passed = True
     for name, model, c, window in space_form_models():
@@ -79,6 +81,8 @@ def _cmd_spaceforms(args):
 
 
 def _cmd_analyze(args):
+    from .scene import load_scene, run_scene, write_report
+
     scene = load_scene(args.scene)
     report, all_passed = run_scene(scene)
     for entry in report["checks"]:
@@ -104,12 +108,16 @@ def _cmd_rotational(args):
         f = parse(args.f, variables={"t"})
     except WarpGeoError as exc:
         raise ValueError(f"--f: {exc}") from None
-    prof = RotationalProfile(**{**flags, "f": f}, u_range=(args.u0, args.u1))
-    if args.mesh and prof.n != 2:
-        raise ValueError(f"mesh export needs n = 2, got n = {prof.n}")
+    if args.mesh and args.n != 2:
+        raise ValueError(f"mesh export needs n = 2, got n = {args.n}")
     if args.mesh and args.samples**2 > MAX_GRID_POINTS:
         raise ValueError(f"a {args.samples} x {args.samples} mesh exceeds "
                          f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
+    from .objmesh import surface_vertices, write_obj
+    from .rotational import RotationalProfile, verify_classification
+    from .scene import MESH_WARNING, SCHEMA_VERSION, write_report
+
+    prof = RotationalProfile(**{**flags, "f": f}, u_range=(args.u0, args.u1))
 
     started = time.perf_counter()
     result = verify_classification(prof, (args.t_min, args.t_max), u_count=args.samples)

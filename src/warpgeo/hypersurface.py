@@ -35,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .ambient import AmbientPoint, WarpedProduct
-from .errors import DegenerateImmersion, DomainError, OutsideChart
+# MAX_DIMENSION is not used here; the size bounds stay importable from this module
+from .errors import MAX_DIMENSION, MAX_GRID_POINTS, DegenerateImmersion, DomainError, OutsideChart
 from .expr import Expression, unparse, variables_in
 from .jets import _leaves, as_expression, eval_jet2, first_failure, first_index
 
@@ -46,13 +47,6 @@ BOUNDARY_MARGIN = 1e-6
 # n = 8), so longer batches run in consecutive slices; results do not
 # depend on the slicing.
 SLICE_POINTS = 2048
-# Largest grid ChartBox.grid builds.  What a scene run keeps per grid
-# point (the geometry record, the grid itself) is a few KB.  With every
-# grid check, the measured tracemalloc peak of a maximal grid is 10 MB
-# for n = 2, 29 MB for n = 4, 38 MB for n = 5 and 104 MB for n = 8, the
-# largest n a grid can have (each axis takes at least 3 samples).
-MAX_GRID_POINTS = 10_000
-MAX_DIMENSION = int(math.log(MAX_GRID_POINTS, 3))  # that largest n, 8
 
 
 class ChartBox(namedtuple("ChartBox", "names lower upper")):

@@ -37,9 +37,9 @@ import numpy as np
 from . import __version__
 from .ambient import WarpedProduct
 from .catalogue import build_preset
-from .errors import PointError, SceneError, WarpGeoError, _number
+from .errors import MAX_DIMENSION, MAX_GRID_POINTS, PointError, SceneError, WarpGeoError, _number
 from .expr import CONSTANTS, FUNCTIONS, is_name, parse as parse_expr
-from .hypersurface import MAX_DIMENSION, MAX_GRID_POINTS, ChartBox, Immersion
+from .hypersurface import ChartBox, Immersion
 from .intrinsic import grid_geometry
 from .jets import _leaves
 from .objmesh import surface_vertices, write_obj
@@ -59,7 +59,7 @@ SCHEMA_VERSION = 1
 # Largest scene file read.  A scene is a few KB of JSON; a larger file is
 # refused before it is parsed.
 MAX_SCENE_BYTES = 1 << 20
-SPACEFORM_RE = re.compile(r"^spaceform\s+c=(-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)$")
+SPACEFORM_RE = re.compile(r"^spaceform\s+c=(-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)\Z", re.ASCII)
 CHECK_NAMES = (
     "lemma1",
     "soliton",

@@ -1,6 +1,12 @@
 """The public surface: every exported name resolves, and the README example runs."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import warpgeo
 from warpgeo import jets
@@ -11,6 +17,26 @@ def test_every_exported_name_resolves():
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
         assert len(set(module.__all__)) == len(module.__all__), module.__name__
+
+
+def test_names_and_submodules_resolve_after_a_bare_import():
+    # in a new interpreter: here the test session has loaded every module
+    code = (
+        "import json, sys, warpgeo; loaded = sorted(m for m in sys.modules if m.startswith('warpgeo.')); "
+        "print(json.dumps([loaded, warpgeo.WarpedProduct.__module__, warpgeo.soliton.SOLITON_TOL, "
+        "sorted(set(warpgeo.__all__) - set(dir(warpgeo))), 'numpy' in sys.modules]))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(warpgeo.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded, module, tol, undirected, numpy_loaded = json.loads(out.stdout)
+    assert (loaded, module, undirected, numpy_loaded) == ([], "warpgeo.ambient", [], True)
+    assert tol == warpgeo.soliton.SOLITON_TOL
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'MAX_GRID_POINTS'"):
+        warpgeo.MAX_GRID_POINTS
+    assert not hasattr(warpgeo, "nonexistent")
 
 
 def test_star_imports_succeed():

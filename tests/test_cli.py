@@ -960,28 +960,83 @@ def test_obj_rejects_higher_dimension():
         surface_vertices(imm, [0.0, 0.5], [1.0, 2.0])
 
 
-def test_cli_import_leaves_scipy_out():
+def fresh_interpreter(code, *args):
+    """Standard output of ``code`` run in a new interpreter that imports this warpgeo."""
     src = os.path.dirname(os.path.dirname(warpgeo.__file__))
-    code = "import sys, warpgeo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout
 
 
-def test_cli_import_loads_nothing_beyond_numpy_argparse_json():
-    # no dataclasses (they generate code at import), no numpy.polynomial
-    # (only profile solving reaches it) and no other library
-    src = os.path.dirname(os.path.dirname(warpgeo.__file__))
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, warpgeo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert fresh_interpreter(code).strip() == "[]"
+
+
+def test_cli_import_loads_nothing_beyond_argparse_json_typing():
+    # no numpy (the commands that need it load it), no dataclasses (they
+    # generate code at import) and no other library
     code = (
-        "import json, sys; import numpy, argparse; before = set(sys.modules); "
+        "import json, sys; import argparse, typing; before = set(sys.modules); "
         "import warpgeo.cli; print(json.dumps(sorted(set(sys.modules) - before)))"
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    extra = json.loads(fresh_interpreter(code))
+    assert [m for m in extra if m != "__future__"] == [
+        "warpgeo", "warpgeo.catalogue", "warpgeo.cli", "warpgeo.errors", "warpgeo.expr"
+    ]
+
+
+# One interpreter runs the steps in order and records after each whether
+# numpy is loaded; a module stays loaded, so the first True names the step
+# that loaded it.
+COLD_STEPS = """
+import contextlib, io, json, sys
+steps = []
+import warpgeo
+steps.append(["import warpgeo", None, "", "numpy" in sys.modules])
+import warpgeo.cli
+steps.append(["import warpgeo.cli", None, "", "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = warpgeo.cli.main(argv)
+        except SystemExit as exc:  # argparse's exits
+            code = exc.code
+    steps.append([" ".join(argv), code, err.getvalue(), "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_refused_and_listing_commands_load_no_numpy(tmp_path):
+    mesh = str(tmp_path / "x.obj")
+    calls = [
+        (["presets"], 0, ""),
+        (["--version"], 0, ""),
+        (["--help"], 0, ""),
+        (["rotational", "--help"], 0, ""),
+        (["bogus"], 2, "invalid choice"),
+        (["spaceforms", "--samples", "0"], 2, "error: --samples must lie in [1, inf], got 0\n"),
+        (["rotational", "--theta", "2"], 2, "error: --theta must lie in (0.0, 1.0), got 2.0\n"),
+        (["rotational", "--theta", "0.5", "--n", "3", "--mesh", mesh], 2,
+         "error: mesh export needs n = 2, got n = 3\n"),
+        (["rotational", "--theta", "0.5", "--samples", "101", "--mesh", mesh], 2,
+         "error: a 101 x 101 mesh exceeds MAX_GRID_POINTS = 10000\n"),
+    ]
+    steps = json.loads(fresh_interpreter(COLD_STEPS, json.dumps([argv for argv, _, _ in calls])))
+    assert [step for step in steps if step[3]] == []  # no step loads numpy
+    for (argv, code, message), (_, exit_code, err, _) in zip(calls, steps[2:], strict=True):
+        assert exit_code == code and message in err, (argv, exit_code, err)
+    assert not (tmp_path / "x.obj").exists()
+
+
+def test_spaceforms_loads_no_scene_intrinsic_or_rotational():
+    code = (
+        "import contextlib, io, sys; from warpgeo.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n    code = main(['spaceforms'])\n"
+        "print(code, sorted(m for m in ('warpgeo.scene', 'warpgeo.intrinsic', 'warpgeo.rotational')"
+        " if m in sys.modules))"
     )
-    extra = json.loads(out.stdout)
-    assert "warpgeo.cli" in extra
-    assert [m for m in extra if m.split(".")[0] != "warpgeo" and m != "__future__"] == []
+    assert fresh_interpreter(code).split() == ["0", "[]"]

@@ -88,6 +88,9 @@ def test_missing_required_field_is_named(drop, field, key):
         (lambda d: d.update(checks=["nonsense"]), "checks"),
         pytest.param(lambda d: d.update(checks=["spaceform c=٣"]), "checks", id="spaceform-digit-three"),
         pytest.param(lambda d: d.update(checks=["spaceform c=-١"]), "checks", id="spaceform-digit-one"),
+        pytest.param(lambda d: d.update(checks=["spaceform\u3000c=3"]), "checks", id="spaceform-ideographic-space"),
+        pytest.param(lambda d: d.update(checks=["spaceform\u00a0c=3"]), "checks", id="spaceform-no-break-space"),
+        pytest.param(lambda d: d.update(checks=["spaceform c=3\n"]), "checks", id="spaceform-trailing-newline"),
         (lambda d: d["grid"].update(samples={"u": 2, "v1": 5}), "grid.samples"),
         (lambda d: d["grid"].update(samples={"w": 5}), "grid.samples"),
         pytest.param(
