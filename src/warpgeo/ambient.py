@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError, OutsideChart, SingularMetric
 from .expr import unparse, variables_in
-from .jets import _leaves, as_expression, eval_jet2, first_failure, first_index
+from .jets import as_expression, eval_jet2, first_index, flag, one_pass
 
 CONDITION_LIMIT = 1e12
 SPACE_FORM_TOL = 1e-10
@@ -161,7 +161,7 @@ class WarpedProduct:
         return jet.value, jet.grad[0], jet.hess[0, 0]
 
     def validate_point(self, p):
-        """Reject the first point outside the interval or the angle chart."""
+        """Flag the points outside the interval or the angle chart."""
         if len(p.x) != self.n:
             raise ValueError(f"expected {self.n} fiber coordinates, got {len(p.x)}")
         lo, hi = self.interval
@@ -172,16 +172,16 @@ class WarpedProduct:
         if self.fiber is Fiber.SPHERE:
             for v, top in zip(x, tops):
                 ok = ok & (0.0 < v) & (v < top)
-        i = first_index(~ok)
-        if i is None:
-            return
-        t = float(np.ravel(t)[i])
-        if not lo < t < hi:
-            raise OutsideChart(f"t={t!r} outside interval {self.interval}", i)
-        for j, (v, top) in enumerate(zip(x, tops), start=1):
-            v = float(np.ravel(v)[i])
-            if not 0.0 < v < top:
-                raise OutsideChart(f"sphere angle x{j}={v!r} outside (0, {top!r})", i)
+
+        def outside(i):
+            t_i, *x_i = (float(np.ravel(a)[i]) for a in [t] + x)
+            if not lo < t_i < hi:
+                return OutsideChart(f"t={t_i!r} outside interval {self.interval}")
+            for j, (v, top) in enumerate(zip(x_i, tops), start=1):
+                if not 0.0 < v < top:
+                    return OutsideChart(f"sphere angle x{j}={v!r} outside (0, {top!r})")
+
+        flag(~ok, outside)
 
     def metric_jets(self, p):
         """Diagonal of the metric, its exact first coordinate derivatives
@@ -189,19 +189,14 @@ class WarpedProduct:
 
         Returns ``(D, dD, (f, f', f''))`` where ``D[a] = G_aa``, ``dD[a, c]
         = d G_aa / d x^c`` and the triple is taken at the heights ``p.t``, each
-        with a trailing point axis at a batch of points.
-        A batch fails like its first point that fails alone (see
-        :func:`warpgeo.jets.first_failure`).
+        with a trailing point axis at a batch of points.  The batch is one
+        pass (:func:`warpgeo.jets.one_pass`): the first flagged point raises
+        the error of its first check.
         """
-        return first_failure(
-            lambda k: self._metric_jets(_leaves(lambda v: v[:k] if np.ndim(v) else v, p)),
-            np.size(p.t),
-        )
-
-    def _metric_jets(self, p):
-        self.validate_point(p)
-        warping = self.warping_jet(p.t)
-        return *self.diagonal_jets(p.x, warping)[:2], warping
+        with one_pass():
+            self.validate_point(p)
+            warping = self.warping_jet(p.t)
+            return *self.diagonal_jets(p.x, warping)[:2], warping
 
     def diagonal_jets(self, x, warping, second=False):
         """``(D, dD, d2D)`` at fiber coordinates ``x`` from the warping triple at
@@ -233,18 +228,14 @@ class WarpedProduct:
                     dD[i, i - 1] = D[i - 1] * (s * c + s * c)
         return D, dD, d2D
 
-    def _nonvanishing_warping(self, t):
-        f0, f1, f2 = self.warping_jet(t)
-        zero = first_index(f0 == 0.0)
-        if zero is not None:
-            raise DomainError(f"warping function vanishes at t={float(t[zero])!r}", self.f, zero)
-        return f0, f1, f2
-
     def check_space_form(self, c, probes):
         """Residuals of ((f')^2 - k)/f^2 = -c = f''/f over ``probes``, where
         ``c`` None is fitted as -mean(f''/f); a vanishing f is a DomainError."""
         t = np.asarray(probes, dtype=float)
-        f0, f1, f2 = first_failure(lambda k: self._nonvanishing_warping(t[:k]), t.size)
+        with one_pass():
+            f0, f1, f2 = self.warping_jet(t)
+            flag(f0 == 0.0,
+                 lambda i: DomainError(f"warping function vanishes at t={float(t[i])!r}", self.f))
         c = -float(np.mean(f2 / f0)) + 0.0 if c is None else float(c)  # + 0.0 normalizes -0.0
         ratio = np.abs((f1 * f1 - self.k) / (f0 * f0) + c)
         second = np.abs(f2 / f0 + c)
@@ -265,15 +256,16 @@ def eval_warping(f, t, active=()):
 
 
 def check_conditioning(p, D, skip=0):
-    """Name the first point of ``p``, from row ``skip`` on, whose metric
-    diagonal ``D`` (d, N) is numerically singular."""
+    """Flag the points of ``p``, from row ``skip`` on, whose metric diagonal
+    ``D`` (d, N) is numerically singular."""
     D = D[:, skip:]
-    i = first_index(np.max(D, axis=0) > CONDITION_LIMIT * np.min(D, axis=0))
-    if i is not None:
-        i += skip
-        t = float(np.ravel(p.t)[i])
-        x = tuple(float(np.ravel(v)[i]) for v in p.x)
-        raise SingularMetric(f"chart metric at t={t!r}, x={x!r} is numerically singular", i)
+
+    def singular(i):
+        t = float(np.ravel(p.t)[i + skip])
+        x = tuple(float(np.ravel(v)[i + skip]) for v in p.x)
+        return SingularMetric(f"chart metric at t={t!r}, x={x!r} is numerically singular")
+
+    flag(np.max(D, axis=0) > CONDITION_LIMIT * np.min(D, axis=0), singular, skip)
 
 
 def space_form_models(n=2):

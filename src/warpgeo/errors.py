@@ -69,7 +69,7 @@ class SingularMetric(PointError):
 
 
 class DegenerateImmersion(PointError):
-    """Tangent vectors failed to be linearly independent at a probe point."""
+    """Tangent vectors failed to be linearly independent at a chart point."""
 
 
 class QuadratureFailure(WarpGeoError):

@@ -38,7 +38,7 @@ from .ambient import AmbientPoint, WarpedProduct
 # MAX_DIMENSION is not used here; the size bounds stay importable from this module
 from .errors import MAX_DIMENSION, MAX_GRID_POINTS, DegenerateImmersion, DomainError, OutsideChart
 from .expr import Expression, unparse, variables_in
-from .jets import _leaves, as_expression, eval_jet2, first_failure, first_index
+from .jets import _leaves, as_expression, eval_jet2, flag, one_pass
 
 GRAM_DET_LIMIT = 1e-12
 BOUNDARY_MARGIN = 1e-6
@@ -176,23 +176,20 @@ class Immersion:
                 jets.append(eval_jet2(c, values, active, order))
         return jets
 
-    def _component_jets(self, points, active, order=2):  # points: an (N, n) array
-        columns = {name: np.ascontiguousarray(points[:, i]) for i, name in enumerate(self.chart.names)}
-        return self.coordinate_jets(columns, active, order)
-
     def component_jets(self, points, order=2):
-        """Jets of ``order`` 2 or 3 of every ambient coordinate over (N, n) chart points;
-        a failure is the one of the first point that fails alone."""
-        points = as_points(points, self.n)
-        return first_failure(
-            lambda k: self._component_jets(points[:k], self.chart.names, order), len(points)
-        )
+        """Jets of ``order`` 2 or 3 of every ambient coordinate over (N, n) chart points,
+        in one pass: the first flagged point raises the error of its first check."""
+        return self._component_jets(points, self.chart.names, order)
 
     def ambient_coordinates(self, points):
         """Images (t, x1, ..., xn) of an (N, n) array of chart points, shape (N, n+1)."""
+        return np.stack([jet.value for jet in self._component_jets(points, ())], axis=-1)
+
+    def _component_jets(self, points, active, order=2):
         points = as_points(points, self.n)
-        jets = first_failure(lambda k: self._component_jets(points[:k], ()), len(points))
-        return np.stack([jet.value for jet in jets], axis=-1)
+        columns = {name: np.ascontiguousarray(points[:, i]) for i, name in enumerate(self.chart.names)}
+        with one_pass():
+            return self.coordinate_jets(columns, active, order)
 
 
 class PointJets(NamedTuple):
@@ -236,18 +233,16 @@ def contract(spec, *operands):
 def point_jets(imm, points, order=2):
     """Component jets of ``order`` and metric jets over (N, n) chart points, one pass each.
 
-    Each check names the first point, in the order given, that fails it;
-    a frame, second derivative or metric entry D that is not finite is a
-    DomainError.
+    Each check flags the points that fail it (:func:`warpgeo.jets.flag`): a
+    point outside the box, a frame, second derivative or metric entry D
+    that is not finite (a DomainError) and a degenerate frame.  Outside a
+    pass (``grid_geometry`` opens one) a check's first flagged point raises.
     """
     points = as_points(points, imm.n)
-    bad = first_index(~imm.chart.contains(points))
-    if bad is not None:
-        p = tuple(map(float, points[bad]))
-        raise OutsideChart(f"chart point {p!r} is outside the open box (margin 1e-6)", bad)
+    flag(~imm.chart.contains(points), lambda i: OutsideChart(
+        f"chart point {tuple(map(float, points[i]))!r} is outside the open box (margin 1e-6)"))
     jets = imm.component_jets(points, order)
     q = AmbientPoint(jets[0].value, tuple(jet.value for jet in jets[1:]))
-    imm.ambient.validate_point(q)
     E, second = (np.stack([jet[r] for jet in jets]) for r in (1, 2))  # (d, n, N), (d, n, n, N)
     D, dD, warping = imm.ambient.metric_jets(q)
     finite = (
@@ -255,15 +250,11 @@ def point_jets(imm, points, order=2):
         & np.isfinite(second).all(axis=(0, 1, 2))
         & np.isfinite(D).all(axis=0)
     )
-    bad = first_index(~finite)
-    if bad is not None:
-        raise DomainError("tangent frame, second derivatives or metric not finite", index=bad)
+    flag(~finite, lambda i: DomainError("tangent frame, second derivatives or metric not finite"))
     g = contract("aip,ajp->ijp", E, D[:, None] * E)
     pivots, F = _factor(g)  # a non-finite g gives NaN pivots and fails later checks
-    bad = first_index((pivots <= 0.0).any(axis=0) | (pivots.prod(axis=0) <= GRAM_DET_LIMIT))
-    if bad is not None:
-        p = tuple(map(float, points[bad]))
-        raise DegenerateImmersion(f"tangent frame is degenerate at chart point {p!r}", bad)
+    flag((pivots <= 0.0).any(axis=0) | (pivots.prod(axis=0) <= GRAM_DET_LIMIT), lambda i: DegenerateImmersion(
+        f"tangent frame is degenerate at chart point {tuple(map(float, points[i]))!r}"))
     ginv = contract("ikp,jkp->ijp", F, F)
     third = None if order == 2 else np.stack([jet.third for jet in jets])
     return PointJets(points.T, q, E, second, D, dD, warping, g, F, ginv, third)

@@ -22,7 +22,7 @@ from .ambient import AmbientPoint, check_conditioning
 from . import hypersurface
 from .errors import DomainError, PointError
 from .hypersurface import _unit_normal, as_points, contract, metric_derivative, point_jets
-from .jets import _leaves, first_failure, first_index
+from .jets import _leaves, flag, one_pass
 
 _ORIENT_TIE = 1e-10  # theta > 0 at the center, or the first entry of N beyond this
 
@@ -107,53 +107,44 @@ def grid_geometry(imm, points, order=2):
     passes the jet stage and its checks, conditioning too (not at the
     center), and is cut off before the geometry; the center's normal
     orients the pass.  Slices of ``SLICE_POINTS`` rows change nothing.
-    The error is the one of the first row whose own evaluation fails, a
-    probe's (``probe`` set, ``index`` from the center) before a point's;
-    a DomainError names the chart point, as does a residual or lambda
-    that is not finite.  With no points the result is None.
+    Each slice is one pass (:func:`warpgeo.jets.one_pass`): its checks flag
+    rows, and the first flagged row raises the error of its first check,
+    which is the error that row raises alone; a probe's (``probe`` set,
+    ``index`` from the center) comes before a point's.  A DomainError
+    names the chart point, as does a residual or lambda that is not
+    finite.  With no points the result is None.
     """
     head, parts, orientation = imm.probes, [], None
     rows = np.concatenate([head, as_points(points, imm.n)])
-
-    def run(start, k):  # the first k rows of the slice at ``start``
-        nonlocal orientation
-        pj = point_jets(imm, rows[start : start + k], order)
-        check_conditioning(pj.ambient_point, pj.D, skip=int(start == 0))
-        normal = _unit_normal(pj.frame, pj.D, pj.factor)
-        if start == 0:
-            signs = normal[:, 0][np.abs(normal[:, 0]) > _ORIENT_TIE]
-            orientation = -1.0 if signs.size and signs[0] < 0.0 else 1.0
-        cut = min(max(len(head) - start, 0), k)
-        if cut == k:  # probes alone
-            return None
-        try:
-            return _geometry(imm, pj.rows(cut), orientation * normal[:, cut:], order)
-        except PointError as exc:
-            exc.index += cut
-            raise
-
     for start in range(0, len(rows), hypersurface.SLICE_POINTS):
-        size = min(hypersurface.SLICE_POINTS, len(rows) - start)
+        block = rows[start : start + hypersurface.SLICE_POINTS]
+        cut = min(max(len(head) - start, 0), len(block))  # the probe rows of the slice
         try:
-            with np.errstate(all="ignore"):
-                parts.append(first_failure(lambda k: run(start, k), size))
+            with one_pass():
+                pj = point_jets(imm, block, order)
+                check_conditioning(pj.ambient_point, pj.D, skip=int(start == 0))
+                normal = _unit_normal(pj.frame, pj.D, pj.factor)
+                if start == 0:
+                    signs = normal[:, 0][np.abs(normal[:, 0]) > _ORIENT_TIE]
+                    orientation = -1.0 if signs.size and signs[0] < 0.0 else 1.0
+                if cut < len(block):
+                    parts.append(_geometry(imm, pj.rows(cut), orientation * normal[:, cut:], order, cut))
         except PointError as exc:
-            if exc.index is not None:
-                exc.index += start
-                if isinstance(exc, DomainError):
-                    exc.args = (f"{exc} (at chart point {imm.bindings(rows[exc.index])!r})",)
-                exc.probe = exc.index < len(head)
-                if not exc.probe:
-                    exc.index -= len(head)
+            exc.index += start
+            if isinstance(exc, DomainError):
+                exc.args = (f"{exc} (at chart point {imm.bindings(rows[exc.index])!r})",)
+            exc.probe = exc.index < len(head)
+            if not exc.probe:
+                exc.index -= len(head)
             raise
-    parts = [part for part in parts if part is not None]
     if len(parts) < 2:
         return parts[0] if parts else None
     return _leaves(lambda *arrays: np.concatenate(arrays, axis=-1), *parts)
 
 
-def _geometry(imm, pj, N, order):
-    """The record over the rows of ``pj`` with unit normals ``N``.
+def _geometry(imm, pj, N, order, offset):
+    """The record over the rows of ``pj`` with unit normals ``N``, whose
+    first row is row ``offset`` of the pass.
     II_ij = <d_i d_j psi + Gamma(E_i, E_j), N> takes the ambient
     Christoffel symbols contracted with N in closed form,
     with P = dD E, q = dD N and X_ij = sum_a P^a_i N^a E^a_j:
@@ -180,16 +171,17 @@ def _geometry(imm, pj, N, order):
     if n == 2:
         a, b, c = M[0, 0], M[1, 0], M[1, 1]
         residual = np.abs(0.5 * (a + c)) + np.hypot(0.5 * (a - c), b)
-    else:
-        residual = np.max(np.abs(np.linalg.eigvalsh(np.moveaxis(M, -1, 0))), axis=-1)
+    else:  # LAPACK refuses a matrix that is not finite: such a row's residual is NaN
+        finite = np.isfinite(M).all(axis=(0, 1))
+        eig = np.linalg.eigvalsh(np.moveaxis(np.where(finite, M, 0.0), -1, 0))
+        residual = np.where(finite, np.max(np.abs(eig), axis=-1), np.nan)
 
     S = _ambient_ricci(imm.ambient, pj, N)
     ric = S + (n * H) * II - contract("kip,kjp->ijp", A, contract("klp,ljp->kjp", g, A))
     scal_gauss = contract("ijp,jip->p", ginv, ric)
     lam = scal_gauss - lap / n
-    bad = first_index(~(np.isfinite(residual) & np.isfinite(lam)))
-    if bad is not None:
-        raise DomainError("soliton residual or lambda not finite", index=bad)
+    flag(~(np.isfinite(residual) & np.isfinite(lam)),
+         lambda i: DomainError("soliton residual or lambda not finite"), offset)
 
     return PointGeometry(
         chart=pj.chart,

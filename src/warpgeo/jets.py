@@ -17,18 +17,26 @@ value is a product, any other power exp(exponent * log(base)).  The zero
 pattern is structural (Griewank and Walther, ch. 7): a constant's or
 variable's Hessian and third slot are zero by construction, a sentinel that
 every rule propagates, so no slot is masked per point and each point's
-result does not depend on the batch it is evaluated in.  A domain error
-names the first point, in binding order, whose own evaluation fails
-(``DomainError.index``).
+result does not depend on the batch it is evaluated in.
+
+A batch is evaluated in one pass (``one_pass``): a check flags the points
+that fail it and the pass computes on, with inf and nan propagating, as
+IEEE 754's flags do (Hauser, *Handling floating-point exceptions in numeric
+programs*, ACM TOPLAS 18(2), 1996).  At its end the first flagged point
+raises the error of the first check that flagged it, with ``index`` set;
+as each point's result does not depend on the batch, that is the error the
+point raises alone.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, PointError, UnknownIdentifier
+from .errors import DomainError, UnknownIdentifier
 from .expr import (FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Var, literal, parse,
                    variables_in)
 
@@ -148,28 +156,55 @@ def first_index(mask):
     return int(hits[0]) if hits.size else None
 
 
-def first_failure(evaluate, count):
-    """``evaluate(count)``, failing like the first point that fails alone.
+# The open pass of this thread (a new thread starts with an empty context):
+# its (mask, offset, make_error) records, in program order.
+_PASS = ContextVar("pass", default=None)
 
-    ``evaluate(k)`` evaluates the first ``k`` points of a batch in
-    stages; a :class:`PointError` it raises names in ``index`` a point
-    that fails the stage that failed.  An earlier point may fail a
-    later stage, so the points before it are evaluated again until none
-    fails: the error raised is the one of the first point whose own
-    evaluation fails, whatever the batch.
+
+def _error(make_error, i, offset):
+    exc = make_error(i)  # a PointError for row i of the mask
+    exc.index = i + offset
+    return exc
+
+
+@contextmanager
+def one_pass():
+    """Evaluate a batch as one pass, with float semantics (inf and nan
+    propagate) and the checks recording, not raising.
+
+    At the outermost exit the first row any check flagged raises the
+    error of the first check, in program order, that flagged it; an inner
+    pass joins the outer one.
     """
+    if _PASS.get() is not None:
+        yield
+        return
+    records = []
+    token = _PASS.set(records)
     try:
-        return evaluate(count)
-    except PointError as exc:
-        error = exc
-    while error.index:
-        try:
-            evaluate(error.index)
-        except PointError as exc:
-            error = exc
-        else:
-            break
-    raise error
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _PASS.reset(token)
+    hits = [(i + offset, k) for k, (mask, offset, _) in enumerate(records)
+            if (i := first_index(mask)) is not None]
+    if hits:
+        row, k = min(hits)  # on a tie, the earlier check
+        _, offset, make_error = records[k]
+        raise _error(make_error, row - offset, offset)
+
+
+def flag(mask, make_error, offset=0):
+    """Record that the rows of ``mask`` (from row ``offset`` of the pass on)
+    fail a check; ``make_error(i)`` builds the error of its row ``i``.
+    Outside a pass the first flagged row raises at once."""
+    records = _PASS.get()
+    if records is not None:
+        records.append((mask, offset, make_error))
+        return
+    i = first_index(mask)
+    if i is not None:
+        raise _error(make_error, i, offset)
 
 
 def _leaves(fn, *records):
@@ -189,16 +224,11 @@ def _leaves(fn, *records):
     return fn(*records)
 
 
-def _raise_at(bad, node, message, value=None):
-    """Raise a DomainError at the first point where ``bad`` holds.
-
-    ``message`` is formatted with the offending ``value`` when given.
-    """
-    i = first_index(bad)
-    if i is not None:
-        if value is not None:
-            message = message.format(float(np.ravel(value)[i]))
-        raise DomainError(message, node, index=i)
+def _flag_at(bad, node, message, value=None):
+    """Flag the points where ``bad`` holds with a DomainError at ``node``;
+    ``message`` is formatted with the offending ``value`` when given."""
+    flag(bad, lambda i: DomainError(
+        message if value is None else message.format(float(np.ravel(value)[i])), node))
 
 
 def _chain(u, f0, f1, f2, f3):
@@ -223,7 +253,7 @@ def _chain(u, f0, f1, f2, f3):
 
 def _reciprocal(u, node):
     v = u.value
-    _raise_at(v == 0.0, node, "division by zero")
+    _flag_at(v == 0.0, node, "division by zero")
     return _chain(u, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v), lambda: -6.0 / (v * v * v * v))
 
 
@@ -253,12 +283,12 @@ def _elementary(name, v, node=None):
     if name not in FUNCTIONS:
         raise UnknownIdentifier(name)
     if name == "log":
-        _raise_at(v <= 0.0, node, "log of non-positive value {!r}", v)
+        _flag_at(v <= 0.0, node, "log of non-positive value {!r}", v)
     if name == "sqrt":
-        _raise_at(v < 0.0, node, "sqrt of negative value {!r}", v)
+        _flag_at(v < 0.0, node, "sqrt of negative value {!r}", v)
     w = getattr(np, name)(v)
     if name in ("exp", "sinh", "cosh"):
-        _raise_at(np.isinf(w) & np.isfinite(v), node, name + " overflows at {!r}", v)
+        _flag_at(np.isinf(w) & np.isfinite(v), node, name + " overflows at {!r}", v)
     return w
 
 
@@ -287,16 +317,16 @@ def _apply_function(name, u, node):
     if u.m == 0:  # sqrt and abs have no kink to refuse without derivatives
         return Jet2(w, u.grad, u.hess, u.third)
     if name == "sqrt":
-        _raise_at(v == 0.0, node, "sqrt is not differentiable at 0")
+        _flag_at(v == 0.0, node, "sqrt is not differentiable at 0")
         return _chain(u, w, 0.5 / w, -0.25 / (w * v), lambda: 0.375 / (w * v * v))
-    _raise_at(v == 0.0, node, "abs is not differentiable at 0")
+    _flag_at(v == 0.0, node, "abs is not differentiable at 0")
     return _chain(u, w, np.where(v > 0.0, 1.0, -1.0), np.zeros_like(v), lambda: 0.0)
 
 
 def _real_pow(base, exponent, node):
-    _raise_at(base.value <= 0.0, node,
-              "power of non-positive base {!r} needs a constant integer exponent k, |k| <= 2^31",
-              base.value)
+    _flag_at(base.value <= 0.0, node,
+             "power of non-positive base {!r} needs a constant integer exponent k, |k| <= 2^31",
+             base.value)
     return _apply_function("exp", exponent * _apply_function("log", base, node), node)
 
 
@@ -366,14 +396,8 @@ def eval_jet2(expr, bindings, active=(), order=2):
     index = {name: i for i, name in enumerate(active)}
     values = {name: _value(v) for name, v in bindings.items()}
     shape = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
-    tail = (1,) * len(shape)
-
-    def evaluate(k):
-        prefix = {name: v[:k] if np.ndim(v) else v for name, v in values.items()}
-        with np.errstate(all="ignore"):  # float semantics: inf and nan propagate
-            return _walk(expr, prefix, index, m, order, tail)
-
-    jet = first_failure(evaluate, shape[0] if shape else 1)
+    with one_pass():
+        jet = _walk(expr, values, index, m, order, (1,) * len(shape))
     value, *derivatives = (_full(a, (m,) * r + shape) for r, a in enumerate(jet.slots()))
     return Jet2(_value(value), *derivatives)
 
@@ -393,6 +417,5 @@ __all__ = [
     "Jet2",
     "eval_jet2",
     "as_expression",
-    "first_failure",
     "first_index",
 ]

@@ -426,6 +426,23 @@ def test_analyze_point_errors_exit_three(tmp_path, capsys, components, samples, 
     assert "Traceback" not in captured.err + captured.out
 
 
+def test_gram_overflow_at_n3_exit_three(tmp_path, capsys):
+    # at n = 3 the soliton residual takes its eigenvalues from LAPACK, which
+    # refuses a matrix that is not finite: the Gram matrix that overflows
+    # still gives NaN geometry, caught at the first grid point as at n = 2
+    scene = hyperplane_scene()
+    scene["ambient"]["n"] = 3
+    scene["immersion"] = {
+        "components": ["0", "1e200*u", "v1", "v2"],
+        "chart": {"names": ["u", "v1", "v2"], "lower": [-1.0] * 3, "upper": [1.0] * 3},
+    }
+    scene["grid"] = {"samples": {"u": 3, "v1": 3, "v2": 3}}
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 3
+    captured = capsys.readouterr()
+    assert "not finite" in captured.err and "{'u': -0.9, 'v1': -0.9, 'v2': -0.9}" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_structural_gradient_not_finite_exit_three(tmp_path, capsys):
     # the third derivatives of 1e-250 sin(1e120 u) overflow while the
     # geometry of order 2 stays finite: structural names the grid point

@@ -1,12 +1,16 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from warpgeo.ambient import WarpedProduct
 from warpgeo.catalogue import hyperplane_immersion, slice_immersion
-from warpgeo import hypersurface, intrinsic
+from warpgeo import hypersurface, intrinsic, jets
 from warpgeo.errors import DegenerateImmersion, DomainError, OutsideChart
 from warpgeo.hypersurface import ChartBox, Immersion
 from warpgeo.intrinsic import grid_geometry
@@ -401,6 +405,89 @@ def test_batch_fails_like_its_first_failing_point():
         with pytest.raises(DegenerateImmersion) as err:
             grid_geometry(imm, points[:k])
         assert err.value.index == 1 and str(err.value) == str(alone.value)
+
+
+# rows of the cusp immersion by the error each raises alone: none, outside
+# the box, beyond the domain of sqrt (u > 1.1) and a degenerate frame (u = 0)
+_V = st.floats(-0.9, 0.9)
+_CUSP_ROWS = {
+    type(None): st.tuples(st.floats(0.3, 1.0), _V),
+    OutsideChart: st.tuples(st.floats(1.2, 1.5), _V),
+    DomainError: st.tuples(st.floats(1.12, 1.19), _V),
+    DegenerateImmersion: st.tuples(st.just(0.0), _V),
+}
+
+
+def _outcome(imm, points):
+    """The error ``grid_geometry`` raises over ``points``, or None."""
+    try:
+        grid_geometry(imm, points)
+    except (DegenerateImmersion, DomainError, OutsideChart) as exc:
+        return exc
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.one_of(*(st.tuples(st.just(kind), row) for kind, row in _CUSP_ROWS.items())),
+                     min_size=1, max_size=6))
+@example(rows=[(type(None), (0.5, 0.1)), (DomainError, (1.15, 0.2)), (DegenerateImmersion, (0.0, 0.2))])
+@example(rows=[(type(None), (0.5, 0.1)), (OutsideChart, (1.3, 0.2)), (DomainError, (1.15, 0.2))])
+def test_a_pass_fails_like_its_first_row_that_fails_alone(rows):
+    imm = _cusp_immersion()
+    batch = _outcome(imm, [p for _, p in rows])
+    for i, (kind, p) in enumerate(rows):
+        alone = _outcome(imm, [p])
+        assert type(alone) is kind
+        if alone is not None:
+            assert type(batch) is kind and str(batch) == str(alone)
+            assert batch.index == i and alone.index == 0 and not batch.probe
+            return
+    assert batch is None
+
+
+def test_a_failing_pass_evaluates_each_expression_once(monkeypatch):
+    # 40 good rows, then a degenerate frame, a domain error and a point
+    # outside the box: the failing pass walks each of the three components
+    # and f once, as the passing pass does, and names the degenerate row
+    imm, walks, walk = _cusp_immersion(), [], jets._walk
+    monkeypatch.setattr(jets, "_walk", lambda expr, *args: walks.append(expr) or walk(expr, *args))
+    good = [(0.5, -0.9 + 0.04 * k) for k in range(40)]
+    grid_geometry(imm, good)
+    assert len(walks) == 4
+    walks.clear()
+    with pytest.raises(DegenerateImmersion) as err:
+        grid_geometry(imm, good + [(0.0, 0.2), (1.15, 0.2), (1.3, 0.2)])
+    assert err.value.index == 40 and len(walks) == 4
+
+
+def test_a_failing_pass_and_a_passing_pass_in_two_threads():
+    # a pass keeps its flags to its own thread: one thread's failing rows
+    # never fail the other's pass, nor does that pass hide them
+    imm = _cusp_immersion()
+    good = [(0.5, -0.9 + 0.1 * k) for k in range(19)]
+    expected = grid_geometry(imm, good).residual.tobytes()
+    start, results = threading.Barrier(2), [[], []]
+
+    def run(slot):  # slot 0 adds a row beyond the domain of sqrt
+        start.wait()
+        for _ in range(20):
+            try:
+                results[slot].append(grid_geometry(imm, good + [(1.15, 0.2)] * (1 - slot)).residual.tobytes())
+            except DomainError as exc:
+                results[slot].append(exc.index)
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-pass
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[19] * 20, [expected] * 20]
 
 
 @pytest.mark.parametrize(
