@@ -1,7 +1,6 @@
 """Exception types shared across the package, the size bounds and the rule for input numbers."""
 
 import math
-from functools import partial
 from reprlib import repr as _short
 
 
@@ -109,23 +108,26 @@ def _number(value, field, name, integer=False, lo=-math.inf, hi=math.inf, finite
     The one rule for input numbers: a boolean is never one; an integer lies in [lo, hi]; any
     other number is a float, finite and in the open (lo, hi), unless ``finite`` is false: an
     interval endpoint, which may be any float or the text "inf" / "-inf"."""
-    refuse = partial(SceneError, field=field) if field else ValueError
     text = value.strip().lower() if isinstance(value, str) and not finite else None
     if text in ("inf", "+inf", "infinity", "-inf"):
         return -math.inf if text == "-inf" else math.inf
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "an integer" if integer else "a number"
-        raise refuse(f"{name} must be {kind}, got {_short(value)}")
+        raise _refusal(f"{name} must be {kind}, got {_short(value)}", field)
     if integer:
         if lo <= value <= hi:
             return value
-        raise refuse(f"{name} must lie in [{lo}, {hi}], got {_short(value)}")
+        raise _refusal(f"{name} must lie in [{lo}, {hi}], got {_short(value)}", field)
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf if value > 0 else -math.inf
     if finite and not math.isfinite(number):
-        raise refuse(f"{name} must be finite, got {_short(value)}")
+        raise _refusal(f"{name} must be finite, got {_short(value)}", field)
     if finite and not lo < number < hi:
-        raise refuse(f"{name} must lie in ({lo}, {hi}), got {_short(value)}")
+        raise _refusal(f"{name} must lie in ({lo}, {hi}), got {_short(value)}", field)
     return number
+
+
+def _refusal(message, field):
+    return SceneError(message, field=field) if field else ValueError(message)

@@ -230,13 +230,15 @@ def contract(spec, *operands):
     return np.einsum(spec, *(np.concatenate([x, x], axis=-1) for x in operands))[..., :1]
 
 
+@one_pass()
 def point_jets(imm, points, order=2):
-    """Component jets of ``order`` and metric jets over (N, n) chart points, one pass each.
+    """Component jets of ``order`` and metric jets over (N, n) chart points, in one pass.
 
     Each check flags the points that fail it (:func:`warpgeo.jets.flag`): a
     point outside the box, a frame, second derivative or metric entry D
-    that is not finite (a DomainError) and a degenerate frame.  Outside a
-    pass (``grid_geometry`` opens one) a check's first flagged point raises.
+    that is not finite (a DomainError) and a degenerate frame.  The call is
+    one :func:`warpgeo.jets.one_pass` (joining an open one, as
+    ``grid_geometry``'s), so its first flagged point raises its first check's error.
     """
     points = as_points(points, imm.n)
     flag(~imm.chart.contains(points), lambda i: OutsideChart(

@@ -1,26 +1,10 @@
 """Scene files, check execution and JSON report documents.
 
-A scene is a JSON object with exactly these blocks::
-
-    {
-      "schema_version": 1,
-      "ambient":   {"interval": [lo, hi], "f": "...", "fiber": "...", "n": int},
-      "immersion": {"preset": name, "params": {...}}
-                   or {"components": [...], "chart": {"names": [...],
-                       "lower": [...], "upper": [...]}},
-      "grid":      {"samples": {var: int, ...}, "margins": {var: frac, ...}},
-      "checks":    ["lemma1", "soliton", "structural", "theorem1", ...,
-                    "spaceform c=<value>", "rotational-classification"],
-      "output":    {"report": path, "mesh": path-optional}
-    }
-
-Every number is read by one rule, ``errors._number``, with the arguments
-of its field in ``NUMBER_FIELDS`` (preset parameters: ``catalogue.PRESETS``):
-a boolean is never a number, text is one only as the interval endpoint
-"inf" / "-inf", and numbers are finite elsewhere.  Chart names are NAMEs
-of the expression grammar.  Unknown fields anywhere are validation
-errors, not silently ignored.  Reports are deterministic: identical
-scenes produce byte-identical documents apart from the timing field.
+A scene's fields are the rows of one table, ``FIELDS``, which one walk
+checks before anything is built; ``validate_scene`` then parses and
+builds.  Unknown fields anywhere are validation errors.  Reports are
+deterministic: identical scenes produce byte-identical documents apart
+from the timing field.
 """
 
 from __future__ import annotations
@@ -36,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .ambient import WarpedProduct
-from .catalogue import build_preset
-from .errors import MAX_DIMENSION, MAX_GRID_POINTS, PointError, SceneError, WarpGeoError, _number
+from .catalogue import PRESETS, build_preset
+from .errors import MAX_DIMENSION, MAX_GRID_POINTS, PointError, SceneError, WarpGeoError, _number, _short
 from .expr import CONSTANTS, FUNCTIONS, is_name, parse as parse_expr
 from .hypersurface import ChartBox, Immersion
 from .intrinsic import grid_geometry
@@ -59,58 +43,118 @@ SCHEMA_VERSION = 1
 # Largest scene file read.  A scene is a few KB of JSON; a larger file is
 # refused before it is parsed.
 MAX_SCENE_BYTES = 1 << 20
+SPACEFORM = "spaceform c=<number>"  # how errors and README show the check SPACEFORM_RE reads
 SPACEFORM_RE = re.compile(r"^spaceform\s+c=(-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)\Z", re.ASCII)
-CHECK_NAMES = (
-    "lemma1",
-    "soliton",
-    "structural",
-    "theorem1",
-    "theorem3",
-    "theorem4a",
-    "theorem4b",
-    "theorem5",
-    "rotational-classification",
-)
+GRID_CHECKS = ("lemma1", "soliton", "structural") + THEOREMS  # the checks that read the scene grid
+CHECK_NAMES = GRID_CHECKS + ("rotational-classification",)
 
 MESH_WARNING = (
     "mesh coordinates are ambient-chart coordinates, not an isometric "
     "embedding; do not read distances from the render"
 )
 
+# The kinds of a field.  An object's keys are the rows below it (one with no rows below
+# takes any keys); an expression is a string, and each entry of a list of them a field.
+OBJECT, STRING, EXPRESSION, PATH, ENUM, NUMBER = "object", "string", "expression", "path", "enum", "number"
+LIST, PAIR = "non-empty list", "[lo, hi] pair"  # shapes of a list; an OBJECT shape holds numbers, one per key
 
-def _typed(value, where, kind=dict):
-    """``value`` if it is a ``kind``, a JSON object (dict) or a string (str); anything
-    else is refused, naming ``where``."""
-    if not isinstance(value, kind):
-        raise SceneError("must be a JSON object" if kind is dict else "must be a string", field=where)
-    return value
-
-
-def _require_keys(block, allowed, required, where):
-    unknown = set(_typed(block, where)) - set(allowed)
-    if unknown:
-        raise SceneError(f"unknown field(s) {sorted(unknown)}", field=where)
-    for key in required:
-        if key not in block:
-            raise SceneError(f"missing required field {key!r}", field=where)
-
-
-# A numeric scene field: the arguments of errors._number, and its default.
+# A number's rule: the arguments of errors._number (which reads every number), and its default.
 Number = namedtuple("Number", "integer lo hi finite default", defaults=(-math.inf, math.inf, True, None))
+# A row of FIELDS.  ``rule`` is what a value meets: a number's Number or an enum's values.
+# ``form`` is a pattern that a string may match instead of being one of those values.  An
+# object's ``variant`` names the rows of its second form, the first of them selecting it.
+Field = namedtuple("Field", "kind required rule shape form variant", defaults=(False, None, None, None, None))
 
-# Every numeric field of a scene, under the name its errors report.
-NUMBER_FIELDS = {
-    "schema_version": Number(True, SCHEMA_VERSION, SCHEMA_VERSION, default=SCHEMA_VERSION),
-    "ambient.interval": Number(False, finite=False),
-    "ambient.n": Number(True, 1, MAX_DIMENSION),
-    "immersion.chart": Number(False),  # each bound of "lower" and "upper"
-    "grid.samples": Number(True, 3, MAX_GRID_POINTS, default=7),
-    "grid.margins": Number(False, 0.0, 0.5, default=0.05),
+# Every field of a scene, under the name its errors report, in the order they are checked.
+FIELDS = {
+    "schema_version": Field(NUMBER, rule=Number(True, SCHEMA_VERSION, SCHEMA_VERSION, default=SCHEMA_VERSION)),
+    "ambient": Field(OBJECT, True),
+    "ambient.interval": Field(NUMBER, True, Number(False, finite=False), PAIR),
+    "ambient.fiber": Field(ENUM, True, ("euclidean", "sphere")),
+    "ambient.n": Field(NUMBER, True, Number(True, 1, MAX_DIMENSION)),
+    "ambient.f": Field(EXPRESSION, True),
+    "output": Field(OBJECT),
+    "output.report": Field(PATH),
+    "output.mesh": Field(PATH),
+    "immersion": Field(OBJECT, True, variant=("preset", "params")),
+    "immersion.preset": Field(ENUM, True, tuple(PRESETS)),
+    "immersion.params": Field(OBJECT),
+    "immersion.chart": Field(OBJECT, True),
+    "immersion.chart.names": Field(STRING, True, shape=LIST),
+    "immersion.chart.lower": Field(NUMBER, True, Number(False), LIST),
+    "immersion.chart.upper": Field(NUMBER, True, Number(False), LIST),
+    "immersion.components": Field(EXPRESSION, True, shape=LIST),
+    "grid": Field(OBJECT),
+    "grid.samples": Field(NUMBER, rule=Number(True, 3, MAX_GRID_POINTS, default=7), shape=OBJECT),
+    "grid.margins": Field(NUMBER, rule=Number(False, 0.0, 0.5, default=0.05), shape=OBJECT),
+    "checks": Field(ENUM, True, CHECK_NAMES, LIST, form=SPACEFORM_RE),
 }
+_ROWS = {}  # the rows below each object, (key, field, kind, required, rule, shape, form, variant), in order
+for _name, _row in FIELDS.items():
+    _ROWS.setdefault(_name.rpartition(".")[0], []).append((_name.rpartition(".")[2], _name, *_row))
+# (object, whether it has its variant key) -> its rows, their keys and the required ones
+_OBJECTS = {}
+for _name, _row in [("", Field(OBJECT)), *FIELDS.items()]:
+    for _has in (False, True) if _row.kind == OBJECT else ():
+        _rows = [e for e in _ROWS.get(_name, ()) if not _row.variant or (e[0] in _row.variant) == _has]
+        _OBJECTS[_name, _has] = _rows, {e[0] for e in _rows}, {e[0] for e in _rows if e[3]}
 
 
-def _field(value, field, name):
-    return _number(value, field, name, *NUMBER_FIELDS[field][:4])
+def _object(value, field, variant, numbers):
+    """Check ``value``, the object ``field`` with variant key ``variant`` (or None), against
+    the rows below it; every number is recorded in ``numbers`` as read, by field."""
+    where = field or "<root>"
+    if not isinstance(value, dict):
+        raise SceneError("must be a JSON object", where)
+    rows, keys, required = _OBJECTS[field, variant is not None and variant in value]
+    if keys and not keys.issuperset(value):
+        raise SceneError(f"unknown field(s) {sorted(value.keys() - keys)}", where)
+    if not value.keys() >= required:
+        missing = next(e[0] for e in rows if e[0] in required and e[0] not in value)
+        raise SceneError(f"missing required field {missing!r}", where)
+    for key, child, kind, _, rule, shape, form, variant in rows:
+        if key not in value:
+            continue
+        v = value[key]
+        if shape:
+            _entries(v, child, key, kind, rule, shape, form, numbers)
+        elif kind == NUMBER:
+            numbers[child] = _number(v, child, key, *rule[:4])
+        elif kind == OBJECT:
+            if child in _ROWS or not isinstance(v, dict):  # an object with no rows below takes any keys
+                _object(v, child, variant and variant[0], numbers)
+        elif kind == PATH:
+            if v is not None and not (isinstance(v, str) and v):
+                raise SceneError(f"{key} must be a file path", child)
+        elif not isinstance(v, str) or (kind == ENUM and v not in rule):
+            _refuse_text(v, child, key, rule, form)
+
+
+def _entries(value, field, key, kind, rule, shape, form, numbers):
+    """Check the entries of a field of LIST or PAIR ``shape``, or the numbers of an OBJECT."""
+    if shape == OBJECT:
+        if not isinstance(value, dict):
+            raise SceneError("must be a JSON object", field)
+        numbers[field] = {k: _number(v, field, f"{key}[{k!r}]", *rule[:4]) for k, v in value.items()}
+        return
+    if not isinstance(value, list) or not value or (shape == PAIR and len(value) != 2):
+        raise SceneError(f"{key} must be a {shape}", field)
+    if kind == NUMBER:
+        numbers[field] = [_number(v, field, f"{key}[{i}]", *rule[:4]) for i, v in enumerate(value)]
+        return
+    for i, v in enumerate(value):
+        if not isinstance(v, str) or (kind == ENUM and v not in rule):
+            _refuse_text(v, f"{field}[{i}]" if kind == EXPRESSION else field, key, rule, form)
+
+
+def _refuse_text(value, field, key, rule, form):
+    """Refuse a string field's ``value`` that is not text, or is neither one of an enum's
+    values (``rule``) nor of its ``form`` (shown as SPACEFORM, the one form)."""
+    if not isinstance(value, str):
+        raise SceneError("must be a string", field)
+    if not (form and form.match(value)):
+        shown = rule + (SPACEFORM,) if form else rule
+        raise SceneError(f"{key} must be one of {', '.join(shown)}, got {_short(value)}", field)
 
 
 class Scene(NamedTuple):
@@ -119,120 +163,68 @@ class Scene(NamedTuple):
     immersion: Immersion
     profile: object  # solved ProfileCurve for rotational presets, else None
     grid: list
-    checks: list
+    checks: list  # (kind, c) pairs: c is the value of "spaceform c=", else None
     report_path: str | None
     mesh_path: str | None
 
 
 def validate_scene(data):
-    """Validate a scene dictionary and build the runtime objects."""
-    blocks = ("schema_version", "ambient", "immersion", "grid", "checks", "output")
-    _require_keys(data, blocks, ("ambient", "immersion", "checks"), where="<root>")
-    _field(data.get("schema_version", SCHEMA_VERSION), "schema_version", "schema_version")
-
-    amb = data["ambient"]
-    _require_keys(amb, ("interval", "f", "fiber", "n"), ("interval", "f", "fiber", "n"), "ambient")
-    interval = amb["interval"]
-    if not isinstance(interval, (list, tuple)) or len(interval) != 2:
-        raise SceneError("interval must be a [lo, hi] pair", field="ambient.interval")
-    lo, hi = (_field(end, "ambient.interval", "interval endpoint") for end in interval)
-    if amb["fiber"] not in ("euclidean", "sphere"):
-        message = f"fiber must be 'euclidean' or 'sphere', got {amb['fiber']!r}"
-        raise SceneError(message, field="ambient.fiber")
-    _field(amb["n"], "ambient.n", "n")
-    f_text = _typed(amb["f"], "ambient.f", str)
+    """Check a scene dictionary against ``FIELDS``, then build the runtime objects."""
+    numbers = {}
+    _object(data, "", None, numbers)
+    amb, output = data["ambient"], data.get("output", {})
+    if output.get("mesh") and amb["n"] != 2:
+        raise SceneError(f"mesh export needs n = 2, got n = {amb['n']}", field="output.mesh")
+    lo, hi = numbers["ambient.interval"]
     try:
-        f_expr = parse_expr(f_text, variables={"t"})
+        f_expr = parse_expr(amb["f"], variables={"t"})
         ambient = WarpedProduct((lo, hi), f_expr, amb["fiber"], amb["n"])
     except WarpGeoError as exc:
         raise SceneError(str(exc), field="ambient.f") from None
     except ValueError as exc:  # the interval's fault when it is empty, else f's
         raise SceneError(str(exc), field="ambient.f" if lo < hi else "ambient") from None
 
-    output = data.get("output", {})
-    _require_keys(output, ("report", "mesh"), (), "output")
-    for key, path in output.items():
-        if path is not None and not (isinstance(path, str) and path):
-            raise SceneError(f"{key} must be a file path", field=f"output.{key}")
-    if output.get("mesh") and ambient.n != 2:
-        raise SceneError(f"mesh export needs n = 2, got n = {ambient.n}", field="output.mesh")
-
     imm_block = data["immersion"]
     profile = None
-    if "preset" in _typed(imm_block, "immersion"):
-        _require_keys(imm_block, ("preset", "params"), ("preset",), "immersion")
-        params = _typed(imm_block.get("params", {}), "immersion.params")
-        preset = _typed(imm_block["preset"], "immersion.preset", str)
-        immersion, profile = build_preset(preset, ambient, params)
+    if "preset" in imm_block:
+        immersion, profile = build_preset(imm_block["preset"], ambient, imm_block.get("params", {}))
     else:
-        _require_keys(imm_block, ("components", "chart"), ("components", "chart"), "immersion")
-        chart_block = imm_block["chart"]
-        _require_keys(chart_block, ("names", "lower", "upper"), ("names", "lower", "upper"), "immersion.chart")
-        for key in ("names", "lower", "upper"):
-            if not isinstance(chart_block[key], list):
-                raise SceneError(f"{key} must be a list", field=f"immersion.chart.{key}")
-        names = tuple(chart_block["names"])
-        valid = all(isinstance(v, str) and is_name(v) for v in names)
-        if not valid or len(set(names)) < len(names) or set(names) & {*CONSTANTS, *FUNCTIONS}:
+        names = tuple(imm_block["chart"]["names"])
+        if not all(map(is_name, names)) or len(set(names)) < len(names) or set(names) & {*CONSTANTS, *FUNCTIONS}:
             message = f"chart names must be distinct NAMEs, not constants or functions: {list(names)}"
             raise SceneError(message, field="immersion.chart.names")
-        lower, upper = (tuple(_field(b, "immersion.chart", "chart bound") for b in chart_block[k])
-                        for k in ("lower", "upper"))
         try:
-            chart = ChartBox(names, lower, upper)
+            chart = ChartBox(names, *(tuple(numbers[f"immersion.chart.{k}"]) for k in ("lower", "upper")))
         except ValueError as exc:
             raise SceneError(str(exc), field="immersion.chart") from None
-        components = imm_block["components"]
-        if not isinstance(components, list):
-            raise SceneError("components must be a list", field="immersion.components")
         exprs = []
-        for idx, src in enumerate(components):
-            field = f"immersion.components[{idx}]"
-            src = _typed(src, field, str)
+        for idx, src in enumerate(imm_block["components"]):
             try:  # an undeclared variable is an UnknownIdentifier
                 exprs.append(parse_expr(src, variables=set(names)))
             except WarpGeoError as exc:
-                raise SceneError(str(exc), field=field) from None
+                raise SceneError(str(exc), field=f"immersion.components[{idx}]") from None
         try:
             immersion = Immersion(ambient, chart, exprs)
         except ValueError as exc:
             raise SceneError(str(exc), field="immersion") from None
 
-    grid_block = data.get("grid", {})
-    _require_keys(grid_block, ("samples", "margins"), (), "grid")
-    samples = _typed(grid_block.get("samples", {}), "grid.samples")
-    margins = _typed(grid_block.get("margins", {}), "grid.margins")
-    names = immersion.chart.names
-    count, margin = (NUMBER_FIELDS[f"grid.{key}"].default for key in ("samples", "margins"))
-    counts = {v: _field(samples.get(v, count), "grid.samples", f"sample count for {v!r}")
-              for v in names}
-    for key, given in (("samples", samples), ("margins", margins)):
-        unknown = set(given) - set(names)
-        if unknown:
-            raise SceneError(f"{key} given for unknown variables {sorted(unknown)}", f"grid.{key}")
-    margin_map = {v: _field(margins.get(v, margin), "grid.margins", f"margin for {v!r}")
-                  for v in names}
+    names, per_name = immersion.chart.names, []
+    for field in ("grid.samples", "grid.margins"):
+        given = numbers.get(field, {})
+        if not given.keys() <= set(names):
+            message = f"{field[5:]} given for unknown variables {sorted(given.keys() - set(names))}"
+            raise SceneError(message, field)
+        default = FIELDS[field].rule.default
+        per_name.append({v: given.get(v, default) for v in names})
     try:
-        grid = immersion.chart.grid(counts, margin_map)
+        grid = immersion.chart.grid(*per_name)
     except ValueError as exc:  # more than MAX_GRID_POINTS, refused before building
         raise SceneError(str(exc), field="grid.samples") from None
 
-    checks = []
-    raw_checks = data["checks"]
-    if not isinstance(raw_checks, list) or not raw_checks:
-        raise SceneError("checks must be a non-empty list", field="checks")
-    for raw in raw_checks:
-        raw = _typed(raw, "checks", str)
-        match = SPACEFORM_RE.match(raw)
-        if match:
-            checks.append(("spaceform", raw, _number(float(match[1]), "checks", "spaceform c")))
-        elif raw in CHECK_NAMES:
-            checks.append((raw, raw, None))
-        else:
-            raise SceneError(f"unknown check {raw!r}", field="checks")
-
-    report_path, mesh_path = output.get("report"), output.get("mesh")
-    return Scene(data, ambient, immersion, profile, grid, checks, report_path, mesh_path)
+    checks = [(raw, None) if raw in CHECK_NAMES else
+              ("spaceform", _number(float(SPACEFORM_RE.match(raw)[1]), "checks", "spaceform c"))
+              for raw in data["checks"]]
+    return Scene(data, ambient, immersion, profile, grid, checks, output.get("report"), output.get("mesh"))
 
 
 def load_scene(path):
@@ -282,9 +274,6 @@ def _run_check(kind, c, scene, geometry, soliton, classification):
     return CheckResult(kind, status, sup_error=sup, extras=extras)
 
 
-GRID_CHECKS = ("lemma1", "soliton", "structural") + THEOREMS
-
-
 def run_scene(scene):
     """Execute the requested checks; returns (report_dict, all_passed).
 
@@ -298,7 +287,7 @@ def run_scene(scene):
     naming the immersion block.
     """
     started = time.perf_counter()
-    kinds = {kind for kind, _, _ in scene.checks}
+    kinds = {kind for kind, _ in scene.checks}
     imm, curve = scene.immersion, scene.profile
     points = list(scene.grid) if kinds & set(GRID_CHECKS) else []
     size = len(points)
@@ -328,7 +317,7 @@ def run_scene(scene):
         soliton = soliton_report(geometry)
     results = [
         _run_check(kind, c, scene, geometry, soliton, classification)
-        for kind, _, c in scene.checks
+        for kind, c in scene.checks
     ]
 
     if soliton is not None:

@@ -150,6 +150,8 @@ def horosphere_scene():
         (lambda s: s.update(immersion={"preset": "rotational", "params": {"theta": 0.5, "u0": "-inf"}}),
          "immersion.params"),
         (lambda s: s.update(checks=["spaceform c=1e400"]), "checks"),
+        # how errors show the spaceform check is not itself a check
+        (lambda s: s.update(checks=["spaceform c=<number>"]), "checks"),
         # preset parameters: missing, unknown, or text where a number belongs
         (lambda s: s["immersion"].update(params={}), "immersion.params"),
         (lambda s: s["immersion"]["params"].update(pad=0.1), "immersion.params"),
@@ -171,7 +173,7 @@ def horosphere_scene():
         (lambda s: s.update(immersion={
             "components": ["0", "u", "v"],
             "chart": {"names": ["u", "v"], "lower": ["-1", "-1"], "upper": [1.0, 1.0]}}),
-         "immersion.chart"),
+         "immersion.chart.lower"),
         (lambda s: s.update(immersion={"preset": "example5", "params": {"u0": "-1"}}),
          "immersion.params"),
         (lambda s: s.update(immersion={"preset": "rotational", "params": {"theta": "0.5"}}),
@@ -194,17 +196,25 @@ def horosphere_scene():
             "chart": {"names": ["u1", "u2"], "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}),
          "immersion.components[0]"),
         (lambda s: s["ambient"].update(interval=[1, 2]), "immersion.params"),
+        # a list of chart names, bounds or components is never empty
+        (lambda s: s.update(immersion={
+            "components": [], "chart": {"names": ["u1", "u2"], "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}),
+         "immersion.components"),
+        (lambda s: s.update(immersion={
+            "components": ["0", "1", "2"], "chart": {"names": [], "lower": [], "upper": []}}),
+         "immersion.chart.names"),
     ],
     ids=[
         "grid", "ambient", "immersion", "samples-list", "margin-text", "margin-list",
         "params-list", "chart-names", "report-list", "mesh-object", "mesh-n1", "mesh-n3",
-        "theta-list", "theta-null", "c2-nan", "u0-inf", "spaceform-inf",
+        "theta-list", "theta-null", "c2-nan", "u0-inf", "spaceform-inf", "spaceform-placeholder",
         "t0-missing", "pad-unknown", "pad-text", "half-width-text", "t0-text",
         "names-numbers", "names-with-space",
         "margin-number-text", "bound-text", "u0-text", "theta-text", "schema-true", "schema-float",
         "margin-long-integer", "t0-long-integer", "samples-long-integer",
         "params-empty-list", "params-null", "params-zero", "params-false", "params-empty-text",
         "report-empty", "mesh-empty", "component-superscript-two", "t0-outside-interval",
+        "components-empty", "names-empty",
     ],
 )
 def test_analyze_block_of_the_wrong_type_exit_two(tmp_path, capsys, edit, field):
@@ -227,8 +237,13 @@ def test_analyze_block_of_the_wrong_type_exit_two(tmp_path, capsys, edit, field)
             "chart": {"names": ["u1", "u2"], "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}),
          "immersion.components[1]"),
         (lambda s: s.update(checks=["soliton", ["soliton"]]), "checks"),
+        (lambda s: s["ambient"].update(fiber=["euclidean"]), "ambient.fiber"),
+        (lambda s: s.update(immersion={
+            "components": ["0", "u1", "u2"],
+            "chart": {"names": ["u1", 2], "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}),
+         "immersion.chart.names"),
     ],
-    ids=["f-number", "f-boolean", "preset-list", "component-number", "check-list"],
+    ids=["f-number", "f-boolean", "preset-list", "component-number", "check-list", "fiber-list", "name-number"],
 )
 def test_scene_text_fields_must_be_strings(tmp_path, capsys, edit, field):
     # no str() is applied: 2 is not the expression "2", nor true "True"
@@ -382,6 +397,48 @@ def test_analyze_degenerate_preset_exit_two(tmp_path, capsys):
     assert main(["analyze", write_scene(tmp_path, scene)]) == 2
     err = capsys.readouterr().err
     assert "scene field 'immersion.params'" in err and "degenerate at chart point (0.0, 0.0)" in err
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda s: s["grid"].update(samples={"u": 2}), "grid.samples"),
+        (lambda s: s.update(checks=["soliton", "nonsense"]), "checks"),
+    ],
+    ids=["grid", "checks"],
+)
+def test_scene_structure_is_refused_before_the_preset_is_built(tmp_path, capsys, edit, field):
+    # the rotational profile solve leaves the domain of cosh at c1 = 1e300
+    # (exit 3); a structural fault elsewhere in the scene is refused first
+    scene = hyperplane_scene()
+    scene["ambient"]["f"] = "cosh(t)"
+    scene["immersion"] = {"preset": "rotational", "params": {"theta": 0.5, "c1": 1e300}}
+    scene["grid"] = {}
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 3
+    assert "cosh overflows" in capsys.readouterr().err
+    edit(scene)
+    assert main(["analyze", write_scene(tmp_path, scene, "edited.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"scene field {field!r}" in err and "overflows" not in err
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda s: s["grid"].update(samples=[5, 5]), "grid.samples"),
+        (lambda s: s["immersion"].update(preset="missing"), "immersion.preset"),
+        (lambda s: s.update(checks=["nonsense"]), "checks"),
+        (lambda s: s["ambient"].update(n=3) or s.update(output={"mesh": "mesh.obj"}), "output.mesh"),
+    ],
+    ids=["grid", "preset", "checks", "mesh"],
+)
+def test_scene_structure_is_refused_before_the_warping_function_is_read(tmp_path, capsys, edit, field):
+    scene = hyperplane_scene()
+    scene["ambient"]["f"] = "2x"
+    edit(scene)
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 2
+    err = capsys.readouterr().err
+    assert f"scene field {field!r}" in err and "ambient.f" not in err
 
 
 def test_scene_fields_are_refused_before_the_probe_runs(tmp_path, capsys):
@@ -658,7 +715,7 @@ def test_analyze_boolean_preset_param_exit_two(tmp_path, capsys, immersion):
         (
             '{"components": ["0.5", "u", "v"], "chart": {"names": ["u", "v"], '
             '"lower": [-1, -1], "upper": [1e400, 1]}}',
-            "immersion.chart",
+            "immersion.chart.upper",
         ),
     ],
     ids=["slice-half-width", "sphere-pad", "chart-upper"],
@@ -690,7 +747,7 @@ def test_analyze_boolean_interval_and_chart_bounds_exit_two(tmp_path, capsys):
     assert "scene field 'ambient.interval'" in capsys.readouterr().err
     scene["ambient"]["interval"] = [0, 1]
     assert main(["analyze", write_scene(tmp_path, scene, "chart.json")]) == 2
-    assert "scene field 'immersion.chart'" in capsys.readouterr().err
+    assert "scene field 'immersion.chart.lower'" in capsys.readouterr().err
     scene["immersion"]["chart"].update(lower=[0, 0], upper=[1, 1])
     assert main(["analyze", write_scene(tmp_path, scene, "numbers.json")]) == 0
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -405,6 +406,18 @@ def test_batch_fails_like_its_first_failing_point():
         with pytest.raises(DegenerateImmersion) as err:
             grid_geometry(imm, points[:k])
         assert err.value.index == 1 and str(err.value) == str(alone.value)
+
+
+def test_point_jets_alone_is_one_pass():
+    # outside grid_geometry's pass, point_jets opens its own: the row that
+    # fails first alone (a degenerate frame) wins over row 1's later box
+    # check, and the degenerate row's division by zero warns nothing
+    imm = _cusp_immersion()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateImmersion) as err:
+            hypersurface.point_jets(imm, [(0.0, 0.2), (1.3, 0.2)])
+    assert err.value.index == 0
 
 
 # rows of the cusp immersion by the error each raises alone: none, outside

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import sys
@@ -8,17 +10,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from warpgeo import ambient as ambient_module
 from warpgeo import rotational
 from warpgeo import scene as scene_module
 from warpgeo.ambient import WarpedProduct
 from warpgeo.catalogue import PRESETS
+from warpgeo.cli import main
 from warpgeo.errors import SceneError, _number
 from warpgeo.hypersurface import MAX_GRID_POINTS, Immersion
 from warpgeo.jets import _leaves
 from warpgeo.intrinsic import grid_geometry
-from warpgeo.scene import NUMBER_FIELDS, report_to_json, run_scene, validate_scene
+from warpgeo.scene import FIELDS, report_to_json, run_scene, validate_scene
 
 
 def hyperplane_scene(**overrides):
@@ -91,6 +96,7 @@ def test_missing_required_field_is_named(drop, field, key):
         pytest.param(lambda d: d.update(checks=["spaceform\u3000c=3"]), "checks", id="spaceform-ideographic-space"),
         pytest.param(lambda d: d.update(checks=["spaceform\u00a0c=3"]), "checks", id="spaceform-no-break-space"),
         pytest.param(lambda d: d.update(checks=["spaceform c=3\n"]), "checks", id="spaceform-trailing-newline"),
+        pytest.param(lambda d: d.update(checks=["spaceform c=<number>"]), "checks", id="spaceform-placeholder"),
         (lambda d: d["grid"].update(samples={"u": 2, "v1": 5}), "grid.samples"),
         (lambda d: d["grid"].update(samples={"w": 5}), "grid.samples"),
         pytest.param(
@@ -108,6 +114,39 @@ def test_validation_errors_name_the_field(mutate, field):
     with pytest.raises(SceneError) as err:
         validate_scene(data)
     assert err.value.field == field
+
+
+def _chart_scene(lower, names=("u", "v")):
+    data = hyperplane_scene(grid={})
+    chart = {"names": list(names), "lower": lower, "upper": [1, 1]}
+    data["immersion"] = {"components": ["u", "0", "v"], "chart": chart}
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, field, message",
+    [
+        (hyperplane_scene(checks=["nonsense"]), "checks",
+         "checks must be one of lemma1, soliton, structural, theorem1, theorem3, theorem4a, "
+         "theorem4b, theorem5, rotational-classification, spaceform c=<number>, got 'nonsense'"),
+        (hyperplane_scene(ambient={"interval": [0, "oops"], "f": "1", "fiber": "euclidean", "n": 2}),
+         "ambient.interval", "interval[1] must be a number, got 'oops'"),
+        (hyperplane_scene(grid={"samples": {"u": 2}}), "grid.samples", "samples['u'] must lie in [3, 10000], got 2"),
+        (hyperplane_scene(grid={"margins": {"v1": 0.9}}), "grid.margins",
+         "margins['v1'] must lie in (0.0, 0.5), got 0.9"),
+        (_chart_scene([-1, True]), "immersion.chart.lower", "lower[1] must be a number, got True"),
+        (_chart_scene([]), "immersion.chart.lower", "lower must be a non-empty list"),
+        # entries are read before the grid and the chart names are checked against the chart
+        (hyperplane_scene(grid={"samples": {"w": 2}}), "grid.samples", "samples['w'] must lie in [3, 10000], got 2"),
+        (_chart_scene(["x", -1], names=("pi", "v")), "immersion.chart.lower", "lower[0] must be a number, got 'x'"),
+    ],
+    ids=["check", "interval", "samples", "margins", "chart-bound", "chart-bounds-empty", "samples-unknown-name",
+         "bound-before-names"],
+)
+def test_refusals_name_the_entry(data, field, message):
+    with pytest.raises(SceneError) as err:
+        validate_scene(data)
+    assert err.value.field == field and str(err.value) == f"scene field {field!r}: {message}"
 
 
 @pytest.mark.parametrize(
@@ -141,18 +180,120 @@ def test_number_rule_refuses(value, rule):
     assert err.value.field == "grid.margins" and str(err.value).startswith("scene field")
 
 
-def test_readme_lists_every_numeric_field_and_preset():
+def test_readme_lists_every_scene_field_and_preset():
+    # one bullet per row of FIELDS, marked required as the row is, with
+    # every number's default and every enum value
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Scene files", 1)[1].split("\n## ", 1)[0]
     bullets = {item.split("`")[1]: " ".join(item.split()) for item in section.split("\n* ")[1:]}
-    for field, spec in NUMBER_FIELDS.items():
-        assert field in bullets, field
-        if spec.default is not None:
-            assert f"default {spec.default}" in bullets[field], field
+    assert list(bullets) == list(FIELDS)
+    for field, row in FIELDS.items():
+        assert bullets[field].startswith(f"`{field}` (required") == row.required, field
+        if row.kind == scene_module.NUMBER and row.rule.default is not None:
+            assert f"default {row.rule.default}" in bullets[field], field
+        if row.kind == scene_module.ENUM:
+            for value in row.rule + ((scene_module.SPACEFORM,) if row.form else ()):
+                assert f"`{value}`" in bullets[field], (field, value)
     for name, (_, params, _) in PRESETS.items():
         assert f"`{name}`" in bullets["immersion.preset"], name
         for key in params:
             assert f"`{key}`" in bullets["immersion.preset"], (name, key)
+
+
+def _scene_with_every_field(field):
+    """A valid scene holding every row of its immersion form: the form of ``field``."""
+    data = hyperplane_scene(
+        grid={"samples": {"u": 3, "v1": 3}, "margins": {"u": 0.1, "v1": 0.1}},
+        checks=["lemma1", "spaceform c=0"],
+        output={"report": "report.json", "mesh": "mesh.obj"},
+    )
+    data["immersion"]["params"] = {"half_width": 1.0}
+    if field.startswith(("immersion.chart", "immersion.components")):
+        data["immersion"] = {
+            "components": ["u", "0", "v1"],
+            "chart": {"names": ["u", "v1"], "lower": [-1, -1], "upper": [1, 1]},
+        }
+    return data
+
+
+# text that looks like an enum's value: how the spaceform check is shown, and every enum's values
+_ENUM_LIKE = [scene_module.SPACEFORM, *(v for row in FIELDS.values() if row.kind == scene_module.ENUM for v in row.rule)]
+# values of the JSON kinds: a boolean, null, lists, objects, text, non-finite
+# and non-ASCII-digit text, an integer beyond the float range, numbers
+_VALUES = [True, None, [], [1], {}, {"a": 1}, "text", "", "nan", "inf", "\u0661", 10**400, 1.5, 0, *_ENUM_LIKE]
+
+
+def _wrong_kind(row, value, whole):
+    """Whether ``row`` refuses ``value`` by its kind alone: as the whole field,
+    or (``whole`` false) as one entry of a list, pair or object of them."""
+    shape = row.shape if whole else None
+    if shape in (scene_module.LIST, scene_module.PAIR):
+        return not (isinstance(value, list) and value)
+    if scene_module.OBJECT in (shape, row.kind):
+        return not isinstance(value, dict)
+    if row.kind == scene_module.NUMBER:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return row.rule.finite or value != "inf"
+        return value == 10**400 and row.rule.finite
+    if row.kind == scene_module.PATH:
+        return value is not None and not (isinstance(value, str) and value)
+    if not isinstance(value, str) or row.kind != scene_module.ENUM:
+        return not isinstance(value, str)
+    return value not in row.rule and not (row.form and row.form.match(value))
+
+
+@pytest.mark.parametrize("form", ["immersion.preset", "immersion.chart"])
+def test_the_fuzzed_scenes_are_valid(form):
+    assert validate_scene(_scene_with_every_field(form)).report_path == "report.json"
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_value_of_the_wrong_kind_is_refused_naming_its_field(tmp_path, data):
+    # every row of FIELDS, set (or one entry of it set) to a value of a
+    # kind it does not take: validation names the row or its block, and
+    # the CLI exits 2 with no traceback
+    field = data.draw(st.sampled_from(list(FIELDS)), label="field")
+    row = FIELDS[field]
+    whole = row.shape is None or data.draw(st.booleans(), label="whole")
+    value = data.draw(st.sampled_from([v for v in _VALUES if _wrong_kind(row, v, whole)]), label="value")
+    _assert_refused_naming(tmp_path, field, whole, value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(field, v) for field, row in FIELDS.items() if row.kind == scene_module.ENUM
+     for v in _ENUM_LIKE if _wrong_kind(row, v, False)],
+)
+def test_text_like_an_enum_value_is_refused_naming_its_field(tmp_path, field, value):
+    # every enum row, or one entry of it, set to text that is not among its
+    # values: another enum's value, or how the spaceform check is shown
+    _assert_refused_naming(tmp_path, field, FIELDS[field].shape is None, value)
+
+
+def _assert_refused_naming(tmp_path, field, whole, value):
+    """Set ``field`` (``whole``) or its first entry to ``value`` in a valid scene: validation
+    names the row or its block, and the CLI exits 2 naming it with no traceback."""
+    scene = _scene_with_every_field(field)
+    block, _, key = field.rpartition(".")
+    holder = scene
+    for part in filter(None, block.split(".")):
+        holder = holder[part]
+    if whole:
+        holder[key] = value
+    else:
+        entries = holder[key]
+        entries[next(iter(entries)) if isinstance(entries, dict) else 0] = value
+    with pytest.raises(SceneError) as err:
+        validate_scene(copy.deepcopy(scene))
+    named = err.value.field
+    assert named in (field, block or "<root>") or named.startswith(f"{field}["), (named, value)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze", str(path)]) == 2
+    assert f"scene field {named!r}" in stderr.getvalue() and "Traceback" not in stderr.getvalue()
 
 
 class _Built(Exception):
@@ -204,7 +345,7 @@ def test_spaceform_check_parsing():
     data = hyperplane_scene(checks=["spaceform c=0"])
     scene = validate_scene(data)
     assert scene.checks[0][0] == "spaceform"
-    assert scene.checks[0][2] == 0.0
+    assert scene.checks[0][1] == 0.0
     with pytest.raises(SceneError):
         validate_scene(hyperplane_scene(checks=["spaceform c=abc"]))
 
