@@ -61,12 +61,9 @@ def _cmd_spaceforms(args):
     from .ambient import space_form_models
 
     rows = []
-    all_passed = True
     for name, model, c, window in space_form_models():
         probes = np.linspace(window[0], window[1], args.samples)
-        result = model.check_space_form(c, probes)
-        rows.append((name, model, c, result))
-        all_passed = all_passed and result.passed
+        rows.append((name, model, c, model.check_space_form(c, probes)))
     header = f"{'model':<18}{'f(t)':<10}{'k':>3}{'c':>5}  {'ratio residual':>16}{'second residual':>17}  status"
     print(header)
     print("-" * len(header))
@@ -76,8 +73,9 @@ def _cmd_spaceforms(args):
             f"{name:<18}{unparse(model.f):<10}{model.k:>3.0f}{c:>5.0f}  "
             f"{result.ratio_residual:>16.3e}{result.second_residual:>17.3e}  {status}"
         )
-    print(f"\n{sum(1 for *_, r in rows if r.passed)}/{len(rows)} models passed")
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+    passed = sum(1 for *_, r in rows if r.passed)
+    print(f"\n{passed}/{len(rows)} models passed")
+    return EXIT_OK if passed == len(rows) else EXIT_CHECK_FAILED
 
 
 def _cmd_analyze(args):

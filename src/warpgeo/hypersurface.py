@@ -15,8 +15,8 @@ sign: every geometry pass evaluates the center at the head of its batch
 and takes the sign from it (``intrinsic.grid_geometry``).
 
 g is factored once per point by a Cholesky loop over its columns, each
-step vectorized over the points (``_factor``): the pivots give det g, and
-F = L^-T (F^T g F = I) gives g^-1 = F F^T and N (``_unit_normal``).
+step vectorized over the points (``_factor``): the pivots give det g and
+F = L^-T gives g^-1 = F F^T; N is E's cofactor vector raised by G.
 
 The pipeline runs on batches: ``point_jets`` takes an (N, n) array of
 chart points and returns a record whose fields carry a trailing point
@@ -101,13 +101,9 @@ class ChartBox(namedtuple("ChartBox", "names lower upper")):
             raise ValueError(
                 f"a grid of {total} points exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}"
             )
-        axes = []
-        for name, count in zip(self.names, sizes):
-            if isinstance(margins, dict):
-                margin = margins.get(name, 0.05)
-            else:
-                margin = 0.05 if margins is None else float(margins)
-            axes.append(self.axis_points(name, count, margin))
+        if not isinstance(margins, dict):
+            margins = dict.fromkeys(self.names, 0.05 if margins is None else float(margins))
+        axes = [self.axis_points(name, count, margins.get(name, 0.05)) for name, count in zip(self.names, sizes)]
         return list(itertools.product(*(axis.tolist() for axis in axes)))
 
 
@@ -200,7 +196,8 @@ class PointJets(NamedTuple):
     is d psi^a / d u^i, ``second`` (d, n, n, N) and ``third`` (d, n, n, n,
     N; order 3, else None) the higher chart derivatives; ``D`` (d, N),
     ``dD`` (d, d, N) and ``warping`` = (f, f', f'') come from the one jet
-    of f of ``WarpedProduct.metric_jets``; ``metric`` (n, n, N) is
+    of f of ``WarpedProduct.metric_jets``, and ``dD_du`` (d, n, N) is
+    d D_a / d u^k = dD E; ``metric`` (n, n, N) is
     g = E^T diag(D) E, ``factor`` F = L^-T of ``_factor`` and
     ``metric_inverse`` g^-1 = F F^T.
     """
@@ -211,6 +208,7 @@ class PointJets(NamedTuple):
     second: np.ndarray
     D: np.ndarray
     dD: np.ndarray
+    dD_du: np.ndarray
     warping: tuple
     metric: np.ndarray
     factor: np.ndarray
@@ -259,7 +257,8 @@ def point_jets(imm, points, order=2):
         f"tangent frame is degenerate at chart point {tuple(map(float, points[i]))!r}"))
     ginv = contract("ikp,jkp->ijp", F, F)
     third = None if order == 2 else np.stack([jet.third for jet in jets])
-    return PointJets(points.T, q, E, second, D, dD, warping, g, F, ginv, third)
+    dD_du = contract("acp,cip->aip", dD, E)
+    return PointJets(points.T, q, E, second, D, dD, dD_du, warping, g, F, ginv, third)
 
 
 def _factor(g):
@@ -275,40 +274,33 @@ def _factor(g):
     return pivots, F
 
 
-def _unit_normal(E, D, F):
-    """The G-unit normal N of frames E with det([E | N]) > 0.  W = E F is
-    G-orthonormal, so I - W W^T diag(D) = N N^T diag(D), whose column v with
-    the largest diagonal entry D_c N_c^2 >= 1/d is D-normalized to +-N.  As
-    v - e_c is a combination of E's columns, det([E | v]) = det([E | e_c]) =
-    -det(M) for c < n (det(M) for c = n), M = E[:n] with row c set to E[n];
-    M's columns are scaled to a largest entry of 1: the sign stays, and det(M) cannot overflow."""
-    W = contract("aip,ijp->ajp", E, F)
-    c = np.argmin(D * contract("aip,aip->ap", W, W), axis=0)
-    points, n = np.arange(c.size), E.shape[1]
-    v = (np.arange(n + 1)[:, None] == c) - contract("aip,ip->ap", W, W[c, :, points].T) * D[c, points]
-    M = E.copy()
-    M[c, :, points] = E[n, :, points]
-    sign = np.sign(_det(M[:n] / np.max(np.abs(M[:n]), axis=0)))
-    return v / (np.where(c == n, sign, -sign) * np.sqrt(contract("ap,ap->p", D * v, v)))
+def _unit_normal(E, D):
+    """The G-unit normal N of frames E with det([E | N]) > 0.  The cofactors C_a of
+    det([E | v]) = sum_a v_a C_a satisfy E^T C = 0, so N = D^-1 C / sqrt(C^T D^-1 C)
+    and det([E | N]) = sqrt(C^T D^-1 C) > 0.  E's columns are first scaled to a
+    largest entry of 1: C scales by a positive factor, and its minors cannot overflow."""
+    E = E / np.max(np.abs(E), axis=0)
+    rows = np.arange(len(E))
+    minors = np.moveaxis(E[rows[:-1] + (rows[:-1] >= rows[:, None])], 0, 2)  # minors[:, :, a]: E without row a
+    C = _det(minors) * (-1.0) ** (rows[:, None] + len(E) - 1)
+    N = C / D
+    return N / np.sqrt(contract("ap,ap->p", N, C))
 
 
 def _det(M):
-    """det of each n x n matrix M[:, :, p], by cofactors for n = 2, 3 (LAPACK's LU per matrix costs more)."""
+    """det of each n x n matrix M[:, :, ...], by cofactors for n = 2, 3 (LAPACK's LU per matrix costs more)."""
     if len(M) == 2:
         return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     if len(M) != 3:
-        return np.linalg.det(np.moveaxis(M, -1, 0))
+        return np.linalg.det(np.moveaxis(M, (0, 1), (-2, -1)))
     a, b, c = M
     return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
 def metric_derivative(pj):
-    """dg[k, i, j] = d g_ij / d u^k of the induced metric, exact, from the
-    order-2 jets of psi and the ambient ``dD`` (the ambient metric is
-    symmetric, so <E_i, d_j d_k psi> serves both second-derivative terms)."""
-    E = pj.frame
-    inner = contract("aip,ajkp->ijkp", pj.D[:, None] * E, pj.second)  # <E_i, d_j d_k psi>
-    P = contract("acp,cip->aip", pj.dD, E)
-    dD_E = contract("akp,aijp->kijp", P, E[:, :, None] * E[:, None])  # (d_k D_a) E^a_i E^a_j
-    return np.swapaxes(inner, 0, 2) + np.moveaxis(inner, 2, 0) + dD_E
+    """dg[k, i, j] = d g_ij / d u^k of the induced metric, exact, from the order-2
+    jets of psi and ``dD_du``: with T[k, i, j] = <d_i d_k psi, E_j>,
+    dg = T + T^T + sum_a (d_k D_a) E^a_i E^a_j."""
+    T = contract("aikp,ajp->kijp", pj.second, pj.D[:, None] * pj.frame)
+    return T + np.swapaxes(T, 1, 2) + contract("aip,ajp,akp->kijp", pj.frame, pj.frame, pj.dD_du)

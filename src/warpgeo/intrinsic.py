@@ -9,7 +9,7 @@ a + b = -f''/f (O'Neill, *Semi-Riemannian Geometry*, ch. 7), so the
 ambient part of the Gauss equation is ((n-1) a + b (1 - theta^2)) g +
 (n-2) b dh dh, read from the warping triple, theta and the t-row of the
 frame.  Hess h contracts the induced connection with grad h:
-Gamma^k_ij d_k h = (grad h)^l B_lij / 2.
+Gamma^k_ij d_k h = (grad h)^l (d_i g_lj + d_j g_il - d_l g_ij) / 2, read from dg.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .ambient import AmbientPoint, check_conditioning
 from . import hypersurface
 from .errors import DomainError, PointError
-from .hypersurface import _unit_normal, as_points, contract, metric_derivative, point_jets
+from .hypersurface import _det, _unit_normal, as_points, contract, metric_derivative, point_jets
 from .jets import _leaves, flag, one_pass
 
 _ORIENT_TIE = 1e-10  # theta > 0 at the center, or the first entry of N beyond this
@@ -122,13 +122,16 @@ def grid_geometry(imm, points, order=2):
         try:
             with one_pass():
                 pj = point_jets(imm, block, order)
-                check_conditioning(pj.ambient_point, pj.D, skip=int(start == 0))
-                normal = _unit_normal(pj.frame, pj.D, pj.factor)
-                if start == 0:
+                first = int(start == 0)
+                check_conditioning(pj.ambient_point, pj.D, skip=first)
+                # of the probe rows only the center needs a normal: it orients the pass
+                E, D = (np.concatenate([a[..., :first], a[..., cut:]], axis=-1) for a in (pj.frame, pj.D))
+                normal = _unit_normal(E, D)
+                if first:
                     signs = normal[:, 0][np.abs(normal[:, 0]) > _ORIENT_TIE]
                     orientation = -1.0 if signs.size and signs[0] < 0.0 else 1.0
                 if cut < len(block):
-                    parts.append(_geometry(imm, pj.rows(cut), orientation * normal[:, cut:], order, cut))
+                    parts.append(_geometry(imm, pj.rows(cut), orientation * normal[:, first:], order, cut))
         except PointError as exc:
             exc.index += start
             if isinstance(exc, DomainError):
@@ -147,11 +150,11 @@ def _geometry(imm, pj, N, order, offset):
     first row is row ``offset`` of the pass.
     II_ij = <d_i d_j psi + Gamma(E_i, E_j), N> takes the ambient
     Christoffel symbols contracted with N in closed form,
-    with P = dD E, q = dD N and X_ij = sum_a P^a_i N^a E^a_j:
+    with P = dD E (``dD_du``), q = dD N and X_ij = sum_a P^a_i N^a E^a_j:
     <Gamma(E_i, E_j), N> = (X_ij + X_ji)/2 - sum_b q_b E^b_i E^b_j / 2."""
     E, D, dD, g, ginv = pj.frame, pj.D, pj.dD, pj.metric, pj.metric_inverse
     n = imm.n
-    X = contract("aip,ajp->ijp", contract("acp,cip->aip", dD, E), N[:, None] * E)
+    X = contract("aip,ajp->ijp", pj.dD_du, N[:, None] * E)
     q = contract("abp,bp->ap", dD, N)
     II = contract("ap,aijp->ijp", D * N, pj.second)
     II += 0.5 * (X + np.swapaxes(X, 0, 1) - contract("aip,ajp->ijp", E, q[:, None] * E))
@@ -162,8 +165,8 @@ def _geometry(imm, pj, N, order, offset):
     f0, f1, _ = pj.warping
     hess_identity = (f1 / f0) * (g - dh[:, None] * dh) + N[0] * II
     dg = metric_derivative(pj)
-    B = np.swapaxes(dg, 0, 1) + np.swapaxes(dg, 0, 2) - dg  # B_lij = d_i g_lj + d_j g_il - d_l g_ij
-    hess_direct = pj.second[0] - 0.5 * contract("lp,lijp->ijp", grad_h, B)
+    u = contract("lp,iljp->ijp", grad_h, dg)  # (grad h)^l d_i g_lj
+    hess_direct = pj.second[0] - 0.5 * (u + np.swapaxes(u, 0, 1) - contract("lp,lijp->ijp", grad_h, dg))
     lap = contract("ijp,jip->p", ginv, hess_direct)  # trace(g^-1 Hess h)
     trace_free = hess_direct - (lap / n) * g
     F = pj.factor  # residual: max |eig M| of M = F^T trace_free F
@@ -171,6 +174,8 @@ def _geometry(imm, pj, N, order, offset):
     if n == 2:
         a, b, c = M[0, 0], M[1, 0], M[1, 1]
         residual = np.abs(0.5 * (a + c)) + np.hypot(0.5 * (a - c), b)
+    elif n == 3:
+        residual = _spectral_radius3(M)
     else:  # LAPACK refuses a matrix that is not finite: such a row's residual is NaN
         finite = np.isfinite(M).all(axis=(0, 1))
         eig = np.linalg.eigvalsh(np.moveaxis(np.where(finite, M, 0.0), -1, 0))
@@ -208,6 +213,20 @@ def _geometry(imm, pj, N, order, offset):
     )
 
 
+def _spectral_radius3(M):
+    """max |eigenvalue| of each symmetric 3 x 3 M[:, :, p] scaled to a largest entry of 1, whose largest
+    and smallest eigenvalues are q + 2 p cos(phi) and q + 2 p cos(phi + 2 pi/3) (Smith, CACM 4(4), 1961);
+    for a trace-free M that is the isolated one, where the cosine is flat (Kopp, 2008).  NaN if not finite."""
+    scale = np.max(np.abs(M), axis=(0, 1))
+    M = M / np.where(scale > 0.0, scale, 1.0)
+    q = (M[0, 0] + M[1, 1] + M[2, 2]) / 3.0
+    K = M - q * np.eye(3)[:, :, None]
+    p = np.sqrt(contract("ijp,ijp->p", K, K) / 6.0)
+    phi = np.arccos(np.clip(_det(K / np.where(p > 0.0, p, 1.0)) / 2.0, -1.0, 1.0)) / 3.0
+    cosines = np.cos([phi, phi + 2.0 * np.pi / 3.0])
+    return scale * np.max(np.abs(q + 2.0 * p * cosines), axis=0)
+
+
 def _laplacian_gradient(ambient, pj, dg, grad_h):
     """d_m Lap h, exact, from the order-3 jets ``pj``: with F = E g^-1, e = E grad h,
     P = dD E, p = P grad h and per ambient index a sigma_a = <g^-1, d2 psi^a>,
@@ -216,7 +235,7 @@ def _laplacian_gradient(ambient, pj, dg, grad_h):
     d3 psi, d2 psi, d2D, dD, d2h and d_m g^-1 = -g^-1 d_m g g^-1."""
     E, S, T, D, G, dD = pj.frame, pj.second, pj.third, pj.D, pj.metric_inverse, pj.dD
     d2D = ambient.diagonal_jets(pj.ambient_point.x, pj.warping, second=True)[2]
-    P = contract("acp,cip->aip", dD, E)
+    P = pj.dD_du
     F, PG = contract("aip,ijp->ajp", E, G), contract("aip,ijp->ajp", P, G)
     e, p = contract("aip,ip->ap", E, grad_h), contract("aip,ip->ap", P, grad_h)
     sigma = contract("aijp,ijp->ap", S, G)

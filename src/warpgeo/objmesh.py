@@ -32,18 +32,11 @@ def obj_lines(vertices):
         for j in range(cols):
             x, y, z = (float(v) for v in vertices[i, j])
             lines.append(f"v {x!r} {y!r} {z!r}")
-
-    def vid(i, j):
-        return i * cols + j + 1
-
     for i in range(rows - 1):
         for j in range(cols - 1):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
+            a, b = i * cols + j + 1, (i + 1) * cols + j + 1  # vertex (i, j) and the one below it
+            lines.append(f"f {a} {b} {b + 1}")
+            lines.append(f"f {a} {b + 1} {a + 1}")
     return lines
 
 

@@ -245,14 +245,8 @@ def _profile_jet(curve, values, active, order):
 def default_chart(prof):
     """Chart box (u range) x (angle box) for the rotational immersion."""
     names = ("u",) + tuple(f"v{j}" for j in range(1, prof.n))
-    lower = [prof.u_range[0]]
-    upper = [prof.u_range[1]]
-    for j in range(1, prof.n - 1):
-        lower.append(0.0)
-        upper.append(math.pi)
-    lower.append(0.0)
-    upper.append(2.0 * math.pi)
-    return ChartBox(tuple(names), tuple(lower), tuple(upper))
+    upper = (prof.u_range[1],) + (math.pi,) * (prof.n - 2) + (2.0 * math.pi,)
+    return ChartBox(names, (prof.u_range[0],) + (0.0,) * (prof.n - 1), upper)
 
 
 def assemble_rotational(curve, ambient):

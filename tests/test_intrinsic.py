@@ -5,7 +5,7 @@ import pytest
 
 from warpgeo.ambient import Fiber, WarpedProduct
 from warpgeo.hypersurface import ChartBox, Immersion, point_jets
-from warpgeo.intrinsic import _ambient_ricci, grid_geometry
+from warpgeo.intrinsic import _ambient_ricci, _spectral_radius3, grid_geometry
 
 from oracles import (
     FD_TOL,
@@ -199,7 +199,7 @@ def test_order_three_record_extends_order_two(catalogue, rng):
 
 def test_residual_is_the_largest_generalized_eigenvalue(catalogue, rng):
     # the residual is max |eigenvalue| of g^-1 (Hess h - (Lap h / n) g):
-    # in closed form for n = 2, by eigvalsh of the factored matrix for n = 3
+    # of the factored matrix, in closed form for n = 2 and 3
     immersions = list(catalogue) + [
         (f"perturbed-{i}", perturbed_immersion(catalogue[i][1], rng, amplitude=0.05))
         for i in (3, 4)
@@ -213,6 +213,42 @@ def test_residual_is_the_largest_generalized_eigenvalue(catalogue, rng):
         assert np.all(np.abs(geo.residual - oracle) <= 1e-12 * np.maximum(oracle, 1.0)), name
         if name.startswith("perturbed"):
             assert np.min(oracle) > 1e-4, name
+
+
+def _trace_free_spectra(family, rng, count=2000):
+    """(count, 3) eigenvalues summing to zero, in the named family."""
+    if family == "random":
+        a, b = rng.uniform(-1.0, 1.0, (2, count))
+    elif family == "zero":
+        a = b = np.zeros(count)
+    elif family == "tie":
+        a, b = np.ones(count), -np.ones(count)
+    else:  # a double eigenvalue, to a relative gap of 1e-9 or 1e-12, of either sign
+        a = rng.choice([-1.0, 1.0], count) * rng.uniform(0.1, 1.0, count)
+        b = a * (1.0 + float(family) * rng.uniform(-1.0, 1.0, count))
+    return np.stack([a, b, -(a + b)], axis=-1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150], ids=["1", "1e150", "1e-150"])
+@pytest.mark.parametrize("family", ["random", "1e-9", "1e-12", "zero", "tie"])
+def test_spectral_radius3_matches_eigvalsh(family, scale, rng):
+    # the closed form against LAPACK on trace-free symmetric matrices Q diag(l) Q^T
+    spectra = _trace_free_spectra(family, rng)
+    Q = np.linalg.qr(rng.standard_normal((len(spectra), 3, 3)))[0]
+    M = scale * (Q * spectra[:, None, :]) @ np.swapaxes(Q, -1, -2)
+    M = 0.5 * (M + np.swapaxes(M, -1, -2))
+    oracle = np.max(np.abs(np.linalg.eigvalsh(M)), axis=-1)
+    size = np.max(np.abs(M), axis=(-2, -1))
+    assert np.all(np.abs(_spectral_radius3(point_last(M)) - oracle) <= 1e-14 * size)
+
+
+def test_spectral_radius3_of_a_non_finite_matrix_is_nan():
+    M = np.zeros((3, 3, 3))
+    M[0, 1, 0] = M[1, 0, 0] = np.inf
+    M[2, 2, 1] = np.nan
+    M[0, 0, 2], M[1, 1, 2] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_spectral_radius3(M)).all()
 
 
 def test_point_geometry_is_the_single_point_view(sphere3):
