@@ -78,6 +78,14 @@ class Call(Expression, namedtuple("Call", "func arg")):
     __slots__ = ()
 
 
+class Profile(Expression, namedtuple("Profile", "curve arg")):
+    """beta(arg) of a profile curve that an immersion supplies: ``curve.beta``
+    gives its values and ``curve.beta_jet`` (beta, beta', beta'', beta''')
+    at an array of arguments.  No text parses to it."""
+
+    __slots__ = ()
+
+
 class _Token(NamedTuple):
     kind: str  # "num" | "name" | "op"
     text: str
@@ -273,7 +281,7 @@ def _nodes(expr):
             stack.append((node.operand, level + 1))
         elif isinstance(node, BinOp):
             stack += [(node.left, level + 1), (node.right, level + 1)]
-        elif isinstance(node, Call):
+        elif isinstance(node, (Call, Profile)):
             stack.append((node.arg, level + 1))
 
 
@@ -308,7 +316,8 @@ def unparse(expr):
     """Render ``expr`` as source text.
 
     Parenthesization preserves the tree shape, so re-parsing the output
-    evaluates bit-identically to the original at every point.
+    of a parsed tree evaluates bit-identically to it at every point.  A
+    :class:`Profile` node has no source text and prints as ``beta(arg)``.
     """
     if isinstance(expr, Num):
         return repr(expr.value)
@@ -321,6 +330,8 @@ def unparse(expr):
         return f"-{inner}"
     if isinstance(expr, Call):
         return f"{expr.func}({unparse(expr.arg)})"
+    if isinstance(expr, Profile):
+        return f"beta({unparse(expr.arg)})"
     if isinstance(expr, BinOp):
         op = expr.op
         mine = _prec(expr)

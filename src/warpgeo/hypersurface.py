@@ -22,7 +22,7 @@ The pipeline runs on batches: ``point_jets`` takes an (N, n) array of
 chart points and returns a record whose fields carry a trailing point
 axis, each elementary operation running once over all points and each
 contraction an ``np.einsum`` over the leading axes (``contract``).
-Constructing an :class:`Immersion` evaluates nothing.
+An :class:`Immersion`'s components are expressions; building one evaluates nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .ambient import AmbientPoint, WarpedProduct
 # MAX_DIMENSION is not used here; the size bounds stay importable from this module
 from .errors import MAX_DIMENSION, MAX_GRID_POINTS, DegenerateImmersion, DomainError, OutsideChart
-from .expr import Expression, unparse, variables_in
+from .expr import unparse, variables_in
 from .jets import _leaves, as_expression, eval_jet2, flag, one_pass
 
 GRAM_DET_LIMIT = 1e-12
@@ -107,16 +107,6 @@ class ChartBox(namedtuple("ChartBox", "names lower upper")):
         return list(itertools.product(*(axis.tolist() for axis in axes)))
 
 
-class CallableComponent(NamedTuple):
-    """``width`` consecutive coordinates without a closed form (a profile defined by
-    quadrature): ``fn(values, active, order)`` takes bindings to arrays of N chart
-    coordinates and returns ``width`` :class:`Jet2` values of that order with that
-    trailing point axis (grad ``(m, N)``), so work they share runs once per batch."""
-
-    fn: object
-    width: int
-
-
 def as_points(points, n):
     """Chart points as an (N, n) float array; a list of tuples is read in one pass."""
     if isinstance(points, list) and points and isinstance(points[0], tuple):
@@ -129,11 +119,11 @@ class Immersion:
     """A hypersurface immersion of a chart box into a warped product.
 
     ``components`` gives the n+1 ambient coordinates (t, x1, ..., xn) as expressions
-    in the chart variables (text, numbers or ASTs, held as :class:`Expression`), or as
-    :class:`CallableComponent` blocks of consecutive coordinates.  Construction checks
-    the widths and the variables of the expressions and evaluates nothing; the object
-    is not modified afterwards.  ``probes`` holds the chart center and the
-    3^n points of ``chart.grid(3, margins=0.1)``, which every geometry pass
+    in the chart variables (text, numbers or ASTs, held as :class:`Expression`), which
+    a pass evaluates in one walk, so a :class:`~warpgeo.expr.Profile` node they share
+    is evaluated once.  Construction checks their number and variables and evaluates
+    nothing; the object is not modified afterwards.  ``probes`` holds the chart center
+    and the 3^n points of ``chart.grid(3, margins=0.1)``, which every geometry pass
     evaluates and checks ahead of its own points (``intrinsic.grid_geometry``).
     """
 
@@ -141,15 +131,13 @@ class Immersion:
         if not isinstance(ambient, WarpedProduct):
             raise TypeError("ambient must be a WarpedProduct")
         self.ambient, self.chart = ambient, chart
-        self.components = tuple(c if isinstance(c, CallableComponent) else as_expression(c)
-                                for c in components)
-        width = sum(c.width if isinstance(c, CallableComponent) else 1 for c in self.components)
-        if width != ambient.dim:
-            raise ValueError(f"expected {ambient.dim} components, got {width}")
+        self.components = tuple(map(as_expression, components))
+        if len(self.components) != ambient.dim:
+            raise ValueError(f"expected {ambient.dim} components, got {len(self.components)}")
         if chart.dim != ambient.n:
             raise ValueError(f"chart dimension {chart.dim} must equal hypersurface dimension {ambient.n}")
         for expr in self.components:
-            extra = isinstance(expr, Expression) and sorted(variables_in(expr) - set(chart.names))
+            extra = sorted(variables_in(expr) - set(chart.names))
             if extra:
                 raise ValueError(f"component {unparse(expr)!r} uses undeclared variables {extra}")
         self.probes = as_points([chart.center()] + chart.grid(3, margins=0.1), chart.dim)
@@ -161,16 +149,6 @@ class Immersion:
 
     def bindings(self, p):
         return dict(zip(self.chart.names, map(float, p)))
-
-    def coordinate_jets(self, values, active, order=2):
-        """Jets of the n+1 ambient coordinates at the chart bindings ``values``."""
-        jets = []
-        for c in self.components:
-            if isinstance(c, CallableComponent):
-                jets.extend(c.fn(values, active, order))
-            else:
-                jets.append(eval_jet2(c, values, active, order))
-        return jets
 
     def component_jets(self, points, order=2):
         """Jets of ``order`` 2 or 3 of every ambient coordinate over (N, n) chart points,
@@ -184,8 +162,7 @@ class Immersion:
     def _component_jets(self, points, active, order=2):
         points = as_points(points, self.n)
         columns = {name: np.ascontiguousarray(points[:, i]) for i, name in enumerate(self.chart.names)}
-        with one_pass():
-            return self.coordinate_jets(columns, active, order)
+        return eval_jet2(self.components, columns, active, order)
 
 
 class PointJets(NamedTuple):

@@ -37,8 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, UnknownIdentifier
-from .expr import (FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Var, literal, parse,
-                   variables_in)
+from .expr import (FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Profile, Var, literal,
+                   parse, variables_in)
 
 
 def _value(v):
@@ -341,7 +341,18 @@ def _pow_jet(base, exponent, node):
     return _real_pow(base, exponent, node)
 
 
-def _walk(expr, values, index, m, order, tail):
+def _profile(curve, u):
+    """Jet of beta(u) for the profile ``curve``: the chain rule on the slots of
+    ``curve.beta_jet``, or beta alone when no variable is active."""
+    if u.m == 0:
+        return Jet2(curve.beta(u.value), u.grad, u.hess, u.third)
+    b0, b1, b2, b3 = curve.beta_jet(u.value)
+    return _chain(u, b0, b1, b2, lambda: b3)
+
+
+def _walk(expr, values, index, m, order, tail, profiles):
+    """Jet of ``expr``; ``profiles`` holds the jets of the Profile nodes walked so far, by identity."""
+
     def rec(node):
         if isinstance(node, Num):
             return _constant(node.value, m, order, tail)
@@ -358,6 +369,10 @@ def _walk(expr, values, index, m, order, tail):
             return -rec(node.operand)
         if isinstance(node, Call):
             return _apply_function(node.func, rec(node.arg), node)
+        if isinstance(node, Profile):
+            if id(node) not in profiles:
+                profiles[id(node)] = _profile(node.curve, rec(node.arg))
+            return profiles[id(node)]
         if isinstance(node, BinOp):
             left = rec(node.left)
             right = rec(node.right)
@@ -378,11 +393,13 @@ def _walk(expr, values, index, m, order, tail):
 def _full(a, shape):
     if a is _ZERO:
         return np.zeros(shape)
-    return a if np.shape(a) == shape else np.broadcast_to(a, shape).copy()
+    return _value(a) if np.shape(a) == shape else np.broadcast_to(a, shape).copy()
 
 
 def eval_jet2(expr, bindings, active=(), order=2):
-    """Evaluate ``expr`` as a jet of ``order`` 2 or 3.
+    """Evaluate ``expr`` as a jet of ``order`` 2 or 3; a list or tuple of
+    expressions gives the list of their jets, from one walk in which a
+    :class:`Profile` node they share is evaluated once.
 
     ``bindings`` maps every variable appearing in ``expr`` to a real
     value, or to a 1-d array of N values (one per point); ``active`` is the
@@ -391,15 +408,18 @@ def eval_jet2(expr, bindings, active=(), order=2):
     order 2 do not depend on ``order``.  A DomainError carries in ``index``
     the first point whose evaluation fails.
     """
+    single = isinstance(expr, Expression)
+    exprs = [expr] if single else expr
     active = tuple(active)
     m = len(active)
     index = {name: i for i, name in enumerate(active)}
     values = {name: _value(v) for name, v in bindings.items()}
     shape = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
+    profiles = {}
     with one_pass():
-        jet = _walk(expr, values, index, m, order, (1,) * len(shape))
-    value, *derivatives = (_full(a, (m,) * r + shape) for r, a in enumerate(jet.slots()))
-    return Jet2(_value(value), *derivatives)
+        jets = [_walk(e, values, index, m, order, (1,) * len(shape), profiles) for e in exprs]
+    jets = [Jet2(*(_full(a, (m,) * r + shape) for r, a in enumerate(jet.slots()))) for jet in jets]
+    return jets[0] if single else jets
 
 
 def as_expression(obj):

@@ -22,9 +22,9 @@ come from one jet of f at alpha(u).  The surface is the orbit of the
 profile under rotation of the fiber about the axis, with first
 fundamental form diag(1, sigma^2 x sphere-chart weights) where sigma(u)
 = f(alpha(u)) beta(u), so d sigma / du = f'(alpha) a beta + theta
-exactly; its n fiber coordinates are one block, beta times the sphere
-chart, so a batch of chart points evaluates beta and the jet of f once
-for all of them.
+exactly.  Its n fiber coordinates beta(u) X_j share one Profile node
+for beta(u), which a pass evaluates once per batch: beta and the jet of
+f once for all of them, or beta alone when no variable is active.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ import numpy as np
 
 from .ambient import Fiber, WarpedProduct, eval_warping
 from .errors import DomainError, QuadratureFailure, SigmaZero
-from .expr import BinOp, Call, Var, literal
-from .hypersurface import CallableComponent, ChartBox, Immersion
-from .jets import Jet2, as_expression, eval_jet2, first_index
+from .expr import BinOp, Call, Profile, Var, literal
+from .hypersurface import ChartBox, Immersion
+from .jets import as_expression, eval_jet2, first_index
 from .intrinsic import grid_geometry
 from .soliton import SOLITON_TOL, Verdict, soliton_report
 
@@ -230,18 +230,6 @@ def _solve(prof, exponential):
     return ProfileCurve(profile=prof, beta=beta, exponential_rate=rate)
 
 
-def _profile_jet(curve, values, active, order):
-    """Jet of beta(u) of ``order`` in the chart's active variables, at every point."""
-    u = np.asarray(values["u"], dtype=float)
-    slots = [np.zeros((len(active),) * r + u.shape) for r in range(1, order + 1)]
-    if "u" not in active:
-        return Jet2(curve.beta(u), *slots)
-    beta, *derivatives = curve.beta_jet(u)
-    for r, (slot, value) in enumerate(zip(slots, derivatives), start=1):
-        slot[(active.index("u"),) * r] = value
-    return Jet2(beta, *slots)
-
-
 def default_chart(prof):
     """Chart box (u range) x (angle box) for the rotational immersion."""
     names = ("u",) + tuple(f"v{j}" for j in range(1, prof.n))
@@ -256,14 +244,9 @@ def assemble_rotational(curve, ambient):
     profile's warping function and dimension.
     """
     prof = curve.profile
-    sphere = sphere_chart_expressions(prof.n)
-
-    def fiber(values, active, order):
-        beta = _profile_jet(curve, values, active, order)
-        return [beta * eval_jet2(x_expr, values, active, order) for x_expr in sphere]
-
-    components = [prof.alpha_expression(), CallableComponent(fiber, prof.n)]
-    return Immersion(ambient, default_chart(prof), components)
+    beta = Profile(curve, Var("u"))
+    fiber = [BinOp("*", beta, x_expr) for x_expr in sphere_chart_expressions(prof.n)]
+    return Immersion(ambient, default_chart(prof), [prof.alpha_expression(), *fiber])
 
 
 class ClassificationReport(NamedTuple):

@@ -7,8 +7,10 @@ from warpgeo.catalogue import (
     slice_immersion,
     sphere_immersion,
 )
+from warpgeo.rotational import RotationalProfile
 
 from oracles import (
+    build_rotational,
     euclidean_ambient,
     horosphere_immersion,
     spherical_cap_ambient,
@@ -44,6 +46,12 @@ def sphere3():
 @pytest.fixture(scope="session")
 def rotational_soliton():
     return rotational_soliton_immersion()
+
+
+@pytest.fixture(scope="session")
+def rotational_cosh():
+    """The rotational surface of theta = 0.5 in cosh(t), whose beta comes from the interpolant."""
+    return build_rotational(RotationalProfile(theta=0.5, f="cosh(t)", n=2, u_range=(-1.5, 1.5)))
 
 
 @pytest.fixture(scope="session")

@@ -40,12 +40,7 @@ from warpgeo.catalogue import (
 )
 from warpgeo.errors import SigmaZero
 from warpgeo.expr import BinOp, Call, Num, Var, parse
-from warpgeo.hypersurface import (
-    CallableComponent,
-    Immersion,
-    metric_derivative,
-    point_jets,
-)
+from warpgeo.hypersurface import Immersion, metric_derivative, point_jets
 from warpgeo.intrinsic import grid_geometry
 from warpgeo.jets import _leaves, eval_jet2
 from warpgeo.rotational import assemble_rotational, solve_profile
@@ -200,19 +195,14 @@ def perturbed_immersion(imm, rng, amplitude=0.004):
     ambient chart.
     """
     names = imm.chart.names
-    bumps = []
-    for _ in range(imm.ambient.dim):
+    components = []
+    for component in imm.components:
         a, b, c, d = (float(x) for x in rng.uniform(0.5, 2.0, size=4))
         bump_src = f"{amplitude!r}*sin({a!r}*{names[0]}+{b!r})"
         if len(names) > 1:
             bump_src += f"*cos({c!r}*{names[1]}+{d!r})"
-        bumps.append(parse(bump_src))
-
-    def coordinates(values, active, order):
-        jets = imm.coordinate_jets(values, active, order)
-        return [jet + eval_jet2(bump, values, active, order) for jet, bump in zip(jets, bumps)]
-
-    return Immersion(imm.ambient, imm.chart, [CallableComponent(coordinates, imm.ambient.dim)])
+        components.append(BinOp("+", component, parse(bump_src)))
+    return Immersion(imm.ambient, imm.chart, components)
 
 
 def christoffel_symbols(p, D, dD):

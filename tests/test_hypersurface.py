@@ -206,11 +206,12 @@ def test_unit_normal_is_positively_oriented(n, scale, rng):
 
 
 @pytest.mark.parametrize("order", [2, 3])
-def test_point_jets_hold_the_component_jet_slots(sphere3, rotational_soliton, order):
+def test_point_jets_hold_the_component_jet_slots(sphere3, rotational_soliton, rotational_cosh, order):
     # frame[a, i, p], second[a, i, j, p] and third[a, i, j, k, p] are the
-    # slots of component a at point p, to the bit, for expression and
-    # callable components alike: the slots stacked along a leading axis
-    for imm in (sphere3, rotational_soliton):
+    # slots of component a at point p, to the bit, with or without a
+    # profile node (closed-form and interpolated beta): the slots stacked
+    # along a leading axis; an order-3 pass leaves the order-2 slots as they are
+    for imm in (sphere3, rotational_soliton, rotational_cosh):
         points = imm.chart.grid(3, 0.2)
         jets = imm.component_jets(points, order)
         pj = hypersurface.point_jets(imm, points, order)
@@ -222,6 +223,9 @@ def test_point_jets_hold_the_component_jet_slots(sphere3, rotational_soliton, or
             assert slot.shape == want.shape and slot.tobytes() == want.tobytes()
             for a, jet in enumerate(jets):
                 assert np.array_equal(slot[a], jet[r])
+        if order == 3:
+            two = hypersurface.point_jets(imm, points, 2)
+            assert [pj.frame.tobytes(), pj.second.tobytes()] == [two.frame.tobytes(), two.second.tobytes()]
 
 
 def test_first_fundamental_form_spd(catalogue):

@@ -158,11 +158,13 @@ def test_fd_oracle_boundary_guard(hyperplane):
         scalar_fd_oracle(hyperplane, (1.0 - 2e-3, 0.0))
 
 
-def test_geometry_does_not_depend_on_the_batch(catalogue, rng):
+def test_geometry_does_not_depend_on_the_batch(catalogue, rotational_cosh, rng):
     # each point's record is bit-identical whether it is evaluated with the
     # whole grid, alone, or in a batch where it sits one place earlier;
-    # the tilted graphs bring n = 4 and ambients that are not space forms
+    # the tilted graphs bring n = 4 and ambients that are not space forms,
+    # and the rotational surfaces a profile node (closed-form and interpolated beta)
     immersions = list(catalogue) + [("perturbed", perturbed_immersion(catalogue[3][1], rng))]
+    immersions.append(("rotational-cosh", rotational_cosh))
     immersions += [
         (f"tilted-{fiber.value}-{n}", _tilted_immersion(fiber, n, rng, CURVED_WARPINGS[0]))
         for fiber, n in ((Fiber.SPHERE, 3), (Fiber.EUCLIDEAN, 4))
@@ -179,10 +181,11 @@ def test_geometry_does_not_depend_on_the_batch(catalogue, rng):
                     assert values[..., i].tobytes() == shifted[key][..., i - 1].tobytes(), (name, key, i)
 
 
-def test_order_three_record_extends_order_two(catalogue, rng):
+def test_order_three_record_extends_order_two(catalogue, rotational_cosh, rng):
     # the pass of order 3 adds lap_gradient and leaves every other field
     # bit-identical; each point's gradient does not depend on the batch
     immersions = list(catalogue) + [("perturbed", perturbed_immersion(catalogue[3][1], rng))]
+    immersions.append(("rotational-cosh", rotational_cosh))
     for name, imm in immersions:
         grid = imm.chart.grid(3, 0.1)
         two = dict(record_arrays(grid_geometry(imm, grid)))

@@ -217,6 +217,20 @@ def test_every_returned_slot_is_an_array_of_its_shape(src, t, order):
     assert np.all(jet.hess == 0.0) and (order == 2 or np.all(jet.third == 0.0))
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_a_list_of_expressions_gives_the_jet_of_each_alone(order):
+    # one walk over the same bindings: each jet holds the bits of its own
+    # evaluation, constants and bare variables included
+    exprs = [parse(src) for src in ("sin(t)*u", "t^2", "exp(u)/t", "2", "u")]
+    bindings = {"t": np.linspace(0.5, 1.5, 7), "u": np.linspace(-1.0, 1.0, 7)}
+    for listed, active in ((exprs, ("t", "u")), (tuple(exprs), ("u",))):
+        jets = eval_jet2(listed, bindings, active, order)
+        assert isinstance(jets, list) and len(jets) == len(exprs)
+        for expr, jet in zip(exprs, jets):
+            alone = eval_jet2(expr, bindings, active, order)
+            assert [a.tobytes() for a in jet.slots()] == [a.tobytes() for a in alone.slots()]
+
+
 @pytest.mark.parametrize("src, u", [("u^(t*t*t*t)", 0.0), ("(u-3)^(t*t*t*t)", 1.0)])
 def test_variable_exponent_refuses_a_non_positive_base_at_every_order(src, u):
     # at t = 0 the exponent is the integer 0, but it has a variable: the real

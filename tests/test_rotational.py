@@ -5,9 +5,12 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from warpgeo import rotational
 from warpgeo.cli import main
 from warpgeo.errors import DomainError, QuadratureFailure, SigmaZero
+from warpgeo.expr import unparse, variables_in
 from warpgeo.jets import eval_jet2
+from warpgeo.objmesh import surface_vertices
 from warpgeo.rotational import (
     RotationalProfile,
     solve_profile,
@@ -35,6 +38,15 @@ def example_profile():
 @pytest.fixture(scope="module")
 def example_curve(example_profile):
     return solve_profile(example_profile)
+
+
+@pytest.fixture(scope="module", params=[(ROOT2 / 2, "exp(t)"), (0.5, "cosh(t)")],
+                ids=["example5", "rotational-cosh"])
+def preset_curve(request):
+    """The solved profile of the example5 preset (closed-form beta) or of a
+    rotational preset in cosh(t) (beta from the interpolant)."""
+    theta, f = request.param
+    return solve_profile(RotationalProfile(theta=theta, f=f, n=2, u_range=(-1.5, 1.5)))
 
 
 def test_sphere_chart_values():
@@ -370,3 +382,35 @@ def test_sigma_constancy_is_the_exact_derivative():
     fd = np.max(np.abs((sigma(u + step) - sigma(u - step)) / (2.0 * step)))
     assert report.sigma_constancy > 1e-2
     assert abs(report.sigma_constancy - fd) < 1e-8
+
+
+def test_rotational_components_share_one_profile_node(example_curve):
+    imm = build_rotational(example_curve.profile, example_curve)
+    _, *fiber = imm.components
+    assert [unparse(c) for c in fiber] == ["beta(u)*cos(v1)", "beta(u)*sin(v1)"]
+    assert [variables_in(c) for c in fiber] == [{"u", "v1"}] * 2
+    assert fiber[0].left is fiber[1].left
+
+
+def test_mesh_export_evaluates_beta_alone(monkeypatch, preset_curve):
+    # surface_vertices takes no derivative: the profile node evaluates beta
+    # once over the whole grid and no jet of f
+    betas, f_jets = [], []
+
+    def beta(u):
+        betas.append(np.size(u))
+        return preset_curve.beta(u)
+
+    curve = preset_curve._replace(beta=beta)
+    eval_f = rotational.eval_jet2
+
+    def counted_eval(expr, bindings, *args):
+        if expr is curve.profile.f:
+            f_jets.append(np.size(bindings["t"]))
+        return eval_f(expr, bindings, *args)
+
+    monkeypatch.setattr(rotational, "eval_jet2", counted_eval)
+    imm = build_rotational(curve.profile, curve)
+    vertices = surface_vertices(imm, np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 6.0, 7))
+    assert vertices.shape == (5, 7, 3) and np.all(np.isfinite(vertices))
+    assert betas == [35] and f_jets == []

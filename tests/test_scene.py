@@ -608,9 +608,11 @@ def test_rotational_scene_evaluates_jets_once(monkeypatch, checks, points):
     "data",
     [
         rotational_cosh_scene(["soliton", "rotational-classification"]),
+        rotational_cosh_scene(["soliton", "structural", "rotational-classification"]),
+        example5_scene(["soliton", "rotational-classification"]),
         example5_scene(["soliton", "structural", "rotational-classification"]),
     ],
-    ids=["rotational-cosh", "example5-structural"],
+    ids=["rotational-cosh", "rotational-cosh-structural", "example5", "example5-structural"],
 )
 def test_classification_rows_equal_their_own_pass(monkeypatch, data):
     # the rows the classification reads from the scene's record hold, in
