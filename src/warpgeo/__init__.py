@@ -27,7 +27,7 @@ _EXPORTS = {
     "soliton": "SolitonClass SolitonReport Verdict hypotheses_report soliton_report structural_report",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = {*_EXPORTS, "catalogue", "cli", "objmesh", "scene"}
+_SUBMODULES = {*_EXPORTS, "catalogue", "cli", "objmesh", "report", "scene"}
 
 __all__ = ["__version__", *_MODULE_OF]
 

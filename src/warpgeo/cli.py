@@ -113,7 +113,7 @@ def _cmd_rotational(args):
                          f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     from .objmesh import surface_vertices, write_obj
     from .rotational import RotationalProfile, verify_classification
-    from .scene import MESH_WARNING, SCHEMA_VERSION, write_report
+    from .report import MESH_WARNING, document, write_report
 
     prof = RotationalProfile(**{**flags, "f": f}, u_range=(args.u0, args.u1))
 
@@ -136,15 +136,8 @@ def _cmd_rotational(args):
     print(f"  log-slope variation  {result.logf_slope_variation:.3e}")
 
     if args.report:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "rotational": {**flags, "u_range": [args.u0, args.u1]},
-            "result": result.to_dict(),
-            "warnings": warnings,
-            "timing_seconds": time.perf_counter() - started,
-        }
-        write_report(args.report, doc)
+        fields = {"rotational": {**flags, "u_range": [args.u0, args.u1]}, "result": result.to_dict()}
+        write_report(args.report, document(fields, warnings, started))
         print(f"report written to {args.report}")
     return EXIT_OK if result.classified else EXIT_CHECK_FAILED
 

@@ -43,9 +43,9 @@ from .jets import _leaves, as_expression, eval_jet2, flag, one_pass
 GRAM_DET_LIMIT = 1e-12
 BOUNDARY_MARGIN = 1e-6
 # Largest batch evaluated at once.  The working memory of one evaluation
-# grows with n (measured: about 2.4 KB per point for n = 3, 34 KB for
-# n = 8), so longer batches run in consecutive slices; results do not
-# depend on the slicing.
+# grows with n (measured at order 2: about 1.7 KB per point for n = 3 and
+# 15 KB for n = 8; 4.5 and 89 KB at order 3), so longer batches run in
+# consecutive slices; results do not depend on the slicing.
 SLICE_POINTS = 2048
 
 
@@ -151,13 +151,13 @@ class Immersion:
         return dict(zip(self.chart.names, map(float, p)))
 
     def component_jets(self, points, order=2):
-        """Jets of ``order`` 2 or 3 of every ambient coordinate over (N, n) chart points,
-        in one pass: the first flagged point raises the error of its first check."""
+        """Jets of ``order`` 2 or 3 of the ambient coordinates over (N, n) chart points, one jet with a
+        leading component axis, in one pass: the first flagged point raises the error of its first check."""
         return self._component_jets(points, self.chart.names, order)
 
     def ambient_coordinates(self, points):
         """Images (t, x1, ..., xn) of an (N, n) array of chart points, shape (N, n+1)."""
-        return np.stack([jet.value for jet in self._component_jets(points, ())], axis=-1)
+        return self._component_jets(points, ()).value.T
 
     def _component_jets(self, points, active, order=2):
         points = as_points(points, self.n)
@@ -173,10 +173,10 @@ class PointJets(NamedTuple):
     is d psi^a / d u^i, ``second`` (d, n, n, N) and ``third`` (d, n, n, n,
     N; order 3, else None) the higher chart derivatives; ``D`` (d, N),
     ``dD`` (d, d, N) and ``warping`` = (f, f', f'') come from the one jet
-    of f of ``WarpedProduct.metric_jets``, and ``dD_du`` (d, n, N) is
-    d D_a / d u^k = dD E; ``metric`` (n, n, N) is
-    g = E^T diag(D) E, ``factor`` F = L^-T of ``_factor`` and
-    ``metric_inverse`` g^-1 = F F^T.
+    of f of ``WarpedProduct.metric_jets``; ``metric`` (n, n, N) is
+    g = E^T diag(D) E and ``factor`` F = L^-T of ``_factor``, so that
+    g^-1 = F F^T.  The frame, second and third arrays are the slots of
+    ``Immersion.component_jets`` themselves, not copies.
     """
 
     chart: np.ndarray
@@ -185,11 +185,9 @@ class PointJets(NamedTuple):
     second: np.ndarray
     D: np.ndarray
     dD: np.ndarray
-    dD_du: np.ndarray
     warping: tuple
     metric: np.ndarray
     factor: np.ndarray
-    metric_inverse: np.ndarray
     third: np.ndarray | None = None
 
     def rows(self, start):
@@ -219,8 +217,8 @@ def point_jets(imm, points, order=2):
     flag(~imm.chart.contains(points), lambda i: OutsideChart(
         f"chart point {tuple(map(float, points[i]))!r} is outside the open box (margin 1e-6)"))
     jets = imm.component_jets(points, order)
-    q = AmbientPoint(jets[0].value, tuple(jet.value for jet in jets[1:]))
-    E, second = (np.stack([jet[r] for jet in jets]) for r in (1, 2))  # (d, n, N), (d, n, n, N)
+    q = AmbientPoint(jets.value[0], tuple(jets.value[1:]))
+    E, second = jets.grad, jets.hess  # (d, n, N), (d, n, n, N)
     D, dD, warping = imm.ambient.metric_jets(q)
     finite = (
         np.isfinite(E).all(axis=(0, 1))
@@ -232,10 +230,7 @@ def point_jets(imm, points, order=2):
     pivots, F = _factor(g)  # a non-finite g gives NaN pivots and fails later checks
     flag((pivots <= 0.0).any(axis=0) | (pivots.prod(axis=0) <= GRAM_DET_LIMIT), lambda i: DegenerateImmersion(
         f"tangent frame is degenerate at chart point {tuple(map(float, points[i]))!r}"))
-    ginv = contract("ikp,jkp->ijp", F, F)
-    third = None if order == 2 else np.stack([jet.third for jet in jets])
-    dD_du = contract("acp,cip->aip", dD, E)
-    return PointJets(points.T, q, E, second, D, dD, dD_du, warping, g, F, ginv, third)
+    return PointJets(points.T, q, E, second, D, dD, warping, g, F, jets.third)
 
 
 def _factor(g):
@@ -257,27 +252,26 @@ def _unit_normal(E, D):
     and det([E | N]) = sqrt(C^T D^-1 C) > 0.  E's columns are first scaled to a
     largest entry of 1: C scales by a positive factor, and its minors cannot overflow."""
     E = E / np.max(np.abs(E), axis=0)
-    rows = np.arange(len(E))
-    minors = np.moveaxis(E[rows[:-1] + (rows[:-1] >= rows[:, None])], 0, 2)  # minors[:, :, a]: E without row a
-    C = _det(minors) * (-1.0) ** (rows[:, None] + len(E) - 1)
+    rows, d = list(E), len(E)  # row views; C_a is the det of the rows other than a
+    C = np.array([_det(rows[:a] + rows[a + 1 :]) for a in range(d)]) * (-1.0) ** (np.arange(d)[:, None] + d - 1)
     N = C / D
     return N / np.sqrt(contract("ap,ap->p", N, C))
 
 
 def _det(M):
-    """det of each n x n matrix M[:, :, ...], by cofactors for n = 2, 3 (LAPACK's LU per matrix costs more)."""
+    """det of each n x n matrix M[i][j] (an array or a list of rows): cofactors for n = 2, 3, else LAPACK."""
     if len(M) == 2:
-        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
     if len(M) != 3:
-        return np.linalg.det(np.moveaxis(M, (0, 1), (-2, -1)))
+        return np.linalg.det(np.moveaxis(np.stack(M), (0, 1), (-2, -1)))
     a, b, c = M
     return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
-def metric_derivative(pj):
+def metric_derivative(pj, P):
     """dg[k, i, j] = d g_ij / d u^k of the induced metric, exact, from the order-2
-    jets of psi and ``dD_du``: with T[k, i, j] = <d_i d_k psi, E_j>,
-    dg = T + T^T + sum_a (d_k D_a) E^a_i E^a_j."""
+    jets of psi and P = dD E (P^a_k = d D_a / d u^k): with T[k, i, j] = <d_i d_k psi, E_j>,
+    dg = T + T^T + sum_a P^a_k E^a_i E^a_j."""
     T = contract("aikp,ajp->kijp", pj.second, pj.D[:, None] * pj.frame)
-    return T + np.swapaxes(T, 1, 2) + contract("aip,ajp,akp->kijp", pj.frame, pj.frame, pj.dD_du)
+    return T + np.swapaxes(T, 1, 2) + contract("aip,ajp,akp->kijp", pj.frame, pj.frame, P)

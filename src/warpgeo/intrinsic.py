@@ -8,8 +8,10 @@ curvature is a (G o G)/2 + b (G o dt^2) with a = (k - f'^2)/f^2 and
 a + b = -f''/f (O'Neill, *Semi-Riemannian Geometry*, ch. 7), so the
 ambient part of the Gauss equation is ((n-1) a + b (1 - theta^2)) g +
 (n-2) b dh dh, read from the warping triple, theta and the t-row of the
-frame.  Hess h contracts the induced connection with grad h:
-Gamma^k_ij d_k h = (grad h)^l (d_i g_lj + d_j g_il - d_l g_ij) / 2, read from dg.
+frame.  II and Hess h pair the ambient covariant Hessian of psi,
+d_i d_j psi + Gamma-bar(E_i, E_j), in G with N and with e = E grad h
+(``_covariant_hessian``): the induced connection is the tangential part of
+the ambient one, so Gamma^k_ij d_k h = <d_i d_j psi + Gamma-bar(E_i, E_j), e>, and no dg is built.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ def grid_geometry(imm, points, order=2):
                 first = int(start == 0)
                 check_conditioning(pj.ambient_point, pj.D, skip=first)
                 # of the probe rows only the center needs a normal: it orients the pass
-                E, D = (np.concatenate([a[..., :first], a[..., cut:]], axis=-1) for a in (pj.frame, pj.D))
-                normal = _unit_normal(E, D)
+                kept = (np.concatenate([a[..., :first], a[..., cut:]], axis=-1) for a in (pj.frame, pj.D))
+                normal = _unit_normal(*kept)  # the copies are freed with the call
                 if first:
                     signs = normal[:, 0][np.abs(normal[:, 0]) > _ORIENT_TIE]
                     orientation = -1.0 if signs.size and signs[0] < 0.0 else 1.0
@@ -147,30 +149,21 @@ def grid_geometry(imm, points, order=2):
 
 def _geometry(imm, pj, N, order, offset):
     """The record over the rows of ``pj`` with unit normals ``N``, whose
-    first row is row ``offset`` of the pass.
-    II_ij = <d_i d_j psi + Gamma(E_i, E_j), N> takes the ambient
-    Christoffel symbols contracted with N in closed form,
-    with P = dD E (``dD_du``), q = dD N and X_ij = sum_a P^a_i N^a E^a_j:
-    <Gamma(E_i, E_j), N> = (X_ij + X_ji)/2 - sum_b q_b E^b_i E^b_j / 2."""
-    E, D, dD, g, ginv = pj.frame, pj.D, pj.dD, pj.metric, pj.metric_inverse
-    n = imm.n
-    X = contract("aip,ajp->ijp", pj.dD_du, N[:, None] * E)
-    q = contract("abp,bp->ap", dD, N)
-    II = contract("ap,aijp->ijp", D * N, pj.second)
-    II += 0.5 * (X + np.swapaxes(X, 0, 1) - contract("aip,ajp->ijp", E, q[:, None] * E))
+    first row is row ``offset`` of the pass; Hess h is the same at either order."""
+    E, g, n = pj.frame, pj.metric, imm.n
+    ginv = contract("ikp,jkp->ijp", pj.factor, pj.factor)
+    P = contract("acp,cip->aip", pj.dD, E)
+    II = _covariant_hessian(pj, P, N)
     A = contract("ikp,kjp->ijp", ginv, II)
     H = contract("iip->p", A) / n
     dh = E[0]
     grad_h = contract("ijp,jp->ip", ginv, dh)
     f0, f1, _ = pj.warping
     hess_identity = (f1 / f0) * (g - dh[:, None] * dh) + N[0] * II
-    dg = metric_derivative(pj)
-    u = contract("lp,iljp->ijp", grad_h, dg)  # (grad h)^l d_i g_lj
-    hess_direct = pj.second[0] - 0.5 * (u + np.swapaxes(u, 0, 1) - contract("lp,lijp->ijp", grad_h, dg))
+    hess_direct = pj.second[0] - _covariant_hessian(pj, P, contract("aip,ip->ap", E, grad_h))
     lap = contract("ijp,jip->p", ginv, hess_direct)  # trace(g^-1 Hess h)
-    trace_free = hess_direct - (lap / n) * g
-    F = pj.factor  # residual: max |eig M| of M = F^T trace_free F
-    M = contract("ikp,kjp->ijp", contract("kip,kjp->ijp", F, trace_free), F)
+    F = pj.factor  # residual: max |eig M| of M = F^T (Hess h - (Lap h / n) g) F
+    M = contract("ikp,kjp->ijp", contract("kip,kjp->ijp", F, hess_direct - (lap / n) * g), F)
     if n == 2:
         a, b, c = M[0, 0], M[1, 0], M[1, 1]
         residual = np.abs(0.5 * (a + c)) + np.hypot(0.5 * (a - c), b)
@@ -181,8 +174,8 @@ def _geometry(imm, pj, N, order, offset):
         eig = np.linalg.eigvalsh(np.moveaxis(np.where(finite, M, 0.0), -1, 0))
         residual = np.where(finite, np.max(np.abs(eig), axis=-1), np.nan)
 
-    S = _ambient_ricci(imm.ambient, pj, N)
-    ric = S + (n * H) * II - contract("kip,kjp->ijp", A, contract("klp,ljp->kjp", g, A))
+    ric = _ambient_ricci(imm.ambient, pj, N) + (n * H) * II
+    ric -= contract("kip,kjp->ijp", A, contract("klp,ljp->kjp", g, A))
     scal_gauss = contract("ijp,jip->p", ginv, ric)
     lam = scal_gauss - lap / n
     flag(~(np.isfinite(residual) & np.isfinite(lam)),
@@ -209,8 +202,21 @@ def _geometry(imm, pj, N, order, offset):
         scal_gauss=scal_gauss,
         lam=lam,
         residual=residual,
-        lap_gradient=None if order == 2 else _laplacian_gradient(imm.ambient, pj, dg, grad_h),
+        lap_gradient=None if order == 2 else _laplacian_gradient(imm.ambient, pj, ginv, P, grad_h),
     )
+
+
+def _covariant_hessian(pj, P, v):
+    """<d_i d_j psi + Gamma-bar(E_i, E_j), v> for ambient vectors v (d, N), with the ambient
+    Christoffel symbols in closed form: with P = dD E, q = dD v and X_ij = sum_a P^a_i v_a E^a_j,
+    <Gamma-bar(E_i, E_j), v> = (X_ij + X_ji)/2 - sum_b q_b E^b_i E^b_j / 2."""
+    E = pj.frame
+    X = contract("aip,ajp->ijp", P, v[:, None] * E)
+    X += np.swapaxes(X, 0, 1)  # in place, as are the steps below: fewer temporaries, the same bits
+    X -= contract("aip,ajp->ijp", E, contract("abp,bp->ap", pj.dD, v)[:, None] * E)  # q = dD v
+    X *= 0.5
+    X += contract("ap,aijp->ijp", pj.D * v, pj.second)
+    return X
 
 
 def _spectral_radius3(M):
@@ -227,15 +233,14 @@ def _spectral_radius3(M):
     return scale * np.max(np.abs(q + 2.0 * p * cosines), axis=0)
 
 
-def _laplacian_gradient(ambient, pj, dg, grad_h):
+def _laplacian_gradient(ambient, pj, G, P, grad_h):
     """d_m Lap h, exact, from the order-3 jets ``pj``: with F = E g^-1, e = E grad h,
     P = dD E, p = P grad h and per ambient index a sigma_a = <g^-1, d2 psi^a>,
     phi_a = F_a . P_a, psi_a = F_a . E_a, Lap h = sigma_0 - sum_a (D_a e_a sigma_a
     + e_a phi_a - p_a psi_a / 2), whose product rule is a sum of contractions of
     d3 psi, d2 psi, d2D, dD, d2h and d_m g^-1 = -g^-1 d_m g g^-1."""
-    E, S, T, D, G, dD = pj.frame, pj.second, pj.third, pj.D, pj.metric_inverse, pj.dD
+    E, S, T, D, dD = pj.frame, pj.second, pj.third, pj.D, pj.dD
     d2D = ambient.diagonal_jets(pj.ambient_point.x, pj.warping, second=True)[2]
-    P = pj.dD_du
     F, PG = contract("aip,ijp->ajp", E, G), contract("aip,ijp->ajp", P, G)
     e, p = contract("aip,ip->ap", E, grad_h), contract("aip,ip->ap", P, grad_h)
     sigma = contract("aijp,ijp->ap", S, G)
@@ -252,6 +257,6 @@ def _laplacian_gradient(ambient, pj, dg, grad_h):
     V = contract("abp,abcp->cp", contract("ajp,bjp->abp", Z_Q, E), d2D)
     GMG = contract("ikp,kjp->ijp", contract("ikp,kjp->ijp", G, M), G)
     grad = contract("aijp,aijmp->mp", w[:, None, None] * G, T) + contract("ajp,ajmp->mp", Z_S, S)
-    grad -= contract("mijp,ijp->mp", dg, GMG)
+    grad -= contract("mijp,ijp->mp", metric_derivative(pj, P), GMG)
     U = V - contract("ap,acp->cp", e * sigma, dD)
     return grad + (contract("cp,cmp->mp", U, E) + contract("jp,jmp->mp", y, S[0]))

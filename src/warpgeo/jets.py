@@ -390,16 +390,10 @@ def _walk(expr, values, index, m, order, tail, profiles):
     return rec(expr)
 
 
-def _full(a, shape):
-    if a is _ZERO:
-        return np.zeros(shape)
-    return _value(a) if np.shape(a) == shape else np.broadcast_to(a, shape).copy()
-
-
 def eval_jet2(expr, bindings, active=(), order=2):
-    """Evaluate ``expr`` as a jet of ``order`` 2 or 3; a list or tuple of
-    expressions gives the list of their jets, from one walk in which a
-    :class:`Profile` node they share is evaluated once.
+    """Evaluate ``expr`` as a jet of ``order`` 2 or 3; a list or tuple of K expressions
+    gives one jet whose slots carry a leading component axis of K, written once
+    from one walk in which a :class:`Profile` node they share is evaluated once.
 
     ``bindings`` maps every variable appearing in ``expr`` to a real
     value, or to a 1-d array of N values (one per point); ``active`` is the
@@ -418,8 +412,11 @@ def eval_jet2(expr, bindings, active=(), order=2):
     profiles = {}
     with one_pass():
         jets = [_walk(e, values, index, m, order, (1,) * len(shape), profiles) for e in exprs]
-    jets = [Jet2(*(_full(a, (m,) * r + shape) for r, a in enumerate(jet.slots()))) for jet in jets]
-    return jets[0] if single else jets
+    slots = [np.empty((len(jets),) + (m,) * r + shape) for r in range(order + 1)]
+    for k, jet in enumerate(jets):  # each slot written once; a structural zero as 0.0
+        for out, a in zip(slots, jet.slots()):
+            out[k] = 0.0 if a is _ZERO else a
+    return Jet2(*(a[0] for a in slots)) if single else Jet2(*slots)
 
 
 def as_expression(obj):

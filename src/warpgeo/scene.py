@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
 from .ambient import WarpedProduct
 from .catalogue import PRESETS, build_preset
 from .errors import MAX_DIMENSION, MAX_GRID_POINTS, PointError, SceneError, WarpGeoError, _number, _short
@@ -27,6 +26,8 @@ from .hypersurface import ChartBox, Immersion
 from .intrinsic import grid_geometry
 from .jets import _leaves
 from .objmesh import surface_vertices, write_obj
+# report_to_json and write_report are not used here; they stay importable from this module
+from .report import MESH_WARNING, SCHEMA_VERSION, document, report_to_json, write_report
 from .rotational import classification_grid, classify_rotational, profile_residuals
 from .soliton import (
     SOLITON_TOL,
@@ -39,7 +40,6 @@ from .soliton import (
     structural_report,
 )
 
-SCHEMA_VERSION = 1
 # Largest scene file read.  A scene is a few KB of JSON; a larger file is
 # refused before it is parsed.
 MAX_SCENE_BYTES = 1 << 20
@@ -47,11 +47,6 @@ SPACEFORM = "spaceform c=<number>"  # how errors and README show the check SPACE
 SPACEFORM_RE = re.compile(r"^spaceform\s+c=(-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)\Z", re.ASCII)
 GRID_CHECKS = ("lemma1", "soliton", "structural") + THEOREMS  # the checks that read the scene grid
 CHECK_NAMES = GRID_CHECKS + ("rotational-classification",)
-
-MESH_WARNING = (
-    "mesh coordinates are ambient-chart coordinates, not an isometric "
-    "embedding; do not read distances from the render"
-)
 
 # The kinds of a field.  An object's keys are the rows below it (one with no rows below
 # takes any keys); an expression is a string, and each entry of a list of them a field.
@@ -338,23 +333,7 @@ def run_scene(scene):
         write_obj(scene.mesh_path, surface_vertices(scene.immersion, u_values, v_values))
         warnings.append(MESH_WARNING)
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "scene": scene.raw,
-        "checks": [r.to_dict(scene.immersion.chart.names) for r in results],
-        "soliton": None if soliton is None else soliton.to_dict(),
-        "warnings": warnings,
-        "timing_seconds": time.perf_counter() - started,
-    }
+    report = document({"scene": scene.raw, "checks": [r.to_dict(scene.immersion.chart.names) for r in results],
+                       "soliton": None if soliton is None else soliton.to_dict()}, warnings, started)
     all_passed = all(r.status in ("pass", "not_applicable") for r in results)
     return report, all_passed
-
-
-def report_to_json(report):
-    return json.dumps(report, indent=2) + "\n"
-
-
-def write_report(path, report):
-    with open(path, "w") as handle:
-        handle.write(report_to_json(report))

@@ -22,7 +22,8 @@ its two scalars and charts the sphere by ``sphere_chart_expressions``.
 The test-only helpers live here as well: the standard ambients, the
 horosphere, ``build_rotational``, the closed-form principal curvatures
 ``weingarten_closed_form``, ``flip_orientation``, ``eval_value``,
-``soliton_residual`` and ``row``, the record of one point of a batch.
+``soliton_residual``, ``metric_inverse`` (F F^T of a ``PointJets``) and
+``row``, the record of one point of a batch.
 """
 
 from __future__ import annotations
@@ -303,12 +304,20 @@ def sphere_chart(v):
     return out
 
 
+def metric_inverse(pj):
+    """g^-1 = F F^T from the factor of a ``PointJets`` record, point axis first."""
+    F = point_first(pj.factor)
+    return F @ np.swapaxes(F, -1, -2)
+
+
 def induced_christoffels_from_jets(pj):
     """Christoffel symbols Gamma[:, k, i, j] = g^kl B_lij / 2 of the induced metric,
-    B_lij = d_i g_lj + d_j g_il - d_l g_ij, point axis first."""
-    dg = point_first(metric_derivative(pj))
+    B_lij = d_i g_lj + d_j g_il - d_l g_ij, point axis first, with dg from
+    ``metric_derivative`` and P = dD E."""
+    P = point_last(point_first(pj.dD) @ point_first(pj.frame))
+    dg = point_first(metric_derivative(pj, P))
     B = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
-    ginv = point_first(pj.metric_inverse)
+    ginv = metric_inverse(pj)
     return 0.5 * (ginv @ B.reshape(B.shape[:-2] + (-1,))).reshape(B.shape)
 
 
@@ -463,7 +472,7 @@ def laplacian_height(imm, points):
     """Lap h = trace(g^-1 Hess h) over (N, n) chart points, Hess h through
     the induced Christoffel tensor."""
     pj = point_jets(imm, points)
-    ginv = point_first(pj.metric_inverse)
+    ginv = metric_inverse(pj)
     return np.trace(ginv @ point_first(hessian_height_christoffel(pj)), axis1=-2, axis2=-1)
 
 

@@ -1114,3 +1114,17 @@ def test_spaceforms_loads_no_scene_intrinsic_or_rotational():
         " if m in sys.modules))"
     )
     assert fresh_interpreter(code).split() == ["0", "[]"]
+
+
+def test_rotational_loads_no_scene(tmp_path):
+    # its report and mesh come from `report`, which loads no numpy, and `objmesh`
+    code = (
+        "import contextlib, io, sys; import warpgeo.report; from warpgeo.cli import main\n"
+        "numpy = 'numpy' in sys.modules\n"
+        "argv = ['rotational', '--theta', '0.5', '--samples', '9', '--n', '2', '--mesh', *sys.argv[1:]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n    code = main(argv)\n"
+        "print(code, numpy, 'warpgeo.scene' in sys.modules)"
+    )
+    report = tmp_path / "x.json"
+    assert fresh_interpreter(code, str(tmp_path / "x.obj"), "--report", str(report)).split() == ["0", "False", "False"]
+    assert json.loads(report.read_text())["schema_version"] == 1

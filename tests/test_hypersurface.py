@@ -209,20 +209,23 @@ def test_unit_normal_is_positively_oriented(n, scale, rng):
 def test_point_jets_hold_the_component_jet_slots(sphere3, rotational_soliton, rotational_cosh, order):
     # frame[a, i, p], second[a, i, j, p] and third[a, i, j, k, p] are the
     # slots of component a at point p, to the bit, with or without a
-    # profile node (closed-form and interpolated beta): the slots stacked
-    # along a leading axis; an order-3 pass leaves the order-2 slots as they are
+    # profile node (closed-form and interpolated beta): the component jets'
+    # own slots, each equal to its expression's jet alone; an order-3 pass
+    # leaves the order-2 slots as they are
     for imm in (sphere3, rotational_soliton, rotational_cosh):
         points = imm.chart.grid(3, 0.2)
-        jets = imm.component_jets(points, order)
+        stacked = imm.component_jets(points, order)
         pj = hypersurface.point_jets(imm, points, order)
         slots = [pj.frame, pj.second] + ([pj.third] if order == 3 else [])
         assert (pj.third is None) == (order == 2)
+        columns = dict(zip(imm.chart.names, np.asarray(points).T))
+        alone = [jets.eval_jet2(expr, columns, imm.chart.names, order) for expr in imm.components]
         for r, slot in enumerate(slots, start=1):
-            assert slot.flags.c_contiguous
-            want = np.stack([jet[r] for jet in jets])  # (d, n, ..., N)
-            assert slot.shape == want.shape and slot.tobytes() == want.tobytes()
-            for a, jet in enumerate(jets):
-                assert np.array_equal(slot[a], jet[r])
+            assert slot.flags.c_contiguous and slot.shape == (imm.n + 1,) + (imm.n,) * r + (len(points),)
+            assert slot.tobytes() == stacked[r].tobytes()
+            for a, jet in enumerate(alone):
+                assert slot[a].tobytes() == jet[r].tobytes()
+        assert np.stack([pj.ambient_point.t, *pj.ambient_point.x]).tobytes() == stacked.value.tobytes()
         if order == 3:
             two = hypersurface.point_jets(imm, points, 2)
             assert [pj.frame.tobytes(), pj.second.tobytes()] == [two.frame.tobytes(), two.second.tobytes()]

@@ -282,13 +282,14 @@ def _assert_close(value, oracle, label):
     assert np.max(np.abs(value - oracle)) <= 1e-12 * scale, label
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("fiber", [Fiber.EUCLIDEAN, Fiber.SPHERE], ids=lambda f: f.value)
 def test_closed_forms_match_the_tensor_oracles(fiber, n, rng):
     # II, the ambient Ricci term and Hess h come from closed-form
     # contractions; the oracles build the ambient Christoffel tensor, sum
     # one curvature evaluation per tangent frame vector and apply the
-    # induced Christoffel tensor
+    # induced Christoffel tensor (from dg); an order-3 pass takes the same
+    # Hess h, to the bit
     imm = _tilted_immersion(fiber, n, rng)
     grid = imm.chart.grid(3, 0.2)
     geo = grid_geometry(imm, grid)
@@ -296,6 +297,7 @@ def test_closed_forms_match_the_tensor_oracles(fiber, n, rng):
     assert np.min(np.abs(geo.normal[1:])) > 1e-3 and np.min(geo.grad_h_norm2) > 1e-3
     _assert_close(geo.second_fundamental, second_fundamental_christoffel(pj, geo.normal), "II")
     _assert_close(geo.hess_direct, hessian_height_christoffel(pj), "Hess h")
+    assert grid_geometry(imm, grid, order=3).hess_direct.tobytes() == geo.hess_direct.tobytes()
     A, g, H = point_first(geo.shape_operator), point_first(geo.metric), geo.mean_curvature
     II = point_first(geo.second_fundamental)
     quadratic = point_last((n * H)[:, None, None] * II - np.swapaxes(A, -1, -2) @ g @ A)

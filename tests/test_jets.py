@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from warpgeo.errors import DomainError
 from warpgeo.expr import FUNCTIONS, BinOp, Call, Const, Neg, Var, literal, parse, unparse
-from warpgeo.jets import eval_jet2
+from warpgeo.jets import Jet2, eval_jet2
 
 from oracles import eval_value, fd_gradient
 
@@ -219,16 +219,20 @@ def test_every_returned_slot_is_an_array_of_its_shape(src, t, order):
 
 @pytest.mark.parametrize("order", [2, 3])
 def test_a_list_of_expressions_gives_the_jet_of_each_alone(order):
-    # one walk over the same bindings: each jet holds the bits of its own
-    # evaluation, constants and bare variables included
+    # one walk over the same bindings into one jet with a leading component
+    # axis: component k holds the bits of expression k's own evaluation,
+    # constants and bare variables included
     exprs = [parse(src) for src in ("sin(t)*u", "t^2", "exp(u)/t", "2", "u")]
     bindings = {"t": np.linspace(0.5, 1.5, 7), "u": np.linspace(-1.0, 1.0, 7)}
     for listed, active in ((exprs, ("t", "u")), (tuple(exprs), ("u",))):
         jets = eval_jet2(listed, bindings, active, order)
-        assert isinstance(jets, list) and len(jets) == len(exprs)
-        for expr, jet in zip(exprs, jets):
+        assert isinstance(jets, Jet2) and jets.order == order
+        m = len(active)
+        for r, slot in enumerate(jets.slots()):
+            assert slot.flags.c_contiguous and slot.shape == (len(exprs),) + (m,) * r + (7,)
+        for k, expr in enumerate(exprs):
             alone = eval_jet2(expr, bindings, active, order)
-            assert [a.tobytes() for a in jet.slots()] == [a.tobytes() for a in alone.slots()]
+            assert [a[k].tobytes() for a in jets.slots()] == [a.tobytes() for a in alone.slots()]
 
 
 @pytest.mark.parametrize("src, u", [("u^(t*t*t*t)", 0.0), ("(u-3)^(t*t*t*t)", 1.0)])

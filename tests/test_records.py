@@ -41,7 +41,7 @@ GEOMETRY_SHAPES = {
 }
 JET_SHAPES = {
     "chart": "nN", "frame": "dnN", "second": "dnnN", "third": "dnnnN", "D": "dN", "dD": "ddN",
-    "metric": "nnN", "factor": "nnN", "metric_inverse": "nnN",
+    "metric": "nnN", "factor": "nnN",
 }
 
 

@@ -742,3 +742,21 @@ def test_maximal_grid_stays_under_256_mb(n, samples):
         tracemalloc.stop()
     assert passed and report["checks"][1]["status"] == "pass"
     assert peak < 256 * 2**20
+
+
+def test_dense_sphere3_run_stays_within_its_working_set():
+    # the tracemalloc peak of run_scene over dense-sphere3 (n = 3, 1,331 points in one
+    # slice): the geometry pass builds no (n, n, n, N) tensor and writes each component
+    # slot once; 2.38 MB above the start when recorded (3.27 MB with dg and the
+    # per-component copies), and the bound is that figure plus 10%
+    path = Path(__file__).parent / "golden" / "dense-sphere3.scene.json"
+    scene = validate_scene(json.loads(path.read_text()))
+    run_scene(scene)  # a first run loads what later runs reuse
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_scene(scene)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2.38e6, peak
