@@ -230,12 +230,12 @@ class WarpedProduct:
 
     def check_space_form(self, c, probes):
         """Residuals of ((f')^2 - k)/f^2 = -c = f''/f over ``probes``, where
-        ``c`` None is fitted as -mean(f''/f); a vanishing f is a DomainError."""
+        ``c`` None is fitted as -mean(f''/f); a vanishing f, or a DomainError
+        of f, is a DomainError naming the height."""
         t = np.asarray(probes, dtype=float)
-        with one_pass():
-            f0, f1, f2 = self.warping_jet(t)
-            flag(f0 == 0.0,
-                 lambda i: DomainError(f"warping function vanishes at t={float(t[i])!r}", self.f))
+        jet = eval_warping(self.f, t, ("t",))
+        f0, f1, f2 = jet.value, jet.grad[0], jet.hess[0, 0]
+        flag(f0 == 0.0, lambda i: DomainError(f"warping function vanishes at t={float(t[i])!r}", self.f))
         c = -float(np.mean(f2 / f0)) + 0.0 if c is None else float(c)  # + 0.0 normalizes -0.0
         ratio = np.abs((f1 * f1 - self.k) / (f0 * f0) + c)
         second = np.abs(f2 / f0 + c)

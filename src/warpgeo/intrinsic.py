@@ -73,7 +73,7 @@ class PointGeometry(NamedTuple):
 
     @property
     def n(self):
-        return self.metric.shape[-1]
+        return self.metric.shape[0]
 
     @property
     def height(self):

@@ -29,16 +29,8 @@ from .objmesh import surface_vertices, write_obj
 # report_to_json and write_report are not used here; they stay importable from this module
 from .report import MESH_WARNING, SCHEMA_VERSION, document, report_to_json, write_report
 from .rotational import classification_grid, classify_rotational, profile_residuals
-from .soliton import (
-    SOLITON_TOL,
-    THEOREMS,
-    CheckResult,
-    Verdict,
-    first_extreme,
-    hypotheses_report,
-    soliton_report,
-    structural_report,
-)
+from .soliton import (THEOREMS, CheckResult, Verdict, hypotheses_report, identity_check, soliton_report,
+                      structural_report)
 
 # Largest scene file read.  A scene is a few KB of JSON; a larger file is
 # refused before it is parsed.
@@ -243,9 +235,7 @@ def _run_check(kind, c, scene, geometry, soliton, classification):
     if kind in THEOREMS:
         return hypotheses_report(scene.immersion, geometry, kind)
     if kind == "lemma1":
-        sup, i = first_extreme(geometry.identity_error)
-        status = "pass" if sup < SOLITON_TOL else "fail"
-        return CheckResult(kind, status, sup_error=sup, worst_point=geometry.chart_point(i))
+        return identity_check(kind, geometry, geometry.identity_error)
     if kind == "soliton":
         status = "pass" if soliton.verdict is Verdict.SOLITON else "fail"
         extras = {"verdict": soliton.verdict.value, "classification": soliton.classification.value}
@@ -315,15 +305,10 @@ def run_scene(scene):
         for kind, c in scene.checks
     ]
 
-    if soliton is not None:
-        for result in results:
-            if result.name == "soliton" or result.status == "not_applicable":
-                continue
-            if result.sup_error is not None:
-                soliton.identity_checks[result.name] = result.sup_error
-            elif result.worst_value is not None:
-                # inequality checks: record the violation magnitude
-                soliton.identity_checks[result.name] = max(0.0, -result.worst_value)
+    if soliton is not None:  # the block adds each applicable check's sup error, or an inequality's violation
+        recorded = {r.name: max(0.0, -r.worst_value) if r.sup_error is None else r.sup_error
+                    for r in results if r.name != "soliton" and r.status != "not_applicable"}
+        soliton = soliton._replace(identity_checks={**soliton.identity_checks, **recorded})
 
     warnings = []
     if scene.mesh_path:

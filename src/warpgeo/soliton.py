@@ -15,8 +15,13 @@ which holds for every immersion, soliton or not, and is used as a
 universal cross-check.  The structural identity Ric(grad h) + (n-1)
 grad(scal - lambda) = 0 takes grad(Lap h) exactly from third jets.
 
-Every check is a numpy reduction over the point axis of the batched
-geometry record of a grid; ties go to the first point in grid order.
+Every grid check reduces a per-point array of the batched geometry
+record of a grid by one of two rules; ties go to the first point in
+grid order.  An identity (Lemma 1's Hess h, Theorem 3's scalar identity,
+the structural identity) passes when the sup of its error stays below
+``SOLITON_TOL`` (:func:`identity_check`); an inequality (Theorem 1's
+conditions, the bounds on lambda of Theorems 4a, 4b and 5) passes when
+its least margin is at least ``-_MARGIN_TOL`` (:func:`inequality_check`).
 """
 
 from __future__ import annotations
@@ -171,14 +176,30 @@ class CheckResult(NamedTuple):
         return out
 
 
+def identity_check(name, geometry, error):
+    """The identity ``name`` over a grid from its per-point ``error``: it
+    passes when the sup error stays below ``SOLITON_TOL``."""
+    sup, i = first_extreme(error)
+    status = "pass" if sup < SOLITON_TOL else "fail"
+    return CheckResult(name, status, sup_error=sup, worst_point=geometry.chart_point(i))
+
+
+def inequality_check(name, geometry, margin, extras=MappingProxyType({})):
+    """The inequality ``name`` over a grid from its per-point ``margin``: it
+    passes when the least margin, its ``worst_value``, is at least ``-_MARGIN_TOL``."""
+    worst, i = first_extreme(margin, math.inf, lowest=True)
+    status = "pass" if worst >= -_MARGIN_TOL else "fail"
+    return CheckResult(name, status, worst_point=geometry.chart_point(i), worst_value=worst, extras=extras)
+
+
 def structural_report(imm, geometry):
     """Structural identity over the :class:`PointGeometry` record of a grid.
 
     The gradient of scal - lambda = (Lap h)/n is the exact
     ``lap_gradient`` of a record of order 3; a record of order 2 is a
     ValueError.  It is meaningful only when the soliton verdict holds, so
-    that lambda is the soliton function.  The check passes when the sup
-    error stays below ``SOLITON_TOL``; a gradient that is not finite is a
+    that lambda is the soliton function.  It is an identity
+    (:func:`identity_check`); a gradient that is not finite is a
     DomainError.
     """
     if geometry.lap_gradient is None:
@@ -193,9 +214,7 @@ def structural_report(imm, geometry):
     omega = contract("ijp,jp->ip", geometry.ric, geometry.grad_h) + (n - 1) * grad_s
     dual = contract("ijp,jp->ip", geometry.metric_inverse, omega)
     err = np.sqrt(np.maximum(contract("ip,ip->p", omega, dual), 0.0))
-    sup_error, worst = first_extreme(err)
-    status = "pass" if sup_error < SOLITON_TOL else "fail"
-    return CheckResult("structural", status, sup_error=sup_error, worst_point=geometry.chart_point(worst))
+    return identity_check("structural", geometry, err)
 
 
 THEOREMS = ("theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5")
@@ -209,23 +228,18 @@ def _ratio_or_limit(lf1, theta):
     return np.where(lf1 == 0.0, 0.0, np.where(theta == 0.0, limit, ratio))
 
 
-def _theorem1_margins(n, geometry, flipped):
-    """Worst margins of the two hypothesis conditions over the grid.
+def _theorem1_margins(n, geometry, sign):
+    """The per-point margins of the two hypothesis conditions, with the
+    orientation flipped for ``sign`` -1.
 
     Condition 1: f''(h)/f(h) <= (n+1)/n^2 H^2.
     Condition 2: 0 <= |theta|^{-1} (log f)'(h) <= H.
     """
-    theta = -geometry.theta if flipped else geometry.theta
-    H = -geometry.mean_curvature if flipped else geometry.mean_curvature
+    theta, H = sign * geometry.theta, sign * geometry.mean_curvature
     f0, f1, f2 = geometry.warping
-    m1 = (n + 1) / (n * n) * H * H - f2 / f0
+    curvature = (n + 1) / (n * n) * H * H - f2 / f0
     q = _ratio_or_limit(f1 / f0, theta)
-    m2 = np.where(np.isfinite(q), np.minimum(q, H - q), -math.inf)
-    curvature_worst, _ = first_extreme(m1, math.inf, lowest=True)
-    angle_worst, _ = first_extreme(m2, math.inf, lowest=True)
-    worst, i = first_extreme(np.minimum(m1, m2), math.inf, lowest=True)
-    worst_point = geometry.chart_point(i)
-    return worst, worst_point, curvature_worst, angle_worst
+    return curvature, np.where(np.isfinite(q), np.minimum(q, H - q), -math.inf)
 
 
 def hypotheses_report(imm, geometry, which):
@@ -238,20 +252,20 @@ def hypotheses_report(imm, geometry, which):
     not_applicable.  theorem5 needs the ambient to be a space form; its
     curvature c is fitted from the warping function on 64 probe heights,
     from the same jet of f as the residuals of the fit.  The result is the
-    :class:`CheckResult` named ``which``.
+    :class:`CheckResult` named ``which``, by :func:`identity_check` for
+    theorem3 and by :func:`inequality_check` for the others.
     """
     n = imm.n
 
     if which == "theorem1":
-        default = _theorem1_margins(n, geometry, flipped=False)
-        flipped = _theorem1_margins(n, geometry, flipped=True)
-        best = max(default, flipped, key=lambda row: row[0])
-        status = "pass" if best[0] >= -_MARGIN_TOL else "fail"
-        extras = {
-            name: {"margin": row[0], "curvature_margin": row[2], "angle_margin": row[3]}
-            for name, row in (("as_oriented", default), ("flipped", flipped))
-        }
-        return CheckResult(which, status, worst_point=best[1], worst_value=best[0], extras=extras)
+        results, extras = [], {}
+        for name, sign in (("as_oriented", 1.0), ("flipped", -1.0)):
+            curvature, angle = _theorem1_margins(n, geometry, sign)
+            results.append(inequality_check(which, geometry, np.minimum(curvature, angle)))
+            extras[name] = {"margin": results[-1].worst_value,
+                            "curvature_margin": first_extreme(curvature, math.inf, lowest=True)[0],
+                            "angle_margin": first_extreme(angle, math.inf, lowest=True)[0]}
+        return max(results, key=lambda result: result.worst_value)._replace(extras=extras)
 
     H = geometry.mean_curvature
     f0, f1, f2 = geometry.warping
@@ -261,30 +275,20 @@ def hypotheses_report(imm, geometry, which):
         if sup_H >= CLASS_TOL:
             return CheckResult(which, "not_applicable", extras={"sup_mean_curvature": sup_H})
         rhs = (f1 / f0) * (n - 1 + geometry.theta * geometry.theta)
-        sup_err, i = first_extreme(np.abs(n * (geometry.scal_gauss - geometry.lam) - rhs))
-        status = "pass" if sup_err < SOLITON_TOL else "fail"
-        return CheckResult(which, status, sup_error=sup_err, worst_point=geometry.chart_point(i))
+        return identity_check(which, geometry, np.abs(n * (geometry.scal_gauss - geometry.lam) - rhs))
 
     if which == "theorem5":
         window = imm.ambient.probe_window()
         fit = imm.ambient.check_space_form(None, np.linspace(window[0], window[1], 64))
-        c = fit.c
         if fit.ratio_residual > 1e-8 or fit.second_residual > 1e-8:
             return CheckResult(
                 which, "not_applicable", extras={"reason": "ambient is not a space form"}
             )
+        margin = geometry.lam - ((n - 1) * fit.c + n * H * H)
+        extras = {"c": fit.c, "failing_points": int(np.count_nonzero(margin < -_MARGIN_TOL))}
+        return inequality_check(which, geometry, margin, extras)
     if which == "theorem4a":
         bound = -n * (n - 1) * f2 / f0 + n * n * H * H
-    elif which == "theorem4b":
+    else:  # theorem4b
         bound = n * (n - 1) * (H * H - f2 / f0)
-    else:  # theorem5
-        bound = (n - 1) * c + n * H * H
-    margin = geometry.lam - bound
-    worst, i = first_extreme(margin, math.inf, lowest=True)
-    status = "pass" if worst >= -_MARGIN_TOL else "fail"
-    extras = {}
-    if which == "theorem5":
-        extras["c"] = c
-        extras["failing_points"] = int(np.count_nonzero(margin < -_MARGIN_TOL))
-    return CheckResult(which, status, worst_point=geometry.chart_point(i), worst_value=worst,
-                       extras=extras)
+    return inequality_check(which, geometry, geometry.lam - bound)

@@ -633,6 +633,29 @@ def test_profile_probe_failure_names_t(capsys, flags, t):
 
 
 @pytest.mark.parametrize(
+    "check, t",
+    [
+        # the 11th of the 64 probe heights of theorem5's fit of c
+        ("theorem5", "-2.6209523809523807"),
+        # the 11th of the 200 probe heights of a space-form check
+        ("spaceform c=0", "-3.454070351758794"),
+    ],
+    ids=["theorem5", "spaceform"],
+)
+def test_space_form_probe_failure_names_t(tmp_path, capsys, check, t):
+    # abs has no derivative at its kink, which lies at that probe height
+    # only: the positivity probe reads values alone and the horosphere's
+    # grid is at t = 0
+    scene = hyperplane_scene()
+    scene["ambient"]["f"] = f"2 + sqrt(abs(t - ({t})))"
+    scene["immersion"] = {"preset": "horosphere", "params": {"t0": 0}}
+    scene["checks"] = ["soliton", check]
+    del scene["grid"]
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 3
+    assert f"t={t}: abs is not differentiable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "f, message",
     [("exp(-300*t)", "underflows to 0 at t="), ("t-10", "is not positive at t=")],
     ids=["underflowing-f", "negative-f"],

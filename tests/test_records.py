@@ -57,6 +57,7 @@ def test_records_carry_a_trailing_point_axis(fixture, request):
         # the heights, fiber coordinates and warping triple: one value per point
         values = [record.ambient_point.t, *record.ambient_point.x, *record.warping]
         assert all(np.shape(a) == (len(points),) for a in values)
+    assert geometry.n == imm.n
     d2D = imm.ambient.diagonal_jets(jets.ambient_point.x, jets.warping, second=True)[2]
     assert d2D.shape == (sizes["d"],) * 3 + (len(points),)
 

@@ -24,6 +24,7 @@ from warpgeo.hypersurface import MAX_GRID_POINTS, Immersion
 from warpgeo.jets import _leaves
 from warpgeo.intrinsic import grid_geometry
 from warpgeo.scene import FIELDS, report_to_json, run_scene, validate_scene
+from warpgeo.soliton import soliton_report
 
 
 def hyperplane_scene(**overrides):
@@ -442,6 +443,22 @@ def test_soliton_block_aggregates_identity_checks():
     assert "structural" in identity and identity["structural"] < 1e-12
     assert "theorem3" in identity
     assert identity["theorem4a"] == 0.0  # bound holds with equality
+
+
+def test_run_scene_builds_the_soliton_block_without_mutating_its_report(monkeypatch):
+    built = []
+
+    def spied_soliton_report(geometry):
+        report = soliton_report(geometry)
+        built.append((report, dict(report.identity_checks)))
+        return report
+
+    monkeypatch.setattr(scene_module, "soliton_report", spied_soliton_report)
+    checks = ["lemma1", "soliton", "structural", "theorem4a"]
+    report, _ = run_scene(validate_scene(hyperplane_scene(checks=checks)))
+    [(soliton, before)] = built
+    assert soliton.identity_checks == before and list(before) == ["lemma_hessian"]
+    assert list(report["soliton"]["identity_checks"]) == ["lemma1", "lemma_hessian", "structural", "theorem4a"]
 
 
 def test_report_schema_round_trip():
