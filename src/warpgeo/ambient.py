@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError, OutsideChart, SingularMetric
 from .expr import unparse, variables_in
-from .jets import as_expression, eval_jet2, first_index, flag, one_pass
+from .jets import as_expression, eval_jet2, flag, one_pass
 
 CONDITION_LIMIT = 1e12
 SPACE_FORM_TOL = 1e-10
@@ -109,12 +109,11 @@ class WarpedProduct:
     """
 
     def __init__(self, interval, f, fiber, n):
-        lo, hi = float(interval[0]), float(interval[1])
-        if not lo < hi:
-            raise ValueError(f"empty interval {interval!r}")
+        if fault := interval_fault(interval):
+            raise ValueError(fault)
         if n < 1:
             raise ValueError("fiber dimension must be >= 1")
-        self.interval = (lo, hi)
+        self.interval = (float(interval[0]), float(interval[1]))
         self.f = as_expression(f)
         extra = variables_in(self.f) - {"t"}
         if extra:
@@ -148,12 +147,12 @@ class WarpedProduct:
         a, b = self.probe_window()
         t = np.linspace(a, b, 1024)
         values = eval_warping(self.f, t).value
-        bad = first_index(~(values > 0.0))
-        if bad is not None:
-            problem = "underflows to 0" if values[bad] == 0.0 else "is not positive"
-            raise ValueError(
-                f"warping function {unparse(self.f)!r} {problem} at t={float(t[bad])!r}"
-            )
+
+        def refusal(i):
+            problem = "underflows to 0" if values[i] == 0.0 else "is not positive"
+            return ValueError(f"warping function {unparse(self.f)!r} {problem} at t={float(t[i])!r}")
+
+        flag(~(values > 0.0), refusal)
 
     def warping_jet(self, t):
         """Return (f(t), f'(t), f''(t)); ``t`` may be an array of heights."""
@@ -242,6 +241,17 @@ class WarpedProduct:
         return SpaceFormCheck(
             c, float(np.max(ratio, initial=0.0)), float(np.max(second, initial=0.0))
         )
+
+
+def interval_fault(interval):
+    """Why ``interval`` is refused as a base interval, or None: it is empty, or its
+    endpoints are finite and their distance, so its probe window, overflows a float."""
+    lo, hi = float(interval[0]), float(interval[1])
+    if not lo < hi:
+        return f"empty interval {interval!r}"
+    if math.isinf(hi - lo) and math.isfinite(lo + hi):  # lo + hi is inf or nan at an infinite endpoint
+        return f"width of interval {interval!r} overflows a float"
+    return None
 
 
 def eval_warping(f, t, active=()):

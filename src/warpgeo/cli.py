@@ -48,8 +48,11 @@ def _check_flags(args):
     for name in filter(flags.__contains__, FLAG_RANGES):  # the flags of this command
         _number(flags[name], None, f"--{name}", *FLAG_RANGES[name])
     for lo, hi in (("u0", "u1"), ("t_min", "t_max")):  # the bounds of a range
-        if not flags.get(lo, 0.0) < flags.get(hi, 1.0):
+        a, b = flags.get(lo, 0.0), flags.get(hi, 1.0)
+        if not a < b:
             raise ValueError(f"--{lo} must be less than --{hi}".replace("_", "-"))
+        if math.isinf(b - a) and math.isfinite(a + b):  # a + b is inf or nan at an infinite bound
+            raise ValueError(f"the width from --{lo} to --{hi} overflows a float".replace("_", "-"))
 
 
 def _cmd_spaceforms(args):

@@ -63,6 +63,8 @@ class ChartBox(namedtuple("ChartBox", "names lower upper")):
                 raise ValueError(f"chart range for {name!r} must be finite: ({lo}, {hi})")
             if not lo < hi:
                 raise ValueError(f"empty chart range for {name!r}: ({lo}, {hi})")
+            if math.isinf(hi - lo):
+                raise ValueError(f"width of chart range for {name!r} overflows a float: ({lo}, {hi})")
         return super().__new__(cls, names, lower, upper)
 
     @property

@@ -147,24 +147,9 @@ def _sym3(t):
     return t if t is _ZERO else t + np.swapaxes(t, 1, 2) + np.swapaxes(np.swapaxes(t, 1, 2), 0, 1)
 
 
-def first_index(mask):
-    """Position of the first True entry of ``mask`` (flattened), or None.
-
-    The one place where "the first offending point" is decided.
-    """
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
-
-
 # The open pass of this thread (a new thread starts with an empty context):
 # its (mask, offset, make_error) records, in program order.
 _PASS = ContextVar("pass", default=None)
-
-
-def _error(make_error, i, offset):
-    exc = make_error(i)  # a PointError for row i of the mask
-    exc.index = i + offset
-    return exc
 
 
 @contextmanager
@@ -173,8 +158,9 @@ def one_pass():
     propagate) and the checks recording, not raising.
 
     At the outermost exit the first row any check flagged raises the
-    error of the first check, in program order, that flagged it; an inner
-    pass joins the outer one.
+    error of the first check, in program order, that flagged it, with
+    ``index`` set: the one place where "the first failing point" is
+    decided.  An inner pass joins the outer one.
     """
     if _PASS.get() is not None:
         yield
@@ -186,25 +172,28 @@ def one_pass():
             yield
     finally:
         _PASS.reset(token)
-    hits = [(i + offset, k) for k, (mask, offset, _) in enumerate(records)
-            if (i := first_index(mask)) is not None]
+    hits = [(int(rows[0]) + offset, k) for k, (mask, offset, _) in enumerate(records)
+            if (rows := np.flatnonzero(mask)).size]
     if hits:
         row, k = min(hits)  # on a tie, the earlier check
         _, offset, make_error = records[k]
-        raise _error(make_error, row - offset, offset)
+        exc = make_error(row - offset)  # the error of that row of the check's mask
+        exc.index = row
+        raise exc
 
 
 def flag(mask, make_error, offset=0):
     """Record that the rows of ``mask`` (from row ``offset`` of the pass on)
     fail a check; ``make_error(i)`` builds the error of its row ``i``.
-    Outside a pass the first flagged row raises at once."""
+    Outside a pass the check is a pass of its own, so its first flagged row
+    raises at once, with ``index`` set.  By this rule the probe of f, a
+    rotational profile's closed form and sigma, and the structural gradient
+    refuse their first failing point."""
     records = _PASS.get()
-    if records is not None:
-        records.append((mask, offset, make_error))
-        return
-    i = first_index(mask)
-    if i is not None:
-        raise _error(make_error, i, offset)
+    if records is None:
+        with one_pass():
+            return flag(mask, make_error, offset)
+    records.append((mask, offset, make_error))
 
 
 def _leaves(fn, *records):
@@ -273,15 +262,13 @@ def _pow_int_jet(u, k, node):
     return result
 
 
-def _elementary(name, v, node=None):
-    """Value of the elementary function ``name`` at ``v`` (any shape).
-
-    The single place where function values and their domain rules live:
-    log needs a positive and sqrt a non-negative argument, and exp,
-    sinh and cosh must not overflow at a finite argument.
-    """
+def _apply_function(name, u, node):
+    """Jet of the elementary function ``name`` at ``u``: the one place for its
+    domain rules (log needs a positive and sqrt a non-negative argument; exp,
+    sinh and cosh must not overflow at a finite argument) and its jet rule."""
     if name not in FUNCTIONS:
         raise UnknownIdentifier(name)
+    v = u.value
     if name == "log":
         _flag_at(v <= 0.0, node, "log of non-positive value {!r}", v)
     if name == "sqrt":
@@ -289,12 +276,6 @@ def _elementary(name, v, node=None):
     w = getattr(np, name)(v)
     if name in ("exp", "sinh", "cosh"):
         _flag_at(np.isinf(w) & np.isfinite(v), node, name + " overflows at {!r}", v)
-    return w
-
-
-def _apply_function(name, u, node):
-    v = u.value
-    w = _elementary(name, v, node)
     if name == "sin":
         return _chain(u, w, np.cos(v), -w, lambda: -np.cos(v))
     if name == "cos":
@@ -434,5 +415,4 @@ __all__ = [
     "Jet2",
     "eval_jet2",
     "as_expression",
-    "first_index",
 ]

@@ -35,11 +35,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambient import Fiber, WarpedProduct, eval_warping
+from .ambient import Fiber, WarpedProduct, eval_warping, interval_fault
 from .errors import DomainError, QuadratureFailure, SigmaZero
 from .expr import BinOp, Call, Profile, Var, literal
 from .hypersurface import ChartBox, Immersion
-from .jets import as_expression, eval_jet2, first_index
+from .jets import as_expression, eval_jet2, flag
 from .intrinsic import grid_geometry
 from .soliton import SOLITON_TOL, Verdict, soliton_report
 
@@ -213,12 +213,9 @@ def _solve(prof, exponential):
         u, got = probes[::2], values[::2]  # linspace(u0, u1, 9), to the bit
         expected = base(u) - base(u0)
         # the interpolant cannot be checked beyond its own error estimate
-        bad = first_index(np.abs(expected - got) > 1e-10 * (1.0 + np.abs(expected)) + estimate)
-        if bad is not None:
-            raise QuadratureFailure(
-                f"closed form and interpolant disagree at u={float(u[bad])!r}: "
-                f"{float(expected[bad])!r} vs {float(got[bad])!r}"
-            )
+        bad = np.abs(expected - got) > 1e-10 * (1.0 + np.abs(expected)) + estimate
+        flag(bad, lambda i: QuadratureFailure(f"closed form and interpolant disagree at u={float(u[i])!r}: "
+                                              f"{float(expected[i])!r} vs {float(got[i])!r}"))
         rate = c5
     else:
         base = integral
@@ -298,16 +295,16 @@ def verify_classification(prof, interval=(-math.inf, math.inf), u_count=CLASSIFI
     of f, on the profile and then on the interval, run before the
     interpolant, so they are the ones to report a bad warping, and the
     profile residuals run before the one geometry pass over the grid.
-    An f undefined or not positive on a non-empty interval is bad input,
-    not a failing point: a ValueError naming ``--f``, the flag of
-    ``warpgeo rotational``, as a scene names ``ambient.f``.
+    An f undefined or not positive on an interval that ``interval_fault``
+    accepts is bad input, not a failing point: a ValueError naming ``--f``,
+    the flag of ``warpgeo rotational``, as a scene names ``ambient.f``.
     """
     grid = classification_grid(prof, u_count)
     exponential = _detect_exponential(prof)
     try:
         ambient = WarpedProduct(interval, prof.f, Fiber.EUCLIDEAN, prof.n)
     except (DomainError, ValueError) as exc:
-        if not interval[0] < interval[1]:  # the interval's fault, not f's
+        if interval_fault(interval):  # the interval's fault, not f's
             raise
         raise ValueError(f"--f: {exc}") from None
     curve = _solve(prof, exponential)
@@ -334,9 +331,7 @@ def profile_residuals(curve, u_count=CLASSIFICATION_U_COUNT):
     slopes = jet.grad[0] / jet.value
     d_sigma = jet.grad[0] * prof.slope * beta + prof.theta
     sigma_sup = float(np.max(np.abs(d_sigma), initial=0.0))
-    vanishing = first_index(np.abs(sigma) < 1e-12)
-    if vanishing is not None:
-        raise SigmaZero(f"sigma vanishes at u={float(u[vanishing])!r}")
+    flag(np.abs(sigma) < 1e-12, lambda i: SigmaZero(f"sigma vanishes at u={float(u[i])!r}"))
     balance = slopes * (1.0 - prof.theta**2) + prof.theta * prof.slope / sigma
     balance_sup = float(np.max(np.abs(balance), initial=0.0))
     return sigma_sup, balance_sup, float(np.max(slopes) - np.min(slopes))

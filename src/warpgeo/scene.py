@@ -14,11 +14,12 @@ import math
 import re
 import time
 from collections import namedtuple
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .ambient import WarpedProduct
+from .ambient import WarpedProduct, interval_fault
 from .catalogue import PRESETS, build_preset
 from .errors import MAX_DIMENSION, MAX_GRID_POINTS, PointError, SceneError, WarpGeoError, _number, _short
 from .expr import CONSTANTS, FUNCTIONS, is_name, parse as parse_expr
@@ -168,8 +169,8 @@ def validate_scene(data):
         ambient = WarpedProduct((lo, hi), f_expr, amb["fiber"], amb["n"])
     except WarpGeoError as exc:
         raise SceneError(str(exc), field="ambient.f") from None
-    except ValueError as exc:  # the interval's fault when it is empty, else f's
-        raise SceneError(str(exc), field="ambient.f" if lo < hi else "ambient") from None
+    except ValueError as exc:  # the interval's fault when it is refused, else f's
+        raise SceneError(str(exc), field="ambient" if interval_fault((lo, hi)) else "ambient.f") from None
 
     imm_block = data["immersion"]
     profile = None
@@ -308,7 +309,7 @@ def run_scene(scene):
     if soliton is not None:  # the block adds each applicable check's sup error, or an inequality's violation
         recorded = {r.name: max(0.0, -r.worst_value) if r.sup_error is None else r.sup_error
                     for r in results if r.name != "soliton" and r.status != "not_applicable"}
-        soliton = soliton._replace(identity_checks={**soliton.identity_checks, **recorded})
+        soliton = soliton._replace(identity_checks=MappingProxyType({**soliton.identity_checks, **recorded}))
 
     warnings = []
     if scene.mesh_path:

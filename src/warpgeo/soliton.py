@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
+from collections.abc import Mapping
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError
 from .hypersurface import contract
-from .jets import first_index
+from .jets import flag
 
 SOLITON_TOL = 1e-7  # jet-exact derivative paths
 CLASS_TOL = 1e-8  # absolute thresholds on lambda and |grad h|
@@ -78,7 +80,7 @@ class SolitonReport(NamedTuple):
     gradh_sup: float
     verdict: Verdict
     classification: SolitonClass
-    identity_checks: dict
+    identity_checks: Mapping  # read-only
 
     @property
     def lambda_min(self):
@@ -137,26 +139,34 @@ def soliton_report(geometry):
         gradh_sup=gradh_sup,
         verdict=verdict,
         classification=classify(lams, gradh_sup),
-        identity_checks={"lemma_hessian": identity_sup},
+        identity_checks=MappingProxyType({"lemma_hessian": identity_sup}),
     )
 
 
-class CheckResult(NamedTuple):
+def _copy(mapping, kind):
+    """A copy of ``mapping`` and of its nested mappings as ``kind``: MappingProxyType
+    to hold it read-only, dict to write it as ``json`` does."""
+    return kind({k: _copy(v, kind) if isinstance(v, Mapping) else v for k, v in mapping.items()})
+
+
+class CheckResult(namedtuple("CheckResult", "name status sup_error worst_point worst_value extras")):
     """Outcome of one check, as it enters a scene report.
 
-    For inequality checks ``worst_value`` is the most violated slack
-    (nonnegative margins mean the condition holds); for identity checks
-    ``sup_error`` carries the error and ``worst_value`` stays None.
-    ``to_dict`` writes a set ``worst_value`` once more as the last extra,
+    ``status`` is "pass", "fail" or "not_applicable".  For inequality checks
+    ``worst_value`` is the most violated slack (nonnegative margins mean the
+    condition holds); for identity checks ``sup_error`` carries the error and
+    ``worst_value`` stays None.  ``extras`` is held read-only, nested mappings
+    too.  ``to_dict`` writes a set ``worst_value`` once more as the last extra,
     ``worst_margin``.
     """
 
-    name: str
-    status: str  # "pass" | "fail" | "not_applicable"
-    sup_error: float | None = None
-    worst_point: tuple | None = None
-    worst_value: float | None = None
-    extras: dict = MappingProxyType({})  # read-only, so records share no mutable dict
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace freezes too
+
+    def __new__(cls, name, status, sup_error=None, worst_point=None, worst_value=None,
+                extras=MappingProxyType({})):
+        extras = _copy(extras, MappingProxyType)
+        return super().__new__(cls, name, status, sup_error, worst_point, worst_value, extras)
 
     def to_dict(self, chart_names):
         out = {"name": self.name, "status": self.status}
@@ -168,7 +178,7 @@ class CheckResult(NamedTuple):
                 "point": dict(zip(chart_names, self.worst_point)),
                 "value": value,
             }
-        extras = dict(self.extras)
+        extras = _copy(self.extras, dict)
         if self.worst_value is not None:
             extras["worst_margin"] = self.worst_value
         if extras:
@@ -204,10 +214,8 @@ def structural_report(imm, geometry):
     """
     if geometry.lap_gradient is None:
         raise ValueError("structural_report needs a record of grid_geometry(..., order=3)")
-    bad = first_index(~np.isfinite(geometry.lap_gradient).all(axis=0))
-    if bad is not None:
-        p = imm.bindings(geometry.chart[:, bad])
-        raise DomainError(f"gradient of Lap h not finite (at chart point {p!r})", index=bad)
+    flag(~np.isfinite(geometry.lap_gradient).all(axis=0), lambda i: DomainError(
+        f"gradient of Lap h not finite (at chart point {imm.bindings(geometry.chart[:, i])!r})"))
     n = imm.n
     grad_s = geometry.lap_gradient / n
     # both terms as covectors; norm taken with the inverse metric

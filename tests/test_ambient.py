@@ -232,6 +232,11 @@ def test_construction_validates_interval_and_dimension():
         WarpedProduct((0.0, 1.0), "1", Fiber.EUCLIDEAN, 0)
     with pytest.raises(ValueError):
         WarpedProduct((-1.0, 1.0), "exp(s)", Fiber.EUCLIDEAN, 2)
+    # a width that overflows would put every probe of f at a nan height
+    with pytest.raises(ValueError, match=r"^width of interval \(-1e\+308, 1e\+308\) overflows a float$"):
+        WarpedProduct((-1e308, 1e308), "1", Fiber.EUCLIDEAN, 2)
+    for interval in [(-math.inf, 1e308), (-1e308, math.inf), (-math.inf, math.inf), (1e308, 1.7e308)]:
+        WarpedProduct(interval, "1", Fiber.EUCLIDEAN, 2)
 
 
 def test_point_validation():

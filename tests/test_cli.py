@@ -655,6 +655,38 @@ def test_space_form_probe_failure_names_t(tmp_path, capsys, check, t):
     assert f"t={t}: abs is not differentiable" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("f", ["1", "t*0+1"])
+def test_interval_wider_than_a_float_names_ambient(tmp_path, capsys, f):
+    # a width that overflows would leave every probe of f at nan heights: refused
+    # as the interval's fault, as an empty interval is, whatever f is
+    scene = hyperplane_scene()
+    scene["ambient"].update(interval=[-1e308, 1e308], f=f)
+    scene["checks"] = ["theorem5", "spaceform c=0"]
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 2
+    err = capsys.readouterr().err
+    assert err == "scene error: scene field 'ambient': width of interval (-1e+308, 1e+308) overflows a float\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "immersion, field",
+    [
+        ({"components": ["0.5", "u", "v"],
+          "chart": {"names": ["u", "v"], "lower": [-1e308, -1], "upper": [1e308, 1]}}, "immersion.chart"),
+        ({"preset": "hyperplane", "params": {"half_width": 1e308}}, "immersion.params"),
+    ],
+    ids=["chart", "preset"],
+)
+def test_chart_range_wider_than_a_float_names_its_field(tmp_path, capsys, immersion, field):
+    scene = hyperplane_scene()
+    scene["immersion"] = immersion
+    del scene["grid"]
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"scene error: scene field {field!r}: width of chart range for 'u' overflows a float")
+
+
 @pytest.mark.parametrize(
     "f, message",
     [("exp(-300*t)", "underflows to 0 at t="), ("t-10", "is not positive at t=")],
@@ -907,6 +939,10 @@ def test_structural_near_the_chart_edge_exit_zero(tmp_path, capsys):
         (["rotational", "--theta", "0.5", "--f", "u+2"], "--f: unknown identifier 'u'"),
         (["rotational", "--theta", "0.5", "--f", "2x"], "--f"),
         (["rotational", "--theta", "0.5", "--f", "exp(t)+²"], "--f"),
+        (["rotational", "--theta", "0.5", "--t-min=-1e308", "--t-max=1e308"],
+         "error: the width from --t-min to --t-max overflows a float"),
+        (["rotational", "--theta", "0.5", "--u0=-1e308", "--u1=1e308"],
+         "error: the width from --u0 to --u1 overflows a float"),
     ],
 )
 def test_out_of_range_flags_exit_two(argv, flag, capsys, monkeypatch):

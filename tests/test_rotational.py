@@ -13,6 +13,7 @@ from warpgeo.jets import eval_jet2
 from warpgeo.objmesh import surface_vertices
 from warpgeo.rotational import (
     RotationalProfile,
+    profile_residuals,
     solve_profile,
     sphere_chart_expressions,
     verify_classification,
@@ -329,6 +330,21 @@ def test_empty_interval_is_not_blamed_on_f():
     prof = RotationalProfile(theta=0.5, f="exp(t)", n=2)
     with pytest.raises(ValueError, match=r"^empty interval \(1.0, 0.0\)$"):
         verify_classification(prof, interval=(1.0, 0.0))
+
+
+def test_interval_wider_than_a_float_is_not_blamed_on_f():
+    prof = RotationalProfile(theta=0.5, f="exp(t)", n=2)
+    with pytest.raises(ValueError, match=r"^width of interval \(-1e\+308, 1e\+308\) overflows a float$"):
+        verify_classification(prof, interval=(-1e308, 1e308))
+
+
+def test_vanishing_sigma_carries_the_index_of_its_sample():
+    # beta = (u + 1)/2 - 0.23 vanishes at u = -0.54, the fourth of the 16 samples of sigma
+    curve = solve_profile(RotationalProfile(theta=0.5, f="1", n=2, c2=-0.23))
+    u = np.linspace(-0.9, 0.9, 16)
+    with pytest.raises(SigmaZero, match=rf"^sigma vanishes at u={float(u[3])!r}$") as info:
+        profile_residuals(curve)
+    assert info.value.index == 3
 
 
 def test_unresolved_profile_raises_quadrature_failure():

@@ -24,7 +24,7 @@ from warpgeo.hypersurface import MAX_GRID_POINTS, Immersion
 from warpgeo.jets import _leaves
 from warpgeo.intrinsic import grid_geometry
 from warpgeo.scene import FIELDS, report_to_json, run_scene, validate_scene
-from warpgeo.soliton import soliton_report
+from warpgeo.soliton import SolitonReport, soliton_report
 
 
 def hyperplane_scene(**overrides):
@@ -459,6 +459,27 @@ def test_run_scene_builds_the_soliton_block_without_mutating_its_report(monkeypa
     [(soliton, before)] = built
     assert soliton.identity_checks == before and list(before) == ["lemma_hessian"]
     assert list(report["soliton"]["identity_checks"]) == ["lemma1", "lemma_hessian", "structural", "theorem4a"]
+
+
+def test_published_mappings_refuse_writes(monkeypatch):
+    # the extras of every check result, nested ones too, and the soliton block before
+    # and after the run adds its checks are read-only, and _replace keeps them so
+    results, blocks = [], []
+    run_check, block_to_dict = scene_module._run_check, SolitonReport.to_dict
+    monkeypatch.setattr(scene_module, "_run_check", lambda *args: results.append(run_check(*args)) or results[-1])
+    monkeypatch.setattr(scene_module, "soliton_report", lambda g: blocks.append(soliton_report(g)) or blocks[-1])
+    monkeypatch.setattr(SolitonReport, "to_dict", lambda self: blocks.append(self) or block_to_dict(self))
+    checks = ["soliton", "theorem1", "theorem5", "spaceform c=-1", "rotational-classification"]
+    report, _ = run_scene(validate_scene(example5_scene(checks)))
+    assert [r.name for r in results] == [entry["name"] for entry in report["checks"]] and len(blocks) == 2
+    theorem1 = results[1]
+    replaced = theorem1._replace(extras={"as_oriented": {"margin": 0.0}})
+    mappings = [r.extras for r in results] + [b.identity_checks for b in blocks]
+    mappings += [theorem1.extras["as_oriented"], replaced.extras, replaced.extras["as_oriented"]]
+    for mapping in mappings:
+        assert mapping
+        with pytest.raises(TypeError):
+            mapping["x"] = 1.0
 
 
 def test_report_schema_round_trip():
