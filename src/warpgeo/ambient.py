@@ -49,6 +49,7 @@ from .jets import as_expression, eval_jet2, flag, one_pass
 
 CONDITION_LIMIT = 1e12
 SPACE_FORM_TOL = 1e-10
+PROBE_CLIP = 4.0  # where probe_window cuts an infinite end of the interval
 
 
 class Fiber(enum.Enum):
@@ -104,7 +105,10 @@ class WarpedProduct:
 
     Positivity of ``f`` is probed on a 1024-point grid over a finite
     window of the interval at construction; a non-positive sample is a
-    construction error.  This cannot prove positivity for arbitrary
+    construction error.  The window (``probe_window``) cuts an infinite
+    end at -4 or 4, or 8 beyond the finite end when that end lies at or
+    past that cut, so it stays inside the interval, and takes 2% of its
+    width off each end.  This cannot prove positivity for arbitrary
     expressions and is a documented limitation.
     """
 
@@ -133,13 +137,14 @@ class WarpedProduct:
     def dim(self):
         return self.n + 1
 
-    def probe_window(self, margin=0.02, clip=4.0):
-        """Finite sub-window of the interval suitable for sampling."""
+    def probe_window(self, margin=0.02):
+        """Finite sub-window of the interval suitable for sampling, cut as the class
+        docstring says, with ``margin`` of its width taken off each end."""
         lo, hi = self.interval
         if math.isinf(lo):
-            lo = -clip
+            lo = -PROBE_CLIP if hi > -PROBE_CLIP else hi - 2.0 * PROBE_CLIP
         if math.isinf(hi):
-            hi = clip
+            hi = PROBE_CLIP if lo < PROBE_CLIP else lo + 2.0 * PROBE_CLIP
         pad = margin * (hi - lo)
         return lo + pad, hi - pad
 
@@ -259,10 +264,9 @@ def eval_warping(f, t, active=()):
     a DomainError names the first height at which f fails."""
     try:
         return eval_jet2(f, {"t": t}, active)
-    except DomainError as exc:
-        raise DomainError(
-            f"warping function at t={float(t[exc.index])!r}: {exc}", exc.expression
-        ) from None
+    except DomainError as exc:  # renamed in place, so it keeps its index
+        exc.args = (f"warping function at t={float(t[exc.index])!r}: {exc}",)
+        raise
 
 
 def check_conditioning(p, D, skip=0):

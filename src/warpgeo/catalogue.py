@@ -1,15 +1,16 @@
 """Catalogue of named immersions: the presets of scenes and the CLI.
 
 ``PRESETS`` imports without numpy (``warpgeo presets`` and the CLI's
-``rotational`` defaults read it): the builders reach the engine modules
-through ``_engine()``, which imports them on the first build.
+``rotational`` defaults read it): the builders read the engine modules as
+``warpgeo.ambient``, ``warpgeo.hypersurface`` and ``warpgeo.rotational``,
+which the package imports on first access (PEP 562).
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from types import SimpleNamespace
+
+import warpgeo
 
 from .errors import DomainError, SceneError, WarpGeoError, _number
 from .expr import BinOp, Call, Num, Var, literal
@@ -17,44 +18,33 @@ from .expr import BinOp, Call, Num, Var, literal
 ROOT2_OVER_2 = math.sqrt(2.0) / 2.0
 
 
-@functools.cache
-def _engine():
-    """The modules ``ambient``, ``hypersurface`` and ``rotational``, imported once:
-    an import statement in each build costs about 5% of a ``validate_scene``."""
-    from . import ambient, hypersurface, rotational
-
-    return SimpleNamespace(ambient=ambient, hypersurface=hypersurface, rotational=rotational)
-
-
 def slice_immersion(ambient, t0, half_width=1.0):
     """The level set t = t0, charted by the fiber coordinates."""
-    engine = _engine()
     lo, hi = ambient.interval
     if not lo < t0 < hi:
         raise ValueError(f"t0={t0!r} outside the ambient interval")
     names = tuple(f"u{i}" for i in range(1, ambient.n + 1))
-    if ambient.fiber is engine.ambient.Fiber.SPHERE:
+    if ambient.fiber is warpgeo.ambient.Fiber.SPHERE:
         lower = [0.2] * (ambient.n - 1) + [0.1]
         upper = [math.pi - 0.2] * (ambient.n - 1) + [2.0 * math.pi - 0.1]
     else:
         lower = [-half_width] * ambient.n
         upper = [half_width] * ambient.n
-    chart = engine.hypersurface.ChartBox(names, tuple(lower), tuple(upper))
+    chart = warpgeo.hypersurface.ChartBox(names, tuple(lower), tuple(upper))
     components = [literal(t0)] + [Var(name) for name in names]
-    return engine.hypersurface.Immersion(ambient, chart, components)
+    return warpgeo.hypersurface.Immersion(ambient, chart, components)
 
 
 def hyperplane_immersion(ambient, half_width=1.0):
     """The hyperplane x1 = 0, with the base coordinate as chart u."""
-    engine = _engine()
-    if ambient.fiber is not engine.ambient.Fiber.EUCLIDEAN:
+    if ambient.fiber is not warpgeo.ambient.Fiber.EUCLIDEAN:
         raise ValueError("hyperplane preset needs a Euclidean fiber")
     names = ("u",) + tuple(f"v{j}" for j in range(1, ambient.n))
     lower = (-half_width,) * ambient.n
     upper = (half_width,) * ambient.n
-    chart = engine.hypersurface.ChartBox(names, lower, upper)
+    chart = warpgeo.hypersurface.ChartBox(names, lower, upper)
     components = [Var("u"), Num(0.0)] + [Var(f"v{j}") for j in range(1, ambient.n)]
-    return engine.hypersurface.Immersion(ambient, chart, components)
+    return warpgeo.hypersurface.Immersion(ambient, chart, components)
 
 
 def sphere_immersion(ambient, pad=0.15):
@@ -64,8 +54,7 @@ def sphere_immersion(ambient, pad=0.15):
     sphere angles; the chart center makes the orientation rule pick the
     outward normal.
     """
-    engine = _engine()
-    if ambient.fiber is not engine.ambient.Fiber.EUCLIDEAN:
+    if ambient.fiber is not warpgeo.ambient.Fiber.EUCLIDEAN:
         raise ValueError("sphere preset needs a Euclidean fiber")
     n = ambient.n
     names = ("u",) + tuple(f"v{j}" for j in range(1, n))
@@ -77,27 +66,26 @@ def sphere_immersion(ambient, pad=0.15):
     if n >= 2:
         lower.append(-math.pi + 0.1)
         upper.append(math.pi - 0.1)
-    chart = engine.hypersurface.ChartBox(tuple(names), tuple(lower), tuple(upper))
+    chart = warpgeo.hypersurface.ChartBox(tuple(names), tuple(lower), tuple(upper))
     u = Var("u")
     components = [Call("sin", u)]
     if n == 1:
         components.append(Call("cos", u))
     else:
-        for x_expr in engine.rotational.sphere_chart_expressions(n):
+        for x_expr in warpgeo.rotational.sphere_chart_expressions(n):
             components.append(BinOp("*", Call("cos", u), x_expr))
-    return engine.hypersurface.Immersion(ambient, chart, components)
+    return warpgeo.hypersurface.Immersion(ambient, chart, components)
 
 
 def rotational_soliton_immersion(theta=ROOT2_OVER_2, n=2, u_range=(-1.5, 1.5)):
     """The constant-angle rotational soliton in the exponential warping."""
-    models = _engine().ambient
-    ambient = models.WarpedProduct((-math.inf, math.inf), "exp(t)", models.Fiber.EUCLIDEAN, n)
+    ambient = warpgeo.ambient.WarpedProduct((-math.inf, math.inf), "exp(t)", warpgeo.ambient.Fiber.EUCLIDEAN, n)
     return _rotational(ambient, theta, 0.0, 0.0, *u_range)[0]
 
 
 def _rotational(ambient, theta, c1, c2, u0, u1):
     """The rotational preset's surface against ``ambient``, and its solved profile."""
-    rotational = _engine().rotational
+    rotational = warpgeo.rotational
     prof = rotational.RotationalProfile(theta=theta, f=ambient.f, n=ambient.n, c1=c1, c2=c2, u_range=(u0, u1))
     curve = rotational.solve_profile(prof)
     return rotational.assemble_rotational(curve, ambient), curve
@@ -129,7 +117,7 @@ def build_preset(name, ambient, params):
         raise SceneError(f"unknown preset {name!r}", field="immersion.preset")
     builder, defaults, _ = PRESETS[name]
     # demands on the ambient name its field (the builders check again for library callers)
-    if builder is not slice_immersion and ambient.fiber is not _engine().ambient.Fiber.EUCLIDEAN:
+    if builder is not slice_immersion and ambient.fiber is not warpgeo.ambient.Fiber.EUCLIDEAN:
         raise SceneError(f"{name} preset needs a Euclidean fiber", field="ambient.fiber")
     if builder is _rotational and ambient.n < 2:
         raise SceneError("rotational hypersurfaces need n >= 2", field="ambient.n")

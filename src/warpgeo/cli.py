@@ -82,7 +82,8 @@ def _cmd_spaceforms(args):
 
 
 def _cmd_analyze(args):
-    from .scene import load_scene, run_scene, write_report
+    from .report import write_report
+    from .scene import load_scene, run_scene
 
     scene = load_scene(args.scene)
     report, all_passed = run_scene(scene)

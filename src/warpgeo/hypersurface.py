@@ -35,8 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ambient import AmbientPoint, WarpedProduct
-# MAX_DIMENSION is not used here; the size bounds stay importable from this module
-from .errors import MAX_DIMENSION, MAX_GRID_POINTS, DegenerateImmersion, DomainError, OutsideChart
+from .errors import MAX_GRID_POINTS, DegenerateImmersion, DomainError, OutsideChart
 from .expr import unparse, variables_in
 from .jets import _leaves, as_expression, eval_jet2, flag, one_pass
 

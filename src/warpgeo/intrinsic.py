@@ -114,7 +114,8 @@ def grid_geometry(imm, points, order=2):
     which is the error that row raises alone; a probe's (``probe`` set,
     ``index`` from the center) comes before a point's.  A DomainError
     names the chart point, as does a residual or lambda that is not
-    finite.  With no points the result is None.
+    finite.  The record's arrays are read-only; with no points the result
+    is None.
     """
     head, parts, orientation = imm.probes, [], None
     rows = np.concatenate([head, as_points(points, imm.n)])
@@ -142,9 +143,11 @@ def grid_geometry(imm, points, order=2):
             if not exc.probe:
                 exc.index -= len(head)
             raise
-    if len(parts) < 2:
-        return parts[0] if parts else None
-    return _leaves(lambda *arrays: np.concatenate(arrays, axis=-1), *parts)
+    if not parts:
+        return None
+    record = parts[0] if len(parts) == 1 else _leaves(lambda *arrays: np.concatenate(arrays, axis=-1), *parts)
+    _leaves(lambda a: a.setflags(write=False), record)  # published read-only, after the join (a copy)
+    return record
 
 
 def _geometry(imm, pj, N, order, offset):

@@ -166,10 +166,9 @@ def _profile_interpolant(prof):
         u = u0 + 0.5 * (u1 - u0) * (1.0 - np.cos(np.pi * np.arange(degree + 1) / degree))
         try:
             values = eval_jet2(integrand, {"t": prof.alpha(u)}).value
-        except DomainError as exc:
-            raise DomainError(
-                f"profile integrand at u={float(u[exc.index])!r}: {exc}", exc.expression
-            ) from None
+        except DomainError as exc:  # renamed in place, so it keeps its index
+            exc.args = (f"profile integrand at u={float(u[exc.index])!r}: {exc}",)
+            raise
         coef = _chebyshev_coefficients(values)
         tail = float(np.max(np.abs(coef[degree // 2 + 1 :])))
         if tail <= CHEB_TAIL_DECAY * np.max(np.abs(coef)):

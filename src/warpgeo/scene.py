@@ -27,8 +27,8 @@ from .hypersurface import ChartBox, Immersion
 from .intrinsic import grid_geometry
 from .jets import _leaves
 from .objmesh import surface_vertices, write_obj
-# report_to_json and write_report are not used here; they stay importable from this module
-from .report import MESH_WARNING, SCHEMA_VERSION, document, report_to_json, write_report
+# report_to_json is not used here; it stays importable from this module
+from .report import MESH_WARNING, SCHEMA_VERSION, document, report_to_json
 from .rotational import classification_grid, classify_rotational, profile_residuals
 from .soliton import (THEOREMS, CheckResult, Verdict, hypotheses_report, identity_check, soliton_report,
                       structural_report)
@@ -298,6 +298,7 @@ def run_scene(scene):
         rows = [index[p] for p in extra]
         if rows != list(range(len(points))):
             record = _leaves(lambda a: a[..., rows], record)
+            _leaves(lambda a: a.setflags(write=False), record)  # a fancy-indexed copy is writable
         classification = classify_rotational(imm, record, residuals)
     if kinds & {"soliton", "structural"}:
         soliton = soliton_report(geometry)

@@ -76,7 +76,7 @@ class SolitonReport(NamedTuple):
 
     residual_sup: float
     worst_point: tuple
-    lambda_samples: np.ndarray
+    lambda_samples: np.ndarray  # the lam of the record, read-only
     gradh_sup: float
     verdict: Verdict
     classification: SolitonClass
@@ -107,7 +107,8 @@ def first_extreme(values, start=0.0, lowest=False):
 
     NaN entries never win; when no entry passes ``start`` the result is
     ``(start, None)``.  This is the scan "keep the first strictly larger
-    (or smaller) value" over the points in grid order.
+    (or smaller) value" over the points in grid order.  A zero is reported
+    as 0.0, never -0.0.
     """
     v = np.asarray(values, dtype=float)
     v = np.where(np.isnan(v), np.inf if lowest else -np.inf, v)
@@ -115,7 +116,7 @@ def first_extreme(values, start=0.0, lowest=False):
         return start, None
     i = int(np.argmin(v) if lowest else np.argmax(v))  # the first extreme entry
     if v[i] < start if lowest else v[i] > start:
-        return float(v[i]), i
+        return float(v[i]) + 0.0, i  # + 0.0 normalizes -0.0
     return start, None
 
 
@@ -128,17 +129,16 @@ def soliton_report(geometry):
     identity error is recorded under ``identity_checks['lemma_hessian']``.
     """
     residual_sup, worst = first_extreme(geometry.residual, start=-1.0)
-    lams = np.array(geometry.lam, dtype=float)
     gradh_sup, _ = first_extreme(np.sqrt(np.maximum(geometry.grad_h_norm2, 0.0)))
     identity_sup, _ = first_extreme(geometry.identity_error)
     verdict = Verdict.SOLITON if residual_sup < SOLITON_TOL else Verdict.NOT_SOLITON
     return SolitonReport(
         residual_sup=residual_sup,
         worst_point=geometry.chart_point(worst or 0),
-        lambda_samples=lams,
+        lambda_samples=geometry.lam,
         gradh_sup=gradh_sup,
         verdict=verdict,
-        classification=classify(lams, gradh_sup),
+        classification=classify(geometry.lam, gradh_sup),
         identity_checks=MappingProxyType({"lemma_hessian": identity_sup}),
     )
 

@@ -239,6 +239,31 @@ def test_construction_validates_interval_and_dimension():
         WarpedProduct(interval, "1", Fiber.EUCLIDEAN, 2)
 
 
+def test_probe_window_stays_inside_the_interval():
+    # an infinite end is cut 8 beyond a finite end at or past -4 or 4, so f = -5 - t,
+    # positive on (-inf, -10), builds; the windows of the other intervals do not move
+    W = WarpedProduct((-INF, -10.0), "-5 - t", Fiber.EUCLIDEAN, 2)
+    assert W.probe_window() == (-17.84, -10.16)
+    windows = {
+        (10.0, INF): (10.16, 17.84),
+        (-INF, -4.0): (-11.84, -4.16),
+        (-INF, INF): (-3.84, 3.84),
+        (0.0, INF): (0.08, 3.92),
+        (-INF, 3.0): (-3.86, 2.86),
+        (0.0, math.pi): (0.06283185307179587, 3.078760800517997),
+    }
+    for interval, window in windows.items():
+        assert WarpedProduct(interval, "1", Fiber.EUCLIDEAN, 2).probe_window() == window, interval
+
+
+def test_a_failing_warping_function_keeps_the_index_of_its_height():
+    # eval_warping names the height in the message of the DomainError it catches
+    W = WarpedProduct((-INF, INF), "2 + sqrt(abs(t - 0.3))", Fiber.EUCLIDEAN, 2)
+    with pytest.raises(DomainError, match=r"^warping function at t=0\.3: ") as err:
+        W.check_space_form(None, np.array([0.0, 0.1, 0.3, 0.5]))
+    assert err.value.index == 2
+
+
 def test_point_validation():
     W = WarpedProduct((0.0, math.pi), "sin(t)", Fiber.SPHERE, 2)
     with pytest.raises(ValueError):

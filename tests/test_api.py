@@ -33,6 +33,23 @@ def test_names_and_submodules_resolve_after_a_bare_import():
     assert tol == warpgeo.soliton.SOLITON_TOL
 
 
+def test_presets_build_through_the_package_loader():
+    # in a new interpreter: the catalogue loads no numpy, and a build reads the engine
+    # modules as attributes of the package, which imports them on first access
+    code = (
+        "import json, sys, warpgeo; import warpgeo.catalogue as catalogue; numpy = 'numpy' in sys.modules; "
+        "loader, seen = warpgeo.__getattr__, []; "
+        "warpgeo.__getattr__ = lambda name: seen.append(name) or loader(name); "
+        "imm = catalogue.rotational_soliton_immersion(); "
+        "print(json.dumps([numpy, type(imm).__module__, sorted(seen)]))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(warpgeo.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    numpy_loaded, module, seen = json.loads(out.stdout)
+    assert (numpy_loaded, module) == (False, "warpgeo.hypersurface")
+    assert {"ambient", "rotational"} <= set(seen)
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'MAX_GRID_POINTS'"):
         warpgeo.MAX_GRID_POINTS

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from warpgeo.ambient import WarpedProduct
 from warpgeo.catalogue import hyperplane_immersion, slice_immersion
 from warpgeo import hypersurface, intrinsic, jets
-from warpgeo.errors import DegenerateImmersion, DomainError, OutsideChart
+from warpgeo.errors import MAX_DIMENSION, DegenerateImmersion, DomainError, OutsideChart
 from warpgeo.hypersurface import ChartBox, Immersion
 from warpgeo.intrinsic import grid_geometry
 
@@ -131,7 +131,7 @@ def _assert_factor_matches_lapack(g):
     return pivots, F
 
 
-@pytest.mark.parametrize("n", range(1, hypersurface.MAX_DIMENSION + 1))
+@pytest.mark.parametrize("n", range(1, MAX_DIMENSION + 1))
 def test_column_factor_matches_lapack(n, rng):
     # the pivots, det g and F = L^-T agree with LAPACK's Cholesky and
     # inverse, and a batched matrix gives the bits it gives alone
@@ -168,7 +168,7 @@ def test_column_factor_of_a_non_finite_gram_has_no_nonpositive_pivot():
     assert not np.any(np.prod(pivots, axis=0) <= hypersurface.GRAM_DET_LIMIT)
 
 
-@pytest.mark.parametrize("n", range(1, hypersurface.MAX_DIMENSION + 1))
+@pytest.mark.parametrize("n", range(1, MAX_DIMENSION + 1))
 def test_factor_normal_matches_the_cofactor_oracle_on_random_frames(n, rng):
     # frames with orthonormal columns times I + 0.3 R (condition below
     # about 3) and a diagonal metric in [0.5, 2]
@@ -185,7 +185,7 @@ def test_factor_normal_matches_the_cofactor_oracle_on_random_frames(n, rng):
         assert alone.tobytes() == normal[..., i : i + 1].tobytes()
 
 
-_ORIENTED_DIMENSIONS = (1, 2, 3, 4, 5, hypersurface.MAX_DIMENSION)
+_ORIENTED_DIMENSIONS = (1, 2, 3, 4, 5, MAX_DIMENSION)
 
 
 @pytest.mark.parametrize(

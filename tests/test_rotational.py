@@ -371,6 +371,15 @@ def test_integrand_failing_between_probes_names_u():
     assert main(["rotational", "--theta", "0.6", "--f", GAP, "--u0", "-1", "--u1", "1"]) == 2
 
 
+def test_a_failing_integrand_keeps_the_index_of_its_node():
+    # the first failing node is node 33 of the degree-64 interpolant
+    with pytest.raises(DomainError) as err:
+        solve_profile(RotationalProfile(theta=0.6, f=GAP, n=2, u_range=(-1.0, 1.0)))
+    nodes = -1.0 + 0.5 * 2.0 * (1.0 - np.cos(np.pi * np.arange(65) / 64))
+    assert err.value.index == 33
+    assert str(err.value).startswith(f"profile integrand at u={float(nodes[33])!r}: ")
+
+
 @pytest.mark.parametrize("f", ["exp(t)", "cosh(t)"], ids=["closed-form", "interpolant"])
 def test_beta_derivatives_match_differences(f):
     # the first three derivatives of beta in closed form from the jet of

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from warpgeo import ambient as ambient_module
-from warpgeo import rotational
+from warpgeo import hypersurface, rotational
 from warpgeo import scene as scene_module
 from warpgeo.ambient import WarpedProduct
 from warpgeo.catalogue import PRESETS
@@ -480,6 +480,39 @@ def test_published_mappings_refuse_writes(monkeypatch):
         assert mapping
         with pytest.raises(TypeError):
             mapping["x"] = 1.0
+
+
+def _writable(record):
+    """Whether each array of ``record`` is writable."""
+    flags = []
+    _leaves(lambda a: flags.append(a.flags.writeable), record)
+    return flags
+
+
+@pytest.mark.parametrize("slice_points", [hypersurface.SLICE_POINTS, 32], ids=["one-slice", "joined-slices"])
+def test_published_arrays_refuse_writes(monkeypatch, rotational_soliton, slice_points):
+    # every array of a record, also after its slices are joined (np.concatenate returns
+    # writable arrays), and the lambda samples of its soliton report are read-only
+    monkeypatch.setattr(hypersurface, "SLICE_POINTS", slice_points)
+    geometry = grid_geometry(rotational_soliton, rotational_soliton.chart.grid(9), 3)
+    flags = _writable(geometry)
+    assert len(flags) > 20 and not any(flags)
+    with pytest.raises(ValueError, match="read-only"):
+        geometry.lam[0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        soliton_report(geometry).lambda_samples[0] = 99.0
+
+
+def test_classification_rows_refuse_writes(monkeypatch):
+    # the rows are a fancy-indexed copy of the scene's record, which numpy makes writable
+    seen = []
+    classify = scene_module.classify_rotational
+    monkeypatch.setattr(scene_module, "classify_rotational", lambda imm, g, r: seen.append(g) or classify(imm, g, r))
+    run_scene(validate_scene(rotational_cosh_scene(["soliton", "rotational-classification"])))
+    flags = _writable(seen[0])
+    assert len(flags) > 20 and not any(flags)
+    with pytest.raises(ValueError, match="read-only"):
+        seen[0].lam[0] = 5.0
 
 
 def test_report_schema_round_trip():

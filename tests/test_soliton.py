@@ -190,6 +190,15 @@ def test_theorem1_horosphere_orientations(horosphere):
     assert report.status == "fail"
 
 
+def test_theorem1_reports_no_negative_zero(hyperplane):
+    # in f = 1 the flip makes H = -0.0, and the margins of the flipped
+    # orientation are zeros, reported as 0.0 (the default grid of a scene)
+    report = hypotheses_on_grid(hyperplane, hyperplane.chart.grid(7, 0.05), "theorem1")
+    flipped = report.extras["flipped"]
+    for key in ("margin", "curvature_margin", "angle_margin"):
+        assert flipped[key] == 0.0 and math.copysign(1.0, flipped[key]) == 1.0, key
+
+
 def test_theorem1_passes_on_spherical_slice(spherical_slice):
     report = hypotheses_on_grid(spherical_slice, grid(spherical_slice, count=3), "theorem1")
     # f = sin at t0 = 1: f''/f = -1 <= 0.75 H^2 and cot(1) <= H = cot(1)
