@@ -50,6 +50,7 @@ from .jets import as_expression, eval_jet2, flag, one_pass
 CONDITION_LIMIT = 1e12
 SPACE_FORM_TOL = 1e-10
 PROBE_CLIP = 4.0  # where probe_window cuts an infinite end of the interval
+_MAX = math.nextafter(math.inf, 0.0)  # the largest float
 
 
 class Fiber(enum.Enum):
@@ -87,10 +88,7 @@ class SpaceFormCheck(NamedTuple):
 
     @property
     def passed(self):
-        return (
-            self.ratio_residual < SPACE_FORM_TOL
-            and self.second_residual < SPACE_FORM_TOL
-        )
+        return self.ratio_residual < SPACE_FORM_TOL and self.second_residual < SPACE_FORM_TOL
 
 
 class WarpedProduct:
@@ -106,9 +104,10 @@ class WarpedProduct:
     Positivity of ``f`` is probed on a 1024-point grid over a finite
     window of the interval at construction; a non-positive sample is a
     construction error.  The window (``probe_window``) cuts an infinite
-    end at -4 or 4, or 8 beyond the finite end when that end lies at or
-    past that cut, so it stays inside the interval, and takes 2% of its
-    width off each end.  This cannot prove positivity for arbitrary
+    end at -4 or 4, or, past that cut, max(8, 2^-40 |end|) beyond the finite
+    end, and takes 2% of its width off each end, stepping to the next float
+    inside where an end rounds onto the interval's own, so it lies strictly
+    inside at every magnitude.  This cannot prove positivity for arbitrary
     expressions and is a documented limitation.
     """
 
@@ -140,13 +139,13 @@ class WarpedProduct:
     def probe_window(self, margin=0.02):
         """Finite sub-window of the interval suitable for sampling, cut as the class
         docstring says, with ``margin`` of its width taken off each end."""
-        lo, hi = self.interval
+        lo, hi = ends = self.interval
         if math.isinf(lo):
-            lo = -PROBE_CLIP if hi > -PROBE_CLIP else hi - 2.0 * PROBE_CLIP
+            lo = -PROBE_CLIP if hi > -PROBE_CLIP else max(hi - max(2.0 * PROBE_CLIP, -hi * 2.0**-40), -_MAX)
         if math.isinf(hi):
-            hi = PROBE_CLIP if lo < PROBE_CLIP else lo + 2.0 * PROBE_CLIP
+            hi = PROBE_CLIP if lo < PROBE_CLIP else min(lo + max(2.0 * PROBE_CLIP, lo * 2.0**-40), _MAX)
         pad = margin * (hi - lo)
-        return lo + pad, hi - pad
+        return max(lo + pad, math.nextafter(ends[0], math.inf)), min(hi - pad, math.nextafter(ends[1], -math.inf))
 
     def _probe_positivity(self):
         a, b = self.probe_window()
@@ -243,17 +242,18 @@ class WarpedProduct:
         c = -float(np.mean(f2 / f0)) + 0.0 if c is None else float(c)  # + 0.0 normalizes -0.0
         ratio = np.abs((f1 * f1 - self.k) / (f0 * f0) + c)
         second = np.abs(f2 / f0 + c)
-        return SpaceFormCheck(
-            c, float(np.max(ratio, initial=0.0)), float(np.max(second, initial=0.0))
-        )
+        return SpaceFormCheck(c, float(np.max(ratio, initial=0.0)), float(np.max(second, initial=0.0)))
 
 
 def interval_fault(interval):
-    """Why ``interval`` is refused as a base interval, or None: it is empty, or its
-    endpoints are finite and their distance, so its probe window, overflows a float."""
+    """Why ``interval`` is refused as a base interval, or None: it is empty, holds no
+    float strictly inside, or its endpoints are finite and their distance, so its
+    probe window, overflows a float."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         return f"empty interval {interval!r}"
+    if not math.nextafter(lo, math.inf) < hi:
+        return f"interval {interval!r} holds no float strictly inside it"
     if math.isinf(hi - lo) and math.isfinite(lo + hi):  # lo + hi is inf or nan at an infinite endpoint
         return f"width of interval {interval!r} overflows a float"
     return None

@@ -22,7 +22,7 @@ The pipeline runs on batches: ``point_jets`` takes an (N, n) array of
 chart points and returns a record whose fields carry a trailing point
 axis, each elementary operation running once over all points and each
 contraction an ``np.einsum`` over the leading axes (``contract``).
-An :class:`Immersion`'s components are expressions; building one evaluates nothing.
+An :class:`Immersion` compiles its components into one tape and evaluates nothing.
 """
 
 from __future__ import annotations
@@ -37,14 +37,12 @@ import numpy as np
 from .ambient import AmbientPoint, WarpedProduct
 from .errors import MAX_GRID_POINTS, DegenerateImmersion, DomainError, OutsideChart
 from .expr import unparse, variables_in
-from .jets import _leaves, as_expression, eval_jet2, flag, one_pass
+from .jets import Jet2, Tape, _leaves, as_expression, flag, one_pass
 
 GRAM_DET_LIMIT = 1e-12
 BOUNDARY_MARGIN = 1e-6
-# Largest batch evaluated at once.  The working memory of one evaluation
-# grows with n (measured at order 2: about 1.7 KB per point for n = 3 and
-# 15 KB for n = 8; 4.5 and 89 KB at order 3), so longer batches run in
-# consecutive slices; results do not depend on the slicing.
+# Largest batch evaluated at once: the working memory of one evaluation grows
+# with n, so longer batches run in consecutive slices, which change no result.
 SLICE_POINTS = 2048
 
 
@@ -74,8 +72,7 @@ class ChartBox(namedtuple("ChartBox", "names lower upper")):
         return tuple(0.5 * (lo + hi) for lo, hi in zip(self.lower, self.upper))
 
     def contains(self, p, margin=BOUNDARY_MARGIN):
-        """Whether chart point ``p``, or each row of an (N, n) array,
-        lies in the box at least ``margin`` away from its faces."""
+        """Whether point ``p``, or each row of an (N, n) array, lies ``margin`` inside the box."""
         p = np.asarray(p, dtype=float)
         lo = np.asarray(self.lower, dtype=float) + margin
         hi = np.asarray(self.upper, dtype=float) - margin
@@ -85,23 +82,20 @@ class ChartBox(namedtuple("ChartBox", "names lower upper")):
         i = self.names.index(name)
         lo, hi = self.lower[i], self.upper[i]
         pad = margin * (hi - lo)
-        return np.linspace(lo + pad, hi - pad, count)
+        start, stop, div = lo + pad, hi - pad, count - 1
+        if div < 1 or (stop - start) / div == 0.0:  # the cases np.linspace treats apart
+            return np.linspace(start, stop, count)
+        # np.linspace's float operations, without the cost of its call (most of it for a few points)
+        return np.array([k * step + start for step in [(stop - start) / div] for k in range(div)] + [stop])
 
     def grid(self, counts, margins=None):
-        """Interior grid as a list of chart points (row-major).
-
-        ``counts`` is an int applied to every axis or a mapping from
-        variable name to sample count; ``margins`` likewise gives the
-        fraction of each axis length kept away from the boundary.  A grid
-        of more than ``MAX_GRID_POINTS`` points is refused before any of
-        it is built.
-        """
+        """Interior grid as a list of chart points (row-major).  ``counts`` (an int for every axis,
+        or by variable name) and ``margins`` (the fraction of each axis kept from its ends)
+        likewise; more than ``MAX_GRID_POINTS`` points are refused before any is built."""
         sizes = [counts[name] if isinstance(counts, dict) else int(counts) for name in self.names]
         total = math.prod(sizes)
         if total > MAX_GRID_POINTS:
-            raise ValueError(
-                f"a grid of {total} points exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}"
-            )
+            raise ValueError(f"a grid of {total} points exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}")
         if not isinstance(margins, dict):
             margins = dict.fromkeys(self.names, 0.05 if margins is None else float(margins))
         axes = [self.axis_points(name, count, margins.get(name, 0.05)) for name, count in zip(self.names, sizes)]
@@ -120,12 +114,12 @@ class Immersion:
     """A hypersurface immersion of a chart box into a warped product.
 
     ``components`` gives the n+1 ambient coordinates (t, x1, ..., xn) as expressions
-    in the chart variables (text, numbers or ASTs, held as :class:`Expression`), which
-    a pass evaluates in one walk, so a :class:`~warpgeo.expr.Profile` node they share
-    is evaluated once.  Construction checks their number and variables and evaluates
-    nothing; the object is not modified afterwards.  ``probes`` holds the chart center
-    and the 3^n points of ``chart.grid(3, margins=0.1)``, which every geometry pass
-    evaluates and checks ahead of its own points (``intrinsic.grid_geometry``).
+    in the chart variables (text, numbers or ASTs, held as :class:`Expression`).
+    Construction checks their number and variables and compiles them into ``tape``
+    (:class:`~warpgeo.jets.Tape`), on which a subtree they share, such as a ``Profile``
+    node, is one op; it evaluates nothing, and the object is not modified afterwards.
+    ``probes`` holds the chart center and the 3^n points of ``chart.grid(3, margins=0.1)``,
+    which every geometry pass evaluates and checks ahead of its own points.
     """
 
     def __init__(self, ambient, chart, components):
@@ -137,7 +131,8 @@ class Immersion:
             raise ValueError(f"expected {ambient.dim} components, got {len(self.components)}")
         if chart.dim != ambient.n:
             raise ValueError(f"chart dimension {chart.dim} must equal hypersurface dimension {ambient.n}")
-        for expr in self.components:
+        self.tape = Tape(self.components, chart.names)
+        for expr in self.components if set(self.tape.variables) - set(chart.names) else ():
             extra = sorted(variables_in(expr) - set(chart.names))
             if extra:
                 raise ValueError(f"component {unparse(expr)!r} uses undeclared variables {extra}")
@@ -154,16 +149,14 @@ class Immersion:
     def component_jets(self, points, order=2):
         """Jets of ``order`` 2 or 3 of the ambient coordinates over (N, n) chart points, one jet with a
         leading component axis, in one pass: the first flagged point raises the error of its first check."""
-        return self._component_jets(points, self.chart.names, order)
+        return Jet2(*self._slots(points, order))
 
     def ambient_coordinates(self, points):
         """Images (t, x1, ..., xn) of an (N, n) array of chart points, shape (N, n+1)."""
-        return self._component_jets(points, ()).value.T
+        return self._slots(points, 0)[0].T
 
-    def _component_jets(self, points, active, order=2):
-        points = as_points(points, self.n)
-        columns = {name: np.ascontiguousarray(points[:, i]) for i, name in enumerate(self.chart.names)}
-        return eval_jet2(self.components, columns, active, order)
+    def _slots(self, points, order):  # the tape run with each chart variable bound to its column of points
+        return self.tape.slots(dict(zip(self.chart.names, np.ascontiguousarray(as_points(points, self.n).T))), order)
 
 
 class PointJets(NamedTuple):
@@ -209,8 +202,8 @@ def point_jets(imm, points, order=2):
     """Component jets of ``order`` and metric jets over (N, n) chart points, in one pass.
 
     Each check flags the points that fail it (:func:`warpgeo.jets.flag`): a
-    point outside the box, a frame, second derivative or metric entry D
-    that is not finite (a DomainError) and a degenerate frame.  The call is
+    point outside the box, an ambient point, frame, second derivative or
+    metric entry D that is not finite (a DomainError) and a degenerate frame.  The call is
     one :func:`warpgeo.jets.one_pass` (joining an open one, as
     ``grid_geometry``'s), so its first flagged point raises its first check's error.
     """
@@ -221,12 +214,10 @@ def point_jets(imm, points, order=2):
     q = AmbientPoint(jets.value[0], tuple(jets.value[1:]))
     E, second = jets.grad, jets.hess  # (d, n, N), (d, n, n, N)
     D, dD, warping = imm.ambient.metric_jets(q)
-    finite = (
-        np.isfinite(E).all(axis=(0, 1))
-        & np.isfinite(second).all(axis=(0, 1, 2))
-        & np.isfinite(D).all(axis=0)
-    )
-    flag(~finite, lambda i: DomainError("tangent frame, second derivatives or metric not finite"))
+    image = np.isfinite(jets.value).all(axis=0)
+    finite = image & np.isfinite(E).all(axis=(0, 1)) & np.isfinite(second).all(axis=(0, 1, 2)) & np.isfinite(D).all(0)
+    flag(~finite, lambda i: DomainError("tangent frame, second derivatives or metric not finite" if image[i] else
+                                        f"ambient point {tuple(map(float, jets.value[:, i]))!r} not finite"))
     g = contract("aip,ajp->ijp", E, D[:, None] * E)
     pivots, F = _factor(g)  # a non-finite g gives NaN pivots and fails later checks
     flag((pivots <= 0.0).any(axis=0) | (pivots.prod(axis=0) <= GRAM_DET_LIMIT), lambda i: DegenerateImmersion(

@@ -1,37 +1,38 @@
 """Forward-mode jets of order 2 or 3 and exact evaluation of expressions.
 
-A :class:`Jet2` carries a value together with its gradient, Hessian and,
-at order 3, third derivative with respect to an ordered list of active
-variables.  Arithmetic on jets propagates derivatives exactly (to
-floating-point rounding; Griewank and Walther, *Evaluating Derivatives*,
-ch. 13), so every quantity that needs at most three derivatives of an
-immersion is free of truncation error.  At order 2 the third slot is None.
+A jet carries a value with its gradient, Hessian and, at order 3, third
+derivative in ordered active variables, exact to rounding (Griewank and
+Walther, *Evaluating Derivatives*, ch. 13).  It holds only the entries that
+can be nonzero (ch. 7), keyed by sorted index tuples: () the value, (i,) the
+gradient, (i, j) with i <= j the Hessian, (i, j, k) the third slot; a variable
+has the one entry 1.0, a constant none.  A rule computes an entry with the
+operations, in the order, of the rule on full slots at that index, without the
+terms zero by construction, so the two differ only in a zero's sign or where
+the full rule made a NaN of inf * 0.  Which entries exist and each node's rule
+depend only on the expression, the active variables and the order, never on
+the values: a power whose exponent has no variables and an integer value is a
+product, any other exp(exponent * log(base)).
 
-Jets are evaluated in vector forward mode: a binding may be an array of
-N values, and the jet then has a trailing point axis (value ``(N,)``, grad
-``(m, N)``, hess ``(m, m, N)`` and so on), so every elementary operation
-runs once over all points, contiguously along them.  Which rule a node
-takes depends only on the expression, the active variables and the order,
-never on the values: a power whose exponent has no variables and an integer
-value is a product, any other power exp(exponent * log(base)).  The zero
-pattern is structural (Griewank and Walther, ch. 7): a constant's or
-variable's Hessian and third slot are zero by construction, a sentinel that
-every rule propagates, so no slot is masked per point and each point's
-result does not depend on the batch it is evaluated in.
+Expressions are compiled once into a straight-line :class:`Tape` of ops (ch. 6), equal
+subtrees interned, with each op's rule, the variables its entries can depend on and the
+arrays it reads for the last time.  A run binds each variable to a value or an array of
+N values, runs each op once over all points (no slot is masked per point), drops each
+array after its last use and writes full slots, symmetric to the bit.
 
-A batch is evaluated in one pass (``one_pass``): a check flags the points
-that fail it and the pass computes on, with inf and nan propagating, as
-IEEE 754's flags do (Hauser, *Handling floating-point exceptions in numeric
-programs*, ACM TOPLAS 18(2), 1996).  At its end the first flagged point
-raises the error of the first check that flagged it, with ``index`` set;
-as each point's result does not depend on the batch, that is the error the
-point raises alone.
+A batch is evaluated in one pass (``one_pass``): a check flags the points that fail it
+and the pass computes on, inf and nan propagating as IEEE 754's flags do (Hauser, ACM
+TOPLAS 18(2), 1996).  At its end the first flagged point raises the error of the first
+check that flagged it, with ``index`` set: the error the point raises alone.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import cache, lru_cache, reduce
+from itertools import combinations_with_replacement as _keys, permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -40,36 +41,15 @@ from .errors import DomainError, UnknownIdentifier
 from .expr import (FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Profile, Var, literal,
                    parse, variables_in)
 
-
-def _value(v):
-    """A value as a float64 array, or a float64 scalar when 0-d."""
-    return np.asarray(v, dtype=float)[()]
-
-
-class _Zero:
-    """A Hessian or third slot that is zero by construction at every point: it
-    adds nothing (not even the sign of a zero) and absorbs every factor."""
-
-    __array_ufunc__ = None  # numpy defers to the operators below
-    __neg__ = __mul__ = __rmul__ = lambda self, other=None: self
-    __add__ = __radd__ = __rsub__ = lambda self, other: other
-    __sub__ = lambda self, other: -other
-
-
-_ZERO = _Zero()
+_Mode = namedtuple("_Mode", "order m values")  # a run's order (0: values), active variables and bindings
 
 
 class Jet2(NamedTuple):
-    """Value, gradient and symmetric Hessian in ``m`` active variables, and
-    at order 3 the symmetric third derivative (None at order 2).
-
-    The value may carry trailing point axes, which follow the derivative
-    axes: value ``S``, grad ``(m,) + S``, hess ``(m, m) + S``, third
-    ``(m, m, m) + S``.  Inside the walk a slot that is zero by construction is
-    the sentinel ``_ZERO``; :func:`eval_jet2` returns arrays only.
-    A jet is a named tuple; numpy defers to its operators rather than
-    reading it as a sequence (``np.float64(2.0) * jet`` is ``jet * 2.0``).
-    """
+    """Value, gradient and symmetric Hessian in ``m`` active variables, and at order 3
+    the symmetric third derivative (else None).  Point axes follow the derivative
+    axes: value ``S``, grad ``(m,) + S``, hess ``(m, m) + S``, third ``(m, m, m) + S``.
+    The operators run the tape's rules on the entries at sorted indices; numpy
+    defers to them (``np.float64(2.0) * jet`` is ``jet * 2.0``)."""
 
     value: np.ndarray
     grad: np.ndarray
@@ -77,74 +57,177 @@ class Jet2(NamedTuple):
     third: np.ndarray | None = None
 
     __array_ufunc__ = None
-
-    @property
-    def m(self):
-        return self.grad.shape[0]
-
-    @property
-    def order(self):
-        return 2 if self.third is None else 3
+    m = property(lambda self: self.grad.shape[0])
+    order = property(lambda self: 2 if self.third is None else 3)
 
     def slots(self):
         """The value and the derivatives up to the jet's order."""
         return (self.value, self.grad, self.hess, self.third)[: self.order + 1]
 
-    def _lift(self, other):
-        if isinstance(other, Jet2):
-            return other
-        return _constant(other, self.m, self.order, (1,) * (self.grad.ndim - 1))
+    def _apply(self, rule, *others):  # rule on the entries of this jet and others (jets or numbers)
+        mode = _Mode(self.order, self.m, None)
+        jet = rule(*(_Jet({key: x.slots()[len(key)][key] for r in range(self.order + 1)
+                           for key in _keys(range(self.m), r)}, False, mode) if isinstance(x, Jet2)
+                     else _Jet({(): np.float64(x)}, True, mode) for x in (self, *others)))
+        slots = _gather([jet], _layout((sum(1 << i for i in jet.support()),), self.m, self.order), self.m,
+                        np.broadcast_shapes(*map(np.shape, jet.values())))
+        return Jet2(*(slot[0] for slot in slots))
+
+    __neg__ = lambda self: self._apply(operator.neg)
+    __add__ = __radd__ = lambda self, other: self._apply(operator.add, other)
+    __sub__ = lambda self, other: self._apply(operator.sub, other)
+    __rsub__ = lambda self, other: self._apply(lambda a, b: b - a, other)
+    __mul__ = __rmul__ = lambda self, other: self._apply(operator.mul, other)
+    __truediv__ = lambda self, other: self._apply(lambda a, b: a * _reciprocal(b, None), other)
+    __rtruediv__ = lambda self, other: self._apply(lambda a, b: b * _reciprocal(a, None), other)
+
+
+def _prod(x, y):
+    """x * y, None (zero by construction) if either is; x * 1.0 (a variable's entry) is x, to the bit."""
+    if x is None or y is None:
+        return None
+    return x if y.__class__ is float and y == 1.0 else y if x.__class__ is float and x == 1.0 else x * y
+
+
+def _sum(*terms):  # the terms that are not None, summed from the left
+    terms = [term for term in terms if term is not None]
+    return reduce(operator.add, terms) if terms else None
+
+
+class _Jet(dict):
+    """The entries of a jet by sorted index tuple; ``flat`` if its Hessian and third slot are zero
+    as a whole (a variable, a constant, their sums and negations): the chain rule's short form."""
+
+    __slots__ = ("flat", "mode")
+
+    def __init__(self, entries, flat, mode):
+        super().__init__(entries)
+        self.flat, self.mode = flat, mode
+
+    def support(self, other=()):  # the gradient's indices, of this jet or of it and other
+        return sorted({key[0] for key in [*self, *other] if len(key) == 1})
 
     def __neg__(self):
-        return Jet2(*(-a for a in self.slots()))
+        return _Jet({key: -x for key, x in self.items()}, self.flat, self.mode)
 
     def __add__(self, other):
-        return Jet2(*(a + b for a, b in zip(self.slots(), self._lift(other).slots())))
+        return _Jet({key: _sum(self.get(key), other.get(key)) for key in {**self, **other}},
+                    self.flat and other.flat, self.mode)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Jet2(*(a - b for a, b in zip(self.slots(), self._lift(other).slots())))
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
+    __sub__ = lambda self, other: self + -other  # x + (-y) is x - y, to the bit
 
     def __mul__(self, other):
-        other = self._lift(other)
-        a, b = self.value, other.value
-        cross = self.grad[:, None] * other.grad[None, :]
-        third = None
-        if self.third is not None:
-            t = _outer(self.hess, other.grad) + _outer(other.hess, self.grad)
-            third = _sym3(t) + a * other.third + b * self.third
-        return Jet2(
-            a * b,
-            a * other.grad + b * self.grad,
-            a * other.hess + b * self.hess + cross + np.swapaxes(cross, 0, 1),
-            third,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * _reciprocal(self._lift(other), None)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
+        p, q, a, b = self.get, other.get, self[()], other[()]
+        if len(self) == len(other) == 1:  # two values alone
+            return _Jet({(): a * b}, False, self.mode)
+        support = self.support(other)
+        out = {(): a * b}
+        for i in support:
+            out[i,] = _sum(_prod(a, q((i,))), _prod(b, p((i,))))
+        for i, j in _keys(support, 2):
+            out[i, j] = _sum(_prod(a, q((i, j))), _prod(b, p((i, j))), _prod(p((i,)), q((j,))), _prod(p((j,)), q((i,))))
+        if self.mode.order == 3:
+            t = cache(lambda x, y, z: _sum(_prod(p((x, y)), q((z,))), _prod(q((x, y)), p((z,)))))
+            for i, j, k in _keys(support, 3):
+                out[i, j, k] = _sum(t(i, j, k), t(i, k, j), t(j, k, i), _prod(a, q((i, j, k))), _prod(b, p((i, j, k))))
+        return _Jet({key: x for key, x in out.items() if x is not None}, False, self.mode)
 
 
-def _constant(value, m, order=2, tail=()):  # tail: singleton point axes of a batch
-    return Jet2(_value(value), np.zeros((m,) + tail), _ZERO, None if order == 2 else _ZERO)
+class Tape:
+    """Expressions compiled into a straight-line list of ops, one per distinct subtree (a
+    Num told by its bits, -0.0 from 0.0).  Compiling evaluates only an exponent without
+    variables, to fix its power's rule.  A run of order 0 takes no derivative, so sqrt
+    and abs refuse no kink and a profile gives beta alone."""
+
+    def __init__(self, exprs, active=(), order=3):
+        self.m, index, memo, ops, masks, last = len(active), dict(zip(active, range(len(active)))), {}, [], [], {}
+
+        def compile_node(node):  # the op of a distinct subtree, made once, kids first
+            kind = type(node)
+            if kind is Var or kind is Num or kind is Const:
+                key = node[0] if kind is Var else (kind, repr(node[0]))  # a variable by its name; -0.0 is not 0.0
+                if key not in memo:
+                    memo[key] = len(ops)
+                    ops.append((_RULES[kind], (key, {(index[key],): 1.0} if key in index else {}) if kind is Var else
+                                np.float64(node[0] if kind is Num else CONSTANTS[node[0]]), (), []))
+                    masks.append(1 << index[key] if key in index else 0)
+                return memo[key]
+            if kind not in _RULES or kind is Call and node[0] not in FUNCTIONS:
+                raise UnknownIdentifier(node[0]) if kind is Call else TypeError(f"not an Expression: {node!r}")
+            kids = (compile_node(node[1]), compile_node(node[2])) if kind is BinOp else (compile_node(node[-1]),)
+            key = (kind, id(node[0]) if kind is Profile else kind is Neg or node[0], *kids)
+            if key not in memo:
+                memo[key] = op = len(ops)
+                power = kind is BinOp and node[0] == "^"
+                ops.append((_RULES[node[0] if kind is BinOp else kind],
+                            (node, _integer_exponent(node[2])) if power else node, kids, []))
+                masks.append(masks[kids[0]] | masks[kids[-1]])
+                for kid in kids:
+                    last[kid] = op
+            return memo[key]
+
+        self.roots = [compile_node(expr) for expr in exprs]
+        del compile_node  # its cell held it: no cycle is left for the collector
+        self.variables = dict.fromkeys(key for key in memo if isinstance(key, str))  # the names, in order
+        for kid in last.keys() - set(self.roots):  # each op's list of the jets it reads for the last time
+            ops[last[kid]][3].append(kid)
+        self.ops, self.layout = ops, _layout(tuple(masks[root] for root in self.roots), self.m, order)
+
+    def slots(self, bindings, order):
+        """The slots up to ``order`` (0, 2 or 3; 0: values) at ``bindings``, by expression, in one pass."""
+        values = {name: np.asarray(v, dtype=float)[()] for name, v in bindings.items()}
+        if missing := [name for name in self.variables if name not in values]:
+            raise UnknownIdentifier(missing[0])
+        shape = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
+        level = order if self.m else 0
+        mode, jets = _Mode(level, self.m if level else 0, values), [None] * len(self.ops)
+        with one_pass():
+            for i, (fn, arg, kids, dead) in enumerate(self.ops):
+                jets[i] = fn(arg, mode, *[jets[kid] for kid in kids])
+                for kid in dead:
+                    jets[kid] = None
+        return _gather([jets[root] for root in self.roots], self.layout[: order + 1], self.m, shape)
 
 
-def _outer(h, g):
-    """t[i, j, k] = h_ij g_k."""
-    return h if h is _ZERO else h[:, :, None] * g[None, None, :]
+# The rule of each kind of node, called with its op's argument, the run's mode and the kids' jets.
+_RULES = {Var: lambda var, mode: _Jet({(): mode.values[var[0]], **(var[1] if mode.m else {})}, True, mode),
+          Num: lambda value, mode: _Jet({(): value}, True, mode), Neg: lambda node, mode, u: -u,
+          Call: lambda node, mode, u: _apply_function(node.func, u, node), BinOp: None,
+          Profile: lambda node, mode, u: _profile(node.curve, u), "+": lambda node, mode, a, b: a + b,
+          "-": lambda node, mode, a, b: a - b, "*": lambda node, mode, a, b: a * b,
+          "/": lambda node, mode, a, b: a * _reciprocal(b, node),
+          "^": lambda arg, mode, a, b: _real_pow(a, b, arg[0]) if arg[1] is None else _pow_int_jet(a, arg[1], arg[0])}
+_RULES[Const] = _RULES[Num]
 
 
-def _sym3(t):
-    """t_ijk + t_ikj + t_jki for t symmetric in its first two indices."""
-    return t if t is _ZERO else t + np.swapaxes(t, 1, 2) + np.swapaxes(np.swapaxes(t, 1, 2), 0, 1)
+def _integer_exponent(expr):
+    """The integer k, |k| <= 2^31, that ``expr`` without variables evaluates to (checks left to runs), or None."""
+    if not variables_in(expr):
+        token = _PASS.set([])
+        try:
+            with np.errstate(all="ignore"):
+                k = float(Tape([expr], (), 2).slots({}, 0)[0][0])
+        finally:
+            _PASS.reset(token)
+        return int(k) if abs(k) <= 2**31 and k.is_integer() else None
+
+
+@lru_cache(maxsize=256)
+def _layout(masks, m, order):
+    """By slot, the entries over the variables (bits) of ``masks[k]`` of jet k, each with its positions."""
+    supports = [[i for i in range(m) if mask >> i & 1] for mask in masks]
+    return tuple(tuple((k, key, tuple({(k, *perm) for perm in permutations(key)}))
+                       for k, support in enumerate(supports) for key in _keys(support, r)) for r in range(order + 1))
+
+
+def _gather(jets, layout, m, shape):
+    """The slots of ``layout`` holding the entries of ``jets`` (an absent one is 0), point axes ``shape``."""
+    slots = [np.zeros((len(jets),) + (m,) * r + shape) for r in range(len(layout))]
+    for slot, entries in zip(slots, layout):
+        for k, key, spots in entries:
+            for spot in spots if key in jets[k] else ():
+                slot[spot] = jets[k][key]
+    return slots
 
 
 # The open pass of this thread (a new thread starts with an empty context):
@@ -154,14 +237,10 @@ _PASS = ContextVar("pass", default=None)
 
 @contextmanager
 def one_pass():
-    """Evaluate a batch as one pass, with float semantics (inf and nan
-    propagate) and the checks recording, not raising.
-
-    At the outermost exit the first row any check flagged raises the
-    error of the first check, in program order, that flagged it, with
-    ``index`` set: the one place where "the first failing point" is
-    decided.  An inner pass joins the outer one.
-    """
+    """Evaluate a batch as one pass, with float semantics (inf and nan propagate) and the
+    checks recording, not raising.  At the outermost exit the first row any check flagged
+    raises the error of the first check, in program order, that flagged it, with ``index``
+    set: the one place where "the first failing point" is decided.  An inner pass joins."""
     if _PASS.get() is not None:
         yield
         return
@@ -183,12 +262,10 @@ def one_pass():
 
 
 def flag(mask, make_error, offset=0):
-    """Record that the rows of ``mask`` (from row ``offset`` of the pass on)
-    fail a check; ``make_error(i)`` builds the error of its row ``i``.
-    Outside a pass the check is a pass of its own, so its first flagged row
-    raises at once, with ``index`` set.  By this rule the probe of f, a
-    rotational profile's closed form and sigma, and the structural gradient
-    refuse their first failing point."""
+    """Record that the rows of ``mask`` (from row ``offset`` of the pass on) fail a check;
+    ``make_error(i)`` builds the error of its row ``i``.  Outside a pass the check is a
+    pass of its own, so its first flagged row raises at once, with ``index`` set (the
+    probe of f, a profile's closed form and sigma, and the structural gradient)."""
     records = _PASS.get()
     if records is None:
         with one_pass():
@@ -197,12 +274,9 @@ def flag(mask, make_error, offset=0):
 
 
 def _leaves(fn, *records):
-    """``fn`` applied to the matching arrays of batched records.
-
-    Records are named tuples whose fields are arrays, plain tuples of
-    arrays, records again (``PointGeometry``, ``PointJets``,
-    ``AmbientPoint``) or None; a bare array is its own leaf.
-    """
+    """``fn`` applied to the matching arrays of batched records: named tuples whose
+    fields are arrays, tuples of arrays, records again (``PointGeometry``,
+    ``PointJets``, ``AmbientPoint``) or None; a bare array is its own leaf."""
     first = records[0]
     if first is None:
         return None
@@ -214,61 +288,66 @@ def _leaves(fn, *records):
 
 
 def _flag_at(bad, node, message, value=None):
-    """Flag the points where ``bad`` holds with a DomainError at ``node``;
-    ``message`` is formatted with the offending ``value`` when given."""
+    """Flag the points where ``bad`` holds with a DomainError at ``node``, formatted with ``value``."""
     flag(bad, lambda i: DomainError(
         message if value is None else message.format(float(np.ravel(value)[i])), node))
 
 
 def _chain(u, f0, f1, f2, f3):
-    """Compose a scalar function with jet ``u`` via the chain rule;
-    ``f3`` is a callable giving the third derivative, called at order 3 only.
-    Where u's Hessian is zero by construction (a variable, say) the third
-    slot is f3 u_i u_j u_k, f3 summed as the three f3/3 terms of ``_sym3``
-    (the general rule's bits when u_i is 0 or +-1) without forming them.
-    The choice is fixed by the expression, so no slot is masked per point."""
-    outer = u.grad[:, None] * u.grad[None, :]
-    hess = f1 * u.hess + f2 * outer
-    third = None
-    if u.third is not None:
-        s = f3() / 3.0
-        if u.hess is _ZERO:
-            third = ((s + s) + s) * (outer[:, :, None] * u.grad[None, None, :])
+    """Compose a scalar function with jet ``u`` by the chain rule; ``f3()`` is the third
+    derivative, taken at order 3 only; None is a derivative zero by construction.  On
+    a flat ``u`` the third slot is f3 u_i u_j u_k, f3 summed as the three f3/3 terms of
+    the general rule (its bits when u_i is 0 or +-1)."""
+    if len(u) == 1:  # a value alone
+        return _Jet({(): f0}, False, u.mode)
+    g, support = u.get, u.support()
+    outer = {key: _prod(g(key[:1]), g(key[1:])) for key in _keys(support, 2)}
+    out = {(): f0}
+    for i in support:
+        out[i,] = _prod(f1, g((i,)))
+    for key, gg in outer.items():
+        out[key] = _sum(_prod(f1, g(key)), _prod(f2, gg))
+    if u.mode.order == 3:
+        s = f3()
+        s = None if s is None else s / 3.0
+        if u.flat:
+            s = _sum(s, s, s)
+            for i, j, k in _keys(support, 3):
+                out[i, j, k] = _sum(_prod(s, _prod(outer[i, j], g((k,)))), _prod(f1, g((i, j, k))))
         else:
-            third = _sym3(_outer(f2 * u.hess + s * outer, u.grad))
-        third = third + f1 * u.third
-    return Jet2(f0, f1 * u.grad, hess, third)
+            P = {key: _sum(_prod(f2, g(key)), _prod(s, gg)) for key, gg in outer.items()}
+            for i, j, k in _keys(support, 3):
+                out[i, j, k] = _sum(_prod(P[i, j], g((k,))), _prod(P[i, k], g((j,))), _prod(P[j, k], g((i,))),
+                                    _prod(f1, g((i, j, k))))
+    return _Jet({key: x for key, x in out.items() if x is not None}, False, u.mode)
 
 
 def _reciprocal(u, node):
-    v = u.value
+    v = u[()]
     _flag_at(v == 0.0, node, "division by zero")
-    return _chain(u, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v), lambda: -6.0 / (v * v * v * v))
+    vv = v * v
+    return _chain(u, 1.0 / v, -1.0 / vv, 2.0 / (vv * v), lambda: -6.0 / (vv * v * v))
 
 
 def _pow_int_jet(u, k, node):
     """Binary exponentiation on jets."""
     if k == 0:
-        return u._lift(1.0)
+        return _Jet({(): np.float64(1.0)}, True, u.mode)
     if k < 0:
         return _reciprocal(_pow_int_jet(u, -k, node), node)
-    result = None
-    acc = u
-    while k:
-        if k & 1:
-            result = acc if result is None else result * acc
-        acc = acc * acc
+    result, acc = None, u
+    while True:
+        result = (acc if result is None else result * acc) if k & 1 else result
         k >>= 1
-    return result
+        if not k:
+            return result
+        acc = acc * acc
 
 
 def _apply_function(name, u, node):
-    """Jet of the elementary function ``name`` at ``u``: the one place for its
-    domain rules (log needs a positive and sqrt a non-negative argument; exp,
-    sinh and cosh must not overflow at a finite argument) and its jet rule."""
-    if name not in FUNCTIONS:
-        raise UnknownIdentifier(name)
-    v = u.value
+    """Jet of the elementary function ``name`` at ``u``: the one place for its domain rules (log
+    needs a positive and sqrt a non-negative argument; exp, sinh and cosh must not overflow)."""
+    v = u[()]
     if name == "log":
         _flag_at(v <= 0.0, node, "log of non-positive value {!r}", v)
     if name == "sqrt":
@@ -276,143 +355,71 @@ def _apply_function(name, u, node):
     w = getattr(np, name)(v)
     if name in ("exp", "sinh", "cosh"):
         _flag_at(np.isinf(w) & np.isfinite(v), node, name + " overflows at {!r}", v)
-    if name == "sin":
-        return _chain(u, w, np.cos(v), -w, lambda: -np.cos(v))
-    if name == "cos":
-        return _chain(u, w, -np.sin(v), -w, lambda: np.sin(v))
+    if name in ("sin", "cos"):  # f''' = -f'
+        d = np.cos(v) if name == "sin" else -np.sin(v)
+        return _chain(u, w, d, -w, lambda: -d)
+    if name in ("sinh", "cosh"):  # f''' = f'
+        d = np.cosh(v) if name == "sinh" else np.sinh(v)
+        return _chain(u, w, d, w, lambda: d)
     if name == "tan":
         d = 1.0 + w * w
         return _chain(u, w, d, 2.0 * w * d, lambda: 2.0 * d * (d + 2.0 * w * w))
-    if name == "sinh":
-        c = np.cosh(v)
-        return _chain(u, w, c, w, lambda: c)
-    if name == "cosh":
-        return _chain(u, w, np.sinh(v), w, lambda: np.sinh(v))
     if name == "tanh":
         d = 1.0 - w * w
         return _chain(u, w, d, -2.0 * w * d, lambda: 2.0 * d * (2.0 * w * w - d))
     if name == "exp":
         return _chain(u, w, w, w, lambda: w)
     if name == "log":
-        return _chain(u, w, 1.0 / v, -1.0 / (v * v), lambda: 2.0 / (v * v * v))
-    if u.m == 0:  # sqrt and abs have no kink to refuse without derivatives
-        return Jet2(w, u.grad, u.hess, u.third)
+        vv = v * v
+        return _chain(u, w, 1.0 / v, -1.0 / vv, lambda: 2.0 / (vv * v))
+    if not u.mode.m:  # sqrt and abs have no kink to refuse without derivatives
+        return _Jet({(): w}, True, u.mode)
+    _flag_at(v == 0.0, node, name + " is not differentiable at 0")
     if name == "sqrt":
-        _flag_at(v == 0.0, node, "sqrt is not differentiable at 0")
-        return _chain(u, w, 0.5 / w, -0.25 / (w * v), lambda: 0.375 / (w * v * v))
-    _flag_at(v == 0.0, node, "abs is not differentiable at 0")
-    return _chain(u, w, np.where(v > 0.0, 1.0, -1.0), np.zeros_like(v), lambda: 0.0)
+        wv = w * v
+        return _chain(u, w, 0.5 / w, -0.25 / wv, lambda: 0.375 / (wv * v))
+    return _chain(u, w, np.where(v > 0.0, 1.0, -1.0), None, lambda: None)
 
 
 def _real_pow(base, exponent, node):
-    _flag_at(base.value <= 0.0, node,
-             "power of non-positive base {!r} needs a constant integer exponent k, |k| <= 2^31",
-             base.value)
+    _flag_at(base[()] <= 0.0, node,
+             "power of non-positive base {!r} needs a constant integer exponent k, |k| <= 2^31", base[()])
     return _apply_function("exp", exponent * _apply_function("log", base, node), node)
 
 
-def _pow_jet(base, exponent, node):
-    """The power rule the expression fixes: an exponent without variables
-    whose value is an integer k with |k| <= 2^31 takes repeated
-    multiplication, any other exponent exp(exponent * log(base))."""
-    if not variables_in(node.right):
-        k = float(exponent.value)
-        if abs(k) <= 2**31 and k.is_integer():  # False for inf and nan
-            return _pow_int_jet(base, int(k), node)
-    return _real_pow(base, exponent, node)
-
-
 def _profile(curve, u):
-    """Jet of beta(u) for the profile ``curve``: the chain rule on the slots of
-    ``curve.beta_jet``, or beta alone when no variable is active."""
-    if u.m == 0:
-        return Jet2(curve.beta(u.value), u.grad, u.hess, u.third)
-    b0, b1, b2, b3 = curve.beta_jet(u.value)
+    """Jet of beta(u): the chain rule on ``curve.beta_jet``, or beta alone with no derivative taken."""
+    if not u.mode.m:
+        return _Jet({(): curve.beta(u[()])}, True, u.mode)
+    b0, b1, b2, b3 = curve.beta_jet(u[()], u.mode.order)
     return _chain(u, b0, b1, b2, lambda: b3)
 
 
-def _walk(expr, values, index, m, order, tail, profiles):
-    """Jet of ``expr``; ``profiles`` holds the jets of the Profile nodes walked so far, by identity."""
-
-    def rec(node):
-        if isinstance(node, Num):
-            return _constant(node.value, m, order, tail)
-        if isinstance(node, Const):
-            return _constant(CONSTANTS[node.name], m, order, tail)
-        if isinstance(node, Var):
-            if node.name not in values:
-                raise UnknownIdentifier(node.name)
-            jet = _constant(values[node.name], m, order, tail)
-            if node.name in index:
-                jet.grad[index[node.name]] = 1.0
-            return jet
-        if isinstance(node, Neg):
-            return -rec(node.operand)
-        if isinstance(node, Call):
-            return _apply_function(node.func, rec(node.arg), node)
-        if isinstance(node, Profile):
-            if id(node) not in profiles:
-                profiles[id(node)] = _profile(node.curve, rec(node.arg))
-            return profiles[id(node)]
-        if isinstance(node, BinOp):
-            left = rec(node.left)
-            right = rec(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left * _reciprocal(right, node)
-            return _pow_jet(left, right, node)
-        raise TypeError(f"not an Expression: {node!r}")
-
-    return rec(expr)
-
-
 def eval_jet2(expr, bindings, active=(), order=2):
-    """Evaluate ``expr`` as a jet of ``order`` 2 or 3; a list or tuple of K expressions
-    gives one jet whose slots carry a leading component axis of K, written once
-    from one walk in which a :class:`Profile` node they share is evaluated once.
+    """Evaluate ``expr`` as a jet of ``order`` 2 or 3; a list or tuple of K expressions gives
+    one jet whose slots carry a leading component axis of K, from one tape on which a
+    subtree they share is evaluated once.  ``bindings`` maps every variable to a real
+    value, or to a 1-d array of N values (one per point); derivatives are taken in the
+    ordered variables ``active`` (none: a plain evaluation).  The slots of order 2 do
+    not depend on ``order``.  A DomainError's ``index`` is the first failing point."""
+    if not isinstance(expr, Expression):
+        return Jet2(*Tape(expr, tuple(active), order).slots(bindings, order))
+    return Jet2(*(a[0] for a in _tape(_Same((expr,)), tuple(active), order).slots(bindings, order)))
 
-    ``bindings`` maps every variable appearing in ``expr`` to a real
-    value, or to a 1-d array of N values (one per point); ``active`` is the
-    ordered subset of variables that derivatives are taken against.
-    With an empty ``active`` list this is a plain evaluation; the slots of
-    order 2 do not depend on ``order``.  A DomainError carries in ``index``
-    the first point whose evaluation fails.
-    """
-    single = isinstance(expr, Expression)
-    exprs = [expr] if single else expr
-    active = tuple(active)
-    m = len(active)
-    index = {name: i for i, name in enumerate(active)}
-    values = {name: _value(v) for name, v in bindings.items()}
-    shape = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
-    profiles = {}
-    with one_pass():
-        jets = [_walk(e, values, index, m, order, (1,) * len(shape), profiles) for e in exprs]
-    slots = [np.empty((len(jets),) + (m,) * r + shape) for r in range(order + 1)]
-    for k, jet in enumerate(jets):  # each slot written once; a structural zero as 0.0
-        for out, a in zip(slots, jet.slots()):
-            out[k] = 0.0 if a is _ZERO else a
-    return Jet2(*(a[0] for a in slots)) if single else Jet2(*slots)
+
+class _Same(tuple):  # one expression, a key equal only to itself: an equal tree may differ in a zero's sign
+    __hash__ = lambda self: id(self[0])  # the key holds the expression, so its id is not reused
+    __eq__ = lambda self, other: self[0] is other[0]
+
+
+_tape = lru_cache(maxsize=64)(Tape)  # f, evaluated at every pass, is compiled once
 
 
 def as_expression(obj):
-    """Coerce a string or AST into an :class:`Expression`."""
-    if isinstance(obj, Expression):
-        return obj
-    if isinstance(obj, str):
-        return parse(obj)
-    if isinstance(obj, (int, float)):
-        return literal(obj)
+    """Coerce a string, a number or an AST into an :class:`Expression`."""
+    if isinstance(obj, (Expression, str, int, float)):
+        return obj if isinstance(obj, Expression) else parse(obj) if isinstance(obj, str) else literal(obj)
     raise TypeError(f"cannot interpret {obj!r} as an expression")
 
 
-__all__ = [
-    "Jet2",
-    "eval_jet2",
-    "as_expression",
-]
+__all__ = ["Jet2", "eval_jet2", "as_expression"]

@@ -113,13 +113,13 @@ class ProfileCurve(NamedTuple):
     def alpha(self, u):
         return self.profile.alpha(u)
 
-    def beta_jet(self, u):
-        """(beta, beta', beta'', beta''') at ``u`` from one jet of f at alpha(u)."""
+    def beta_jet(self, u, order=3):
+        """(beta, beta', beta'', beta''') at ``u`` from one jet of f at alpha(u); beta''' only at ``order`` 3."""
         prof = self.profile
         jet = eval_jet2(prof.f, {"t": prof.alpha(u)}, ("t",))
         f0, f1, f2 = jet.value, jet.grad[0], jet.hess[0, 0]
         theta, a = prof.theta, prof.slope
-        third = -theta * a * a * (f0 * f2 - 2.0 * f1 * f1) / (f0 * f0 * f0)
+        third = -theta * a * a * (f0 * f2 - 2.0 * f1 * f1) / (f0 * f0 * f0) if order == 3 else None
         return self.beta(u), theta / f0, -theta * f1 * a / (f0 * f0), third
 
 

@@ -23,12 +23,14 @@ The test-only helpers live here as well: the standard ambients, the
 horosphere, ``build_rotational``, the closed-form principal curvatures
 ``weingarten_closed_form``, ``flip_orientation``, ``eval_value``,
 ``soliton_residual``, ``metric_inverse`` (F F^T of a ``PointJets``) and
-``row``, the record of one point of a batch.
+``row``, the record of one point of a batch.  ``dense_jet2`` is the
+full-slot walk that the sparse jets replaced: the oracle of their entries.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +41,12 @@ from warpgeo.catalogue import (
     slice_immersion,
     sphere_immersion,
 )
-from warpgeo.errors import SigmaZero
-from warpgeo.expr import BinOp, Call, Num, Var, parse
+from warpgeo.errors import DomainError, SigmaZero, UnknownIdentifier
+from warpgeo.expr import (FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Profile, Var, parse,
+                          variables_in)
 from warpgeo.hypersurface import Immersion, metric_derivative, point_jets
 from warpgeo.intrinsic import grid_geometry
-from warpgeo.jets import _leaves, eval_jet2
+from warpgeo.jets import _leaves, eval_jet2, flag, one_pass
 from warpgeo.rotational import assemble_rotational, solve_profile
 from warpgeo.soliton import soliton_report
 
@@ -693,3 +696,286 @@ def scalar_fd_oracle(imm, p, step=1e-3):
     )
     ric = np.einsum("abad->bd", riem)
     return float(np.einsum("bd,bd->", ginv, ric))
+
+
+# The full-slot jets: the walk that the sparse tape of ``warpgeo.jets`` replaced,
+# kept as the oracle its entries are checked against bit for bit.
+
+
+def _value(v):
+    """A value as a float64 array, or a float64 scalar when 0-d."""
+    return np.asarray(v, dtype=float)[()]
+
+
+class _Zero:
+    """A Hessian or third slot that is zero by construction at every point: it
+    adds nothing (not even the sign of a zero) and absorbs every factor."""
+
+    __array_ufunc__ = None  # numpy defers to the operators below
+    __neg__ = __mul__ = __rmul__ = lambda self, other=None: self
+    __add__ = __radd__ = __rsub__ = lambda self, other: other
+    __sub__ = lambda self, other: -other
+
+
+_ZERO = _Zero()
+
+
+class DenseJet(NamedTuple):
+    """A jet with full slots, and in the walk the sentinel ``_ZERO`` for a Hessian or
+    third slot that is zero by construction."""
+
+    value: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
+    third: np.ndarray | None = None
+
+    __array_ufunc__ = None
+
+    @property
+    def m(self):
+        return self.grad.shape[0]
+
+    @property
+    def order(self):
+        return 2 if self.third is None else 3
+
+    def slots(self):
+        """The value and the derivatives up to the jet's order."""
+        return (self.value, self.grad, self.hess, self.third)[: self.order + 1]
+
+    def _lift(self, other):
+        if isinstance(other, DenseJet):
+            return other
+        return _constant(other, self.m, self.order, (1,) * (self.grad.ndim - 1))
+
+    def __neg__(self):
+        return DenseJet(*(-a for a in self.slots()))
+
+    def __add__(self, other):
+        return DenseJet(*(a + b for a, b in zip(self.slots(), self._lift(other).slots())))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return DenseJet(*(a - b for a, b in zip(self.slots(), self._lift(other).slots())))
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        a, b = self.value, other.value
+        cross = self.grad[:, None] * other.grad[None, :]
+        third = None
+        if self.third is not None:
+            t = _outer(self.hess, other.grad) + _outer(other.hess, self.grad)
+            third = _sym3(t) + a * other.third + b * self.third
+        return DenseJet(
+            a * b,
+            a * other.grad + b * self.grad,
+            a * other.hess + b * self.hess + cross + np.swapaxes(cross, 0, 1),
+            third,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * _reciprocal(self._lift(other), None)
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+
+def _constant(value, m, order=2, tail=()):  # tail: singleton point axes of a batch
+    return DenseJet(_value(value), np.zeros((m,) + tail), _ZERO, None if order == 2 else _ZERO)
+
+
+def _outer(h, g):
+    """t[i, j, k] = h_ij g_k."""
+    return h if h is _ZERO else h[:, :, None] * g[None, None, :]
+
+
+def _sym3(t):
+    """t_ijk + t_ikj + t_jki for t symmetric in its first two indices."""
+    return t if t is _ZERO else t + np.swapaxes(t, 1, 2) + np.swapaxes(np.swapaxes(t, 1, 2), 0, 1)
+
+
+def _flag_at(bad, node, message, value=None):
+    """Flag the points where ``bad`` holds with a DomainError at ``node``;
+    ``message`` is formatted with the offending ``value`` when given."""
+    flag(bad, lambda i: DomainError(
+        message if value is None else message.format(float(np.ravel(value)[i])), node))
+
+
+def _chain(u, f0, f1, f2, f3):
+    """Compose a scalar function with jet ``u`` via the chain rule;
+    ``f3`` is a callable giving the third derivative, called at order 3 only.
+    Where u's Hessian is zero by construction (a variable, say) the third
+    slot is f3 u_i u_j u_k, f3 summed as the three f3/3 terms of ``_sym3``
+    (the general rule's bits when u_i is 0 or +-1) without forming them.
+    The choice is fixed by the expression, so no slot is masked per point."""
+    outer = u.grad[:, None] * u.grad[None, :]
+    hess = f1 * u.hess + f2 * outer
+    third = None
+    if u.third is not None:
+        s = f3() / 3.0
+        if u.hess is _ZERO:
+            third = ((s + s) + s) * (outer[:, :, None] * u.grad[None, None, :])
+        else:
+            third = _sym3(_outer(f2 * u.hess + s * outer, u.grad))
+        third = third + f1 * u.third
+    return DenseJet(f0, f1 * u.grad, hess, third)
+
+
+def _reciprocal(u, node):
+    v = u.value
+    _flag_at(v == 0.0, node, "division by zero")
+    return _chain(u, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v), lambda: -6.0 / (v * v * v * v))
+
+
+def _pow_int_jet(u, k, node):
+    """Binary exponentiation on jets."""
+    if k == 0:
+        return u._lift(1.0)
+    if k < 0:
+        return _reciprocal(_pow_int_jet(u, -k, node), node)
+    result = None
+    acc = u
+    while k:
+        if k & 1:
+            result = acc if result is None else result * acc
+        acc = acc * acc
+        k >>= 1
+    return result
+
+
+def _apply_function(name, u, node):
+    """Jet of the elementary function ``name`` at ``u``: the one place for its
+    domain rules (log needs a positive and sqrt a non-negative argument; exp,
+    sinh and cosh must not overflow at a finite argument) and its jet rule."""
+    if name not in FUNCTIONS:
+        raise UnknownIdentifier(name)
+    v = u.value
+    if name == "log":
+        _flag_at(v <= 0.0, node, "log of non-positive value {!r}", v)
+    if name == "sqrt":
+        _flag_at(v < 0.0, node, "sqrt of negative value {!r}", v)
+    w = getattr(np, name)(v)
+    if name in ("exp", "sinh", "cosh"):
+        _flag_at(np.isinf(w) & np.isfinite(v), node, name + " overflows at {!r}", v)
+    if name == "sin":
+        return _chain(u, w, np.cos(v), -w, lambda: -np.cos(v))
+    if name == "cos":
+        return _chain(u, w, -np.sin(v), -w, lambda: np.sin(v))
+    if name == "tan":
+        d = 1.0 + w * w
+        return _chain(u, w, d, 2.0 * w * d, lambda: 2.0 * d * (d + 2.0 * w * w))
+    if name == "sinh":
+        c = np.cosh(v)
+        return _chain(u, w, c, w, lambda: c)
+    if name == "cosh":
+        return _chain(u, w, np.sinh(v), w, lambda: np.sinh(v))
+    if name == "tanh":
+        d = 1.0 - w * w
+        return _chain(u, w, d, -2.0 * w * d, lambda: 2.0 * d * (2.0 * w * w - d))
+    if name == "exp":
+        return _chain(u, w, w, w, lambda: w)
+    if name == "log":
+        return _chain(u, w, 1.0 / v, -1.0 / (v * v), lambda: 2.0 / (v * v * v))
+    if u.m == 0:  # sqrt and abs have no kink to refuse without derivatives
+        return DenseJet(w, u.grad, u.hess, u.third)
+    if name == "sqrt":
+        _flag_at(v == 0.0, node, "sqrt is not differentiable at 0")
+        return _chain(u, w, 0.5 / w, -0.25 / (w * v), lambda: 0.375 / (w * v * v))
+    _flag_at(v == 0.0, node, "abs is not differentiable at 0")
+    return _chain(u, w, np.where(v > 0.0, 1.0, -1.0), np.zeros_like(v), lambda: 0.0)
+
+
+def _real_pow(base, exponent, node):
+    _flag_at(base.value <= 0.0, node,
+             "power of non-positive base {!r} needs a constant integer exponent k, |k| <= 2^31",
+             base.value)
+    return _apply_function("exp", exponent * _apply_function("log", base, node), node)
+
+
+def _pow_jet(base, exponent, node):
+    """The power rule the expression fixes: an exponent without variables
+    whose value is an integer k with |k| <= 2^31 takes repeated
+    multiplication, any other exponent exp(exponent * log(base))."""
+    if not variables_in(node.right):
+        k = float(exponent.value)
+        if abs(k) <= 2**31 and k.is_integer():  # False for inf and nan
+            return _pow_int_jet(base, int(k), node)
+    return _real_pow(base, exponent, node)
+
+
+def _profile(curve, u):
+    """Jet of beta(u) for the profile ``curve``: the chain rule on the slots of
+    ``curve.beta_jet``, or beta alone when no variable is active."""
+    if u.m == 0:
+        return DenseJet(curve.beta(u.value), u.grad, u.hess, u.third)
+    b0, b1, b2, b3 = curve.beta_jet(u.value)
+    return _chain(u, b0, b1, b2, lambda: b3)
+
+
+def _walk(expr, values, index, m, order, tail, profiles):
+    """Jet of ``expr``; ``profiles`` holds the jets of the Profile nodes walked so far, by identity."""
+
+    def rec(node):
+        if isinstance(node, Num):
+            return _constant(node.value, m, order, tail)
+        if isinstance(node, Const):
+            return _constant(CONSTANTS[node.name], m, order, tail)
+        if isinstance(node, Var):
+            if node.name not in values:
+                raise UnknownIdentifier(node.name)
+            jet = _constant(values[node.name], m, order, tail)
+            if node.name in index:
+                jet.grad[index[node.name]] = 1.0
+            return jet
+        if isinstance(node, Neg):
+            return -rec(node.operand)
+        if isinstance(node, Call):
+            return _apply_function(node.func, rec(node.arg), node)
+        if isinstance(node, Profile):
+            if id(node) not in profiles:
+                profiles[id(node)] = _profile(node.curve, rec(node.arg))
+            return profiles[id(node)]
+        if isinstance(node, BinOp):
+            left = rec(node.left)
+            right = rec(node.right)
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            if node.op == "/":
+                return left * _reciprocal(right, node)
+            return _pow_jet(left, right, node)
+        raise TypeError(f"not an Expression: {node!r}")
+
+    return rec(expr)
+
+
+def dense_jet2(expr, bindings, active=(), order=2):
+    """``eval_jet2`` by the full-slot walk: every slot a full array, each rule's
+    terms all computed, and a Hessian or third slot zero by construction as
+    the sentinel ``_ZERO`` inside the walk (written as 0.0)."""
+    single = isinstance(expr, Expression)
+    exprs = [expr] if single else expr
+    active = tuple(active)
+    m = len(active)
+    index = {name: i for i, name in enumerate(active)}
+    values = {name: _value(v) for name, v in bindings.items()}
+    shape = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
+    profiles = {}
+    with one_pass():
+        jets = [_walk(e, values, index, m, order, (1,) * len(shape), profiles) for e in exprs]
+    slots = [np.empty((len(jets),) + (m,) * r + shape) for r in range(order + 1)]
+    for k, jet in enumerate(jets):  # each slot written once; a structural zero as 0.0
+        for out, a in zip(slots, jet.slots()):
+            out[k] = 0.0 if a is _ZERO else a
+    return DenseJet(*(a[0] for a in slots)) if single else DenseJet(*slots)
+
+

@@ -256,6 +256,36 @@ def test_probe_window_stays_inside_the_interval():
         assert WarpedProduct(interval, "1", Fiber.EUCLIDEAN, 2).probe_window() == window, interval
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_probe_window_stays_strictly_inside_at_every_magnitude(sign):
+    # a finite end +-10^k of a half-infinite interval: neither the cut 8
+    # beyond it nor the 2% pad rounds back onto it, at any magnitude
+    for k in range(301):
+        end = sign * 10.0**k
+        for interval in ((-INF, end), (end, INF)):
+            lo, hi = WarpedProduct(interval, "1", Fiber.EUCLIDEAN, 2).probe_window()
+            assert interval[0] < lo <= hi < interval[1], interval
+
+
+def test_far_half_infinite_intervals_probe_inside():
+    # f vanishes at the excluded finite end only, so each builds
+    for interval, f in [((-INF, -1e16), "-1e16 - t"), ((-INF, -1e18), "-1e18 - t"), ((1e18, INF), "t - 1e18")]:
+        lo, hi = WarpedProduct(interval, f, Fiber.EUCLIDEAN, 2).probe_window()
+        assert interval[0] < lo < hi < interval[1]
+
+
+def test_a_narrow_interval_keeps_its_window_inside_or_is_refused():
+    # a pad below half an ulp rounds each end back: the window steps to the
+    # floats next to the ends; an interval with no float inside is refused
+    one_up = math.nextafter(1.0, 2.0)
+    narrow = (1.0, math.nextafter(math.nextafter(one_up, 2.0), 2.0))
+    assert WarpedProduct(narrow, "1", Fiber.EUCLIDEAN, 2).probe_window() == (one_up, math.nextafter(narrow[1], 0.0))
+    top = math.nextafter(INF, 0.0)
+    for interval in [(1.0, one_up), (-INF, -top), (top, INF)]:
+        with pytest.raises(ValueError, match="holds no float strictly inside it"):
+            WarpedProduct(interval, "1", Fiber.EUCLIDEAN, 2)
+
+
 def test_a_failing_warping_function_keeps_the_index_of_its_height():
     # eval_warping names the height in the message of the DomainError it catches
     W = WarpedProduct((-INF, INF), "2 + sqrt(abs(t - 0.3))", Fiber.EUCLIDEAN, 2)

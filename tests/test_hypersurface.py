@@ -465,17 +465,31 @@ def test_a_pass_fails_like_its_first_row_that_fails_alone(rows):
 
 def test_a_failing_pass_evaluates_each_expression_once(monkeypatch):
     # 40 good rows, then a degenerate frame, a domain error and a point
-    # outside the box: the failing pass walks each of the three components
-    # and f once, as the passing pass does, and names the degenerate row
-    imm, walks, walk = _cusp_immersion(), [], jets._walk
-    monkeypatch.setattr(jets, "_walk", lambda expr, *args: walks.append(expr) or walk(expr, *args))
+    # outside the box: the failing pass runs the component tape once and a
+    # tape of f once, as the passing pass does, and names the degenerate row
+    imm, runs, slots = _cusp_immersion(), [], jets.Tape.slots
+    monkeypatch.setattr(jets.Tape, "slots", lambda tape, bindings, order: runs.append(
+        (tape is imm.tape, sorted(bindings), order)) or slots(tape, bindings, order))
     good = [(0.5, -0.9 + 0.04 * k) for k in range(40)]
     grid_geometry(imm, good)
-    assert len(walks) == 4
-    walks.clear()
+    once = [(True, ["u", "v"], 2), (False, ["t"], 2)]
+    assert runs == once
+    runs.clear()
     with pytest.raises(DegenerateImmersion) as err:
         grid_geometry(imm, good + [(0.0, 0.2), (1.15, 0.2), (1.3, 0.2)])
-    assert err.value.index == 40 and len(walks) == 4
+    assert err.value.index == 40 and runs == once
+
+
+@pytest.mark.parametrize("x1", ["2*(u*u)", "u*u"])
+def test_an_overflowing_ambient_point_is_refused_at_the_probe_center(x1):
+    # u*u overflows at every probe: the image is refused where it is
+    # computed, whatever NaNs its derivatives hold
+    chart = ChartBox(("u", "v"), (1e154, -1.0), (2e154, 1.0))
+    imm = Immersion(hyperbolic_ambient(2), chart, ["0.1*v", x1, "v"])
+    with pytest.raises(DomainError) as err:
+        grid_geometry(imm, chart.grid(3))
+    assert err.value.probe and err.value.index == 0
+    assert str(err.value) == "ambient point (0.0, inf, 0.0) not finite (at chart point {'u': 1.5e+154, 'v': 0.0})"
 
 
 def test_a_failing_pass_and_a_passing_pass_in_two_threads():

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from warpgeo.errors import DomainError
-from warpgeo.expr import FUNCTIONS, BinOp, Call, Const, Neg, Var, literal, parse, unparse
-from warpgeo.jets import Jet2, eval_jet2
+from warpgeo.expr import FUNCTIONS, BinOp, Call, Const, Neg, Num, Var, literal, parse, unparse
+from warpgeo.jets import Jet2, Tape, eval_jet2
 
-from oracles import eval_value, fd_gradient
+from oracles import dense_jet2, eval_value, fd_gradient
 
 
 def test_exp_jet_at_zero():
@@ -433,3 +434,76 @@ def test_third_derivatives_match_differences_of_the_hessian(src, t):
         fd = (plus - minus) / (2.0 * step)
         assert np.max(np.abs(jet.third[:, :, k] - fd) / (1.0 + np.abs(fd))) < 1e-6, k
     assert np.allclose(jet.third, np.swapaxes(jet.third, 0, 2), rtol=1e-12, atol=1e-12)
+
+
+_JET_CASES = dict(
+    expr=st.recursive(_LEAVES, _combine, max_leaves=8),
+    points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=8),
+    active=st.sampled_from([(), ("t",), ("u", "t")]),
+    order=st.sampled_from([2, 3]),
+)
+
+
+def _jets_or_error(evaluate, expr, points, active, order):
+    t = np.array([p[0] for p in points])
+    u = np.array([p[1] for p in points])
+    try:
+        return evaluate(expr, {"t": t, "u": u}, active, order)
+    except DomainError as exc:
+        return exc.index, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_JET_CASES)
+# 1/t is inf at a subnormal t: the full slots multiply it by the zero
+# gradient entry of u, and the NaN spreads to entries that are not zero
+@example(expr=parse("(1/t)*u"), points=[(5e-324, 1.0), (0.5, -2.0)], active=("u", "t"), order=3)
+@example(expr=parse("t*u*t"), points=[(0.3, -1.2), (-0.0, 1.0)], active=("u", "t"), order=3)
+@example(expr=parse("sin(t+t+t)"), points=[(0.8217701239287258, -1.2)], active=("t",), order=3)
+# at these points any other order of a product's or chain's sums changes bits
+@example(expr=parse("sin(t*u)*cos(t+u)"), points=[(-1.423361549121465, 0.5849475849719483),
+                                                  (1.106732457369192, 1.200015872044073),
+                                                  (-0.3632034545233549, 0.16694543881106183)], active=("u", "t"), order=3)
+def test_entries_match_the_full_slot_walk(expr, points, active, order):
+    # at every sorted index the entry is the full-slot walk's, bit for bit
+    # (a NaN counting as one value), but where that walk made a NaN of
+    # inf * 0 or a zero of the other sign; a failure is the walk's
+    new, old = (_jets_or_error(evaluate, expr, points, active, order) for evaluate in (eval_jet2, dense_jet2))
+    if type(old) is tuple:  # an error
+        assert new == old
+        return
+    for r, (mine, full) in enumerate(zip(new.slots(), old.slots(), strict=True)):
+        assert mine.shape == full.shape
+        for key in combinations_with_replacement(range(len(active)), r):
+            a, b = mine[key], full[key]
+            differ = (np.where(np.isnan(a), np.nan, a).view(np.int64) != np.where(np.isnan(b), np.nan, b).view(np.int64))
+            assert np.all(~differ | np.isnan(b) | ((a == 0.0) & (b == 0.0))), (r, key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_JET_CASES)
+@example(expr=parse("t*u*t"), points=[(0.3, -1.2), (-0.0, 1.0)], active=("u", "t"), order=3)
+def test_every_slot_is_exactly_symmetric(expr, points, active, order):
+    jet = _jets_or_error(eval_jet2, expr, points, active, order)
+    if type(jet) is tuple:  # an error
+        return
+    for r, slot in enumerate(jet.slots()[2:], start=2):
+        for perm in permutations(range(r)):
+            assert np.transpose(slot, perm + (r,)).tobytes() == slot.tobytes(), (r, perm)
+
+
+@pytest.mark.parametrize("active", [(), ("t", "u")])
+def test_an_empty_batch_gives_empty_slots(active):
+    jet = eval_jet2([parse("sin(t)*u"), parse("2")], {"t": np.array([]), "u": np.array([])}, active, 3)
+    m = len(active)
+    assert [slot.shape for slot in jet.slots()] == [(2,) + (m,) * r + (0,) for r in range(4)]
+
+
+def test_equal_subtrees_are_one_op_but_not_a_zero_of_the_other_sign_nor_a_constant_of_a_variable_name():
+    # t*0.0 and t*-0.0 are equal trees to ==, and Var("pi") and Const("pi") share a name
+    t = Var("t")
+    exprs = [BinOp("*", t, Num(0.0)), BinOp("*", t, Num(-0.0)), Var("pi"), Const("pi"), BinOp("*", t, Num(0.0))]
+    jet = eval_jet2(exprs, {"t": 1.5, "pi": 2.0}, ("t",))
+    assert [math.copysign(1.0, x) for x in jet.value[:2]] == [1.0, -1.0]
+    assert jet.value[2:].tolist() == [2.0, math.pi, 0.0]
+    assert len(Tape(exprs, ("t",)).ops) == 7  # t, 0.0, t*0.0, -0.0, t*-0.0, pi (variable) and pi (constant)
