@@ -88,7 +88,10 @@ class SpaceFormCheck(NamedTuple):
 
     @property
     def passed(self):
-        return self.ratio_residual < SPACE_FORM_TOL and self.second_residual < SPACE_FORM_TOL
+        return (
+            self.ratio_residual < SPACE_FORM_TOL
+            and self.second_residual < SPACE_FORM_TOL
+        )
 
 
 class WarpedProduct:
@@ -139,13 +142,14 @@ class WarpedProduct:
     def probe_window(self, margin=0.02):
         """Finite sub-window of the interval suitable for sampling, cut as the class
         docstring says, with ``margin`` of its width taken off each end."""
-        lo, hi = ends = self.interval
+        lo, hi = self.interval
         if math.isinf(lo):
             lo = -PROBE_CLIP if hi > -PROBE_CLIP else max(hi - max(2.0 * PROBE_CLIP, -hi * 2.0**-40), -_MAX)
         if math.isinf(hi):
             hi = PROBE_CLIP if lo < PROBE_CLIP else min(lo + max(2.0 * PROBE_CLIP, lo * 2.0**-40), _MAX)
         pad = margin * (hi - lo)
-        return max(lo + pad, math.nextafter(ends[0], math.inf)), min(hi - pad, math.nextafter(ends[1], -math.inf))
+        first, last = math.nextafter(self.interval[0], math.inf), math.nextafter(self.interval[1], -math.inf)
+        return max(lo + pad, first), min(hi - pad, last)  # the floats strictly inside bound the window
 
     def _probe_positivity(self):
         a, b = self.probe_window()
@@ -242,7 +246,9 @@ class WarpedProduct:
         c = -float(np.mean(f2 / f0)) + 0.0 if c is None else float(c)  # + 0.0 normalizes -0.0
         ratio = np.abs((f1 * f1 - self.k) / (f0 * f0) + c)
         second = np.abs(f2 / f0 + c)
-        return SpaceFormCheck(c, float(np.max(ratio, initial=0.0)), float(np.max(second, initial=0.0)))
+        return SpaceFormCheck(
+            c, float(np.max(ratio, initial=0.0)), float(np.max(second, initial=0.0))
+        )
 
 
 def interval_fault(interval):

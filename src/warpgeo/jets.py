@@ -14,15 +14,19 @@ the values: a power whose exponent has no variables and an integer value is a
 product, any other exp(exponent * log(base)).
 
 Expressions are compiled once into a straight-line :class:`Tape` of ops (ch. 6), equal
-subtrees interned, with each op's rule, the variables its entries can depend on and the
-arrays it reads for the last time.  A run binds each variable to a value or an array of
-N values, runs each op once over all points (no slot is masked per point), drops each
-array after its last use and writes full slots, symmetric to the bit.
+subtrees interned, with each op's rule and the arrays it reads for the last time.  A
+run binds each variable to a value or an array of N values, runs each op once over all
+points (no slot is masked per point), drops each array after its last use and writes
+full slots, symmetric to the bit: each entry at every permutation of its index tuple,
+from a table of the variable count and the order (``_layout``, the module's one memo).
 
-A batch is evaluated in one pass (``one_pass``): a check flags the points that fail it
-and the pass computes on, inf and nan propagating as IEEE 754's flags do (Hauser, ACM
-TOPLAS 18(2), 1996).  At its end the first flagged point raises the error of the first
-check that flagged it, with ``index`` set: the error the point raises alone.
+A batch is evaluated in one pass (``one_pass``): a check flags the points
+that fail it and the pass computes on, with inf and nan propagating, as
+IEEE 754's flags do (Hauser, *Handling floating-point exceptions in numeric
+programs*, ACM TOPLAS 18(2), 1996).  At its end the first flagged point
+raises the error of the first check that flagged it, with ``index`` set;
+as each point's result does not depend on the batch, that is the error the
+point raises alone.
 """
 
 from __future__ import annotations
@@ -31,15 +35,14 @@ import operator
 from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import cache, lru_cache, reduce
+from functools import cache, reduce
 from itertools import combinations_with_replacement as _keys, permutations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, UnknownIdentifier
-from .expr import (FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Profile, Var, literal,
-                   parse, variables_in)
+from .expr import FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Profile, Var, literal, parse
 
 _Mode = namedtuple("_Mode", "order m values")  # a run's order (0: values), active variables and bindings
 
@@ -64,13 +67,15 @@ class Jet2(NamedTuple):
         """The value and the derivatives up to the jet's order."""
         return (self.value, self.grad, self.hess, self.third)[: self.order + 1]
 
-    def _apply(self, rule, *others):  # rule on the entries of this jet and others (jets or numbers)
+    def _apply(self, rule, *others):
+        """``rule`` on the entries of this jet and ``others`` (jets or numbers), as a jet."""
         mode = _Mode(self.order, self.m, None)
-        jet = rule(*(_Jet({key: x.slots()[len(key)][key] for r in range(self.order + 1)
-                           for key in _keys(range(self.m), r)}, False, mode) if isinstance(x, Jet2)
-                     else _Jet({(): np.float64(x)}, True, mode) for x in (self, *others)))
-        slots = _gather([jet], _layout((sum(1 << i for i in jet.support()),), self.m, self.order), self.m,
-                        np.broadcast_shapes(*map(np.shape, jet.values())))
+        keys = [key for r in range(self.order + 1) for key in _keys(range(self.m), r)]
+        operands = [_Jet({key: x.slots()[len(key)][key] for key in keys}, False, mode) if isinstance(x, Jet2)
+                    else _Jet({(): np.float64(x)}, True, mode) for x in (self, *others)]
+        jet = rule(*operands)
+        shape = np.broadcast_shapes(*map(np.shape, jet.values()))
+        slots = _gather([jet], _layout(self.m, self.order), self.m, shape, self.order)
         return Jet2(*(slot[0] for slot in slots))
 
     __neg__ = lambda self: self._apply(operator.neg)
@@ -86,7 +91,11 @@ def _prod(x, y):
     """x * y, None (zero by construction) if either is; x * 1.0 (a variable's entry) is x, to the bit."""
     if x is None or y is None:
         return None
-    return x if y.__class__ is float and y == 1.0 else y if x.__class__ is float and x == 1.0 else x * y
+    if y.__class__ is float and y == 1.0:
+        return x
+    if x.__class__ is float and x == 1.0:
+        return y
+    return x * y
 
 
 def _sum(*terms):  # the terms that are not None, summed from the left
@@ -135,43 +144,76 @@ class _Jet(dict):
 
 class Tape:
     """Expressions compiled into a straight-line list of ops, one per distinct subtree (a
-    Num told by its bits, -0.0 from 0.0).  Compiling evaluates only an exponent without
-    variables, to fix its power's rule.  A run of order 0 takes no derivative, so sqrt
-    and abs refuse no kink and a profile gives beta alone."""
+    Num told by its bits, -0.0 from 0.0).  Compiling evaluates only the exponents without
+    variables, each op of them once, to fix their powers' rules.  A run takes an order up to
+    ``order``; at 0 it takes no derivative: sqrt and abs refuse no kink, a profile gives beta."""
 
     def __init__(self, exprs, active=(), order=3):
-        self.m, index, memo, ops, masks, last = len(active), dict(zip(active, range(len(active)))), {}, [], [], {}
+        self.m = len(active)
+        index = {name: i for i, name in enumerate(active)}
+        memo = {}  # op by interning key: a variable by its name, a number by kind and repr
+        ops = []  # (rule, argument, kids, the kids it reads for the last time)
+        free = []  # by op, whether it has a variable
+        last = {}  # the op that reads an op last
+        constants = {}  # by op without variables, its jet of order 0
+
+        def emit(key, rule, arg, kids, has_variable):  # a new op, so far the last to read its kids
+            memo[key] = len(ops)
+            ops.append((rule, arg, kids, []))
+            free.append(has_variable)
+            for kid in kids:
+                last[kid] = memo[key]
+
+        def constant(op):  # each op once, kids first
+            if op not in constants:
+                rule, arg, kids, _ = ops[op]
+                constants[op] = rule(arg, _Mode(0, 0, {}), *map(constant, kids))
+            return constants[op]
+
+        def exponent(op):
+            """The integer k, |k| <= 2^31, that op without variables evaluates to, or None;
+            its flags are dropped, as its checks are the runs'."""
+            token = _PASS.set([])
+            try:
+                with np.errstate(all="ignore"):
+                    k = float(constant(op)[()])
+            finally:
+                _PASS.reset(token)
+            return int(k) if abs(k) <= 2**31 and k.is_integer() else None
 
         def compile_node(node):  # the op of a distinct subtree, made once, kids first
             kind = type(node)
-            if kind is Var or kind is Num or kind is Const:
-                key = node[0] if kind is Var else (kind, repr(node[0]))  # a variable by its name; -0.0 is not 0.0
+            if kind is Var:
+                key = node[0]
                 if key not in memo:
-                    memo[key] = len(ops)
-                    ops.append((_RULES[kind], (key, {(index[key],): 1.0} if key in index else {}) if kind is Var else
-                                np.float64(node[0] if kind is Num else CONSTANTS[node[0]]), (), []))
-                    masks.append(1 << index[key] if key in index else 0)
+                    gradient = {(index[key],): 1.0} if key in index else {}
+                    emit(key, _RULES[Var], (key, gradient), (), True)
+                return memo[key]
+            if kind is Num or kind is Const:
+                key = (kind, repr(node[0]))  # -0.0 is not 0.0
+                if key not in memo:
+                    value = node[0] if kind is Num else CONSTANTS[node[0]]
+                    emit(key, _RULES[kind], np.float64(value), (), False)
                 return memo[key]
             if kind not in _RULES or kind is Call and node[0] not in FUNCTIONS:
                 raise UnknownIdentifier(node[0]) if kind is Call else TypeError(f"not an Expression: {node!r}")
             kids = (compile_node(node[1]), compile_node(node[2])) if kind is BinOp else (compile_node(node[-1]),)
             key = (kind, id(node[0]) if kind is Profile else kind is Neg or node[0], *kids)
             if key not in memo:
-                memo[key] = op = len(ops)
-                power = kind is BinOp and node[0] == "^"
-                ops.append((_RULES[node[0] if kind is BinOp else kind],
-                            (node, _integer_exponent(node[2])) if power else node, kids, []))
-                masks.append(masks[kids[0]] | masks[kids[-1]])
-                for kid in kids:
-                    last[kid] = op
+                arg = node
+                if kind is BinOp and node[0] == "^":  # an exponent without variables fixes the rule
+                    arg = (node, None if free[kids[1]] else exponent(kids[1]))
+                rule = _RULES[node[0] if kind is BinOp else kind]
+                emit(key, rule, arg, kids, free[kids[0]] or free[kids[-1]])
             return memo[key]
 
         self.roots = [compile_node(expr) for expr in exprs]
-        del compile_node  # its cell held it: no cycle is left for the collector
+        del compile_node, constant, exponent  # their cells held them: no cycle is left for the collector
         self.variables = dict.fromkeys(key for key in memo if isinstance(key, str))  # the names, in order
         for kid in last.keys() - set(self.roots):  # each op's list of the jets it reads for the last time
             ops[last[kid]][3].append(kid)
-        self.ops, self.layout = ops, _layout(tuple(masks[root] for root in self.roots), self.m, order)
+        self.ops = ops
+        self.layout = _layout(self.m, order)
 
     def slots(self, bindings, order):
         """The slots up to ``order`` (0, 2 or 3; 0: values) at ``bindings``, by expression, in one pass."""
@@ -180,53 +222,47 @@ class Tape:
             raise UnknownIdentifier(missing[0])
         shape = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
         level = order if self.m else 0
-        mode, jets = _Mode(level, self.m if level else 0, values), [None] * len(self.ops)
+        mode = _Mode(level, self.m if level else 0, values)
+        jets = [None] * len(self.ops)
         with one_pass():
             for i, (fn, arg, kids, dead) in enumerate(self.ops):
                 jets[i] = fn(arg, mode, *[jets[kid] for kid in kids])
                 for kid in dead:
                     jets[kid] = None
-        return _gather([jets[root] for root in self.roots], self.layout[: order + 1], self.m, shape)
+        return _gather([jets[root] for root in self.roots], self.layout, self.m, shape, order)
 
 
 # The rule of each kind of node, called with its op's argument, the run's mode and the kids' jets.
-_RULES = {Var: lambda var, mode: _Jet({(): mode.values[var[0]], **(var[1] if mode.m else {})}, True, mode),
-          Num: lambda value, mode: _Jet({(): value}, True, mode), Neg: lambda node, mode, u: -u,
-          Call: lambda node, mode, u: _apply_function(node.func, u, node), BinOp: None,
-          Profile: lambda node, mode, u: _profile(node.curve, u), "+": lambda node, mode, a, b: a + b,
-          "-": lambda node, mode, a, b: a - b, "*": lambda node, mode, a, b: a * b,
-          "/": lambda node, mode, a, b: a * _reciprocal(b, node),
-          "^": lambda arg, mode, a, b: _real_pow(a, b, arg[0]) if arg[1] is None else _pow_int_jet(a, arg[1], arg[0])}
+_RULES = {
+    Var: lambda var, mode: _Jet({(): mode.values[var[0]], **(var[1] if mode.m else {})}, True, mode),
+    Num: lambda value, mode: _Jet({(): value}, True, mode),
+    Neg: lambda node, mode, u: -u,
+    Call: lambda node, mode, u: _apply_function(node.func, u, node),
+    BinOp: None,
+    Profile: lambda node, mode, u: _profile(node.curve, u),
+    "+": lambda node, mode, a, b: a + b,
+    "-": lambda node, mode, a, b: a - b,
+    "*": lambda node, mode, a, b: a * b,
+    "/": lambda node, mode, a, b: a * _reciprocal(b, node),
+    "^": lambda arg, mode, a, b: _real_pow(a, b, arg[0]) if arg[1] is None else _pow_int_jet(a, arg[1], arg[0]),
+}
 _RULES[Const] = _RULES[Num]
 
 
-def _integer_exponent(expr):
-    """The integer k, |k| <= 2^31, that ``expr`` without variables evaluates to (checks left to runs), or None."""
-    if not variables_in(expr):
-        token = _PASS.set([])
-        try:
-            with np.errstate(all="ignore"):
-                k = float(Tape([expr], (), 2).slots({}, 0)[0][0])
-        finally:
-            _PASS.reset(token)
-        return int(k) if abs(k) <= 2**31 and k.is_integer() else None
+@cache  # a constant of (m, order): every compile, one per eval_jet2 call, reads it
+def _layout(m, order):
+    """By slot, the positions of each sorted index tuple of slots 0 to ``order`` over m variables."""
+    return tuple({key: tuple(set(permutations(key))) for key in _keys(range(m), r)} for r in range(order + 1))
 
 
-@lru_cache(maxsize=256)
-def _layout(masks, m, order):
-    """By slot, the entries over the variables (bits) of ``masks[k]`` of jet k, each with its positions."""
-    supports = [[i for i in range(m) if mask >> i & 1] for mask in masks]
-    return tuple(tuple((k, key, tuple({(k, *perm) for perm in permutations(key)}))
-                       for k, support in enumerate(supports) for key in _keys(support, r)) for r in range(order + 1))
-
-
-def _gather(jets, layout, m, shape):
-    """The slots of ``layout`` holding the entries of ``jets`` (an absent one is 0), point axes ``shape``."""
-    slots = [np.zeros((len(jets),) + (m,) * r + shape) for r in range(len(layout))]
-    for slot, entries in zip(slots, layout):
-        for k, key, spots in entries:
-            for spot in spots if key in jets[k] else ():
-                slot[spot] = jets[k][key]
+def _gather(jets, layout, m, shape, order):
+    """The full slots up to ``order`` of ``jets``, point axes ``shape``: each entry is
+    written at every permutation of its sorted index tuple; an absent one is 0."""
+    slots = [np.zeros((len(jets),) + (m,) * r + shape) for r in range(order + 1)]
+    for k, jet in enumerate(jets):
+        for key, value in jet.items():
+            for spot in layout[len(key)][key]:
+                slots[len(key)][(k, *spot)] = value
     return slots
 
 
@@ -237,10 +273,14 @@ _PASS = ContextVar("pass", default=None)
 
 @contextmanager
 def one_pass():
-    """Evaluate a batch as one pass, with float semantics (inf and nan propagate) and the
-    checks recording, not raising.  At the outermost exit the first row any check flagged
-    raises the error of the first check, in program order, that flagged it, with ``index``
-    set: the one place where "the first failing point" is decided.  An inner pass joins."""
+    """Evaluate a batch as one pass, with float semantics (inf and nan
+    propagate) and the checks recording, not raising.
+
+    At the outermost exit the first row any check flagged raises the
+    error of the first check, in program order, that flagged it, with
+    ``index`` set: the one place where "the first failing point" is
+    decided.  An inner pass joins the outer one.
+    """
     if _PASS.get() is not None:
         yield
         return
@@ -262,10 +302,12 @@ def one_pass():
 
 
 def flag(mask, make_error, offset=0):
-    """Record that the rows of ``mask`` (from row ``offset`` of the pass on) fail a check;
-    ``make_error(i)`` builds the error of its row ``i``.  Outside a pass the check is a
-    pass of its own, so its first flagged row raises at once, with ``index`` set (the
-    probe of f, a profile's closed form and sigma, and the structural gradient)."""
+    """Record that the rows of ``mask`` (from row ``offset`` of the pass on)
+    fail a check; ``make_error(i)`` builds the error of its row ``i``.
+    Outside a pass the check is a pass of its own, so its first flagged row
+    raises at once, with ``index`` set.  By this rule the probe of f, a
+    rotational profile's closed form and sigma, and the structural gradient
+    refuse their first failing point."""
     records = _PASS.get()
     if records is None:
         with one_pass():
@@ -274,9 +316,12 @@ def flag(mask, make_error, offset=0):
 
 
 def _leaves(fn, *records):
-    """``fn`` applied to the matching arrays of batched records: named tuples whose
-    fields are arrays, tuples of arrays, records again (``PointGeometry``,
-    ``PointJets``, ``AmbientPoint``) or None; a bare array is its own leaf."""
+    """``fn`` applied to the matching arrays of batched records.
+
+    Records are named tuples whose fields are arrays, plain tuples of
+    arrays, records again (``PointGeometry``, ``PointJets``,
+    ``AmbientPoint``) or None; a bare array is its own leaf.
+    """
     first = records[0]
     if first is None:
         return None
@@ -396,30 +441,35 @@ def _profile(curve, u):
 
 
 def eval_jet2(expr, bindings, active=(), order=2):
-    """Evaluate ``expr`` as a jet of ``order`` 2 or 3; a list or tuple of K expressions gives
-    one jet whose slots carry a leading component axis of K, from one tape on which a
-    subtree they share is evaluated once.  ``bindings`` maps every variable to a real
-    value, or to a 1-d array of N values (one per point); derivatives are taken in the
-    ordered variables ``active`` (none: a plain evaluation).  The slots of order 2 do
-    not depend on ``order``.  A DomainError's ``index`` is the first failing point."""
-    if not isinstance(expr, Expression):
-        return Jet2(*Tape(expr, tuple(active), order).slots(bindings, order))
-    return Jet2(*(a[0] for a in _tape(_Same((expr,)), tuple(active), order).slots(bindings, order)))
+    """Evaluate ``expr`` as a jet of ``order`` 2 or 3; a list or tuple of K expressions
+    gives one jet whose slots carry a leading component axis of K, from one tape
+    compiled on the call, on which a subtree they share is evaluated once.
 
-
-class _Same(tuple):  # one expression, a key equal only to itself: an equal tree may differ in a zero's sign
-    __hash__ = lambda self: id(self[0])  # the key holds the expression, so its id is not reused
-    __eq__ = lambda self, other: self[0] is other[0]
-
-
-_tape = lru_cache(maxsize=64)(Tape)  # f, evaluated at every pass, is compiled once
+    ``bindings`` maps every variable appearing in ``expr`` to a real
+    value, or to a 1-d array of N values (one per point); ``active`` is the
+    ordered subset of variables that derivatives are taken against.
+    With an empty ``active`` list this is a plain evaluation; the slots of
+    order 2 do not depend on ``order``.  A DomainError carries in ``index``
+    the first point whose evaluation fails.
+    """
+    single = isinstance(expr, Expression)
+    slots = Tape([expr] if single else expr, tuple(active), order).slots(bindings, order)
+    return Jet2(*(slot[0] for slot in slots) if single else slots)
 
 
 def as_expression(obj):
     """Coerce a string, a number or an AST into an :class:`Expression`."""
-    if isinstance(obj, (Expression, str, int, float)):
-        return obj if isinstance(obj, Expression) else parse(obj) if isinstance(obj, str) else literal(obj)
+    if isinstance(obj, Expression):
+        return obj
+    if isinstance(obj, str):
+        return parse(obj)
+    if isinstance(obj, (int, float)):
+        return literal(obj)
     raise TypeError(f"cannot interpret {obj!r} as an expression")
 
 
-__all__ = ["Jet2", "eval_jet2", "as_expression"]
+__all__ = [
+    "Jet2",
+    "eval_jet2",
+    "as_expression",
+]

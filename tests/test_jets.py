@@ -507,3 +507,18 @@ def test_equal_subtrees_are_one_op_but_not_a_zero_of_the_other_sign_nor_a_consta
     assert [math.copysign(1.0, x) for x in jet.value[:2]] == [1.0, -1.0]
     assert jet.value[2:].tolist() == [2.0, math.pi, 0.0]
     assert len(Tape(exprs, ("t",)).ops) == 7  # t, 0.0, t*0.0, -0.0, t*-0.0, pi (variable) and pi (constant)
+
+
+def test_nested_constant_exponents_are_evaluated_once_each(monkeypatch):
+    # t^2^...^2 is t^(2^(2^...)): each exponent without variables fixes its
+    # power's rule, and compiling evaluates each of its ops once, so a chain
+    # of 60 compiles in time linear in its length, not in 2^60
+    from warpgeo import jets
+
+    calls, real_pow = [], jets._real_pow
+    monkeypatch.setattr(jets, "_real_pow", lambda *args: calls.append(1) or real_pow(*args))
+    tape = Tape([parse("t" + "^2" * 60)], ("t",))
+    # of its 59 constant powers 2^2, 2^4, 2^16 and 2^65536 (inf) are products, the rest exp(inf * log 2)
+    assert len(tape.ops) == 62 and len(calls) == 55
+    assert eval_jet2(parse("t" + "^2" * 3), {"t": 2.0}, ("t",)).value == 65536.0
+    assert eval_jet2(parse("t" + "^2" * 4), {"t": 1.5}, ("t",)).value == math.inf
