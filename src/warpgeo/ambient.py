@@ -8,7 +8,8 @@ nested angular chart, so the fiber has constant sectional curvature
 In these charts the metric is diagonal, G = diag(D) with
 D = (1, f^2, f^2 sin(x1)^2, ...), so every routine works with the d
 entries D_a, their derivatives dD[a, c] = d_c D_a and, for the
-structural check, d2D.  All come in closed form from the warping triple
+structural check, d2D, over the K coordinates that D depends on (t, and x1 ..
+x_{n-1} for the sphere).  All come in closed form from the warping triple
 (f, f', f''), one order-2 jet of f at the heights of a batch, which the
 curvature reads too.  The products follow the jet arithmetic of f^2 *
 sin(x1)^2 * ..., so D and the nonzero entries of dD equal that
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import DomainError, OutsideChart, SingularMetric
 from .expr import unparse, variables_in
-from .jets import as_expression, eval_jet2, flag, one_pass
+from .jets import Tape, as_expression, flag, one_pass
 
 CONDITION_LIMIT = 1e12
 SPACE_FORM_TOL = 1e-10
@@ -100,7 +101,7 @@ class WarpedProduct:
     Parameters
     ----------
     interval : pair of floats, endpoints may be infinite
-    f : expression in the single variable ``t`` (string or AST)
+    f : expression in the single variable ``t`` (string or AST), compiled once into ``tape``
     fiber : :class:`Fiber`
     n : fiber dimension, at least 1
 
@@ -127,6 +128,7 @@ class WarpedProduct:
         self.fiber = Fiber(fiber)
         self.n = int(n)
         self.k = self.fiber.curvature
+        self.tape = Tape([self.f], ("t",))
         self._probe_positivity()
 
     def __repr__(self):
@@ -154,7 +156,7 @@ class WarpedProduct:
     def _probe_positivity(self):
         a, b = self.probe_window()
         t = np.linspace(a, b, 1024)
-        values = eval_warping(self.f, t).value
+        values = eval_warping(self.tape, t, 0)[0]
 
         def refusal(i):
             problem = "underflows to 0" if values[i] == 0.0 else "is not positive"
@@ -164,8 +166,8 @@ class WarpedProduct:
 
     def warping_jet(self, t):
         """Return (f(t), f'(t), f''(t)); ``t`` may be an array of heights."""
-        jet = eval_jet2(self.f, {"t": t}, ("t",))
-        return jet.value, jet.grad[0], jet.hess[0, 0]
+        value, grad, hess = self.tape.slots({"t": t}, 2)
+        return value[0], grad[0, 0], hess[0, 0, 0]
 
     def validate_point(self, p):
         """Flag the points outside the interval or the angle chart."""
@@ -195,8 +197,8 @@ class WarpedProduct:
         and the warping triple, from one jet of f.
 
         Returns ``(D, dD, (f, f', f''))`` where ``D[a] = G_aa``, ``dD[a, c]
-        = d G_aa / d x^c`` and the triple is taken at the heights ``p.t``, each
-        with a trailing point axis at a batch of points.  The batch is one
+        = d G_aa / d x^c`` (c < K) and the triple is taken at the heights ``p.t``,
+        each with a trailing point axis at a batch of points.  The batch is one
         pass (:func:`warpgeo.jets.one_pass`): the first flagged point raises
         the error of its first check.
         """
@@ -207,13 +209,15 @@ class WarpedProduct:
 
     def diagonal_jets(self, x, warping, second=False):
         """``(D, dD, d2D)`` at fiber coordinates ``x`` from the warping triple at
-        the heights, the point axis last: ``D[a]``, ``dD[a, c] = d_c D_a`` and,
-        only when ``second`` (else None), ``d2D[a, b, c] = d_b d_c D_a``."""
+        the heights, the point axis last: ``D[a]``, ``dD[a, c] = d_c D_a`` and, only when
+        ``second`` (else None), ``d2D[a, b, c] = d_b d_c D_a``, for the K coordinates c
+        (and b) that some D_a depends on: t, and x1 .. x_{n-1} for the sphere."""
         f0, f1, f2 = warping
         d, shape = self.dim, np.shape(f0)
+        K = d - 1 if self.fiber is Fiber.SPHERE else 1
         D = np.ones((d,) + shape)
-        dD = np.zeros((d, d) + shape)
-        d2D = np.zeros((d, d, d) + shape) if second else None
+        dD = np.zeros((d, K) + shape)
+        d2D = np.zeros((d, K, K) + shape) if second else None
         with np.errstate(all="ignore"):  # float semantics, as in eval_jet2
             D[1:] = f0 * f0
             dD[1:, 0] = f0 * f1 + f0 * f1
@@ -240,8 +244,7 @@ class WarpedProduct:
         ``c`` None is fitted as -mean(f''/f); a vanishing f, or a DomainError
         of f, is a DomainError naming the height."""
         t = np.asarray(probes, dtype=float)
-        jet = eval_warping(self.f, t, ("t",))
-        f0, f1, f2 = jet.value, jet.grad[0], jet.hess[0, 0]
+        f0, f1, f2 = eval_warping(self.tape, t)
         flag(f0 == 0.0, lambda i: DomainError(f"warping function vanishes at t={float(t[i])!r}", self.f))
         c = -float(np.mean(f2 / f0)) + 0.0 if c is None else float(c)  # + 0.0 normalizes -0.0
         ratio = np.abs((f1 * f1 - self.k) / (f0 * f0) + c)
@@ -265,11 +268,11 @@ def interval_fault(interval):
     return None
 
 
-def eval_warping(f, t, active=()):
-    """``eval_jet2`` of the warping function ``f`` over the heights ``t``;
-    a DomainError names the first height at which f fails."""
+def eval_warping(tape, t, order=2):
+    """(f, f', f'') over the heights ``t`` from the ``tape`` of a warping function (compiled over
+    ``("t",)``), or (f,) at ``order`` 0; a DomainError names the first height at which f fails."""
     try:
-        return eval_jet2(f, {"t": t}, active)
+        return tuple(slot[(0,) * (r + 1)] for r, slot in enumerate(tape.slots({"t": t}, order)))
     except DomainError as exc:  # renamed in place, so it keeps its index
         exc.args = (f"warping function at t={float(t[exc.index])!r}: {exc}",)
         raise

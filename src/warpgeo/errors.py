@@ -94,8 +94,8 @@ class SceneError(WarpGeoError):
 
 # Largest grid ChartBox.grid builds.  What a scene run keeps per grid
 # point (the geometry record, the grid itself) is a few KB.  With every
-# grid check, the measured tracemalloc peak of a maximal grid is 11 MB
-# for n = 2, 34 MB for n = 4, 46 MB for n = 5 and 199 MB for n = 8, the
+# grid check, the measured tracemalloc peak of a maximal grid is 9.0 MB
+# for n = 2, 26 MB for n = 4, 38 MB for n = 5 and 180 MB for n = 8, the
 # largest n a grid can have (each axis takes at least 3 samples).
 MAX_GRID_POINTS = 10_000
 MAX_DIMENSION = int(math.log(MAX_GRID_POINTS, 3))  # that largest n, 8

@@ -27,7 +27,6 @@ An :class:`Immersion` compiles its components into one tape and evaluates nothin
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from typing import NamedTuple
@@ -37,13 +36,13 @@ import numpy as np
 from .ambient import AmbientPoint, WarpedProduct
 from .errors import MAX_GRID_POINTS, DegenerateImmersion, DomainError, OutsideChart
 from .expr import unparse, variables_in
-from .jets import Jet2, Tape, _leaves, as_expression, flag, one_pass
+from .jets import Jet2, Tape, as_expression, flag, one_pass
 
 GRAM_DET_LIMIT = 1e-12
 BOUNDARY_MARGIN = 1e-6
 # Largest batch evaluated at once.  The working memory of one evaluation
-# grows with n (measured at order 2: about 1.7 KB per point for n = 3 and
-# 15 KB for n = 8; 4.5 and 89 KB at order 3), so longer batches run in
+# grows with n (measured at order 2: about 1.3 KB per point for n = 3 and
+# 14 KB for n = 8; 3.5 and 88 KB at order 3), so longer batches run in
 # consecutive slices; results do not depend on the slicing.
 SLICE_POINTS = 2048
 
@@ -88,7 +87,7 @@ class ChartBox(namedtuple("ChartBox", "names lower upper")):
         return np.linspace(lo + pad, hi - pad, count)
 
     def grid(self, counts, margins=None):
-        """Interior grid as a list of chart points (row-major).
+        """Interior grid as an (N, n) float array of chart points (row-major).
 
         ``counts`` is an int applied to every axis or a mapping from
         variable name to sample count; ``margins`` likewise gives the
@@ -104,16 +103,11 @@ class ChartBox(namedtuple("ChartBox", "names lower upper")):
             )
         if not isinstance(margins, dict):
             margins = dict.fromkeys(self.names, 0.05 if margins is None else float(margins))
-        axes = [self.axis_points(name, count, margins.get(name, 0.05)) for name, count in zip(self.names, sizes)]
-        return list(itertools.product(*(axis.tolist() for axis in axes)))
-
-
-def as_points(points, n):
-    """Chart points as an (N, n) float array; a list of tuples is read in one pass."""
-    if isinstance(points, list) and points and isinstance(points[0], tuple):
-        flat = itertools.chain.from_iterable(points)
-        return np.fromiter(flat, float, count=len(points) * n).reshape(-1, n)
-    return np.asarray(points, dtype=float).reshape(-1, n)
+        points = np.empty(sizes + [self.dim])
+        for i, name in enumerate(self.names):  # axis i broadcast along axis i of the block
+            axis = self.axis_points(name, sizes[i], margins.get(name, 0.05))
+            points[..., i] = axis.reshape([-1] + [1] * (self.dim - 1 - i))
+        return points.reshape(total, self.dim)
 
 
 class Immersion:
@@ -144,7 +138,7 @@ class Immersion:
                 extra = sorted(variables_in(expr) - set(chart.names))
                 if extra:
                     raise ValueError(f"component {unparse(expr)!r} uses undeclared variables {extra}")
-        self.probes = as_points([chart.center()] + chart.grid(3, margins=0.1), chart.dim)
+        self.probes = np.concatenate([[chart.center()], chart.grid(3, margins=0.1)])
         self.probes.flags.writeable = False
 
     @property
@@ -165,7 +159,7 @@ class Immersion:
 
     def _slots(self, points, order):
         """The tape's slots up to ``order`` with each chart variable bound to its column of ``points``."""
-        columns = np.ascontiguousarray(as_points(points, self.n).T)  # one copy, a row per variable
+        columns = np.ascontiguousarray(np.reshape(points, (-1, self.n)).T, dtype=float)  # a row per variable
         return self.tape.slots(dict(zip(self.chart.names, columns)), order)
 
 
@@ -176,8 +170,8 @@ class PointJets(NamedTuple):
     points and ``ambient_point`` their images; ``frame[a, i]`` (d, n, N)
     is d psi^a / d u^i, ``second`` (d, n, n, N) and ``third`` (d, n, n, n,
     N; order 3, else None) the higher chart derivatives; ``D`` (d, N),
-    ``dD`` (d, d, N) and ``warping`` = (f, f', f'') come from the one jet
-    of f of ``WarpedProduct.metric_jets``; ``metric`` (n, n, N) is
+    ``dD`` (d, K, N: the K columns that can be nonzero) and ``warping`` = (f, f', f'')
+    come from the one jet of f of ``WarpedProduct.metric_jets``; ``metric`` (n, n, N) is
     g = E^T diag(D) E and ``factor`` F = L^-T of ``_factor``, so that
     g^-1 = F F^T.  The frame, second and third arrays are the slots of
     ``Immersion.component_jets`` themselves, not copies.
@@ -193,10 +187,6 @@ class PointJets(NamedTuple):
     metric: np.ndarray
     factor: np.ndarray
     third: np.ndarray | None = None
-
-    def rows(self, start):
-        """The record of the rows from ``start`` on, by basic slices (no copies)."""
-        return _leaves(lambda a: a[..., start:], self)
 
 
 def contract(spec, *operands):
@@ -217,14 +207,13 @@ def point_jets(imm, points, order=2):
     frame.  The call is one :func:`warpgeo.jets.one_pass` (joining an open one, as
     ``grid_geometry``'s), so its first flagged point raises its first check's error.
     """
-    points = as_points(points, imm.n)
+    points = np.asarray(points, dtype=float).reshape(-1, imm.n)
     flag(~imm.chart.contains(points), lambda i: OutsideChart(
         f"chart point {tuple(map(float, points[i]))!r} is outside the open box (margin 1e-6)"))
-    jets = imm.component_jets(points, order)
-    q = AmbientPoint(jets.value[0], tuple(jets.value[1:]))
-    E, second = jets.grad, jets.hess  # (d, n, N), (d, n, n, N)
+    value, E, second, third = imm.component_jets(points, order)  # (d, N), (d, n, N), (d, n, n, N)
+    q = AmbientPoint(value[0], tuple(value[1:]))
     D, dD, warping = imm.ambient.metric_jets(q)
-    image = np.isfinite(jets.value).all(axis=0)
+    image = np.isfinite(value).all(axis=0)
     finite = (
         image
         & np.isfinite(E).all(axis=(0, 1))
@@ -232,12 +221,12 @@ def point_jets(imm, points, order=2):
         & np.isfinite(D).all(axis=0)
     )
     flag(~finite, lambda i: DomainError("tangent frame, second derivatives or metric not finite" if image[i]
-                                        else f"ambient point {tuple(map(float, jets.value[:, i]))!r} not finite"))
+                                        else f"ambient point {tuple(map(float, value[:, i]))!r} not finite"))
     g = contract("aip,ajp->ijp", E, D[:, None] * E)
     pivots, F = _factor(g)  # a non-finite g gives NaN pivots and fails later checks
     flag((pivots <= 0.0).any(axis=0) | (pivots.prod(axis=0) <= GRAM_DET_LIMIT), lambda i: DegenerateImmersion(
         f"tangent frame is degenerate at chart point {tuple(map(float, points[i]))!r}"))
-    return PointJets(points.T, q, E, second, D, dD, warping, g, F, jets.third)
+    return PointJets(points.T, q, E, second, D, dD, warping, g, F, third)
 
 
 def _factor(g):
@@ -278,7 +267,7 @@ def _det(M):
 
 def metric_derivative(pj, P):
     """dg[k, i, j] = d g_ij / d u^k of the induced metric, exact, from the order-2
-    jets of psi and P = dD E (P^a_k = d D_a / d u^k): with T[k, i, j] = <d_i d_k psi, E_j>,
+    jets of psi and P = dD E (P^a_k = d D_a / d u^k, (d, n, N)): with T[k, i, j] = <d_i d_k psi, E_j>,
     dg = T + T^T + sum_a P^a_k E^a_i E^a_j."""
     T = contract("aikp,ajp->kijp", pj.second, pj.D[:, None] * pj.frame)
     return T + np.swapaxes(T, 1, 2) + contract("aip,ajp,akp->kijp", pj.frame, pj.frame, P)

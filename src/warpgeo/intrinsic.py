@@ -23,7 +23,7 @@ import numpy as np
 from .ambient import AmbientPoint, check_conditioning
 from . import hypersurface
 from .errors import DomainError, PointError
-from .hypersurface import _det, _unit_normal, as_points, contract, metric_derivative, point_jets
+from .hypersurface import _det, _unit_normal, contract, metric_derivative, point_jets
 from .jets import _leaves, flag, one_pass
 
 _ORIENT_TIE = 1e-10  # theta > 0 at the center, or the first entry of N beyond this
@@ -118,7 +118,7 @@ def grid_geometry(imm, points, order=2):
     is None.
     """
     head, parts, orientation = imm.probes, [], None
-    rows = np.concatenate([head, as_points(points, imm.n)])
+    rows = np.concatenate([head, np.reshape(points, (-1, imm.n))])
     for start in range(0, len(rows), hypersurface.SLICE_POINTS):
         block = rows[start : start + hypersurface.SLICE_POINTS]
         cut = min(max(len(head) - start, 0), len(block))  # the probe rows of the slice
@@ -133,8 +133,9 @@ def grid_geometry(imm, points, order=2):
                 if first:
                     signs = normal[:, 0][np.abs(normal[:, 0]) > _ORIENT_TIE]
                     orientation = -1.0 if signs.size and signs[0] < 0.0 else 1.0
-                if cut < len(block):
-                    parts.append(_geometry(imm, pj.rows(cut), orientation * normal[:, first:], order, cut))
+                if cut < len(block):  # handed over in a list that _geometry empties, so what it drops is freed
+                    held, pj = [_leaves(lambda a: a[..., cut:], pj)], None
+                    parts.append(_geometry(imm, held, orientation * normal[:, first:], order, cut))
         except PointError as exc:
             exc.index += start
             if isinstance(exc, DomainError):
@@ -150,20 +151,23 @@ def grid_geometry(imm, points, order=2):
     return record
 
 
-def _geometry(imm, pj, N, order, offset):
-    """The record over the rows of ``pj`` with unit normals ``N``, whose
-    first row is row ``offset`` of the pass; Hess h is the same at either order."""
+def _geometry(imm, held, N, order, offset):
+    """The record over the rows of the ``PointJets`` record popped from the list ``held``, so that its slots
+    and dD die once Hess h is formed, with unit normals ``N``; its first row is row ``offset`` of the pass."""
+    pj = held.pop()
     E, g, n = pj.frame, pj.metric, imm.n
     ginv = contract("ikp,jkp->ijp", pj.factor, pj.factor)
-    P = contract("acp,cip->aip", pj.dD, E)
+    P = contract("acp,cip->aip", pj.dD, E[: pj.dD.shape[1]])  # dD holds the columns that can be nonzero
     II = _covariant_hessian(pj, P, N)
-    A = contract("ikp,kjp->ijp", ginv, II)
-    H = contract("iip->p", A) / n
     dh = E[0]
     grad_h = contract("ijp,jp->ip", ginv, dh)
+    hess_direct = pj.second[0] - _covariant_hessian(pj, P, contract("aip,ip->ap", E, grad_h))
+    lap_gradient = None if order == 2 else _laplacian_gradient(imm.ambient, pj, ginv, P, grad_h)
+    pj, P = pj._replace(second=None, dD=None, third=None), None  # read no more, and held nowhere else
+    A = contract("ikp,kjp->ijp", ginv, II)
+    H = contract("iip->p", A) / n
     f0, f1, _ = pj.warping
     hess_identity = (f1 / f0) * (g - dh[:, None] * dh) + N[0] * II
-    hess_direct = pj.second[0] - _covariant_hessian(pj, P, contract("aip,ip->ap", E, grad_h))
     lap = contract("ijp,jip->p", ginv, hess_direct)  # trace(g^-1 Hess h)
     F = pj.factor  # residual: max |eig M| of M = F^T (Hess h - (Lap h / n) g) F
     M = contract("ikp,kjp->ijp", contract("kip,kjp->ijp", F, hess_direct - (lap / n) * g), F)
@@ -205,7 +209,7 @@ def _geometry(imm, pj, N, order, offset):
         scal_gauss=scal_gauss,
         lam=lam,
         residual=residual,
-        lap_gradient=None if order == 2 else _laplacian_gradient(imm.ambient, pj, ginv, P, grad_h),
+        lap_gradient=lap_gradient,
     )
 
 
@@ -213,25 +217,26 @@ def _covariant_hessian(pj, P, v):
     """<d_i d_j psi + Gamma-bar(E_i, E_j), v> for ambient vectors v (d, N), with the ambient
     Christoffel symbols in closed form: with P = dD E, q = dD v and X_ij = sum_a P^a_i v_a E^a_j,
     <Gamma-bar(E_i, E_j), v> = (X_ij + X_ji)/2 - sum_b q_b E^b_i E^b_j / 2."""
-    E = pj.frame
+    E, dD = pj.frame, pj.dD
     X = contract("aip,ajp->ijp", P, v[:, None] * E)
     X += np.swapaxes(X, 0, 1)  # in place, as are the steps below: fewer temporaries, the same bits
-    X -= contract("aip,ajp->ijp", E, contract("abp,bp->ap", pj.dD, v)[:, None] * E)  # q = dD v
+    X -= contract("aip,ajp->ijp", E, contract("abp,bp->ap", dD, v[: dD.shape[1]])[:, None] * E)  # q = dD v
     X *= 0.5
     X += contract("ap,aijp->ijp", pj.D * v, pj.second)
     return X
 
 
 def _spectral_radius3(M):
-    """max |eigenvalue| of each symmetric 3 x 3 M[:, :, p] scaled to a largest entry of 1, whose largest
-    and smallest eigenvalues are q + 2 p cos(phi) and q + 2 p cos(phi + 2 pi/3) (Smith, CACM 4(4), 1961);
-    for a trace-free M that is the isolated one, where the cosine is flat (Kopp, 2008).  NaN if not finite."""
+    """max |eigenvalue| of each symmetric 3 x 3 M[:, :, p], overwritten as it is scaled to a largest entry of 1,
+    whose largest and smallest eigenvalues are q + 2 p cos(phi) and q + 2 p cos(phi + 2 pi/3) (Smith, CACM 4(4),
+    1961); for a trace-free M that is the isolated one, where the cosine is flat (Kopp, 2008).  NaN if not finite."""
     scale = np.max(np.abs(M), axis=(0, 1))
-    M = M / np.where(scale > 0.0, scale, 1.0)
+    M /= np.where(scale > 0.0, scale, 1.0)
     q = (M[0, 0] + M[1, 1] + M[2, 2]) / 3.0
-    K = M - q * np.eye(3)[:, :, None]
-    p = np.sqrt(contract("ijp,ijp->p", K, K) / 6.0)
-    phi = np.arccos(np.clip(_det(K / np.where(p > 0.0, p, 1.0)) / 2.0, -1.0, 1.0)) / 3.0
+    M[range(3), range(3)] -= q
+    p = np.sqrt(contract("ijp,ijp->p", M, M) / 6.0)
+    M /= np.where(p > 0.0, p, 1.0)
+    phi = np.arccos(np.clip(_det(M) / 2.0, -1.0, 1.0)) / 3.0
     cosines = np.cos([phi, phi + 2.0 * np.pi / 3.0])
     return scale * np.max(np.abs(q + 2.0 * p * cosines), axis=0)
 
@@ -241,7 +246,7 @@ def _laplacian_gradient(ambient, pj, G, P, grad_h):
     P = dD E, p = P grad h and per ambient index a sigma_a = <g^-1, d2 psi^a>,
     phi_a = F_a . P_a, psi_a = F_a . E_a, Lap h = sigma_0 - sum_a (D_a e_a sigma_a
     + e_a phi_a - p_a psi_a / 2), whose product rule is a sum of contractions of
-    d3 psi, d2 psi, d2D, dD, d2h and d_m g^-1 = -g^-1 d_m g g^-1."""
+    d3 psi, d2 psi, d2D, dD, d2h and d_m g^-1 = -g^-1 d_m g g^-1, of which dD and d2D hold K columns."""
     E, S, T, D, dD = pj.frame, pj.second, pj.third, pj.D, pj.dD
     d2D = ambient.diagonal_jets(pj.ambient_point.x, pj.warping, second=True)[2]
     F, PG = contract("aip,ijp->ajp", E, G), contract("aip,ijp->ajp", P, G)
@@ -255,11 +260,11 @@ def _laplacian_gradient(ambient, pj, G, P, grad_h):
     M += (contract("ap,ajp->jp", 0.5 * psi, P) - contract("ap,ajp->jp", c, E))[:, None] * E[0]
     Z_Q = 0.5 * psi[:, None] * grad_h - e[:, None] * F
     Z_S = p[:, None] * F - e[:, None] * PG - c[:, None] * grad_h
-    Z_S += contract("cap,cjp->ajp", dD, Z_Q)  # d_m P = E^T d2D E + dD d2 psi
+    Z_S[: dD.shape[1]] += contract("cap,cjp->ajp", dD, Z_Q)  # d_m P = E^T d2D E + dD d2 psi
     y = contract("ap,ajp->jp", 0.5 * psi, PG) - contract("ap,ajp->jp", c, F)
-    V = contract("abp,abcp->cp", contract("ajp,bjp->abp", Z_Q, E), d2D)
+    V = contract("abp,abcp->cp", contract("ajp,bjp->abp", Z_Q, E[: dD.shape[1]]), d2D)
     GMG = contract("ikp,kjp->ijp", contract("ikp,kjp->ijp", G, M), G)
     grad = contract("aijp,aijmp->mp", w[:, None, None] * G, T) + contract("ajp,ajmp->mp", Z_S, S)
     grad -= contract("mijp,ijp->mp", metric_derivative(pj, P), GMG)
     U = V - contract("ap,acp->cp", e * sigma, dD)
-    return grad + (contract("cp,cmp->mp", U, E) + contract("jp,jmp->mp", y, S[0]))
+    return grad + (contract("cp,cmp->mp", U, E[: len(U)]) + contract("jp,jmp->mp", y, S[0]))

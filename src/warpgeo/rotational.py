@@ -39,7 +39,7 @@ from .ambient import Fiber, WarpedProduct, eval_warping, interval_fault
 from .errors import DomainError, QuadratureFailure, SigmaZero
 from .expr import BinOp, Call, Profile, Var, literal
 from .hypersurface import ChartBox, Immersion
-from .jets import as_expression, eval_jet2, flag
+from .jets import Tape, as_expression, eval_jet2, flag
 from .intrinsic import grid_geometry
 from .soliton import SOLITON_TOL, Verdict, soliton_report
 
@@ -101,14 +101,15 @@ class RotationalProfile(namedtuple("RotationalProfile", "theta f n c1 c2 u_range
 
 class ProfileCurve(NamedTuple):
     """Solved profile: the callable beta, and alpha and the jet of beta
-    derived from it.
+    derived from it; the jet runs ``tape``, f compiled once.
 
-    Each takes a float or an array of u values.
+    Each takes a float or an array of u values; ``beta(u, t)`` takes t = alpha(u) too, where known.
     """
 
     profile: RotationalProfile
     beta: object
     exponential_rate: float | None  # c5 when f = c3 exp(c5 t), else None
+    tape: Tape
 
     def alpha(self, u):
         return self.profile.alpha(u)
@@ -116,11 +117,12 @@ class ProfileCurve(NamedTuple):
     def beta_jet(self, u, order=3):
         """(beta, beta', beta'', beta''') at ``u`` from one jet of f at alpha(u); beta''' only at ``order`` 3."""
         prof = self.profile
-        jet = eval_jet2(prof.f, {"t": prof.alpha(u)}, ("t",))
-        f0, f1, f2 = jet.value, jet.grad[0], jet.hess[0, 0]
+        t = prof.alpha(u)
+        value, grad, hess = self.tape.slots({"t": t}, 2)
+        f0, f1, f2 = value[0], grad[0, 0], hess[0, 0, 0]
         theta, a = prof.theta, prof.slope
         third = -theta * a * a * (f0 * f2 - 2.0 * f1 * f1) / (f0 * f0 * f0) if order == 3 else None
-        return self.beta(u), theta / f0, -theta * f1 * a / (f0 * f0), third
+        return self.beta(u, t), theta / f0, -theta * f1 * a / (f0 * f0), third
 
 
 def _detect_exponential(prof):
@@ -131,13 +133,13 @@ def _detect_exponential(prof):
     """
     u0, u1 = prof.u_range
     t_values = np.linspace(prof.alpha(u0), prof.alpha(u1), 17)
-    jet = eval_warping(prof.f, t_values, ("t",))
+    f0, f1, _ = eval_warping(Tape([prof.f], ("t",)), t_values)
     with np.errstate(divide="ignore", invalid="ignore"):  # a vanishing f is no exponential
-        rates = jet.grad[0] / jet.value
+        rates = f1 / f0
     c5 = float(rates[0])
     if np.any(np.abs(rates - c5) > 1e-12 * (1.0 + abs(c5))) or not abs(c5) > 1e-12:
         return None
-    c3 = float(jet.value[0] * np.exp(-c5 * float(t_values[0])))
+    c3 = float(f0[0] * np.exp(-c5 * float(t_values[0])))
     return c3, c5
 
 
@@ -206,8 +208,8 @@ def _solve(prof, exponential):
     if exponential is not None:
         c3, c5 = exponential
 
-        def base(u):
-            return -prof.theta / (c3 * c5 * prof.slope) * np.exp(-c5 * prof.alpha(u))
+        def base(u, t=None):  # t = alpha(u), if given
+            return -prof.theta / (c3 * c5 * prof.slope) * np.exp(-c5 * (prof.alpha(u) if t is None else t))
 
         u, got = probes[::2], values[::2]  # linspace(u0, u1, 9), to the bit
         expected = base(u) - base(u0)
@@ -217,13 +219,13 @@ def _solve(prof, exponential):
                                               f"{float(expected[i])!r} vs {float(got[i])!r}"))
         rate = c5
     else:
-        base = integral
+        base = lambda u, t=None: integral(u)  # the interpolant reads u alone
         rate = None
 
-    def beta(u):
-        return base(u) + prof.c2
+    def beta(u, t=None):
+        return base(u, t) + prof.c2
 
-    return ProfileCurve(profile=prof, beta=beta, exponential_rate=rate)
+    return ProfileCurve(profile=prof, beta=beta, exponential_rate=rate, tape=Tape([prof.f], ("t",)))
 
 
 def default_chart(prof):
@@ -324,11 +326,11 @@ def profile_residuals(curve, u_count=CLASSIFICATION_U_COUNT):
     prof = curve.profile
     u = default_chart(prof).axis_points("u", max(u_count, 16), 0.05)
     t = curve.alpha(u)
-    jet = eval_warping(prof.f, t, ("t",))
-    beta = curve.beta(u)
-    sigma = jet.value * beta
-    slopes = jet.grad[0] / jet.value
-    d_sigma = jet.grad[0] * prof.slope * beta + prof.theta
+    f0, f1, _ = eval_warping(curve.tape, t)
+    beta = curve.beta(u, t)
+    sigma = f0 * beta
+    slopes = f1 / f0
+    d_sigma = f1 * prof.slope * beta + prof.theta
     sigma_sup = float(np.max(np.abs(d_sigma), initial=0.0))
     flag(np.abs(sigma) < 1e-12, lambda i: SigmaZero(f"sigma vanishes at u={float(u[i])!r}"))
     balance = slopes * (1.0 - prof.theta**2) + prof.theta * prof.slope / sigma

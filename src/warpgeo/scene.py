@@ -150,7 +150,7 @@ class Scene(NamedTuple):
     ambient: WarpedProduct
     immersion: Immersion
     profile: object  # solved ProfileCurve for rotational presets, else None
-    grid: list
+    grid: np.ndarray  # (N, n) chart points, row-major
     checks: list  # (kind, c) pairs: c is the value of "spaceform c=", else None
     report_path: str | None
     mesh_path: str | None
@@ -275,14 +275,17 @@ def run_scene(scene):
     started = time.perf_counter()
     kinds = {kind for kind, _ in scene.checks}
     imm, curve = scene.immersion, scene.profile
-    points = list(scene.grid) if kinds & set(GRID_CHECKS) else []
+    points = scene.grid if kinds & set(GRID_CHECKS) else scene.grid[:0]
     size = len(points)
     classify = curve is not None and "rotational-classification" in kinds
     if classify:
         residuals = profile_residuals(curve)
-        extra = classification_grid(curve.profile)
-        known = set(points)
-        points += [p for p in dict.fromkeys(extra) if p not in known]
+        both = np.concatenate([points, classification_grid(curve.profile)])
+        keys = (both + 0.0).view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel()  # -0.0 is 0.0
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        seen = first[inverse.ravel()]  # the first row equal to each row
+        keep = (seen == np.arange(len(both))) | (np.arange(len(both)) < size)  # a grid point, or a new one
+        points, rows = both[keep], (np.cumsum(keep) - 1)[seen[size:]]  # and the row of each classification point
     geometry = soliton = classification = None
     try:  # structural reads the third jets of the same pass
         record = grid_geometry(imm, points, 3 if "structural" in kinds else 2)
@@ -294,9 +297,7 @@ def run_scene(scene):
     if size:
         geometry = record if size == len(points) else _leaves(lambda a: a[..., :size], record)
     if classify:
-        index = {p: i for i, p in enumerate(points)}
-        rows = [index[p] for p in extra]
-        if rows != list(range(len(points))):
+        if not np.array_equal(rows, np.arange(len(points))):
             record = _leaves(lambda a: a[..., rows], record)
             _leaves(lambda a: a.setflags(write=False), record)  # a fancy-indexed copy is writable
         classification = classify_rotational(imm, record, residuals)

@@ -44,7 +44,7 @@ from warpgeo.catalogue import (
 from warpgeo.errors import DomainError, SigmaZero, UnknownIdentifier
 from warpgeo.expr import (FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Profile, Var, parse,
                           variables_in)
-from warpgeo.hypersurface import Immersion, metric_derivative, point_jets
+from warpgeo.hypersurface import Immersion, contract, metric_derivative, point_jets
 from warpgeo.intrinsic import grid_geometry
 from warpgeo.jets import _leaves, eval_jet2, flag, one_pass
 from warpgeo.rotational import assemble_rotational, solve_profile
@@ -209,9 +209,16 @@ def perturbed_immersion(imm, rng, amplitude=0.004):
     return Immersion(imm.ambient, imm.chart, components)
 
 
+def full_columns(dD, d):
+    """A ``dD`` whose last axis holds the K columns that ``WarpedProduct.diagonal_jets``
+    keeps, widened to all d ambient coordinates by the zero columns it leaves out
+    (with a leading point axis, or none)."""
+    return np.concatenate([dD, np.zeros(dD.shape[:-1] + (d - dD.shape[-1],))], axis=-1)
+
+
 def christoffel_symbols(p, D, dD):
     """Christoffel symbols Gamma[a, b, c] = Gamma^a_{bc} at ``p`` from the
-    diagonal metric jets ``D``, ``dD``, by the closed form
+    diagonal metric jets ``D``, ``dD`` (its K columns), by the closed form
 
         Gamma^a_bc = (delta_ac d_b D_a + delta_ab d_c D_a - delta_bc d_a D_b) / (2 D_a).
 
@@ -220,6 +227,7 @@ def christoffel_symbols(p, D, dD):
     """
     check_conditioning(p, np.reshape(D, (-1, D.shape[-1])).T)
     d = D.shape[-1]
+    dD = full_columns(dD, d)
     half = dD / (2.0 * D[..., :, None])  # [a, b] = d_b D_a / (2 D_a)
     cross = np.swapaxes(dD, -1, -2) / (2.0 * D[..., :, None])  # [a, b] = d_a D_b / (2 D_a)
     gamma = np.zeros(D.shape + (d, d))
@@ -317,7 +325,7 @@ def induced_christoffels_from_jets(pj):
     """Christoffel symbols Gamma[:, k, i, j] = g^kl B_lij / 2 of the induced metric,
     B_lij = d_i g_lj + d_j g_il - d_l g_ij, point axis first, with dg from
     ``metric_derivative`` and P = dD E."""
-    P = point_last(point_first(pj.dD) @ point_first(pj.frame))
+    P = point_last(full_columns(point_first(pj.dD), len(pj.D)) @ point_first(pj.frame))
     dg = point_first(metric_derivative(pj, P))
     B = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
     ginv = metric_inverse(pj)
@@ -357,8 +365,9 @@ def metric_jets_ast(W, p):
 
 def dense_metric_jets(D, dD):
     """The dense metric G and dG[a, b, c] = d G_ab / d x^c of the
-    diagonal metric jets ``(D, dD)``."""
+    diagonal metric jets ``(D, dD)`` (its K columns)."""
     eye = np.eye(D.shape[-1])
+    dD = full_columns(dD, D.shape[-1])
     return D[..., None] * eye, eye[:, :, None] * dD[..., :, None, :]
 
 
@@ -477,6 +486,44 @@ def laplacian_height(imm, points):
     pj = point_jets(imm, points)
     ginv = metric_inverse(pj)
     return np.trace(ginv @ point_first(hessian_height_christoffel(pj)), axis1=-2, axis2=-1)
+
+
+def dense_covariant_hessian(pj, P, v):
+    """``intrinsic._covariant_hessian`` with every contraction over all d ambient
+    columns: ``pj.dD`` (d, d, N) and P = dD E hold the zero columns that the pass
+    leaves out (point axis last)."""
+    E = pj.frame
+    X = contract("aip,ajp->ijp", P, v[:, None] * E)
+    X += np.swapaxes(X, 0, 1)
+    X -= contract("aip,ajp->ijp", E, contract("abp,bp->ap", pj.dD, v)[:, None] * E)
+    X *= 0.5
+    X += contract("ap,aijp->ijp", pj.D * v, pj.second)
+    return X
+
+
+def dense_laplacian_gradient(pj, d2D, G, P, grad_h):
+    """d_m Lap h of ``intrinsic._laplacian_gradient`` with every contraction over all d
+    ambient columns: ``pj.dD`` (d, d, N), ``d2D`` (d, d, d, N) and P = dD E hold the
+    zero columns that the pass leaves out (point axis last)."""
+    E, S, T, D, dD = pj.frame, pj.second, pj.third, pj.D, pj.dD
+    F, PG = contract("aip,ijp->ajp", E, G), contract("aip,ijp->ajp", P, G)
+    e, p = contract("aip,ip->ap", E, grad_h), contract("aip,ip->ap", P, grad_h)
+    sigma = contract("aijp,ijp->ap", S, G)
+    phi, psi = contract("ajp,ajp->ap", F, P), contract("ajp,ajp->ap", F, E)
+    w, c = -e * D, D * sigma + phi
+    w[0] += 1.0
+    M = contract("ap,aijp->ijp", w, S) + contract("aip,ajp->ijp", E, 0.5 * p[:, None] * E - e[:, None] * P)
+    M += (contract("ap,ajp->jp", 0.5 * psi, P) - contract("ap,ajp->jp", c, E))[:, None] * E[0]
+    Z_Q = 0.5 * psi[:, None] * grad_h - e[:, None] * F
+    Z_S = p[:, None] * F - e[:, None] * PG - c[:, None] * grad_h
+    Z_S += contract("cap,cjp->ajp", dD, Z_Q)
+    y = contract("ap,ajp->jp", 0.5 * psi, PG) - contract("ap,ajp->jp", c, F)
+    V = contract("abp,abcp->cp", contract("ajp,bjp->abp", Z_Q, E), d2D)
+    GMG = contract("ikp,kjp->ijp", contract("ikp,kjp->ijp", G, M), G)
+    grad = contract("aijp,aijmp->mp", w[:, None, None] * G, T) + contract("ajp,ajmp->mp", Z_S, S)
+    grad -= contract("mijp,ijp->mp", metric_derivative(pj, P), GMG)
+    U = V - contract("ap,acp->cp", e * sigma, dD)
+    return grad + (contract("cp,cmp->mp", U, E) + contract("jp,jmp->mp", y, S[0]))
 
 
 def laplacian_gradient_fd(imm, points, step=FD_STEP):

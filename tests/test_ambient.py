@@ -50,7 +50,8 @@ def test_closed_form_metric_jets_match_the_expression_walk(interval, f, fiber, n
     # D and (f, f', f'') equal the jet arithmetic of the entries 1, f^2,
     # f^2 sin(x1)^2, ... to the bit, one point at a time and as a batch.
     # So does dD, but for the sign of its zeros: the walk takes d f / d x_j
-    # as f' times a zero derivative of t, which is -0 where f' < 0.
+    # as f' times a zero derivative of t, which is -0 where f' < 0.  dD keeps
+    # the K columns that can be nonzero, and every other column of the walk is 0.
     W = WarpedProduct(interval, f, fiber, n)
     rng = np.random.default_rng(n)
     points = [random_fiber_point(W, rng) for _ in range(6)]
@@ -60,7 +61,10 @@ def test_closed_form_metric_jets_match_the_expression_walk(interval, f, fiber, n
         D, dD, warping = W.metric_jets(p)
         D_ast, dD_ast, warping_ast = metric_jets_ast(W, p)
         assert D.tobytes() == D_ast.tobytes()
-        assert np.array_equal(dD, dD_ast)  # equal values: equal bits, or zeros
+        K = 1 if fiber is Fiber.EUCLIDEAN else n
+        assert dD.shape[:2] == (n + 1, K)
+        assert np.array_equal(dD, dD_ast[:, :K])  # equal values: equal bits, or zeros
+        assert not np.any(dD_ast[:, K:])
         for got, want in zip(warping, warping_ast):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 

@@ -366,17 +366,17 @@ def test_chart_grid_layout():
 
 
 def test_chart_grid_holds_the_floats_of_the_axis_product():
-    # the grid is the row-major product of the axes, as tuples of Python
-    # floats equal bit for bit to float() of each numpy entry
+    # the grid is one C-ordered (N, n) float array whose rows are the
+    # row-major product of the axes, each entry equal bit for bit to the
+    # numpy entry of its axis
     chart = ChartBox(("u", "v", "w"), (-1.0, 0.2, -math.pi + 0.1), (1.0, math.pi - 0.2, math.pi - 0.1))
     counts, margins = {"u": 11, "v": 7, "w": 5}, {"u": 0.05, "v": 0.1}
     axes = [chart.axis_points(name, counts[name], margins.get(name, 0.05)) for name in chart.names]
     expected = [tuple(map(float, p)) for p in itertools.product(*axes)]
     grid = chart.grid(counts, margins)
-    assert len(grid) == len(expected) == 11 * 7 * 5
-    for p, q in zip(grid, expected):
-        assert type(p) is tuple and all(type(v) is float for v in p)
-        assert np.array(p).tobytes() == np.array(q).tobytes()
+    assert type(grid) is np.ndarray and grid.dtype == np.float64 and grid.flags.c_contiguous
+    assert grid.shape == (len(expected), 3) == (11 * 7 * 5, 3)
+    assert grid.tobytes() == np.array(expected).tobytes()
 
 
 def test_slice_requires_interior_t0():

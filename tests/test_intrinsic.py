@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpgeo.ambient import Fiber, WarpedProduct
-from warpgeo.hypersurface import ChartBox, Immersion, point_jets
-from warpgeo.intrinsic import _ambient_ricci, _spectral_radius3, grid_geometry
+from warpgeo.hypersurface import ChartBox, Immersion, contract, point_jets
+from warpgeo.intrinsic import _ambient_ricci, _covariant_hessian, _laplacian_gradient, _spectral_radius3, grid_geometry
 
 from oracles import (
     FD_TOL,
     ambient_ricci_frame_sum,
+    dense_covariant_hessian,
+    dense_laplacian_gradient,
+    full_columns,
     geometry_at,
     hessian_height_christoffel,
     laplacian_gradient_fd,
@@ -327,6 +332,40 @@ def test_ambient_ricci_closed_form_matches_the_curvature_frame_sum(fiber, n, f, 
     closed = _ambient_ricci(imm.ambient, pj, geo.normal)
     oracle = ambient_ricci_frame_sum(imm.ambient, pj, geo.normal)
     assert np.max(np.abs(closed - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fiber=st.sampled_from(list(Fiber)), n=st.integers(1, 3), order=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_packed_dD_contractions_equal_the_dense_ones(fiber, n, order, seed):
+    # dD keeps the K columns that can be nonzero (t alone, or t and x1 ..
+    # x_{n-1} for the sphere) and d2D the K x K block; P = dD E, q = dD v,
+    # II and Hess h and, at order 3, d_m Lap h contract over those columns
+    # only, and equal the contractions over all d columns, zeros written
+    # out, entry by entry (== holds for zeros of either sign)
+    rng = np.random.default_rng(seed)
+    imm = _tilted_immersion(fiber, n, rng)
+    points = rng.uniform(-0.9, 0.9, (int(rng.integers(1, 9)), n))
+    pj, geo = point_jets(imm, points, order), grid_geometry(imm, points, order)
+    d, K = n + 1, pj.dD.shape[1]
+    assert K == (n if fiber is Fiber.SPHERE else 1)
+    dense = pj._replace(dD=point_last(full_columns(point_first(pj.dD), d)))
+    E = pj.frame
+    P, P_dense = contract("acp,cip->aip", pj.dD, E[:K]), contract("acp,cip->aip", dense.dD, E)
+    assert np.array_equal(P, P_dense)
+    for v in (geo.normal, contract("aip,ip->ap", E, geo.grad_h)):
+        assert np.array_equal(contract("abp,bp->ap", pj.dD, v[:K]), contract("abp,bp->ap", dense.dD, v))
+        assert np.array_equal(_covariant_hessian(pj, P, v), dense_covariant_hessian(dense, P_dense, v))
+    assert np.array_equal(geo.second_fundamental, dense_covariant_hessian(dense, P_dense, geo.normal))
+    if order == 3:
+        d2D = imm.ambient.diagonal_jets(pj.ambient_point.x, pj.warping, second=True)[2]
+        assert d2D.shape == (d, K, K, len(points))
+        d2D_dense = np.zeros((d, d, d, len(points)))
+        d2D_dense[:, :K, :K] = d2D
+        G, grad_h = geo.metric_inverse, geo.grad_h
+        packed = _laplacian_gradient(imm.ambient, pj, G, P, grad_h)
+        assert np.array_equal(packed, dense_laplacian_gradient(dense, d2D_dense, G, P_dense, grad_h))
+        assert np.array_equal(packed, geo.lap_gradient)
 
 
 def _rotational(f, n):

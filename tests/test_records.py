@@ -40,7 +40,7 @@ GEOMETRY_SHAPES = {
     "lap_gradient": "nN",
 }
 JET_SHAPES = {
-    "chart": "nN", "frame": "dnN", "second": "dnnN", "third": "dnnnN", "D": "dN", "dD": "ddN",
+    "chart": "nN", "frame": "dnN", "second": "dnnN", "third": "dnnnN", "D": "dN", "dD": "dKN",
     "metric": "nnN", "factor": "nnN",
 }
 
@@ -49,7 +49,7 @@ JET_SHAPES = {
 def test_records_carry_a_trailing_point_axis(fixture, request):
     imm = request.getfixturevalue(fixture)
     points = imm.chart.grid(4, 0.2)[:7]  # N = 7 matches no other axis
-    sizes = {"n": imm.n, "d": imm.n + 1, "N": len(points)}
+    sizes = {"n": imm.n, "d": imm.n + 1, "K": 1, "N": len(points)}  # K: dD's columns, t alone (flat fiber)
     geometry, jets = grid_geometry(imm, points, order=3), point_jets(imm, points, order=3)
     for record, shapes in ((geometry, GEOMETRY_SHAPES), (jets, JET_SHAPES)):
         for name, letters in shapes.items():
@@ -59,7 +59,7 @@ def test_records_carry_a_trailing_point_axis(fixture, request):
         assert all(np.shape(a) == (len(points),) for a in values)
     assert geometry.n == imm.n
     d2D = imm.ambient.diagonal_jets(jets.ambient_point.x, jets.warping, second=True)[2]
-    assert d2D.shape == (sizes["d"],) * 3 + (len(points),)
+    assert d2D.shape == (sizes["d"], sizes["K"], sizes["K"], len(points))
 
 
 def test_nodes_compare_by_type():

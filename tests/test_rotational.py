@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from warpgeo import rotational
+from warpgeo import jets, rotational
 from warpgeo.cli import main
 from warpgeo.errors import DomainError, QuadratureFailure, SigmaZero
 from warpgeo.expr import unparse, variables_in
@@ -427,14 +427,14 @@ def test_mesh_export_evaluates_beta_alone(monkeypatch, preset_curve):
         return preset_curve.beta(u)
 
     curve = preset_curve._replace(beta=beta)
-    eval_f = rotational.eval_jet2
+    slots = jets.Tape.slots
 
-    def counted_eval(expr, bindings, *args):
-        if expr is curve.profile.f:
+    def counted_slots(tape, bindings, order):  # a jet of f along the profile runs the curve's tape
+        if tape is curve.tape:
             f_jets.append(np.size(bindings["t"]))
-        return eval_f(expr, bindings, *args)
+        return slots(tape, bindings, order)
 
-    monkeypatch.setattr(rotational, "eval_jet2", counted_eval)
+    monkeypatch.setattr(jets.Tape, "slots", counted_slots)
     imm = build_rotational(curve.profile, curve)
     vertices = surface_vertices(imm, np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 6.0, 7))
     assert vertices.shape == (5, 7, 3) and np.all(np.isfinite(vertices))

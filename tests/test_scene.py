@@ -13,8 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from warpgeo import ambient as ambient_module
-from warpgeo import hypersurface, rotational
+from warpgeo import hypersurface, jets, rotational
 from warpgeo import scene as scene_module
 from warpgeo.ambient import WarpedProduct
 from warpgeo.catalogue import PRESETS
@@ -609,29 +608,27 @@ def count_component_jets(monkeypatch):
 @pytest.mark.parametrize("structural", [False, True])
 def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch, structural, classification):
     # one batched call each, covering the probe rows and every grid point
-    # exactly once; the ambient evaluates f once per batch (in
-    # metric_jets), and otherwise only once on the 64 probe heights of
-    # theorem5 (its fit of c and the residuals of check_space_form share
-    # that jet) and, for the classification, once on the 16 profile
-    # heights of profile_residuals (through eval_warping).  Only
-    # structural makes its one pass of order 3, and takes d2D from the
-    # warping triple without evaluating f again.  The
-    # 9 x 9 grid is the classification grid of example5, so the
-    # classification adds no point to that pass
+    # exactly once.  f is compiled once per owner and never at run time:
+    # the only tapes run are the immersion's (once, over the pass), the
+    # profile's (for beta in that pass and, for the classification, once
+    # before it on the 16 heights of profile_residuals) and the ambient's
+    # (once per batch in metric_jets, and once on the 64 probe heights of
+    # theorem5, whose fit of c and residuals of check_space_form share
+    # that jet).  Only structural makes its one pass of order 3, and takes
+    # d2D from the warping triple without running f again.  The 9 x 9
+    # grid is the classification grid of example5, so the classification
+    # adds no point to that pass
     checks = ["lemma1", "soliton", "theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5"]
     checks += ["structural"] * structural + ["rotational-classification"] * classification
     data = example5_scene(checks)
     data["grid"] = {"samples": {"u": 9, "v1": 9}}
     scene = validate_scene(data)
     calls = {"component_jets": count_component_jets(monkeypatch), "metric_jets": []}
-    ambient_jets = []
-    eval_jet2 = ambient_module.eval_jet2
-
-    def counted_eval(expr, bindings, active=()):
-        ambient_jets.append((expr is scene.ambient.f, np.size(bindings["t"])))
-        return eval_jet2(expr, bindings, active)
-
-    monkeypatch.setattr(ambient_module, "eval_jet2", counted_eval)
+    owners = {id(owner.tape): name for name, owner in
+              [("immersion", scene.immersion), ("ambient", scene.ambient), ("profile", scene.profile)]}
+    runs, slots = [], jets.Tape.slots
+    monkeypatch.setattr(jets.Tape, "slots", lambda tape, bindings, order: runs.append(
+        (owners.get(id(tape)), np.size(next(iter(bindings.values()))), order)) or slots(tape, bindings, order))
     metric_jets = WarpedProduct.metric_jets
 
     def counted_metric_jets(self, q):
@@ -647,7 +644,8 @@ def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch, structural, c
     assert N == 81
     rows = 10 + N  # the chart center and the 3^2 probes lead the pass
     assert calls == {"component_jets": [(rows, 2 + structural)], "metric_jets": [rows]}
-    assert ambient_jets == [(True, 16)] * classification + [(True, rows), (True, 64)]
+    pass_runs = [("immersion", rows, 2 + structural), ("profile", rows, 2), ("ambient", rows, 2)]
+    assert runs == [("profile", 16, 2)] * classification + pass_runs + [("ambient", 64, 2)]
 
 
 def rotational_cosh_scene(checks):
@@ -655,6 +653,32 @@ def rotational_cosh_scene(checks):
     data["ambient"]["f"] = "cosh(t)"
     data["immersion"] = {"preset": "rotational", "params": {"theta": 0.5}}
     return data
+
+
+@pytest.mark.parametrize("name, samples, added", [("example5", 9, 0), ("rotational-cosh", 7, 72)])
+def test_the_classification_merge_keeps_the_row_order(monkeypatch, name, samples, added):
+    # the pass holds the scene grid in its row-major order, then the rows of
+    # the 9 x 9 classification grid that it lacks, in their order (as the
+    # merge of tuples did), and the classification reads the rows of the
+    # classification grid in its own order, bit for bit
+    data = (example5_scene if name == "example5" else rotational_cosh_scene)(["soliton", "rotational-classification"])
+    data["grid"] = {"samples": {"u": samples, "v1": samples}}
+    scene = validate_scene(data)
+    extra = rotational.classification_grid(scene.profile.profile)
+    grid = [tuple(p) for p in scene.grid.tolist()]
+    known = set(grid)
+    expected = grid + [p for p in dict.fromkeys(map(tuple, extra.tolist())) if p not in known]
+    passes, classified = [], []
+    geometry, classify = scene_module.grid_geometry, scene_module.classify_rotational
+    monkeypatch.setattr(scene_module, "grid_geometry", lambda imm, points, order=2: passes.append(points)
+                        or geometry(imm, points, order))
+    monkeypatch.setattr(scene_module, "classify_rotational", lambda imm, record, residuals: classified.append(record)
+                        or classify(imm, record, residuals))
+    run_scene(scene)
+    assert len(expected) == samples * samples + added and len(extra) == 81
+    assert passes[0].tobytes() == np.array(expected).tobytes()
+    assert classified[0].chart.T.tobytes() == extra.tobytes()
+    assert classified[0].residual.tobytes() == grid_geometry(scene.immersion, extra).residual.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -719,36 +743,30 @@ def test_rotational_profile_is_evaluated_once_per_batch(monkeypatch):
     # its exact derivative and the slopes f'/f from one jet of f and one
     # beta over 16 values of u, before the scene's one pass, which holds
     # the 10 probe rows (the center and 3^2 probes), the 25 grid points and
-    # the 56 classification points not among them
+    # the 56 classification points not among them.  Each jet of f along the
+    # profile is one run of the profile's own tape, compiled when it was solved
     scene = validate_scene(example5_scene(["soliton", "rotational-classification"]))
     betas, f_jets = [], []
 
-    def beta(u):
+    def beta(u, *alpha):
         betas.append(np.size(u))
-        return scene.profile.beta(u)
+        return scene.profile.beta(u, *alpha)
 
     curve = scene.profile._replace(beta=beta)
-    eval_jet2 = rotational.eval_jet2
+    slots = jets.Tape.slots
 
-    def counted_eval(expr, bindings, active=(), order=2):
-        if expr is curve.profile.f:
+    def counted_slots(tape, bindings, order):
+        if tape is curve.tape:
             f_jets.append(np.size(bindings["t"]))
-        return eval_jet2(expr, bindings, active, order)
+        return slots(tape, bindings, order)
 
-    eval_warping = rotational.eval_warping
-
-    def counted_warping(f, t, active=()):  # the jet of profile_residuals
-        f_jets.append(np.size(t))
-        return eval_warping(f, t, active)
-
-    monkeypatch.setattr(rotational, "eval_jet2", counted_eval)
-    monkeypatch.setattr(rotational, "eval_warping", counted_warping)
+    monkeypatch.setattr(jets.Tape, "slots", counted_slots)
     imm = rotational.assemble_rotational(curve, scene.ambient)
     betas.clear()
     f_jets.clear()
     report, passed = run_scene(scene._replace(immersion=imm, profile=curve))
     assert passed
-    points = set(scene.grid) | set(rotational.classification_grid(curve.profile))
+    points = set(map(tuple, scene.grid)) | set(map(tuple, rotational.classification_grid(curve.profile)))
     assert len(scene.grid) == 25 and len(points) == 81
     assert betas == f_jets == [16, 10 + len(points)]
 
@@ -817,8 +835,10 @@ def test_maximal_grid_stays_under_256_mb(n, samples):
 
 def test_dense_sphere3_run_stays_within_its_working_set():
     # the tracemalloc peak of run_scene over dense-sphere3 (n = 3, 1,331 points in one
-    # slice): the geometry pass builds no (n, n, n, N) tensor and writes each component
-    # slot once; 2.38 MB above the start when recorded (3.27 MB with dg and the
+    # slice): the geometry pass builds no (n, n, n, N) tensor, writes each component
+    # slot once, keeps dD's one nonzero column and frees the Hessian slot, dD and
+    # P = dD E once II and Hess h are formed; 1.86 MB above the start when recorded
+    # (2.34 MB with the dense dD and the slots held, 3.27 MB with dg and the
     # per-component copies), and the bound is that figure plus 10%
     path = Path(__file__).parent / "golden" / "dense-sphere3.scene.json"
     scene = validate_scene(json.loads(path.read_text()))
@@ -830,4 +850,4 @@ def test_dense_sphere3_run_stays_within_its_working_set():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 2.38e6, peak
+    assert peak <= 1.1 * 1.86e6, peak
