@@ -96,26 +96,23 @@ def _ambient_ricci(ambient, pj, N):
 
 
 def grid_geometry(imm, points, order=2):
-    """Build the :class:`PointGeometry` record over (N, n) chart points.
+    """Build the :class:`PointGeometry` record over an (N, n) array of chart points (a ``ChartBox.grid``).
 
     The Ricci tensor (chart frame, lowered indices) is, by the Gauss
     equation,
 
         Ric(X, Y) = Ric-bar(X, Y) - <R-bar(X, N)N, Y> + n H g(AX, Y) - g(AX, AY).
 
-    At ``order`` 3 the component jets carry third derivatives and the
-    record ``lap_gradient``; every other field is the one of order 2, to
-    the bit.  The batch starts with the probe block ``imm.probes``: it
-    passes the jet stage and its checks, conditioning too (not at the
-    center), and is cut off before the geometry; the center's normal
-    orients the pass.  Slices of ``SLICE_POINTS`` rows change nothing.
-    Each slice is one pass (:func:`warpgeo.jets.one_pass`): its checks flag
-    rows, and the first flagged row raises the error of its first check,
-    which is the error that row raises alone; a probe's (``probe`` set,
-    ``index`` from the center) comes before a point's.  A DomainError
-    names the chart point, as does a residual or lambda that is not
-    finite.  The record's arrays are read-only; with no points the result
-    is None.
+    At ``order`` 3 the component jets carry third derivatives and the record ``lap_gradient``; every
+    other field is the one of order 2, to the bit.  The batch starts with the probe block ``imm.probes``:
+    it passes the jet stage and its checks, conditioning too (not at the center), and is cut off before
+    the geometry; the center's normal orients the pass.  Slices of ``SLICE_POINTS`` rows change nothing.
+    A slice's jets are handed over to its geometry stage, which frees their second and third slots, dD
+    and P once II and Hess h are formed.  Each slice is one pass (:func:`warpgeo.jets.one_pass`): its
+    checks flag rows, and the first flagged row raises the error of its first check, which is the error
+    that row raises alone; a probe's (``probe`` set, ``index`` from the center) comes before a point's.
+    A DomainError names the chart point, as does a residual or lambda that is not finite.  The record's
+    arrays are read-only; with no points the result is None.
     """
     head, parts, orientation = imm.probes, [], None
     rows = np.concatenate([head, np.reshape(points, (-1, imm.n))])
@@ -152,8 +149,7 @@ def grid_geometry(imm, points, order=2):
 
 
 def _geometry(imm, held, N, order, offset):
-    """The record over the rows of the ``PointJets`` record popped from the list ``held``, so that its slots
-    and dD die once Hess h is formed, with unit normals ``N``; its first row is row ``offset`` of the pass."""
+    """The record over the ``PointJets`` rows popped from ``held``, normals ``N``, from row ``offset`` of the pass."""
     pj = held.pop()
     E, g, n = pj.frame, pj.metric, imm.n
     ginv = contract("ikp,jkp->ijp", pj.factor, pj.factor)
