@@ -239,18 +239,18 @@ class WarpedProduct:
                     dD[i, i - 1] = D[i - 1] * (s * c + s * c)
         return D, dD, d2D
 
-    def check_space_form(self, c, probes):
-        """Residuals of ((f')^2 - k)/f^2 = -c = f''/f over ``probes``, where
-        ``c`` None is fitted as -mean(f''/f); a vanishing f, or a DomainError
-        of f, is a DomainError naming the height."""
+    def check_space_form(self, c, probes, warping=None):
+        """Residuals of ((f')^2 - k)/f^2 = -c = f''/f over ``probes``, from ``warping``, the
+        triple at them if already taken, where ``c`` None is fitted as -mean(f''/f); a
+        vanishing f, or a DomainError of f, is a DomainError naming the height."""
         t = np.asarray(probes, dtype=float)
-        f0, f1, f2 = eval_warping(self.tape, t)
+        f0, f1, f2 = eval_warping(self.tape, t) if warping is None else warping
         flag(f0 == 0.0, lambda i: DomainError(f"warping function vanishes at t={float(t[i])!r}", self.f))
-        c = -float(np.mean(f2 / f0)) + 0.0 if c is None else float(c)  # + 0.0 normalizes -0.0
+        c = -float((f2 / f0).mean()) + 0.0 if c is None else float(c)  # + 0.0 normalizes -0.0
         ratio = np.abs((f1 * f1 - self.k) / (f0 * f0) + c)
         second = np.abs(f2 / f0 + c)
         return SpaceFormCheck(
-            c, float(np.max(ratio, initial=0.0)), float(np.max(second, initial=0.0))
+            c, float(ratio.max(initial=0.0)), float(second.max(initial=0.0))
         )
 
 
@@ -288,7 +288,7 @@ def check_conditioning(p, D, skip=0):
         x = tuple(float(np.ravel(v)[i + skip]) for v in p.x)
         return SingularMetric(f"chart metric at t={t!r}, x={x!r} is numerically singular")
 
-    flag(np.max(D, axis=0) > CONDITION_LIMIT * np.min(D, axis=0), singular, skip)
+    flag(D.max(axis=0) > CONDITION_LIMIT * D.min(axis=0), singular, skip)
 
 
 def space_form_models(n=2):

@@ -33,6 +33,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+try:  # what np.einsum runs when it does not optimize: called directly, a contraction skips its Python dispatch
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum
+
 from .ambient import AmbientPoint, WarpedProduct
 from .errors import MAX_GRID_POINTS, DegenerateImmersion, DomainError, OutsideChart
 from .expr import unparse, variables_in
@@ -78,7 +83,7 @@ class ChartBox(namedtuple("ChartBox", "names lower upper")):
         p = np.asarray(p, dtype=float)
         lo = np.asarray(self.lower, dtype=float) + margin
         hi = np.asarray(self.upper, dtype=float) - margin
-        return np.all((lo <= p) & (p <= hi), axis=-1)
+        return ((lo <= p) & (p <= hi)).all(axis=-1)
 
     def axis_points(self, name, count, margin=0.05):
         i = self.names.index(name)
@@ -193,11 +198,10 @@ def contract(spec, *operands):
     """``np.einsum(spec, *operands)`` over a trailing point axis.  numpy sums a lone
     point's terms in another order than a wider batch's, so it is contracted twice over."""
     if operands[0].shape[-1] != 1:
-        return np.einsum(spec, *operands)
-    return np.einsum(spec, *(np.concatenate([x, x], axis=-1) for x in operands))[..., :1]
+        return c_einsum(spec, *operands)
+    return c_einsum(spec, *(np.concatenate([x, x], axis=-1) for x in operands))[..., :1]
 
 
-@one_pass()
 def point_jets(imm, points, order=2):
     """Component jets of ``order`` and metric jets over (N, n) chart points, in one pass.
 
@@ -207,37 +211,35 @@ def point_jets(imm, points, order=2):
     frame.  The call is one :func:`warpgeo.jets.one_pass` (joining an open one, as
     ``grid_geometry``'s), so its first flagged point raises its first check's error.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, imm.n)
-    flag(~imm.chart.contains(points), lambda i: OutsideChart(
-        f"chart point {tuple(map(float, points[i]))!r} is outside the open box (margin 1e-6)"))
-    value, E, second, third = imm.component_jets(points, order)  # (d, N), (d, n, N), (d, n, n, N)
-    q = AmbientPoint(value[0], tuple(value[1:]))
-    D, dD, warping = imm.ambient.metric_jets(q)
-    image = np.isfinite(value).all(axis=0)
-    finite = (
-        image
-        & np.isfinite(E).all(axis=(0, 1))
-        & np.isfinite(second).all(axis=(0, 1, 2))
-        & np.isfinite(D).all(axis=0)
-    )
-    flag(~finite, lambda i: DomainError("tangent frame, second derivatives or metric not finite" if image[i]
-                                        else f"ambient point {tuple(map(float, value[:, i]))!r} not finite"))
-    g = contract("aip,ajp->ijp", E, D[:, None] * E)
-    pivots, F = _factor(g)  # a non-finite g gives NaN pivots and fails later checks
-    flag((pivots <= 0.0).any(axis=0) | (pivots.prod(axis=0) <= GRAM_DET_LIMIT), lambda i: DegenerateImmersion(
-        f"tangent frame is degenerate at chart point {tuple(map(float, points[i]))!r}"))
-    return PointJets(points.T, q, E, second, D, dD, warping, g, F, third)
+    with one_pass():
+        points = np.asarray(points, dtype=float).reshape(-1, imm.n)
+        flag(~imm.chart.contains(points), lambda i: OutsideChart(
+            f"chart point {tuple(map(float, points[i]))!r} is outside the open box (margin 1e-6)"))
+        value, E, second, third = imm.component_jets(points, order)  # (d, N), (d, n, N), (d, n, n, N)
+        q = AmbientPoint(value[0], tuple(value[1:]))
+        D, dD, warping = imm.ambient.metric_jets(q)
+        image = np.isfinite(value).all(axis=0)
+        finite = (image & np.isfinite(E).all(axis=(0, 1)) & np.isfinite(second).all(axis=(0, 1, 2))
+                  & np.isfinite(D).all(axis=0))
+        flag(~finite, lambda i: DomainError("tangent frame, second derivatives or metric not finite" if image[i]
+                                            else f"ambient point {tuple(map(float, value[:, i]))!r} not finite"))
+        g = contract("aip,ajp->ijp", E, D[:, None] * E)
+        pivots, F = _factor(g)  # a non-finite g gives NaN pivots and fails later checks
+        flag((pivots <= 0.0).any(axis=0) | (pivots.prod(axis=0) <= GRAM_DET_LIMIT), lambda i: DegenerateImmersion(
+            f"tangent frame is degenerate at chart point {tuple(map(float, points[i]))!r}"))
+        return PointJets(points.T, q, E, second, D, dD, warping, g, F, third)
 
 
 def _factor(g):
     """The pivots p_j = L_jj^2 (det g = prod p) and F = L^-T of g = L L^T, by
     Cholesky and forward substitution over columns (L's diagonal is not read)."""
     L, F, pivots = np.zeros(g.shape), np.zeros(g.shape), np.empty(g.shape[1:])
-    for j in range(len(g)):
-        col = g[j:, j] - contract("ikp,kp->ip", L[j:, :j], L[j, :j])
+    for j in range(len(g)):  # column 0 has no column before it to contract with
+        col = g[j:, j] - contract("ikp,kp->ip", L[j:, :j], L[j, :j]) if j else g[:, 0]
         pivots[j] = col[0]
         L[j:, j] = col / (root := np.sqrt(col[:1]))
-        F[:j, j] = -contract("ikp,kp->ip", F[:j, :j], L[j, :j]) / root
+        if j:
+            F[:j, j] = -contract("ikp,kp->ip", F[:j, :j], L[j, :j]) / root
         F[j, j] = 1.0 / root[0]
     return pivots, F
 
@@ -247,7 +249,7 @@ def _unit_normal(E, D):
     det([E | v]) = sum_a v_a C_a satisfy E^T C = 0, so N = D^-1 C / sqrt(C^T D^-1 C)
     and det([E | N]) = sqrt(C^T D^-1 C) > 0.  E's columns are first scaled to a
     largest entry of 1: C scales by a positive factor, and its minors cannot overflow."""
-    E = E / np.max(np.abs(E), axis=0)
+    E = E / np.abs(E).max(axis=0)
     rows, d = list(E), len(E)  # row views; C_a is the det of the rows other than a
     C = np.array([_det(rows[:a] + rows[a + 1 :]) for a in range(d)]) * (-1.0) ** (np.arange(d)[:, None] + d - 1)
     N = C / D

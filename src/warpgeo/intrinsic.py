@@ -185,28 +185,11 @@ def _geometry(imm, held, N, order, offset):
          lambda i: DomainError("soliton residual or lambda not finite"), offset)
 
     return PointGeometry(
-        chart=pj.chart,
-        ambient_point=pj.ambient_point,
-        frame=E,
-        metric=g,
-        metric_inverse=ginv,
-        normal=N,
-        shape_operator=A,
-        second_fundamental=II,
-        mean_curvature=H,
-        theta=N[0].copy(),
-        grad_h=grad_h,
-        grad_h_norm2=contract("ip,ip->p", dh, grad_h),
-        warping=pj.warping,
-        hess_identity=hess_identity,
-        hess_direct=hess_direct,
-        identity_error=np.max(np.abs(hess_identity - hess_direct), axis=(0, 1)),
-        ric=ric,
-        scal_gauss=scal_gauss,
-        lam=lam,
-        residual=residual,
-        lap_gradient=lap_gradient,
-    )
+        chart=pj.chart, ambient_point=pj.ambient_point, frame=E, metric=g, metric_inverse=ginv, normal=N,
+        shape_operator=A, second_fundamental=II, mean_curvature=H, theta=N[0].copy(), grad_h=grad_h,
+        grad_h_norm2=contract("ip,ip->p", dh, grad_h), warping=pj.warping, hess_identity=hess_identity,
+        hess_direct=hess_direct, identity_error=np.abs(hess_identity - hess_direct).max(axis=(0, 1)),
+        ric=ric, scal_gauss=scal_gauss, lam=lam, residual=residual, lap_gradient=lap_gradient)
 
 
 def _covariant_hessian(pj, P, v):
@@ -226,7 +209,7 @@ def _spectral_radius3(M):
     """max |eigenvalue| of each symmetric 3 x 3 M[:, :, p], overwritten as it is scaled to a largest entry of 1,
     whose largest and smallest eigenvalues are q + 2 p cos(phi) and q + 2 p cos(phi + 2 pi/3) (Smith, CACM 4(4),
     1961); for a trace-free M that is the isolated one, where the cosine is flat (Kopp, 2008).  NaN if not finite."""
-    scale = np.max(np.abs(M), axis=(0, 1))
+    scale = np.abs(M).max(axis=(0, 1))
     M /= np.where(scale > 0.0, scale, 1.0)
     q = (M[0, 0] + M[1, 1] + M[2, 2]) / 3.0
     M[range(3), range(3)] -= q
@@ -234,7 +217,7 @@ def _spectral_radius3(M):
     M /= np.where(p > 0.0, p, 1.0)
     phi = np.arccos(np.clip(_det(M) / 2.0, -1.0, 1.0)) / 3.0
     cosines = np.cos([phi, phi + 2.0 * np.pi / 3.0])
-    return scale * np.max(np.abs(q + 2.0 * p * cosines), axis=0)
+    return scale * np.abs(q + 2.0 * p * cosines).max(axis=0)
 
 
 def _laplacian_gradient(ambient, pj, G, P, grad_h):

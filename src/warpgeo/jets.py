@@ -6,19 +6,21 @@ Walther, *Evaluating Derivatives*, ch. 13).  It holds only the entries that
 can be nonzero (ch. 7), keyed by sorted index tuples: () the value, (i,) the
 gradient, (i, j) with i <= j the Hessian, (i, j, k) the third slot; a variable
 has the one entry 1.0, a constant none.  A rule computes an entry with the
-operations, in the order, of the rule on full slots at that index, without the
-terms zero by construction, so the two differ only in a zero's sign or where
-the full rule made a NaN of inf * 0.  Which entries exist and each node's rule
-depend only on the expression, the active variables and the order, never on
-the values: a power whose exponent has no variables and an integer value is a
-product, any other exp(exponent * log(base)).
+operations, in the order, of the rule on full slots at that index, touching only
+the terms present, not those zero by construction (the product and chain rules
+sum them through one helper, ``_dot``), so the two differ only in a zero's sign
+or where the full rule made a NaN of inf * 0.  Which entries exist and each
+node's rule depend only on the expression, the active variables and the order,
+never on the values: a power whose exponent has no variables and an integer
+value is a product, any other exp(exponent * log(base)).
 
 Expressions are compiled once into a straight-line :class:`Tape` of ops (ch. 6), equal
 subtrees interned, with each op's rule and the arrays it reads for the last time.  A
 run binds each variable to a value or an array of N values, runs each op once over all
 points (no slot is masked per point), drops each array after its last use and writes
-full slots, symmetric to the bit: each entry at every permutation of its index tuple,
-from a table of the variable count and the order (``_layout``, the module's one memo).
+full slots, symmetric to the bit: each entry once, at its sorted index tuple, and a slot
+of order 2 or 3 taken from those at every permutation, by a table of the variable count
+and the order (``_layout``, the module's one memo).
 
 A batch is evaluated in one pass (``one_pass``): a check flags the points
 that fail it and the pass computes on, with inf and nan propagating, as
@@ -33,10 +35,9 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import cache, reduce
-from itertools import combinations_with_replacement as _keys, permutations
+from functools import cache
+from itertools import combinations_with_replacement as _keys
 from typing import NamedTuple
 
 import numpy as np
@@ -75,7 +76,7 @@ class Jet2(NamedTuple):
                     else _Jet({(): np.float64(x)}, True, mode) for x in (self, *others)]
         jet = rule(*operands)
         shape = np.broadcast_shapes(*map(np.shape, jet.values()))
-        slots = _gather([jet], _layout(self.m, self.order), self.m, shape, self.order)
+        slots = _gather([jet], _layout(self.m, self.order), shape, self.order)
         return Jet2(*(slot[0] for slot in slots))
 
     __neg__ = lambda self: self._apply(operator.neg)
@@ -87,20 +88,16 @@ class Jet2(NamedTuple):
     __rtruediv__ = lambda self, other: self._apply(lambda a, b: b * _reciprocal(a, None), other)
 
 
-def _prod(x, y):
-    """x * y, None (zero by construction) if either is; x * 1.0 (a variable's entry) is x, to the bit."""
-    if x is None or y is None:
-        return None
-    if y.__class__ is float and y == 1.0:
-        return x
-    if x.__class__ is float and x == 1.0:
-        return y
-    return x * y
-
-
-def _sum(*terms):  # the terms that are not None, summed from the left
-    terms = [term for term in terms if term is not None]
-    return reduce(operator.add, terms) if terms else None
+def _dot(*pairs):
+    """The sum from the left of x * y over the flat ``pairs`` (x, y) with both factors present, None
+    (zero by construction) if none is; x * 1.0 is x, to the bit: a variable's entry, or a term passed whole."""
+    total, it = None, iter(pairs)
+    for x, y in zip(it, it):
+        if x is None or y is None:
+            continue
+        term = x if y.__class__ is float and y == 1.0 else y if x.__class__ is float and x == 1.0 else x * y
+        total = term if total is None else total + term
+    return total
 
 
 class _Jet(dict):
@@ -120,8 +117,10 @@ class _Jet(dict):
         return _Jet({key: -x for key, x in self.items()}, self.flat, self.mode)
 
     def __add__(self, other):
-        return _Jet({key: _sum(self.get(key), other.get(key)) for key in {**self, **other}},
-                    self.flat and other.flat, self.mode)
+        out = dict(self)
+        for key, y in other.items():
+            out[key] = y if (x := out.get(key)) is None else x + y
+        return _Jet(out, self.flat and other.flat, self.mode)
 
     __sub__ = lambda self, other: self + -other  # x + (-y) is x - y, to the bit
 
@@ -132,13 +131,13 @@ class _Jet(dict):
         support = self.support(other)
         out = {(): a * b}
         for i in support:
-            out[i,] = _sum(_prod(a, q((i,))), _prod(b, p((i,))))
+            out[i,] = _dot(a, q((i,)), b, p((i,)))
         for i, j in _keys(support, 2):
-            out[i, j] = _sum(_prod(a, q((i, j))), _prod(b, p((i, j))), _prod(p((i,)), q((j,))), _prod(p((j,)), q((i,))))
-        if self.mode.order == 3:
-            t = cache(lambda x, y, z: _sum(_prod(p((x, y)), q((z,))), _prod(q((x, y)), p((z,)))))
+            out[i, j] = _dot(a, q((i, j)), b, p((i, j)), p((i,)), q((j,)), p((j,)), q((i,)))
+        if self.mode.order == 3:  # t[x, y, z] = p_xy q_z + q_xy p_z, each read by one triple, up to thrice
+            t = {(x, y, z): _dot(p((x, y)), q((z,)), q((x, y)), p((z,))) for x, y in _keys(support, 2) for z in support}
             for i, j, k in _keys(support, 3):
-                out[i, j, k] = _sum(t(i, j, k), t(i, k, j), t(j, k, i), _prod(a, q((i, j, k))), _prod(b, p((i, j, k))))
+                out[i, j, k] = _dot(t[i, j, k], 1.0, t[i, k, j], 1.0, t[j, k, i], 1.0, a, q((i, j, k)), b, p((i, j, k)))
         return _Jet({key: x for key, x in out.items() if x is not None}, False, self.mode)
 
 
@@ -229,7 +228,7 @@ class Tape:
                 jets[i] = fn(arg, mode, *[jets[kid] for kid in kids])
                 for kid in dead:
                     jets[kid] = None
-        return _gather([jets[root] for root in self.roots], self.layout, self.m, shape, order)
+        return _gather([jets[root] for root in self.roots], self.layout, shape, order)
 
 
 # The rule of each kind of node, called with its op's argument, the run's mode and the kids' jets.
@@ -251,19 +250,24 @@ _RULES[Const] = _RULES[Num]
 
 @cache  # a constant of (m, order): every compile, one per eval_jet2 call, reads it
 def _layout(m, order):
-    """By slot, the positions of each sorted index tuple of slots 0 to ``order`` over m variables."""
-    return tuple({key: tuple(set(permutations(key))) for key in _keys(range(m), r)} for r in range(order + 1))
+    """The position of each sorted index tuple of slots 0 to ``order`` over m variables among its slot's,
+    their count by slot, and by slot the (m,) * r array of the position of each index tuple sorted."""
+    keys = [list(_keys(range(m), r)) for r in range(order + 1)]
+    index = {key: i for slot in keys for i, key in enumerate(slot)}
+    spots = [np.array([index[tuple(sorted(ix))] for ix in np.ndindex((m,) * r)], dtype=np.intp).reshape((m,) * r)
+             for r in range(order + 1)]
+    return index, [len(slot) for slot in keys], spots
 
 
-def _gather(jets, layout, m, shape, order):
-    """The full slots up to ``order`` of ``jets``, point axes ``shape``: each entry is
-    written at every permutation of its sorted index tuple; an absent one is 0."""
-    slots = [np.zeros((len(jets),) + (m,) * r + shape) for r in range(order + 1)]
+def _gather(jets, layout, shape, order):
+    """The full slots up to ``order`` of ``jets``, point axes ``shape``: each entry is written once, at its
+    sorted index tuple, and a slot of order 2 or 3 is taken from those at every permutation; an absent one is 0."""
+    index, sizes, spots = layout
+    packed = [np.zeros((len(jets), size) + shape) for size in sizes[: order + 1]]
     for k, jet in enumerate(jets):
         for key, value in jet.items():
-            for spot in layout[len(key)][key]:
-                slots[len(key)][(k, *spot)] = value
-    return slots
+            packed[len(key)][k, index[key]] = value
+    return [packed[0][:, 0], *packed[1:2], *(a.take(spot, axis=1) for a, spot in zip(packed[2:], spots[2:]))]
 
 
 # The open pass of this thread (a new thread starts with an empty context):
@@ -271,8 +275,7 @@ def _gather(jets, layout, m, shape, order):
 _PASS = ContextVar("pass", default=None)
 
 
-@contextmanager
-def one_pass():
+class one_pass:
     """Evaluate a batch as one pass, with float semantics (inf and nan
     propagate) and the checks recording, not raising.
 
@@ -281,24 +284,29 @@ def one_pass():
     ``index`` set: the one place where "the first failing point" is
     decided.  An inner pass joins the outer one.
     """
-    if _PASS.get() is not None:
-        yield
-        return
-    records = []
-    token = _PASS.set(records)
-    try:
-        with np.errstate(all="ignore"):
-            yield
-    finally:
-        _PASS.reset(token)
-    hits = [(int(rows[0]) + offset, k) for k, (mask, offset, _) in enumerate(records)
-            if (rows := np.flatnonzero(mask)).size]
-    if hits:
-        row, k = min(hits)  # on a tie, the earlier check
-        _, offset, make_error = records[k]
-        exc = make_error(row - offset)  # the error of that row of the check's mask
-        exc.index = row
-        raise exc
+
+    __slots__ = ("records", "token", "errstate")
+
+    def __enter__(self):
+        self.records = [] if _PASS.get() is None else None  # None: the pass joins the open one
+        if self.records is not None:
+            self.token, self.errstate = _PASS.set(self.records), np.errstate(all="ignore")
+            self.errstate.__enter__()
+
+    def __exit__(self, kind, *info):
+        if self.records is None:
+            return
+        self.errstate.__exit__(kind, *info)
+        _PASS.reset(self.token)
+        if kind is not None:  # an exception raised in the pass propagates as it is
+            return
+        hits = [(int(mask.argmax()) + offset, k) for k, (mask, offset, _) in enumerate(self.records) if mask.any()]
+        if hits:
+            row, k = min(hits)  # on a tie, the earlier check
+            _, offset, make_error = self.records[k]
+            exc = make_error(row - offset)  # the error of that row of the check's mask
+            exc.index = row
+            raise exc
 
 
 def flag(mask, make_error, offset=0):
@@ -325,11 +333,10 @@ def _leaves(fn, *records):
     first = records[0]
     if first is None:
         return None
-    if hasattr(first, "_fields"):
-        return type(first)(*(_leaves(fn, *items) for items in zip(*records)))
-    if isinstance(first, tuple):
-        return tuple(_leaves(fn, *items) for items in zip(*records))
-    return fn(*records)
+    if not isinstance(first, tuple):
+        return fn(*records)
+    items = [_leaves(fn, *items) for items in zip(*records)]
+    return type(first)(*items) if hasattr(first, "_fields") else tuple(items)
 
 
 def _flag_at(bad, node, message, value=None):
@@ -346,24 +353,23 @@ def _chain(u, f0, f1, f2, f3):
     if len(u) == 1:  # a value alone
         return _Jet({(): f0}, False, u.mode)
     g, support = u.get, u.support()
-    outer = {key: _prod(g(key[:1]), g(key[1:])) for key in _keys(support, 2)}
+    outer = {key: _dot(g(key[:1]), g(key[1:])) for key in _keys(support, 2)}
     out = {(): f0}
     for i in support:
-        out[i,] = _prod(f1, g((i,)))
+        out[i,] = _dot(f1, g((i,)))
     for key, gg in outer.items():
-        out[key] = _sum(_prod(f1, g(key)), _prod(f2, gg))
+        out[key] = _dot(f1, g(key), f2, gg)
     if u.mode.order == 3:
         s = f3()
         s = None if s is None else s / 3.0
         if u.flat:
-            s = _sum(s, s, s)
+            s = None if s is None else s + s + s
             for i, j, k in _keys(support, 3):
-                out[i, j, k] = _sum(_prod(s, _prod(outer[i, j], g((k,)))), _prod(f1, g((i, j, k))))
+                out[i, j, k] = _dot(s, _dot(outer[i, j], g((k,))), f1, g((i, j, k)))
         else:
-            P = {key: _sum(_prod(f2, g(key)), _prod(s, gg)) for key, gg in outer.items()}
+            P = {key: _dot(f2, g(key), s, gg) for key, gg in outer.items()}
             for i, j, k in _keys(support, 3):
-                out[i, j, k] = _sum(_prod(P[i, j], g((k,))), _prod(P[i, k], g((j,))), _prod(P[j, k], g((i,))),
-                                    _prod(f1, g((i, j, k))))
+                out[i, j, k] = _dot(P[i, j], g((k,)), P[i, k], g((j,)), P[j, k], g((i,)), f1, g((i, j, k)))
     return _Jet({key: x for key, x in out.items() if x is not None}, False, u.mode)
 
 

@@ -125,15 +125,15 @@ class ProfileCurve(NamedTuple):
         return self.beta(u, t), theta / f0, -theta * f1 * a / (f0 * f0), third
 
 
-def _detect_exponential(prof):
+def _detect_exponential(prof, tape):
     """Return (c3, c5) when f = c3 exp(c5 t) with c5 != 0, else None.
 
-    Probes f and f' at 17 points of the profile's t range, where (log f)'
-    must be constant.
+    Probes f and f' (``tape``, f compiled) at 17 points of the profile's t
+    range, where (log f)' must be constant.
     """
     u0, u1 = prof.u_range
     t_values = np.linspace(prof.alpha(u0), prof.alpha(u1), 17)
-    f0, f1, _ = eval_warping(Tape([prof.f], ("t",)), t_values)
+    f0, f1, _ = eval_warping(tape, t_values)
     with np.errstate(divide="ignore", invalid="ignore"):  # a vanishing f is no exponential
         rates = f1 / f0
     c5 = float(rates[0])
@@ -191,12 +191,13 @@ def solve_profile(prof):
     exponential warpings the closed form is used, after checking it
     against that antiderivative at 9 of its 17 probes, to 1e-10 plus the
     interpolant's error estimate.  f is probed at 17 points before the
-    interpolant is built.
+    interpolant is built.  f is compiled once, for the probe and the curve.
     """
-    return _solve(prof, _detect_exponential(prof))
+    tape = Tape([prof.f], ("t",))
+    return _solve(prof, _detect_exponential(prof, tape), tape)
 
 
-def _solve(prof, exponential):
+def _solve(prof, exponential, tape):
     u0, u1 = prof.u_range
     interpolant, estimate = _profile_interpolant(prof)
     integral = interpolant.integ(lbnd=u0)
@@ -225,7 +226,7 @@ def _solve(prof, exponential):
     def beta(u, t=None):
         return base(u, t) + prof.c2
 
-    return ProfileCurve(profile=prof, beta=beta, exponential_rate=rate, tape=Tape([prof.f], ("t",)))
+    return ProfileCurve(profile=prof, beta=beta, exponential_rate=rate, tape=tape)
 
 
 def default_chart(prof):
@@ -301,14 +302,15 @@ def verify_classification(prof, interval=(-math.inf, math.inf), u_count=CLASSIFI
     the flag of ``warpgeo rotational``, as a scene names ``ambient.f``.
     """
     grid = classification_grid(prof, u_count)
-    exponential = _detect_exponential(prof)
+    tape = Tape([prof.f], ("t",))
+    exponential = _detect_exponential(prof, tape)
     try:
         ambient = WarpedProduct(interval, prof.f, Fiber.EUCLIDEAN, prof.n)
     except (DomainError, ValueError) as exc:
         if interval_fault(interval):  # the interval's fault, not f's
             raise
         raise ValueError(f"--f: {exc}") from None
-    curve = _solve(prof, exponential)
+    curve = _solve(prof, exponential, tape)
     imm = assemble_rotational(curve, ambient)
     residuals = profile_residuals(curve, u_count)
     return classify_rotational(imm, grid_geometry(imm, grid), residuals)
@@ -343,8 +345,9 @@ def classify_rotational(imm, geometry, residuals):
 
     ``geometry`` is the :class:`PointGeometry` record of the surface
     ``imm`` over its classification grid (see :func:`classification_grid`),
-    or the rows of a larger record that hold those points; ``residuals``
-    are the :func:`profile_residuals` of its profile.
+    or one that holds only the ``SOLITON_FIELDS`` at the rows of a larger
+    record that hold those points; ``residuals`` are the
+    :func:`profile_residuals` of its profile.
     """
     report = soliton_report(geometry)
     classified = all(r < SOLITON_TOL for r in residuals) and report.verdict is Verdict.SOLITON

@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambient import WarpedProduct, interval_fault
+from .ambient import WarpedProduct, eval_warping, interval_fault
 from .catalogue import PRESETS, build_preset
-from .errors import MAX_DIMENSION, MAX_GRID_POINTS, PointError, SceneError, WarpGeoError, _number, _short
+from .errors import DomainError, MAX_DIMENSION, MAX_GRID_POINTS, PointError, SceneError, WarpGeoError, _number, _short
 from .expr import CONSTANTS, FUNCTIONS, is_name, parse as parse_expr
 from .hypersurface import ChartBox, Immersion
 from .intrinsic import grid_geometry
@@ -30,8 +30,8 @@ from .objmesh import surface_vertices, write_obj
 # report_to_json is not used here; it stays importable from this module
 from .report import MESH_WARNING, SCHEMA_VERSION, document, report_to_json
 from .rotational import classification_grid, classify_rotational, profile_residuals
-from .soliton import (THEOREMS, CheckResult, Verdict, hypotheses_report, identity_check, soliton_report,
-                      structural_report)
+from .soliton import (SOLITON_FIELDS, THEOREM5_PROBES, THEOREMS, CheckResult, Verdict, hypotheses_report,
+                      identity_check, soliton_report, structural_report)
 
 # Largest scene file read.  A scene is a few KB of JSON; a larger file is
 # refused before it is parsed.
@@ -39,6 +39,7 @@ MAX_SCENE_BYTES = 1 << 20
 SPACEFORM = "spaceform c=<number>"  # how errors and README show the check SPACEFORM_RE reads
 SPACEFORM_RE = re.compile(r"^spaceform\s+c=(-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)\Z", re.ASCII)
 GRID_CHECKS = ("lemma1", "soliton", "structural") + THEOREMS  # the checks that read the scene grid
+PROBE_COUNTS = {"theorem5": THEOREM5_PROBES, "spaceform": 200}  # the checks that read f at as many probe heights
 CHECK_NAMES = GRID_CHECKS + ("rotational-classification",)
 
 # The kinds of a field.  An object's keys are the rows below it (one with no rows below
@@ -231,10 +232,11 @@ def load_scene(path):
     return validate_scene(data)
 
 
-def _run_check(kind, c, scene, geometry, soliton, classification):
-    """The :class:`CheckResult` of one check; ``c`` is the value of ``spaceform c=``."""
+def _run_check(kind, c, scene, geometry, soliton, classification, warping):
+    """The :class:`CheckResult` of one check; ``c`` is the value of ``spaceform c=``, ``warping`` the probe
+    heights and f's triple by the kind of check that reads them (see :func:`_probe_warping`)."""
     if kind in THEOREMS:
-        return hypotheses_report(scene.immersion, geometry, kind)
+        return hypotheses_report(scene.immersion, geometry, kind, warping.get(kind))
     if kind == "lemma1":
         return identity_check(kind, geometry, geometry.identity_error)
     if kind == "soliton":
@@ -246,8 +248,7 @@ def _run_check(kind, c, scene, geometry, soliton, classification):
             return structural_report(scene.immersion, geometry)
         return CheckResult(kind, "not_applicable", extras={"reason": "soliton verdict required"})
     if kind == "spaceform":
-        window = scene.ambient.probe_window()
-        result = scene.ambient.check_space_form(c, np.linspace(window[0], window[1], 200))
+        result = scene.ambient.check_space_form(c, *warping[kind])
         sup = max(result.ratio_residual, result.second_residual)
         status = "pass" if result.passed else "fail"
         return CheckResult(f"spaceform c={c!r}", status, sup_error=sup, extras={"c": c})
@@ -260,6 +261,20 @@ def _run_check(kind, c, scene, geometry, soliton, classification):
     return CheckResult(kind, status, sup_error=sup, extras=extras)
 
 
+def _probe_warping(scene):
+    """The probe heights of theorem5 and ``spaceform c=`` with f's triple at them, by kind, from one run of f
+    over them in check order; where f fails there it is None: each check runs f alone, the first to fail raises."""
+    window = scene.ambient.probe_window()
+    heights = {kind: np.linspace(*window, PROBE_COUNTS[kind]) for kind, _ in scene.checks if kind in PROBE_COUNTS}
+    ends = np.cumsum([0, *map(len, heights.values())])
+    try:
+        triple = eval_warping(scene.ambient.tape, np.concatenate(list(heights.values()))) if heights else None
+    except DomainError:
+        triple = None
+    return {kind: (t, triple and tuple(a[lo:hi] for a in triple)) for (kind, t), lo, hi in
+            zip(heights.items(), ends, ends[1:])}
+
+
 def run_scene(scene):
     """Execute the requested checks; returns (report_dict, all_passed).
 
@@ -267,8 +282,9 @@ def run_scene(scene):
     first check (the probe block of ``grid_geometry`` runs even when no
     check reads a point): the scene grid when a grid check asks for it,
     then the points of the classification grid that it lacks.  The
-    checks read their own rows of that record; the profile residuals,
-    which may raise SigmaZero, run first.  A failing probe that is the
+    classification reads the whole record when its points are the pass's,
+    else their rows in the fields it reads; the profile residuals, which
+    may raise SigmaZero, run first.  A failing probe that is the
     immersion's fault (``PointError.immersion_fault``) is a SceneError
     naming the immersion block.
     """
@@ -276,16 +292,19 @@ def run_scene(scene):
     kinds = {kind for kind, _ in scene.checks}
     imm, curve = scene.immersion, scene.profile
     points = scene.grid if kinds & set(GRID_CHECKS) else scene.grid[:0]
-    size = len(points)
+    size, rows = len(points), None
     classify = curve is not None and "rotational-classification" in kinds
     if classify:
         residuals = profile_residuals(curve)
-        both = np.concatenate([points, classification_grid(curve.profile)])
-        keys = (both + 0.0).view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel()  # -0.0 is 0.0
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        seen = first[inverse.ravel()]  # the first row equal to each row
-        keep = (seen == np.arange(len(both))) | (np.arange(len(both)) < size)  # a grid point, or a new one
-        points, rows = both[keep], (np.cumsum(keep) - 1)[seen[size:]]  # and the row of each classification point
+        extra = classification_grid(curve.profile)
+        points = points if size else extra  # with no grid check, the classification grid alone
+        if not np.array_equal(points, extra):  # else the merge adds no row
+            both = np.concatenate([points, extra])
+            keys = (both + 0.0).view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel()  # -0.0 is 0.0
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            seen = first[inverse.ravel()]  # the first row equal to each row
+            keep = (seen == np.arange(len(both))) | (np.arange(len(both)) < size)  # a grid point, or a new one
+            points, rows = both[keep], (np.cumsum(keep) - 1)[seen[size:]]  # and the row of each classification point
     geometry = soliton = classification = None
     try:  # structural reads the third jets of the same pass
         record = grid_geometry(imm, points, 3 if "structural" in kinds else 2)
@@ -297,14 +316,16 @@ def run_scene(scene):
     if size:
         geometry = record if size == len(points) else _leaves(lambda a: a[..., :size], record)
     if classify:
-        if not np.array_equal(rows, np.arange(len(points))):
-            record = _leaves(lambda a: a[..., rows], record)
-            _leaves(lambda a: a.setflags(write=False), record)  # a fancy-indexed copy is writable
+        if rows is not None:  # the merged pass: the rows of the fields the classification reads
+            taken = {name: getattr(record, name)[..., rows] for name in SOLITON_FIELDS}
+            _leaves(lambda a: a.setflags(write=False), tuple(taken.values()))  # a fancy-indexed copy is writable
+            record = type(record)(**{**dict.fromkeys(record._fields), **taken})
         classification = classify_rotational(imm, record, residuals)
     if kinds & {"soliton", "structural"}:
         soliton = soliton_report(geometry)
+    warping = _probe_warping(scene)
     results = [
-        _run_check(kind, c, scene, geometry, soliton, classification)
+        _run_check(kind, c, scene, geometry, soliton, classification, warping)
         for kind, c in scene.checks
     ]
 

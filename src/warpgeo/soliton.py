@@ -42,6 +42,8 @@ from .jets import flag
 SOLITON_TOL = 1e-7  # jet-exact derivative paths
 CLASS_TOL = 1e-8  # absolute thresholds on lambda and |grad h|
 _MARGIN_TOL = 1e-9  # slack for inequality checks that hold with equality
+SOLITON_FIELDS = ("chart", "residual", "grad_h_norm2", "identity_error", "lam")  # what soliton_report reads
+THEOREM5_PROBES = 64  # the probe heights at which theorem5 fits the ambient's curvature c
 
 
 class Verdict(enum.Enum):
@@ -62,11 +64,11 @@ def classify(lambda_samples, gradh_sup):
     if gradh_sup < CLASS_TOL:
         return SolitonClass.TRIVIAL
     lams = np.asarray(lambda_samples, dtype=float)
-    if np.max(np.abs(lams)) < CLASS_TOL:
+    if np.abs(lams).max() < CLASS_TOL:
         return SolitonClass.STEADY
-    if np.all(lams < -CLASS_TOL):
+    if (lams < -CLASS_TOL).all():
         return SolitonClass.EXPANDING
-    if np.all(lams > CLASS_TOL):
+    if (lams > CLASS_TOL).all():
         return SolitonClass.SHRINKING
     return SolitonClass.SIGN_CHANGING
 
@@ -84,11 +86,11 @@ class SolitonReport(NamedTuple):
 
     @property
     def lambda_min(self):
-        return float(np.min(self.lambda_samples))
+        return float(self.lambda_samples.min())
 
     @property
     def lambda_max(self):
-        return float(np.max(self.lambda_samples))
+        return float(self.lambda_samples.max())
 
     def to_dict(self):
         return {
@@ -111,10 +113,12 @@ def first_extreme(values, start=0.0, lowest=False):
     as 0.0, never -0.0.
     """
     v = np.asarray(values, dtype=float)
-    v = np.where(np.isnan(v), np.inf if lowest else -np.inf, v)
     if not v.size:
         return start, None
-    i = int(np.argmin(v) if lowest else np.argmax(v))  # the first extreme entry
+    i = int(v.argmin() if lowest else v.argmax())  # the first extreme entry, or the first NaN
+    if v[i] != v[i]:  # the scan again, each NaN made the value that never wins
+        v = np.where(np.isnan(v), np.inf if lowest else -np.inf, v)
+        i = int(v.argmin() if lowest else v.argmax())
     if v[i] < start if lowest else v[i] > start:
         return float(v[i]) + 0.0, i  # + 0.0 normalizes -0.0
     return start, None
@@ -144,9 +148,9 @@ def soliton_report(geometry):
 
 
 def _copy(mapping, kind):
-    """A copy of ``mapping`` and of its nested mappings as ``kind``: MappingProxyType
+    """A copy of ``mapping`` and of its nested dicts and proxies as ``kind``: MappingProxyType
     to hold it read-only, dict to write it as ``json`` does."""
-    return kind({k: _copy(v, kind) if isinstance(v, Mapping) else v for k, v in mapping.items()})
+    return kind({k: _copy(v, kind) if isinstance(v, (dict, MappingProxyType)) else v for k, v in mapping.items()})
 
 
 class CheckResult(namedtuple("CheckResult", "name status sup_error worst_point worst_value extras")):
@@ -228,70 +232,50 @@ def structural_report(imm, geometry):
 THEOREMS = ("theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5")
 
 
-def _ratio_or_limit(lf1, theta):
-    """|theta|^{-1} (log f)'(h) with the 0/0 limit taken as 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = lf1 / np.abs(theta)
-    limit = np.where(lf1 > 0.0, math.inf, -math.inf)
-    return np.where(lf1 == 0.0, 0.0, np.where(theta == 0.0, limit, ratio))
-
-
-def _theorem1_margins(n, geometry, sign):
-    """The per-point margins of the two hypothesis conditions, with the
-    orientation flipped for ``sign`` -1.
-
-    Condition 1: f''(h)/f(h) <= (n+1)/n^2 H^2.
-    Condition 2: 0 <= |theta|^{-1} (log f)'(h) <= H.
-    """
-    theta, H = sign * geometry.theta, sign * geometry.mean_curvature
-    f0, f1, f2 = geometry.warping
-    curvature = (n + 1) / (n * n) * H * H - f2 / f0
-    q = _ratio_or_limit(f1 / f0, theta)
-    return curvature, np.where(np.isfinite(q), np.minimum(q, H - q), -math.inf)
-
-
-def hypotheses_report(imm, geometry, which):
+def hypotheses_report(imm, geometry, which, probes=None):
     """One theorem hypothesis over the :class:`PointGeometry` record of a grid.
 
-    ``which`` is one of ``THEOREMS``.  theorem1 evaluates both
-    orientations and passes when either one satisfies the inequalities
-    everywhere (the orientation making H nonnegative is not canonical).
-    theorem3 requires a minimal immersion and otherwise reports
-    not_applicable.  theorem5 needs the ambient to be a space form; its
-    curvature c is fitted from the warping function on 64 probe heights,
-    from the same jet of f as the residuals of the fit.  The result is the
-    :class:`CheckResult` named ``which``, by :func:`identity_check` for
-    theorem3 and by :func:`inequality_check` for the others.
+    ``which`` is one of ``THEOREMS``.  theorem1 evaluates both orientations
+    and passes when either one satisfies f''(h)/f(h) <= (n+1)/n^2 H^2 and
+    0 <= |theta|^{-1} (log f)'(h) <= H everywhere (the orientation making H
+    nonnegative is not canonical).  theorem3 requires a minimal immersion
+    and otherwise reports not_applicable.  theorem5 needs the ambient to be
+    a space form; its curvature c is fitted from the warping function on 64
+    probe heights, from the same jet of f as the residuals of the fit
+    (``probes``: the heights and that jet, if already taken).  The result
+    is the :class:`CheckResult` named ``which``, by :func:`identity_check`
+    for theorem3 and by :func:`inequality_check` for the others.
     """
-    n = imm.n
+    n, H = imm.n, geometry.mean_curvature
+    f0, f1, f2 = geometry.warping
 
-    if which == "theorem1":
+    if which == "theorem1":  # H enters the curvature margin only as H^2 and theta only as |theta|
+        curvature = (n + 1) / (n * n) * H * H - f2 / f0
+        lf1, theta = f1 / f0, geometry.theta  # q = |theta|^-1 (log f)'(h), with the 0/0 limit taken as 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = lf1 / np.abs(theta)
+        q = np.where(lf1 == 0.0, 0.0, np.where(theta == 0.0, np.where(lf1 > 0.0, math.inf, -math.inf), ratio))
+        curvature_margin = first_extreme(curvature, math.inf, lowest=True)[0]
         results, extras = [], {}
         for name, sign in (("as_oriented", 1.0), ("flipped", -1.0)):
-            curvature, angle = _theorem1_margins(n, geometry, sign)
+            angle = np.where(np.isfinite(q), np.minimum(q, sign * H - q), -math.inf)
             results.append(inequality_check(which, geometry, np.minimum(curvature, angle)))
-            extras[name] = {"margin": results[-1].worst_value,
-                            "curvature_margin": first_extreme(curvature, math.inf, lowest=True)[0],
+            extras[name] = {"margin": results[-1].worst_value, "curvature_margin": curvature_margin,
                             "angle_margin": first_extreme(angle, math.inf, lowest=True)[0]}
         return max(results, key=lambda result: result.worst_value)._replace(extras=extras)
 
-    H = geometry.mean_curvature
-    f0, f1, f2 = geometry.warping
-
     if which == "theorem3":
-        sup_H = float(np.max(np.abs(H)))
+        sup_H = float(np.abs(H).max())
         if sup_H >= CLASS_TOL:
             return CheckResult(which, "not_applicable", extras={"sup_mean_curvature": sup_H})
         rhs = (f1 / f0) * (n - 1 + geometry.theta * geometry.theta)
         return identity_check(which, geometry, np.abs(n * (geometry.scal_gauss - geometry.lam) - rhs))
 
     if which == "theorem5":
-        window = imm.ambient.probe_window()
-        fit = imm.ambient.check_space_form(None, np.linspace(window[0], window[1], 64))
+        t, f = probes or (np.linspace(*imm.ambient.probe_window(), THEOREM5_PROBES), None)
+        fit = imm.ambient.check_space_form(None, t, f)
         if fit.ratio_residual > 1e-8 or fit.second_residual > 1e-8:
-            return CheckResult(
-                which, "not_applicable", extras={"reason": "ambient is not a space form"}
-            )
+            return CheckResult(which, "not_applicable", extras={"reason": "ambient is not a space form"})
         margin = geometry.lam - ((n - 1) * fit.c + n * H * H)
         extras = {"c": fit.c, "failing_points": int(np.count_nonzero(margin < -_MARGIN_TOL))}
         return inequality_check(which, geometry, margin, extras)

@@ -317,13 +317,25 @@ def test_wrong_closed_form_raises_quadrature_failure_naming_u(monkeypatch):
     import warpgeo.rotational as rotational
 
     detect = rotational._detect_exponential
-    monkeypatch.setattr(rotational, "_detect_exponential", lambda prof: (1.01 * detect(prof)[0], 1.0))
+    monkeypatch.setattr(rotational, "_detect_exponential", lambda prof, tape: (1.01 * detect(prof, tape)[0], 1.0))
     prof = RotationalProfile(theta=0.5, f="exp(t)", n=2, u_range=(-1.0, 1.0))
     u = float(np.linspace(-1.0, 1.0, 9)[1])
     with pytest.raises(QuadratureFailure, match=rf"disagree at u={u!r}: "):
         solve_profile(prof)
     with pytest.raises(QuadratureFailure, match=rf"disagree at u={u!r}: "):
         verify_classification(prof)
+
+
+def test_a_solved_profile_compiles_f_once(monkeypatch):
+    # the probe for an exponential f runs the tape that the curve keeps
+    import warpgeo.rotational as rotational
+
+    compiled, init = [], rotational.Tape.__init__
+    monkeypatch.setattr(rotational.Tape, "__init__", lambda tape, exprs, *args: compiled.append((tape, list(exprs)))
+                        or init(tape, exprs, *args))
+    prof = RotationalProfile(theta=0.5, f="cosh(t)", n=2)
+    curve = solve_profile(prof)
+    assert [tape for tape, exprs in compiled if exprs == [prof.f]] == [curve.tape]
 
 
 def test_empty_interval_is_not_blamed_on_f():

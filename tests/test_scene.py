@@ -18,12 +18,12 @@ from warpgeo import scene as scene_module
 from warpgeo.ambient import WarpedProduct
 from warpgeo.catalogue import PRESETS
 from warpgeo.cli import main
-from warpgeo.errors import SceneError, _number
+from warpgeo.errors import DomainError, SceneError, _number
 from warpgeo.hypersurface import MAX_GRID_POINTS, Immersion
 from warpgeo.jets import _leaves
 from warpgeo.intrinsic import grid_geometry
 from warpgeo.scene import FIELDS, report_to_json, run_scene, validate_scene
-from warpgeo.soliton import SolitonReport, soliton_report
+from warpgeo.soliton import SOLITON_FIELDS, SolitonReport, soliton_report
 
 
 def hyperplane_scene(**overrides):
@@ -503,13 +503,15 @@ def test_published_arrays_refuse_writes(monkeypatch, rotational_soliton, slice_p
 
 
 def test_classification_rows_refuse_writes(monkeypatch):
-    # the rows are a fancy-indexed copy of the scene's record, which numpy makes writable
+    # the rows are fancy-indexed copies of the scene's record, which numpy makes
+    # writable, of the fields soliton_report reads and of no other
     seen = []
     classify = scene_module.classify_rotational
     monkeypatch.setattr(scene_module, "classify_rotational", lambda imm, g, r: seen.append(g) or classify(imm, g, r))
     run_scene(validate_scene(rotational_cosh_scene(["soliton", "rotational-classification"])))
+    assert {name for name in seen[0]._fields if getattr(seen[0], name) is not None} == set(SOLITON_FIELDS)
     flags = _writable(seen[0])
-    assert len(flags) > 20 and not any(flags)
+    assert len(flags) == len(SOLITON_FIELDS) and not any(flags)
     with pytest.raises(ValueError, match="read-only"):
         seen[0].lam[0] = 5.0
 
@@ -613,12 +615,13 @@ def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch, structural, c
     # profile's (for beta in that pass and, for the classification, once
     # before it on the 16 heights of profile_residuals) and the ambient's
     # (once per batch in metric_jets, and once on the 64 probe heights of
-    # theorem5, whose fit of c and residuals of check_space_form share
+    # theorem5 and the 200 of spaceform c=-1 together, in check order:
+    # theorem5's fit of c and the residuals of each check_space_form read
     # that jet).  Only structural makes its one pass of order 3, and takes
     # d2D from the warping triple without running f again.  The 9 x 9
     # grid is the classification grid of example5, so the classification
     # adds no point to that pass
-    checks = ["lemma1", "soliton", "theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5"]
+    checks = ["lemma1", "soliton", "theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5", "spaceform c=-1"]
     checks += ["structural"] * structural + ["rotational-classification"] * classification
     data = example5_scene(checks)
     data["grid"] = {"samples": {"u": 9, "v1": 9}}
@@ -645,7 +648,24 @@ def test_run_scene_evaluates_jets_once_per_grid_point(monkeypatch, structural, c
     rows = 10 + N  # the chart center and the 3^2 probes lead the pass
     assert calls == {"component_jets": [(rows, 2 + structural)], "metric_jets": [rows]}
     pass_runs = [("immersion", rows, 2 + structural), ("profile", rows, 2), ("ambient", rows, 2)]
-    assert runs == [("profile", 16, 2)] * classification + pass_runs + [("ambient", 64, 2)]
+    assert runs == [("profile", 16, 2)] * classification + pass_runs + [("ambient", 64 + 200, 2)]
+
+
+@pytest.mark.parametrize("checks", [["theorem5", "spaceform c=0"], ["spaceform c=0", "theorem5"], ["spaceform c=0"]])
+def test_f_failing_at_a_probe_height_raises_as_its_check_alone(checks):
+    # f has a kink at the third of the 200 heights of spaceform c=0 and at
+    # none of theorem5's 64: the one run of f over both sets fails, so each
+    # check runs f on its own heights, and the error, its height and its
+    # index are the ones spaceform raises alone, whatever the check order
+    window = WarpedProduct((-math.inf, math.inf), "1", "euclidean", 2).probe_window()
+    t2 = float(np.linspace(*window, 200)[2])
+    assert t2 not in np.linspace(*window, 64)
+    data = hyperplane_scene(checks=checks)
+    data["ambient"]["f"] = f"2+abs(t-({t2!r}))"
+    with pytest.raises(DomainError) as err:
+        run_scene(validate_scene(data))
+    assert str(err.value) == f"warping function at t={t2!r}: abs is not differentiable at 0"
+    assert err.value.index == 2
 
 
 def rotational_cosh_scene(checks):
@@ -660,7 +680,8 @@ def test_the_classification_merge_keeps_the_row_order(monkeypatch, name, samples
     # the pass holds the scene grid in its row-major order, then the rows of
     # the 9 x 9 classification grid that it lacks, in their order (as the
     # merge of tuples did), and the classification reads the rows of the
-    # classification grid in its own order, bit for bit
+    # classification grid in its own order, bit for bit: the whole record
+    # when the two grids are equal, else those rows of the fields it reads
     data = (example5_scene if name == "example5" else rotational_cosh_scene)(["soliton", "rotational-classification"])
     data["grid"] = {"samples": {"u": samples, "v1": samples}}
     scene = validate_scene(data)
@@ -668,15 +689,16 @@ def test_the_classification_merge_keeps_the_row_order(monkeypatch, name, samples
     grid = [tuple(p) for p in scene.grid.tolist()]
     known = set(grid)
     expected = grid + [p for p in dict.fromkeys(map(tuple, extra.tolist())) if p not in known]
-    passes, classified = [], []
+    passes, records, classified = [], [], []
     geometry, classify = scene_module.grid_geometry, scene_module.classify_rotational
     monkeypatch.setattr(scene_module, "grid_geometry", lambda imm, points, order=2: passes.append(points)
-                        or geometry(imm, points, order))
+                        or records.append(geometry(imm, points, order)) or records[-1])
     monkeypatch.setattr(scene_module, "classify_rotational", lambda imm, record, residuals: classified.append(record)
                         or classify(imm, record, residuals))
     run_scene(scene)
     assert len(expected) == samples * samples + added and len(extra) == 81
     assert passes[0].tobytes() == np.array(expected).tobytes()
+    assert (classified[0] is records[0]) == (added == 0)
     assert classified[0].chart.T.tobytes() == extra.tobytes()
     assert classified[0].residual.tobytes() == grid_geometry(scene.immersion, extra).residual.tobytes()
 
@@ -710,25 +732,26 @@ def test_rotational_scene_evaluates_jets_once(monkeypatch, checks, points):
     ids=["rotational-cosh", "rotational-cosh-structural", "example5", "example5-structural"],
 )
 def test_classification_rows_equal_their_own_pass(monkeypatch, data):
-    # the rows the classification reads from the scene's record hold, in
-    # every field, the bits of a pass over the classification grid alone
-    # (a NaN counts as one value)
-    seen = []
-    classify = scene_module.classify_rotational
-
-    def spy(imm, geometry, residuals):
-        seen.append(geometry)
-        return classify(imm, geometry, residuals)
-
-    monkeypatch.setattr(scene_module, "classify_rotational", spy)
+    # the rows of the scene's record that hold the classification grid's
+    # points (the first row equal to each) hold, in every field, the bits
+    # of a pass over the classification grid alone (a NaN counts as one
+    # value), and the classification reads them in each field it reads
+    records, seen = [], []
+    geometry, classify = scene_module.grid_geometry, scene_module.classify_rotational
+    monkeypatch.setattr(scene_module, "grid_geometry", lambda imm, points, order=2: records.append(
+        geometry(imm, points, order)) or records[-1])
+    monkeypatch.setattr(scene_module, "classify_rotational", lambda imm, g, r: seen.append(g) or classify(imm, g, r))
     scene = validate_scene(data)
     run_scene(scene)
     order = 3 if "structural" in data["checks"] else 2
     grid = rotational.classification_grid(scene.profile.profile)
     alone = grid_geometry(scene.immersion, grid, order)
+    chart = records[0].chart.T.tolist()
+    rows = [chart.index(point) for point in grid.tolist()]
     same = []
-    _leaves(lambda a, b: same.append(_bits(a) == _bits(b)), seen[0], alone)
+    _leaves(lambda a, b: same.append(_bits(a) == _bits(b)), _leaves(lambda a: a[..., rows], records[0]), alone)
     assert len(same) > 20 and all(same)
+    assert all(_bits(getattr(seen[0], name)) == _bits(getattr(alone, name)) for name in SOLITON_FIELDS)
 
 
 def _bits(a):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpgeo.catalogue import sphere_immersion
 from warpgeo.intrinsic import grid_geometry
@@ -11,6 +13,7 @@ from warpgeo.soliton import (
     SolitonClass,
     Verdict,
     classify,
+    first_extreme,
     hypotheses_report,
     structural_report,
 )
@@ -203,6 +206,46 @@ def test_theorem1_passes_on_spherical_slice(spherical_slice):
     report = hypotheses_on_grid(spherical_slice, grid(spherical_slice, count=3), "theorem1")
     # f = sin at t0 = 1: f''/f = -1 <= 0.75 H^2 and cot(1) <= H = cot(1)
     assert report.status == "pass"
+
+
+@pytest.mark.parametrize("name", ["horosphere", "spherical_slice", "rotational_soliton"])
+def test_theorem1_of_the_flipped_record_swaps_its_orientations(request, name):
+    # H enters theorem1 only as H^2 in the curvature margin and theta only
+    # as |theta|, so the record with its orientation flipped (N, theta, II,
+    # A and H negated) swaps as_oriented and flipped, to the bit
+    imm = request.getfixturevalue(name)
+    geometry = grid_geometry(imm, grid(imm, count=5))
+    report = hypotheses_report(imm, geometry, "theorem1")
+    swapped = hypotheses_report(imm, flip_orientation(geometry), "theorem1")
+
+    def bits(margins):
+        return {key: value.hex() for key, value in margins.items()}
+
+    assert bits(swapped.extras["as_oriented"]) == bits(report.extras["flipped"])
+    assert bits(swapped.extras["flipped"]) == bits(report.extras["as_oriented"])
+    assert (swapped.status, swapped.worst_value.hex()) == (report.status, report.worst_value.hex())
+
+
+def _scan(values, start, lowest):
+    """The reference scan: keep the first strictly smaller (or larger) value, NaN never kept."""
+    best, index = start, None
+    for i, value in enumerate(values):
+        if value < best if lowest else value > best:
+            best, index = value, i
+    return (best + 0.0 if index is not None else start), index
+
+
+_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VALUES, max_size=8), st.sampled_from([0.0, -1.0, math.inf, -math.inf]), st.booleans())
+def test_first_extreme_is_the_scan_that_skips_nan(values, start, lowest):
+    # the first extreme entry strictly beyond start, NaN never winning, a zero as 0.0
+    value, index = first_extreme(np.array(values, dtype=float), start, lowest)
+    expected, at = _scan(values, start, lowest)
+    assert index == at and math.copysign(1.0, value) == math.copysign(1.0, expected)
+    assert value == expected or (math.isnan(value) and math.isnan(expected))
 
 
 def test_theorem3_minimal_identity(hyperplane, sphere2):
