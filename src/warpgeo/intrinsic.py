@@ -75,10 +75,6 @@ class PointGeometry(NamedTuple):
     def n(self):
         return self.metric.shape[0]
 
-    @property
-    def height(self):
-        return self.ambient_point.t
-
     def chart_point(self, i):
         """Chart point ``i`` as a tuple of floats (None for ``i`` None)."""
         return None if i is None else tuple(map(float, self.chart[:, i]))

@@ -20,7 +20,7 @@ run binds each variable to a value or an array of N values, runs each op once ov
 points (no slot is masked per point), drops each array after its last use and writes
 full slots, symmetric to the bit: each entry once, at its sorted index tuple, and a slot
 of order 2 or 3 taken from those at every permutation, by a table of the variable count
-and the order (``_layout``, the module's one memo).
+(``_layout``, the module's one memo).
 
 A batch is evaluated in one pass (``one_pass``): a check flags the points
 that fail it and the pass computes on, with inf and nan propagating, as
@@ -33,7 +33,6 @@ point raises alone.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 from contextvars import ContextVar
 from functools import cache
@@ -52,8 +51,9 @@ class Jet2(NamedTuple):
     """Value, gradient and symmetric Hessian in ``m`` active variables, and at order 3
     the symmetric third derivative (else None).  Point axes follow the derivative
     axes: value ``S``, grad ``(m,) + S``, hess ``(m, m) + S``, third ``(m, m, m) + S``.
-    The operators run the tape's rules on the entries at sorted indices; numpy
-    defers to them (``np.float64(2.0) * jet`` is ``jet * 2.0``)."""
+    A jet holds a tape's result and has no arithmetic: ``+`` and ``*``, which a
+    tuple would read as concatenation and repetition, raise TypeError, and numpy
+    defers to them (``np.float64(2.0) * jet`` raises too)."""
 
     value: np.ndarray
     grad: np.ndarray
@@ -61,31 +61,13 @@ class Jet2(NamedTuple):
     third: np.ndarray | None = None
 
     __array_ufunc__ = None
+    __add__ = __mul__ = __rmul__ = None
     m = property(lambda self: self.grad.shape[0])
     order = property(lambda self: 2 if self.third is None else 3)
 
     def slots(self):
         """The value and the derivatives up to the jet's order."""
         return (self.value, self.grad, self.hess, self.third)[: self.order + 1]
-
-    def _apply(self, rule, *others):
-        """``rule`` on the entries of this jet and ``others`` (jets or numbers), as a jet."""
-        mode = _Mode(self.order, self.m, None)
-        keys = [key for r in range(self.order + 1) for key in _keys(range(self.m), r)]
-        operands = [_Jet({key: x.slots()[len(key)][key] for key in keys}, False, mode) if isinstance(x, Jet2)
-                    else _Jet({(): np.float64(x)}, True, mode) for x in (self, *others)]
-        jet = rule(*operands)
-        shape = np.broadcast_shapes(*map(np.shape, jet.values()))
-        slots = _gather([jet], _layout(self.m, self.order), shape, self.order)
-        return Jet2(*(slot[0] for slot in slots))
-
-    __neg__ = lambda self: self._apply(operator.neg)
-    __add__ = __radd__ = lambda self, other: self._apply(operator.add, other)
-    __sub__ = lambda self, other: self._apply(operator.sub, other)
-    __rsub__ = lambda self, other: self._apply(lambda a, b: b - a, other)
-    __mul__ = __rmul__ = lambda self, other: self._apply(operator.mul, other)
-    __truediv__ = lambda self, other: self._apply(lambda a, b: a * _reciprocal(b, None), other)
-    __rtruediv__ = lambda self, other: self._apply(lambda a, b: b * _reciprocal(a, None), other)
 
 
 def _dot(*pairs):
@@ -144,10 +126,10 @@ class _Jet(dict):
 class Tape:
     """Expressions compiled into a straight-line list of ops, one per distinct subtree (a
     Num told by its bits, -0.0 from 0.0).  Compiling evaluates only the exponents without
-    variables, each op of them once, to fix their powers' rules.  A run takes an order up to
-    ``order``; at 0 it takes no derivative: sqrt and abs refuse no kink, a profile gives beta."""
+    variables, each op of them once, to fix their powers' rules.  A run takes an order 0, 2
+    or 3; at 0 it takes no derivative: sqrt and abs refuse no kink, a profile gives beta."""
 
-    def __init__(self, exprs, active=(), order=3):
+    def __init__(self, exprs, active=()):
         self.m = len(active)
         index = {name: i for i, name in enumerate(active)}
         memo = {}  # op by interning key: a variable by its name, a number by kind and repr
@@ -212,7 +194,7 @@ class Tape:
         for kid in last.keys() - set(self.roots):  # each op's list of the jets it reads for the last time
             ops[last[kid]][3].append(kid)
         self.ops = ops
-        self.layout = _layout(self.m, order)
+        self.layout = _layout(self.m)
 
     def slots(self, bindings, order):
         """The slots up to ``order`` (0, 2 or 3; 0: values) at ``bindings``, by expression, in one pass."""
@@ -248,14 +230,14 @@ _RULES = {
 _RULES[Const] = _RULES[Num]
 
 
-@cache  # a constant of (m, order): every compile, one per eval_jet2 call, reads it
-def _layout(m, order):
-    """The position of each sorted index tuple of slots 0 to ``order`` over m variables among its slot's,
+@cache  # a constant of m: every compile, one per eval_jet2 call, reads it
+def _layout(m):
+    """The position of each sorted index tuple of slots 0 to 3 over m variables among its slot's,
     their count by slot, and by slot the (m,) * r array of the position of each index tuple sorted."""
-    keys = [list(_keys(range(m), r)) for r in range(order + 1)]
+    keys = [list(_keys(range(m), r)) for r in range(4)]
     index = {key: i for slot in keys for i, key in enumerate(slot)}
     spots = [np.array([index[tuple(sorted(ix))] for ix in np.ndindex((m,) * r)], dtype=np.intp).reshape((m,) * r)
-             for r in range(order + 1)]
+             for r in range(4)]
     return index, [len(slot) for slot in keys], spots
 
 
@@ -459,7 +441,7 @@ def eval_jet2(expr, bindings, active=(), order=2):
     the first point whose evaluation fails.
     """
     single = isinstance(expr, Expression)
-    slots = Tape([expr] if single else expr, tuple(active), order).slots(bindings, order)
+    slots = Tape([expr] if single else expr, tuple(active)).slots(bindings, order)
     return Jet2(*(slot[0] for slot in slots) if single else slots)
 
 

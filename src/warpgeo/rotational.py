@@ -344,10 +344,8 @@ def classify_rotational(imm, geometry, residuals):
     """Decide whether a rotational surface is a soliton from the four checks.
 
     ``geometry`` is the :class:`PointGeometry` record of the surface
-    ``imm`` over its classification grid (see :func:`classification_grid`),
-    or one that holds only the ``SOLITON_FIELDS`` at the rows of a larger
-    record that hold those points; ``residuals`` are the
-    :func:`profile_residuals` of its profile.
+    ``imm`` over its classification grid (see :func:`classification_grid`);
+    ``residuals`` are the :func:`profile_residuals` of its profile.
     """
     report = soliton_report(geometry)
     classified = all(r < SOLITON_TOL for r in residuals) and report.verdict is Verdict.SOLITON

@@ -27,11 +27,11 @@ from .hypersurface import ChartBox, Immersion
 from .intrinsic import grid_geometry
 from .jets import _leaves
 from .objmesh import surface_vertices, write_obj
-# report_to_json is not used here; it stays importable from this module
+# report_to_json is not used here; it stays, as the benchmark (bench/measure.py, bench/tracing.py) calls it from here
 from .report import MESH_WARNING, SCHEMA_VERSION, document, report_to_json
 from .rotational import classification_grid, classify_rotational, profile_residuals
-from .soliton import (SOLITON_FIELDS, THEOREM5_PROBES, THEOREMS, CheckResult, Verdict, hypotheses_report,
-                      identity_check, soliton_report, structural_report)
+from .soliton import (THEOREM5_PROBES, THEOREMS, CheckResult, Verdict, hypotheses_report, identity_check,
+                      soliton_report, structural_report)
 
 # Largest scene file read.  A scene is a few KB of JSON; a larger file is
 # refused before it is parsed.
@@ -278,33 +278,27 @@ def _probe_warping(scene):
 def run_scene(scene):
     """Execute the requested checks; returns (report_dict, all_passed).
 
-    Every chart point's geometry is computed once, in one pass before the
-    first check (the probe block of ``grid_geometry`` runs even when no
-    check reads a point): the scene grid when a grid check asks for it,
-    then the points of the classification grid that it lacks.  The
-    classification reads the whole record when its points are the pass's,
-    else their rows in the fields it reads; the profile residuals, which
-    may raise SigmaZero, run first.  A failing probe that is the
-    immersion's fault (``PointError.immersion_fault``) is a SceneError
-    naming the immersion block.
+    The geometry is computed in one pass before the first check (the probe
+    block of ``grid_geometry`` runs even when no check reads a point): the
+    scene grid when a grid check asks for it, then the whole classification
+    grid unless it is that grid, so a point in both is evaluated twice.
+    The classification reads the tail of the pass that holds its grid; the
+    profile residuals, which may raise SigmaZero, run first.  A failing
+    probe that is the immersion's fault (``PointError.immersion_fault``) is
+    a SceneError naming the immersion block.
     """
     started = time.perf_counter()
     kinds = {kind for kind, _ in scene.checks}
     imm, curve = scene.immersion, scene.profile
     points = scene.grid if kinds & set(GRID_CHECKS) else scene.grid[:0]
-    size, rows = len(points), None
+    size = len(points)
     classify = curve is not None and "rotational-classification" in kinds
     if classify:
         residuals = profile_residuals(curve)
         extra = classification_grid(curve.profile)
         points = points if size else extra  # with no grid check, the classification grid alone
-        if not np.array_equal(points, extra):  # else the merge adds no row
-            both = np.concatenate([points, extra])
-            keys = (both + 0.0).view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel()  # -0.0 is 0.0
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            seen = first[inverse.ravel()]  # the first row equal to each row
-            keep = (seen == np.arange(len(both))) | (np.arange(len(both)) < size)  # a grid point, or a new one
-            points, rows = both[keep], (np.cumsum(keep) - 1)[seen[size:]]  # and the row of each classification point
+        tail = 0 if np.array_equal(points, extra) else size  # the first row of the classification grid
+        points = np.concatenate([points, extra]) if tail else points
     geometry = soliton = classification = None
     try:  # structural reads the third jets of the same pass
         record = grid_geometry(imm, points, 3 if "structural" in kinds else 2)
@@ -315,12 +309,9 @@ def run_scene(scene):
         raise SceneError(str(exc), field=field) from None
     if size:
         geometry = record if size == len(points) else _leaves(lambda a: a[..., :size], record)
-    if classify:
-        if rows is not None:  # the merged pass: the rows of the fields the classification reads
-            taken = {name: getattr(record, name)[..., rows] for name in SOLITON_FIELDS}
-            _leaves(lambda a: a.setflags(write=False), tuple(taken.values()))  # a fancy-indexed copy is writable
-            record = type(record)(**{**dict.fromkeys(record._fields), **taken})
-        classification = classify_rotational(imm, record, residuals)
+    if classify:  # a view of a read-only array is read-only
+        classification = classify_rotational(imm, _leaves(lambda a: a[..., tail:], record) if tail else record,
+                                             residuals)
     if kinds & {"soliton", "structural"}:
         soliton = soliton_report(geometry)
     warping = _probe_warping(scene)

@@ -42,7 +42,6 @@ from .jets import flag
 SOLITON_TOL = 1e-7  # jet-exact derivative paths
 CLASS_TOL = 1e-8  # absolute thresholds on lambda and |grad h|
 _MARGIN_TOL = 1e-9  # slack for inequality checks that hold with equality
-SOLITON_FIELDS = ("chart", "residual", "grad_h_norm2", "identity_error", "lam")  # what soliton_report reads
 THEOREM5_PROBES = 64  # the probe heights at which theorem5 fits the ambient's curvature c
 
 

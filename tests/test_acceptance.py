@@ -157,7 +157,7 @@ def test_criterion_5_catalogue_solitons(catalogue):
     ok &= rep.verdict is Verdict.SOLITON and rep.residual_sup < 1e-7
     ok &= rep.classification is SolitonClass.SHRINKING
     geo = grid_geometry(sphere, sphere.chart.grid(5, 0.1))
-    ok &= bool(np.all(np.abs(geo.lam - (2.0 + geo.height)) < 1e-7))
+    ok &= bool(np.all(np.abs(geo.lam - (2.0 + geo.ambient_point.t)) < 1e-7))
     summaries.append("sphere shrinking lambda=n(n-1)+h")
 
     report(5, "; ".join(summaries), ok)
@@ -300,7 +300,7 @@ def test_criterion_9_property_suites(catalogue):
         imm = dict(catalogue)[name]
         for sd in point_geometries(imm, imm.chart.grid(3, 0.15)):
             fl = flip_orientation(sd)
-            f0, f1, _ = imm.ambient.warping_jet(sd.height)
+            f0, f1, _ = imm.ambient.warping_jet(sd.ambient_point.t)
             dh = sd.frame[0, :]
             base = (f1 / f0) * (sd.metric - np.outer(dh, dh))
             hess_a = base + sd.theta * sd.second_fundamental

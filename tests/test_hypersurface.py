@@ -45,7 +45,7 @@ def test_horosphere_closed_form(horosphere):
         assert abs(sd.mean_curvature + 1.0) < 1e-12
         assert abs(sd.theta - 1.0) < 1e-12
         assert np.max(np.abs(sd.grad_h)) < 1e-12
-        assert sd.height == 0.0
+        assert sd.ambient_point.t == 0.0
 
 
 def test_general_slice_closed_form(spherical_slice):
@@ -55,7 +55,7 @@ def test_general_slice_closed_form(spherical_slice):
     for sd in point_geometries(spherical_slice, interior_points(spherical_slice)):
         assert np.allclose(sd.shape_operator, expected * np.eye(2), atol=1e-10)
         assert abs(sd.theta - 1.0) < 1e-12
-        assert sd.height == t0
+        assert sd.ambient_point.t == t0
 
 
 def test_hyperplane_closed_form(hyperplane):
@@ -64,13 +64,13 @@ def test_hyperplane_closed_form(hyperplane):
         assert np.max(np.abs(sd.shape_operator)) < 1e-14
         assert abs(sd.theta) < 1e-14
         assert abs(sd.grad_h_norm2 - 1.0) < 1e-12
-        assert sd.height == p[0]
+        assert sd.ambient_point.t == p[0]
 
 
 def test_sphere_outward_orientation(sphere2):
     for sd in point_geometries(sphere2, interior_points(sphere2)):
         assert np.allclose(sd.shape_operator, -np.eye(2), atol=1e-10)
-        assert abs(sd.theta - sd.height) < 1e-12
+        assert abs(sd.theta - sd.ambient_point.t) < 1e-12
         assert abs(sd.mean_curvature + 1.0) < 1e-10
         # outward normal equals the position vector
         position = np.array((sd.ambient_point.t,) + sd.ambient_point.x)
@@ -80,7 +80,7 @@ def test_sphere_outward_orientation(sphere2):
 def test_sphere3_closed_form(sphere3):
     for sd in point_geometries(sphere3, interior_points(sphere3, count=2, margin=0.2)):
         assert np.allclose(sd.shape_operator, -np.eye(3), atol=1e-10)
-        assert abs(sd.theta - sd.height) < 1e-12
+        assert abs(sd.theta - sd.ambient_point.t) < 1e-12
 
 
 def test_theta_nonnegative_at_center(catalogue):
@@ -277,7 +277,7 @@ def test_flip_orientation_signs(horosphere):
     assert flipped.mean_curvature == -sd.mean_curvature
     assert np.array_equal(flipped.metric, sd.metric)
     assert np.array_equal(flipped.grad_h, sd.grad_h)
-    assert flipped.height == sd.height
+    assert flipped.ambient_point.t == sd.ambient_point.t
 
 
 def test_flip_is_involution(sphere2):

@@ -115,7 +115,7 @@ def test_ricci_gradh_on_sphere3(sphere3):
     u = math.asin(target_h)
     p = (u,) + sphere3.chart.center()[1:]
     sd = geometry_at(sphere3, p)
-    assert abs(sd.height - 0.5) < 1e-12
+    assert abs(sd.ambient_point.t - 0.5) < 1e-12
     expected = 2.0 * (1.0 - 0.25)
     assert abs(ricci_gradh_extrinsic(sphere3, p) - expected) < 1e-10
     assert abs(ric_gradh(geometry_at(sphere3, p)) - expected) < 1e-10

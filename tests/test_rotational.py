@@ -173,7 +173,7 @@ def test_height_function(example_profile, example_curve):
     prof = example_profile
     points = imm.chart.grid(3, 0.1)
     for p, sd in zip(points, point_geometries(imm, points)):
-        assert abs(sd.height - (p[0] * prof.slope + prof.c1)) < 1e-14
+        assert abs(sd.ambient_point.t - (p[0] * prof.slope + prof.c1)) < 1e-14
 
 
 def test_weingarten_example_values(example_profile, example_curve):

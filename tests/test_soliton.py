@@ -51,7 +51,7 @@ def test_hyperplane_hessian_vanishes(hyperplane):
 
 def test_sphere_hessian_is_minus_h_g(sphere2):
     for geo in point_geometries(sphere2, grid(sphere2)):
-        expected = -geo.height * geo.metric
+        expected = -geo.ambient_point.t * geo.metric
         assert np.max(np.abs(geo.hess_direct - expected)) < 1e-12
 
 
@@ -78,7 +78,7 @@ def test_hessian_trace_identity(catalogue):
         for geo in point_geometries(imm, grid(imm, count=3, margin=0.15)):
             hess = geo.hess_direct
             lap = float(np.trace(np.linalg.solve(geo.metric, hess)))
-            f0, f1, _ = imm.ambient.warping_jet(geo.height)
+            f0, f1, _ = imm.ambient.warping_jet(geo.ambient_point.t)
             expected = (f1 / f0) * (geo.n - geo.grad_h_norm2) + geo.theta * geo.n * geo.mean_curvature
             assert abs(lap - expected) < 1e-8, name
 
@@ -88,7 +88,7 @@ def test_lambda_values(hyperplane, sphere2, rotational_soliton):
     p = (0.0, 0.4)  # h = sin(0) = 0 on the sphere chart
     assert abs(geometry_at(sphere2, p).lam - 2.0) < 1e-10
     geo = grid_geometry(sphere2, grid(sphere2, count=3))
-    assert np.max(np.abs(geo.lam - (2.0 + geo.height))) < 1e-7
+    assert np.max(np.abs(geo.lam - (2.0 + geo.ambient_point.t))) < 1e-7
     geo = geometry_at(rotational_soliton, (0.5, 3.0))
     assert abs(geo.lam) < 1e-10 and abs(geo.lam - geo.scal_gauss) < 1e-10
 
@@ -140,7 +140,7 @@ def test_flip_invariance_of_soliton_quantities(sphere2, horosphere):
     for imm in (sphere2, horosphere):
         for sd in point_geometries(imm, grid(imm, count=3)):
             flipped = flip_orientation(sd)
-            f0, f1, _ = imm.ambient.warping_jet(sd.height)
+            f0, f1, _ = imm.ambient.warping_jet(sd.ambient_point.t)
             dh = sd.frame[0, :]
             base = (f1 / f0) * (sd.metric - np.outer(dh, dh))
             hess_default = base + sd.theta * sd.second_fundamental
@@ -274,7 +274,7 @@ def test_theorem5_sphere_fails_below_equator(sphere2):
     assert report.extras["c"] == 0.0
     assert report.extras["failing_points"] > 0
     # worst margin is 2 + h - 2 = h at the lowest sampled height
-    heights = grid_geometry(sphere2, grid(sphere2, count=5)).height
+    heights = grid_geometry(sphere2, grid(sphere2, count=5)).ambient_point.t
     assert report.worst_value == pytest.approx(min(heights), abs=1e-7)
 
 
