@@ -272,10 +272,11 @@ def eval_warping(tape, t, order=2):
     """(f, f', f'') over the heights ``t`` from the ``tape`` of a warping function (compiled over
     ``("t",)``), or (f,) at ``order`` 0; a DomainError names the first height at which f fails."""
     try:
-        return tuple(slot[(0,) * (r + 1)] for r, slot in enumerate(tape.slots({"t": t}, order)))
+        slots = tape.slots({"t": t}, order)
     except DomainError as exc:  # renamed in place, so it keeps its index
-        exc.args = (f"warping function at t={float(t[exc.index])!r}: {exc}",)
+        exc.args = (f"warping function at t={float(np.ravel(t)[exc.index])!r}: {exc}",)
         raise
+    return (slots[0][0], slots[1][0, 0], slots[2][0, 0, 0]) if order else (slots[0][0],)
 
 
 def check_conditioning(p, D, skip=0):

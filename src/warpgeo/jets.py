@@ -61,9 +61,12 @@ class Jet2(NamedTuple):
     third: np.ndarray | None = None
 
     __array_ufunc__ = None
-    __add__ = __mul__ = __rmul__ = None
     m = property(lambda self: self.grad.shape[0])
     order = property(lambda self: 2 if self.third is None else 3)
+
+    def __add__(self, other):
+        raise TypeError("a Jet2 has no arithmetic: build the expression and evaluate it with eval_jet2")
+    __mul__ = __rmul__ = __add__
 
     def slots(self):
         """The value and the derivatives up to the jet's order."""

@@ -39,7 +39,7 @@ from .ambient import Fiber, WarpedProduct, eval_warping, interval_fault
 from .errors import DomainError, QuadratureFailure, SigmaZero
 from .expr import BinOp, Call, Profile, Var, literal
 from .hypersurface import ChartBox, Immersion
-from .jets import Tape, as_expression, eval_jet2, flag
+from .jets import Tape, as_expression, flag
 from .intrinsic import grid_geometry
 from .soliton import SOLITON_TOL, Verdict, soliton_report
 
@@ -100,11 +100,8 @@ class RotationalProfile(namedtuple("RotationalProfile", "theta f n c1 c2 u_range
 
 
 class ProfileCurve(NamedTuple):
-    """Solved profile: the callable beta, and alpha and the jet of beta
-    derived from it; the jet runs ``tape``, f compiled once.
-
-    Each takes a float or an array of u values; ``beta(u, t)`` takes t = alpha(u) too, where known.
-    """
+    """Solved profile, from :func:`solve_profile`, the one solve: beta, and alpha and the jet of
+    beta derived from it, each of a float or an array of u values; the jet runs ``tape``, f compiled once."""
 
     profile: RotationalProfile
     beta: object
@@ -117,12 +114,10 @@ class ProfileCurve(NamedTuple):
     def beta_jet(self, u, order=3):
         """(beta, beta', beta'', beta''') at ``u`` from one jet of f at alpha(u); beta''' only at ``order`` 3."""
         prof = self.profile
-        t = prof.alpha(u)
-        value, grad, hess = self.tape.slots({"t": t}, 2)
-        f0, f1, f2 = value[0], grad[0, 0], hess[0, 0, 0]
+        f0, f1, f2 = eval_warping(self.tape, prof.alpha(u))
         theta, a = prof.theta, prof.slope
         third = -theta * a * a * (f0 * f2 - 2.0 * f1 * f1) / (f0 * f0 * f0) if order == 3 else None
-        return self.beta(u, t), theta / f0, -theta * f1 * a / (f0 * f0), third
+        return self.beta(u), theta / f0, -theta * f1 * a / (f0 * f0), third
 
 
 def _detect_exponential(prof, tape):
@@ -162,12 +157,12 @@ def _profile_interpolant(prof):
     the coefficients has decayed below ``CHEB_TAIL_DECAY`` of the largest.
     """
     u0, u1 = prof.u_range
-    integrand = BinOp("/", literal(prof.theta), prof.f)
+    integrand = Tape([BinOp("/", literal(prof.theta), prof.f)])
     degree = CHEB_MIN_DEGREE
     while True:
         u = u0 + 0.5 * (u1 - u0) * (1.0 - np.cos(np.pi * np.arange(degree + 1) / degree))
         try:
-            values = eval_jet2(integrand, {"t": prof.alpha(u)}).value
+            values = integrand.slots({"t": prof.alpha(u)}, 0)[0][0]
         except DomainError as exc:  # renamed in place, so it keeps its index
             exc.args = (f"profile integrand at u={float(u[exc.index])!r}: {exc}",)
             raise
@@ -191,13 +186,11 @@ def solve_profile(prof):
     exponential warpings the closed form is used, after checking it
     against that antiderivative at 9 of its 17 probes, to 1e-10 plus the
     interpolant's error estimate.  f is probed at 17 points before the
-    interpolant is built.  f is compiled once, for the probe and the curve.
+    interpolant is built.  f is compiled once, for the probe and the curve,
+    and the integrand theta/f once, for every degree of the interpolant.
     """
     tape = Tape([prof.f], ("t",))
-    return _solve(prof, _detect_exponential(prof, tape), tape)
-
-
-def _solve(prof, exponential, tape):
+    exponential = _detect_exponential(prof, tape)
     u0, u1 = prof.u_range
     interpolant, estimate = _profile_interpolant(prof)
     integral = interpolant.integ(lbnd=u0)
@@ -208,9 +201,11 @@ def _solve(prof, exponential, tape):
 
     if exponential is not None:
         c3, c5 = exponential
+        slope = prof.slope
+        scale = -prof.theta / (c3 * c5 * slope)
 
-        def base(u, t=None):  # t = alpha(u), if given
-            return -prof.theta / (c3 * c5 * prof.slope) * np.exp(-c5 * (prof.alpha(u) if t is None else t))
+        def base(u):  # alpha(u) = u * slope + c1 inline, as RotationalProfile.alpha takes it
+            return scale * np.exp(-c5 * (u * slope + prof.c1))
 
         u, got = probes[::2], values[::2]  # linspace(u0, u1, 9), to the bit
         expected = base(u) - base(u0)
@@ -220,11 +215,10 @@ def _solve(prof, exponential, tape):
                                               f"{float(expected[i])!r} vs {float(got[i])!r}"))
         rate = c5
     else:
-        base = lambda u, t=None: integral(u)  # the interpolant reads u alone
-        rate = None
+        base, rate = integral, None
 
-    def beta(u, t=None):
-        return base(u, t) + prof.c2
+    def beta(u):
+        return base(u) + prof.c2
 
     return ProfileCurve(profile=prof, beta=beta, exponential_rate=rate, tape=tape)
 
@@ -290,27 +284,25 @@ def classification_grid(prof, u_count=CLASSIFICATION_U_COUNT):
 
 
 def verify_classification(prof, interval=(-math.inf, math.inf), u_count=CLASSIFICATION_U_COUNT):
-    """Build the rotational surface of ``prof`` and classify it.
+    """Build the rotational surface of ``prof`` and classify it, in a scene's order.
 
     The classification grid is built first, so an oversized ``u_count``
-    is refused (ValueError) before any profile work.  The cheap probes
-    of f, on the profile and then on the interval, run before the
-    interpolant, so they are the ones to report a bad warping, and the
-    profile residuals run before the one geometry pass over the grid.
-    An f undefined or not positive on an interval that ``interval_fault``
-    accepts is bad input, not a failing point: a ValueError naming ``--f``,
-    the flag of ``warpgeo rotational``, as a scene names ``ambient.f``.
+    is refused (ValueError) before any profile work; then the ambient,
+    whose probe of f over the interval runs before :func:`solve_profile`
+    probes f along the profile; the profile residuals run before the one
+    geometry pass over the grid.  An f undefined or not positive on an
+    interval that ``interval_fault`` accepts is bad input, not a failing
+    point: a ValueError naming ``--f``, the flag of ``warpgeo rotational``,
+    as a scene names ``ambient.f``.
     """
     grid = classification_grid(prof, u_count)
-    tape = Tape([prof.f], ("t",))
-    exponential = _detect_exponential(prof, tape)
     try:
         ambient = WarpedProduct(interval, prof.f, Fiber.EUCLIDEAN, prof.n)
     except (DomainError, ValueError) as exc:
         if interval_fault(interval):  # the interval's fault, not f's
             raise
         raise ValueError(f"--f: {exc}") from None
-    curve = _solve(prof, exponential, tape)
+    curve = solve_profile(prof)
     imm = assemble_rotational(curve, ambient)
     residuals = profile_residuals(curve, u_count)
     return classify_rotational(imm, grid_geometry(imm, grid), residuals)
@@ -329,7 +321,7 @@ def profile_residuals(curve, u_count=CLASSIFICATION_U_COUNT):
     u = default_chart(prof).axis_points("u", max(u_count, 16), 0.05)
     t = curve.alpha(u)
     f0, f1, _ = eval_warping(curve.tape, t)
-    beta = curve.beta(u, t)
+    beta = curve.beta(u)
     sigma = f0 * beta
     slopes = f1 / f0
     d_sigma = f1 * prof.slope * beta + prof.theta

@@ -619,8 +619,10 @@ def test_warping_probe_failure_names_t(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, t",
     [
-        # sqrt(t+0.75) is undefined at t = -0.8, the first of the 17 profile probes
-        (["--f", "sqrt(t+0.75)", "--u0", "-1", "--u1", "1"], "t=-0.8"),
+        # sqrt(t+0.75) is undefined at t = -0.8, the first of the 17 profile
+        # probes; on [-0.75, inf] the probe over the interval, which runs
+        # first, passes
+        (["--f", "sqrt(t+0.75)", "--t-min=-0.75", "--u0", "-1", "--u1", "1"], "t=-0.8"),
         # every probe misses the pole t = -1.08 = alpha(-1.35), the first
         # sample of the profile residuals
         (["--f", "(t+1.08)^-2"], "t=-1.08"),
@@ -864,26 +866,39 @@ def test_vanishing_sigma_exit_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "c1, code, message",
+    "f, t_min, params, code, message",
     [
         # the probes pass and a point of the 9 x 9 classification grid is singular
-        (12.69, 3, "chart metric at t=13.859134295108992"),
+        ("exp(t)", -math.inf, {"theta": 0.5, "c1": 12.69}, 3, "chart metric at t=13.859134295108992"),
         # a probe of the immersion fails: the immersion is at fault
-        (20.0, 2, "chart metric at t=18.960769515458672"),
+        ("exp(t)", -math.inf, {"theta": 0.5, "c1": 20.0}, 2, "chart metric at t=18.960769515458672"),
+        # f fails the probe over the interval, which runs before the probe
+        # along the profile, where f fails too: bad input, naming f
+        ("sqrt(t+0.75)", -math.inf, {"theta": 0.6, "u0": -1.0, "u1": 1.0}, 2,
+         "warping function at t=-3.84: sqrt of negative value"),
+        # f passes the probe over [-0.75, inf] and fails the first probe
+        # along the profile, alpha(-1) = -0.8: a failing point
+        ("sqrt(t+0.75)", -0.75, {"theta": 0.6, "u0": -1.0, "u1": 1.0}, 3, "warping function at t=-0.8: "),
+        # log is undefined for t <= 0, on the interval and along the profile
+        ("log(t)", -math.inf, {"theta": 0.5}, 2, "warping function at t=-3.84: log of non-positive value"),
     ],
-    ids=["point", "probe"],
+    ids=["point", "probe", "f-interval", "f-profile", "f-log"],
 )
-def test_rotational_scene_and_command_share_exit_codes(tmp_path, capsys, c1, code, message):
+def test_rotational_scene_and_command_share_exit_codes(tmp_path, capsys, f, t_min, params, code, message):
     scene = hyperplane_scene()
-    scene["ambient"]["f"] = "exp(t)"
-    scene["immersion"] = {"preset": "rotational", "params": {"theta": 0.5, "c1": c1}}
+    scene["ambient"]["f"] = f
+    scene["ambient"]["interval"] = [t_min if math.isfinite(t_min) else "-inf", "inf"]
+    scene["immersion"] = {"preset": "rotational", "params": params}
     scene["checks"] = ["rotational-classification"]
     assert main(["analyze", write_scene(tmp_path, scene)]) == code
-    assert main(["rotational", "--theta", "0.5", "--c1", str(c1), "--samples", "9"]) == code
+    flags = [f"--{name}={value}" for name, value in params.items()]
+    assert main(["rotational", "--f", f, f"--t-min={t_min}", *flags, "--samples", "9"]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(message in line for line in err)
     if code == 3:
         assert err[0] == err[1] and err[0].startswith("domain error: ")
+    elif f != "exp(t)":  # f is named by its scene field and by its flag
+        assert "'ambient.f'" in err[0] and err[1].startswith("error: --f: ")
 
 
 @pytest.mark.parametrize("output", ["report", "mesh", "--report", "--mesh"])

@@ -80,7 +80,7 @@ def test_jet_arithmetic_raises_type_error(t, order):
     # numpy, with a scalar on the left, defers to the jet
     jet = eval_jet2(parse("sin(t)*exp(t)"), {"t": t}, ("t",), order)
     for operation in [lambda: np.float64(2.0) * jet, lambda: jet * 2, lambda: 2 * jet, lambda: jet + jet]:
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^a Jet2 has no arithmetic: "):
             operation()
 
 

@@ -8,7 +8,7 @@ import scipy.linalg
 from warpgeo import jets, rotational
 from warpgeo.cli import main
 from warpgeo.errors import DomainError, QuadratureFailure, SigmaZero
-from warpgeo.expr import unparse, variables_in
+from warpgeo.expr import BinOp, literal, unparse, variables_in
 from warpgeo.jets import eval_jet2
 from warpgeo.objmesh import surface_vertices
 from warpgeo.rotational import (
@@ -311,6 +311,15 @@ def test_profile_interpolant_matches_quadrature(f, u_range):
         assert abs(gi - integral) < 1e-10, (f, ui)
 
 
+@pytest.mark.parametrize("u", [-2.0, np.array([0.0, -2.0])], ids=["float", "array"])
+def test_a_jet_of_beta_names_the_height_at_which_f_fails(u):
+    # outside a pass, beta_jet reads f through eval_warping, which names the
+    # height alpha(-2) = -1.6 at a float u as at an array
+    curve = solve_profile(RotationalProfile(theta=0.6, f="sqrt(t+0.75)", n=2, u_range=(-0.5, 0.5)))
+    with pytest.raises(DomainError, match=r"^warping function at t=-1\.6: sqrt of negative value"):
+        curve.beta_jet(u)
+
+
 def test_wrong_closed_form_raises_quadrature_failure_naming_u(monkeypatch):
     # a closed form 1 % off the interpolant disagrees first at the second
     # of the 9 check points (at u0 both vanish)
@@ -327,15 +336,22 @@ def test_wrong_closed_form_raises_quadrature_failure_naming_u(monkeypatch):
 
 
 def test_a_solved_profile_compiles_f_once(monkeypatch):
-    # the probe for an exponential f runs the tape that the curve keeps
+    # the probe for an exponential f runs the tape that the curve keeps, and
+    # every degree the interpolant tries runs one tape of theta/f: a solve
+    # compiles two tapes, though cosh(t) takes three degrees to resolve
     import warpgeo.rotational as rotational
 
     compiled, init = [], rotational.Tape.__init__
     monkeypatch.setattr(rotational.Tape, "__init__", lambda tape, exprs, *args: compiled.append((tape, list(exprs)))
                         or init(tape, exprs, *args))
+    degrees, coefficients = [], rotational._chebyshev_coefficients
+    monkeypatch.setattr(rotational, "_chebyshev_coefficients", lambda values: degrees.append(values.size - 1)
+                        or coefficients(values))
     prof = RotationalProfile(theta=0.5, f="cosh(t)", n=2)
     curve = solve_profile(prof)
     assert [tape for tape, exprs in compiled if exprs == [prof.f]] == [curve.tape]
+    assert degrees == [16, 32, 64]
+    assert [exprs for _, exprs in compiled] == [[prof.f], [BinOp("/", literal(0.5), prof.f)]]
 
 
 def test_empty_interval_is_not_blamed_on_f():

@@ -759,9 +759,9 @@ def test_rotational_profile_is_evaluated_once_per_batch(monkeypatch):
     scene = validate_scene(example5_scene(["soliton", "rotational-classification"]))
     betas, f_jets = [], []
 
-    def beta(u, *alpha):
+    def beta(u):
         betas.append(np.size(u))
-        return scene.profile.beta(u, *alpha)
+        return scene.profile.beta(u)
 
     curve = scene.profile._replace(beta=beta)
     slots = jets.Tape.slots
