@@ -1,9 +1,10 @@
 """Catalogue of named immersions: the presets of scenes and the CLI.
 
-``PRESETS`` imports without numpy (``warpgeo presets`` and the CLI's
-``rotational`` defaults read it): the builders read the engine modules as
-``warpgeo.ambient``, ``warpgeo.hypersurface`` and ``warpgeo.rotational``,
-which the package imports on first access (PEP 562).
+``PRESETS`` imports without numpy or the expression parser (``warpgeo
+presets`` and the CLI's ``rotational`` defaults read it): the builders read
+the engine modules as ``warpgeo.ambient``, ``warpgeo.expr``,
+``warpgeo.hypersurface`` and ``warpgeo.rotational``, which the package
+imports on first access (PEP 562).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 import warpgeo
 
 from .errors import DomainError, SceneError, WarpGeoError, _number
-from .expr import BinOp, Call, Num, Var, literal
 
 ROOT2_OVER_2 = math.sqrt(2.0) / 2.0
 
@@ -31,8 +31,7 @@ def slice_immersion(ambient, t0, half_width=1.0):
         lower = [-half_width] * ambient.n
         upper = [half_width] * ambient.n
     chart = warpgeo.hypersurface.ChartBox(names, tuple(lower), tuple(upper))
-    components = [literal(t0)] + [Var(name) for name in names]
-    return warpgeo.hypersurface.Immersion(ambient, chart, components)
+    return warpgeo.hypersurface.Immersion(ambient, chart, [t0, *map(warpgeo.expr.Var, names)])
 
 
 def hyperplane_immersion(ambient, half_width=1.0):
@@ -43,8 +42,8 @@ def hyperplane_immersion(ambient, half_width=1.0):
     lower = (-half_width,) * ambient.n
     upper = (half_width,) * ambient.n
     chart = warpgeo.hypersurface.ChartBox(names, lower, upper)
-    components = [Var("u"), Num(0.0)] + [Var(f"v{j}") for j in range(1, ambient.n)]
-    return warpgeo.hypersurface.Immersion(ambient, chart, components)
+    u, *fiber = map(warpgeo.expr.Var, names)
+    return warpgeo.hypersurface.Immersion(ambient, chart, [u, 0.0, *fiber])
 
 
 def sphere_immersion(ambient, pad=0.15):
@@ -67,13 +66,13 @@ def sphere_immersion(ambient, pad=0.15):
         lower.append(-math.pi + 0.1)
         upper.append(math.pi - 0.1)
     chart = warpgeo.hypersurface.ChartBox(tuple(names), tuple(lower), tuple(upper))
-    u = Var("u")
-    components = [Call("sin", u)]
+    expr, u = warpgeo.expr, warpgeo.expr.Var("u")
+    components = [expr.Call("sin", u)]
     if n == 1:
-        components.append(Call("cos", u))
+        components.append(expr.Call("cos", u))
     else:
         for x_expr in warpgeo.rotational.sphere_chart_expressions(n):
-            components.append(BinOp("*", Call("cos", u), x_expr))
+            components.append(expr.BinOp("*", expr.Call("cos", u), x_expr))
     return warpgeo.hypersurface.Immersion(ambient, chart, components)
 
 

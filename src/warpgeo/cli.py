@@ -12,10 +12,10 @@ passed, 1 a check failed, 2 scene or usage error (a bad scene field or
 flag, a failing probe of the immersion, an unwritable output), 3 numeric
 error at a point of the pass (the message carries the chart location).
 
-Importing this module loads no numpy: each command imports the engine
-modules it needs after its own refusals, so ``presets``, ``--help``,
-``--version``, a usage error, an out-of-range flag and a refused
-``rotational --mesh`` never load it.
+Importing this module loads neither numpy nor the expression parser: each
+command imports the engine modules it needs after its own refusals, so
+``presets``, ``--help``, ``--version``, a usage error and an out-of-range
+flag load neither, and a refused ``rotational --mesh`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import time
 from . import __version__
 from .catalogue import PRESETS, REQUIRED
 from .errors import MAX_DIMENSION, MAX_GRID_POINTS, PointError, SceneError, WarpGeoError, _number
-from .expr import parse, unparse
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -62,6 +61,7 @@ def _cmd_spaceforms(args):
     import numpy as np
 
     from .ambient import space_form_models
+    from .expr import unparse
 
     rows = []
     for name, model, c, window in space_form_models():
@@ -105,6 +105,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_rotational(args):
+    from .expr import parse
+
     flags = {name: getattr(args, name) for name in ("theta", "f", "n", "c1", "c2")}
     try:  # f in t alone, as a scene's ambient.f, before any probe evaluates it
         f = parse(args.f, variables={"t"})

@@ -361,6 +361,8 @@ def _chain(u, f0, f1, f2, f3):
 def _reciprocal(u, node):
     v = u[()]
     _flag_at(v == 0.0, node, "division by zero")
+    if not u.mode.m:  # a value alone: no derivative to take
+        return _Jet({(): 1.0 / v}, True, u.mode)
     vv = v * v
     return _chain(u, 1.0 / v, -1.0 / vv, 2.0 / (vv * v), lambda: -6.0 / (vv * v * v))
 
@@ -391,6 +393,8 @@ def _apply_function(name, u, node):
     w = getattr(np, name)(v)
     if name in ("exp", "sinh", "cosh"):
         _flag_at(np.isinf(w) & np.isfinite(v), node, name + " overflows at {!r}", v)
+    if not u.mode.m:  # a value alone: no derivative to take (sqrt and abs refuse no kink)
+        return _Jet({(): w}, True, u.mode)
     if name in ("sin", "cos"):  # f''' = -f'
         d = np.cos(v) if name == "sin" else -np.sin(v)
         return _chain(u, w, d, -w, lambda: -d)
@@ -408,8 +412,6 @@ def _apply_function(name, u, node):
     if name == "log":
         vv = v * v
         return _chain(u, w, 1.0 / v, -1.0 / vv, lambda: 2.0 / (vv * v))
-    if not u.mode.m:  # sqrt and abs have no kink to refuse without derivatives
-        return _Jet({(): w}, True, u.mode)
     _flag_at(v == 0.0, node, name + " is not differentiable at 0")
     if name == "sqrt":
         wv = w * v

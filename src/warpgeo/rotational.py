@@ -15,8 +15,10 @@ is used (this normalization, with c2 = 0, is the one that produces a
 soliton); for all other warpings beta is the antiderivative, vanishing
 at u0, of a Chebyshev interpolant of theta/f(alpha), one per profile,
 whose degree doubles until its coefficients have decayed (Battles and
-Trefethen, SIAM J. Sci. Comput. 25, 2004).  The derivatives of beta
-need no interpolant: with a = sqrt(1 - theta^2), beta' = theta / f,
+Trefethen, SIAM J. Sci. Comput. 25, 2004), kept as its coefficients and
+integrated and evaluated by numpy.polynomial's steps, to the bit, without
+importing it.  The derivatives of beta need no interpolant: with
+a = sqrt(1 - theta^2), beta' = theta / f,
 beta'' = -theta a f' / f^2 and beta''' = -theta a^2 (f f'' - 2 f'^2) / f^3
 come from one jet of f at alpha(u).  The surface is the orbit of the
 profile under rotation of the fiber about the axis, with first
@@ -114,8 +116,8 @@ class ProfileCurve(NamedTuple):
     def beta_jet(self, u, order=3):
         """(beta, beta', beta'', beta''') at ``u`` from one jet of f at alpha(u); beta''' only at ``order`` 3."""
         prof = self.profile
-        f0, f1, f2 = eval_warping(self.tape, prof.alpha(u))
         theta, a = prof.theta, prof.slope
+        f0, f1, f2 = eval_warping(self.tape, u * a + prof.c1)  # prof.alpha(u), the slope read once
         third = -theta * a * a * (f0 * f2 - 2.0 * f1 * f1) / (f0 * f0 * f0) if order == 3 else None
         return self.beta(u), theta / f0, -theta * f1 * a / (f0 * f0), third
 
@@ -149,8 +151,30 @@ def _chebyshev_coefficients(values):
     return coef
 
 
+def _antiderivative(coef, u0, u1):
+    """(terms, off, scl): ``_clenshaw(terms, off + scl * u)`` is the antiderivative, vanishing at u0, of
+    the Chebyshev series ``coef`` on [u0, u1], by numpy.polynomial's steps in their order (``mapparms``,
+    then ``chebint`` vectorized), so it has the bits of ``Chebyshev(coef, [u0, u1]).integ(lbnd=u0)(u)``."""
+    off, scl = (u1 * -1.0 - u0 * 1.0) / (u1 - u0), 2.0 / (u1 - u0)
+    c, n = coef * (1.0 / scl), coef.size
+    terms = np.concatenate([[c[0] * 0, c[0], c[1] / 4], c[2:] / (2.0 * np.arange(3, n + 1))])
+    terms[1 : n - 1] -= c[2:] / (2.0 * np.arange(1, n - 1))
+    terms = terms.tolist()
+    terms[0] += 0 - _clenshaw(terms, off + scl * u0)
+    return terms, off, scl
+
+
+def _clenshaw(c, x):
+    """numpy's ``chebval(x, c)``, the Clenshaw recurrence, over the list of floats ``c``."""
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for ck in c[-3::-1]:
+        c0, c1 = ck - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
 def _profile_interpolant(prof):
-    """Chebyshev interpolant of theta / f(alpha(u)) on the u range, and
+    """Chebyshev coefficients of theta / f(alpha(u)) on the u range, and
     the error estimate (tail magnitude) x (range length) of its integral.
 
     The degree doubles from ``CHEB_MIN_DEGREE`` until the upper half of
@@ -169,7 +193,7 @@ def _profile_interpolant(prof):
         coef = _chebyshev_coefficients(values)
         tail = float(np.max(np.abs(coef[degree // 2 + 1 :])))
         if tail <= CHEB_TAIL_DECAY * np.max(np.abs(coef)):
-            return np.polynomial.Chebyshev(coef, domain=[u0, u1]), tail * (u1 - u0)
+            return coef, tail * (u1 - u0)
         if degree >= CHEB_MAX_DEGREE:
             raise QuadratureFailure(
                 f"profile integrand not resolved at degree {degree}: tail coefficient {tail!r}"
@@ -192,10 +216,10 @@ def solve_profile(prof):
     tape = Tape([prof.f], ("t",))
     exponential = _detect_exponential(prof, tape)
     u0, u1 = prof.u_range
-    interpolant, estimate = _profile_interpolant(prof)
-    integral = interpolant.integ(lbnd=u0)
+    coef, estimate = _profile_interpolant(prof)
+    terms, off, scl = _antiderivative(coef, u0, u1)
     probes = np.linspace(u0, u1, 17)
-    values = integral(probes)
+    values = _clenshaw(terms, off + scl * probes)
     if estimate > 1e-10 * (1.0 + float(np.max(np.abs(values)))):
         raise QuadratureFailure(f"profile integral error estimate {estimate!r}")
 
@@ -214,11 +238,14 @@ def solve_profile(prof):
         flag(bad, lambda i: QuadratureFailure(f"closed form and interpolant disagree at u={float(u[i])!r}: "
                                               f"{float(expected[i])!r} vs {float(got[i])!r}"))
         rate = c5
-    else:
-        base, rate = integral, None
 
-    def beta(u):
-        return base(u) + prof.c2
+        def beta(u):
+            return base(u) + prof.c2
+    else:
+        rate = None
+
+        def beta(u):
+            return _clenshaw(terms, off + scl * u) + prof.c2
 
     return ProfileCurve(profile=prof, beta=beta, exponential_rate=rate, tape=tape)
 
@@ -318,16 +345,16 @@ def profile_residuals(curve, u_count=CLASSIFICATION_U_COUNT):
     naming u.
     """
     prof = curve.profile
+    a = prof.slope
     u = default_chart(prof).axis_points("u", max(u_count, 16), 0.05)
-    t = curve.alpha(u)
-    f0, f1, _ = eval_warping(curve.tape, t)
+    f0, f1, _ = eval_warping(curve.tape, u * a + prof.c1)  # prof.alpha(u), the slope read once
     beta = curve.beta(u)
     sigma = f0 * beta
     slopes = f1 / f0
-    d_sigma = f1 * prof.slope * beta + prof.theta
+    d_sigma = f1 * a * beta + prof.theta
     sigma_sup = float(np.max(np.abs(d_sigma), initial=0.0))
     flag(np.abs(sigma) < 1e-12, lambda i: SigmaZero(f"sigma vanishes at u={float(u[i])!r}"))
-    balance = slopes * (1.0 - prof.theta**2) + prof.theta * prof.slope / sigma
+    balance = slopes * (1.0 - prof.theta**2) + prof.theta * a / sigma
     balance_sup = float(np.max(np.abs(balance), initial=0.0))
     return sigma_sup, balance_sup, float(np.max(slopes) - np.min(slopes))
 

@@ -26,10 +26,8 @@ from .expr import CONSTANTS, FUNCTIONS, is_name, parse as parse_expr
 from .hypersurface import ChartBox, Immersion
 from .intrinsic import grid_geometry
 from .jets import _leaves
-from .objmesh import surface_vertices, write_obj
 # report_to_json is not used here; it stays, as the benchmark (bench/measure.py, bench/tracing.py) calls it from here
 from .report import MESH_WARNING, SCHEMA_VERSION, document, report_to_json
-from .rotational import classification_grid, classify_rotational, profile_residuals
 from .soliton import (THEOREM5_PROBES, THEOREMS, CheckResult, Verdict, hypotheses_report, identity_check,
                       soliton_report, structural_report)
 
@@ -294,6 +292,8 @@ def run_scene(scene):
     size = len(points)
     classify = curve is not None and "rotational-classification" in kinds
     if classify:
+        from .rotational import classification_grid, classify_rotational, profile_residuals
+
         residuals = profile_residuals(curve)
         extra = classification_grid(curve.profile)
         points = points if size else extra  # with no grid check, the classification grid alone
@@ -327,6 +327,8 @@ def run_scene(scene):
 
     warnings = []
     if scene.mesh_path:
+        from .objmesh import surface_vertices, write_obj
+
         chart = scene.immersion.chart
         u_values = chart.axis_points(chart.names[0], 33, 0.02)
         v_values = chart.axis_points(chart.names[1], 33, 0.02)

@@ -1124,16 +1124,35 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_cli_import_loads_nothing_beyond_argparse_json_typing():
-    # no numpy (the commands that need it load it), no dataclasses (they
-    # generate code at import) and no other library
+    # no numpy and no expression parser (the commands that need them load
+    # them), no dataclasses (they generate code at import) and no other library
     code = (
         "import json, sys; import argparse, typing; before = set(sys.modules); "
         "import warpgeo.cli; print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     extra = json.loads(fresh_interpreter(code))
     assert [m for m in extra if m != "__future__"] == [
-        "warpgeo", "warpgeo.catalogue", "warpgeo.cli", "warpgeo.errors", "warpgeo.expr"
+        "warpgeo", "warpgeo.catalogue", "warpgeo.cli", "warpgeo.errors"
     ]
+
+
+SCENE = "<scene>"  # stands for the path of a horosphere scene
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["presets"], ["warpgeo.expr", "numpy"]),
+    (["analyze", SCENE], ["warpgeo.rotational", "warpgeo.objmesh", "numpy.polynomial"]),
+    (["rotational", "--theta", "0.5", "--n", "2", "--samples", "5"], ["numpy.polynomial"]),
+])
+def test_a_command_loads_only_what_it_runs(tmp_path, argv, absent):
+    # one command in a fresh interpreter, then the modules it must not have loaded
+    argv = [write_scene(tmp_path, horosphere_scene()) if arg == SCENE else arg for arg in argv]
+    code = (
+        "import contextlib, io, json, sys; from warpgeo.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n    code = main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))"
+    )
+    assert json.loads(fresh_interpreter(code, json.dumps(argv), json.dumps(absent))) == [0, []]
 
 
 # One interpreter runs the steps in order and records after each whether

@@ -35,17 +35,17 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # golden scene: (validate_scene, run_scene) calls; bumped-horosphere for seed 1
 BOUNDS = {
-    "example5": (335, 672),
-    "horosphere": (162, 410),
+    "example5": (333, 666),
+    "horosphere": (160, 410),
     "sphere3": (164, 602),
-    "spherical-cap": (160, 354),
-    "rotational-cosh": (362, 543),
-    "bumped-horosphere-seed1": (780, 526),
+    "spherical-cap": (158, 354),
+    "rotational-cosh": (358, 539),
+    "bumped-horosphere-seed1": (779, 526),
     "dense-sphere3": (164, 376),
-    "dense-example5": (333, 351),
+    "dense-example5": (331, 349),
 }
 # verify_classification with the arguments of the golden rotational-n2 call
-VERIFY_BOUND = 649
+VERIFY_BOUND = 641
 
 
 def counted(fn, *args):

@@ -311,6 +311,21 @@ def test_profile_interpolant_matches_quadrature(f, u_range):
         assert abs(gi - integral) < 1e-10, (f, ui)
 
 
+@pytest.mark.parametrize("u_range", [(-1.5, 1.5), (0.25, 3.0), (-7.0, -2.5), (1.0, 1.0 + 1e-6)],
+                         ids=["symmetric", "shifted", "negative", "narrow"])
+def test_antiderivative_has_the_bits_of_numpy_polynomial(u_range):
+    # numpy.polynomial is the reference the kernel follows step by step
+    rng = np.random.default_rng(43)
+    u0, u1 = u_range
+    for size in (3, 4, 5, 17, 33, 65, 129):
+        coef = rng.standard_normal(size) * 0.5 ** np.arange(size)
+        want = np.polynomial.Chebyshev(coef, domain=[u0, u1]).integ(lbnd=u0)
+        terms, off, scl = rotational._antiderivative(coef, u0, u1)
+        for u in (np.linspace(u0, u1, 17), np.sort(rng.uniform(u0, u1, 131)), float(rng.uniform(u0, u1))):
+            got = rotational._clenshaw(terms, off + scl * u)
+            assert np.asarray(got).tobytes() == np.asarray(want(u)).tobytes(), (size, u)
+
+
 @pytest.mark.parametrize("u", [-2.0, np.array([0.0, -2.0])], ids=["float", "array"])
 def test_a_jet_of_beta_names_the_height_at_which_f_fails(u):
     # outside a pass, beta_jet reads f through eval_warping, which names the

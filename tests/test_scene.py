@@ -506,8 +506,8 @@ def test_classification_rows_refuse_writes(monkeypatch):
     # the classification reads views of the tail of the scene's record, and a
     # view of a read-only array is read-only: every array of every field
     seen = []
-    classify = scene_module.classify_rotational
-    monkeypatch.setattr(scene_module, "classify_rotational", lambda imm, g, r: seen.append(g) or classify(imm, g, r))
+    classify = rotational.classify_rotational
+    monkeypatch.setattr(rotational, "classify_rotational", lambda imm, g, r: seen.append(g) or classify(imm, g, r))
     run_scene(validate_scene(rotational_cosh_scene(["soliton", "rotational-classification"])))
     flags = _writable(seen[0])
     assert len(flags) > 20 and not any(flags)
@@ -685,10 +685,10 @@ def test_the_classification_reads_the_tail_of_the_pass(monkeypatch, name, sample
     scene = validate_scene(data)
     extra = rotational.classification_grid(scene.profile.profile)
     passes, records, classified = [], [], []
-    geometry, classify = scene_module.grid_geometry, scene_module.classify_rotational
+    geometry, classify = scene_module.grid_geometry, rotational.classify_rotational
     monkeypatch.setattr(scene_module, "grid_geometry", lambda imm, points, order=2: passes.append(points)
                         or records.append(geometry(imm, points, order)) or records[-1])
-    monkeypatch.setattr(scene_module, "classify_rotational", lambda imm, record, residuals: classified.append(record)
+    monkeypatch.setattr(rotational, "classify_rotational", lambda imm, record, residuals: classified.append(record)
                         or classify(imm, record, residuals))
     run_scene(scene)
     assert len(passes[0]) == samples * samples + added and len(extra) == 81
@@ -731,8 +731,8 @@ def test_classification_rows_equal_their_own_pass(monkeypatch, data):
     # of a pass over the classification grid alone (a NaN counts as one
     # value): a result of a point does not depend on the rows before it
     seen = []
-    classify = scene_module.classify_rotational
-    monkeypatch.setattr(scene_module, "classify_rotational", lambda imm, g, r: seen.append(g) or classify(imm, g, r))
+    classify = rotational.classify_rotational
+    monkeypatch.setattr(rotational, "classify_rotational", lambda imm, g, r: seen.append(g) or classify(imm, g, r))
     scene = validate_scene(data)
     run_scene(scene)
     order = 3 if "structural" in data["checks"] else 2
