@@ -7,7 +7,7 @@ Grammar (EBNF, whitespace insignificant, no implicit multiplication)::
     factor   = "-" factor | power ;
     power    = atom [ "^" factor ] ;
     atom     = NUMBER | NAME | NAME "(" expr ")" | "(" expr ")" ;
-    NUMBER   = DIGITS [ "." DIGITS ] [ ("e" | "E") [ "+" | "-" ] DIGITS ]
+    NUMBER   = DIGITS [ "." { DIGIT } ] [ ("e" | "E") [ "+" | "-" ] DIGITS ]
              | "." DIGITS [ ("e" | "E") [ "+" | "-" ] DIGITS ] ;
     NAME     = (LETTER | "_") { LETTER | DIGIT | "_" } ;
 
@@ -27,6 +27,7 @@ text, and an error is reported before any bad character after it.
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -87,59 +88,41 @@ class Profile(Expression, namedtuple("Profile", "curve arg")):
 
 
 class _Token(NamedTuple):
-    kind: str  # "num" | "name" | "op"
+    kind: str  # "num" | "name" | "end" | the operator itself
     text: str
     pos: int
 
 
-_OPERATOR_CHARS = "+-*/^()"
-_DIGITS = frozenset("0123456789")  # of a number: str.isdigit() also holds for "²" and "٣"
+_OPERATORS = "+-*/^()"
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?")
+_WORD = re.compile(r"\w+")  # letters, digits and "_" as str.isalnum() reads them
 
 
 def is_name(text):
     """Whether ``text`` is one NAME token: a letter or "_", then letters, digits or "_"."""
-    return (text[:1].isalpha() or text[:1] == "_") and all(c.isalnum() or c == "_" for c in text)
+    return (text[:1].isalpha() or text[:1] == "_") and _WORD.fullmatch(text) is not None
 
 
 def _tokenize(text):
-    """Tokens of ``text``, produced one at a time as the parser asks."""
+    """Tokens of ``text``, produced one at a time as the parser asks; the last is "end"."""
     i = 0
-    size = len(text)
-    while i < size:
+    while i < len(text):
         c = text[i]
         if c.isspace():
             i += 1
-            continue
-        if c in _OPERATOR_CHARS:
-            yield _Token("op", c, i)
+        elif c in _OPERATORS:
+            yield _Token(c, c, i)
             i += 1
-            continue
-        if c in _DIGITS or (c == "." and i + 1 < size and text[i + 1] in _DIGITS):
-            start = i
-            while i < size and text[i] in _DIGITS:
-                i += 1
-            if i < size and text[i] == ".":
-                i += 1
-                while i < size and text[i] in _DIGITS:
-                    i += 1
-            # exponent part only when followed by digits (with optional sign)
-            if i < size and text[i] in "eE":
-                j = i + 1
-                if j < size and text[j] in "+-":
-                    j += 1
-                if j < size and text[j] in _DIGITS:
-                    i = j
-                    while i < size and text[i] in _DIGITS:
-                        i += 1
-            yield _Token("num", text[start:i], start)
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < size and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            yield _Token("name", text[start:i], start)
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
+        else:
+            if match := _NUMBER.match(text, i):
+                kind = "num"
+            elif c.isalpha() or c == "_":
+                match, kind = _WORD.match(text, i), "name"
+            else:
+                raise ExprSyntaxError(f"unexpected character {c!r}", i)
+            yield _Token(kind, match[0], i)
+            i = match.end()
+    yield _Token("end", "", i)
 
 
 class _Parser:
@@ -147,9 +130,8 @@ class _Parser:
 
     def __init__(self, text, variables):
         self.tokens = _tokenize(text)
-        self.length = len(text)
         self.variables = variables
-        self.lookahead = next(self.tokens, None)
+        self.lookahead = next(self.tokens)
         self.nesting = 0
 
     def nested(self, parse, pos):
@@ -161,20 +143,17 @@ class _Parser:
         self.nesting -= 1
         return node
 
-    def peek(self):
-        return self.lookahead
-
     def next(self):
         tok = self.lookahead
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of input", self.length)
-        self.lookahead = next(self.tokens, None)
+        if tok.kind == "end":
+            raise ExprSyntaxError("unexpected end of input", tok.pos)
+        self.lookahead = next(self.tokens)
         return tok
 
-    def expect(self, text):
+    def expect(self, kind):
         tok = self.next()
-        if tok.kind != "op" or tok.text != text:
-            raise ExprSyntaxError(f"expected {text!r}, found {tok.text!r}", tok.pos)
+        if tok.kind != kind:
+            raise ExprSyntaxError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
 
     def chain(self, operand, ops):
         """``operand { ops operand }``, left-associative.
@@ -184,31 +163,31 @@ class _Parser:
         """
         node = operand()
         links = 0
-        while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in ops:
+        while (tok := self.lookahead).kind in ops:
             links += 1
             if links >= MAX_EXPRESSION_DEPTH:
                 raise ExprSyntaxError(_TOO_DEEP, tok.pos)
             self.next()
-            node = BinOp(tok.text, node, operand())
+            node = BinOp(tok.kind, node, operand())
         return node
 
     def parse_expr(self):
-        return self.chain(self.parse_term, "+-")
+        return self.chain(self.parse_term, ("+", "-"))
 
     def parse_term(self):
-        return self.chain(self.parse_factor, "*/")
+        return self.chain(self.parse_factor, ("*", "/"))
 
     def parse_factor(self):
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
+        tok = self.lookahead
+        if tok.kind == "-":
             self.next()
             return Neg(self.nested(self.parse_factor, tok.pos))
         return self.parse_power()
 
     def parse_power(self):
         node = self.parse_atom()
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "^":
+        tok = self.lookahead
+        if tok.kind == "^":
             self.next()
             node = BinOp("^", node, self.nested(self.parse_factor, tok.pos))
         return node
@@ -220,18 +199,15 @@ class _Parser:
             if not math.isfinite(value):
                 raise ExprSyntaxError(f"number {tok.text!r} is not finite", tok.pos)
             return Num(value)
-        if tok.kind == "op" and tok.text == "(":
+        if tok.kind == "(":
             node = self.nested(self.parse_expr, tok.pos)
             self.expect(")")
             return node
         if tok.kind == "name":
             name = tok.text
             if name in FUNCTIONS:
-                nxt = self.peek()
-                if nxt is None or nxt.kind != "op" or nxt.text != "(":
-                    raise ExprSyntaxError(
-                        f"function {name!r} must be called with parentheses", tok.pos
-                    )
+                if self.lookahead.kind != "(":
+                    raise ExprSyntaxError(f"function {name!r} must be called with parentheses", tok.pos)
                 self.next()
                 arg = self.nested(self.parse_expr, tok.pos)
                 self.expect(")")
@@ -255,8 +231,8 @@ def parse(text, variables=None):
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(text, variables)
     node = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing is not None:
+    trailing = parser.lookahead
+    if trailing.kind != "end":
         raise ExprSyntaxError(f"unexpected token {trailing.text!r}", trailing.pos)
     if depth(node) > MAX_EXPRESSION_DEPTH:  # long chains such as t+t+...+t
         raise ExprSyntaxError(_TOO_DEEP, 0)

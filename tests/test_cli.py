@@ -335,6 +335,42 @@ def test_analyze_chart_names_that_are_not_variables_exit_two(tmp_path, capsys, n
     assert "degenerate" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "names, components, message",
+    [
+        (["u", "v"], ["u", "v"], "expected 3 components, got 2"),
+        (["u", "v", "w"], ["0", "u", "v"], "chart dimension 3 must equal hypersurface dimension 2"),
+    ],
+    ids=["two-components", "three-chart-names"],
+)
+def test_analyze_immersion_of_the_wrong_size_exits_two(tmp_path, capsys, names, components, message):
+    # at n = 2 an immersion has 3 components over a chart of 2 names
+    scene = hyperplane_scene()
+    scene["immersion"] = {
+        "components": components,
+        "chart": {"names": names, "lower": [-1.0] * len(names), "upper": [1.0] * len(names)},
+    }
+    scene["grid"] = {}
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 2
+    err = capsys.readouterr().err
+    assert f"scene field 'immersion': {message}" in err
+    assert "Traceback" not in err
+
+
+def test_sphere_preset_at_n1_is_the_unit_circle(tmp_path):
+    # in f = 1 the sphere at n = 1 is the unit circle in the plane, so lambda = sin u
+    # over the default grid's u in [-1.2787..., 1.2787...]
+    scene = hyperplane_scene(report_path=str(tmp_path / "report.json"))
+    scene["ambient"]["n"] = 1
+    scene["immersion"] = {"preset": "sphere"}
+    scene["grid"] = {}
+    scene["checks"] = ["soliton"]
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 0
+    soliton = json.loads((tmp_path / "report.json").read_text())["soliton"]
+    assert soliton["classification"] == "sign_changing"
+    assert soliton["lambda_max"] == -soliton["lambda_min"] == pytest.approx(math.sin(1.2787166941), abs=1e-9)
+
+
 def test_analyze_missing_file_exit_two(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 

@@ -35,14 +35,14 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # golden scene: (validate_scene, run_scene) calls; bumped-horosphere for seed 1
 BOUNDS = {
-    "example5": (333, 666),
-    "horosphere": (160, 410),
-    "sphere3": (164, 602),
-    "spherical-cap": (158, 354),
-    "rotational-cosh": (358, 539),
-    "bumped-horosphere-seed1": (779, 526),
-    "dense-sphere3": (164, 376),
-    "dense-example5": (331, 349),
+    "example5": (324, 666),
+    "horosphere": (151, 410),
+    "sphere3": (160, 602),
+    "spherical-cap": (149, 354),
+    "rotational-cosh": (349, 539),
+    "bumped-horosphere-seed1": (650, 526),
+    "dense-sphere3": (160, 376),
+    "dense-example5": (322, 349),
 }
 # verify_classification with the arguments of the golden rotational-n2 call
 VERIFY_BOUND = 641

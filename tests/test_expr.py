@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpgeo.errors import ExprSyntaxError, UnknownIdentifier
-from warpgeo.expr import BinOp, Call, Const, Num, Neg, Var, literal, parse, unparse, variables_in
+from warpgeo.expr import (
+    BinOp, Call, Const, Num, Neg, Var, _tokenize, is_name, literal, parse, unparse, variables_in
+)
 
 from oracles import eval_value
 
@@ -45,6 +47,10 @@ def test_constants():
 def test_scientific_literals():
     assert eval_value(parse("1e-05"), {}) == 1e-05
     assert eval_value(parse("2.5e3"), {}) == 2500.0
+    # a point needs digits on one side only: DIGITS [ "." { DIGIT } ] | "." DIGITS
+    assert parse("2.") == Num(2.0)
+    assert parse("2.e3") == Num(2000.0)
+    assert parse(".5e-1") == Num(0.05)
     # "2e" is the literal 2 followed by the constant e: implicit product
     with pytest.raises(ExprSyntaxError):
         parse("2e")
@@ -68,6 +74,13 @@ def test_syntax_error_offsets():
     with pytest.raises(ExprSyntaxError) as err:
         parse("sin 1")
     assert err.value.offset == 0
+    with pytest.raises(ExprSyntaxError, match="unexpected character '.'") as err:
+        parse(".")
+    assert err.value.offset == 0
+    # an exponent without digits is no part of the number: 1, then the constant e
+    with pytest.raises(ExprSyntaxError, match="unexpected token 'e'") as err:
+        parse("1e+")
+    assert err.value.offset == 1
     with pytest.raises(ExprSyntaxError):
         parse("(1+2")
     with pytest.raises(ExprSyntaxError):
@@ -192,3 +205,43 @@ def test_long_chain_is_refused_quickly():
     with pytest.raises(ExprSyntaxError, match="MAX_EXPRESSION_DEPTH"):
         parse(text)
     assert time.perf_counter() - started < 0.05
+
+
+# ASCII and a few characters that str methods read in ways a lexer can trip on:
+# "²", "٣" and "½" are digits or numeric, "é" a letter, U+00A0 and "\x1c" space
+_LEXER_ALPHABET = "".join(map(chr, range(128))) + "²٣½é\xa0\x1c"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=_LEXER_ALPHABET, max_size=30))
+def test_tokens_cover_the_text(text):
+    tokens = []
+    try:
+        tokens.extend(_tokenize(text))
+    except ExprSyntaxError as exc:
+        if not str(exc).startswith("unexpected character"):
+            raise
+        error = exc.offset
+    else:
+        error = None
+    end = 0
+    for tok in tokens:
+        assert text[end:tok.pos].isspace() or tok.pos == end
+        assert tok.text == text[tok.pos : tok.pos + len(tok.text)]
+        if tok.kind == "name":
+            assert is_name(tok.text)
+        elif tok.kind == "num":
+            float(tok.text)
+        elif tok.kind != "end":
+            assert tok.kind == tok.text and tok.text in tuple("+-*/^()")
+        end = tok.pos + len(tok.text)
+    if error is None:
+        assert tokens[-1].kind == "end" and tokens[-1].pos == len(text)
+        assert [tok.kind for tok in tokens].count("end") == 1
+    else:
+        # the first character that starts no token: not a space, an operator,
+        # a letter or "_", an ASCII digit, nor "." before an ASCII digit
+        assert text[end:error].isspace() or error == end
+        c = text[error]
+        assert not (c.isspace() or c in "+-*/^()" or c.isalpha() or c == "_" or c in "0123456789")
+        assert not (c == "." and text[error + 1 : error + 2] in tuple("0123456789"))
