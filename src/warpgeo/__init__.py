@@ -24,7 +24,7 @@ _EXPORTS = {
     "intrinsic": "PointGeometry grid_geometry",
     "jets": "Jet2 eval_jet2",
     "rotational": "ProfileCurve RotationalProfile solve_profile verify_classification",
-    "soliton": "SolitonClass SolitonReport Verdict hypotheses_report soliton_report structural_report",
+    "soliton": "SolitonClass SolitonReport Verdict check_report soliton_report",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = {*_EXPORTS, "catalogue", "cli", "objmesh", "report", "scene"}

@@ -33,10 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-try:  # what np.einsum runs when it does not optimize: called directly, a contraction skips its Python dispatch
-    from numpy._core.multiarray import c_einsum
-except ImportError:  # numpy 1.x
-    from numpy.core.multiarray import c_einsum
+# what np.einsum runs when it does not optimize: called directly, a contraction skips its Python dispatch
+from numpy._core.multiarray import c_einsum
 
 from .ambient import AmbientPoint, WarpedProduct
 from .errors import MAX_GRID_POINTS, DegenerateImmersion, DomainError, OutsideChart

@@ -28,17 +28,13 @@ from .intrinsic import grid_geometry
 from .jets import _leaves
 # report_to_json is not used here; it stays, as the benchmark (bench/measure.py, bench/tracing.py) calls it from here
 from .report import MESH_WARNING, SCHEMA_VERSION, document, report_to_json
-from .soliton import (THEOREM5_PROBES, THEOREMS, CheckResult, Verdict, hypotheses_report, identity_check,
-                      soliton_report, structural_report)
+from .soliton import CHECKS, check_report, soliton_report
 
 # Largest scene file read.  A scene is a few KB of JSON; a larger file is
 # refused before it is parsed.
 MAX_SCENE_BYTES = 1 << 20
 SPACEFORM = "spaceform c=<number>"  # how errors and README show the check SPACEFORM_RE reads
 SPACEFORM_RE = re.compile(r"^spaceform\s+c=(-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)\Z", re.ASCII)
-GRID_CHECKS = ("lemma1", "soliton", "structural") + THEOREMS  # the checks that read the scene grid
-PROBE_COUNTS = {"theorem5": THEOREM5_PROBES, "spaceform": 200}  # the checks that read f at as many probe heights
-CHECK_NAMES = GRID_CHECKS + ("rotational-classification",)
 
 # The kinds of a field.  An object's keys are the rows below it (one with no rows below
 # takes any keys); an expression is a string, and each entry of a list of them a field.
@@ -74,7 +70,7 @@ FIELDS = {
     "grid": Field(OBJECT),
     "grid.samples": Field(NUMBER, rule=Number(True, 3, MAX_GRID_POINTS, default=7), shape=OBJECT),
     "grid.margins": Field(NUMBER, rule=Number(False, 0.0, 0.5, default=0.05), shape=OBJECT),
-    "checks": Field(ENUM, True, CHECK_NAMES, LIST, form=SPACEFORM_RE),
+    "checks": Field(ENUM, True, tuple(CHECKS)[:-1], LIST, form=SPACEFORM_RE),  # spaceform by SPACEFORM_RE
 }
 _ROWS = {}  # the rows below each object, (key, field, kind, required, rule, shape, form, variant), in order
 for _name, _row in FIELDS.items():
@@ -208,7 +204,7 @@ def validate_scene(data):
     except ValueError as exc:  # more than MAX_GRID_POINTS, refused before building
         raise SceneError(str(exc), field="grid.samples") from None
 
-    checks = [(raw, None) if raw in CHECK_NAMES else
+    checks = [(raw, None) if raw in CHECKS else
               ("spaceform", _number(float(SPACEFORM_RE.match(raw)[1]), "checks", "spaceform c"))
               for raw in data["checks"]]
     return Scene(data, ambient, immersion, profile, grid, checks, output.get("report"), output.get("mesh"))
@@ -230,40 +226,12 @@ def load_scene(path):
     return validate_scene(data)
 
 
-def _run_check(kind, c, scene, geometry, soliton, classification, warping):
-    """The :class:`CheckResult` of one check; ``c`` is the value of ``spaceform c=``, ``warping`` the probe
-    heights and f's triple by the kind of check that reads them (see :func:`_probe_warping`)."""
-    if kind in THEOREMS:
-        return hypotheses_report(scene.immersion, geometry, kind, warping.get(kind))
-    if kind == "lemma1":
-        return identity_check(kind, geometry, geometry.identity_error)
-    if kind == "soliton":
-        status = "pass" if soliton.verdict is Verdict.SOLITON else "fail"
-        extras = {"verdict": soliton.verdict.value, "classification": soliton.classification.value}
-        return CheckResult(kind, status, soliton.residual_sup, soliton.worst_point, extras=extras)
-    if kind == "structural":
-        if soliton.verdict is Verdict.SOLITON:
-            return structural_report(scene.immersion, geometry)
-        return CheckResult(kind, "not_applicable", extras={"reason": "soliton verdict required"})
-    if kind == "spaceform":
-        result = scene.ambient.check_space_form(c, *warping[kind])
-        sup = max(result.ratio_residual, result.second_residual)
-        status = "pass" if result.passed else "fail"
-        return CheckResult(f"spaceform c={c!r}", status, sup_error=sup, extras={"c": c})
-    if classification is None:
-        reason = {"reason": "immersion is not a rotational preset"}
-        return CheckResult(kind, "not_applicable", extras=reason)
-    extras = classification.residuals()
-    sup = max(classification.soliton.residual_sup, *extras.values())
-    status = "pass" if classification.classified else "fail"
-    return CheckResult(kind, status, sup_error=sup, extras=extras)
-
-
 def _probe_warping(scene):
-    """The probe heights of theorem5 and ``spaceform c=`` with f's triple at them, by kind, from one run of f
-    over them in check order; where f fails there it is None: each check runs f alone, the first to fail raises."""
+    """The probe heights of each check whose row of ``CHECKS`` counts some, with f's triple at them, by kind,
+    from one run of f over them in check order; where f fails there it is None: each check runs f alone, the
+    first to fail raises."""
     window = scene.ambient.probe_window()
-    heights = {kind: np.linspace(*window, PROBE_COUNTS[kind]) for kind, _ in scene.checks if kind in PROBE_COUNTS}
+    heights = {kind: np.linspace(*window, CHECKS[kind][1]) for kind, _ in scene.checks if CHECKS[kind][1]}
     ends = np.cumsum([0, *map(len, heights.values())])
     try:
         triple = eval_warping(scene.ambient.tape, np.concatenate(list(heights.values()))) if heights else None
@@ -278,7 +246,8 @@ def run_scene(scene):
 
     The geometry is computed in one pass before the first check (the probe
     block of ``grid_geometry`` runs even when no check reads a point): the
-    scene grid when a grid check asks for it, then the whole classification
+    scene grid when a check's row of ``CHECKS`` names a jet order, at the
+    highest order named, then the whole classification
     grid unless it is that grid, so a point in both is evaluated twice.
     The classification reads the tail of the pass that holds its grid; the
     profile residuals, which may raise SigmaZero, run first.  A failing
@@ -288,7 +257,8 @@ def run_scene(scene):
     started = time.perf_counter()
     kinds = {kind for kind, _ in scene.checks}
     imm, curve = scene.immersion, scene.profile
-    points = scene.grid if kinds & set(GRID_CHECKS) else scene.grid[:0]
+    order = max(map(CHECKS.get, kinds))[0]  # the highest jet order at which a check reads the scene grid, or 0
+    points = scene.grid if order else scene.grid[:0]
     size = len(points)
     classify = curve is not None and "rotational-classification" in kinds
     if classify:
@@ -300,8 +270,8 @@ def run_scene(scene):
         tail = 0 if np.array_equal(points, extra) else size  # the first row of the classification grid
         points = np.concatenate([points, extra]) if tail else points
     geometry = soliton = classification = None
-    try:  # structural reads the third jets of the same pass
-        record = grid_geometry(imm, points, 3 if "structural" in kinds else 2)
+    try:
+        record = grid_geometry(imm, points, max(order, 2))
     except PointError as exc:
         if not exc.immersion_fault:
             raise
@@ -315,10 +285,8 @@ def run_scene(scene):
     if kinds & {"soliton", "structural"}:
         soliton = soliton_report(geometry)
     warping = _probe_warping(scene)
-    results = [
-        _run_check(kind, c, scene, geometry, soliton, classification, warping)
-        for kind, c in scene.checks
-    ]
+    results = [check_report(kind, imm, geometry, warping.get(kind), soliton, classification, c)
+               for kind, c in scene.checks]
 
     if soliton is not None:  # the block adds each applicable check's sup error, or an inequality's violation
         recorded = {r.name: max(0.0, -r.worst_value) if r.sup_error is None else r.sup_error
@@ -329,13 +297,13 @@ def run_scene(scene):
     if scene.mesh_path:
         from .objmesh import surface_vertices, write_obj
 
-        chart = scene.immersion.chart
+        chart = imm.chart
         u_values = chart.axis_points(chart.names[0], 33, 0.02)
         v_values = chart.axis_points(chart.names[1], 33, 0.02)
-        write_obj(scene.mesh_path, surface_vertices(scene.immersion, u_values, v_values))
+        write_obj(scene.mesh_path, surface_vertices(imm, u_values, v_values))
         warnings.append(MESH_WARNING)
 
-    report = document({"scene": scene.raw, "checks": [r.to_dict(scene.immersion.chart.names) for r in results],
+    report = document({"scene": scene.raw, "checks": [r.to_dict(imm.chart.names) for r in results],
                        "soliton": None if soliton is None else soliton.to_dict()}, warnings, started)
     all_passed = all(r.status in ("pass", "not_applicable") for r in results)
     return report, all_passed

@@ -15,8 +15,11 @@ which holds for every immersion, soliton or not, and is used as a
 universal cross-check.  The structural identity Ric(grad h) + (n-1)
 grad(scal - lambda) = 0 takes grad(Lap h) exactly from third jets.
 
-Every grid check reduces a per-point array of the batched geometry
-record of a grid by one of two rules; ties go to the first point in
+Every check a scene may ask for is a row of one table, ``CHECKS``: its
+name, the jet order of the grid record it reads and the number of probe
+heights at which it reads f.  One function, :func:`check_report`, runs a
+row.  Apart from the soliton verdict, a grid check reduces a per-point
+array of the record by one of two rules; ties go to the first point in
 grid order.  An identity (Lemma 1's Hess h, Theorem 3's scalar identity,
 the structural identity) passes when the sup of its error stays below
 ``SOLITON_TOL`` (:func:`identity_check`); an inequality (Theorem 1's
@@ -42,7 +45,6 @@ from .jets import flag
 SOLITON_TOL = 1e-7  # jet-exact derivative paths
 CLASS_TOL = 1e-8  # absolute thresholds on lambda and |grad h|
 _MARGIN_TOL = 1e-9  # slack for inequality checks that hold with equality
-THEOREM5_PROBES = 64  # the probe heights at which theorem5 fits the ambient's curvature c
 
 
 class Verdict(enum.Enum):
@@ -205,50 +207,78 @@ def inequality_check(name, geometry, margin, extras=MappingProxyType({})):
     return CheckResult(name, status, worst_point=geometry.chart_point(i), worst_value=worst, extras=extras)
 
 
-def structural_report(imm, geometry):
-    """Structural identity over the :class:`PointGeometry` record of a grid.
+# Every check a scene may ask for, by name, in the order errors list them: the jet order of
+# the grid record it reads (0 for none) and the number of probe heights at which it reads f.
+# spaceform, the last, is asked for as "spaceform c=<number>".
+CHECKS = {
+    "lemma1": (2, 0),
+    "soliton": (2, 0),
+    "structural": (3, 0),
+    "theorem1": (2, 0),
+    "theorem3": (2, 0),
+    "theorem4a": (2, 0),
+    "theorem4b": (2, 0),
+    "theorem5": (2, 64),
+    "rotational-classification": (0, 0),
+    "spaceform": (0, 200),
+}
 
-    The gradient of scal - lambda = (Lap h)/n is the exact
-    ``lap_gradient`` of a record of order 3; a record of order 2 is a
-    ValueError.  It is meaningful only when the soliton verdict holds, so
-    that lambda is the soliton function.  It is an identity
-    (:func:`identity_check`); a gradient that is not finite is a
-    DomainError.
+
+def check_report(kind, imm, geometry, probes=None, soliton=None, classification=None, c=None):
+    """The :class:`CheckResult` of the check ``kind``, a row of ``CHECKS``, on ``imm``.
+
+    ``geometry`` is the :class:`PointGeometry` record of the grid at the row's jet order,
+    ``probes`` the row's probe heights and f's triple at them (None for the triple where
+    f failed there), ``soliton`` the :class:`SolitonReport` of the grid, ``classification`` the
+    rotational classification (None off rotational presets) and ``c`` the value of
+    ``spaceform c=``.
+
+    lemma1, theorem3 and structural are identities (:func:`identity_check`); theorem1,
+    theorem4a, theorem4b and theorem5 are inequalities (:func:`inequality_check`).
+    structural is meaningful only when the soliton verdict holds, so that lambda is the
+    soliton function; it is not_applicable when ``soliton`` holds another verdict (None
+    runs it ungated).  grad(scal - lambda) = grad(Lap h)/n is the exact ``lap_gradient``
+    of a record of order 3; a record of order 2 is a ValueError, and a gradient that is
+    not finite a DomainError.  theorem1 evaluates both orientations and passes when
+    either one satisfies f''(h)/f(h) <= (n+1)/n^2 H^2 and 0 <= |theta|^{-1} (log f)'(h)
+    <= H everywhere (the orientation making H nonnegative is not canonical).  theorem3
+    requires a minimal immersion and otherwise reports not_applicable.  theorem5 needs
+    the ambient to be a space form; its curvature c is fitted from f on the probe heights
+    (taken afresh when ``probes`` is None).
     """
-    if geometry.lap_gradient is None:
-        raise ValueError("structural_report needs a record of grid_geometry(..., order=3)")
-    flag(~np.isfinite(geometry.lap_gradient).all(axis=0), lambda i: DomainError(
-        f"gradient of Lap h not finite (at chart point {imm.bindings(geometry.chart[:, i])!r})"))
-    n = imm.n
-    grad_s = geometry.lap_gradient / n
-    # both terms as covectors; norm taken with the inverse metric
-    omega = contract("ijp,jp->ip", geometry.ric, geometry.grad_h) + (n - 1) * grad_s
-    dual = contract("ijp,jp->ip", geometry.metric_inverse, omega)
-    err = np.sqrt(np.maximum(contract("ip,ip->p", omega, dual), 0.0))
-    return identity_check("structural", geometry, err)
-
-
-THEOREMS = ("theorem1", "theorem3", "theorem4a", "theorem4b", "theorem5")
-
-
-def hypotheses_report(imm, geometry, which, probes=None):
-    """One theorem hypothesis over the :class:`PointGeometry` record of a grid.
-
-    ``which`` is one of ``THEOREMS``.  theorem1 evaluates both orientations
-    and passes when either one satisfies f''(h)/f(h) <= (n+1)/n^2 H^2 and
-    0 <= |theta|^{-1} (log f)'(h) <= H everywhere (the orientation making H
-    nonnegative is not canonical).  theorem3 requires a minimal immersion
-    and otherwise reports not_applicable.  theorem5 needs the ambient to be
-    a space form; its curvature c is fitted from the warping function on 64
-    probe heights, from the same jet of f as the residuals of the fit
-    (``probes``: the heights and that jet, if already taken).  The result
-    is the :class:`CheckResult` named ``which``, by :func:`identity_check`
-    for theorem3 and by :func:`inequality_check` for the others.
-    """
+    if kind == "lemma1":
+        return identity_check(kind, geometry, geometry.identity_error)
+    if kind == "soliton":
+        status = "pass" if soliton.verdict is Verdict.SOLITON else "fail"
+        extras = {"verdict": soliton.verdict.value, "classification": soliton.classification.value}
+        return CheckResult(kind, status, soliton.residual_sup, soliton.worst_point, extras=extras)
+    if kind == "spaceform":
+        result = imm.ambient.check_space_form(c, *probes)
+        status = "pass" if result.passed else "fail"
+        return CheckResult(f"spaceform c={c!r}", status, max(result.ratio_residual, result.second_residual),
+                           extras={"c": c})
+    if kind == "rotational-classification":
+        if classification is None:
+            return CheckResult(kind, "not_applicable", extras={"reason": "immersion is not a rotational preset"})
+        extras = classification.residuals()
+        status = "pass" if classification.classified else "fail"
+        return CheckResult(kind, status, max(classification.soliton.residual_sup, *extras.values()), extras=extras)
     n, H = imm.n, geometry.mean_curvature
     f0, f1, f2 = geometry.warping
 
-    if which == "theorem1":  # H enters the curvature margin only as H^2 and theta only as |theta|
+    if kind == "structural":
+        if soliton is not None and soliton.verdict is not Verdict.SOLITON:
+            return CheckResult(kind, "not_applicable", extras={"reason": "soliton verdict required"})
+        if geometry.lap_gradient is None:
+            raise ValueError("the structural check needs a record of grid_geometry(..., order=3)")
+        flag(~np.isfinite(geometry.lap_gradient).all(axis=0), lambda i: DomainError(
+            f"gradient of Lap h not finite (at chart point {imm.bindings(geometry.chart[:, i])!r})"))
+        # Ric(grad h) + (n-1) grad(scal - lambda) as a covector; its norm taken with the inverse metric
+        omega = contract("ijp,jp->ip", geometry.ric, geometry.grad_h) + (n - 1) * (geometry.lap_gradient / n)
+        dual = contract("ijp,jp->ip", geometry.metric_inverse, omega)
+        return identity_check(kind, geometry, np.sqrt(np.maximum(contract("ip,ip->p", omega, dual), 0.0)))
+
+    if kind == "theorem1":  # H enters the curvature margin only as H^2 and theta only as |theta|
         curvature = (n + 1) / (n * n) * H * H - f2 / f0
         lf1, theta = f1 / f0, geometry.theta  # q = |theta|^-1 (log f)'(h), with the 0/0 limit taken as 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -258,28 +288,28 @@ def hypotheses_report(imm, geometry, which, probes=None):
         results, extras = [], {}
         for name, sign in (("as_oriented", 1.0), ("flipped", -1.0)):
             angle = np.where(np.isfinite(q), np.minimum(q, sign * H - q), -math.inf)
-            results.append(inequality_check(which, geometry, np.minimum(curvature, angle)))
+            results.append(inequality_check(kind, geometry, np.minimum(curvature, angle)))
             extras[name] = {"margin": results[-1].worst_value, "curvature_margin": curvature_margin,
                             "angle_margin": first_extreme(angle, math.inf, lowest=True)[0]}
         return max(results, key=lambda result: result.worst_value)._replace(extras=extras)
 
-    if which == "theorem3":
+    if kind == "theorem3":
         sup_H = float(np.abs(H).max())
         if sup_H >= CLASS_TOL:
-            return CheckResult(which, "not_applicable", extras={"sup_mean_curvature": sup_H})
+            return CheckResult(kind, "not_applicable", extras={"sup_mean_curvature": sup_H})
         rhs = (f1 / f0) * (n - 1 + geometry.theta * geometry.theta)
-        return identity_check(which, geometry, np.abs(n * (geometry.scal_gauss - geometry.lam) - rhs))
+        return identity_check(kind, geometry, np.abs(n * (geometry.scal_gauss - geometry.lam) - rhs))
 
-    if which == "theorem5":
-        t, f = probes or (np.linspace(*imm.ambient.probe_window(), THEOREM5_PROBES), None)
+    if kind == "theorem5":
+        t, f = probes or (np.linspace(*imm.ambient.probe_window(), CHECKS[kind][1]), None)
         fit = imm.ambient.check_space_form(None, t, f)
         if fit.ratio_residual > 1e-8 or fit.second_residual > 1e-8:
-            return CheckResult(which, "not_applicable", extras={"reason": "ambient is not a space form"})
+            return CheckResult(kind, "not_applicable", extras={"reason": "ambient is not a space form"})
         margin = geometry.lam - ((n - 1) * fit.c + n * H * H)
         extras = {"c": fit.c, "failing_points": int(np.count_nonzero(margin < -_MARGIN_TOL))}
-        return inequality_check(which, geometry, margin, extras)
-    if which == "theorem4a":
+        return inequality_check(kind, geometry, margin, extras)
+    if kind == "theorem4a":
         bound = -n * (n - 1) * f2 / f0 + n * n * H * H
     else:  # theorem4b
         bound = n * (n - 1) * (H * H - f2 / f0)
-    return inequality_check(which, geometry, geometry.lam - bound)
+    return inequality_check(kind, geometry, geometry.lam - bound)

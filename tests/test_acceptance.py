@@ -15,7 +15,7 @@ from warpgeo.cli import main
 from warpgeo.intrinsic import grid_geometry
 from warpgeo.jets import eval_jet2
 from warpgeo.rotational import RotationalProfile, solve_profile, verify_classification
-from warpgeo.soliton import SOLITON_TOL, SolitonClass, Verdict, structural_report
+from warpgeo.soliton import SOLITON_TOL, SolitonClass, Verdict, check_report
 
 from oracles import (
     FD_TOL,
@@ -245,7 +245,7 @@ def test_criterion_8_structural_identity(catalogue):
     geometries = [
         (imm, grid_geometry(imm, imm.chart.grid(5, 0.12), order=3)) for imm in (sphere, rot)
     ]
-    worst = max(structural_report(imm, geo).sup_error for imm, geo in geometries)
+    worst = max(check_report("structural", imm, geo).sup_error for imm, geo in geometries)
     # the same identity with grad(Lap h) by central differences
     worst_fd = max(structural_error_fd(imm, geo) for imm, geo in geometries)
     report(

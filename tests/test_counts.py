@@ -35,12 +35,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # golden scene: (validate_scene, run_scene) calls; bumped-horosphere for seed 1
 BOUNDS = {
-    "example5": (324, 666),
-    "horosphere": (151, 410),
-    "sphere3": (160, 602),
-    "spherical-cap": (149, 354),
+    "example5": (324, 660),
+    "horosphere": (151, 406),
+    "sphere3": (160, 599),
+    "spherical-cap": (149, 351),
     "rotational-cosh": (349, 539),
-    "bumped-horosphere-seed1": (650, 526),
+    "bumped-horosphere-seed1": (650, 525),
     "dense-sphere3": (160, 376),
     "dense-example5": (322, 349),
 }

@@ -23,7 +23,7 @@ from warpgeo.hypersurface import MAX_GRID_POINTS, Immersion
 from warpgeo.jets import _leaves
 from warpgeo.intrinsic import grid_geometry
 from warpgeo.scene import FIELDS, report_to_json, run_scene, validate_scene
-from warpgeo.soliton import SolitonReport, soliton_report
+from warpgeo.soliton import CHECKS, SolitonReport, soliton_report
 
 
 def hyperplane_scene(**overrides):
@@ -198,6 +198,33 @@ def test_readme_lists_every_scene_field_and_preset():
         assert f"`{name}`" in bullets["immersion.preset"], name
         for key in params:
             assert f"`{key}`" in bullets["immersion.preset"], (name, key)
+
+
+def test_readme_lists_the_checks_in_table_order():
+    # the checks field has one sub-bullet per row of CHECKS (theorem1 to theorem5 share one),
+    # its names before the colon, and spaceform shown as it is written in a scene
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n* `checks` (required)", 1)[1].split("\n\n", 1)[0]
+    heads = [line.split("`:", 1)[0] + "`" for line in section.splitlines() if line.startswith("  - ")]
+    names = [name for head in heads for name in head.split("`")[1::2]]
+    assert names == [scene_module.SPACEFORM if kind == "spaceform" else kind for kind in CHECKS]
+
+
+@pytest.mark.parametrize("kind", CHECKS)
+def test_each_row_of_the_check_table_drives_the_run(monkeypatch, kind):
+    # a scene with this one check: the pass reads the scene grid at the row's jet order, or
+    # none of it at order 0, and f runs once over as many probe heights as the row counts
+    passes, probes = [], []
+    record, warping = scene_module.grid_geometry, scene_module.eval_warping
+    monkeypatch.setattr(scene_module, "grid_geometry",
+                        lambda imm, points, order=2: passes.append((len(points), order)) or record(imm, points, order))
+    monkeypatch.setattr(scene_module, "eval_warping", lambda tape, t: probes.append(len(t)) or warping(tape, t))
+    scene = validate_scene(hyperplane_scene(checks=["spaceform c=0" if kind == "spaceform" else kind]))
+    report, _ = run_scene(scene)
+    order, count = CHECKS[kind]
+    assert passes == [(len(scene.grid), order) if order else (0, 2)]
+    assert probes == ([count] if count else [])
+    assert [entry["name"] for entry in report["checks"]] == [kind if kind != "spaceform" else "spaceform c=0.0"]
 
 
 def _scene_with_every_field(field):
@@ -464,8 +491,8 @@ def test_published_mappings_refuse_writes(monkeypatch):
     # the extras of every check result, nested ones too, and the soliton block before
     # and after the run adds its checks are read-only, and _replace keeps them so
     results, blocks = [], []
-    run_check, block_to_dict = scene_module._run_check, SolitonReport.to_dict
-    monkeypatch.setattr(scene_module, "_run_check", lambda *args: results.append(run_check(*args)) or results[-1])
+    run_check, block_to_dict = scene_module.check_report, SolitonReport.to_dict
+    monkeypatch.setattr(scene_module, "check_report", lambda *args: results.append(run_check(*args)) or results[-1])
     monkeypatch.setattr(scene_module, "soliton_report", lambda g: blocks.append(soliton_report(g)) or blocks[-1])
     monkeypatch.setattr(SolitonReport, "to_dict", lambda self: blocks.append(self) or block_to_dict(self))
     checks = ["soliton", "theorem1", "theorem5", "spaceform c=-1", "rotational-classification"]
@@ -556,7 +583,7 @@ def _without_timing(report):
 @pytest.mark.parametrize(
     "data",
     [
-        example5_scene(list(scene_module.CHECK_NAMES) + ["spaceform c=-1"]),
+        example5_scene(list(CHECKS)[:-1] + ["spaceform c=-1"]),
         hyperplane_scene(
             ambient={"interval": ["-inf", "inf"], "f": "1", "fiber": "euclidean", "n": 3},
             immersion={"preset": "sphere"},

@@ -13,9 +13,8 @@ from warpgeo.soliton import (
     SolitonClass,
     Verdict,
     classify,
+    check_report,
     first_extreme,
-    hypotheses_report,
-    structural_report,
 )
 
 from oracles import (
@@ -35,12 +34,12 @@ def grid(imm, count=4, margin=0.12):
 
 def hypotheses_on_grid(imm, points, which):
     """One theorem hypothesis over a grid, as a scene run evaluates it."""
-    return hypotheses_report(imm, grid_geometry(imm, points), which)
+    return check_report(which, imm, grid_geometry(imm, points))
 
 
 def structural_on_grid(imm, points):
-    """The structural identity over a grid, as a scene run evaluates it."""
-    return structural_report(imm, grid_geometry(imm, points, order=3))
+    """The structural identity over a grid, as a scene run evaluates it, ungated by the soliton verdict."""
+    return check_report("structural", imm, grid_geometry(imm, points, order=3))
 
 
 def test_hyperplane_hessian_vanishes(hyperplane):
@@ -179,7 +178,7 @@ def test_structural_identity_fails_off_solitons(rng):
 def test_structural_identity_needs_an_order_3_record(sphere2):
     # the gradient of Lap h comes from third jets: an order-2 record is refused, not rebuilt
     with pytest.raises(ValueError, match="order=3"):
-        structural_report(sphere2, grid_geometry(sphere2, grid(sphere2, count=3)))
+        check_report("structural", sphere2, grid_geometry(sphere2, grid(sphere2, count=3)))
 
 
 def test_theorem1_horosphere_orientations(horosphere):
@@ -215,8 +214,8 @@ def test_theorem1_of_the_flipped_record_swaps_its_orientations(request, name):
     # A and H negated) swaps as_oriented and flipped, to the bit
     imm = request.getfixturevalue(name)
     geometry = grid_geometry(imm, grid(imm, count=5))
-    report = hypotheses_report(imm, geometry, "theorem1")
-    swapped = hypotheses_report(imm, flip_orientation(geometry), "theorem1")
+    report = check_report("theorem1", imm, geometry)
+    swapped = check_report("theorem1", imm, flip_orientation(geometry))
 
     def bits(margins):
         return {key: value.hex() for key, value in margins.items()}

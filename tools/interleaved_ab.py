@@ -3,13 +3,13 @@
 Usage (from the repository root):
 
     python3 tools/interleaved_ab.py --parent PARENT/src --change CHANGE/src \
-        [--rounds 30] [--seed 1] [--out BENCH.json]
+        [--rounds 30] [--seed 1] [--workload scene-mix] [--out BENCH.json]
 
 Each tree's ``warpgeo`` package is imported from its ``src`` directory and
 kept as its own set of modules; ``sys.modules`` is switched to a tree's set
 before each of its calls, so the two never share a module.  The scenes are
 those of the ``scene-mix`` and ``dense-grid`` workloads of
-``bench/workloads.py`` for ``--seed``.  Every round runs each scene once on
+``bench/workloads.py`` for ``--seed``, or of the one named by ``--workload``.  Every round runs each scene once on
 each tree, and which tree goes first alternates from one scene to the next
 and from one round to the next, so that neither side always runs on a warm
 or a cold heap.  An operation is ``validate_scene`` (``setup_s``), then
@@ -191,6 +191,8 @@ def compare(args):
              "parent_again": load_tree(args.parent)}
     arms = {"a_b": ("parent", "change"), "a_a": ("parent", "parent_again")}
     scenes = workload_scenes(args.seed)
+    if args.workload:
+        scenes = {args.workload: scenes[args.workload]}
     flat = [(name, data) for pairs in scenes.values() for name, data in pairs]
     for tree in trees.values():  # a first run of each scene loads what later runs reuse
         for _name, data in flat:
@@ -213,7 +215,7 @@ def compare(args):
     sources = {"parent": args.parent, "change": args.change}
     return {
         "command": f"python3 tools/interleaved_ab.py --parent P/src --change C/src --rounds {args.rounds} "
-                   f"--seed {args.seed}",
+                   f"--seed {args.seed}" + (f" --workload {args.workload}" if args.workload else ""),
         "python": sys.version.split()[0],
         "numpy": sys.modules["numpy"].__version__,
         "ratios": "change over parent; per-round ratios of the summed run_scene seconds of a workload "
@@ -236,10 +238,11 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path)
     parser.add_argument("--faults-of", type=Path, help="count the faults of this src directory's tree alone")
-    parser.add_argument("--workload", choices=("scene-mix", "dense-grid"), default="dense-grid")
+    parser.add_argument("--workload", choices=("scene-mix", "dense-grid"),
+                        help="time this workload alone (both by default); with --faults-of, dense-grid by default")
     args = parser.parse_args(argv)
     if args.faults_of:
-        print(json.dumps(single_tree_faults(args.faults_of, args.seed, args.workload)))
+        print(json.dumps(single_tree_faults(args.faults_of, args.seed, args.workload or "dense-grid")))
         return
     if not (args.parent and args.change):
         parser.error("--parent and --change are required")
