@@ -9,7 +9,8 @@ In these charts the metric is diagonal, G = diag(D) with
 D = (1, f^2, f^2 sin(x1)^2, ...), so every routine works with the d
 entries D_a, their derivatives dD[a, c] = d_c D_a and, for the
 structural check, d2D, over the K coordinates that D depends on (t, and x1 ..
-x_{n-1} for the sphere).  All come in closed form from the warping triple
+x_{n-1} for the sphere; none where f is free of t over the flat fiber, whose
+ambient is Euclidean space).  All come in closed form from the warping triple
 (f, f', f''), one order-2 jet of f at the heights of a batch, which the
 curvature reads too.  The products follow the jet arithmetic of f^2 *
 sin(x1)^2 * ..., so D and the nonzero entries of dD equal that
@@ -122,12 +123,15 @@ class WarpedProduct:
             raise ValueError("fiber dimension must be >= 1")
         self.interval = (float(interval[0]), float(interval[1]))
         self.f = as_expression(f)
-        extra = variables_in(self.f) - {"t"}
-        if extra:
+        names = variables_in(self.f)
+        if extra := names - {"t"}:
             raise ValueError(f"warping function may only use 't', found {sorted(extra)}")
         self.fiber = Fiber(fiber)
         self.n = int(n)
         self.k = self.fiber.curvature
+        # dD's columns: x1 .. x_{n-1} and t on a sphere fiber, t alone on a flat one where f
+        # depends on it, else none: a t-free f over a flat fiber is Euclidean space
+        self.columns = self.n if self.fiber is Fiber.SPHERE else int("t" in names)
         self.tape = Tape([self.f], ("t",))
         self._probe_positivity()
 
@@ -210,18 +214,18 @@ class WarpedProduct:
     def diagonal_jets(self, x, warping, second=False):
         """``(D, dD, d2D)`` at fiber coordinates ``x`` from the warping triple at
         the heights, the point axis last: ``D[a]``, ``dD[a, c] = d_c D_a`` and, only when
-        ``second`` (else None), ``d2D[a, b, c] = d_b d_c D_a``, for the K coordinates c
-        (and b) that some D_a depends on: t, and x1 .. x_{n-1} for the sphere."""
+        ``second`` (else None), ``d2D[a, b, c] = d_b d_c D_a``, for the K = ``columns``
+        coordinates c (and b) that some D_a can depend on."""
         f0, f1, f2 = warping
-        d, shape = self.dim, np.shape(f0)
-        K = d - 1 if self.fiber is Fiber.SPHERE else 1
+        d, K, shape = self.dim, self.columns, np.shape(f0)
         D = np.ones((d,) + shape)
         dD = np.zeros((d, K) + shape)
         d2D = np.zeros((d, K, K) + shape) if second else None
         with np.errstate(all="ignore"):  # float semantics, as in eval_jet2
             D[1:] = f0 * f0
-            dD[1:, 0] = f0 * f1 + f0 * f1
-            if second:
+            if K:
+                dD[1:, 0] = f0 * f1 + f0 * f1
+            if K and second:
                 d2D[1:, 0, 0] = 2.0 * (f1 * f1 + f0 * f2)
             if self.fiber is Fiber.SPHERE:
                 # D_i = D_{i-1} sin(x_{i-1})^2: row i of dD is row i-1 times

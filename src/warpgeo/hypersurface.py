@@ -79,9 +79,10 @@ class ChartBox(namedtuple("ChartBox", "names lower upper")):
         """Whether chart point ``p``, or each row of an (N, n) array,
         lies in the box at least ``margin`` away from its faces."""
         p = np.asarray(p, dtype=float)
-        lo = np.asarray(self.lower, dtype=float) + margin
-        hi = np.asarray(self.upper, dtype=float) - margin
-        return ((lo <= p) & (p <= hi)).all(axis=-1)
+        inside = True
+        for j, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            inside = inside & (lo + margin <= p[..., j]) & (p[..., j] <= hi - margin)
+        return inside
 
     def axis_points(self, name, count, margin=0.05):
         i = self.names.index(name)
@@ -173,7 +174,8 @@ class PointJets(NamedTuple):
     points and ``ambient_point`` their images; ``frame[a, i]`` (d, n, N)
     is d psi^a / d u^i, ``second`` (d, n, n, N) and ``third`` (d, n, n, n,
     N; order 3, else None) the higher chart derivatives; ``D`` (d, N),
-    ``dD`` (d, K, N: the K columns that can be nonzero) and ``warping`` = (f, f', f'')
+    ``dD`` (d, K, N: the K = ``WarpedProduct.columns`` that can be nonzero, none in
+    Euclidean space) and ``warping`` = (f, f', f'')
     come from the one jet of f of ``WarpedProduct.metric_jets``; ``metric`` (n, n, N) is
     g = E^T diag(D) E and ``factor`` F = L^-T of ``_factor``, so that
     g^-1 = F F^T.  The frame, second and third arrays are the slots of
@@ -267,7 +269,10 @@ def _det(M):
 
 def metric_derivative(pj, P):
     """dg[k, i, j] = d g_ij / d u^k of the induced metric, exact, from the order-2
-    jets of psi and P = dD E (P^a_k = d D_a / d u^k, (d, n, N)): with T[k, i, j] = <d_i d_k psi, E_j>,
-    dg = T + T^T + sum_a P^a_k E^a_i E^a_j."""
+    jets of psi and P = dD E (P^a_k = d D_a / d u^k, (d, n, N); None where dD has no column):
+    with T[k, i, j] = <d_i d_k psi, E_j>, dg = T + T^T + sum_a P^a_k E^a_i E^a_j."""
     T = contract("aikp,ajp->kijp", pj.second, pj.D[:, None] * pj.frame)
-    return T + np.swapaxes(T, 1, 2) + contract("aip,ajp,akp->kijp", pj.frame, pj.frame, P)
+    dg = T + np.swapaxes(T, 1, 2)
+    if P is not None:
+        dg += contract("aip,ajp,akp->kijp", pj.frame, pj.frame, P)
+    return dg

@@ -12,6 +12,7 @@ frame.  II and Hess h pair the ambient covariant Hessian of psi,
 d_i d_j psi + Gamma-bar(E_i, E_j), in G with N and with e = E grad h
 (``_covariant_hessian``): the induced connection is the tangential part of
 the ambient one, so Gamma^k_ij d_k h = <d_i d_j psi + Gamma-bar(E_i, E_j), e>, and no dg is built.
+In Euclidean space (dD without a column: f free of t, a flat fiber) no term of Gamma-bar, a or b is formed.
 """
 
 from __future__ import annotations
@@ -147,9 +148,9 @@ def grid_geometry(imm, points, order=2):
 def _geometry(imm, held, N, order, offset):
     """The record over the ``PointJets`` rows popped from ``held``, normals ``N``, from row ``offset`` of the pass."""
     pj = held.pop()
-    E, g, n = pj.frame, pj.metric, imm.n
+    E, g, n, K = pj.frame, pj.metric, imm.n, imm.ambient.columns
     ginv = contract("ikp,jkp->ijp", pj.factor, pj.factor)
-    P = contract("acp,cip->aip", pj.dD, E[: pj.dD.shape[1]])  # dD holds the columns that can be nonzero
+    P = contract("acp,cip->aip", pj.dD, E[:K]) if K else None  # dD holds the columns that can be nonzero
     II = _covariant_hessian(pj, P, N)
     dh = E[0]
     grad_h = contract("ijp,jp->ip", ginv, dh)
@@ -158,8 +159,10 @@ def _geometry(imm, held, N, order, offset):
     pj, P = pj._replace(second=None, dD=None, third=None), None  # read no more, and held nowhere else
     A = contract("ikp,kjp->ijp", ginv, II)
     H = contract("iip->p", A) / n
-    f0, f1, _ = pj.warping
-    hess_identity = (f1 / f0) * (g - dh[:, None] * dh) + N[0] * II
+    hess_identity = N[0] * II
+    if K:  # with no column f' = 0 and the ambient is flat: a = b = 0
+        f0, f1, _ = pj.warping
+        hess_identity += (f1 / f0) * (g - dh[:, None] * dh)
     lap = contract("ijp,jip->p", ginv, hess_direct)  # trace(g^-1 Hess h)
     F = pj.factor  # residual: max |eig M| of M = F^T (Hess h - (Lap h / n) g) F
     M = contract("ikp,kjp->ijp", contract("kip,kjp->ijp", F, hess_direct - (lap / n) * g), F)
@@ -173,7 +176,9 @@ def _geometry(imm, held, N, order, offset):
         eig = np.linalg.eigvalsh(np.moveaxis(np.where(finite, M, 0.0), -1, 0))
         residual = np.where(finite, np.max(np.abs(eig), axis=-1), np.nan)
 
-    ric = _ambient_ricci(imm.ambient, pj, N) + (n * H) * II
+    ric = (n * H) * II
+    if K:
+        ric += _ambient_ricci(imm.ambient, pj, N)
     ric -= contract("kip,kjp->ijp", A, contract("klp,ljp->kjp", g, A))
     scal_gauss = contract("ijp,jip->p", ginv, ric)
     lam = scal_gauss - lap / n
@@ -191,7 +196,9 @@ def _geometry(imm, held, N, order, offset):
 def _covariant_hessian(pj, P, v):
     """<d_i d_j psi + Gamma-bar(E_i, E_j), v> for ambient vectors v (d, N), with the ambient
     Christoffel symbols in closed form: with P = dD E, q = dD v and X_ij = sum_a P^a_i v_a E^a_j,
-    <Gamma-bar(E_i, E_j), v> = (X_ij + X_ji)/2 - sum_b q_b E^b_i E^b_j / 2."""
+    <Gamma-bar(E_i, E_j), v> = (X_ij + X_ji)/2 - sum_b q_b E^b_i E^b_j / 2, zero where P is None."""
+    if P is None:
+        return contract("ap,aijp->ijp", pj.D * v, pj.second)
     E, dD = pj.frame, pj.dD
     X = contract("aip,ajp->ijp", P, v[:, None] * E)
     X += np.swapaxes(X, 0, 1)  # in place, as are the steps below: fewer temporaries, the same bits
@@ -221,25 +228,34 @@ def _laplacian_gradient(ambient, pj, G, P, grad_h):
     P = dD E, p = P grad h and per ambient index a sigma_a = <g^-1, d2 psi^a>,
     phi_a = F_a . P_a, psi_a = F_a . E_a, Lap h = sigma_0 - sum_a (D_a e_a sigma_a
     + e_a phi_a - p_a psi_a / 2), whose product rule is a sum of contractions of
-    d3 psi, d2 psi, d2D, dD, d2h and d_m g^-1 = -g^-1 d_m g g^-1, of which dD and d2D hold K columns."""
+    d3 psi, d2 psi, d2D, dD, d2h and d_m g^-1 = -g^-1 d_m g g^-1, of which dD and d2D hold
+    K columns; where they hold none (P None) the terms of P, dD and d2D are left out."""
     E, S, T, D, dD = pj.frame, pj.second, pj.third, pj.D, pj.dD
-    d2D = ambient.diagonal_jets(pj.ambient_point.x, pj.warping, second=True)[2]
-    F, PG = contract("aip,ijp->ajp", E, G), contract("aip,ijp->ajp", P, G)
-    e, p = contract("aip,ip->ap", E, grad_h), contract("aip,ip->ap", P, grad_h)
-    sigma = contract("aijp,ijp->ap", S, G)
-    phi, psi = contract("ajp,ajp->ap", F, P), contract("ajp,ajp->ap", F, E)
-    w, c = -e * D, D * sigma + phi
+    F, e = contract("aip,ijp->ajp", E, G), contract("aip,ip->ap", E, grad_h)
+    sigma, psi = contract("aijp,ijp->ap", S, G), contract("ajp,ajp->ap", F, E)
+    w, c = -e * D, D * sigma
     w[0] += 1.0
     # the coefficients of d_m g^-1 (M), of d2 psi (Z_S), of d_m P (Z_Q) and of d2h (y)
-    M = contract("ap,aijp->ijp", w, S) + contract("aip,ajp->ijp", E, 0.5 * p[:, None] * E - e[:, None] * P)
-    M += (contract("ap,ajp->jp", 0.5 * psi, P) - contract("ap,ajp->jp", c, E))[:, None] * E[0]
-    Z_Q = 0.5 * psi[:, None] * grad_h - e[:, None] * F
-    Z_S = p[:, None] * F - e[:, None] * PG - c[:, None] * grad_h
-    Z_S[: dD.shape[1]] += contract("cap,cjp->ajp", dD, Z_Q)  # d_m P = E^T d2D E + dD d2 psi
-    y = contract("ap,ajp->jp", 0.5 * psi, PG) - contract("ap,ajp->jp", c, F)
-    V = contract("abp,abcp->cp", contract("ajp,bjp->abp", Z_Q, E[: dD.shape[1]]), d2D)
+    M = contract("ap,aijp->ijp", w, S)
+    if P is None:
+        M -= contract("ap,ajp->jp", c, E)[:, None] * E[0]
+        Z_S, y = -c[:, None] * grad_h, -contract("ap,ajp->jp", c, F)
+    else:
+        K, PG, p = dD.shape[1], contract("aip,ijp->ajp", P, G), contract("aip,ip->ap", P, grad_h)
+        c += contract("ajp,ajp->ap", F, P)  # phi
+        M += contract("aip,ajp->ijp", E, 0.5 * p[:, None] * E - e[:, None] * P)
+        M += (contract("ap,ajp->jp", 0.5 * psi, P) - contract("ap,ajp->jp", c, E))[:, None] * E[0]
+        Z_Q = 0.5 * psi[:, None] * grad_h - e[:, None] * F
+        Z_S = p[:, None] * F - e[:, None] * PG - c[:, None] * grad_h
+        Z_S[:K] += contract("cap,cjp->ajp", dD, Z_Q)  # d_m P = E^T d2D E + dD d2 psi
+        y = contract("ap,ajp->jp", 0.5 * psi, PG) - contract("ap,ajp->jp", c, F)
+        d2D = ambient.diagonal_jets(pj.ambient_point.x, pj.warping, second=True)[2]
+        U = contract("abp,abcp->cp", contract("ajp,bjp->abp", Z_Q, E[:K]), d2D)
+        U -= contract("ap,acp->cp", e * sigma, dD)
     GMG = contract("ikp,kjp->ijp", contract("ikp,kjp->ijp", G, M), G)
     grad = contract("aijp,aijmp->mp", w[:, None, None] * G, T) + contract("ajp,ajmp->mp", Z_S, S)
     grad -= contract("mijp,ijp->mp", metric_derivative(pj, P), GMG)
-    U = V - contract("ap,acp->cp", e * sigma, dD)
-    return grad + (contract("cp,cmp->mp", U, E[: len(U)]) + contract("jp,jmp->mp", y, S[0]))
+    last = contract("jp,jmp->mp", y, S[0])
+    if P is not None:
+        last += contract("cp,cmp->mp", U, E[:K])
+    return grad + last

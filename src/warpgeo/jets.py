@@ -18,9 +18,9 @@ Expressions are compiled once into a straight-line :class:`Tape` of ops (ch. 6),
 subtrees interned, with each op's rule and the arrays it reads for the last time.  A
 run binds each variable to a value or an array of N values, runs each op once over all
 points (no slot is masked per point), drops each array after its last use and writes
-full slots, symmetric to the bit: each entry once, at its sorted index tuple, and a slot
-of order 2 or 3 taken from those at every permutation, by a table of the variable count
-(``_layout``, the module's one memo).
+full slots, symmetric to the bit: each entry straight into its slot, at every permutation
+of its sorted index tuple, by a table of the variable count (``_layout``, the module's
+one memo).
 
 A batch is evaluated in one pass (``one_pass``): a check flags the points
 that fail it and the pass computes on, with inf and nan propagating, as
@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import namedtuple
 from contextvars import ContextVar
 from functools import cache
-from itertools import combinations_with_replacement as _keys
+from itertools import combinations_with_replacement as _keys, permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -197,7 +197,6 @@ class Tape:
         for kid in last.keys() - set(self.roots):  # each op's list of the jets it reads for the last time
             ops[last[kid]][3].append(kid)
         self.ops = ops
-        self.layout = _layout(self.m)
 
     def slots(self, bindings, order):
         """The slots up to ``order`` (0, 2 or 3; 0: values) at ``bindings``, by expression, in one pass."""
@@ -213,7 +212,7 @@ class Tape:
                 jets[i] = fn(arg, mode, *[jets[kid] for kid in kids])
                 for kid in dead:
                     jets[kid] = None
-        return _gather([jets[root] for root in self.roots], self.layout, shape, order)
+        return _gather([jets[root] for root in self.roots], self.m, shape, order)
 
 
 # The rule of each kind of node, called with its op's argument, the run's mode and the kids' jets.
@@ -233,26 +232,26 @@ _RULES = {
 _RULES[Const] = _RULES[Num]
 
 
-@cache  # a constant of m: every compile, one per eval_jet2 call, reads it
+@cache  # a constant of m: every run reads it
 def _layout(m):
-    """The position of each sorted index tuple of slots 0 to 3 over m variables among its slot's,
-    their count by slot, and by slot the (m,) * r array of the position of each index tuple sorted."""
-    keys = [list(_keys(range(m), r)) for r in range(4)]
-    index = {key: i for slot in keys for i, key in enumerate(slot)}
-    spots = [np.array([index[tuple(sorted(ix))] for ix in np.ndindex((m,) * r)], dtype=np.intp).reshape((m,) * r)
-             for r in range(4)]
-    return index, [len(slot) for slot in keys], spots
+    """By sorted index tuple of slots 0 to 3 over m variables, the index of the places it fills in
+    its slot: the tuple itself if it has one permutation, else an array per axis over its permutations."""
+    table = {}
+    for r in range(4):
+        for key in _keys(range(m), r):
+            spots = sorted(set(permutations(key)))
+            table[key] = key if len(spots) == 1 else tuple(np.array(axis, dtype=np.intp) for axis in zip(*spots))
+    return table
 
 
-def _gather(jets, layout, shape, order):
-    """The full slots up to ``order`` of ``jets``, point axes ``shape``: each entry is written once, at its
-    sorted index tuple, and a slot of order 2 or 3 is taken from those at every permutation; an absent one is 0."""
-    index, sizes, spots = layout
-    packed = [np.zeros((len(jets), size) + shape) for size in sizes[: order + 1]]
+def _gather(jets, m, shape, order):
+    """The full slots up to ``order`` of ``jets`` over ``m`` variables, point axes ``shape``: each entry
+    is written straight into its slot, at every permutation of its sorted index tuple; an absent one is 0."""
+    layout, slots = _layout(m), [np.zeros((len(jets),) + (m,) * r + shape) for r in range(order + 1)]
     for k, jet in enumerate(jets):
         for key, value in jet.items():
-            packed[len(key)][k, index[key]] = value
-    return [packed[0][:, 0], *packed[1:2], *(a.take(spot, axis=1) for a, spot in zip(packed[2:], spots[2:]))]
+            slots[len(key)][(k, *layout[key])] = value
+    return slots
 
 
 # The open pass of this thread (a new thread starts with an empty context):

@@ -24,12 +24,17 @@ horosphere, ``build_rotational``, the closed-form principal curvatures
 ``weingarten_closed_form``, ``flip_orientation``, ``eval_value``,
 ``soliton_residual``, ``metric_inverse`` (F F^T of a ``PointJets``) and
 ``row``, the record of one point of a batch.  ``dense_jet2`` is the
-full-slot walk that the sparse jets replaced: the oracle of their entries.
+full-slot walk that the sparse jets replaced: the oracle of their entries;
+``gather_packed`` the packed slots that the jet slots written in place
+replaced, copied out to every permutation by ``take``; and ``with_dense_dD``
+an immersion whose pass contracts over all d columns of dD.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
@@ -214,6 +219,31 @@ def full_columns(dD, d):
     keeps, widened to all d ambient coordinates by the zero columns it leaves out
     (with a leading point axis, or none)."""
     return np.concatenate([dD, np.zeros(dD.shape[:-1] + (d - dD.shape[-1],))], axis=-1)
+
+
+def with_dense_dD(imm):
+    """``imm`` over a copy of its ambient whose ``diagonal_jets`` keeps all d columns of
+    dD and d2D, the ones that are zero by construction written out, as ``full_columns`` does."""
+    ambient = copy.copy(imm.ambient)
+    ambient.columns = ambient.dim
+    dense = copy.copy(imm)
+    dense.ambient = ambient
+    return dense
+
+
+def gather_packed(jets, m, shape, order):
+    """The full slots up to ``order`` of the root ``jets`` of a tape over ``m`` variables, point axes
+    ``shape``: each entry is written once into a packed slot, at the position of its sorted index tuple,
+    and a slot of order 2 or 3 is copied out of it by ``take`` at the position of every index tuple sorted."""
+    keys = [list(combinations_with_replacement(range(m), r)) for r in range(order + 1)]
+    index = {key: i for slot in keys for i, key in enumerate(slot)}
+    packed = [np.zeros((len(jets), len(slot)) + shape) for slot in keys]
+    for k, jet in enumerate(jets):
+        for key, value in jet.items():
+            packed[len(key)][k, index[key]] = value
+    spots = [np.array([index[tuple(sorted(ix))] for ix in np.ndindex((m,) * r)], dtype=np.intp).reshape((m,) * r)
+             for r in range(order + 1)]
+    return [packed[0][:, 0], *packed[1:2], *(a.take(spot, axis=1) for a, spot in zip(packed[2:], spots[2:]))]
 
 
 def christoffel_symbols(p, D, dD):

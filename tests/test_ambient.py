@@ -5,6 +5,7 @@ import pytest
 
 from warpgeo.ambient import AmbientPoint, Fiber, WarpedProduct, space_form_models
 from warpgeo.errors import DomainError, SingularMetric
+from warpgeo.expr import parse, variables_in
 
 from oracles import (
     christoffels,
@@ -44,6 +45,10 @@ def test_metric_flat_fiber_exponential():
         ((-INF, INF), "2+sin(3*t)", Fiber.EUCLIDEAN),
         ((0.0, math.pi), "sin(t)", Fiber.SPHERE),
         ((0.0, INF), "sinh(t)*(1+t^2)", Fiber.SPHERE),
+        ((-INF, INF), "1", Fiber.EUCLIDEAN),
+        ((-INF, INF), "2.5", Fiber.EUCLIDEAN),
+        ((-INF, INF), "1", Fiber.SPHERE),
+        ((-INF, INF), "2.5", Fiber.SPHERE),
     ],
 )
 def test_closed_form_metric_jets_match_the_expression_walk(interval, f, fiber, n):
@@ -51,8 +56,12 @@ def test_closed_form_metric_jets_match_the_expression_walk(interval, f, fiber, n
     # f^2 sin(x1)^2, ... to the bit, one point at a time and as a batch.
     # So does dD, but for the sign of its zeros: the walk takes d f / d x_j
     # as f' times a zero derivative of t, which is -0 where f' < 0.  dD keeps
-    # the K columns that can be nonzero, and every other column of the walk is 0.
+    # the K columns that can be nonzero, and every other column of the walk is
+    # 0: t and x1 .. x_{n-1} on the sphere, t alone on the flat fiber where f
+    # depends on t, and none for a t-free f there (Euclidean space).
     W = WarpedProduct(interval, f, fiber, n)
+    K = n if fiber is Fiber.SPHERE else int("t" in variables_in(parse(f)))
+    assert W.columns == K
     rng = np.random.default_rng(n)
     points = [random_fiber_point(W, rng) for _ in range(6)]
     t = np.array([p.t for p in points])
@@ -61,7 +70,6 @@ def test_closed_form_metric_jets_match_the_expression_walk(interval, f, fiber, n
         D, dD, warping = W.metric_jets(p)
         D_ast, dD_ast, warping_ast = metric_jets_ast(W, p)
         assert D.tobytes() == D_ast.tobytes()
-        K = 1 if fiber is Fiber.EUCLIDEAN else n
         assert dD.shape[:2] == (n + 1, K)
         assert np.array_equal(dD, dD_ast[:, :K])  # equal values: equal bits, or zeros
         assert not np.any(dD_ast[:, K:])

@@ -35,17 +35,17 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # golden scene: (validate_scene, run_scene) calls; bumped-horosphere for seed 1
 BOUNDS = {
-    "example5": (324, 660),
-    "horosphere": (151, 406),
-    "sphere3": (160, 599),
-    "spherical-cap": (149, 351),
-    "rotational-cosh": (349, 539),
-    "bumped-horosphere-seed1": (650, 525),
-    "dense-sphere3": (160, 376),
-    "dense-example5": (322, 349),
+    "example5": (319, 649),
+    "horosphere": (150, 399),
+    "sphere3": (159, 570),
+    "spherical-cap": (148, 345),
+    "rotational-cosh": (343, 531),
+    "bumped-horosphere-seed1": (649, 521),
+    "dense-sphere3": (159, 364),
+    "dense-example5": (317, 343),
 }
 # verify_classification with the arguments of the golden rotational-n2 call
-VERIFY_BOUND = 641
+VERIFY_BOUND = 628
 
 
 def counted(fn, *args):

@@ -323,6 +323,27 @@ def test_component_variables_validated():
         Immersion(ambient, chart, ["u", "v", "w"])
 
 
+def test_immersion_refuses_an_ambient_that_is_no_warped_product():
+    chart = ChartBox(("u", "v"), (-1.0, -1.0), (1.0, 1.0))
+    with pytest.raises(TypeError, match="WarpedProduct"):
+        Immersion("euclidean", chart, ["1", "u", "v"])
+
+
+def test_chart_contains_each_row_by_its_columns():
+    # a row is inside where every coordinate lies within the margin of both
+    # faces, faces and margins met exactly included; one point gives a numpy bool
+    chart = ChartBox(("u", "v", "w"), (-1.0, 0, 2.5), (1.0, 3, 4.0))
+    margin = 0.25
+    lo, hi = np.array(chart.lower) + margin, np.array(chart.upper) - margin
+    rng = np.random.default_rng(3)
+    points = rng.uniform(lo - 0.5, hi + 0.5, (200, 3))
+    points[:3] = [lo, hi, np.nextafter(lo, -np.inf)]
+    inside = chart.contains(points, margin)
+    assert inside.dtype == bool and inside.tolist() == ((lo <= points) & (points <= hi)).all(axis=-1).tolist()
+    assert inside[:3].tolist() == [True, True, False] and 0 < inside.sum() < len(points)
+    assert type(chart.contains(chart.center())) is np.bool_ and not chart.contains((1.0, 1.0, 3.0))
+
+
 def test_power_rule_does_not_depend_on_the_active_variables():
     # the exponent v has a variable, so (u-3)^v is the real power even at
     # v = 2: the image and the jets in u and v refuse the point alike

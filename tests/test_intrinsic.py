@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from warpgeo.ambient import Fiber, WarpedProduct
@@ -31,6 +31,7 @@ from oracles import (
     second_fundamental_christoffel,
     tangential_ricci_frame_sum,
     weingarten_closed_form,
+    with_dense_dD,
 )
 
 
@@ -336,20 +337,30 @@ def test_ambient_ricci_closed_form_matches_the_curvature_frame_sum(fiber, n, f, 
 
 @settings(max_examples=40, deadline=None)
 @given(fiber=st.sampled_from(list(Fiber)), n=st.integers(1, 3), order=st.sampled_from([2, 3]),
-       seed=st.integers(0, 2**32 - 1))
-def test_packed_dD_contractions_equal_the_dense_ones(fiber, n, order, seed):
+       f=st.sampled_from(["2+sin(t)", "1", "2.5"]), seed=st.integers(0, 2**32 - 1))
+@example(fiber=Fiber.EUCLIDEAN, n=3, order=2, f="1", seed=0)
+@example(fiber=Fiber.EUCLIDEAN, n=2, order=3, f="2.5", seed=1)
+def test_packed_dD_contractions_equal_the_dense_ones(fiber, n, order, f, seed):
     # dD keeps the K columns that can be nonzero (t alone, or t and x1 ..
-    # x_{n-1} for the sphere) and d2D the K x K block; P = dD E, q = dD v,
-    # II and Hess h and, at order 3, d_m Lap h contract over those columns
-    # only, and equal the contractions over all d columns, zeros written
-    # out, entry by entry (== holds for zeros of either sign)
+    # x_{n-1} for the sphere, and none for a t-free f over the flat fiber)
+    # and d2D the K x K block; P = dD E, q = dD v, II and Hess h and, at
+    # order 3, d_m Lap h contract over those columns only, and equal the
+    # contractions over all d columns, zeros written out, entry by entry
+    # (== holds for zeros of either sign).  With no column the pass forms no
+    # P, no Christoffel and no curvature term, and its record is the one
+    # built with the dense dD, bit for bit
     rng = np.random.default_rng(seed)
-    imm = _tilted_immersion(fiber, n, rng)
+    imm = _tilted_immersion(fiber, n, rng, f)
     points = rng.uniform(-0.9, 0.9, (int(rng.integers(1, 9)), n))
     pj, geo = point_jets(imm, points, order), grid_geometry(imm, points, order)
     d, K = n + 1, pj.dD.shape[1]
-    assert K == (n if fiber is Fiber.SPHERE else 1)
+    assert K == (n if fiber is Fiber.SPHERE else int(f == "2+sin(t)"))
     dense = pj._replace(dD=point_last(full_columns(point_first(pj.dD), d)))
+    if not K:
+        dense_imm = with_dense_dD(imm)
+        assert point_jets(dense_imm, points, order).dD.tobytes() == dense.dD.tobytes()
+        for (name, value), (_, want) in zip(record_arrays(geo), record_arrays(grid_geometry(dense_imm, points, order))):
+            assert value.tobytes() == want.tobytes(), name
     E = pj.frame
     P, P_dense = contract("acp,cip->aip", pj.dD, E[:K]), contract("acp,cip->aip", dense.dD, E)
     assert np.array_equal(P, P_dense)

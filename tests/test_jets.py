@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from warpgeo.errors import DomainError
+from warpgeo.errors import DomainError, UnknownIdentifier
 from warpgeo.expr import FUNCTIONS, BinOp, Call, Const, Neg, Num, Var, literal, parse, unparse
-from warpgeo.jets import Jet2, Tape, eval_jet2
+from warpgeo.jets import Jet2, Tape, as_expression, eval_jet2
 
-from oracles import dense_jet2, eval_value, fd_gradient
+from oracles import dense_jet2, eval_value, euclidean_ambient, fd_gradient, gather_packed
 
 
 def test_exp_jet_at_zero():
@@ -522,3 +522,39 @@ def test_nested_constant_exponents_are_evaluated_once_each(monkeypatch):
     assert len(tape.ops) == 62 and len(calls) == 55
     assert eval_jet2(parse("t" + "^2" * 3), {"t": 2.0}, ("t",)).value == 65536.0
     assert eval_jet2(parse("t" + "^2" * 4), {"t": 1.5}, ("t",)).value == math.inf
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_slots_written_in_place_equal_the_packed_gather(order, monkeypatch):
+    # each entry is written straight into its full slot at every permutation of
+    # its sorted index tuple: the same bytes as the packed slots copied out by
+    # take, for the component tape of the dense sphere (m = 3) and for roots that
+    # are a constant, a variable alone and products with entries of every kind
+    from warpgeo import jets
+    from warpgeo.catalogue import sphere_immersion
+
+    sphere = sphere_immersion(euclidean_ambient(3))
+    calls, gather = [], jets._gather
+    monkeypatch.setattr(jets, "_gather", lambda *args: calls.append((args, gather(*args))) or calls[-1][1])
+    sphere.component_jets(sphere.chart.grid(5, 0.1), order)
+    exprs = [parse(src) for src in ("2", "y", "x*y*z", "sin(x)*y^2 + x/z", "exp(x*x)*cos(z)")]
+    eval_jet2(exprs, {"x": np.array([0.3, -1.2]), "y": 0.7, "z": np.array([1.5, 2.0])}, ("x", "y", "z"), order)
+    assert len(calls) == 2
+    for (roots, m, shape, order_), slots in calls:
+        packed = gather_packed(roots, m, shape, order_)
+        assert len(slots) == len(packed) == order + 1
+        for got, want in zip(slots, packed):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_tape_refuses_a_node_that_is_no_expression_and_an_unknown_function():
+    with pytest.raises(TypeError, match="not an Expression"):
+        Tape([BinOp("+", Var("t"), (1.0,))], ("t",))
+    with pytest.raises(UnknownIdentifier):
+        Tape([Call("sec", Var("t"))], ("t",))
+
+
+def test_as_expression_refuses_what_is_no_text_number_or_ast():
+    assert as_expression(2) == Num(2.0) and as_expression("t") == Var("t")
+    with pytest.raises(TypeError, match="cannot interpret"):
+        as_expression(object())

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from warpgeo.expr import Const, Num, Var, parse
+from warpgeo.expr import Const, Num, Var, parse, variables_in
 from warpgeo.hypersurface import ChartBox, point_jets
 from warpgeo.intrinsic import grid_geometry
 from warpgeo.jets import eval_jet2
@@ -49,7 +49,10 @@ JET_SHAPES = {
 def test_records_carry_a_trailing_point_axis(fixture, request):
     imm = request.getfixturevalue(fixture)
     points = imm.chart.grid(4, 0.2)[:7]  # N = 7 matches no other axis
-    sizes = {"n": imm.n, "d": imm.n + 1, "K": 1, "N": len(points)}  # K: dD's columns, t alone (flat fiber)
+    # K: dD's columns, t alone on the flat fiber where f depends on t; none for these t-free f
+    K = int("t" in variables_in(imm.ambient.f))
+    assert K == imm.ambient.columns == 0
+    sizes = {"n": imm.n, "d": imm.n + 1, "K": K, "N": len(points)}
     geometry, jets = grid_geometry(imm, points, order=3), point_jets(imm, points, order=3)
     for record, shapes in ((geometry, GEOMETRY_SHAPES), (jets, JET_SHAPES)):
         for name, letters in shapes.items():
