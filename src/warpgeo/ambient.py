@@ -145,15 +145,14 @@ class WarpedProduct:
     def dim(self):
         return self.n + 1
 
-    def probe_window(self, margin=0.02):
-        """Finite sub-window of the interval suitable for sampling, cut as the class
-        docstring says, with ``margin`` of its width taken off each end."""
+    def probe_window(self):
+        """Finite sub-window of the interval suitable for sampling, cut as the class docstring says."""
         lo, hi = self.interval
         if math.isinf(lo):
             lo = -PROBE_CLIP if hi > -PROBE_CLIP else max(hi - max(2.0 * PROBE_CLIP, -hi * 2.0**-40), -_MAX)
         if math.isinf(hi):
             hi = PROBE_CLIP if lo < PROBE_CLIP else min(lo + max(2.0 * PROBE_CLIP, lo * 2.0**-40), _MAX)
-        pad = margin * (hi - lo)
+        pad = 0.02 * (hi - lo)
         first, last = math.nextafter(self.interval[0], math.inf), math.nextafter(self.interval[1], -math.inf)
         return max(lo + pad, first), min(hi - pad, last)  # the floats strictly inside bound the window
 

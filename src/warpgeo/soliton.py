@@ -16,15 +16,17 @@ universal cross-check.  The structural identity Ric(grad h) + (n-1)
 grad(scal - lambda) = 0 takes grad(Lap h) exactly from third jets.
 
 Every check a scene may ask for is a row of one table, ``CHECKS``: its
-name, the jet order of the grid record it reads and the number of probe
-heights at which it reads f.  One function, :func:`check_report`, runs a
-row.  Apart from the soliton verdict, a grid check reduces a per-point
-array of the record by one of two rules; ties go to the first point in
-grid order.  An identity (Lemma 1's Hess h, Theorem 3's scalar identity,
-the structural identity) passes when the sup of its error stays below
-``SOLITON_TOL`` (:func:`identity_check`); an inequality (Theorem 1's
-conditions, the bounds on lambda of Theorems 4a, 4b and 5) passes when
-its least margin is at least ``-_MARGIN_TOL`` (:func:`inequality_check`).
+name, the jet order of the grid record it reads, the number of probe
+heights at which it reads f and the rule that decides it.  One function,
+:func:`check_report`, runs a row.  A grid check forms a per-point array
+of the record, and one function, :func:`grid_check`, reduces it by the
+row's rule; ties go to the first point in grid order.  An identity
+(Lemma 1's Hess h, Theorem 3's scalar identity, the structural identity)
+passes when the sup of its error stays below ``SOLITON_TOL``; an
+inequality (Theorem 1's conditions, the bounds on lambda of Theorems 4a,
+4b and 5) passes when its least margin is at least ``-_MARGIN_TOL``.
+The soliton, rotational-classification and spaceform checks have a
+verdict of their own, and their rule is empty.
 """
 
 from __future__ import annotations
@@ -105,15 +107,16 @@ class SolitonReport(NamedTuple):
         }
 
 
-def first_extreme(values, start=0.0, lowest=False):
-    """(value, index) of the first extreme entry strictly beyond ``start``.
+def first_extreme(values, lowest=False):
+    """(value, index) of the first extreme entry strictly beyond the start, 0.0 for the
+    largest entry and inf for the smallest (``lowest``).
 
-    NaN entries never win; when no entry passes ``start`` the result is
+    NaN entries never win; when no entry passes the start the result is
     ``(start, None)``.  This is the scan "keep the first strictly larger
     (or smaller) value" over the points in grid order.  A zero is reported
     as 0.0, never -0.0.
     """
-    v = np.asarray(values, dtype=float)
+    start, v = math.inf if lowest else 0.0, np.asarray(values, dtype=float)
     if not v.size:
         return start, None
     i = int(v.argmin() if lowest else v.argmax())  # the first extreme entry, or the first NaN
@@ -133,7 +136,7 @@ def soliton_report(geometry):
     NOT_SOLITON verdict they are advisory only.  The universal Hessian
     identity error is recorded under ``identity_checks['lemma_hessian']``.
     """
-    residual_sup, worst = first_extreme(geometry.residual, start=-1.0)
+    residual_sup, worst = first_extreme(geometry.residual)
     gradh_sup, _ = first_extreme(np.sqrt(np.maximum(geometry.grad_h_norm2, 0.0)))
     identity_sup, _ = first_extreme(geometry.identity_error)
     verdict = Verdict.SOLITON if residual_sup < SOLITON_TOL else Verdict.NOT_SOLITON
@@ -191,36 +194,32 @@ class CheckResult(namedtuple("CheckResult", "name status sup_error worst_point w
         return out
 
 
-def identity_check(name, geometry, error):
-    """The identity ``name`` over a grid from its per-point ``error``: it
-    passes when the sup error stays below ``SOLITON_TOL``."""
-    sup, i = first_extreme(error)
-    status = "pass" if sup < SOLITON_TOL else "fail"
-    return CheckResult(name, status, sup_error=sup, worst_point=geometry.chart_point(i))
-
-
-def inequality_check(name, geometry, margin, extras=MappingProxyType({})):
-    """The inequality ``name`` over a grid from its per-point ``margin``: it
-    passes when the least margin, its ``worst_value``, is at least ``-_MARGIN_TOL``."""
-    worst, i = first_extreme(margin, math.inf, lowest=True)
-    status = "pass" if worst >= -_MARGIN_TOL else "fail"
-    return CheckResult(name, status, worst_point=geometry.chart_point(i), worst_value=worst, extras=extras)
+def grid_check(kind, geometry, values, extras):
+    """The grid check ``kind`` from its per-point ``values``, decided by the rule of its row of
+    ``CHECKS``: an identity passes when the sup of its error stays below ``SOLITON_TOL``, an
+    inequality when its least margin, its ``worst_value``, is at least ``-_MARGIN_TOL``."""
+    if CHECKS[kind][2] == "identity":
+        sup, i = first_extreme(values)
+        return CheckResult(kind, "pass" if sup < SOLITON_TOL else "fail", sup, geometry.chart_point(i), extras=extras)
+    worst, i = first_extreme(values, lowest=True)
+    return CheckResult(kind, "pass" if worst >= -_MARGIN_TOL else "fail", None, geometry.chart_point(i), worst, extras)
 
 
 # Every check a scene may ask for, by name, in the order errors list them: the jet order of
-# the grid record it reads (0 for none) and the number of probe heights at which it reads f.
+# the grid record it reads (0 for none), the number of probe heights at which it reads f and
+# the rule of grid_check that decides it ("" for a check with a verdict of its own).
 # spaceform, the last, is asked for as "spaceform c=<number>".
 CHECKS = {
-    "lemma1": (2, 0),
-    "soliton": (2, 0),
-    "structural": (3, 0),
-    "theorem1": (2, 0),
-    "theorem3": (2, 0),
-    "theorem4a": (2, 0),
-    "theorem4b": (2, 0),
-    "theorem5": (2, 64),
-    "rotational-classification": (0, 0),
-    "spaceform": (0, 200),
+    "lemma1": (2, 0, "identity"),
+    "soliton": (2, 0, ""),
+    "structural": (3, 0, "identity"),
+    "theorem1": (2, 0, "inequality"),
+    "theorem3": (2, 0, "identity"),
+    "theorem4a": (2, 0, "inequality"),
+    "theorem4b": (2, 0, "inequality"),
+    "theorem5": (2, 64, "inequality"),
+    "rotational-classification": (0, 0, ""),
+    "spaceform": (0, 200, ""),
 }
 
 
@@ -233,8 +232,9 @@ def check_report(kind, imm, geometry, probes=None, soliton=None, classification=
     rotational classification (None off rotational presets) and ``c`` the value of
     ``spaceform c=``.
 
-    lemma1, theorem3 and structural are identities (:func:`identity_check`); theorem1,
-    theorem4a, theorem4b and theorem5 are inequalities (:func:`inequality_check`).
+    A grid check forms its per-point values, and :func:`grid_check` decides them by the
+    row's rule: lemma1, theorem3 and structural are identities, theorem1, theorem4a,
+    theorem4b and theorem5 inequalities.
     structural is meaningful only when the soliton verdict holds, so that lambda is the
     soliton function; it is not_applicable when ``soliton`` holds another verdict (None
     runs it ungated).  grad(scal - lambda) = grad(Lap h)/n is the exact ``lap_gradient``
@@ -246,8 +246,6 @@ def check_report(kind, imm, geometry, probes=None, soliton=None, classification=
     the ambient to be a space form; its curvature c is fitted from f on the probe heights
     (taken afresh when ``probes`` is None).
     """
-    if kind == "lemma1":
-        return identity_check(kind, geometry, geometry.identity_error)
     if kind == "soliton":
         status = "pass" if soliton.verdict is Verdict.SOLITON else "fail"
         extras = {"verdict": soliton.verdict.value, "classification": soliton.classification.value}
@@ -263,10 +261,12 @@ def check_report(kind, imm, geometry, probes=None, soliton=None, classification=
         extras = classification.residuals()
         status = "pass" if classification.classified else "fail"
         return CheckResult(kind, status, max(classification.soliton.residual_sup, *extras.values()), extras=extras)
-    n, H = imm.n, geometry.mean_curvature
+    n, H = len(geometry.metric), geometry.mean_curvature  # geometry.n, read without the property's call
     f0, f1, f2 = geometry.warping
-
-    if kind == "structural":
+    extras = {}
+    if kind == "lemma1":
+        values = geometry.identity_error
+    elif kind == "structural":
         if soliton is not None and soliton.verdict is not Verdict.SOLITON:
             return CheckResult(kind, "not_applicable", extras={"reason": "soliton verdict required"})
         if geometry.lap_gradient is None:
@@ -276,40 +276,35 @@ def check_report(kind, imm, geometry, probes=None, soliton=None, classification=
         # Ric(grad h) + (n-1) grad(scal - lambda) as a covector; its norm taken with the inverse metric
         omega = contract("ijp,jp->ip", geometry.ric, geometry.grad_h) + (n - 1) * (geometry.lap_gradient / n)
         dual = contract("ijp,jp->ip", geometry.metric_inverse, omega)
-        return identity_check(kind, geometry, np.sqrt(np.maximum(contract("ip,ip->p", omega, dual), 0.0)))
-
-    if kind == "theorem1":  # H enters the curvature margin only as H^2 and theta only as |theta|
+        values = np.sqrt(np.maximum(contract("ip,ip->p", omega, dual), 0.0))
+    elif kind == "theorem1":  # H enters the curvature margin only as H^2 and theta only as |theta|
         curvature = (n + 1) / (n * n) * H * H - f2 / f0
         lf1, theta = f1 / f0, geometry.theta  # q = |theta|^-1 (log f)'(h), with the 0/0 limit taken as 0
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = lf1 / np.abs(theta)
         q = np.where(lf1 == 0.0, 0.0, np.where(theta == 0.0, np.where(lf1 > 0.0, math.inf, -math.inf), ratio))
-        curvature_margin = first_extreme(curvature, math.inf, lowest=True)[0]
-        results, extras = [], {}
+        curvature_margin, margins = first_extreme(curvature, lowest=True)[0], []
         for name, sign in (("as_oriented", 1.0), ("flipped", -1.0)):
             angle = np.where(np.isfinite(q), np.minimum(q, sign * H - q), -math.inf)
-            results.append(inequality_check(kind, geometry, np.minimum(curvature, angle)))
-            extras[name] = {"margin": results[-1].worst_value, "curvature_margin": curvature_margin,
-                            "angle_margin": first_extreme(angle, math.inf, lowest=True)[0]}
-        return max(results, key=lambda result: result.worst_value)._replace(extras=extras)
-
-    if kind == "theorem3":
+            margins.append(np.minimum(curvature, angle))
+            extras[name] = {"margin": first_extreme(margins[-1], lowest=True)[0], "curvature_margin": curvature_margin,
+                            "angle_margin": first_extreme(angle, lowest=True)[0]}
+        values = margins[extras["flipped"]["margin"] > extras["as_oriented"]["margin"]]  # ties go to as_oriented
+    elif kind == "theorem3":
         sup_H = float(np.abs(H).max())
         if sup_H >= CLASS_TOL:
             return CheckResult(kind, "not_applicable", extras={"sup_mean_curvature": sup_H})
         rhs = (f1 / f0) * (n - 1 + geometry.theta * geometry.theta)
-        return identity_check(kind, geometry, np.abs(n * (geometry.scal_gauss - geometry.lam) - rhs))
-
-    if kind == "theorem5":
+        values = np.abs(n * (geometry.scal_gauss - geometry.lam) - rhs)
+    elif kind == "theorem5":
         t, f = probes or (np.linspace(*imm.ambient.probe_window(), CHECKS[kind][1]), None)
         fit = imm.ambient.check_space_form(None, t, f)
         if fit.ratio_residual > 1e-8 or fit.second_residual > 1e-8:
             return CheckResult(kind, "not_applicable", extras={"reason": "ambient is not a space form"})
-        margin = geometry.lam - ((n - 1) * fit.c + n * H * H)
-        extras = {"c": fit.c, "failing_points": int(np.count_nonzero(margin < -_MARGIN_TOL))}
-        return inequality_check(kind, geometry, margin, extras)
-    if kind == "theorem4a":
-        bound = -n * (n - 1) * f2 / f0 + n * n * H * H
+        values = geometry.lam - ((n - 1) * fit.c + n * H * H)
+        extras = {"c": fit.c, "failing_points": int(np.count_nonzero(values < -_MARGIN_TOL))}
+    elif kind == "theorem4a":
+        values = geometry.lam - (-n * (n - 1) * f2 / f0 + n * n * H * H)
     else:  # theorem4b
-        bound = n * (n - 1) * (H * H - f2 / f0)
-    return inequality_check(kind, geometry, geometry.lam - bound)
+        values = geometry.lam - n * (n - 1) * (H * H - f2 / f0)
+    return grid_check(kind, geometry, values, extras)

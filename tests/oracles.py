@@ -693,8 +693,9 @@ def random_orthonormal_pair(G, rng):
 
 def random_fiber_point(W, rng):
     """Random valid ambient point away from chart degeneracies."""
-    lo, hi = W.probe_window(margin=0.1)
-    t = float(rng.uniform(lo + 0.2, hi - 0.2))
+    lo, hi = W.probe_window()
+    pad = (hi - lo) / 12 + 0.2  # 0.1 of the width before the window's 0.02 came off each end, then 0.2
+    t = float(rng.uniform(lo + pad, hi - pad))
     if W.fiber.value == "sphere":
         x = tuple(float(v) for v in rng.uniform(0.6, 2.4, W.n - 1)) + (
             float(rng.uniform(0.5, 5.5)),

@@ -19,6 +19,12 @@ def test_every_exported_name_resolves():
         assert len(set(module.__all__)) == len(module.__all__), module.__name__
 
 
+def test_dir_lists_every_export_and_submodule():
+    names = dir(warpgeo)
+    assert names == sorted(names)
+    assert {*warpgeo.__all__, "catalogue", "cli", "objmesh", "report", "scene"} <= set(names)
+
+
 def test_names_and_submodules_resolve_after_a_bare_import():
     # in a new interpreter: here the test session has loaded every module
     code = (

@@ -53,6 +53,15 @@ def test_presets_lists_catalogue(capsys):
         assert name in out
 
 
+def test_cli_module_runs_as_a_script(capsys):
+    # python -m warpgeo.cli is the console script: the same output and exit code
+    src = os.path.dirname(os.path.dirname(warpgeo.__file__))
+    out = subprocess.run([sys.executable, "-m", "warpgeo.cli", "presets"], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert main(["presets"]) == out.returncode == 0
+    assert out.stdout == capsys.readouterr().out and out.stderr == ""
+
+
 def test_presets_list_every_parameter_and_default(capsys):
     assert main(["presets"]) == 0
     lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}

@@ -35,12 +35,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # golden scene: (validate_scene, run_scene) calls; bumped-horosphere for seed 1
 BOUNDS = {
-    "example5": (319, 649),
-    "horosphere": (150, 399),
-    "sphere3": (159, 570),
-    "spherical-cap": (148, 345),
+    "example5": (319, 633),
+    "horosphere": (150, 385),
+    "sphere3": (159, 567),
+    "spherical-cap": (148, 332),
     "rotational-cosh": (343, 531),
-    "bumped-horosphere-seed1": (649, 521),
+    "bumped-horosphere-seed1": (649, 520),
     "dense-sphere3": (159, 364),
     "dense-example5": (317, 343),
 }

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import pytest
@@ -92,6 +93,11 @@ def test_syntax_error_offsets():
         with pytest.raises(ExprSyntaxError) as err:
             parse(text)
         assert err.value.offset == offset, text
+    # a token where another belongs is named, at its offset
+    for text, message, offset in (("(t t)", "expected ')', found 't'", 3), ("+t", "unexpected token '+'", 0)):
+        with pytest.raises(ExprSyntaxError, match=re.escape(message)) as err:
+            parse(text)
+        assert err.value.offset == offset, text
 
 
 def test_unknown_identifier_at_parse_time():
@@ -153,6 +159,16 @@ def test_unparse_round_trip_evaluates_identically(expr, t, u):
 def test_unparse_parenthesizes_negative_literals():
     expr = BinOp("^", Num(-1.5), Num(2.0))
     assert eval_value(parse(unparse(expr)), {}) == 2.25
+
+
+@pytest.mark.parametrize("text", ["t^(1.0+t)", "(t+1.0)*t", "t^2.0", "t+1.0*t"])
+def test_unparse_parenthesizes_where_precedence_needs_it(text):
+    assert unparse(parse(text)) == text
+
+
+def test_unparse_refuses_what_is_not_an_expression():
+    with pytest.raises(TypeError, match="not an Expression"):
+        unparse(5)
 
 
 @pytest.mark.parametrize(

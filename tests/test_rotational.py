@@ -76,6 +76,11 @@ def test_sphere_chart_range_checked():
         sphere_chart(())
 
 
+def test_sphere_chart_expressions_need_two_components():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        sphere_chart_expressions(1)
+
+
 def test_sphere_chart_expressions_match_values(rng):
     from oracles import eval_value
 

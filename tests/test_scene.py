@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from warpgeo import hypersurface, jets, rotational
 from warpgeo import scene as scene_module
 from warpgeo.ambient import WarpedProduct
-from warpgeo.catalogue import PRESETS
+from warpgeo.catalogue import PRESETS, build_preset, sphere_immersion
 from warpgeo.cli import main
 from warpgeo.errors import DomainError, SceneError, _number
 from warpgeo.hypersurface import MAX_GRID_POINTS, Immersion
@@ -180,6 +180,17 @@ def test_number_rule_refuses(value, rule):
     assert err.value.field == "grid.margins" and str(err.value).startswith("scene field")
 
 
+def test_a_preset_refuses_what_it_cannot_build():
+    # library callers reach the builders without validate_scene: an unknown name is a
+    # SceneError naming the preset field, a sphere over a sphere fiber a ValueError
+    ambient = WarpedProduct((0.1, 3.0), "sin(t)", "sphere", 2)
+    with pytest.raises(SceneError, match="unknown preset 'missing'") as err:
+        build_preset("missing", ambient, {})
+    assert err.value.field == "immersion.preset"
+    with pytest.raises(ValueError, match="sphere preset needs a Euclidean fiber"):
+        sphere_immersion(ambient)
+
+
 def test_readme_lists_every_scene_field_and_preset():
     # one bullet per row of FIELDS, marked required as the row is, with
     # every number's default and every enum value
@@ -221,10 +232,16 @@ def test_each_row_of_the_check_table_drives_the_run(monkeypatch, kind):
     monkeypatch.setattr(scene_module, "eval_warping", lambda tape, t: probes.append(len(t)) or warping(tape, t))
     scene = validate_scene(hyperplane_scene(checks=["spaceform c=0" if kind == "spaceform" else kind]))
     report, _ = run_scene(scene)
-    order, count = CHECKS[kind]
+    order, count, rule = CHECKS[kind]
     assert passes == [(len(scene.grid), order) if order else (0, 2)]
     assert probes == ([count] if count else [])
-    assert [entry["name"] for entry in report["checks"]] == [kind if kind != "spaceform" else "spaceform c=0.0"]
+    [entry] = report["checks"]
+    assert entry["name"] == (kind if kind != "spaceform" else "spaceform c=0.0")
+    # an identity reports its sup error and no margin, an inequality the reverse
+    if rule:
+        assert entry["status"] == "pass"
+        assert ("sup_error" in entry) == (rule == "identity")
+        assert ("worst_margin" in entry.get("extras", {})) == (rule == "inequality")
 
 
 def _scene_with_every_field(field):

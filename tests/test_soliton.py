@@ -9,12 +9,14 @@ from warpgeo.catalogue import sphere_immersion
 from warpgeo.intrinsic import grid_geometry
 from warpgeo.rotational import RotationalProfile, solve_profile
 from warpgeo.soliton import (
+    _MARGIN_TOL,
     SOLITON_TOL,
     SolitonClass,
     Verdict,
     classify,
     check_report,
     first_extreme,
+    grid_check,
 )
 
 from oracles import (
@@ -238,13 +240,32 @@ _VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_VALUES, max_size=8), st.sampled_from([0.0, -1.0, math.inf, -math.inf]), st.booleans())
-def test_first_extreme_is_the_scan_that_skips_nan(values, start, lowest):
-    # the first extreme entry strictly beyond start, NaN never winning, a zero as 0.0
-    value, index = first_extreme(np.array(values, dtype=float), start, lowest)
-    expected, at = _scan(values, start, lowest)
+@given(st.lists(_VALUES, max_size=8), st.booleans())
+def test_first_extreme_is_the_scan_that_skips_nan(values, lowest):
+    # the first extreme entry strictly beyond the start (inf for the lowest, else 0.0),
+    # NaN never winning, a zero as 0.0
+    value, index = first_extreme(np.array(values, dtype=float), lowest)
+    expected, at = _scan(values, math.inf if lowest else 0.0, lowest)
     assert index == at and math.copysign(1.0, value) == math.copysign(1.0, expected)
     assert value == expected or (math.isnan(value) and math.isnan(expected))
+
+
+@pytest.mark.parametrize(("kind", "passing", "failing"), [
+    ("lemma1", math.nextafter(SOLITON_TOL, 0.0), SOLITON_TOL),
+    ("theorem4a", -_MARGIN_TOL, math.nextafter(-_MARGIN_TOL, -math.inf)),
+])
+def test_grid_check_decides_at_the_boundary_of_its_rule(hyperplane, kind, passing, failing):
+    # an identity passes while its sup error stays below SOLITON_TOL, an inequality while its
+    # least margin is at least -_MARGIN_TOL; one point on the boundary decides a real record
+    geometry = grid_geometry(hyperplane, grid(hyperplane, count=3))
+    fill = 0.0 if kind == "lemma1" else 1.0
+    for value, status in ((passing, "pass"), (failing, "fail")):
+        values = np.full(len(geometry.lam), fill)
+        values[4] = value
+        result = grid_check(kind, geometry, values, {})
+        assert result.status == status, (kind, value)
+        assert (result.sup_error if kind == "lemma1" else result.worst_value) == value
+        assert result.worst_point == geometry.chart_point(4)
 
 
 def test_theorem3_minimal_identity(hyperplane, sphere2):
