@@ -90,7 +90,7 @@ def _object(value, field, variant, numbers):
     if not isinstance(value, dict):
         raise SceneError("must be a JSON object", where)
     rows, keys, required = _OBJECTS[field, variant is not None and variant in value]
-    if keys and not keys.issuperset(value):
+    if not keys.issuperset(value):
         raise SceneError(f"unknown field(s) {sorted(value.keys() - keys)}", where)
     if not value.keys() >= required:
         missing = next(e[0] for e in rows if e[0] in required and e[0] not in value)

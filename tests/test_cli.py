@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from warpgeo import scene as scene_module
 from warpgeo.scene import validate_scene
 from warpgeo.objmesh import obj_lines, surface_vertices
 from warpgeo.catalogue import PRESETS, REQUIRED, rotational_soliton_immersion
+
+from test_golden import fingerprint
 
 
 def write_scene(tmp_path, data, name="scene.json"):
@@ -80,6 +84,53 @@ def test_analyze_pass(tmp_path, capsys):
     assert "classification=steady" in out
     doc = json.loads(open(report_path).read())
     assert doc["soliton"]["verdict"] == "soliton"
+
+
+def test_analyze_with_a_null_report_path_writes_no_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scene = hyperplane_scene()
+    scene["output"] = {"report": None}
+    path = write_scene(tmp_path, scene)
+    assert main(["analyze", path]) == 0
+    assert "report written" not in capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
+
+
+# warpgeo analyze on the golden example5 scene: an inequality's line has no sup_error=
+EXAMPLE5_STDOUT = """\
+lemma1                      pass            sup_error=5.551e-16
+soliton                     pass            sup_error=1.415e-16
+structural                  pass            sup_error=4.489e-16
+theorem1                    fail            \n\
+theorem3                    not_applicable  \n\
+theorem4a                   fail            \n\
+theorem4b                   fail            \n\
+theorem5                    fail            \n\
+rotational-classification   pass            sup_error=1.415e-16
+spaceform c=-1.0            pass            sup_error=0.000e+00
+soliton: verdict=soliton classification=steady lambda in [-1.60982e-15, 1.249e-15]
+"""
+
+
+@pytest.mark.parametrize(
+    "checks, expected",
+    [
+        (None, EXAMPLE5_STDOUT),
+        # no soliton block, so no soliton: line
+        (["theorem4a"], "theorem4a                   fail            \n"),
+    ],
+    ids=["example5", "theorem4a-alone"],
+)
+def test_analyze_prints_a_line_per_check_then_the_soliton_block(tmp_path, capsys, checks, expected):
+    # the numbers are pinned on the platform of the goldens; elsewhere only the rest of the text
+    golden = Path(__file__).parent / "golden"
+    scene = json.loads((golden / "example5.scene.json").read_text())
+    scene["checks"] = checks or scene["checks"]
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 1
+    out = capsys.readouterr().out
+    if json.loads((golden / "platform.json").read_text()) != fingerprint():
+        out, expected = (re.sub(r"-?[0-9][0-9.]*(e[-+][0-9]+)?", "#", text) for text in (out, expected))
+    assert out == expected
 
 
 def test_analyze_check_failure_exit_one(tmp_path):
@@ -325,8 +376,9 @@ def test_interval_endpoint_beyond_the_float_range_reads_as_infinite(tmp_path, ca
         (["u", "u"], ["0", "u", "u"]),
         (["e", "v"], ["0", "v", "v"]),
         (["u", "sin"], ["0", "u", "u"]),
+        (["1u", "v"], ["0", "v", "v"]),
     ],
-    ids=["constant", "repeated", "constant-e", "function"],
+    ids=["constant", "repeated", "constant-e", "function", "digit-first"],
 )
 def test_analyze_chart_names_that_are_not_variables_exit_two(tmp_path, capsys, names, components):
     # a constant name parses as the constant and a repeated name collapses
@@ -442,6 +494,33 @@ def test_analyze_degenerate_preset_exit_two(tmp_path, capsys):
     assert main(["analyze", write_scene(tmp_path, scene)]) == 2
     err = capsys.readouterr().err
     assert "scene field 'immersion.params'" in err and "degenerate at chart point (0.0, 0.0)" in err
+
+
+SPHERE_FIBER = {"interval": [0, math.pi], "f": "sin(t)", "fiber": "sphere", "n": 2}
+
+
+@pytest.mark.parametrize(
+    "ambient, components, lower, upper, message",
+    [
+        # the first angle stays in (0, pi), the second leaves (0, 2 pi) at a probe
+        (SPHERE_FIBER, ["1.0", "u", "v"], [0.5, 5.5], [1.0, 6.5],
+         "sphere angle x2=6.4 outside (0, 6.283185307179586)"),
+        # the first angle is at most 0 at the chart center
+        (SPHERE_FIBER, ["1.0", "u", "v"], [-1.0, 1.0], [-0.5, 2.0],
+         "sphere angle x1=-0.75 outside (0, 3.141592653589793)"),
+        (None, ["0", "u", "u"], [-1.0, -1.0], [1.0, 1.0], "tangent frame is degenerate at chart point (0.0, 0.0)"),
+    ],
+    ids=["second-angle", "first-angle", "degenerate"],
+)
+def test_analyze_failing_probe_of_a_chart_immersion_names_the_immersion(
+        tmp_path, capsys, ambient, components, lower, upper, message):
+    # a probe of the scene's pass fails: an immersion given by its chart, not a preset, is at fault
+    scene = hyperplane_scene()
+    scene["ambient"] = ambient or scene["ambient"]
+    scene["immersion"] = {"components": components, "chart": {"names": ["u", "v"], "lower": lower, "upper": upper}}
+    scene["grid"] = {}
+    assert main(["analyze", write_scene(tmp_path, scene)]) == 2
+    assert capsys.readouterr().err == f"scene error: scene field 'immersion': {message}\n"
 
 
 @pytest.mark.parametrize(

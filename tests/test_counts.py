@@ -39,7 +39,7 @@ BOUNDS = {
     "horosphere": (150, 385),
     "sphere3": (159, 567),
     "spherical-cap": (148, 332),
-    "rotational-cosh": (343, 531),
+    "rotational-cosh": (342, 531),
     "bumped-horosphere-seed1": (649, 520),
     "dense-sphere3": (159, 364),
     "dense-example5": (317, 343),

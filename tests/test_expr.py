@@ -86,6 +86,8 @@ def test_syntax_error_offsets():
         parse("(1+2")
     with pytest.raises(ExprSyntaxError):
         parse("")
+    with pytest.raises(ExprSyntaxError, match="empty expression"):  # what is no text
+        parse(5)
     with pytest.raises(ExprSyntaxError):
         parse("1 2")
     # digits are ASCII: "²" and "٣" satisfy str.isdigit() but start no number

@@ -90,7 +90,7 @@ def test_jet_arithmetic_raises_type_error(t, order):
 def test_validating_records_refuse_bad_data():
     box = ChartBox(("u", "v"), (0.0, 0.0), (1.0, 2.0))
     for lower, upper in [((0.0, 2.0), (1.0, 2.0)), ((0.0, -math.inf), (1.0, 2.0)), ((0.0,), (1.0, 2.0)),
-                         ((-1e308, 0.0), (1e308, 2.0))]:
+                         ((-1e308, 0.0), (1e308, 2.0)), ((0.0, 0.0), (1.0, math.inf)), ((0.0, 0.0), (1.0, 2.0, 3.0))]:
         with pytest.raises(ValueError):
             ChartBox(("u", "v"), lower, upper)
         with pytest.raises(ValueError):

@@ -139,9 +139,14 @@ def _chart_scene(lower, names=("u", "v")):
         # entries are read before the grid and the chart names are checked against the chart
         (hyperplane_scene(grid={"samples": {"w": 2}}), "grid.samples", "samples['w'] must lie in [3, 10000], got 2"),
         (_chart_scene(["x", -1], names=("pi", "v")), "immersion.chart.lower", "lower[0] must be a number, got 'x'"),
+        (hyperplane_scene(ambient={"interval": [0, 1, 2], "f": "1", "fiber": "euclidean", "n": 2}),
+         "ambient.interval", "interval must be a [lo, hi] pair"),
+        # three names and three lower bounds, two upper ones
+        (_chart_scene([-1, -1, -1], names=("u", "v", "w")), "immersion.chart",
+         "chart names and bounds must have equal length"),
     ],
     ids=["check", "interval", "samples", "margins", "chart-bound", "chart-bounds-empty", "samples-unknown-name",
-         "bound-before-names"],
+         "bound-before-names", "interval-of-three", "chart-bounds-unequal"],
 )
 def test_refusals_name_the_entry(data, field, message):
     with pytest.raises(SceneError) as err:
@@ -392,6 +397,14 @@ def test_spaceform_check_parsing():
     assert scene.checks[0][1] == 0.0
     with pytest.raises(SceneError):
         validate_scene(hyperplane_scene(checks=["spaceform c=abc"]))
+
+
+def test_spaceform_check_fails_at_the_wrong_curvature():
+    # f = exp(t) over a flat fiber is hyperbolic space, of curvature -1
+    data = hyperplane_scene(checks=["spaceform c=-1", "spaceform c=1"])
+    data["ambient"]["f"] = "exp(t)"
+    report, passed = run_scene(validate_scene(data))
+    assert [c["status"] for c in report["checks"]] == ["pass", "fail"] and not passed
 
 
 def test_run_hyperplane_scene():

@@ -10,6 +10,7 @@ from warpgeo.intrinsic import grid_geometry
 from warpgeo.rotational import RotationalProfile, solve_profile
 from warpgeo.soliton import (
     _MARGIN_TOL,
+    CHECKS,
     SOLITON_TOL,
     SolitonClass,
     Verdict,
@@ -305,13 +306,17 @@ def test_theorem5_passes_on_spherical_slice(spherical_slice):
     assert report.extras["c"] == pytest.approx(1.0)
 
 
-def test_theorem5_not_applicable_off_space_forms():
+@pytest.mark.parametrize("f", ["t^2+1", "1+1e-7*sin(100*t)"])
+def test_theorem5_not_applicable_off_space_forms(f):
     import warpgeo
     from warpgeo.hypersurface import ChartBox, Immersion
 
-    W = warpgeo.WarpedProduct((-math.inf, math.inf), "t^2+1", "euclidean", 2)
+    W = warpgeo.WarpedProduct((-math.inf, math.inf), f, "euclidean", 2)
     chart = ChartBox(("u", "v"), (-1.0, -1.0), (1.0, 1.0))
     imm = Immersion(W, chart, ["0.5", "u", "v"])
     report = hypotheses_on_grid(imm, imm.chart.grid(3, 0.2), "theorem5")
     assert report.status == "not_applicable"
+    # in 1 + 1e-7 sin(100 t) f' is so small that the ratio residual fits: f''/f alone is not constant
+    fit = W.check_space_form(None, np.linspace(*W.probe_window(), CHECKS["theorem5"][1]))
+    assert (fit.ratio_residual > 1e-8) == (f == "t^2+1") and fit.second_residual > 1e-8
 
