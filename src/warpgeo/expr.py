@@ -227,7 +227,9 @@ def parse(text, variables=None):
     function/constant tables) raises :class:`UnknownIdentifier` at parse
     time; otherwise unknown names are resolved at evaluation.
     """
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
+        raise TypeError(f"cannot parse {text!r}: {type(text).__name__} is not text")
+    if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(text, variables)
     node = parser.parse_expr()

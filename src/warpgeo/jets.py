@@ -2,14 +2,16 @@
 
 A jet carries a value with its gradient, Hessian and, at order 3, third
 derivative in ordered active variables, exact to rounding (Griewank and
-Walther, *Evaluating Derivatives*, ch. 13).  It holds only the entries that
-can be nonzero (ch. 7), keyed by sorted index tuples: () the value, (i,) the
-gradient, (i, j) with i <= j the Hessian, (i, j, k) the third slot; a variable
-has the one entry 1.0, a constant none.  A rule computes an entry with the
-operations, in the order, of the rule on full slots at that index, touching only
-the terms present, not those zero by construction (the product and chain rules
-sum them through one helper, ``_dot``), so the two differ only in a zero's sign
-or where the full rule made a NaN of inf * 0.  Which entries exist and each
+Walther, *Evaluating Derivatives*, ch. 13).  Inside a run a jet is a plain
+dict of its entries, only those that can be nonzero (ch. 7), keyed by sorted
+index tuples: () the value, (i,) the gradient, (i, j) with i <= j the Hessian,
+(i, j, k) the third slot; a variable has the one entry 1.0, a constant none.
+A run's order reaches every rule as an argument; no jet stores it.  A rule
+computes an entry with the operations, in the order, of the rule on full slots
+at that index, touching only the terms present, not those zero by construction
+(the product and chain rules sum them through one helper, ``_dot``), so the
+two differ only in a zero's sign or where the full rule made a NaN of inf * 0.
+The chain rule has one form for every argument.  Which entries exist and each
 node's rule depend only on the expression, the active variables and the order,
 never on the values: a power whose exponent has no variables and an integer
 value is a product, any other exp(exponent * log(base)).
@@ -44,7 +46,7 @@ import numpy as np
 from .errors import DomainError, UnknownIdentifier
 from .expr import FUNCTIONS, BinOp, Call, Const, CONSTANTS, Expression, Neg, Num, Profile, Var, literal, parse
 
-_Mode = namedtuple("_Mode", "order m values")  # a run's order (0: values), active variables and bindings
+_Mode = namedtuple("_Mode", "order values")  # a run's order (0: values alone) and bindings
 
 
 class Jet2(NamedTuple):
@@ -74,7 +76,7 @@ class Jet2(NamedTuple):
 
 
 def _dot(*pairs):
-    """The sum from the left of x * y over the flat ``pairs`` (x, y) with both factors present, None
+    """The sum from the left of x * y over ``pairs``, given x, y, x, y, ..., with both factors present, None
     (zero by construction) if none is; x * 1.0 is x, to the bit: a variable's entry, or a term passed whole."""
     total, it = None, iter(pairs)
     for x, y in zip(it, it):
@@ -85,45 +87,37 @@ def _dot(*pairs):
     return total
 
 
-class _Jet(dict):
-    """The entries of a jet by sorted index tuple; ``flat`` if its Hessian and third slot are zero
-    as a whole (a variable, a constant, their sums and negations): the chain rule's short form."""
+def _support(*jets):
+    """The gradient's indices of ``jets``, sorted."""
+    return sorted({key[0] for jet in jets for key in jet if len(key) == 1})
 
-    __slots__ = ("flat", "mode")
 
-    def __init__(self, entries, flat, mode):
-        super().__init__(entries)
-        self.flat, self.mode = flat, mode
+def _neg(u):
+    return {key: -x for key, x in u.items()}
 
-    def support(self, other=()):  # the gradient's indices, of this jet or of it and other
-        return sorted({key[0] for key in [*self, *other] if len(key) == 1})
 
-    def __neg__(self):
-        return _Jet({key: -x for key, x in self.items()}, self.flat, self.mode)
+def _add(u, w):
+    out = dict(u)
+    for key, y in w.items():
+        out[key] = y if (x := out.get(key)) is None else x + y
+    return out
 
-    def __add__(self, other):
-        out = dict(self)
-        for key, y in other.items():
-            out[key] = y if (x := out.get(key)) is None else x + y
-        return _Jet(out, self.flat and other.flat, self.mode)
 
-    __sub__ = lambda self, other: self + -other  # x + (-y) is x - y, to the bit
-
-    def __mul__(self, other):
-        p, q, a, b = self.get, other.get, self[()], other[()]
-        if len(self) == len(other) == 1:  # two values alone
-            return _Jet({(): a * b}, False, self.mode)
-        support = self.support(other)
-        out = {(): a * b}
-        for i in support:
-            out[i,] = _dot(a, q((i,)), b, p((i,)))
-        for i, j in _keys(support, 2):
-            out[i, j] = _dot(a, q((i, j)), b, p((i, j)), p((i,)), q((j,)), p((j,)), q((i,)))
-        if self.mode.order == 3:  # t[x, y, z] = p_xy q_z + q_xy p_z, each read by one triple, up to thrice
-            t = {(x, y, z): _dot(p((x, y)), q((z,)), q((x, y)), p((z,))) for x, y in _keys(support, 2) for z in support}
-            for i, j, k in _keys(support, 3):
-                out[i, j, k] = _dot(t[i, j, k], 1.0, t[i, k, j], 1.0, t[j, k, i], 1.0, a, q((i, j, k)), b, p((i, j, k)))
-        return _Jet({key: x for key, x in out.items() if x is not None}, False, self.mode)
+def _mul(u, w, order):
+    p, q, a, b = u.get, w.get, u[()], w[()]
+    if len(u) == len(w) == 1:  # two values alone
+        return {(): a * b}
+    support = _support(u, w)
+    out = {(): a * b}
+    for i in support:
+        out[i,] = _dot(a, q((i,)), b, p((i,)))
+    for i, j in _keys(support, 2):
+        out[i, j] = _dot(a, q((i, j)), b, p((i, j)), p((i,)), q((j,)), p((j,)), q((i,)))
+    if order == 3:  # t[x, y, z] = p_xy q_z + q_xy p_z, each read by one triple, up to thrice
+        t = {(x, y, z): _dot(p((x, y)), q((z,)), q((x, y)), p((z,))) for x, y in _keys(support, 2) for z in support}
+        for i, j, k in _keys(support, 3):
+            out[i, j, k] = _dot(t[i, j, k], 1.0, t[i, k, j], 1.0, t[j, k, i], 1.0, a, q((i, j, k)), b, p((i, j, k)))
+    return {key: x for key, x in out.items() if x is not None}
 
 
 class Tape:
@@ -151,7 +145,7 @@ class Tape:
         def constant(op):  # each op once, kids first
             if op not in constants:
                 rule, arg, kids, _ = ops[op]
-                constants[op] = rule(arg, _Mode(0, 0, {}), *map(constant, kids))
+                constants[op] = rule(arg, _Mode(0, {}), *map(constant, kids))
             return constants[op]
 
         def exponent(op):
@@ -204,8 +198,7 @@ class Tape:
         if missing := [name for name in self.variables if name not in values]:
             raise UnknownIdentifier(missing[0])
         shape = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
-        level = order if self.m else 0
-        mode = _Mode(level, self.m if level else 0, values)
+        mode = _Mode(order if self.m else 0, values)
         jets = [None] * len(self.ops)
         with one_pass():
             for i, (fn, arg, kids, dead) in enumerate(self.ops):
@@ -217,17 +210,18 @@ class Tape:
 
 # The rule of each kind of node, called with its op's argument, the run's mode and the kids' jets.
 _RULES = {
-    Var: lambda var, mode: _Jet({(): mode.values[var[0]], **(var[1] if mode.m else {})}, True, mode),
-    Num: lambda value, mode: _Jet({(): value}, True, mode),
-    Neg: lambda node, mode, u: -u,
-    Call: lambda node, mode, u: _apply_function(node.func, u, node),
+    Var: lambda var, mode: {(): mode.values[var[0]], **(var[1] if mode.order else {})},
+    Num: lambda value, mode: {(): value},
+    Neg: lambda node, mode, u: _neg(u),
+    Call: lambda node, mode, u: _apply_function(node.func, u, node, mode.order),
     BinOp: None,
-    Profile: lambda node, mode, u: _profile(node.curve, u),
-    "+": lambda node, mode, a, b: a + b,
-    "-": lambda node, mode, a, b: a - b,
-    "*": lambda node, mode, a, b: a * b,
-    "/": lambda node, mode, a, b: a * _reciprocal(b, node),
-    "^": lambda arg, mode, a, b: _real_pow(a, b, arg[0]) if arg[1] is None else _pow_int_jet(a, arg[1], arg[0]),
+    Profile: lambda node, mode, u: _profile(node.curve, u, mode.order),
+    "+": lambda node, mode, a, b: _add(a, b),
+    "-": lambda node, mode, a, b: _add(a, _neg(b)),  # x + (-y) is x - y, to the bit
+    "*": lambda node, mode, a, b: _mul(a, b, mode.order),
+    "/": lambda node, mode, a, b: _mul(a, _reciprocal(b, node, mode.order), mode.order),
+    "^": lambda arg, mode, a, b: (_real_pow(a, b, arg[0], mode.order) if arg[1] is None
+                                  else _pow_int_jet(a, arg[1], arg[0], mode.order)),
 }
 _RULES[Const] = _RULES[Num]
 
@@ -329,59 +323,53 @@ def _flag_at(bad, node, message, value=None):
         message if value is None else message.format(float(np.ravel(value)[i])), node))
 
 
-def _chain(u, f0, f1, f2, f3):
-    """Compose a scalar function with jet ``u`` by the chain rule; ``f3()`` is the third
-    derivative, taken at order 3 only; None is a derivative zero by construction.  On
-    a flat ``u`` the third slot is f3 u_i u_j u_k, f3 summed as the three f3/3 terms of
-    the general rule (its bits when u_i is 0 or +-1)."""
+def _chain(u, order, f0, f1, f2, f3):
+    """Compose a scalar function with jet ``u`` by the chain rule; ``f3()`` is the third derivative,
+    taken at ``order`` 3 only; None is a derivative zero by construction."""
     if len(u) == 1:  # a value alone
-        return _Jet({(): f0}, False, u.mode)
-    g, support = u.get, u.support()
+        return {(): f0}
+    g, support = u.get, _support(u)
     outer = {key: _dot(g(key[:1]), g(key[1:])) for key in _keys(support, 2)}
     out = {(): f0}
     for i in support:
         out[i,] = _dot(f1, g((i,)))
     for key, gg in outer.items():
         out[key] = _dot(f1, g(key), f2, gg)
-    if u.mode.order == 3:
-        s = f3()
+    if order == 3:  # t_ijk = P_ij u_k + P_ik u_j + P_jk u_i + f1 u_ijk, with P_ij = f2 u_ij + f3/3 u_i u_j
+        s, P = f3(), {}
         s = None if s is None else s / 3.0
-        if u.flat:
-            s = None if s is None else s + s + s
-            for i, j, k in _keys(support, 3):
-                out[i, j, k] = _dot(s, _dot(outer[i, j], g((k,))), f1, g((i, j, k)))
-        else:
-            P = {key: _dot(f2, g(key), s, gg) for key, gg in outer.items()}
-            for i, j, k in _keys(support, 3):
-                out[i, j, k] = _dot(P[i, j], g((k,)), P[i, k], g((j,)), P[j, k], g((i,)), f1, g((i, j, k)))
-    return _Jet({key: x for key, x in out.items() if x is not None}, False, u.mode)
+        for key, gg in outer.items():  # a loop: a comprehension would be one more call
+            P[key] = _dot(f2, g(key), s, gg)
+        for i, j, k in _keys(support, 3):
+            out[i, j, k] = _dot(P[i, j], g((k,)), P[i, k], g((j,)), P[j, k], g((i,)), f1, g((i, j, k)))
+    return {key: x for key, x in out.items() if x is not None}
 
 
-def _reciprocal(u, node):
+def _reciprocal(u, node, order):
     v = u[()]
     _flag_at(v == 0.0, node, "division by zero")
-    if not u.mode.m:  # a value alone: no derivative to take
-        return _Jet({(): 1.0 / v}, True, u.mode)
+    if not order:  # a value alone: no derivative to take
+        return {(): 1.0 / v}
     vv = v * v
-    return _chain(u, 1.0 / v, -1.0 / vv, 2.0 / (vv * v), lambda: -6.0 / (vv * v * v))
+    return _chain(u, order, 1.0 / v, -1.0 / vv, 2.0 / (vv * v), lambda: -6.0 / (vv * v * v))
 
 
-def _pow_int_jet(u, k, node):
+def _pow_int_jet(u, k, node, order):
     """Binary exponentiation on jets."""
     if k == 0:
-        return _Jet({(): np.float64(1.0)}, True, u.mode)
+        return {(): np.float64(1.0)}
     if k < 0:
-        return _reciprocal(_pow_int_jet(u, -k, node), node)
+        return _reciprocal(_pow_int_jet(u, -k, node, order), node, order)
     result, acc = None, u
     while True:
-        result = (acc if result is None else result * acc) if k & 1 else result
+        result = (acc if result is None else _mul(result, acc, order)) if k & 1 else result
         k >>= 1
         if not k:
             return result
-        acc = acc * acc
+        acc = _mul(acc, acc, order)
 
 
-def _apply_function(name, u, node):
+def _apply_function(name, u, node, order):
     """Jet of the elementary function ``name`` at ``u``: the one place for its domain rules (log
     needs a positive and sqrt a non-negative argument; exp, sinh and cosh must not overflow)."""
     v = u[()]
@@ -392,44 +380,44 @@ def _apply_function(name, u, node):
     w = getattr(np, name)(v)
     if name in ("exp", "sinh", "cosh"):
         _flag_at(np.isinf(w) & np.isfinite(v), node, name + " overflows at {!r}", v)
-    if not u.mode.m:  # a value alone: no derivative to take (sqrt and abs refuse no kink)
-        return _Jet({(): w}, True, u.mode)
+    if not order:  # a value alone: no derivative to take (sqrt and abs refuse no kink)
+        return {(): w}
     if name in ("sin", "cos"):  # f''' = -f'
         d = np.cos(v) if name == "sin" else -np.sin(v)
-        return _chain(u, w, d, -w, lambda: -d)
+        return _chain(u, order, w, d, -w, lambda: -d)
     if name in ("sinh", "cosh"):  # f''' = f'
         d = np.cosh(v) if name == "sinh" else np.sinh(v)
-        return _chain(u, w, d, w, lambda: d)
+        return _chain(u, order, w, d, w, lambda: d)
     if name == "tan":
         d = 1.0 + w * w
-        return _chain(u, w, d, 2.0 * w * d, lambda: 2.0 * d * (d + 2.0 * w * w))
+        return _chain(u, order, w, d, 2.0 * w * d, lambda: 2.0 * d * (d + 2.0 * w * w))
     if name == "tanh":
         d = 1.0 - w * w
-        return _chain(u, w, d, -2.0 * w * d, lambda: 2.0 * d * (2.0 * w * w - d))
+        return _chain(u, order, w, d, -2.0 * w * d, lambda: 2.0 * d * (2.0 * w * w - d))
     if name == "exp":
-        return _chain(u, w, w, w, lambda: w)
+        return _chain(u, order, w, w, w, lambda: w)
     if name == "log":
         vv = v * v
-        return _chain(u, w, 1.0 / v, -1.0 / vv, lambda: 2.0 / (vv * v))
+        return _chain(u, order, w, 1.0 / v, -1.0 / vv, lambda: 2.0 / (vv * v))
     _flag_at(v == 0.0, node, name + " is not differentiable at 0")
     if name == "sqrt":
         wv = w * v
-        return _chain(u, w, 0.5 / w, -0.25 / wv, lambda: 0.375 / (wv * v))
-    return _chain(u, w, np.where(v > 0.0, 1.0, -1.0), None, lambda: None)
+        return _chain(u, order, w, 0.5 / w, -0.25 / wv, lambda: 0.375 / (wv * v))
+    return _chain(u, order, w, np.where(v > 0.0, 1.0, -1.0), None, lambda: None)
 
 
-def _real_pow(base, exponent, node):
+def _real_pow(base, exponent, node, order):
     _flag_at(base[()] <= 0.0, node,
              "power of non-positive base {!r} needs a constant integer exponent k, |k| <= 2^31", base[()])
-    return _apply_function("exp", exponent * _apply_function("log", base, node), node)
+    return _apply_function("exp", _mul(exponent, _apply_function("log", base, node, order), order), node, order)
 
 
-def _profile(curve, u):
+def _profile(curve, u, order):
     """Jet of beta(u): the chain rule on ``curve.beta_jet``, or beta alone with no derivative taken."""
-    if not u.mode.m:
-        return _Jet({(): curve.beta(u[()])}, True, u.mode)
-    b0, b1, b2, b3 = curve.beta_jet(u[()], u.mode.order)
-    return _chain(u, b0, b1, b2, lambda: b3)
+    if not order:
+        return {(): curve.beta(u[()])}
+    b0, b1, b2, b3 = curve.beta_jet(u[()], order)
+    return _chain(u, order, b0, b1, b2, lambda: b3)
 
 
 def eval_jet2(expr, bindings, active=(), order=2):

@@ -228,7 +228,8 @@ def check_report(kind, imm, geometry, probes=None, soliton=None, classification=
 
     ``geometry`` is the :class:`PointGeometry` record of the grid at the row's jet order,
     ``probes`` the row's probe heights and f's triple at them (None for the triple where
-    f failed there), ``soliton`` the :class:`SolitonReport` of the grid, ``classification`` the
+    f failed there), taken afresh when None, ``soliton`` the :class:`SolitonReport` of the
+    grid (the soliton row forms it from ``geometry`` when None), ``classification`` the
     rotational classification (None off rotational presets) and ``c`` the value of
     ``spaceform c=``.
 
@@ -243,10 +244,12 @@ def check_report(kind, imm, geometry, probes=None, soliton=None, classification=
     either one satisfies f''(h)/f(h) <= (n+1)/n^2 H^2 and 0 <= |theta|^{-1} (log f)'(h)
     <= H everywhere (the orientation making H nonnegative is not canonical).  theorem3
     requires a minimal immersion and otherwise reports not_applicable.  theorem5 needs
-    the ambient to be a space form; its curvature c is fitted from f on the probe heights
-    (taken afresh when ``probes`` is None).
+    the ambient to be a space form; its curvature c is fitted from f on the probe heights.
     """
+    if probes is None and CHECKS[kind][1]:  # a probing row takes its heights afresh when given none
+        probes = np.linspace(*imm.ambient.probe_window(), CHECKS[kind][1]), None
     if kind == "soliton":
+        soliton = soliton or soliton_report(geometry)
         status = "pass" if soliton.verdict is Verdict.SOLITON else "fail"
         extras = {"verdict": soliton.verdict.value, "classification": soliton.classification.value}
         return CheckResult(kind, status, soliton.residual_sup, soliton.worst_point, extras=extras)
@@ -297,8 +300,7 @@ def check_report(kind, imm, geometry, probes=None, soliton=None, classification=
         rhs = (f1 / f0) * (n - 1 + geometry.theta * geometry.theta)
         values = np.abs(n * (geometry.scal_gauss - geometry.lam) - rhs)
     elif kind == "theorem5":
-        t, f = probes or (np.linspace(*imm.ambient.probe_window(), CHECKS[kind][1]), None)
-        fit = imm.ambient.check_space_form(None, t, f)
+        fit = imm.ambient.check_space_form(None, *probes)
         if fit.ratio_residual > 1e-8 or fit.second_residual > 1e-8:
             return CheckResult(kind, "not_applicable", extras={"reason": "ambient is not a space form"})
         values = geometry.lam - ((n - 1) * fit.c + n * H * H)

@@ -887,21 +887,13 @@ def _flag_at(bad, node, message, value=None):
 
 def _chain(u, f0, f1, f2, f3):
     """Compose a scalar function with jet ``u`` via the chain rule;
-    ``f3`` is a callable giving the third derivative, called at order 3 only.
-    Where u's Hessian is zero by construction (a variable, say) the third
-    slot is f3 u_i u_j u_k, f3 summed as the three f3/3 terms of ``_sym3``
-    (the general rule's bits when u_i is 0 or +-1) without forming them.
-    The choice is fixed by the expression, so no slot is masked per point."""
+    ``f3`` is a callable giving the third derivative, called at order 3 only."""
     outer = u.grad[:, None] * u.grad[None, :]
     hess = f1 * u.hess + f2 * outer
     third = None
     if u.third is not None:
         s = f3() / 3.0
-        if u.hess is _ZERO:
-            third = ((s + s) + s) * (outer[:, :, None] * u.grad[None, None, :])
-        else:
-            third = _sym3(_outer(f2 * u.hess + s * outer, u.grad))
-        third = third + f1 * u.third
+        third = _sym3(_outer(f2 * u.hess + s * outer, u.grad)) + f1 * u.third
     return DenseJet(f0, f1 * u.grad, hess, third)
 
 

@@ -35,17 +35,17 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # golden scene: (validate_scene, run_scene) calls; bumped-horosphere for seed 1
 BOUNDS = {
-    "example5": (319, 633),
-    "horosphere": (150, 385),
-    "sphere3": (159, 567),
-    "spherical-cap": (148, 332),
-    "rotational-cosh": (342, 531),
-    "bumped-horosphere-seed1": (649, 520),
-    "dense-sphere3": (159, 364),
-    "dense-example5": (317, 343),
+    "example5": (305, 614),
+    "horosphere": (148, 378),
+    "sphere3": (158, 551),
+    "spherical-cap": (146, 325),
+    "rotational-cosh": (323, 514),
+    "bumped-horosphere-seed1": (647, 475),
+    "dense-sphere3": (158, 349),
+    "dense-example5": (303, 328),
 }
 # verify_classification with the arguments of the golden rotational-n2 call
-VERIFY_BOUND = 628
+VERIFY_BOUND = 597
 
 
 def counted(fn, *args):

@@ -460,6 +460,9 @@ def _jets_or_error(evaluate, expr, points, active, order):
 @example(expr=parse("(1/t)*u"), points=[(5e-324, 1.0), (0.5, -2.0)], active=("u", "t"), order=3)
 @example(expr=parse("t*u*t"), points=[(0.3, -1.2), (-0.0, 1.0)], active=("u", "t"), order=3)
 @example(expr=parse("sin(t+t+t)"), points=[(0.8217701239287258, -1.2)], active=("t",), order=3)
+# functions at order 3 of two-variable arguments with no Hessian, one with a gradient entry 3.0 whose
+# rounding tells any other third-slot rule from the one rule
+@example(expr=parse("sin(t+u+u+u)*cos(t-u)"), points=[(0.3, -1.2), (-0.7, 2.5)], active=("u", "t"), order=3)
 # at these points any other order of a product's or chain's sums changes bits
 @example(expr=parse("sin(t*u)*cos(t+u)"), points=[(-1.423361549121465, 0.5849475849719483),
                                                   (1.106732457369192, 1.200015872044073),

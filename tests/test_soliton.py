@@ -195,6 +195,13 @@ def test_theorem1_horosphere_orientations(horosphere):
     assert report.status == "fail"
 
 
+def test_probing_and_soliton_rows_run_from_the_immersion_and_geometry_alone(horosphere):
+    # a probing row takes its heights afresh and the soliton row forms its report from the grid
+    geometry = grid_geometry(horosphere, grid(horosphere, count=3))
+    assert check_report("spaceform", horosphere, geometry, c=-1.0).status == "pass"
+    assert check_report("soliton", horosphere, geometry).status == "pass"
+
+
 def test_theorem1_reports_no_negative_zero(hyperplane):
     # in f = 1 the flip makes H = -0.0, and the margins of the flipped
     # orientation are zeros, reported as 0.0 (the default grid of a scene)
