@@ -122,18 +122,18 @@ def _mul(u, w, order):
 
 class Tape:
     """Expressions compiled into a straight-line list of ops, one per distinct subtree (a
-    Num told by its bits, -0.0 from 0.0).  Compiling evaluates only the exponents without
-    variables, each op of them once, to fix their powers' rules.  A run takes an order 0, 2
-    or 3; at 0 it takes no derivative: sqrt and abs refuse no kink, a profile gives beta."""
+    Num told by its bits, -0.0 from 0.0); compiling evaluates nothing.  A run takes an order
+    0, 2 or 3; at 0 it takes no derivative: sqrt and abs refuse no kink, a profile gives beta."""
 
     def __init__(self, exprs, active=()):
         self.m = len(active)
         index = {name: i for i, name in enumerate(active)}
+        if len(index) < self.m:
+            raise ValueError(f"repeated active variables: {[name for name in index if active.count(name) > 1]}")
         memo = {}  # op by interning key: a variable by its name, a number by kind and repr
         ops = []  # (rule, argument, kids, the kids it reads for the last time)
         free = []  # by op, whether it has a variable
         last = {}  # the op that reads an op last
-        constants = {}  # by op without variables, its jet of order 0
 
         def emit(key, rule, arg, kids, has_variable):  # a new op, so far the last to read its kids
             memo[key] = len(ops)
@@ -141,23 +141,6 @@ class Tape:
             free.append(has_variable)
             for kid in kids:
                 last[kid] = memo[key]
-
-        def constant(op):  # each op once, kids first
-            if op not in constants:
-                rule, arg, kids, _ = ops[op]
-                constants[op] = rule(arg, _Mode(0, {}), *map(constant, kids))
-            return constants[op]
-
-        def exponent(op):
-            """The integer k, |k| <= 2^31, that op without variables evaluates to, or None;
-            its flags are dropped, as its checks are the runs'."""
-            token = _PASS.set([])
-            try:
-                with np.errstate(all="ignore"):
-                    k = float(constant(op)[()])
-            finally:
-                _PASS.reset(token)
-            return int(k) if abs(k) <= 2**31 and k.is_integer() else None
 
         def compile_node(node):  # the op of a distinct subtree, made once, kids first
             kind = type(node)
@@ -178,15 +161,12 @@ class Tape:
             kids = (compile_node(node[1]), compile_node(node[2])) if kind is BinOp else (compile_node(node[-1]),)
             key = (kind, id(node[0]) if kind is Profile else kind is Neg or node[0], *kids)
             if key not in memo:
-                arg = node
-                if kind is BinOp and node[0] == "^":  # an exponent without variables fixes the rule
-                    arg = (node, None if free[kids[1]] else exponent(kids[1]))
-                rule = _RULES[node[0] if kind is BinOp else kind]
-                emit(key, rule, arg, kids, free[kids[0]] or free[kids[-1]])
+                arg = (node, free[kids[1]]) if kind is BinOp and node[0] == "^" else node  # see _power
+                emit(key, _RULES[node[0] if kind is BinOp else kind], arg, kids, free[kids[0]] or free[kids[-1]])
             return memo[key]
 
         self.roots = [compile_node(expr) for expr in exprs]
-        del compile_node, constant, exponent  # their cells held them: no cycle is left for the collector
+        del compile_node  # its cell held it: no cycle is left for the collector
         self.variables = dict.fromkeys(key for key in memo if isinstance(key, str))  # the names, in order
         for kid in last.keys() - set(self.roots):  # each op's list of the jets it reads for the last time
             ops[last[kid]][3].append(kid)
@@ -202,7 +182,7 @@ class Tape:
         jets = [None] * len(self.ops)
         with one_pass():
             for i, (fn, arg, kids, dead) in enumerate(self.ops):
-                jets[i] = fn(arg, mode, *[jets[kid] for kid in kids])
+                jets[i] = fn(arg, mode, *map(jets.__getitem__, kids))
                 for kid in dead:
                     jets[kid] = None
         return _gather([jets[root] for root in self.roots], self.m, shape, order)
@@ -220,8 +200,6 @@ _RULES = {
     "-": lambda node, mode, a, b: _add(a, _neg(b)),  # x + (-y) is x - y, to the bit
     "*": lambda node, mode, a, b: _mul(a, b, mode.order),
     "/": lambda node, mode, a, b: _mul(a, _reciprocal(b, node, mode.order), mode.order),
-    "^": lambda arg, mode, a, b: (_real_pow(a, b, arg[0], mode.order) if arg[1] is None
-                                  else _pow_int_jet(a, arg[1], arg[0], mode.order)),
 }
 _RULES[Const] = _RULES[Num]
 
@@ -406,10 +384,21 @@ def _apply_function(name, u, node, order):
     return _chain(u, order, w, np.where(v > 0.0, 1.0, -1.0), None, lambda: None)
 
 
-def _real_pow(base, exponent, node, order):
+def _power(arg, mode, base, exponent):
+    """The rule of ``^`` at ``arg`` = (node, whether the exponent has a variable): an exponent
+    without variables whose value is an integer k, |k| <= 2^31, takes products, any other
+    exp(exponent * log(base)).  That value is 0-d and fixed by the expression."""
+    (node, free), order = arg, mode.order
+    if not free:
+        k = float(exponent[()])
+        if abs(k) <= 2**31 and k.is_integer():  # False for inf and nan
+            return _pow_int_jet(base, int(k), node, order)
     _flag_at(base[()] <= 0.0, node,
              "power of non-positive base {!r} needs a constant integer exponent k, |k| <= 2^31", base[()])
     return _apply_function("exp", _mul(exponent, _apply_function("log", base, node, order), order), node, order)
+
+
+_RULES["^"] = _power
 
 
 def _profile(curve, u, order):
@@ -421,9 +410,9 @@ def _profile(curve, u, order):
 
 
 def eval_jet2(expr, bindings, active=(), order=2):
-    """Evaluate ``expr`` as a jet of ``order`` 2 or 3; a list or tuple of K expressions
-    gives one jet whose slots carry a leading component axis of K, from one tape
-    compiled on the call, on which a subtree they share is evaluated once.
+    """Evaluate ``expr`` (text, a number or an AST) as a jet of ``order`` 2 or 3; a list or
+    tuple of K of them gives one jet whose slots carry a leading component axis of K, from
+    one tape compiled on the call, on which a subtree they share is evaluated once.
 
     ``bindings`` maps every variable appearing in ``expr`` to a real
     value, or to a 1-d array of N values (one per point); ``active`` is the
@@ -432,8 +421,10 @@ def eval_jet2(expr, bindings, active=(), order=2):
     order 2 do not depend on ``order``.  A DomainError carries in ``index``
     the first point whose evaluation fails.
     """
-    single = isinstance(expr, Expression)
-    slots = Tape([expr] if single else expr, tuple(active)).slots(bindings, order)
+    if order not in (2, 3):
+        raise ValueError(f"eval_jet2 takes order 2 or 3, not {order!r}")
+    single = isinstance(expr, Expression) or not isinstance(expr, (list, tuple))
+    slots = Tape(list(map(as_expression, [expr] if single else expr)), tuple(active)).slots(bindings, order)
     return Jet2(*(slot[0] for slot in slots) if single else slots)
 
 

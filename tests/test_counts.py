@@ -35,17 +35,17 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # golden scene: (validate_scene, run_scene) calls; bumped-horosphere for seed 1
 BOUNDS = {
-    "example5": (305, 614),
-    "horosphere": (148, 378),
-    "sphere3": (158, 551),
-    "spherical-cap": (146, 325),
-    "rotational-cosh": (323, 514),
-    "bumped-horosphere-seed1": (647, 475),
-    "dense-sphere3": (158, 349),
-    "dense-example5": (303, 328),
+    "example5": (293, 595),
+    "horosphere": (146, 371),
+    "sphere3": (157, 535),
+    "spherical-cap": (144, 318),
+    "rotational-cosh": (307, 497),
+    "bumped-horosphere-seed1": (645, 430),
+    "dense-sphere3": (157, 334),
+    "dense-example5": (291, 313),
 }
 # verify_classification with the arguments of the golden rotational-n2 call
-VERIFY_BOUND = 597
+VERIFY_BOUND = 568
 
 
 def counted(fn, *args):

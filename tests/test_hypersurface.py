@@ -367,6 +367,14 @@ def test_image_must_stay_in_ambient_chart():
     assert err.value.probe and err.value.index == 0
 
 
+def test_an_immersion_refuses_a_repeated_chart_name():
+    # the repeated name would collapse two axes of the tangent frame
+    chart = ChartBox(("u", "u"), (-1.0, -1.0), (1.0, 1.0))
+    with pytest.raises(ValueError) as err:
+        Immersion(euclidean_ambient(2), chart, ["0", "u", "u"])
+    assert str(err.value) == "repeated active variables: ['u']"
+
+
 def test_boundary_points_rejected(hyperplane):
     with pytest.raises(ValueError):
         grid_geometry(hyperplane, [(1.0, 0.0)])

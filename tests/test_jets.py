@@ -513,18 +513,49 @@ def test_equal_subtrees_are_one_op_but_not_a_zero_of_the_other_sign_nor_a_consta
 
 
 def test_nested_constant_exponents_are_evaluated_once_each(monkeypatch):
-    # t^2^...^2 is t^(2^(2^...)): each exponent without variables fixes its
-    # power's rule, and compiling evaluates each of its ops once, so a chain
-    # of 60 compiles in time linear in its length, not in 2^60
+    # t^2^...^2 is t^(2^(2^...)): compiling evaluates nothing, and a run reads
+    # each power's rule from its exponent's value, each op once, so a chain
+    # of 60 runs in time linear in its length, not in 2^60
     from warpgeo import jets
 
-    calls, real_pow = [], jets._real_pow
-    monkeypatch.setattr(jets, "_real_pow", lambda *args: calls.append(1) or real_pow(*args))
+    products, messages, pow_int, flag_at = [], [], jets._pow_int_jet, jets._flag_at
+    monkeypatch.setattr(jets, "_pow_int_jet", lambda *args: products.append(1) or pow_int(*args))
+    monkeypatch.setattr(jets, "_flag_at", lambda *args: messages.append(args[2]) or flag_at(*args))
     tape = Tape([parse("t" + "^2" * 60)], ("t",))
-    # of its 59 constant powers 2^2, 2^4, 2^16 and 2^65536 (inf) are products, the rest exp(inf * log 2)
-    assert len(tape.ops) == 62 and len(calls) == 55
+    assert len(tape.ops) == 62 and products == messages == []
+    tape.slots({"t": 1.5}, 2)
+    # of its 59 constant powers 2^2, 2^4, 2^16 and 2^65536 (inf) are products,
+    # the other 55 exp(inf * log 2), and so is t^inf: each real power flags once
+    assert len(products) == 4 and sum(message.startswith("power") for message in messages) == 56
     assert eval_jet2(parse("t" + "^2" * 3), {"t": 2.0}, ("t",)).value == 65536.0
     assert eval_jet2(parse("t" + "^2" * 4), {"t": 1.5}, ("t",)).value == math.inf
+
+
+@pytest.mark.parametrize("active, repeated", [(("t", "t"), "['t']"), (("u", "t", "u"), "['u']")],
+                         ids=["twice", "among-others"])
+def test_repeated_active_variables_are_refused(active, repeated):
+    # a repeated name took one gradient entry and left its other entry 0
+    with pytest.raises(ValueError) as err:
+        eval_jet2(parse("t*u"), {"t": 1.0, "u": 2.0}, active)
+    assert str(err.value) == f"repeated active variables: {repeated}"
+
+
+@pytest.mark.parametrize("order", [0, 1, 4])
+def test_eval_jet2_refuses_an_order_other_than_two_or_three(order):
+    with pytest.raises(ValueError) as err:
+        eval_jet2(parse("t"), {"t": 1.0}, ("t",), order)
+    assert str(err.value) == f"eval_jet2 takes order 2 or 3, not {order}"
+    assert [slot.tolist() for slot in Tape([parse("t*t")], ("t",)).slots({"t": 3.0}, 0)] == [[9.0]]  # values alone
+
+
+def test_eval_jet2_reads_text_and_numbers_as_expressions():
+    # each is one expression, as a WarpedProduct or an Immersion reads it; a list or tuple is K of them
+    bindings, active = {"t": np.array([0.5, -1.5])}, ("t",)
+    text, ast = eval_jet2("t*t", bindings, active, 3), eval_jet2(parse("t*t"), bindings, active, 3)
+    assert [slot.tobytes() for slot in text.slots()] == [slot.tobytes() for slot in ast.slots()]
+    assert eval_jet2(2, bindings, active).value.tolist() == [2.0, 2.0]
+    listed = eval_jet2(("t*t", 2, parse("t")), bindings, active)
+    assert listed.value.tolist() == [[0.25, 2.25], [2.0, 2.0], [0.5, -1.5]]
 
 
 @pytest.mark.parametrize("order", [2, 3])

@@ -144,9 +144,12 @@ def _chart_scene(lower, names=("u", "v")):
         # three names and three lower bounds, two upper ones
         (_chart_scene([-1, -1, -1], names=("u", "v", "w")), "immersion.chart",
          "chart names and bounds must have equal length"),
+        # a repeated name is the scene's to refuse, before the immersion's tape is compiled
+        (_chart_scene([-1, -1], names=("u", "u")), "immersion.chart.names",
+         "chart names must be distinct NAMEs, not constants or functions: ['u', 'u']"),
     ],
     ids=["check", "interval", "samples", "margins", "chart-bound", "chart-bounds-empty", "samples-unknown-name",
-         "bound-before-names", "interval-of-three", "chart-bounds-unequal"],
+         "bound-before-names", "interval-of-three", "chart-bounds-unequal", "chart-names-repeated"],
 )
 def test_refusals_name_the_entry(data, field, message):
     with pytest.raises(SceneError) as err:
