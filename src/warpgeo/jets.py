@@ -7,14 +7,13 @@ dict of its entries, only those that can be nonzero (ch. 7), keyed by sorted
 index tuples: () the value, (i,) the gradient, (i, j) with i <= j the Hessian,
 (i, j, k) the third slot; a variable has the one entry 1.0, a constant none.
 A run's order reaches every rule as an argument; no jet stores it.  A rule
-computes an entry with the operations, in the order, of the rule on full slots
-at that index, touching only the terms present, not those zero by construction
-(the product and chain rules sum them through one helper, ``_dot``), so the
-two differ only in a zero's sign or where the full rule made a NaN of inf * 0.
-The chain rule has one form for every argument.  Which entries exist and each
-node's rule depend only on the expression, the active variables and the order,
-never on the values: a power whose exponent has no variables and an integer
-value is a product, any other exp(exponent * log(base)).
+touches only the terms present, not those zero by construction (the product
+and chain rules sum them through one helper, ``_dot``), and the chain rule has
+one form for every argument.  Which entries exist and each node's rule depend
+only on the expression, the active variables and the order, never on the
+values: a power whose exponent has no variables and an integer value is a
+product, any other exp(exponent * log(base)); sqrt and abs refuse their kink
+where their argument has a variable.
 
 Expressions are compiled once into a straight-line :class:`Tape` of ops (ch. 6), equal
 subtrees interned, with each op's rule and the arrays it reads for the last time.  A
@@ -72,7 +71,7 @@ class Jet2(NamedTuple):
 
     def slots(self):
         """The value and the derivatives up to the jet's order."""
-        return (self.value, self.grad, self.hess, self.third)[: self.order + 1]
+        return self[: self.order + 1]
 
 
 def _dot(*pairs):
@@ -160,9 +159,9 @@ class Tape:
                 raise UnknownIdentifier(node[0]) if kind is Call else TypeError(f"not an Expression: {node!r}")
             kids = (compile_node(node[1]), compile_node(node[2])) if kind is BinOp else (compile_node(node[-1]),)
             key = (kind, id(node[0]) if kind is Profile else kind is Neg or node[0], *kids)
-            if key not in memo:
-                arg = (node, free[kids[1]]) if kind is BinOp and node[0] == "^" else node  # see _power
-                emit(key, _RULES[node[0] if kind is BinOp else kind], arg, kids, free[kids[0]] or free[kids[-1]])
+            if key not in memo:  # its rule's argument: the node, and whether its last kid has a variable
+                last = free[kids[-1]]
+                emit(key, _RULES[node[0] if kind is BinOp else kind], (node, last), kids, free[kids[0]] or last)
             return memo[key]
 
         self.roots = [compile_node(expr) for expr in exprs]
@@ -192,14 +191,14 @@ class Tape:
 _RULES = {
     Var: lambda var, mode: {(): mode.values[var[0]], **(var[1] if mode.order else {})},
     Num: lambda value, mode: {(): value},
-    Neg: lambda node, mode, u: _neg(u),
-    Call: lambda node, mode, u: _apply_function(node.func, u, node, mode.order),
+    Neg: lambda arg, mode, u: _neg(u),
+    Call: lambda arg, mode, u: _apply_function(arg[0].func, u, *arg, mode.order),
     BinOp: None,
-    Profile: lambda node, mode, u: _profile(node.curve, u, mode.order),
-    "+": lambda node, mode, a, b: _add(a, b),
-    "-": lambda node, mode, a, b: _add(a, _neg(b)),  # x + (-y) is x - y, to the bit
-    "*": lambda node, mode, a, b: _mul(a, b, mode.order),
-    "/": lambda node, mode, a, b: _mul(a, _reciprocal(b, node, mode.order), mode.order),
+    Profile: lambda arg, mode, u: _profile(arg[0].curve, u, mode.order),
+    "+": lambda arg, mode, a, b: _add(a, b),
+    "-": lambda arg, mode, a, b: _add(a, _neg(b)),  # x + (-y) is x - y, to the bit
+    "*": lambda arg, mode, a, b: _mul(a, b, mode.order),
+    "/": lambda arg, mode, a, b: _mul(a, _reciprocal(b, arg[0], mode.order), mode.order),
 }
 _RULES[Const] = _RULES[Num]
 
@@ -347,9 +346,9 @@ def _pow_int_jet(u, k, node, order):
         acc = _mul(acc, acc, order)
 
 
-def _apply_function(name, u, node, order):
-    """Jet of the elementary function ``name`` at ``u``: the one place for its domain rules (log
-    needs a positive and sqrt a non-negative argument; exp, sinh and cosh must not overflow)."""
+def _apply_function(name, u, node, free, order):
+    """Jet of the elementary function ``name`` at ``u``: the one place for its domain rules (log needs a positive
+    and sqrt a non-negative argument; exp, sinh, cosh must not overflow; sqrt and abs refuse a kink if ``free``)."""
     v = u[()]
     if name == "log":
         _flag_at(v <= 0.0, node, "log of non-positive value {!r}", v)
@@ -377,7 +376,7 @@ def _apply_function(name, u, node, order):
     if name == "log":
         vv = v * v
         return _chain(u, order, w, 1.0 / v, -1.0 / vv, lambda: 2.0 / (vv * v))
-    _flag_at(v == 0.0, node, name + " is not differentiable at 0")
+    _flag_at(free & (v == 0.0), node, name + " is not differentiable at 0")
     if name == "sqrt":
         wv = w * v
         return _chain(u, order, w, 0.5 / w, -0.25 / wv, lambda: 0.375 / (wv * v))
@@ -395,7 +394,8 @@ def _power(arg, mode, base, exponent):
             return _pow_int_jet(base, int(k), node, order)
     _flag_at(base[()] <= 0.0, node,
              "power of non-positive base {!r} needs a constant integer exponent k, |k| <= 2^31", base[()])
-    return _apply_function("exp", _mul(exponent, _apply_function("log", base, node, order), order), node, order)
+    return _apply_function("exp", _mul(exponent, _apply_function("log", base, node, True, order), order),
+                           node, True, order)  # neither has a kink to refuse
 
 
 _RULES["^"] = _power

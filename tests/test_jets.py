@@ -1,5 +1,6 @@
 import math
-from itertools import combinations_with_replacement, permutations
+import sys
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from warpgeo.errors import DomainError, UnknownIdentifier
-from warpgeo.expr import FUNCTIONS, BinOp, Call, Const, Neg, Num, Var, literal, parse, unparse
+from warpgeo.expr import FUNCTIONS, BinOp, Call, Const, Neg, Num, Var, literal, parse, unparse, variables_in
 from warpgeo.jets import Jet2, Tape, as_expression, eval_jet2
 
-from oracles import dense_jet2, eval_value, euclidean_ambient, fd_gradient, gather_packed
+from oracles import eval_value
+from reference import defined, intermediates, reference_jet
 
 
 def test_exp_jet_at_zero():
@@ -60,9 +62,11 @@ def test_evaluation_is_deterministic():
     assert np.array_equal(first.hess, second.hess)
 
 
-_GENERATOR_SOURCES = [
-    "sin({a}*t + {b})",
-    "exp({a}*t)*cos({b}*u)",
+# expressions in t and u that use every function: cases of the reference comparison, and
+# examples of the symmetry test
+_SOURCES = [
+    "sin(0.7*t + 1.3)",
+    "exp(0.7*t)*cos(1.3*u)",
     "t^3 - 2*t*u + u^2",
     "tanh(t)*sinh(u) + cosh(t*u)",
     "log(t^2 + u^2 + 2)",
@@ -72,56 +76,6 @@ _GENERATOR_SOURCES = [
     "exp(sin(t) + cos(u))",
     "tan(t/4)*u",
 ]
-
-
-def _random_cases(rng, count=40):
-    for _ in range(count):
-        src = _GENERATOR_SOURCES[rng.integers(len(_GENERATOR_SOURCES))]
-        a, b = (float(x) for x in rng.uniform(0.5, 1.5, 2))
-        src = src.format(a=repr(a), b=repr(b))
-        point = {
-            "t": float(rng.uniform(-1.2, 1.2)),
-            "u": float(rng.uniform(-1.2, 1.2)),
-        }
-        yield parse(src), point
-
-
-def test_first_derivatives_match_finite_differences(rng):
-    step = 1e-5
-    for expr, point in _random_cases(rng):
-        jet = eval_jet2(expr, point, ("t", "u"))
-
-        def value_at(x):
-            return eval_value(expr, {"t": x[0], "u": x[1]})
-
-        fd = fd_gradient(value_at, [point["t"], point["u"]], step)
-        for exact, approx in zip(jet.grad, fd):
-            assert abs(exact - approx) < 1e-6 * (1.0 + abs(exact))
-
-
-def test_second_derivatives_match_finite_differences(rng):
-    step = 1e-5
-    for expr, point in _random_cases(rng):
-        jet = eval_jet2(expr, point, ("t", "u"))
-
-        def grad_at(x):
-            inner = eval_jet2(expr, {"t": x[0], "u": x[1]}, ("t", "u"))
-            return inner.grad
-
-        for j in range(2):
-            def grad_j(x, j=j):
-                return grad_at(x)[j]
-
-            fd = fd_gradient(grad_j, [point["t"], point["u"]], step)
-            for i in range(2):
-                exact = jet.hess[i, j]
-                assert abs(exact - fd[i]) < 1e-4 * (1.0 + abs(exact))
-
-
-def test_hessian_is_exactly_symmetric(rng):
-    for expr, point in _random_cases(rng, count=15):
-        jet = eval_jet2(expr, point, ("t", "u"))
-        assert np.array_equal(jet.hess, jet.hess.T)
 
 
 def test_leibniz_rule_exact():
@@ -186,16 +140,26 @@ def test_domain_errors(src, bindings):
 def test_abs_kink_raises_with_active_variables():
     with pytest.raises(DomainError):
         eval_jet2(parse("abs(t)"), {"t": 0.0}, ("t",))
+    # the verdict is the expression's, whichever variables are differentiated
+    for active in (("u",), ("t",), ("t", "u")):
+        with pytest.raises(DomainError, match="abs is not differentiable at 0"):
+            eval_jet2(parse("abs(t)*u"), {"t": 0.0, "u": 2.0}, active)
     # plain evaluation of the same expression is fine
     assert eval_jet2(parse("abs(t)"), {"t": 0.0}, ()).value == 0.0
     jet = eval_jet2(parse("abs(t)"), {"t": -2.0}, ("t",))
     assert jet.value == 2.0 and jet.grad[0] == -1.0
+    # an argument without variables has no kink to refuse
+    assert eval_jet2(parse("t*abs(0)"), {"t": 0.0}, ("t",)).grad.tolist() == [0.0]
 
 
 def test_sqrt_kink_raises_with_active_variables():
     with pytest.raises(DomainError):
         eval_jet2(parse("sqrt(t)"), {"t": 0.0}, ("t",))
     assert eval_jet2(parse("sqrt(t)"), {"t": 0.0}, ()).value == 0.0
+    for active in (("u",), ("t",), ("t", "u")):
+        with pytest.raises(DomainError, match="sqrt is not differentiable at 0"):
+            eval_jet2(parse("sqrt(t) + u"), {"t": 0.0, "u": 2.0}, active)
+    assert eval_jet2(parse("t + sqrt(0)"), {"t": 0.0}, ("t",)).grad.tolist() == [1.0]
 
 
 def test_domain_error_carries_subexpression():
@@ -399,9 +363,75 @@ def _bits(a):
     return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
+_JET_CASES = dict(
+    expr=st.recursive(_LEAVES, _combine, max_leaves=8),
+    points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=8),
+    active=st.sampled_from([(), ("t",), ("u", "t")]),
+    order=st.sampled_from([2, 3]),
+)
+
+
+def _bindings(points):
+    """The points, a list of (t, u), as bindings of t and u."""
+    return {"t": np.array([p[0] for p in points]), "u": np.array([p[1] for p in points])}
+
+
+def _check_refusal(err):
+    # a node with a variable is refused by a rule of the language (a kink, a real power, an overflow),
+    # whichever variables are active; a node without one only where its operation is undefined at the
+    # operands the program computed, which an underflow or a rounding may have moved
+    node = err.expression
+    if not variables_in(node):
+        at = type(node)(node[0], *(Num(float(eval_jet2(kid, {}).value)) for kid in node[1:]))
+        assert not all(defined(reference_jet(n, {}, (), 0)[()]) for n in intermediates(at)), unparse(node)
+
+
+def _matches_the_reference(expr, bindings, active, order):
+    """Whether the tape evaluated ``expr`` at ``bindings`` (1-d arrays by name), after checking each entry
+    of its full slots, at every point and index tuple, against the 40-digit reference; or its refusal."""
+    try:
+        jet = eval_jet2(expr, bindings, active, order)
+    except DomainError as err:
+        _check_refusal(err)
+        return False
+    for i in range(len(next(iter(bindings.values())))):
+        point = {name: float(v[i]) for name, v in bindings.items()}
+        ref, inner = reference_jet(expr, point, active, order), None
+        for r, slot in enumerate(jet.slots()):
+            for index in np.ndindex((len(active),) * r):
+                want, got = ref[tuple(sorted(index))], slot[index + (i,)]
+                if not defined(want) or abs(got - want) <= 1e-11 * (1 + abs(want)):
+                    continue
+                # rounding grows with the intermediates' entries, which a rule multiplies up to r + 1
+                # at a time, and one out of float64's range may overflow into this entry
+                inner = inner or [reference_jet(node, point, active, order) for node in intermediates(expr)]
+                size = (1 + max(abs(x) if defined(x) else math.inf
+                                for jet in inner for key, x in jet.items() if len(key) <= r)) ** (r + 1)
+                assert abs(got - want) <= 1e-11 * size or (not np.isfinite(got) and size > sys.float_info.max), (
+                    i, index, got, want)
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_JET_CASES)
+# 1/t is inf at a subnormal t: the entries of u, zero, are not a NaN of inf * 0
+@example(expr=parse("(1/t)*u"), points=[(5e-324, 1.0), (0.5, -2.0)], active=("u", "t"), order=3)
+@example(expr=parse("t*u*t"), points=[(0.3, -1.2), (-0.0, 1.0)], active=("u", "t"), order=3)
+@example(expr=parse("sin(t+t+t)"), points=[(0.8217701239287258, -1.2)], active=("t",), order=3)
+# functions at order 3 of two-variable arguments with no Hessian
+@example(expr=parse("sin(t+u+u+u)*cos(t-u)"), points=[(0.3, -1.2), (-0.7, 2.5)], active=("u", "t"), order=3)
+# an argument without variables has no kink: it is neither refused nor differentiated
+@example(expr=parse("t + sqrt(0)"), points=[(0.0, 0.0), (1.5, 0.0)], active=("t",), order=3)
+@example(expr=parse("t*abs(0)"), points=[(0.0, 0.0), (1.5, 0.0)], active=("t",), order=3)
+@example(expr=parse("t^sqrt(0)"), points=[(0.0, 0.0), (1.5, 0.0)], active=("t",), order=3)
+def test_entries_match_the_40_digit_reference(expr, points, active, order):
+    _matches_the_reference(expr, _bindings(points), active, order)
+
+
 @pytest.mark.parametrize(
     "src, t",
     [
+        *((src, np.array([0.4, -1.1])) for src in _SOURCES),
         ("-t*u + t", 0.4),  # negation, sum, product
         ("t - u*u*u", 0.4),
         ("t / (u + t)", 0.4),  # reciprocal
@@ -421,74 +451,27 @@ def _bits(a):
         ("abs(t - u)", 0.4),
     ],
 )
-def test_third_derivatives_match_differences_of_the_hessian(src, t):
-    # each rule's third derivative against central differences of the
-    # exact Hessian along t and u
-    expr, step = parse(src), 1e-5
-    u, w = 1.7, np.where(np.asarray(t) == 1.3, 0.5, 3.0)  # w is inactive
-    active = ("t", "u")
-    jet = eval_jet2(expr, {"t": t, "u": u, "w": w}, active, order=3)
-    for k, (dt, du) in enumerate([(step, 0.0), (0.0, step)]):
-        plus = eval_jet2(expr, {"t": t + dt, "u": u + du, "w": w}, active).hess
-        minus = eval_jet2(expr, {"t": t - dt, "u": u - du, "w": w}, active).hess
-        fd = (plus - minus) / (2.0 * step)
-        assert np.max(np.abs(jet.third[:, :, k] - fd) / (1.0 + np.abs(fd))) < 1e-6, k
-    assert np.allclose(jet.third, np.swapaxes(jet.third, 0, 2), rtol=1e-12, atol=1e-12)
+def test_each_rule_matches_the_40_digit_reference(src, t):
+    t = np.atleast_1d(t)
+    bindings = {"t": t, "u": np.full_like(t, 1.7), "w": np.where(t == 1.3, 0.5, 3.0)}  # w is inactive
+    assert _matches_the_reference(parse(src), bindings, ("t", "u"), 3)
 
 
-_JET_CASES = dict(
-    expr=st.recursive(_LEAVES, _combine, max_leaves=8),
-    points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=8),
-    active=st.sampled_from([(), ("t",), ("u", "t")]),
-    order=st.sampled_from([2, 3]),
-)
-
-
-def _jets_or_error(evaluate, expr, points, active, order):
-    t = np.array([p[0] for p in points])
-    u = np.array([p[1] for p in points])
-    try:
-        return evaluate(expr, {"t": t, "u": u}, active, order)
-    except DomainError as exc:
-        return exc.index, str(exc)
-
-
-@settings(max_examples=300, deadline=None)
-@given(**_JET_CASES)
-# 1/t is inf at a subnormal t: the full slots multiply it by the zero
-# gradient entry of u, and the NaN spreads to entries that are not zero
-@example(expr=parse("(1/t)*u"), points=[(5e-324, 1.0), (0.5, -2.0)], active=("u", "t"), order=3)
-@example(expr=parse("t*u*t"), points=[(0.3, -1.2), (-0.0, 1.0)], active=("u", "t"), order=3)
-@example(expr=parse("sin(t+t+t)"), points=[(0.8217701239287258, -1.2)], active=("t",), order=3)
-# functions at order 3 of two-variable arguments with no Hessian, one with a gradient entry 3.0 whose
-# rounding tells any other third-slot rule from the one rule
-@example(expr=parse("sin(t+u+u+u)*cos(t-u)"), points=[(0.3, -1.2), (-0.7, 2.5)], active=("u", "t"), order=3)
-# at these points any other order of a product's or chain's sums changes bits
-@example(expr=parse("sin(t*u)*cos(t+u)"), points=[(-1.423361549121465, 0.5849475849719483),
-                                                  (1.106732457369192, 1.200015872044073),
-                                                  (-0.3632034545233549, 0.16694543881106183)], active=("u", "t"), order=3)
-def test_entries_match_the_full_slot_walk(expr, points, active, order):
-    # at every sorted index the entry is the full-slot walk's, bit for bit
-    # (a NaN counting as one value), but where that walk made a NaN of
-    # inf * 0 or a zero of the other sign; a failure is the walk's
-    new, old = (_jets_or_error(evaluate, expr, points, active, order) for evaluate in (eval_jet2, dense_jet2))
-    if type(old) is tuple:  # an error
-        assert new == old
-        return
-    for r, (mine, full) in enumerate(zip(new.slots(), old.slots(), strict=True)):
-        assert mine.shape == full.shape
-        for key in combinations_with_replacement(range(len(active)), r):
-            a, b = mine[key], full[key]
-            differ = (np.where(np.isnan(a), np.nan, a).view(np.int64) != np.where(np.isnan(b), np.nan, b).view(np.int64))
-            assert np.all(~differ | np.isnan(b) | ((a == 0.0) & (b == 0.0))), (r, key)
+def _at_the_sources(test):
+    """``test`` with an example of each of _SOURCES, in t and u at order 2."""
+    for src in _SOURCES:
+        test = example(expr=parse(src), points=[(0.4, 1.7), (-1.1, -0.6)], active=("t", "u"), order=2)(test)
+    return test
 
 
 @settings(max_examples=300, deadline=None)
 @given(**_JET_CASES)
 @example(expr=parse("t*u*t"), points=[(0.3, -1.2), (-0.0, 1.0)], active=("u", "t"), order=3)
+@_at_the_sources
 def test_every_slot_is_exactly_symmetric(expr, points, active, order):
-    jet = _jets_or_error(eval_jet2, expr, points, active, order)
-    if type(jet) is tuple:  # an error
+    try:
+        jet = eval_jet2(expr, _bindings(points), active, order)
+    except DomainError:
         return
     for r, slot in enumerate(jet.slots()[2:], start=2):
         for perm in permutations(range(r)):
@@ -556,29 +539,6 @@ def test_eval_jet2_reads_text_and_numbers_as_expressions():
     assert eval_jet2(2, bindings, active).value.tolist() == [2.0, 2.0]
     listed = eval_jet2(("t*t", 2, parse("t")), bindings, active)
     assert listed.value.tolist() == [[0.25, 2.25], [2.0, 2.0], [0.5, -1.5]]
-
-
-@pytest.mark.parametrize("order", [2, 3])
-def test_slots_written_in_place_equal_the_packed_gather(order, monkeypatch):
-    # each entry is written straight into its full slot at every permutation of
-    # its sorted index tuple: the same bytes as the packed slots copied out by
-    # take, for the component tape of the dense sphere (m = 3) and for roots that
-    # are a constant, a variable alone and products with entries of every kind
-    from warpgeo import jets
-    from warpgeo.catalogue import sphere_immersion
-
-    sphere = sphere_immersion(euclidean_ambient(3))
-    calls, gather = [], jets._gather
-    monkeypatch.setattr(jets, "_gather", lambda *args: calls.append((args, gather(*args))) or calls[-1][1])
-    sphere.component_jets(sphere.chart.grid(5, 0.1), order)
-    exprs = [parse(src) for src in ("2", "y", "x*y*z", "sin(x)*y^2 + x/z", "exp(x*x)*cos(z)")]
-    eval_jet2(exprs, {"x": np.array([0.3, -1.2]), "y": 0.7, "z": np.array([1.5, 2.0])}, ("x", "y", "z"), order)
-    assert len(calls) == 2
-    for (roots, m, shape, order_), slots in calls:
-        packed = gather_packed(roots, m, shape, order_)
-        assert len(slots) == len(packed) == order + 1
-        for got, want in zip(slots, packed):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_a_tape_refuses_a_node_that_is_no_expression_and_an_unknown_function():
