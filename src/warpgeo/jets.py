@@ -160,8 +160,8 @@ class Tape:
             kids = (compile_node(node[1]), compile_node(node[2])) if kind is BinOp else (compile_node(node[-1]),)
             key = (kind, id(node[0]) if kind is Profile else kind is Neg or node[0], *kids)
             if key not in memo:  # its rule's argument: the node, and whether its last kid has a variable
-                last = free[kids[-1]]
-                emit(key, _RULES[node[0] if kind is BinOp else kind], (node, last), kids, free[kids[0]] or last)
+                varies = free[kids[-1]]
+                emit(key, _RULES[node[0] if kind is BinOp else kind], (node, varies), kids, free[kids[0]] or varies)
             return memo[key]
 
         self.roots = [compile_node(expr) for expr in exprs]
@@ -192,7 +192,7 @@ _RULES = {
     Var: lambda var, mode: {(): mode.values[var[0]], **(var[1] if mode.order else {})},
     Num: lambda value, mode: {(): value},
     Neg: lambda arg, mode, u: _neg(u),
-    Call: lambda arg, mode, u: _apply_function(arg[0].func, u, *arg, mode.order),
+    Call: lambda arg, mode, u: _apply_function(arg[0].func, u, arg[0], mode.order if arg[1] else 0),
     BinOp: None,
     Profile: lambda arg, mode, u: _profile(arg[0].curve, u, mode.order),
     "+": lambda arg, mode, a, b: _add(a, b),
@@ -346,9 +346,9 @@ def _pow_int_jet(u, k, node, order):
         acc = _mul(acc, acc, order)
 
 
-def _apply_function(name, u, node, free, order):
-    """Jet of the elementary function ``name`` at ``u``: the one place for its domain rules (log needs a positive
-    and sqrt a non-negative argument; exp, sinh, cosh must not overflow; sqrt and abs refuse a kink if ``free``)."""
+def _apply_function(name, u, node, order):
+    """Jet of the elementary function ``name`` at ``u``: the one place for its domain rules (log
+    needs a positive and sqrt a non-negative argument; exp, sinh and cosh must not overflow)."""
     v = u[()]
     if name == "log":
         _flag_at(v <= 0.0, node, "log of non-positive value {!r}", v)
@@ -357,7 +357,7 @@ def _apply_function(name, u, node, free, order):
     w = getattr(np, name)(v)
     if name in ("exp", "sinh", "cosh"):
         _flag_at(np.isinf(w) & np.isfinite(v), node, name + " overflows at {!r}", v)
-    if not order:  # a value alone: no derivative to take (sqrt and abs refuse no kink)
+    if not order:  # a value alone, as where the argument has no variable: no derivative, no kink to refuse
         return {(): w}
     if name in ("sin", "cos"):  # f''' = -f'
         d = np.cos(v) if name == "sin" else -np.sin(v)
@@ -376,7 +376,7 @@ def _apply_function(name, u, node, free, order):
     if name == "log":
         vv = v * v
         return _chain(u, order, w, 1.0 / v, -1.0 / vv, lambda: 2.0 / (vv * v))
-    _flag_at(free & (v == 0.0), node, name + " is not differentiable at 0")
+    _flag_at(v == 0.0, node, name + " is not differentiable at 0")
     if name == "sqrt":
         wv = w * v
         return _chain(u, order, w, 0.5 / w, -0.25 / wv, lambda: 0.375 / (wv * v))
@@ -394,8 +394,7 @@ def _power(arg, mode, base, exponent):
             return _pow_int_jet(base, int(k), node, order)
     _flag_at(base[()] <= 0.0, node,
              "power of non-positive base {!r} needs a constant integer exponent k, |k| <= 2^31", base[()])
-    return _apply_function("exp", _mul(exponent, _apply_function("log", base, node, True, order), order),
-                           node, True, order)  # neither has a kink to refuse
+    return _apply_function("exp", _mul(exponent, _apply_function("log", base, node, order), order), node, order)
 
 
 _RULES["^"] = _power

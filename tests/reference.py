@@ -129,10 +129,14 @@ def _integer_exponent(exponent):
     return int(n) if k == n else None
 
 
+def held(x):
+    """Whether float64 holds ``x`` up to rounding: real and at most the largest float64 in size."""
+    return mpmath.im(x) == 0 and abs(x) <= sys.float_info.max  # False for nan
+
+
 def defined(x):
-    """Whether ``x`` is a float64 result: real, finite, at most the largest float64 in size and, unless 0,
-    at least half the smallest subnormal."""
-    return mpmath.im(x) == 0 and mpmath.isfinite(x) and (x == 0 or _TINY <= abs(x) <= sys.float_info.max)
+    """Whether ``x`` is a float64 result: held and, unless 0, at least half the smallest subnormal."""
+    return held(x) and (x == 0 or _TINY <= abs(x))
 
 
 def intermediates(expr):

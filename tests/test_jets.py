@@ -12,7 +12,7 @@ from warpgeo.expr import FUNCTIONS, BinOp, Call, Const, Neg, Num, Var, literal, 
 from warpgeo.jets import Jet2, Tape, as_expression, eval_jet2
 
 from oracles import eval_value
-from reference import defined, intermediates, reference_jet
+from reference import defined, held, intermediates, reference_jet
 
 
 def test_exp_jet_at_zero():
@@ -376,39 +376,53 @@ def _bindings(points):
     return {"t": np.array([p[0] for p in points]), "u": np.array([p[1] for p in points])}
 
 
-def _check_refusal(err):
-    # a node with a variable is refused by a rule of the language (a kink, a real power, an overflow),
-    # whichever variables are active; a node without one only where its operation is undefined at the
-    # operands the program computed, which an underflow or a rounding may have moved
-    node = err.expression
-    if not variables_in(node):
-        at = type(node)(node[0], *(Num(float(eval_jet2(kid, {}).value)) for kid in node[1:]))
-        assert not all(defined(reference_jet(n, {}, (), 0)[()]) for n in intermediates(at)), unparse(node)
+def _point(bindings, i):
+    """The bindings at point ``i``: a scalar binding holds at every point."""
+    return {name: float(v[i] if np.ndim(v) else v) for name, v in bindings.items()}
+
+
+def _check_refusal(err, bindings, active):
+    # the refused node breaks a rule of the language at the operands the program computed there, which an
+    # underflow or a rounding may have moved from the exact ones: a kink of an argument with a variable
+    # where a variable is differentiated, or an operation undefined there (a real power is exp(b log a))
+    node, point = err.expression, _point(bindings, err.index)
+    a, *b = (Num(float(eval_jet2(kid, point).value)) for kid in node[1:])
+    if str(err).endswith("is not differentiable at 0"):
+        assert active and variables_in(node) and a.value == 0.0, (unparse(node), point)
+        return
+    real_power = type(node) is BinOp and node.op == "^" and variables_in(node.right)
+    at = Call("exp", BinOp("*", *b, Call("log", a))) if real_power else type(node)(node[0], a, *b)
+    assert not all(defined(reference_jet(n, {}, (), 0)[()]) for n in intermediates(at)), (unparse(node), point)
 
 
 def _matches_the_reference(expr, bindings, active, order):
-    """Whether the tape evaluated ``expr`` at ``bindings`` (1-d arrays by name), after checking each entry
-    of its full slots, at every point and index tuple, against the 40-digit reference; or its refusal."""
+    """Whether the tape evaluated ``expr`` at ``bindings`` (by name, a 1-d array of the points or a scalar for
+    all), after checking each entry of its full slots, at every point and index tuple, against the 40-digit
+    reference; or its refusal."""
     try:
         jet = eval_jet2(expr, bindings, active, order)
     except DomainError as err:
-        _check_refusal(err)
+        _check_refusal(err, bindings, active)
         return False
-    for i in range(len(next(iter(bindings.values())))):
-        point = {name: float(v[i]) for name, v in bindings.items()}
+    nodes = None  # listed where an entry first needs the rounding bound, never for an undefined expression
+    for i in range(jet.value.shape[-1]):
+        point = _point(bindings, i)
         ref, inner = reference_jet(expr, point, active, order), None
         for r, slot in enumerate(jet.slots()):
             for index in np.ndindex((len(active),) * r):
                 want, got = ref[tuple(sorted(index))], slot[index + (i,)]
                 if not defined(want) or abs(got - want) <= 1e-11 * (1 + abs(want)):
                     continue
-                # rounding grows with the intermediates' entries, which a rule multiplies up to r + 1
-                # at a time, and one out of float64's range may overflow into this entry
-                inner = inner or [reference_jet(node, point, active, order) for node in intermediates(expr)]
-                size = (1 + max(abs(x) if defined(x) else math.inf
-                                for jet in inner for key, x in jet.items() if len(key) <= r)) ** (r + 1)
-                assert abs(got - want) <= 1e-11 * size or (not np.isfinite(got) and size > sys.float_info.max), (
-                    i, index, got, want)
+                # a rule's terms are products of up to r + 1 entries of the subexpressions (the root's own are
+                # left out), each op rounding once, and such a product may overflow; where float64 cannot
+                # hold an entry of a subexpression, the rules that read it are not compared
+                nodes = nodes or list(intermediates(expr))
+                inner = inner or [reference_jet(node, point, active, order) for node in nodes[1:]]
+                entries = [x for jet in inner for key, x in jet.items() if len(key) <= r]
+                if all(map(held, entries)):
+                    size = (1 + max(map(abs, entries), default=0)) ** (r + 1)
+                    assert abs(got - want) <= 4 * sys.float_info.epsilon * len(nodes) * size or (
+                        size > sys.float_info.max and not np.isfinite(got)), (i, index, got, want)
     return True
 
 
@@ -449,12 +463,20 @@ def test_entries_match_the_40_digit_reference(expr, points, active, order):
         ("log(t + u)", 0.4),
         ("sqrt(t + u)", 0.4),
         ("abs(t - u)", 0.4),
+        ("log(u - 1.69) / (t - 0.39)", 0.4),  # an argument and a divisor near their refusals, 0.01 each
     ],
 )
 def test_each_rule_matches_the_40_digit_reference(src, t):
     t = np.atleast_1d(t)
     bindings = {"t": t, "u": np.full_like(t, 1.7), "w": np.where(t == 1.3, 0.5, 3.0)}  # w is inactive
     assert _matches_the_reference(parse(src), bindings, ("t", "u"), 3)
+
+
+def test_three_active_variables_and_a_scalar_binding_match_the_40_digit_reference():
+    # a triple of three distinct indices fills six places of the third slot, and w, one number, is
+    # broadcast against the points' arrays
+    bindings = {"t": np.array([0.4, -1.1, 2.3]), "u": np.array([1.7, -0.6, 0.9]), "w": 1.3}
+    assert _matches_the_reference(parse("sin(t*u)*w + tan(t/w)*u"), bindings, ("u", "w", "t"), 3)
 
 
 def _at_the_sources(test):
